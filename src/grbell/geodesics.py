@@ -1,10 +1,13 @@
 """Geodesic integration with adaptive error control and event-located stops.
 
 The geodesic equation d2x/dtau2 + Gamma(x) u u = 0 is integrated as a first
-order system in (x, u) with scipy's adaptive RK45; terminal events (target
-radius or coordinate time) are located by root bracketing on the event
-function. Paths keep their dense interpolant so transport can follow the
-integrated curve exactly.
+order system in (x, u) with scipy's adaptive RK45, together with the
+parallel propagator P of the leg: dP/dtau = -(Gamma(x) . u) P with P(0) = I,
+so P(tau) carries any vector at the emission event to the event at tau
+(Poisson, Pound & Vega, Living Rev. Relativ. 14, 7 (2011), sec. 5).
+Terminal events (target radius or coordinate time) are located by root
+bracketing on the event function. Each path stores P at its sampled steps
+and is rejected unless P^T g(x) P = g(x0) holds at every one of them.
 """
 from __future__ import annotations
 
@@ -71,7 +74,7 @@ class StopCondition:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicPath:
-    """Sampled geodesic with tangent and a dense interpolant over [0, tau_end]."""
+    """Sampled geodesic with tangent, propagator and a dense interpolant."""
 
     spec: MetricSpec
     kind: str
@@ -79,6 +82,7 @@ class GeodesicPath:
     taus: np.ndarray          # (n,), strictly increasing, taus[0] == 0
     points: np.ndarray        # (n, 4)
     tangents: np.ndarray      # (n, 4)
+    propagators: np.ndarray   # (n, 4, 4), parallel propagator from taus[0]
     dense: object = field(repr=False, default=None)
 
     @property
@@ -102,11 +106,11 @@ class GeodesicPath:
         if self.dense is None:
             return self.points[0].copy(), self.tangents[0].copy()
         y = self.dense(tau)
-        return y[:4], y[4:]
+        return y[:4], y[4:8]
 
     def conservation_drift(self) -> dict[str, float]:
         """Max drift of the tangent norm and, for Schwarzschild, E and L_z."""
-        g = np.stack([metric_components(self.spec, x) for x in self.points])
+        g = _metric_stack(self.spec, self.points)
         uu = np.einsum("nab,na,nb->n", g, self.tangents, self.tangents)
         n0 = -1.0 if self.kind == TIMELIKE else 0.0
         drift = {"norm": float(np.max(np.abs(uu - n0)))}
@@ -162,6 +166,29 @@ def _drift_bound(tol: float) -> float:
     return max(1e-8, 100.0 * tol)
 
 
+def _metric_stack(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
+    return np.stack([metric_components(spec, x) for x in points])
+
+
+def check_metric_preserved(g: np.ndarray, propagators: np.ndarray, tol: float) -> float:
+    """Raise StepFailure unless P^T g(x) P = g(x0) at every stored step.
+
+    g holds the metric at the stored points, g[0] at the emission event.
+    Like the tangent-norm check, the bound max(1e-8, 100 * tol) scales with
+    the conditioning max(|P|^T |g| |P|), the size of the terms that cancel
+    near the horizon. Returns the worst residual.
+    """
+    residual = float(np.max(np.abs(
+        np.einsum("nab,nac,ncd->nbd", propagators, g, propagators) - g[0]
+    )))
+    P_abs = np.abs(propagators)
+    conditioning = float(np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), P_abs)))
+    bound = _drift_bound(tol) * max(1.0, conditioning)
+    if not residual <= bound:
+        raise StepFailure(f"propagator metric residual {residual:.3e} exceeds {bound:.3e}")
+    return residual
+
+
 def integrate_geodesic(
     spec: MetricSpec,
     x0: SpacetimePoint,
@@ -171,10 +198,11 @@ def integrate_geodesic(
 ) -> GeodesicPath:
     """Integrate the geodesic from (x0, u0) until the stop condition fires.
 
-    tol controls the local error (relative tol; absolute is tol * 1e-3).
+    tol controls the local error (relative tol; absolute is tol * 1e-3) of
+    the path and of its parallel propagator alike.
     Raises HorizonApproach if the path would cross the guard radius,
-    StepFailure if the stop is never reached or conservation drifts exceed
-    max(1e-8, 100 * tol).
+    StepFailure if the stop is never reached, conservation drifts exceed
+    max(1e-8, 100 * tol) or the propagator fails to preserve the metric.
     """
     metric_components(spec, x0.coords)  # chart + domain check
     kind = _classify_tangent(spec, x0, u0)
@@ -199,15 +227,17 @@ def integrate_geodesic(
             taus=np.array([0.0]),
             points=x0.coords[None, :].copy(),
             tangents=u0.components[None, :].copy(),
+            propagators=np.eye(4)[None],
             dense=None,
         )
 
     hard_floor = 2.0 * spec.mass if spec.kind == SCHWARZSCHILD else None
 
     def rhs(_tau, y):
-        gamma = christoffel_components(spec, y[:4], floor=hard_floor)
-        u = y[4:]
-        return np.concatenate([u, -np.einsum("abc,b,c->a", gamma, u, u)])
+        # gamma_u[a, b] = Gamma^a_{bc} u^c drives both u and the propagator
+        u = y[4:8]
+        gamma_u = christoffel_components(spec, y[:4], floor=hard_floor) @ u
+        return np.concatenate([u, -gamma_u @ u, (-gamma_u @ y[8:].reshape(4, 4)).ravel()])
 
     events = []
     stop_index = None
@@ -233,7 +263,7 @@ def integrate_geodesic(
         events.append(guard_event)
         guard_index = len(events) - 1
 
-    y0 = np.concatenate([x0.coords, u0.components])
+    y0 = np.concatenate([x0.coords, u0.components, np.eye(4).ravel()])
     cap = _tau_cap(spec, x0, u0, stop)
     sol = solve_ivp(
         rhs,
@@ -265,7 +295,8 @@ def integrate_geodesic(
         tol=tol,
         taus=taus,
         points=np.ascontiguousarray(states[:, :4]),
-        tangents=np.ascontiguousarray(states[:, 4:]),
+        tangents=np.ascontiguousarray(states[:, 4:8]),
+        propagators=states[:, 8:].reshape(-1, 4, 4),
         dense=sol.sol,
     )
     drift = path.conservation_drift()
@@ -273,14 +304,13 @@ def integrate_geodesic(
     # the tangent-norm check cancels catastrophically near the horizon
     # (terms ~ E^2/f against a result of order 1), so its bound scales with
     # the conditioning number; the Killing checks have no such cancellation
-    g_abs = np.stack(
-        [np.abs(metric_components(spec, x)) for x in path.points]
-    )
+    g = _metric_stack(spec, path.points)
     u_abs = np.abs(path.tangents)
-    conditioning = float(np.max(np.einsum("nab,na,nb->n", g_abs, u_abs, u_abs)))
+    conditioning = float(np.max(np.einsum("nab,na,nb->n", np.abs(g), u_abs, u_abs)))
     bounds = {k: bound for k in drift}
     bounds["norm"] = bound * max(1.0, conditioning)
     bad = {k: v for k, v in drift.items() if v > bounds[k]}
     if bad:
         raise StepFailure(f"conservation drift {bad} exceeds {bounds}")
+    check_metric_preserved(g, path.propagators, tol)
     return path

@@ -171,6 +171,17 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ValidationError(field, "unknown field (strict mode)")
 
 
+def _finite(value, field: str) -> float:
+    """A finite float; JSON's NaN and Infinity literals are rejected here."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(field, f"not a number: {e}") from None
+    if not math.isfinite(x):
+        raise ValidationError(field, "must be finite")
+    return x
+
+
 def _floats(value, count: int, field: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -193,10 +204,10 @@ def _parse_metric(d, field="metric") -> MetricSpec:
             raise ValidationError(f"{field}.mass", "flat metric takes no mass")
         return MetricSpec(MINKOWSKI)
     if kind == SCHWARZSCHILD:
-        mass = float(_require(d, "mass", field))
+        mass = _finite(_require(d, "mass", field), f"{field}.mass")
         if mass <= 0:
             raise ValidationError(f"{field}.mass", "must be positive")
-        eps = float(d.get("horizon_eps", 1e-6))
+        eps = _finite(d.get("horizon_eps", 1e-6), f"{field}.horizon_eps")
         if eps <= 0:
             raise ValidationError(f"{field}.horizon_eps", "must be positive")
         return MetricSpec(SCHWARZSCHILD, mass=mass, horizon_eps=eps)
@@ -210,9 +221,9 @@ def _parse_stop(d, field: str) -> StopCondition:
     try:
         return StopCondition(
             kind=_require(d, "kind", field),
-            value=float(_require(d, "value", field)),
-            tolerance=float(d.get("tolerance", 1e-10)),
-            max_tau=float(d["max_tau"]) if "max_tau" in d else None,
+            value=_finite(_require(d, "value", field), f"{field}.value"),
+            tolerance=_finite(d.get("tolerance", 1e-10), f"{field}.tolerance"),
+            max_tau=_finite(d["max_tau"], f"{field}.max_tau") if "max_tau" in d else None,
         )
     except ValidationError:
         raise
@@ -282,7 +293,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         return _config_from_dict(data)
     except (ParseError, ValidationError):
         raise
-    except (SimulatorError, TypeError, ValueError) as e:
+    except (SimulatorError, TypeError, ValueError, OverflowError) as e:
         raise ValidationError("<config>", str(e)) from e
 
 
@@ -301,7 +312,7 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         synthetic = _parse_synthetic(data["synthetic"])
 
     settings = _parse_settings(_require(data, "settings", ""))
-    tol = float(data.get("tol", DEFAULT_TOL))
+    tol = _finite(data.get("tol", DEFAULT_TOL), "tol")
     if tol <= 0 or tol > 1e-2:
         raise ValidationError("tol", "must be in (0, 1e-2]")
 
@@ -331,9 +342,9 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
             raise ValidationError("sweep.parameter", "angle sweeps need angle-form settings")
         sweep = SweepSpec(
             parameter=parameter,
-            start=float(_require(s, "start", "sweep")),
-            stop=float(_require(s, "stop", "sweep")),
-            step=float(_require(s, "step", "sweep")),
+            start=_finite(_require(s, "start", "sweep"), "sweep.start"),
+            stop=_finite(_require(s, "stop", "sweep"), "sweep.stop"),
+            step=_finite(_require(s, "step", "sweep"), "sweep.step"),
         )
 
     worldline = data.get("worldline", "timelike")

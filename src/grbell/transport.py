@@ -1,17 +1,16 @@
 """Parallel transport of vectors along stored geodesic paths.
 
-Transport solves dv/dtau + Gamma(x(tau)) u(tau) v = 0 following the path's
-dense interpolant, so the vector rides the exact integrated curve. Backward
-transport runs the same equation along the reversed path with negated
-tangent, which inverts the forward map by construction. The two-leg transfer
-R -> O -> L chains a backward leg with a forward one.
+Transport is linear, so each path carries one parallel propagator P, which
+the geodesic integrator solves with the path itself (see grbell.geodesics).
+Forward transport applies P at the last stored step, backward transport
+solves with it, and the two-leg transfer R -> O -> L chains a backward leg
+with a forward one: v_L = P_L solve(P_R, v_R).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     BasePointMismatch,
@@ -20,13 +19,7 @@ from .errors import (
     StepFailure,
 )
 from .geodesics import GeodesicPath
-from .geometry import (
-    SCHWARZSCHILD,
-    FourVector,
-    christoffel_components,
-    metric_components,
-    same_event,
-)
+from .geometry import FourVector, metric_components, same_event
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -44,10 +37,10 @@ class TransportedVector:
     history: np.ndarray | None = None
 
 
-def _invariants(path: GeodesicPath, tau: float, v: np.ndarray) -> tuple[float, float, float, float]:
-    """(v.v, v.u) plus the sum-of-magnitudes conditioning of each product."""
-    x, u = path.state_at(tau)
-    g = metric_components(path.spec, x)
+def _invariants(path: GeodesicPath, i: int, v: np.ndarray) -> tuple[float, float, float, float]:
+    """(v.v, v.u) at stored step i plus the sum-of-magnitudes conditioning of each."""
+    u = path.tangents[i]
+    g = metric_components(path.spec, path.points[i])
     g_abs, v_abs, u_abs = np.abs(g), np.abs(v), np.abs(u)
     return (
         float(v @ g @ v),
@@ -68,7 +61,8 @@ def parallel_transport(
     Forward transport starts at the path's first event, backward at its
     last. Inner products with the tangent and the vector's own norm are
     conserved; their relative drift is checked against max(1e-8, 100 * tol)
-    and reported on the result.
+    and reported on the result. The history holds the vector at every
+    stored step, in the order of travel.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
@@ -76,40 +70,19 @@ def parallel_transport(
     if not same_event(anchor, v0.base):
         raise BasePointMismatch(f"vector based at {v0.base}, path {direction} end is {anchor}")
 
-    T = path.tau_end
-    if T == 0.0 or len(path.taus) < 2:
-        return TransportedVector(
-            v=FourVector(v0.components, anchor), norm_drift=0.0, tangent_dot_drift=0.0
-        )
+    # the vector at the path's first and last stored steps
+    P_end = path.propagators[-1]
+    if direction == FORWARD:
+        first = np.asarray(v0.components, dtype=float)
+        last = P_end @ first
+    else:
+        last = np.asarray(v0.components, dtype=float)
+        first = np.linalg.solve(P_end, last)
 
-    sign = 1.0 if direction == FORWARD else -1.0
-
-    def path_tau(s: float) -> float:
-        return s if direction == FORWARD else T - s
-
-    hard_floor = 2.0 * path.spec.mass if path.spec.kind == SCHWARZSCHILD else None
-
-    def rhs(s, v):
-        x, u = path.state_at(path_tau(s))
-        gamma = christoffel_components(path.spec, x, floor=hard_floor)
-        # reversed traversal flips the tangent, so the sign moves into the RHS
-        return -sign * np.einsum("abc,b,c->a", gamma, u, v)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        np.asarray(v0.components, dtype=float),
-        method="RK45",
-        rtol=path.tol,
-        atol=path.tol * 1e-3,
-        dense_output=keep_history,
-    )
-    if not sol.success:
-        raise StepFailure(f"transport failed: {sol.message}")
-
-    v_end = sol.y[:, -1]
-    start_norm, start_dot, cond_n0, cond_d0 = _invariants(path, path_tau(0.0), v0.components)
-    end_norm, end_dot, cond_n1, cond_d1 = _invariants(path, path_tau(T), v_end)
+    at_first, at_last = _invariants(path, 0, first), _invariants(path, -1, last)
+    start, end = (at_first, at_last) if direction == FORWARD else (at_last, at_first)
+    start_norm, start_dot, cond_n0, cond_d0 = start
+    end_norm, end_dot, cond_n1, cond_d1 = end
     norm_drift = abs(end_norm - start_norm) / max(abs(start_norm), 1.0)
     dot_drift = abs(end_dot - start_dot) / max(abs(start_dot), 1.0)
     bound = max(1e-8, 100.0 * path.tol)
@@ -123,13 +96,14 @@ def parallel_transport(
             f"exceeds ({norm_bound:.3e}, {dot_bound:.3e})"
         )
 
-    dest = path.end_point() if direction == FORWARD else path.start_point()
     history = None
     if keep_history:
-        taus = path.taus if direction == FORWARD else T - path.taus[::-1]
-        history = np.stack([sol.sol(s) for s in taus])
+        history = path.propagators @ first
+        if direction == BACKWARD:
+            history = history[::-1]
+    dest = path.end_point() if direction == FORWARD else path.start_point()
     return TransportedVector(
-        v=FourVector(v_end, dest),
+        v=FourVector(last if direction == FORWARD else first, dest),
         norm_drift=float(norm_drift),
         tangent_dot_drift=float(dot_drift),
         history=history,

@@ -56,6 +56,22 @@ def test_invalid_config_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", write(tmp_path, data)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("tol", float("nan")), ("stop1.value", float("inf")), ("mc.n", float("inf"))],
+)
+def test_non_finite_value_is_config_error(tmp_path, capsys, field, value):
+    # json writes these as the NaN and Infinity literals its parser accepts
+    data = schwarzschild_demo_config()
+    *parents, key = field.split(".")
+    target = data
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    assert main(["run", "--config", write(tmp_path, data)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_geometry_failure_exit_code(tmp_path, capsys):
     data = flat_baseline_config()
     data["metric"] = {"kind": "schwarzschild", "mass": 1.0}

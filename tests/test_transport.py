@@ -7,6 +7,7 @@ from grbell import (
     BasePointMismatch,
     CommonOriginMismatch,
     FourVector,
+    StepFailure,
     StopCondition,
     build_comoving_frame,
     integrate_geodesic,
@@ -18,6 +19,8 @@ from grbell import (
     transport_R_to_L,
 )
 from grbell.frames import tetrad_components
+from grbell.geodesics import check_metric_preserved
+from grbell.geometry import metric_components
 
 M = 1.0
 
@@ -37,6 +40,61 @@ def circular_path(schw, r=10.0, revolutions=1.0, retrograde=False):
     u0 = FourVector([ut, 0.0, 0.0, sign * omega * ut], x0)
     tau_orbit = revolutions * 2.0 * math.pi / (omega * ut)
     return integrate_geodesic(schw, x0, u0, StopCondition.proper_time(tau_orbit))
+
+
+def radial_infall_path(schw, r0=10.0, r_end=2.1):
+    x0 = schwarzschild_point(0.0, r0, math.pi / 2, 0.0)
+    u0 = FourVector([1.0 / math.sqrt(1.0 - 2.0 * M / r0), 0.0, 0.0, 0.0], x0)
+    return integrate_geodesic(schw, x0, u0, StopCondition.radius(r_end))
+
+
+def metric_stack(path):
+    return np.stack([metric_components(path.spec, x) for x in path.points])
+
+
+def test_propagator_starts_at_identity(schw):
+    path = circular_path(schw, revolutions=0.3)
+    assert path.propagators.shape == (len(path.taus), 4, 4)
+    assert np.array_equal(path.propagators[0], np.eye(4))
+
+
+@pytest.mark.parametrize("make_path", [circular_path, radial_infall_path])
+def test_propagator_preserves_metric_every_step(schw, make_path):
+    path = make_path(schw)
+    g = metric_stack(path)
+    P = path.propagators
+    residual = np.max(np.abs(np.einsum("nab,nac,ncd->nbd", P, g, P) - g[0]), axis=(1, 2))
+    P_abs = np.abs(P)
+    conditioning = np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), P_abs))
+    bound = max(1e-8, 100.0 * path.tol) * max(1.0, conditioning)
+    assert len(residual) == len(path.taus) > 2
+    assert np.all(residual <= bound)
+    assert check_metric_preserved(g, P, path.tol) == np.max(residual)
+
+
+def test_perturbed_propagator_fails_metric_check(schw):
+    path = circular_path(schw, revolutions=0.3)
+    g = metric_stack(path)
+    check_metric_preserved(g, path.propagators, path.tol)
+    with pytest.raises(StepFailure):
+        check_metric_preserved(g, path.propagators + 1e-6, path.tol)
+
+
+def test_forward_backward_round_trip_is_exact_to_rounding(schw, rng):
+    path = circular_path(schw, revolutions=0.4)
+    v0 = FourVector(rng.standard_normal(4), path.start_point())
+    there = parallel_transport(path, v0)
+    back = parallel_transport(path, there.v, direction="backward")
+    assert np.max(np.abs(back.v.components - v0.components)) < 1e-12
+
+
+def test_transport_r_to_l_is_propagator_product(schw, rng):
+    geo_L = circular_path(schw, revolutions=0.25)
+    geo_R = circular_path(schw, revolutions=0.2, retrograde=True)
+    vR = FourVector(rng.standard_normal(4), geo_R.end_point())
+    out = transport_R_to_L(geo_L, geo_R, vR)
+    expected = geo_L.propagators[-1] @ np.linalg.solve(geo_R.propagators[-1], vR.components)
+    assert np.array_equal(out.v.components, expected)
 
 
 def test_flat_transport_is_identity(flat, rng):
@@ -97,6 +155,15 @@ def test_transport_history_samples(schw):
     out = parallel_transport(path, v0, keep_history=True)
     assert out.history.shape == (len(path.taus), 4)
     assert np.allclose(out.history[0], v0.components, atol=1e-12)
+    assert np.allclose(out.history[-1], out.v.components, atol=1e-12)
+
+
+def test_backward_history_runs_in_order_of_travel(schw):
+    path = circular_path(schw, revolutions=0.3)
+    v1 = FourVector([0.0, math.sqrt(0.8), 0.0, 0.0], path.end_point())
+    out = parallel_transport(path, v1, direction="backward", keep_history=True)
+    assert out.history.shape == (len(path.taus), 4)
+    assert np.allclose(out.history[0], v1.components, atol=1e-12)
     assert np.allclose(out.history[-1], out.v.components, atol=1e-12)
 
 
