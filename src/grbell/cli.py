@@ -6,13 +6,15 @@
     grbell lhv-audit --config cfg.json [--n 100000] [--seed 0]
     grbell selftest
 
-Global options: --tol, --seed, --workers, --quiet. Exit codes: 0 success,
+Global options: --tol, --seed, --workers (accepted and ignored; rows run
+serially), --quiet. Exit codes: 0 success,
 2 configuration error, 3 geometry or integration error, 4 statistical
 audit/selftest failure.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -45,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
             **(kw or {"default": None}),
         )
         target.add_argument(
-            "--workers", type=int, help="row-level worker threads",
+            "--workers", type=int,
+            help="accepted and ignored; sweep and horizon rows run serially",
             **(kw or {"default": 1}),
         )
         if suppress:
@@ -136,9 +139,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_horizon(args) -> int:
+    for flag, value in (
+        ("--mass", args.mass), ("--r-start", args.r_start),
+        ("--r-end", args.r_end), ("--horizon-eps", args.horizon_eps),
+    ):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite")
+    if not (args.mass > 0 and args.horizon_eps > 0):
+        raise ConfigError("--mass and --horizon-eps must be positive")
+    if not 1 <= args.steps <= sc.MAX_ROWS:
+        raise ConfigError(f"--steps must be between 1 and {sc.MAX_ROWS}")
     spec = MetricSpec(SCHWARZSCHILD, mass=args.mass, horizon_eps=args.horizon_eps)
-    if args.steps < 1:
-        raise ConfigError("steps must be at least 1")
     if not args.r_start > args.r_end:
         raise ConfigError("--r-start must exceed --r-end")
     r_values = list(np.linspace(args.r_start, args.r_end, args.steps))

@@ -27,6 +27,13 @@ Synthetic mode replaces the geometry block with
     "synthetic": {"w_b": 0.9, "b": [1,0,0], "w_c": 0.8, "c": [0.5,0.866,0]}
 and an optional "sweep" block {"parameter", "start", "stop", "step"} drives
 row generation for the sweep command.
+
+The settings a, b and c are chosen at the detectors and do not enter the
+geodesics, the detector tetrads or the R -> O -> L propagator, so the
+pipeline runs in two steps: the geometry (both geodesics and both detector
+frames), then the settings-dependent stages (embedding, transport,
+projection, inequality, optional LHV audit). An angle sweep shares one
+geometry across all its rows; a weight sweep revalidates each row.
 """
 from __future__ import annotations
 
@@ -34,8 +41,7 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,7 +97,12 @@ DEFAULT_MC_SEED = 0
 FRAME_STATIC = "static"
 FRAME_COMOVING = "comoving"
 
-SWEEP_PARAMETERS = ("a_deg", "b_deg", "c_deg", "w", "w_b", "w_c")
+ANGLE_SWEEP_PARAMETERS = ("a_deg", "b_deg", "c_deg")
+SWEEP_PARAMETERS = ANGLE_SWEEP_PARAMETERS + ("w", "w_b", "w_c")
+
+# caps on the work one config may ask for, checked before anything is allocated
+MAX_MC_N = 10_000_000
+MAX_ROWS = 100_000
 
 _GEOMETRY_KEYS = {"metric", "origin", "u1", "u2", "stop1", "stop2", "frame_choice"}
 _TOP_KEYS = _GEOMETRY_KEYS | {
@@ -118,9 +129,15 @@ class SweepSpec:
     stop: float
     step: float
 
-    def values(self) -> list[float]:
+    def __post_init__(self):
         if self.step == 0.0:
             raise ValidationError("sweep.step", "must be nonzero")
+        # values() stops after about span + 1 rows; inf and NaN fail too
+        span = (self.stop - self.start) / self.step
+        if not span < MAX_ROWS:
+            raise ValidationError("sweep", f"asks for more than {MAX_ROWS} rows")
+
+    def values(self) -> list[float]:
         out = []
         v = self.start
         eps = 1e-9 * max(1.0, abs(self.step))
@@ -180,6 +197,13 @@ def _finite(value, field: str) -> float:
     if not math.isfinite(x):
         raise ValidationError(field, "must be finite")
     return x
+
+
+def _tol(value) -> float:
+    tol = _finite(value, "tol")
+    if tol <= 0 or tol > 1e-2:
+        raise ValidationError("tol", "must be in (0, 1e-2]")
+    return tol
 
 
 def _floats(value, count: int, field: str) -> np.ndarray:
@@ -312,9 +336,7 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         synthetic = _parse_synthetic(data["synthetic"])
 
     settings = _parse_settings(_require(data, "settings", ""))
-    tol = _finite(data.get("tol", DEFAULT_TOL), "tol")
-    if tol <= 0 or tol > 1e-2:
-        raise ValidationError("tol", "must be in (0, 1e-2]")
+    tol = _tol(data.get("tol", DEFAULT_TOL))
 
     mc = data.get("mc", {})
     if not isinstance(mc, dict):
@@ -324,6 +346,8 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
     mc_seed = int(mc.get("seed", DEFAULT_MC_SEED))
     if mc_n < 100:
         raise ValidationError("mc.n", "must be at least 100")
+    if mc_n > MAX_MC_N:
+        raise ValidationError("mc.n", f"must be at most {MAX_MC_N}")
 
     lhv_audit = bool(data.get("lhv_audit", False))
 
@@ -338,7 +362,7 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
             raise ValidationError("sweep.parameter", f"must be one of {SWEEP_PARAMETERS}")
         if parameter in ("w", "w_b", "w_c") and synthetic is None:
             raise ValidationError("sweep.parameter", "weight sweeps need synthetic mode")
-        if parameter in ("a_deg", "b_deg", "c_deg") and "a_deg" not in data.get("settings", {}):
+        if parameter in ANGLE_SWEEP_PARAMETERS and "a_deg" not in data.get("settings", {}):
             raise ValidationError("sweep.parameter", "angle sweeps need angle-form settings")
         sweep = SweepSpec(
             parameter=parameter,
@@ -481,26 +505,53 @@ def _detector_frame(cfg: ScenarioConfig, path: GeodesicPath) -> LocalFrame:
     return build_static_frame(cfg.metric, end)
 
 
+@dataclass(frozen=True, eq=False)
+class _Geometry:
+    """What a scenario computes before it looks at the settings."""
+
+    geo1: GeodesicPath
+    geo2: GeodesicPath
+    frame_L: LocalFrame
+    frame_R: LocalFrame
+    summary_1: GeodesicSummary
+    summary_2: GeodesicSummary
+
+
+def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
+    """Both geodesics and both detector frames; None in synthetic mode."""
+    if cfg.is_synthetic:
+        return None
+    with _stage("geodesic_1"):
+        geo1 = integrate_geodesic(cfg.metric, cfg.origin, cfg.u1, cfg.stop1, cfg.tol)
+    with _stage("geodesic_2"):
+        geo2 = integrate_geodesic(cfg.metric, cfg.origin, cfg.u2, cfg.stop2, cfg.tol)
+    with _stage("frames"):
+        frame_L = _detector_frame(cfg, geo1)
+        frame_R = _detector_frame(cfg, geo2)
+    return _Geometry(
+        geo1, geo2, frame_L, frame_R,
+        GeodesicSummary.from_path(geo1), GeodesicSummary.from_path(geo2),
+    )
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the full pipeline for one configuration."""
     t0 = time.perf_counter()
-    geo1 = geo2 = None
-    if cfg.is_synthetic:
+    return _evaluate(cfg, _geometry(cfg), t0)
+
+
+def _evaluate(cfg: ScenarioConfig, geometry: _Geometry | None, t0: float) -> RunReport:
+    """The settings-dependent stages, on a geometry from ``_geometry(cfg)``."""
+    if geometry is None:
         proj_b, proj_c = cfg.synthetic.proj_b, cfg.synthetic.proj_c
     else:
-        with _stage("geodesic_1"):
-            geo1 = integrate_geodesic(cfg.metric, cfg.origin, cfg.u1, cfg.stop1, cfg.tol)
-        with _stage("geodesic_2"):
-            geo2 = integrate_geodesic(cfg.metric, cfg.origin, cfg.u2, cfg.stop2, cfg.tol)
-        with _stage("frames"):
-            frame_L = _detector_frame(cfg, geo1)
-            frame_R = _detector_frame(cfg, geo2)
+        geo1, geo2, frame_R = geometry.geo1, geometry.geo2, geometry.frame_R
         with _stage("transport"):
             moved_b = transport_R_to_L(geo1, geo2, embed_direction(frame_R, cfg.settings.b))
             moved_c = transport_R_to_L(geo1, geo2, embed_direction(frame_R, cfg.settings.c))
         with _stage("projection"):
-            proj_b = project_to_frame(frame_L, moved_b.v)
-            proj_c = project_to_frame(frame_L, moved_c.v)
+            proj_b = project_to_frame(geometry.frame_L, moved_b.v)
+            proj_c = project_to_frame(geometry.frame_L, moved_c.v)
 
     with _stage("inequality"):
         inequality = generalized_bell_check(cfg.settings, proj_b, proj_c)
@@ -531,8 +582,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         proj_c=proj_c,
         inequality=inequality,
         angles=angles,
-        geodesic_1=GeodesicSummary.from_path(geo1) if geo1 is not None else None,
-        geodesic_2=GeodesicSummary.from_path(geo2) if geo2 is not None else None,
+        geodesic_1=None if geometry is None else geometry.summary_1,
+        geodesic_2=None if geometry is None else geometry.summary_2,
         best_setting=best_setting,
         best_margin=best_margin,
         lhv=lhv,
@@ -733,51 +784,63 @@ def rows_to_csv(rows: list[dict[str, str]]) -> str:
 # -- sweeps -------------------------------------------------------------------
 
 
-def _sweep_point_config(base_echo: dict, parameter: str, value: float) -> ScenarioConfig:
-    data = json.loads(json.dumps(base_echo))
-    data.pop("sweep", None)
-    if parameter in ("a_deg", "b_deg", "c_deg"):
-        data["settings"][parameter] = value
-    elif parameter == "w":
-        data["synthetic"]["w_b"] = value
-        data["synthetic"]["w_c"] = value
-    else:
-        data["synthetic"][parameter] = value
+def _angle_point_config(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
+    echo = {key: v for key, v in cfg.echo.items() if key != "sweep"}
+    echo["settings"] = {**echo["settings"], parameter: value}
+    return replace(cfg, settings=_parse_settings(echo["settings"]), sweep=None, echo=echo)
+
+
+def _weight_point_config(base_echo: dict, parameter: str, value: float) -> ScenarioConfig:
+    # revalidated, so that a weight outside [0, 1] gives an error row
+    data = {key: v for key, v in base_echo.items() if key != "sweep"}
+    weights = ("w_b", "w_c") if parameter == "w" else (parameter,)
+    data["synthetic"] = {**data["synthetic"], **dict.fromkeys(weights, value)}
     return config_from_dict(data)
 
 
-def _run_row(cfg_builder, scenario_id: str) -> dict[str, str]:
+def _failure_status(e: SimulatorError) -> str:
+    if isinstance(e, PipelineError):
+        return "horizon_approach" if isinstance(e.cause, HorizonApproach) else f"error:{e.stage}"
+    return f"error:{type(e).__name__}"
+
+
+def _run_row(run, scenario_id: str) -> dict[str, str]:
     try:
-        cfg = cfg_builder()
-        report = run_scenario(cfg)
-        return csv_row(report, scenario_id)
-    except PipelineError as e:
-        if isinstance(e.cause, HorizonApproach):
-            return error_row(scenario_id, "horizon_approach")
-        return error_row(scenario_id, f"error:{e.stage}")
+        return csv_row(run(), scenario_id)
     except SimulatorError as e:
-        return error_row(scenario_id, f"error:{type(e).__name__}")
-
-
-def _map_rows(jobs: list[tuple], workers: int) -> list[dict[str, str]]:
-    if workers <= 1:
-        return [_run_row(builder, sid) for builder, sid in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_row, builder, sid) for builder, sid in jobs]
-        return [f.result() for f in futures]
+        return error_row(scenario_id, _failure_status(e))
 
 
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict[str, str]]:
-    """One CSV row per sweep value, in sweep order."""
+    """One CSV row per sweep value, in sweep order.
+
+    The settings do not enter the geometry, so an angle sweep integrates
+    the geodesics and builds the detector frames once, and each row runs
+    only the settings-dependent stages on them; if the geometry fails,
+    every row carries that failure's status. A weight sweep validates and
+    runs each row's config in full. Rows run serially; ``workers`` is
+    accepted and ignored.
+    """
     if cfg.sweep is None:
         raise ValidationError("sweep", "config has no sweep block")
-    base = cfg.echo
     param = cfg.sweep.parameter
-    jobs = []
-    for value in cfg.sweep.values():
-        sid = f"{param}={_fmt(value)}"
-        jobs.append((lambda v=value: _sweep_point_config(base, param, v), sid))
-    return _map_rows(jobs, workers)
+    points = [(value, f"{param}={_fmt(value)}") for value in cfg.sweep.values()]
+    if param not in ANGLE_SWEEP_PARAMETERS:
+        return [
+            _run_row(lambda v=v: run_scenario(_weight_point_config(cfg.echo, param, v)), sid)
+            for v, sid in points
+        ]
+    try:
+        geometry = _geometry(cfg)
+    except PipelineError as e:
+        return [error_row(sid, _failure_status(e)) for _, sid in points]
+    return [
+        _run_row(
+            lambda v=v: _evaluate(_angle_point_config(cfg, param, v), geometry, time.perf_counter()),
+            sid,
+        )
+        for v, sid in points
+    ]
 
 
 DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
@@ -842,10 +905,12 @@ def run_horizon_sweep(
     The emission event sits at the first (largest) radius; for each r the
     second particle falls radially from rest and is read out at r, so the
     row's w_b tracks the transported weight w(r). Radii at or below the
-    guard produce 'horizon_guard' rows instead of failing the run.
+    guard produce 'horizon_guard' rows instead of failing the run. Rows run
+    serially; ``workers`` is accepted and ignored.
     """
     if spec.kind != SCHWARZSCHILD:
         raise ValidationError("metric.kind", "horizon sweep needs a Schwarzschild metric")
+    tol = _tol(tol)
     rs = [float(r) for r in r_values]
     if len(rs) == 0:
         return []
@@ -854,20 +919,15 @@ def run_horizon_sweep(
     settings = dict(settings or DEFAULT_HORIZON_SETTINGS)
     r_emit = rs[0]
 
-    jobs = []
+    rows = []
     for r in rs:
         sid = f"r={_fmt(r)}"
         if r <= spec.guard_radius:
-            jobs.append((None, sid))
+            rows.append(error_row(sid, "horizon_guard"))
         else:
-            jobs.append(
-                (lambda rr=r: _horizon_point_config(spec, r_emit, rr, settings, tol), sid)
-            )
-    rows = []
-    live = [(b, s) for b, s in jobs if b is not None]
-    mapped = iter(_map_rows(live, workers))
-    for builder, sid in jobs:
-        rows.append(error_row(sid, "horizon_guard") if builder is None else next(mapped))
+            rows.append(_run_row(
+                lambda: run_scenario(_horizon_point_config(spec, r_emit, r, settings, tol)), sid
+            ))
     return rows
 
 

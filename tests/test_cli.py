@@ -158,3 +158,42 @@ def test_tol_override(tmp_path):
     assert main(["--tol", "1e-8", "run", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["tol"] == 1e-8
+
+
+# a later flag overrides the same flag earlier on the command line
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--mass", "nan"), ("--mass", "-1"), ("--r-start", "inf"), ("--horizon-eps", "nan"),
+        ("--tol", "nan"), ("--steps", "1000000000"),
+    ],
+)
+def test_horizon_bad_number_is_config_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "horizon.csv"
+    argv = ["--quiet", "horizon", "--mass", "1.0", "--r-start", "10", "--r-end", "2.5",
+            "--steps", "3", "--out", str(out), flag, value]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each value is rejected before anything of its size is allocated
+def test_mc_n_cap_is_config_error(tmp_path, capsys):
+    data = schwarzschild_demo_config()
+    data["mc"] = {"n": 10_000_000_000_000, "seed": 0}
+    assert main(["run", "--config", write(tmp_path, data)]) == 2
+    data["lhv_audit"] = False
+    data["mc"]["n"] = 1000
+    cfg = write(tmp_path, data)
+    assert main(["lhv-audit", "--config", cfg, "--n", "10000000000000"]) == 2
+    assert "mc.n" in capsys.readouterr().err
+
+
+def test_sweep_row_cap_is_config_error(tmp_path, capsys):
+    data = flat_baseline_config()
+    data["sweep"] = {"parameter": "a_deg", "start": 0.0, "stop": 180.0, "step": 1e-12}
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write(tmp_path, data), "--out", str(out)]) == 2
+    assert "rows" in capsys.readouterr().err
+    assert not out.exists()
+

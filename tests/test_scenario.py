@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from grbell import (
+    HorizonApproach,
     MetricSpec,
     ParseError,
     PipelineError,
@@ -20,6 +21,7 @@ from grbell import (
     run_sweep,
     schwarzschild_demo_config,
 )
+from grbell import scenario
 from grbell.scenario import CSV_HEADER, csv_row
 
 
@@ -169,7 +171,7 @@ def test_synthetic_conflicts_with_geometry():
         config_from_dict(data)
 
 
-def test_pipeline_error_tags_stage():
+def falling_config():
     data = flat_baseline_config()
     data["metric"] = {"kind": "schwarzschild", "mass": 1.0}
     data["origin"] = [0.0, 10.0, math.pi / 2, 0.0]
@@ -178,8 +180,12 @@ def test_pipeline_error_tags_stage():
     data["u2"] = [1.0 / math.sqrt(f), 0.0, 0.0, 1e-4]
     data["stop1"] = {"kind": "proper_time", "value": 100.0}
     data["stop2"] = {"kind": "proper_time", "value": 100.0}
+    return data
+
+
+def test_pipeline_error_tags_stage():
     with pytest.raises(PipelineError) as err:
-        run_scenario(config_from_dict(data))
+        run_scenario(config_from_dict(falling_config()))
     assert err.value.stage == "geodesic_1"
 
 
@@ -290,3 +296,56 @@ def test_horizon_sweep_asymptotically_flat():
     rows = run_horizon_sweep(spec, [10_500.0, 10_000.0])
     assert rows[1]["status"] == "ok"
     assert abs(float(rows[1]["w_b"]) - 1.0) < 1e-4
+
+
+def _per_row_reference(data, values):
+    """The CSV of one full run_scenario per sweep value."""
+    param = data["sweep"]["parameter"]
+    rows = []
+    for value in values:
+        row_data = {key: v for key, v in data.items() if key != "sweep"}
+        row_data["settings"] = {**data["settings"], param: value}
+        report = run_scenario(config_from_dict(row_data))
+        rows.append(csv_row(report, f"{param}={format(value, '.17g')}"))
+    return rows_to_csv(rows)
+
+
+@pytest.mark.parametrize("param", ["a_deg", "b_deg", "c_deg"])
+def test_angle_sweep_matches_per_row_runs(param):
+    data = schwarzschild_demo_config()
+    data["frame_choice"] = "comoving"
+    data["lhv_audit"] = False
+    data["sweep"] = {"parameter": param, "start": 0.0, "stop": 180.0, "step": 22.5}
+    cfg = config_from_dict(data)
+    text = rows_to_csv(run_sweep(cfg))
+    assert text.count(",ok,") == 9
+    assert text == _per_row_reference(data, cfg.sweep.values())
+
+
+def test_angle_sweep_integrates_geometry_once(monkeypatch):
+    calls = []
+    original = scenario.integrate_geodesic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "integrate_geodesic", counting)
+    rows = run_sweep(sweep_config(step=2.0))
+    assert len(rows) == 91 and all(r["status"] == "ok" for r in rows)
+    assert len(calls) == 2
+
+
+def test_angle_sweep_geometry_failure_marks_every_row():
+    data = falling_config()
+    with pytest.raises(PipelineError) as err:
+        run_scenario(config_from_dict(data))
+    expected = (
+        "horizon_approach" if isinstance(err.value.cause, HorizonApproach)
+        else f"error:{err.value.stage}"
+    )
+    data["sweep"] = {"parameter": "b_deg", "start": 0.0, "stop": 90.0, "step": 30.0}
+    rows = run_sweep(config_from_dict(data))
+    assert [r["scenario_id"] for r in rows] == ["b_deg=0", "b_deg=30", "b_deg=60", "b_deg=90"]
+    assert all(r["status"] == expected for r in rows)
+    assert all(r["w_b"] == "nan" and r["violated"] == "false" for r in rows)
