@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import scenario as sc
 from .errors import ConfigError, PipelineError, SimulatorError
 from .geometry import SCHWARZSCHILD, MetricSpec
-from .lhv import lhv_inequality_audit, make_sign_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -162,16 +162,7 @@ def _cmd_horizon(args) -> int:
 
 
 def _cmd_lhv_audit(args) -> int:
-    cfg = _load(args)
-    report = sc.run_scenario(cfg)
-    proj = (
-        (report.proj_b, report.proj_c)
-        if report.proj_b.w >= report.proj_c.w
-        else (report.proj_c, report.proj_b)
-    )
-    audit = lhv_inequality_audit(
-        make_sign_model(cfg.mc_seed), [(cfg.settings, *proj)], cfg.mc_n, cfg.mc_seed
-    )
+    audit = sc.run_scenario(replace(_load(args), lhv_audit=True)).lhv
     for row in audit.rows:
         status = "ok" if row.satisfied else "VIOLATED"
         print(

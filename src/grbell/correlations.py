@@ -38,6 +38,14 @@ class SettingsTriple:
 
 @dataclass(frozen=True, eq=False)
 class InequalityReport:
+    """Both sides of the bound; arms, weights and correlations are post-swap.
+
+    p_bc = -(b . c) * w_c**2 is NaN when an arm is degenerate.
+    """
+
+    p_ab: float
+    p_ac: float
+    p_bc: float
     lhs: float
     rhs: float
     margin: float
@@ -99,12 +107,16 @@ def generalized_bell_check(
     lhs = abs(p_ab - p_ac)
 
     if proj_b.degenerate or proj_c.degenerate:
-        bc = 0.0
+        bc, p_bc = 0.0, float("nan")
     else:
         bc = proj_b.direction.dot(proj_c.direction)
+        p_bc = -bc * proj_c.w**2
     rhs = proj_b.w**2 - proj_c.w**2 * bc
     margin = lhs - rhs
     return InequalityReport(
+        p_ab=p_ab,
+        p_ac=p_ac,
+        p_bc=p_bc,
         lhs=lhs,
         rhs=rhs,
         margin=margin,

@@ -7,12 +7,14 @@ so P(tau) carries any vector at the emission event to the event at tau
 (Poisson, Pound & Vega, Living Rev. Relativ. 14, 7 (2011), sec. 5).
 Terminal events (target radius or coordinate time) are located by root
 bracketing on the event function. Each path stores P at its sampled steps
-and is rejected unless P^T g(x) P = g(x0) holds at every one of them.
+and is rejected unless P^T g(x) P = g(x0) holds at every one of them; it
+keeps the conservation drift it was checked against. One integration takes
+at most MAX_STEPS solver steps.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -40,6 +42,10 @@ STOP_RADIUS = "radius"
 STOP_COORDINATE_TIME = "coordinate_time"
 
 NORMALIZATION_TOL = 1e-8
+
+# cap on the accepted solver steps of one integration, so that a far or
+# unreachable stop fails with StepFailure instead of running for days
+MAX_STEPS = 50_000
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class StopCondition:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicPath:
-    """Sampled geodesic with tangent, propagator and a dense interpolant."""
+    """Sampled geodesic with tangent, propagator and checked conservation drift."""
 
     spec: MetricSpec
     kind: str
@@ -83,7 +89,7 @@ class GeodesicPath:
     points: np.ndarray        # (n, 4)
     tangents: np.ndarray      # (n, 4)
     propagators: np.ndarray   # (n, 4, 4), parallel propagator from taus[0]
-    dense: object = field(repr=False, default=None)
+    drift: dict[str, float]   # max conservation drifts, checked at integration
 
     @property
     def tau_end(self) -> float:
@@ -101,29 +107,27 @@ class GeodesicPath:
     def end_tangent(self) -> FourVector:
         return FourVector(self.tangents[-1], self.end_point())
 
-    def state_at(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated (x, u) along the path."""
-        if self.dense is None:
-            return self.points[0].copy(), self.tangents[0].copy()
-        y = self.dense(tau)
-        return y[:4], y[4:8]
-
     def conservation_drift(self) -> dict[str, float]:
         """Max drift of the tangent norm and, for Schwarzschild, E and L_z."""
-        g = _metric_stack(self.spec, self.points)
-        uu = np.einsum("nab,na,nb->n", g, self.tangents, self.tangents)
-        n0 = -1.0 if self.kind == TIMELIKE else 0.0
-        drift = {"norm": float(np.max(np.abs(uu - n0)))}
-        if self.spec.kind == SCHWARZSCHILD:
-            r, theta = self.points[:, 1], self.points[:, 2]
-            f = 1.0 - 2.0 * self.spec.mass / r
-            E = f * self.tangents[:, 0]
-            Lz = r**2 * np.sin(theta) ** 2 * self.tangents[:, 3]
-            drift["energy"] = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-12))
-            drift["angular_momentum"] = float(
-                np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), 1.0)
-            )
-        return drift
+        return dict(self.drift)
+
+
+def _conservation_drift(
+    spec: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, g: np.ndarray
+) -> dict[str, float]:
+    uu = np.einsum("nab,na,nb->n", g, tangents, tangents)
+    n0 = -1.0 if kind == TIMELIKE else 0.0
+    drift = {"norm": float(np.max(np.abs(uu - n0)))}
+    if spec.kind == SCHWARZSCHILD:
+        r, theta = points[:, 1], points[:, 2]
+        f = 1.0 - 2.0 * spec.mass / r
+        E = f * tangents[:, 0]
+        Lz = r**2 * np.sin(theta) ** 2 * tangents[:, 3]
+        drift["energy"] = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-12))
+        drift["angular_momentum"] = float(
+            np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), 1.0)
+        )
+    return drift
 
 
 def _classify_tangent(spec: MetricSpec, x0: SpacetimePoint, u0: FourVector) -> str:
@@ -139,10 +143,12 @@ def _classify_tangent(spec: MetricSpec, x0: SpacetimePoint, u0: FourVector) -> s
 def _tau_cap(
     spec: MetricSpec, x0: SpacetimePoint, u0: FourVector, stop: StopCondition
 ) -> float:
+    if stop.kind == STOP_PROPER_TIME:
+        if stop.max_tau is not None and stop.max_tau < stop.value:
+            raise StepFailure(f"proper time {stop.value} exceeds max_tau = {stop.max_tau}")
+        return stop.value
     if stop.max_tau is not None:
         return stop.max_tau
-    if stop.kind == STOP_PROPER_TIME:
-        return stop.value
     if stop.kind == STOP_COORDINATE_TIME:
         # dt/dparam >= E0 along the path since g_tt u^t is conserved and f <= 1
         g = metric_components(spec, x0.coords)
@@ -151,7 +157,8 @@ def _tau_cap(
     r0 = _chart_radius(spec, x0.coords)
     r_far = max(r0, stop.value)
     # generous radial free-fall scale ~ r^{3/2} / sqrt(M), plus a flat-space term
-    scale = r_far**1.5 / math.sqrt(max(spec.mass, 1e-3))
+    # (r * sqrt(r) overflows to inf, where r**1.5 would raise, for a huge target)
+    scale = r_far * math.sqrt(r_far) / math.sqrt(max(spec.mass, 1e-3))
     return 4.0 * scale + 10.0 * abs(r0 - stop.value) + 100.0
 
 
@@ -201,8 +208,9 @@ def integrate_geodesic(
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
     the path and of its parallel propagator alike.
     Raises HorizonApproach if the path would cross the guard radius,
-    StepFailure if the stop is never reached, conservation drifts exceed
-    max(1e-8, 100 * tol) or the propagator fails to preserve the metric.
+    StepFailure if the stop is not reached within the tau cap or MAX_STEPS
+    steps, conservation drifts exceed max(1e-8, 100 * tol) or the
+    propagator fails to preserve the metric.
     """
     metric_components(spec, x0.coords)  # chart + domain check
     kind = _classify_tangent(spec, x0, u0)
@@ -211,6 +219,7 @@ def integrate_geodesic(
         if stop.value <= spec.guard_radius:
             raise ValidationError("stop.value", "radius target inside horizon guard")
 
+    y0 = np.concatenate([x0.coords, u0.components, np.eye(4).ravel()])
     # degenerate stop: zero-length path
     if (
         (stop.kind == STOP_PROPER_TIME and stop.value == 0.0)
@@ -220,16 +229,7 @@ def integrate_geodesic(
         )
         or (stop.kind == STOP_COORDINATE_TIME and abs(x0.coords[0] - stop.value) <= stop.tolerance)
     ):
-        return GeodesicPath(
-            spec=spec,
-            kind=kind,
-            tol=tol,
-            taus=np.array([0.0]),
-            points=x0.coords[None, :].copy(),
-            tangents=u0.components[None, :].copy(),
-            propagators=np.eye(4)[None],
-            dense=None,
-        )
+        return _checked_path(spec, kind, tol, np.array([0.0]), y0[None, :])
 
     hard_floor = 2.0 * spec.mass if spec.kind == SCHWARZSCHILD else None
 
@@ -238,6 +238,17 @@ def integrate_geodesic(
         u = y[4:8]
         gamma_u = christoffel_components(spec, y[:4], floor=hard_floor) @ u
         return np.concatenate([u, -gamma_u @ u, (-gamma_u @ y[8:].reshape(4, 4)).ravel()])
+
+    steps = 0
+
+    def step_budget(_tau, _y):
+        # solve_ivp evaluates every event once at the start and once per step
+        nonlocal steps
+        steps += 1
+        if steps > MAX_STEPS + 1:
+            raise StepFailure(f"stop condition {stop.kind} = {stop.value} not reached "
+                              f"within {MAX_STEPS} steps")
+        return 1.0
 
     events = []
     stop_index = None
@@ -262,8 +273,8 @@ def integrate_geodesic(
         guard_event.direction = -1.0
         events.append(guard_event)
         guard_index = len(events) - 1
+    events.append(step_budget)
 
-    y0 = np.concatenate([x0.coords, u0.components, np.eye(4).ravel()])
     cap = _tau_cap(spec, x0, u0, stop)
     sol = solve_ivp(
         rhs,
@@ -272,8 +283,7 @@ def integrate_geodesic(
         method="RK45",
         rtol=tol,
         atol=tol * 1e-3,
-        dense_output=True,
-        events=events or None,
+        events=events,
     )
     if not sol.success:
         raise StepFailure(f"integrator failed: {sol.message}")
@@ -287,30 +297,41 @@ def integrate_geodesic(
             f"stop condition {stop.kind} = {stop.value} not reached by tau = {cap}"
         )
 
-    taus = sol.t.copy()
-    states = sol.y.T.copy()
-    path = GeodesicPath(
-        spec=spec,
-        kind=kind,
-        tol=tol,
-        taus=taus,
-        points=np.ascontiguousarray(states[:, :4]),
-        tangents=np.ascontiguousarray(states[:, 4:8]),
-        propagators=states[:, 8:].reshape(-1, 4, 4),
-        dense=sol.sol,
-    )
-    drift = path.conservation_drift()
+    return _checked_path(spec, kind, tol, sol.t.copy(), sol.y.T.copy())
+
+
+def _checked_path(
+    spec: MetricSpec, kind: str, tol: float, taus: np.ndarray, states: np.ndarray
+) -> GeodesicPath:
+    """The path through the stored (x, u, P) states, once its checks pass.
+
+    The metric is evaluated once per stored point; the conservation drift
+    and the propagator check share that stack, and the path keeps the drift.
+    """
+    points = np.ascontiguousarray(states[:, :4])
+    tangents = np.ascontiguousarray(states[:, 4:8])
+    propagators = states[:, 8:].reshape(-1, 4, 4)
+    g = _metric_stack(spec, points)
+    drift = _conservation_drift(spec, kind, points, tangents, g)
     bound = _drift_bound(tol)
     # the tangent-norm check cancels catastrophically near the horizon
     # (terms ~ E^2/f against a result of order 1), so its bound scales with
     # the conditioning number; the Killing checks have no such cancellation
-    g = _metric_stack(spec, path.points)
-    u_abs = np.abs(path.tangents)
+    u_abs = np.abs(tangents)
     conditioning = float(np.max(np.einsum("nab,na,nb->n", np.abs(g), u_abs, u_abs)))
     bounds = {k: bound for k in drift}
     bounds["norm"] = bound * max(1.0, conditioning)
     bad = {k: v for k, v in drift.items() if v > bounds[k]}
     if bad:
         raise StepFailure(f"conservation drift {bad} exceeds {bounds}")
-    check_metric_preserved(g, path.propagators, tol)
-    return path
+    check_metric_preserved(g, propagators, tol)
+    return GeodesicPath(
+        spec=spec,
+        kind=kind,
+        tol=tol,
+        taus=taus,
+        points=points,
+        tangents=tangents,
+        propagators=propagators,
+        drift=drift,
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasePointMismatch, HorizonDomain, InvalidChart
+from .errors import BasePointMismatch, HorizonDomain, InvalidChart, ValidationError
 
 MINKOWSKI = "minkowski"
 SCHWARZSCHILD = "schwarzschild"
@@ -82,10 +82,12 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind not in (MINKOWSKI, SCHWARZSCHILD):
             raise InvalidChart(f"unknown metric kind {self.kind!r}")
-        if self.kind == SCHWARZSCHILD and self.mass <= 0.0:
-            raise ValueError("Schwarzschild metric needs mass > 0")
-        if self.horizon_eps <= 0.0:
-            raise ValueError("horizon_eps must be positive")
+        if not math.isfinite(self.mass):
+            raise ValidationError("metric.mass", "must be finite")
+        if self.kind == SCHWARZSCHILD and not self.mass > 0.0:
+            raise ValidationError("metric.mass", "must be positive")
+        if not (math.isfinite(self.horizon_eps) and self.horizon_eps > 0.0):
+            raise ValidationError("metric.horizon_eps", "must be finite and positive")
 
     @property
     def chart(self) -> str:

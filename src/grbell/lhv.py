@@ -6,9 +6,9 @@ sphere. The left response is sign(a . lambda) = +-1; the right response is
 pointwise for every lambda. For w = 1 this is the classic sign model whose
 correlation is -(1 - 2*theta/pi) at setting angle theta.
 
-Randomness is driven by numpy SeedSequence streams: a stream for key
-(seed, i, j) is spawned deterministically, so partitioned runs reproduce
-serial ones bit for bit regardless of worker count.
+Randomness is driven by numpy SeedSequence streams: the stream for key
+(seed, i, j) is spawned deterministically, so every estimate depends only
+on its seed and key, and a run reproduces bit for bit.
 """
 from __future__ import annotations
 
@@ -173,7 +173,7 @@ def lhv_inequality_audit(
 
     Each triple needs w_b >= w_c (the bound's precondition). The three
     correlations use independent sub-streams keyed by (seed, triple index,
-    correlation index), so the audit is reproducible and parallelizable.
+    correlation index), so the audit is reproducible.
     """
     if n < MIN_SAMPLES:
         raise InsufficientSamples(f"n = {n} below minimum {MIN_SAMPLES}")

@@ -41,6 +41,7 @@ import io
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,7 +52,6 @@ from .correlations import (
     ViolationAngles,
     find_max_violation,
     generalized_bell_check,
-    quantum_correlation,
     violation_condition,
 )
 from .errors import (
@@ -168,7 +168,7 @@ class ScenarioConfig:
     stop2: StopCondition | None = None
     synthetic: SyntheticProjections | None = None
     sweep: SweepSpec | None = None
-    echo: dict | None = None
+    echo: dict | None = None  # validated input with defaults; None if built internally
 
     @property
     def is_synthetic(self) -> bool:
@@ -228,13 +228,12 @@ def _parse_metric(d, field="metric") -> MetricSpec:
             raise ValidationError(f"{field}.mass", "flat metric takes no mass")
         return MetricSpec(MINKOWSKI)
     if kind == SCHWARZSCHILD:
-        mass = _finite(_require(d, "mass", field), f"{field}.mass")
-        if mass <= 0:
-            raise ValidationError(f"{field}.mass", "must be positive")
-        eps = _finite(d.get("horizon_eps", 1e-6), f"{field}.horizon_eps")
-        if eps <= 0:
-            raise ValidationError(f"{field}.horizon_eps", "must be positive")
-        return MetricSpec(SCHWARZSCHILD, mass=mass, horizon_eps=eps)
+        # MetricSpec rejects a non-positive mass or horizon_eps
+        return MetricSpec(
+            SCHWARZSCHILD,
+            mass=_finite(_require(d, "mass", field), f"{field}.mass"),
+            horizon_eps=_finite(d.get("horizon_eps", 1e-6), f"{field}.horizon_eps"),
+        )
     raise ValidationError(f"{field}.kind", f"unknown metric kind {kind!r}")
 
 
@@ -472,6 +471,7 @@ class GeodesicSummary:
 class RunReport:
     status: str
     config: dict
+    settings: SettingsTriple
     proj_b: ProjectionResult
     proj_c: ProjectionResult
     inequality: InequalityReport
@@ -484,18 +484,13 @@ class RunReport:
     elapsed_s: float = 0.0
 
 
+@contextmanager
 def _stage(name: str):
     """Tag exceptions from one pipeline stage."""
-    class _Tagger:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, SimulatorError):
-                raise PipelineError(name, exc) from exc
-            return False
-
-    return _Tagger()
+    try:
+        yield
+    except SimulatorError as e:
+        raise PipelineError(name, e) from e
 
 
 def _detector_frame(cfg: ScenarioConfig, path: GeodesicPath) -> LocalFrame:
@@ -578,6 +573,7 @@ def _evaluate(cfg: ScenarioConfig, geometry: _Geometry | None, t0: float) -> Run
     return RunReport(
         status="ok",
         config=cfg.echo or {},
+        settings=cfg.settings,
         proj_b=proj_b,
         proj_c=proj_c,
         inequality=inequality,
@@ -718,7 +714,7 @@ def _fmt(x: float) -> str:
 def csv_row(report: RunReport, scenario_id: str) -> dict[str, str]:
     """One CSV row; directions are the post-swap (w_b >= w_c) arms."""
     ineq = report.inequality
-    a = report_settings_a(report)
+    a = report.settings.a
     return {
         "scenario_id": scenario_id,
         "status": report.status,
@@ -727,42 +723,14 @@ def csv_row(report: RunReport, scenario_id: str) -> dict[str, str]:
         "theta_bc_deg": _fmt(_angle_deg(ineq.b_direction, ineq.c_direction)),
         "w_b": _fmt(ineq.w_b),
         "w_c": _fmt(ineq.w_c),
-        "P_ab": _fmt(_p_of(a, report.proj_b, report.proj_c, ineq, "b")),
-        "P_ac": _fmt(_p_of(a, report.proj_b, report.proj_c, ineq, "c")),
-        "P_bc": _fmt(_p_bc(ineq)),
+        "P_ab": _fmt(ineq.p_ab),
+        "P_ac": _fmt(ineq.p_ac),
+        "P_bc": _fmt(ineq.p_bc),
         "lhs": _fmt(ineq.lhs),
         "rhs": _fmt(ineq.rhs),
         "margin": _fmt(ineq.margin),
         "violated": "true" if ineq.violated else "false",
     }
-
-
-def report_settings_a(report: RunReport) -> Direction3 | None:
-    a = report.config.get("settings", {}) if report.config else {}
-    if "a_deg" in a:
-        return Direction3.from_angle(math.radians(float(a["a_deg"])))
-    if "a" in a:
-        return Direction3.from_vector(a["a"])
-    return None
-
-
-def _proj_for_arm(ineq: InequalityReport, proj_b, proj_c, arm: str):
-    # report arms are post-swap; map back to the projection that landed there
-    if arm == "b":
-        return proj_c if ineq.swapped else proj_b
-    return proj_b if ineq.swapped else proj_c
-
-
-def _p_of(a, proj_b, proj_c, ineq, arm: str) -> float:
-    if a is None:
-        return float("nan")
-    return quantum_correlation(a, _proj_for_arm(ineq, proj_b, proj_c, arm))
-
-
-def _p_bc(ineq: InequalityReport) -> float:
-    if ineq.b_direction is None or ineq.c_direction is None:
-        return float("nan")
-    return -ineq.b_direction.dot(ineq.c_direction) * ineq.w_c**2
 
 
 def error_row(scenario_id: str, status: str) -> dict[str, str]:
@@ -785,9 +753,9 @@ def rows_to_csv(rows: list[dict[str, str]]) -> str:
 
 
 def _angle_point_config(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
-    echo = {key: v for key, v in cfg.echo.items() if key != "sweep"}
-    echo["settings"] = {**echo["settings"], parameter: value}
-    return replace(cfg, settings=_parse_settings(echo["settings"]), sweep=None, echo=echo)
+    # parameter is "a_deg", "b_deg" or "c_deg": replace that one setting
+    setting = {parameter[0]: Direction3.from_angle(math.radians(value))}
+    return replace(cfg, settings=replace(cfg.settings, **setting), sweep=None, echo=None)
 
 
 def _weight_point_config(base_echo: dict, parameter: str, value: float) -> ScenarioConfig:
@@ -847,7 +815,7 @@ DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
 
 
 def _horizon_point_config(
-    spec: MetricSpec, r_emit: float, r_detect: float, settings: dict, tol: float
+    spec: MetricSpec, r_emit: float, r_detect: float, settings: SettingsTriple, tol: float
 ) -> ScenarioConfig:
     # particle 1 stays at the emission event (zero-length path); particle 2
     # falls radially from rest there until it reaches r_detect. Both tangents
@@ -858,26 +826,8 @@ def _horizon_point_config(
         np.array([0.0, r_emit, math.pi / 2.0, 0.0]), spec.chart
     )
     u_static = FourVector(np.array([1.0 / math.sqrt(f0), 0.0, 0.0, 0.0]), origin)
-    echo = {
-        "metric": {
-            "kind": SCHWARZSCHILD,
-            "mass": spec.mass,
-            "horizon_eps": spec.horizon_eps,
-        },
-        "origin": [0.0, r_emit, math.pi / 2.0, 0.0],
-        "u1": list(u_static.components),
-        "u2": list(u_static.components),
-        "stop1": {"kind": "proper_time", "value": 0.0},
-        "stop2": {"kind": "radius", "value": r_detect},
-        "settings": dict(settings),
-        "frame_choice": FRAME_STATIC,
-        "worldline": "timelike",
-        "tol": tol,
-        "mc": {"n": DEFAULT_MC_N, "seed": DEFAULT_MC_SEED},
-        "lhv_audit": False,
-    }
     return ScenarioConfig(
-        settings=_parse_settings(dict(settings)),
+        settings=settings,
         frame_choice=FRAME_STATIC,
         tol=tol,
         mc_n=DEFAULT_MC_N,
@@ -889,7 +839,6 @@ def _horizon_point_config(
         u2=u_static,
         stop1=StopCondition.proper_time(0.0),
         stop2=StopCondition.radius(r_detect),
-        echo=echo,
     )
 
 
@@ -916,7 +865,7 @@ def run_horizon_sweep(
         return []
     if any(b >= a for a, b in zip(rs, rs[1:])):
         raise ValidationError("r_values", "must be strictly decreasing")
-    settings = dict(settings or DEFAULT_HORIZON_SETTINGS)
+    triple = _parse_settings(dict(settings or DEFAULT_HORIZON_SETTINGS))
     r_emit = rs[0]
 
     rows = []
@@ -926,7 +875,7 @@ def run_horizon_sweep(
             rows.append(error_row(sid, "horizon_guard"))
         else:
             rows.append(_run_row(
-                lambda: run_scenario(_horizon_point_config(spec, r_emit, r, settings, tol)), sid
+                lambda: run_scenario(_horizon_point_config(spec, r_emit, r, triple, tol)), sid
             ))
     return rows
 

@@ -34,7 +34,6 @@ class TransportedVector:
     v: FourVector
     norm_drift: float
     tangent_dot_drift: float
-    history: np.ndarray | None = None
 
 
 def _invariants(path: GeodesicPath, i: int, v: np.ndarray) -> tuple[float, float, float, float]:
@@ -54,15 +53,13 @@ def parallel_transport(
     path: GeodesicPath,
     v0: FourVector,
     direction: str = FORWARD,
-    keep_history: bool = False,
 ) -> TransportedVector:
     """Levi-Civita transport of v0 along the whole path.
 
     Forward transport starts at the path's first event, backward at its
     last. Inner products with the tangent and the vector's own norm are
     conserved; their relative drift is checked against max(1e-8, 100 * tol)
-    and reported on the result. The history holds the vector at every
-    stored step, in the order of travel.
+    and reported on the result.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
@@ -96,17 +93,11 @@ def parallel_transport(
             f"exceeds ({norm_bound:.3e}, {dot_bound:.3e})"
         )
 
-    history = None
-    if keep_history:
-        history = path.propagators @ first
-        if direction == BACKWARD:
-            history = history[::-1]
     dest = path.end_point() if direction == FORWARD else path.start_point()
     return TransportedVector(
         v=FourVector(last if direction == FORWARD else first, dest),
         norm_drift=float(norm_drift),
         tangent_dot_drift=float(dot_drift),
-        history=history,
     )
 
 

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grbell import flat_baseline_config, schwarzschild_demo_config
-from grbell.cli import main
+from grbell.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_GEOMETRY, EXIT_OK, main
 from grbell.scenario import CSV_HEADER
 
 
@@ -197,3 +200,76 @@ def test_sweep_row_cap_is_config_error(tmp_path, capsys):
     assert "rows" in capsys.readouterr().err
     assert not out.exists()
 
+
+def test_lhv_audit_reuses_the_run_audit(tmp_path, capsys, monkeypatch):
+    from grbell import cli, scenario
+
+    calls = []
+    for module in (scenario, cli):
+        if hasattr(module, "lhv_inequality_audit"):
+            original = module.lhv_inequality_audit
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "lhv_inequality_audit", counting)
+    data = schwarzschild_demo_config()
+    assert data["lhv_audit"] is True
+    assert main(["lhv-audit", "--config", write(tmp_path, data), "--n", "2000"]) == 0
+    assert "audit passed" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+# -- exit-code contract under arbitrary field values ---------------------------
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def _field_paths(value, prefix=()):
+    """Every key or list index of a JSON document, nested ones included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+def _fuzz_bases():
+    with open(os.path.join(CONFIGS, "synthetic_weights.json"), encoding="utf-8") as fh:
+        synthetic = json.load(fh)
+    return [
+        (base, path) for base in (flat_baseline_config(), synthetic)
+        for path in _field_paths(base)
+    ]
+
+
+FUZZ_BASES = _fuzz_bases()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=12)
+    | st.integers() | st.sampled_from([10**400, -(10**400), 2**63])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+# derandomized so that every run of the suite checks the same examples; the
+# step budget bounds each run, so no per-example deadline is needed
+@settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(base_and_path=st.sampled_from(FUZZ_BASES), value=json_values)
+def test_any_field_value_gives_an_exit_code(tmp_path, base_and_path, value):
+    base, path = base_and_path
+    data = json.loads(json.dumps(base))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    out = tmp_path / "report.txt"
+    code = main(["run", "--config", write(tmp_path, data), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GEOMETRY, EXIT_AUDIT)

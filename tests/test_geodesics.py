@@ -147,13 +147,37 @@ def test_unreachable_stop_fails(schw):
         integrate_geodesic(schw, x0, u0, StopCondition.radius(20.0, max_tau=500.0))
 
 
-def test_dense_interpolant_matches_samples(schw):
+def test_step_budget_bounds_one_integration(schw, monkeypatch):
+    from grbell import geodesics
+
     x0 = schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0)
-    path = integrate_geodesic(schw, x0, circular_orbit_tangent(10.0, x0), StopCondition.proper_time(20.0))
-    for i in range(0, len(path.taus), 3):
-        x, u = path.state_at(path.taus[i])
-        assert np.allclose(x, path.points[i], atol=1e-12)
-        assert np.allclose(u, path.tangents[i], atol=1e-12)
+    u0 = circular_orbit_tangent(10.0, x0)
+    stop = StopCondition.proper_time(50.0)
+    steps = len(integrate_geodesic(schw, x0, u0, stop).taus) - 1
+    monkeypatch.setattr(geodesics, "MAX_STEPS", steps)
+    assert len(integrate_geodesic(schw, x0, u0, stop).taus) - 1 == steps
+    monkeypatch.setattr(geodesics, "MAX_STEPS", steps - 1)
+    with pytest.raises(StepFailure, match="steps"):
+        integrate_geodesic(schw, x0, u0, stop)
+
+
+def test_far_radius_target_hits_the_step_budget(schw, monkeypatch):
+    # the derived tau cap overflows to inf; the step budget still ends the run
+    from grbell import geodesics
+
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 200)
+    x0 = schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0)
+    with pytest.raises(StepFailure, match="200 steps"):
+        integrate_geodesic(schw, x0, circular_orbit_tangent(10.0, x0), StopCondition.radius(1e300))
+
+
+def test_proper_time_stop_ends_at_its_value_within_max_tau(schw):
+    x0 = schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0)
+    u0 = circular_orbit_tangent(10.0, x0)
+    path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(5.0, max_tau=10.0))
+    assert path.tau_end == 5.0
+    with pytest.raises(StepFailure):
+        integrate_geodesic(schw, x0, u0, StopCondition.proper_time(5.0, max_tau=2.0))
 
 
 def test_halving_tolerance_halves_error(schw):

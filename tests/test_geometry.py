@@ -9,6 +9,7 @@ from grbell import (
     HorizonDomain,
     InvalidChart,
     MetricSpec,
+    ValidationError,
     christoffel_at,
     finite_difference_christoffel,
     inner,
@@ -118,7 +119,17 @@ def test_inner_rejects_base_mismatch(flat):
 
 
 def test_metric_spec_validation():
-    with pytest.raises(ValueError):
-        MetricSpec("schwarzschild", mass=0.0)
+    for bad in (
+        {"mass": 0.0},
+        {"mass": float("nan")},
+        {"mass": float("inf")},
+        {"mass": 1.0, "horizon_eps": float("inf")},
+        {"mass": 1.0, "horizon_eps": float("nan")},
+        {"mass": 1.0, "horizon_eps": 0.0},
+    ):
+        with pytest.raises(ValidationError):
+            MetricSpec("schwarzschild", **bad)
+    with pytest.raises(ValidationError):
+        MetricSpec("minkowski", mass=float("nan"))
     with pytest.raises(InvalidChart):
         MetricSpec("kerr", mass=1.0)

@@ -349,3 +349,36 @@ def test_angle_sweep_geometry_failure_marks_every_row():
     assert [r["scenario_id"] for r in rows] == ["b_deg=0", "b_deg=30", "b_deg=60", "b_deg=90"]
     assert all(r["status"] == expected for r in rows)
     assert all(r["w_b"] == "nan" and r["violated"] == "false" for r in rows)
+
+
+def test_demo_evaluates_metric_once_per_stored_point(monkeypatch):
+    # per path: one domain check, one tangent classification, then one
+    # metric stack shared by the drift and propagator checks and the summary
+    from grbell import geodesics
+
+    calls = []
+    original = geodesics.metric_components
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "metric_components", counting)
+    data = schwarzschild_demo_config()
+    data["lhv_audit"] = False
+    run_scenario(config_from_dict(data))
+    assert len(calls) == 54
+
+
+def test_csv_correlations_come_from_the_report():
+    data = schwarzschild_demo_config()
+    data["lhv_audit"] = False
+    cfg = config_from_dict(data)
+    report = run_scenario(cfg)
+    ineq = report.inequality
+    row = csv_row(report, "run")
+    assert report.settings is cfg.settings
+    assert [row["P_ab"], row["P_ac"], row["P_bc"]] == [
+        format(p, ".17g") for p in (ineq.p_ab, ineq.p_ac, ineq.p_bc)
+    ]
+    assert ineq.lhs == abs(ineq.p_ab - ineq.p_ac)

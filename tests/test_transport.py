@@ -149,24 +149,6 @@ def test_geodetic_precession_circular_orbit(schw):
     assert abs(abs(angle) - expected) < 1e-4
 
 
-def test_transport_history_samples(schw):
-    path = circular_path(schw, revolutions=0.3)
-    v0 = FourVector([0.0, math.sqrt(0.8), 0.0, 0.0], path.start_point())
-    out = parallel_transport(path, v0, keep_history=True)
-    assert out.history.shape == (len(path.taus), 4)
-    assert np.allclose(out.history[0], v0.components, atol=1e-12)
-    assert np.allclose(out.history[-1], out.v.components, atol=1e-12)
-
-
-def test_backward_history_runs_in_order_of_travel(schw):
-    path = circular_path(schw, revolutions=0.3)
-    v1 = FourVector([0.0, math.sqrt(0.8), 0.0, 0.0], path.end_point())
-    out = parallel_transport(path, v1, direction="backward", keep_history=True)
-    assert out.history.shape == (len(path.taus), 4)
-    assert np.allclose(out.history[0], v1.components, atol=1e-12)
-    assert np.allclose(out.history[-1], out.v.components, atol=1e-12)
-
-
 def test_transport_base_point_checked(schw):
     path = circular_path(schw, revolutions=0.3)
     stray = FourVector([0.0, 1.0, 0.0, 0.0], schwarzschild_point(0.0, 7.0, 1.0, 0.0))
