@@ -8,8 +8,8 @@ so P(tau) carries any vector at the emission event to the event at tau
 Terminal events (target radius or coordinate time) are located by root
 bracketing on the event function. Each path stores P at its sampled steps
 and is rejected unless P^T g(x) P = g(x0) holds at every one of them; it
-keeps the conservation drift it was checked against. One integration takes
-at most MAX_STEPS solver steps.
+keeps the metric at those steps and the conservation drift it was checked
+against. One integration takes at most MAX_STEPS solver steps.
 """
 from __future__ import annotations
 
@@ -89,6 +89,7 @@ class GeodesicPath:
     points: np.ndarray        # (n, 4)
     tangents: np.ndarray      # (n, 4)
     propagators: np.ndarray   # (n, 4, 4), parallel propagator from taus[0]
+    metrics: np.ndarray       # (n, 4, 4), metric components at the points
     drift: dict[str, float]   # max conservation drifts, checked at integration
 
     @property
@@ -166,7 +167,8 @@ def _chart_radius(spec: MetricSpec, coords: np.ndarray) -> float:
     """Radial coordinate for radius stops: r, or Euclidean |x| in flat space."""
     if spec.kind == SCHWARZSCHILD:
         return float(coords[1])
-    return float(np.linalg.norm(coords[1:4]))
+    # hypot scales its arguments, so |x| does not overflow beyond 1e154
+    return math.hypot(*coords[1:4])
 
 
 def _drift_bound(tol: float) -> float:
@@ -306,7 +308,8 @@ def _checked_path(
     """The path through the stored (x, u, P) states, once its checks pass.
 
     The metric is evaluated once per stored point; the conservation drift
-    and the propagator check share that stack, and the path keeps the drift.
+    and the propagator check share that stack, and the path keeps both the
+    stack and the drift.
     """
     points = np.ascontiguousarray(states[:, :4])
     tangents = np.ascontiguousarray(states[:, 4:8])
@@ -333,5 +336,6 @@ def _checked_path(
         points=points,
         tangents=tangents,
         propagators=propagators,
+        metrics=g,
         drift=drift,
     )

@@ -91,6 +91,9 @@ CSV_HEADER = (
 CSV_COLUMNS = CSV_HEADER.split(",")
 
 DEFAULT_TOL = 1e-10
+# scipy's solve_ivp raises a smaller rtol to this floor (with a warning), so
+# a smaller tol would integrate at another tolerance than the config says
+MIN_TOL = 100.0 * float(np.finfo(float).eps)
 DEFAULT_MC_N = 100_000
 DEFAULT_MC_SEED = 0
 
@@ -201,8 +204,8 @@ def _finite(value, field: str) -> float:
 
 def _tol(value) -> float:
     tol = _finite(value, "tol")
-    if tol <= 0 or tol > 1e-2:
-        raise ValidationError("tol", "must be in (0, 1e-2]")
+    if not MIN_TOL <= tol <= 1e-2:
+        raise ValidationError("tol", f"must be in [{MIN_TOL:.3g}, 1e-2]")
     return tol
 
 

@@ -19,7 +19,7 @@ from .errors import (
     StepFailure,
 )
 from .geodesics import GeodesicPath
-from .geometry import FourVector, metric_components, same_event
+from .geometry import FourVector, same_event
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -38,8 +38,7 @@ class TransportedVector:
 
 def _invariants(path: GeodesicPath, i: int, v: np.ndarray) -> tuple[float, float, float, float]:
     """(v.v, v.u) at stored step i plus the sum-of-magnitudes conditioning of each."""
-    u = path.tangents[i]
-    g = metric_components(path.spec, path.points[i])
+    u, g = path.tangents[i], path.metrics[i]
     g_abs, v_abs, u_abs = np.abs(g), np.abs(v), np.abs(u)
     return (
         float(v @ g @ v),

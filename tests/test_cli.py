@@ -180,6 +180,22 @@ def test_horizon_bad_number_is_config_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+# scipy would integrate a tol below 100 eps at 100 eps, with a warning
+@pytest.mark.parametrize("command", ["run", "run-config", "horizon"])
+def test_tol_below_the_integrator_floor_is_config_error(tmp_path, capsys, command):
+    data = flat_baseline_config()
+    if command == "run-config":
+        data["tol"] = 1e-300
+        argv = ["run", "--config", write(tmp_path, data)]
+    elif command == "run":
+        argv = ["--tol", "1e-300", "run", "--config", write(tmp_path, data)]
+    else:
+        argv = ["--tol", "1e-300", "--quiet", "horizon", "--mass", "1.0", "--r-start", "10",
+                "--r-end", "2.5", "--steps", "3", "--out", str(tmp_path / "horizon.csv")]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 # each value is rejected before anything of its size is allocated
 def test_mc_n_cap_is_config_error(tmp_path, capsys):
     data = schwarzschild_demo_config()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ def test_minkowski_static_worldline(flat):
     path = integrate_geodesic(flat, x0, static_tangent(flat, x0), StopCondition.proper_time(5.0))
     assert np.allclose(path.points[-1], [5.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(path.tangents[-1], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_flat_chart_radius_does_not_overflow(flat):
+    from grbell import geodesics
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = geodesics._chart_radius(flat, np.array([0.0, 1e200, -1e200, 1e200]))
+    assert r == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
 
 
 def test_minkowski_boosted_line_radius_stop(flat):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from grbell import (
     make_sign_model,
     verify_anticorrelation,
 )
-from grbell.lhv import LHVModel, stream
+from grbell.lhv import ROUNDING_SLACK, SIGMA_FACTOR, LHVModel, stream
 from conftest import random_direction
 
 Z = Direction3(np.array([0.0, 0.0, 1.0]))
@@ -229,3 +230,63 @@ def test_audit_deterministic():
     a2 = lhv_inequality_audit(model, args, 5000, seed=3)
     assert a1.rows[0].lhs == a2.rows[0].lhs
     assert a1.rows[0].p_bc == a2.rows[0].p_bc
+
+
+def boundary_triple():
+    # 0/60/120 degrees at w = 1: a + c = b, so |P(a,b) - P(a,c)| = 1 + P(b,c)
+    # holds at every lambda, and the exact gate has no room to spare
+    b, c = tilted(60.0), tilted(120.0)
+    return SettingsTriple(Z, b, c), make_projection(1.0, b), make_projection(1.0, c)
+
+
+def test_audit_samples_once_per_triple():
+    base = make_sign_model(0)
+    calls = []
+
+    def counting(n, rng):
+        calls.append(n)
+        return base.sample(n, rng)
+
+    model = LHVModel("counted", 0, counting, base.respond_A, base.respond_B)
+    triple, proj_b, proj_c = boundary_triple()
+    args = [(triple, proj_b, proj_c), (triple, proj_b, make_projection(0.0)),
+            (triple, make_projection(0.0), make_projection(0.0))]
+    lhv_inequality_audit(model, args, 1000, seed=1)
+    assert calls == [1000, 1000, 1000]
+
+
+def test_exact_gate_flags_a_model_the_sigma_gate_passes():
+    # B is doubled on the first 5 of 1e5 samples: each such sample raises
+    # lhs - rhs by 1/n, far below 4 sigma but far above rounding
+    base = make_sign_model(0)
+
+    def respond_B(proj, lam):
+        B = base.respond_B(proj, lam)
+        B[:5] *= 2.0
+        return B
+
+    broken = LHVModel("broken", 0, base.sample, base.respond_A, respond_B)
+    args = [boundary_triple()]
+    row = lhv_inequality_audit(broken, args, 100_000, seed=5).rows[0]
+    assert row.margin == pytest.approx(5e-5, abs=1e-12)
+    assert row.lhs <= row.rhs + SIGMA_FACTOR * row.combined_stderr
+    assert not row.satisfied
+    sound = lhv_inequality_audit(base, args, 100_000, seed=5).rows[0]
+    assert sound.satisfied and abs(sound.margin) <= ROUNDING_SLACK
+
+
+def test_audit_rows_identical_across_reruns(rng):
+    model = make_sign_model(0)
+    args = [boundary_triple()]
+    for _ in range(5):
+        w_b = rng.uniform(0.3, 1.0)
+        args.append((
+            SettingsTriple(random_direction(rng), random_direction(rng), random_direction(rng)),
+            make_projection(w_b, random_direction(rng)),
+            make_projection(rng.uniform(0.0, w_b), random_direction(rng)),
+        ))
+    args.append((args[1][0], make_projection(0.0), make_projection(0.0)))
+    first, second = (lhv_inequality_audit(model, args, 5000, seed=9) for _ in range(2))
+    assert [dataclasses.asdict(r) for r in first.rows] == [
+        dataclasses.asdict(r) for r in second.rows
+    ]

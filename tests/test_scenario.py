@@ -370,6 +370,26 @@ def test_demo_evaluates_metric_once_per_stored_point(monkeypatch):
     assert len(calls) == 54
 
 
+def test_demo_transport_evaluates_no_metric(monkeypatch):
+    # transport reads g at a leg's ends from the path's stored stack, so no
+    # metric_components call in a run comes from grbell.transport
+    import sys
+
+    callers = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grbell") and hasattr(module, "metric_components"):
+            def counting(*args, _original=module.metric_components, **kwargs):
+                callers.append(sys._getframe(1).f_globals["__name__"])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "metric_components", counting)
+    data = schwarzschild_demo_config()
+    data["lhv_audit"] = False
+    run_scenario(config_from_dict(data))
+    assert callers.count("grbell.geodesics") == 54
+    assert "grbell.transport" not in callers
+
+
 def test_csv_correlations_come_from_the_report():
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False

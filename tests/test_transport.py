@@ -52,6 +52,12 @@ def metric_stack(path):
     return np.stack([metric_components(path.spec, x) for x in path.points])
 
 
+@pytest.mark.parametrize("make_path", [circular_path, radial_infall_path])
+def test_path_keeps_the_metric_at_its_points(schw, make_path):
+    path = make_path(schw)
+    assert np.array_equal(path.metrics, metric_stack(path))
+
+
 def test_propagator_starts_at_identity(schw):
     path = circular_path(schw, revolutions=0.3)
     assert path.propagators.shape == (len(path.taus), 4, 4)
