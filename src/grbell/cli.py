@@ -23,6 +23,7 @@ import numpy as np
 from . import scenario as sc
 from .errors import ConfigError, PipelineError, SimulatorError
 from .geometry import SCHWARZSCHILD, MetricSpec
+from .lhv import SIGMA_FACTOR
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -167,7 +168,8 @@ def _cmd_lhv_audit(args) -> int:
         status = "ok" if row.satisfied else "VIOLATED"
         print(
             f"triple {row.index}: lhs={row.lhs:.6f} rhs={row.rhs:.6f} "
-            f"margin={row.margin:+.6f} (4sigma={4 * row.combined_stderr:.6f}) {status}"
+            f"margin={row.margin:+.6f} "
+            f"(4sigma={SIGMA_FACTOR * min(row.margin_stderr, row.combined_stderr):.6f}) {status}"
         )
     print(f"audit {'passed' if audit.passed else 'FAILED'} (n={audit.n}, seed={audit.seed})")
     return EXIT_OK if audit.passed else EXIT_AUDIT

@@ -1,15 +1,43 @@
-"""Geodesic integration with adaptive error control and event-located stops.
+"""Geodesics and the parallel propagator of each leg, in closed form where possible.
 
-The geodesic equation d2x/dtau2 + Gamma(x) u u = 0 is integrated as a first
-order system in (x, u) with scipy's adaptive RK45, together with the
-parallel propagator P of the leg: dP/dtau = -(Gamma(x) . u) P with P(0) = I,
-so P(tau) carries any vector at the emission event to the event at tau
-(Poisson, Pound & Vega, Living Rev. Relativ. 14, 7 (2011), sec. 5).
-Terminal events (target radius or coordinate time) are located by root
-bracketing on the event function. Each path stores P at its sampled steps
-and is rejected unless P^T g(x) P = g(x0) holds at every one of them; it
-keeps the metric at those steps and the conservation drift it was checked
-against. One integration takes at most MAX_STEPS solver steps.
+Flat legs are straight lines in the Cartesian chart, x = x0 + u0 tau, and
+their parallel propagator is the identity. A radius stop is the first
+positive root of a quadratic and a coordinate-time stop is linear, so flat
+legs need no ODE.
+
+Schwarzschild legs integrate the 9-component state (x, u, psi) with a
+Dormand-Prince 5(4) stepper on Python floats (J. R. Dormand and P. J.
+Prince, J. Comput. Appl. Math. 6, 19 (1980)), with rtol = tol and
+atol = tol * 1e-3. The RMS error norm, step-size controller and
+initial-step rule follow Hairer, Norsett and Wanner, Solving ODEs I, sec.
+II.4, and the quartic dense output L. F. Shampine, Math. Comp. 46, 135
+(1986), as in the common RK45 solvers. Terminal events (target radius,
+coordinate time, horizon guard) are located by bracketing the root on the
+step's dense interpolant. One integration takes at most MAX_STEPS accepted
+steps.
+
+Every Schwarzschild geodesic lies in a plane through r = 0, so a frame
+parallel along it is algebraic in (x, u) and the one scalar psi (J.-A.
+Marck, Proc. R. Soc. Lond. A 385, 431 (1983)). With u^ the tangent in the
+static tetrad, Lambda = |(u^2, u^3)|, n = (u^2, u^3) / Lambda, E = f u^t and
+L = r Lambda, the frame holds u and the orbital-plane normal (0, 0, n3, -n2):
+
+* timelike legs add a = (u^1, u^0, 0, 0) / sqrt(u^0^2 - u^1^2) and
+  b ~ (Lambda u^0, Lambda u^1, (u^0^2 - u^1^2) n), turned by psi, with
+  dpsi/dtau = -E L / (r^2 + L^2);
+* null legs add m = m0 + psi u, where m0 = (0, Lambda, -u^1 n) / u^0 is the
+  unit vector orthogonal to u, the plane normal and the static observer,
+  and the null partner n of u with n.u = -1 and n orthogonal to m; here
+  dpsi/dtau = -M L / (E r^3). (Taking m0 = (u^1, u^0, 0, 0) / Lambda
+  instead gives dpsi/dtau = -E / L, whose terms grow like 1/L and cancel
+  on near-radial rays.)
+
+On a radial leg (L = 0), n is theta-hat and psi stays 0. The propagator of
+a leg is P(tau) = F(tau) F(0)^-1 for that frame F, with P(0) = I exactly,
+so P^T g(x) P = g(x0) holds by construction; it is still checked at every
+stored step, at a rounding slack. Each path keeps the metric at its stored
+steps, the conservation drift it was checked against and its integrator
+counters.
 """
 from __future__ import annotations
 
@@ -17,11 +45,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     BadNormalization,
     HorizonApproach,
+    HorizonDomain,
     StepFailure,
     ValidationError,
 )
@@ -30,7 +58,6 @@ from .geometry import (
     FourVector,
     MetricSpec,
     SpacetimePoint,
-    christoffel_components,
     metric_components,
 )
 
@@ -46,6 +73,33 @@ NORMALIZATION_TOL = 1e-8
 # cap on the accepted solver steps of one integration, so that a far or
 # unreachable stop fails with StepFailure instead of running for days
 MAX_STEPS = 50_000
+
+# slack of the propagator's metric check: the closed-form frame is
+# orthonormal up to rounding, so P^T g P = g(x0) holds to a few ulp of the
+# terms that cancel in it (the check's conditioning factor)
+METRIC_SLACK = 64.0 * float(np.finfo(float).eps)
+
+# Dormand-Prince 5(4): stage weights, 5th-order solution, error weights and
+# the quartic dense output (Shampine's optimum c6)
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+)
+_DENSE = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +134,12 @@ class StopCondition:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicPath:
-    """Sampled geodesic with tangent, propagator and checked conservation drift."""
+    """Sampled geodesic with tangent, propagator, checked drift and counters.
+
+    nfev, accepted and rejected count the stepper's right-hand-side
+    evaluations and its accepted and rejected steps; all three are 0 on a
+    leg that needs no ODE (flat space, zero length).
+    """
 
     spec: MetricSpec
     kind: str
@@ -91,6 +150,9 @@ class GeodesicPath:
     propagators: np.ndarray   # (n, 4, 4), parallel propagator from taus[0]
     metrics: np.ndarray       # (n, 4, 4), metric components at the points
     drift: dict[str, float]   # max conservation drifts, checked at integration
+    nfev: int = 0
+    accepted: int = 0
+    rejected: int = 0
 
     @property
     def tau_end(self) -> float:
@@ -132,6 +194,8 @@ def _conservation_drift(
 
 
 def _classify_tangent(spec: MetricSpec, x0: SpacetimePoint, u0: FourVector) -> str:
+    if not np.any(u0.components):
+        raise BadNormalization("u is the zero vector")
     g = metric_components(spec, x0.coords)
     uu = float(u0.components @ g @ u0.components)
     if abs(uu + 1.0) <= NORMALIZATION_TOL:
@@ -179,20 +243,26 @@ def _metric_stack(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
     return np.stack([metric_components(spec, x) for x in points])
 
 
-def check_metric_preserved(g: np.ndarray, propagators: np.ndarray, tol: float) -> float:
+def check_metric_preserved(
+    g: np.ndarray, propagators: np.ndarray, sizes: np.ndarray | None = None
+) -> float:
     """Raise StepFailure unless P^T g(x) P = g(x0) at every stored step.
 
     g holds the metric at the stored points, g[0] at the emission event.
-    Like the tangent-norm check, the bound max(1e-8, 100 * tol) scales with
-    the conditioning max(|P|^T |g| |P|), the size of the terms that cancel
-    near the horizon. Returns the worst residual.
+    P is built from a frame that is orthonormal up to rounding, so the
+    bound is METRIC_SLACK times the conditioning max(|P|^T |g| sizes), the
+    size of the terms that cancel. sizes bounds, entry by entry, the terms
+    summed into P and defaults to |P|; for P = F F(0)^-1 it is
+    |F| |F(0)^-1|, which exceeds |P| by about gamma^2 on a leg whose tangent
+    is boosted by gamma against the static frame. Returns the worst residual.
     """
     residual = float(np.max(np.abs(
         np.einsum("nab,nac,ncd->nbd", propagators, g, propagators) - g[0]
     )))
     P_abs = np.abs(propagators)
-    conditioning = float(np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), P_abs)))
-    bound = _drift_bound(tol) * max(1.0, conditioning)
+    sizes = P_abs if sizes is None else sizes
+    conditioning = float(np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), sizes)))
+    bound = METRIC_SLACK * max(1.0, conditioning)
     if not residual <= bound:
         raise StepFailure(f"propagator metric residual {residual:.3e} exceeds {bound:.3e}")
     return residual
@@ -205,14 +275,15 @@ def integrate_geodesic(
     stop: StopCondition,
     tol: float = 1e-10,
 ) -> GeodesicPath:
-    """Integrate the geodesic from (x0, u0) until the stop condition fires.
+    """The geodesic from (x0, u0) until the stop condition fires.
 
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
-    the path and of its parallel propagator alike.
+    the integrated state (x, u, psi); flat legs are exact.
     Raises HorizonApproach if the path would cross the guard radius,
     StepFailure if the stop is not reached within the tau cap or MAX_STEPS
-    steps, conservation drifts exceed max(1e-8, 100 * tol) or the
-    propagator fails to preserve the metric.
+    steps, the state turns non-finite, the step size underflows,
+    conservation drifts exceed max(1e-8, 100 * tol) or the propagator fails
+    to preserve the metric.
     """
     metric_components(spec, x0.coords)  # chart + domain check
     kind = _classify_tangent(spec, x0, u0)
@@ -221,7 +292,6 @@ def integrate_geodesic(
         if stop.value <= spec.guard_radius:
             raise ValidationError("stop.value", "radius target inside horizon guard")
 
-    y0 = np.concatenate([x0.coords, u0.components, np.eye(4).ravel()])
     # degenerate stop: zero-length path
     if (
         (stop.kind == STOP_PROPER_TIME and stop.value == 0.0)
@@ -231,89 +301,373 @@ def integrate_geodesic(
         )
         or (stop.kind == STOP_COORDINATE_TIME and abs(x0.coords[0] - stop.value) <= stop.tolerance)
     ):
-        return _checked_path(spec, kind, tol, np.array([0.0]), y0[None, :])
-
-    hard_floor = 2.0 * spec.mass if spec.kind == SCHWARZSCHILD else None
-
-    def rhs(_tau, y):
-        # gamma_u[a, b] = Gamma^a_{bc} u^c drives both u and the propagator
-        u = y[4:8]
-        gamma_u = christoffel_components(spec, y[:4], floor=hard_floor) @ u
-        return np.concatenate([u, -gamma_u @ u, (-gamma_u @ y[8:].reshape(4, 4)).ravel()])
-
-    steps = 0
-
-    def step_budget(_tau, _y):
-        # solve_ivp evaluates every event once at the start and once per step
-        nonlocal steps
-        steps += 1
-        if steps > MAX_STEPS + 1:
-            raise StepFailure(f"stop condition {stop.kind} = {stop.value} not reached "
-                              f"within {MAX_STEPS} steps")
-        return 1.0
-
-    events = []
-    stop_index = None
-    if stop.kind == STOP_RADIUS:
-        def stop_event(_tau, y, target=stop.value):
-            return _chart_radius(spec, y[:4]) - target
-        stop_event.terminal = True
-        events.append(stop_event)
-        stop_index = 0
-    elif stop.kind == STOP_COORDINATE_TIME:
-        def stop_event(_tau, y, target=stop.value):
-            return y[0] - target
-        stop_event.terminal = True
-        events.append(stop_event)
-        stop_index = 0
-
-    guard_index = None
-    if spec.kind == SCHWARZSCHILD:
-        def guard_event(_tau, y, guard=spec.guard_radius):
-            return y[1] - guard
-        guard_event.terminal = True
-        guard_event.direction = -1.0
-        events.append(guard_event)
-        guard_index = len(events) - 1
-    events.append(step_budget)
-
+        return _checked_path(
+            spec, kind, tol, np.array([0.0]), np.array([x0.coords]), np.array([u0.components]),
+            np.eye(4)[None, :, :],
+        )
     cap = _tau_cap(spec, x0, u0, stop)
-    sol = solve_ivp(
-        rhs,
-        (0.0, cap),
-        y0,
-        method="RK45",
-        rtol=tol,
-        atol=tol * 1e-3,
-        events=events,
-    )
-    if not sol.success:
-        raise StepFailure(f"integrator failed: {sol.message}")
-    if guard_index is not None and len(sol.t_events[guard_index]) > 0:
-        raise HorizonApproach(
-            f"path reached guard radius {spec.guard_radius} at tau = "
-            f"{sol.t_events[guard_index][0]}"
-        )
-    if stop_index is not None and len(sol.t_events[stop_index]) == 0:
-        raise StepFailure(
-            f"stop condition {stop.kind} = {stop.value} not reached by tau = {cap}"
-        )
+    if spec.kind == SCHWARZSCHILD:
+        return _schwarzschild_leg(spec, kind, x0, u0, stop, tol, cap)
+    return _straight_line(spec, kind, x0, u0, stop, tol, cap)
 
-    return _checked_path(spec, kind, tol, sol.t.copy(), sol.y.T.copy())
+
+def _not_reached(stop: StopCondition, cap: float) -> StepFailure:
+    return StepFailure(f"stop condition {stop.kind} = {stop.value} not reached by tau = {cap}")
+
+
+def _straight_line(
+    spec: MetricSpec, kind: str, x0: SpacetimePoint, u0: FourVector,
+    stop: StopCondition, tol: float, cap: float,
+) -> GeodesicPath:
+    """A flat leg: x = x0 + u0 tau with P = I, its stop solved in closed form."""
+    x, u = x0.coords, u0.components
+    if stop.kind == STOP_PROPER_TIME:
+        tau = stop.value
+    elif stop.kind == STOP_COORDINATE_TIME:
+        tau = (stop.value - x[0]) / u[0]
+    else:
+        tau = _line_radius_root(x[1:4], u[1:4], stop.value)
+    if not 0.0 < tau <= cap:
+        raise _not_reached(stop, cap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = x + u * tau
+    if not np.all(np.isfinite(end)):
+        raise StepFailure(f"end event of a leg of length tau = {tau} overflows the chart")
+    identity = np.eye(4)
+    return _checked_path(
+        spec, kind, tol, np.array([0.0, tau]), np.stack([x, end]), np.stack([u, u]),
+        np.stack([identity, identity]),
+    )
+
+
+def _line_radius_root(x: np.ndarray, v: np.ndarray, radius: float) -> float:
+    """Smallest tau > 0 with |x + v tau| = radius; NaN if there is none.
+
+    Lengths are scaled by max(|x|, radius) and v by its norm, so the
+    quadratic rho^2 + 2 b rho + c = 0 in rho = |v| tau / scale has terms of
+    order 1, and each root is taken in the form that does not cancel.
+    """
+    speed = math.hypot(*v)
+    if speed == 0.0:
+        return math.nan
+    scale = max(math.hypot(*x), radius)
+    xs = x / scale
+    rs = radius / scale
+    b = float(xs @ v) / speed
+    hx = math.hypot(*xs)
+    c = (hx - rs) * (hx + rs)
+    disc = b * b - c
+    if disc < 0.0:
+        return math.nan
+    sq = math.sqrt(disc)
+    if c < 0.0:  # inside the sphere: one root ahead
+        rho = -c / (b + sq) if b > 0.0 else sq - b
+    elif b < 0.0:  # outside and moving inward: the nearer crossing
+        rho = c / (sq - b)
+    else:
+        return math.nan
+    return rho * scale / speed
+
+
+def _schwarzschild_rhs(mass: float, kind: str, energy: float, ang_mom: float):
+    """d(x, u, psi)/dtau on the exterior chart, as a function of the state list.
+
+    The geodesic term Gamma^a_bc u^b u^c is written out over the nine
+    nonzero Christoffel symbols of grbell.geometry.christoffel_components.
+    States at or inside r = 2M raise HorizonDomain; trial stages between
+    the guard and 2M still evaluate, so the guard event can locate the
+    crossing.
+    """
+    floor = 2.0 * mass
+    timelike = kind == TIMELIKE
+    L2 = ang_mom * ang_mom
+    # dpsi/dtau = -E L / (r^2 + L^2) on timelike legs, -M L / (E r^3) on null ones
+    psi_scale = -energy * ang_mom if timelike else -mass * ang_mom / energy
+    sin, cos = math.sin, math.cos
+
+    def rhs(y):
+        _, r, th, _, ut, ur, uth, uph, _ = y
+        if r <= floor:
+            raise HorizonDomain(f"r = {r} inside radius {floor}")
+        f = 1.0 - 2.0 * mass / r
+        s, c = sin(th), cos(th)
+        g_tr = mass / (r * r * f)            # Gamma^t_tr = -Gamma^r_rr
+        g_tt = mass * f / (r * r)            # Gamma^r_tt
+        rf = r * f                           # -Gamma^r_thth
+        inv_r = 1.0 / r                      # Gamma^th_rth = Gamma^ph_rph
+        cot = c / s                          # Gamma^ph_thph
+        uph2 = uph * uph
+        return [
+            ut, ur, uth, uph,
+            -2.0 * g_tr * ut * ur,
+            -g_tt * ut * ut + g_tr * ur * ur + rf * uth * uth + rf * s * s * uph2,
+            -2.0 * inv_r * ur * uth + s * c * uph2,
+            -2.0 * inv_r * ur * uph - 2.0 * cot * uth * uph,
+            psi_scale / (r * r + L2) if timelike else psi_scale / (r * r * r),
+        ]
+
+    return rhs
+
+
+def _schwarzschild_leg(
+    spec: MetricSpec, kind: str, x0: SpacetimePoint, u0: FourVector,
+    stop: StopCondition, tol: float, cap: float,
+) -> GeodesicPath:
+    y0 = [float(v) for v in x0.coords] + [float(v) for v in u0.components] + [0.0]
+    r0, th0 = y0[1], y0[2]
+    energy = (1.0 - 2.0 * spec.mass / r0) * y0[4]
+    ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
+    rhs = _schwarzschild_rhs(spec.mass, kind, energy, ang_mom)
+
+    # events: (state component, target, direction), the guard last
+    events = []
+    if stop.kind == STOP_RADIUS:
+        events.append((1, stop.value, 0))
+    elif stop.kind == STOP_COORDINATE_TIME:
+        events.append((0, stop.value, 0))
+    events.append((1, spec.guard_radius, -1))
+    try:
+        run = _dopri(rhs, y0, cap, tol, events, f"stop condition {stop.kind} = {stop.value}")
+    except (ArithmeticError, ValueError) as e:  # e.g. a trial stage on the polar axis
+        raise StepFailure(f"integration failed: {e}") from None
+    if run.event == len(events) - 1:
+        raise HorizonApproach(
+            f"path reached guard radius {spec.guard_radius} at tau = {run.taus[-1]}"
+        )
+    if stop.kind != STOP_PROPER_TIME and run.event is None:
+        raise _not_reached(stop, cap)
+
+    states = np.array(run.states)
+    points = np.ascontiguousarray(states[:, :4])
+    tangents = np.ascontiguousarray(states[:, 4:8])
+    frames = _parallel_frames(spec, kind, points, tangents, states[:, 8])
+    inverse = np.linalg.inv(frames[0])
+    propagators = frames @ inverse
+    propagators[0] = np.eye(4)
+    return _checked_path(
+        spec, kind, tol, np.array(run.taus), points, tangents, propagators,
+        np.abs(frames) @ np.abs(inverse), run.nfev, run.accepted, run.rejected,
+    )
+
+
+def _parallel_frames(
+    spec: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, psi: np.ndarray
+) -> np.ndarray:
+    """Marck's parallel frame at each stored state, as the columns of (n, 4, 4).
+
+    Timelike legs: (u, a cos psi + b sin psi, -a sin psi + b cos psi, l),
+    orthonormal. Null legs: (u, n, m, l) with n.u = -1, m.m = l.l = 1 and
+    all other products 0. Each vector is normalised from the state itself,
+    so the frame keeps its Gram matrix to rounding even where the stored u
+    carries integration error.
+    """
+    r, theta = points[:, 1], points[:, 2]
+    sqrt_f = np.sqrt(1.0 - 2.0 * spec.mass / r)
+    r_sin = r * np.sin(theta)
+    # u in the static tetrad f^-1/2 d_t, f^1/2 d_r, r^-1 d_theta, (r sin theta)^-1 d_phi
+    U0, U1 = sqrt_f * tangents[:, 0], tangents[:, 1] / sqrt_f
+    U2, U3 = r * tangents[:, 2], r_sin * tangents[:, 3]
+    lam = np.hypot(U2, U3)
+    zero = np.zeros_like(r)
+    if lam[0] == 0.0:  # radial leg: theta-hat and phi-hat are parallel
+        n2, n3 = np.ones_like(r), zero
+    else:
+        n2, n3 = U2 / lam, U3 / lam
+    normal = (zero, zero, n3, -n2)
+    if kind == TIMELIKE:
+        D = (U0 - U1) * (U0 + U1)
+        N = D - lam * lam  # -g(u, u)
+        if not np.all(N > 0.0):
+            raise StepFailure("integrated tangent left the timelike cone; tol is too loose")
+        u_hat = [c / np.sqrt(N) for c in (U0, U1, U2, U3)]
+        a = [c / np.sqrt(D) for c in (U1, U0, zero, zero)]
+        b = [c / np.sqrt(D * N) for c in (lam * U0, lam * U1, D * n2, D * n3)]
+        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+        columns = (
+            u_hat,
+            [ca * cos_psi + cb * sin_psi for ca, cb in zip(a, b)],
+            [cb * cos_psi - ca * sin_psi for ca, cb in zip(a, b)],
+            normal,
+        )
+    else:
+        U0 = np.copysign(np.hypot(U1, lam), U0)  # exactly null up to rounding
+        k = (U0, U1, U2, U3)
+        m0 = [c / U0 for c in (zero, lam, -U1 * n2, -U1 * n3)]
+        n0 = [c / (2.0 * U0 * U0) for c in (U0, -U1, -lam * n2, -lam * n3)]
+        columns = (
+            k,
+            [cn + psi * cm + 0.5 * psi * psi * ck for cn, cm, ck in zip(n0, m0, k)],
+            [cm + psi * ck for cm, ck in zip(m0, k)],
+            normal,
+        )
+    legs = np.stack([1.0 / sqrt_f, sqrt_f, 1.0 / r, 1.0 / r_sin], axis=1)
+    return legs[:, :, None] * np.stack([np.stack(col, axis=1) for col in columns], axis=2)
+
+
+@dataclass(frozen=True, eq=False)
+class _Run:
+    taus: list[float]
+    states: list[list[float]]
+    event: int | None  # index of the event that ended the run
+    nfev: int
+    accepted: int
+    rejected: int
+
+
+def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) -> _Run:
+    """Integrate y' = rhs(y) from tau = 0 to tau_end with Dormand-Prince 5(4).
+
+    events are terminal (component, target, direction) triples: event j
+    fires where y[component] crosses target, upward for direction > 0,
+    downward for direction < 0 and either way for 0. The run ends at the
+    earliest root within the first step that shows a crossing, at a state
+    read from the step's dense interpolant.
+    """
+    rtol, atol = tol, tol * 1e-3
+    root_n = math.sqrt(len(y0))
+    hypot, isfinite = math.hypot, math.isfinite
+
+    def rms(values, scale):
+        return hypot(*[v / s for v, s in zip(values, scale)]) / root_n
+
+    # initial step (Hairer, Norsett and Wanner, sec. II.4)
+    f = rhs(y0)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0, d1 = rms(y0, scale), rms(f, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, tau_end)
+    f1 = rhs([y + h0 * dy for y, dy in zip(y0, f)])
+    d2 = rms([b - a for a, b in zip(f, f1)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, tau_end)
+    nfev, accepted, rejected = 2, 0, 0
+
+    t, y = 0.0, y0
+    taus, states = [t], [y]
+    g = [y[c] - target for c, target, _ in events]
+    while t < tau_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepFailure(f"step size underflow at tau = {t}")
+            t_new = min(t + h_abs, tau_end)
+            h = t_new - t
+            h_abs = h
+            k1 = f
+            k2 = rhs([v + h * (_A21 * a) for v, a in zip(y, k1)])
+            k3 = rhs([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+            k4 = rhs([v + h * (_A41 * a + _A42 * b + _A43 * c)
+                      for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = rhs([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                      for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = rhs([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                      for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
+                     for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
+            k7 = rhs(y_new)
+            nfev += 6
+            error = hypot(*[
+                h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q)
+                / (atol + max(abs(v), abs(w)) * rtol)
+                for a, c, d, e, p, q, v, w in zip(k1, k3, k4, k5, k6, k7, y, y_new)
+            ]) / root_n
+            if not isfinite(error):
+                raise StepFailure(f"non-finite state after tau = {t}")
+            if error < 1.0:
+                factor = _MAX_FACTOR if error == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * error ** -0.2
+                )
+                h_abs *= min(1.0, factor) if step_rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** -0.2)
+            step_rejected = True
+            rejected += 1
+        accepted += 1
+        if accepted > MAX_STEPS:
+            raise StepFailure(f"{what} not reached within {MAX_STEPS} steps")
+
+        g_new = [y_new[c] - target for c, target, _ in events]
+        crossed = [
+            j for j, (_, _, direction) in enumerate(events)
+            if (direction >= 0 and g[j] <= 0.0 <= g_new[j])
+            or (direction <= 0 and g[j] >= 0.0 >= g_new[j])
+        ]
+        if crossed:
+            stages = (k1, k2, k3, k4, k5, k6, k7)
+            # dense output y(t + x h) = y + h sum_j Q[i][j] x^(j+1)
+            Q = [[sum(K[i] * row[j] for K, row in zip(stages, _DENSE)) for j in range(4)]
+                 for i in range(len(y))]
+
+            def dense(i, x):
+                q = Q[i]
+                return y[i] + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
+
+            roots = [(_bracket_root(lambda x, c=events[j][0], target=events[j][1]:
+                                    dense(c, x) - target), j) for j in crossed]
+            x, event = min(roots)
+            tau = t + x * h
+            taus.append(tau)
+            states.append([dense(i, x) for i in range(len(y))])
+            return _Run(taus, states, event, nfev, accepted, rejected)
+
+        t, y, f, g = t_new, y_new, k7, g_new
+        taus.append(t)
+        states.append(y)
+    return _Run(taus, states, None, nfev, accepted, rejected)
+
+
+def _bracket_root(fn) -> float:
+    """Root of fn on [0, 1], where fn changes sign, by Illinois false position.
+
+    Falls back to bisection whenever the secant does not land inside the
+    bracket; stops when the bracket is 4 ulp wide. If rounding of the
+    interpolant hides the sign change, the end nearer to zero is returned.
+    """
+    a, b = 0.0, 1.0
+    fa, fb = fn(a), fn(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0 or (fa < 0.0) == (fb < 0.0):
+        return b if abs(fb) <= abs(fa) else a
+    side = 0
+    for _ in range(200):
+        x = (a * fb - b * fa) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        fx = fn(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = x, fx
+            if side == 1:
+                fa *= 0.5
+            side = 1
+        if b - a <= 4.0 * math.ulp(b):
+            break
+    return b
 
 
 def _checked_path(
-    spec: MetricSpec, kind: str, tol: float, taus: np.ndarray, states: np.ndarray
+    spec: MetricSpec, kind: str, tol: float, taus: np.ndarray, points: np.ndarray,
+    tangents: np.ndarray, propagators: np.ndarray, sizes: np.ndarray | None = None,
+    nfev: int = 0, accepted: int = 0, rejected: int = 0,
 ) -> GeodesicPath:
-    """The path through the stored (x, u, P) states, once its checks pass.
+    """The path through the stored states, once its checks pass.
 
     The metric is evaluated once per stored point; the conservation drift
     and the propagator check share that stack, and the path keeps both the
     stack and the drift.
     """
-    points = np.ascontiguousarray(states[:, :4])
-    tangents = np.ascontiguousarray(states[:, 4:8])
-    propagators = states[:, 8:].reshape(-1, 4, 4)
     g = _metric_stack(spec, points)
     drift = _conservation_drift(spec, kind, points, tangents, g)
     bound = _drift_bound(tol)
@@ -327,7 +681,7 @@ def _checked_path(
     bad = {k: v for k, v in drift.items() if v > bounds[k]}
     if bad:
         raise StepFailure(f"conservation drift {bad} exceeds {bounds}")
-    check_metric_preserved(g, propagators, tol)
+    check_metric_preserved(g, propagators, sizes)
     return GeodesicPath(
         spec=spec,
         kind=kind,
@@ -338,4 +692,7 @@ def _checked_path(
         propagators=propagators,
         metrics=g,
         drift=drift,
+        nfev=nfev,
+        accepted=accepted,
+        rejected=rejected,
     )

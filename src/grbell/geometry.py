@@ -138,12 +138,11 @@ def same_event(p: SpacetimePoint, q: SpacetimePoint, tol: float = 1e-12) -> bool
     return p.chart == q.chart and bool(np.all(np.abs(p.coords - q.coords) <= tol))
 
 
-def _check_domain(spec: MetricSpec, coords: np.ndarray, floor: float | None = None) -> None:
+def _check_domain(spec: MetricSpec, coords: np.ndarray) -> None:
     if spec.kind != SCHWARZSCHILD:
         return
-    limit = spec.guard_radius if floor is None else floor
-    if coords[1] <= limit:
-        raise HorizonDomain(f"r = {coords[1]} inside radius {limit}")
+    if coords[1] <= spec.guard_radius:
+        raise HorizonDomain(f"r = {coords[1]} inside radius {spec.guard_radius}")
 
 
 def _check_chart(spec: MetricSpec, p: SpacetimePoint) -> None:
@@ -151,16 +150,9 @@ def _check_chart(spec: MetricSpec, p: SpacetimePoint) -> None:
         raise InvalidChart(f"point in chart {p.chart!r}, metric uses {spec.chart!r}")
 
 
-def metric_components(
-    spec: MetricSpec, coords: np.ndarray, floor: float | None = None
-) -> np.ndarray:
-    """g_{mu nu} as a plain (4, 4) array; hot path for the integrators.
-
-    `floor` overrides the guard radius for the domain check; the integrator
-    RHS passes 2M so that trial stages slightly below the guard still
-    evaluate while the terminal guard event locates the crossing.
-    """
-    _check_domain(spec, coords, floor)
+def metric_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
+    """g_{mu nu} as a plain (4, 4) array."""
+    _check_domain(spec, coords)
     if spec.kind == MINKOWSKI:
         return ETA.copy()
     r, theta = coords[1], coords[2]
@@ -168,11 +160,9 @@ def metric_components(
     return np.diag([-f, 1.0 / f, r * r, (r * math.sin(theta)) ** 2])
 
 
-def christoffel_components(
-    spec: MetricSpec, coords: np.ndarray, floor: float | None = None
-) -> np.ndarray:
+def christoffel_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """Gamma^mu_{alpha beta} as a plain (4, 4, 4) array (closed forms)."""
-    _check_domain(spec, coords, floor)
+    _check_domain(spec, coords)
     G = np.zeros((4, 4, 4))
     if spec.kind == MINKOWSKI:
         return G

@@ -91,8 +91,9 @@ CSV_HEADER = (
 CSV_COLUMNS = CSV_HEADER.split(",")
 
 DEFAULT_TOL = 1e-10
-# scipy's solve_ivp raises a smaller rtol to this floor (with a warning), so
-# a smaller tol would integrate at another tolerance than the config says
+# below 100 machine epsilons the rounding of each step's update is a sizeable
+# share of the local error the stepper controls, so its error control could
+# not honour a smaller tol; such a tol is refused rather than quietly missed
 MIN_TOL = 100.0 * float(np.finfo(float).eps)
 DEFAULT_MC_N = 100_000
 DEFAULT_MC_SEED = 0
@@ -460,6 +461,7 @@ class GeodesicSummary:
     tau_end: float
     endpoint: list[float]
     drift: dict[str, float]
+    stats: dict[str, int]  # integrator counters: nfev, accepted, rejected
 
     @classmethod
     def from_path(cls, path: GeodesicPath) -> "GeodesicSummary":
@@ -467,6 +469,7 @@ class GeodesicSummary:
             tau_end=path.tau_end,
             endpoint=[float(x) for x in path.points[-1]],
             drift=path.conservation_drift(),
+            stats={"nfev": path.nfev, "accepted": path.accepted, "rejected": path.rejected},
         )
 
 
@@ -652,6 +655,7 @@ def report_to_dict(report: RunReport) -> dict:
                 "tau_end": summary.tau_end,
                 "endpoint": summary.endpoint,
                 "drift": summary.drift,
+                "stats": summary.stats,
             }
         )
     if report.lhv is not None:
@@ -667,6 +671,7 @@ def report_to_dict(report: RunReport) -> dict:
                     "rhs": r.rhs,
                     "margin": r.margin,
                     "combined_stderr": r.combined_stderr,
+                    "margin_stderr": r.margin_stderr,
                     "satisfied": r.satisfied,
                 }
                 for r in report.lhv.rows
@@ -699,7 +704,8 @@ def report_to_text(report: RunReport) -> str:
         if d[label] is not None:
             g = d[label]
             drift = ", ".join(f"{k}={v:.3e}" for k, v in g["drift"].items())
-            lines.append(f"{label}        tau_end={g['tau_end']:.12g}  drift: {drift}")
+            stats = " ".join(f"{k}={v}" for k, v in g["stats"].items())
+            lines.append(f"{label}        tau_end={g['tau_end']:.12g}  drift: {drift}  {stats}")
     if d["lhv_audit"] is not None:
         a = d["lhv_audit"]
         lines.append(

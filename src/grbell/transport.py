@@ -1,7 +1,8 @@
 """Parallel transport of vectors along stored geodesic paths.
 
-Transport is linear, so each path carries one parallel propagator P, which
-the geodesic integrator solves with the path itself (see grbell.geodesics).
+Transport is linear, so each path carries one parallel propagator P,
+which grbell.geodesics builds in closed form: the identity on a flat leg,
+F(tau) F(0)^-1 for Marck's parallel frame F on a Schwarzschild leg.
 Forward transport applies P at the last stored step, backward transport
 solves with it, and the two-leg transfer R -> O -> L chains a backward leg
 with a forward one: v_L = P_L solve(P_R, v_R).

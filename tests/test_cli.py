@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -235,6 +237,22 @@ def test_lhv_audit_reuses_the_run_audit(tmp_path, capsys, monkeypatch):
     assert main(["lhv-audit", "--config", write(tmp_path, data), "--n", "2000"]) == 0
     assert "audit passed" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_run_needs_no_scipy():
+    # the package runs on numpy alone: scipy is made unimportable first
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from grbell.cli import main\n"
+        "raise SystemExit(main(['run', '--config', 'configs/schwarzschild_demo.json']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "lhv audit" in proc.stdout
 
 
 # -- exit-code contract under arbitrary field values ---------------------------

@@ -207,3 +207,51 @@ def test_halving_tolerance_halves_error(schw):
 
     for tol in (1e-8, 5e-9):
         assert terminal_error(tol / 2.0) <= terminal_error(tol) / 2.0
+
+
+def test_flat_leg_is_a_straight_line_with_identity_propagator(flat):
+    x0 = minkowski_point(1.0, 2.0, -1.0, 0.5)
+    u0 = FourVector([1.25, 0.75, 0.0, 0.0], x0)
+    path = integrate_geodesic(flat, x0, u0, StopCondition.proper_time(4.0))
+    assert list(path.taus) == [0.0, 4.0]
+    assert np.array_equal(path.points[-1], x0.coords + 4.0 * u0.components)
+    assert np.array_equal(path.propagators, np.stack([np.eye(4), np.eye(4)]))
+    assert (path.nfev, path.accepted, path.rejected) == (0, 0, 0)
+
+
+def test_flat_radius_stop_takes_the_first_crossing(flat):
+    # from x = -5 toward the origin at speed 0.6: |x| = 3 first at x = -3
+    x0 = minkowski_point(0.0, -5.0, 0.0, 0.0)
+    gamma = 1.25
+    u0 = FourVector([gamma, 0.6 * gamma, 0.0, 0.0], x0)
+    path = integrate_geodesic(flat, x0, u0, StopCondition.radius(3.0))
+    assert path.tau_end == pytest.approx(2.0 / (0.6 * gamma), rel=1e-15)
+    assert path.points[-1][1] == pytest.approx(-3.0, rel=1e-15)
+    away = FourVector([gamma, -0.6 * gamma, 0.0, 0.0], x0)
+    with pytest.raises(StepFailure, match="not reached"):
+        integrate_geodesic(flat, x0, away, StopCondition.radius(3.0))
+
+
+def test_flat_coordinate_time_stop_is_linear(flat):
+    x0 = minkowski_point(2.0, 0.0, 0.0, 0.0)
+    u0 = FourVector([1.25, 0.0, 0.75, 0.0], x0)
+    path = integrate_geodesic(flat, x0, u0, StopCondition.coordinate_time(7.0))
+    assert path.tau_end == 4.0
+    assert path.points[-1][0] == 7.0
+
+
+def test_flat_leg_beyond_the_float_range_fails_cleanly(flat):
+    x0 = minkowski_point(0.0, 0.0, 0.0, 0.0)
+    u0 = FourVector([1.0, 1.0, 0.0, 0.0], x0)
+    path = integrate_geodesic(flat, x0, u0, StopCondition.radius(1e300))
+    assert path.points[-1][1] == pytest.approx(1e300, rel=1e-15)
+    slower = FourVector([1.25, 0.75, 0.0, 0.0], x0)  # tau = 1.7e308 / 0.75 overflows
+    with pytest.raises(StepFailure, match="overflows"):
+        integrate_geodesic(flat, x0, slower, StopCondition.radius(1.7e308, max_tau=math.inf))
+
+
+def test_zero_tangent_rejected(flat, schw):
+    for spec, x0 in ((flat, minkowski_point(0.0, 0.0, 0.0, 0.0)),
+                     (schw, schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0))):
+        with pytest.raises(BadNormalization, match="zero"):
+            integrate_geodesic(spec, x0, FourVector([0.0] * 4, x0), StopCondition.proper_time(1.0))

@@ -290,3 +290,50 @@ def test_audit_rows_identical_across_reruns(rng):
     assert [dataclasses.asdict(r) for r in first.rows] == [
         dataclasses.asdict(r) for r in second.rows
     ]
+
+
+def test_margin_stderr_is_the_spread_of_the_per_sample_margin(rng):
+    model = make_sign_model(0)
+    n, seed = 20_000, 4
+    args = [boundary_triple()]
+    for _ in range(12):
+        w_b = rng.uniform(0.3, 1.0)
+        args.append((
+            SettingsTriple(random_direction(rng), random_direction(rng), random_direction(rng)),
+            make_projection(w_b, random_direction(rng)),
+            make_projection(rng.uniform(0.05, w_b), random_direction(rng)),
+        ))
+    rows = lhv_inequality_audit(model, args, n, seed=seed).rows
+    ratios = []
+    for i, ((triple, proj_b, proj_c), row) in enumerate(zip(args, rows)):
+        lam = model.sample(n, stream(seed, i))
+        ab = model.respond_A(triple.a, lam) * model.respond_B(proj_b, lam)
+        ac = model.respond_A(triple.a, lam) * model.respond_B(proj_c, lam)
+        bc = model.respond_A(proj_b.direction, lam) * model.respond_B(proj_c, lam)
+        s = 1.0 if ab.mean() >= ac.mean() else -1.0
+        margin = s * (ab - ac) - bc
+        assert row.margin_stderr == pytest.approx(margin.std(ddof=1) / math.sqrt(n), rel=1e-9)
+        assert row.margin == pytest.approx(margin.mean() - proj_b.w**2, abs=1e-12)
+        assert row.satisfied == (
+            row.lhs <= row.rhs + ROUNDING_SLACK
+            and row.lhs <= row.rhs + SIGMA_FACTOR * min(row.margin_stderr, row.combined_stderr)
+            + ROUNDING_SLACK * proj_b.w**2
+        )
+        ratios.append(row.margin_stderr / row.combined_stderr)
+    # the three shared-batch estimates are correlated: the quadrature sum is
+    # no estimate of the margin's noise (0 on the boundary triple, where the
+    # margin is the same at every sample)
+    assert ratios[0] == 0.0
+    assert min(ratios[1:]) < 0.7 and max(ratios) > 0.9
+
+
+def test_audit_passes_the_sound_model_on_coincident_settings(rng):
+    # a = b = c: every product is -w^2 at every sample, so both sides are
+    # constant and only rounding separates them; neither gate may flag that
+    model = make_sign_model(0)
+    for k in range(40):
+        a = random_direction(rng)
+        proj = make_projection(rng.uniform(0.1, 1.0), a)
+        row = lhv_inequality_audit(model, [(SettingsTriple(a, a, a), proj, proj)], 1000, seed=k).rows[0]
+        assert row.satisfied
+        assert abs(row.margin) <= ROUNDING_SLACK

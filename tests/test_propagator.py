@@ -1,0 +1,179 @@
+"""The closed-form parallel propagator and the Dormand-Prince stepper.
+
+Reference values come from scipy, which the package itself does not use:
+the parallel propagator integrated as the 24-component state (x, u, P) with
+dP/dtau = -(Gamma . u) P, and scipy's RK45 on systems with known behaviour.
+"""
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from grbell import FourVector, StepFailure, StopCondition, integrate_geodesic
+from grbell import geodesics
+from grbell.geodesics import METRIC_SLACK, check_metric_preserved
+from grbell.geometry import christoffel_components, schwarzschild_point
+from conftest import random_exterior_point
+
+M = 1.0
+EPS = float(np.finfo(float).eps)
+
+
+def integrated_propagators(spec, path):
+    """P at the path's stored taus from the (x, u, P) system on scipy's RK45."""
+    def rhs(_tau, y):
+        gamma_u = christoffel_components(spec, y[:4]) @ y[4:8]
+        return np.concatenate([y[4:8], -gamma_u @ y[4:8], (-gamma_u @ y[8:].reshape(4, 4)).ravel()])
+
+    y0 = np.concatenate([path.points[0], path.tangents[0], np.eye(4).ravel()])
+    sol = solve_ivp(
+        rhs, (0.0, path.taus[-1]), y0, method="RK45", rtol=path.tol, atol=path.tol * 1e-3,
+        t_eval=path.taus,
+    )
+    assert sol.success
+    return sol.y.T[:, 8:].reshape(-1, 4, 4)
+
+
+def launch(rng, kind, radial_fraction=None):
+    """A random exterior event and a tangent there, as (point, tangent).
+
+    The tangent has speed 0.05 to 0.6 (timelike) or 1 (null) against the
+    static observer along a random direction; radial_fraction scales the
+    direction's angular part, so 0 gives a radial leg.
+    """
+    x0 = random_exterior_point(rng, r_min=6.0, r_max=25.0)
+    r, theta = x0.coords[1], x0.coords[2]
+    n = rng.standard_normal(3)
+    if radial_fraction is not None:
+        n = np.array([math.copysign(1.0, n[0]), radial_fraction * n[1], radial_fraction * n[2]])
+    n /= np.linalg.norm(n)
+    v = rng.uniform(0.05, 0.6) if kind == "timelike" else 1.0
+    gamma = 1.0 / math.sqrt(1.0 - v * v) if kind == "timelike" else 1.0
+    f = 1.0 - 2.0 * M / r
+    static_legs = np.array([1.0 / math.sqrt(f), math.sqrt(f), 1.0 / r, 1.0 / (r * math.sin(theta))])
+    return x0, FourVector(static_legs * gamma * np.concatenate([[1.0], v * n]), x0)
+
+
+LEGS = [
+    ("timelike", None),
+    ("timelike", 0.0),
+    ("timelike", 1e-6),
+    ("null", None),
+    ("null", 0.0),
+    ("null", 1e-6),
+]
+
+
+@pytest.mark.parametrize("kind, radial_fraction", LEGS)
+def test_closed_form_propagator_matches_the_integrated_one(schw, rng, kind, radial_fraction):
+    checked = 0
+    for _ in range(6):
+        x0, u0 = launch(rng, kind, radial_fraction)
+        try:
+            path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(rng.uniform(1.0, 12.0)))
+        except StepFailure:
+            continue  # e.g. a ray that reaches the guard radius
+        assert path.kind == kind
+        if radial_fraction is not None and radial_fraction > 0.0:
+            r, theta = path.points[0, 1], path.points[0, 2]
+            L = r * math.hypot(r * path.tangents[0, 2], r * math.sin(theta) * path.tangents[0, 3])
+            assert 0.0 < L < 1e-4
+        reference = integrated_propagators(schw, path)
+        bound = max(1e-8, 100.0 * path.tol) * max(1.0, float(np.max(np.abs(reference))))
+        assert np.max(np.abs(path.propagators - reference)) <= bound
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("kind, radial_fraction", LEGS)
+def test_propagator_is_exact_at_emission_and_keeps_the_metric(schw, rng, kind, radial_fraction):
+    x0, u0 = launch(rng, kind, radial_fraction)
+    path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(3.0))
+    P, g = path.propagators, path.metrics
+    assert np.array_equal(P[0], np.eye(4))
+    residual = np.max(np.abs(np.einsum("nab,nac,ncd->nbd", P, g, P) - g[0]))
+    P_abs = np.abs(P)
+    conditioning = np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), P_abs))
+    assert residual <= METRIC_SLACK * max(1.0, conditioning)
+    assert check_metric_preserved(g, P) == residual
+
+
+def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):
+    # gamma = 100 against the static observer: P = F F(0)^-1 sums terms
+    # about gamma^2 larger than P itself, so its rounding exceeds the slack
+    # times |P|^T |g| |P|; the path's own check scales with |F| |F(0)^-1|
+    theta, f, gamma = 1.2, 0.8, 100.0
+    x0 = schwarzschild_point(0.0, 10.0, theta, 0.3)
+    speed = math.sqrt(1.0 - 1.0 / gamma**2)
+    static_legs = np.array([1.0 / math.sqrt(f), math.sqrt(f), 0.1, 0.1 / math.sin(theta)])
+    u0 = FourVector(static_legs * gamma * np.array([1.0, 0.6 * speed, 0.8 * speed, 0.0]), x0)
+    path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(0.01))
+    P, g = path.propagators, path.metrics
+    residual = np.max(np.abs(np.einsum("nab,nac,ncd->nbd", P, g, P) - g[0]))
+    P_abs = np.abs(P)
+    conditioning = np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), P_abs))
+    assert residual > METRIC_SLACK * max(1.0, conditioning)
+
+
+def test_hand_written_geodesic_term_matches_the_christoffel_symbols(schw, rng):
+    rhs = geodesics._schwarzschild_rhs(M, "timelike", 1.0, 1.0)
+    for _ in range(200):
+        x = random_exterior_point(rng).coords
+        u = rng.standard_normal(4)
+        acceleration = np.array(rhs(list(x) + list(u) + [0.0])[4:8])
+        G = christoffel_components(schw, x)
+        expected = -(G @ u @ u)
+        scale = np.abs(G) @ np.abs(u) @ np.abs(u)
+        assert np.all(np.abs(acceleration - expected) <= 4.0 * EPS * scale)
+
+
+def test_stepper_takes_the_steps_of_rk45():
+    # same tableau, error norm, controller and initial step: the same steps
+    def rhs(y):
+        return [y[1], -y[0] - 0.1 * y[1] * y[0] ** 2, 0.3 * y[0]]
+
+    y0 = [1.5, 0.0, 0.2]
+    for tol in (1e-6, 1e-9, 1e-11):
+        run = geodesics._dopri(rhs, y0, 20.0, tol, [], "stop")
+        ref = solve_ivp(lambda _t, y: rhs(y), (0.0, 20.0), y0, method="RK45",
+                        rtol=tol, atol=tol * 1e-3)
+        assert run.accepted == len(ref.t) - 1
+        assert run.nfev == ref.nfev
+        # the error estimate cancels to about tol, so its rounding moves the
+        # step sizes by about eps / tol relative to scipy's
+        assert np.allclose(run.taus, ref.t, rtol=1e-4, atol=0.0)
+        assert np.allclose(run.states[-1], ref.y[:, -1], rtol=0.0, atol=tol)
+
+
+def test_stepper_locates_a_terminal_event_on_its_dense_output():
+    # y = (cos tau, -sin tau): y0 first falls through 0.5 at tau = pi / 3
+    run = geodesics._dopri(lambda y: [y[1], -y[0]], [1.0, 0.0], 10.0, 1e-10, [(0, 0.5, -1)], "stop")
+    assert run.event == 0
+    assert run.taus[-1] == pytest.approx(math.pi / 3.0, abs=1e-9)
+    assert run.states[-1][0] == pytest.approx(0.5, abs=1e-9)
+    assert run.accepted == len(run.taus) - 1
+
+
+def test_stepper_rejects_a_non_finite_state():
+    with pytest.raises(StepFailure, match="non-finite"):
+        geodesics._dopri(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 5.0, 1e-8, [], "stop")
+
+
+def test_stepper_fails_on_step_size_underflow():
+    # y' = 1 / (1 - y)^2 blows up at tau = 1/3; steps shrink until they underflow
+    with pytest.raises(StepFailure):
+        geodesics._dopri(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1.0, 1e-10, [], "stop")
+
+
+def test_equatorial_null_leg_carries_the_plane_normal(schw):
+    # the orbital-plane normal is a frame vector: on an equatorial ray P
+    # maps d_theta to (r0 / r) d_theta and mixes nothing else into it
+    x0 = schwarzschild_point(0.0, 8.0, math.pi / 2, 0.0)
+    f = 0.75
+    u0 = FourVector([1.0 / math.sqrt(f), 0.6 * math.sqrt(f), 0.0, 0.8 / 8.0], x0)
+    path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(4.0))
+    assert path.kind == "null"
+    P = path.propagators[-1]
+    assert np.max(np.abs(P[2, [0, 1, 3]])) <= 1e-12
+    assert P[2, 2] == pytest.approx(8.0 / path.points[-1, 1], rel=1e-12)

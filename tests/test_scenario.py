@@ -351,6 +351,18 @@ def test_angle_sweep_geometry_failure_marks_every_row():
     assert all(r["w_b"] == "nan" and r["violated"] == "false" for r in rows)
 
 
+def recording_paths(monkeypatch):
+    """The paths a run integrates, in order, kept as scenario receives them."""
+    paths = []
+
+    def recording(*args, _original=scenario.integrate_geodesic, **kwargs):
+        paths.append(_original(*args, **kwargs))
+        return paths[-1]
+
+    monkeypatch.setattr(scenario, "integrate_geodesic", recording)
+    return paths
+
+
 def test_demo_evaluates_metric_once_per_stored_point(monkeypatch):
     # per path: one domain check, one tangent classification, then one
     # metric stack shared by the drift and propagator checks and the summary
@@ -364,10 +376,12 @@ def test_demo_evaluates_metric_once_per_stored_point(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(geodesics, "metric_components", counting)
+    paths = recording_paths(monkeypatch)
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
     run_scenario(config_from_dict(data))
-    assert len(calls) == 54
+    assert len(paths) == 2
+    assert len(calls) == sum(2 + len(path.taus) for path in paths)
 
 
 def test_demo_transport_evaluates_no_metric(monkeypatch):
@@ -383,10 +397,11 @@ def test_demo_transport_evaluates_no_metric(monkeypatch):
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, "metric_components", counting)
+    paths = recording_paths(monkeypatch)
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
     run_scenario(config_from_dict(data))
-    assert callers.count("grbell.geodesics") == 54
+    assert callers.count("grbell.geodesics") == sum(2 + len(path.taus) for path in paths)
     assert "grbell.transport" not in callers
 
 
@@ -402,3 +417,31 @@ def test_csv_correlations_come_from_the_report():
         format(p, ".17g") for p in (ineq.p_ab, ineq.p_ac, ineq.p_bc)
     ]
     assert ineq.lhs == abs(ineq.p_ab - ineq.p_ac)
+
+
+def test_geodesic_stats_count_the_stepper_work_and_repeat_exactly(monkeypatch):
+    paths = recording_paths(monkeypatch)
+    data = schwarzschild_demo_config()
+    data["lhv_audit"] = False
+    first = scenario.report_to_json(run_scenario(config_from_dict(data)))
+    second = scenario.report_to_json(run_scenario(config_from_dict(data)))
+    assert first == second
+    assert len(paths) == 4
+    for path, again in zip(paths[:2], paths[2:]):
+        assert (path.nfev, path.accepted, path.rejected) == (again.nfev, again.accepted, again.rejected)
+        assert path.accepted == len(path.taus) - 1 > 0
+        assert path.nfev == 2 + 6 * (path.accepted + path.rejected)
+    payload = json.loads(first)
+    for label, path in zip(("geodesic_1", "geodesic_2"), paths):
+        assert payload[label]["stats"] == {
+            "nfev": path.nfev, "accepted": path.accepted, "rejected": path.rejected,
+        }
+    # wall-clock time stays out of the JSON report
+    assert "elapsed" not in first
+
+
+def test_flat_legs_report_no_stepper_work():
+    payload = json.loads(scenario.report_to_json(run_scenario(config_from_dict(flat_baseline_config()))))
+    for label in ("geodesic_1", "geodesic_2"):
+        assert payload[label]["stats"] == {"nfev": 0, "accepted": 0, "rejected": 0}
+
