@@ -140,19 +140,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_horizon(args) -> int:
-    for flag, value in (
-        ("--mass", args.mass), ("--r-start", args.r_start),
-        ("--r-end", args.r_end), ("--horizon-eps", args.horizon_eps),
-    ):
+    # MetricSpec and run_horizon_sweep check the rest; these guard np.linspace
+    for flag, value in (("--r-start", args.r_start), ("--r-end", args.r_end)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite")
-    if not (args.mass > 0 and args.horizon_eps > 0):
-        raise ConfigError("--mass and --horizon-eps must be positive")
     if not 1 <= args.steps <= sc.MAX_ROWS:
         raise ConfigError(f"--steps must be between 1 and {sc.MAX_ROWS}")
-    spec = MetricSpec(SCHWARZSCHILD, mass=args.mass, horizon_eps=args.horizon_eps)
     if not args.r_start > args.r_end:
         raise ConfigError("--r-start must exceed --r-end")
+    spec = MetricSpec(SCHWARZSCHILD, mass=args.mass, horizon_eps=args.horizon_eps)
     r_values = list(np.linspace(args.r_start, args.r_end, args.steps))
     tol = args.tol if args.tol is not None else sc.DEFAULT_TOL
     rows = sc.run_horizon_sweep(spec, r_values, tol=tol, workers=args.workers)

@@ -280,10 +280,10 @@ def integrate_geodesic(
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
     the integrated state (x, u, psi); flat legs are exact.
     Raises HorizonApproach if the path would cross the guard radius,
-    StepFailure if the stop is not reached within the tau cap or MAX_STEPS
-    steps, the state turns non-finite, the step size underflows,
-    conservation drifts exceed max(1e-8, 100 * tol) or the propagator fails
-    to preserve the metric.
+    StepFailure if the stop is not reached within the tau cap (on a flat
+    leg, the stop's max_tau) or MAX_STEPS steps, the state turns
+    non-finite, the step size underflows, conservation drifts exceed
+    max(1e-8, 100 * tol) or the propagator fails to preserve the metric.
     """
     metric_components(spec, x0.coords)  # chart + domain check
     kind = _classify_tangent(spec, x0, u0)
@@ -305,9 +305,10 @@ def integrate_geodesic(
             spec, kind, tol, np.array([0.0]), np.array([x0.coords]), np.array([u0.components]),
             np.eye(4)[None, :, :],
         )
-    cap = _tau_cap(spec, x0, u0, stop)
     if spec.kind == SCHWARZSCHILD:
-        return _schwarzschild_leg(spec, kind, x0, u0, stop, tol, cap)
+        return _schwarzschild_leg(spec, kind, x0, u0, stop, tol, _tau_cap(spec, x0, u0, stop))
+    # a flat leg knows its tau exactly, so only the stop's own max_tau caps it
+    cap = math.inf if stop.max_tau is None else stop.max_tau
     return _straight_line(spec, kind, x0, u0, stop, tol, cap)
 
 

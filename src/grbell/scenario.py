@@ -32,8 +32,9 @@ The settings a, b and c are chosen at the detectors and do not enter the
 geodesics, the detector tetrads or the R -> O -> L propagator, so the
 pipeline runs in two steps: the geometry (both geodesics and both detector
 frames), then the settings-dependent stages (embedding, transport,
-projection, inequality, optional LHV audit). An angle sweep shares one
-geometry across all its rows; a weight sweep revalidates each row.
+projection, inequality, optional LHV audit). Every row of a sweep or of
+the horizon study runs those stages on a shared geometry: a sweep integrates
+its geometry once, and the horizon study builds its emission side once.
 """
 from __future__ import annotations
 
@@ -142,17 +143,13 @@ class SweepSpec:
             raise ValidationError("sweep", f"asks for more than {MAX_ROWS} rows")
 
     def values(self) -> list[float]:
+        sign = 1.0 if self.step > 0 else -1.0  # negation is exact
+        eps = 1e-9 * max(1.0, abs(self.step))
         out = []
         v = self.start
-        eps = 1e-9 * max(1.0, abs(self.step))
-        if self.step > 0:
-            while v <= self.stop + eps:
-                out.append(v)
-                v = self.start + len(out) * self.step
-        else:
-            while v >= self.stop - eps:
-                out.append(v)
-                v = self.start + len(out) * self.step
+        while sign * v <= sign * self.stop + eps:
+            out.append(v)
+            v = self.start + len(out) * self.step
         return out
 
 
@@ -761,18 +758,17 @@ def rows_to_csv(rows: list[dict[str, str]]) -> str:
 # -- sweeps -------------------------------------------------------------------
 
 
-def _angle_point_config(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
-    # parameter is "a_deg", "b_deg" or "c_deg": replace that one setting
-    setting = {parameter[0]: Direction3.from_angle(math.radians(value))}
-    return replace(cfg, settings=replace(cfg.settings, **setting), sweep=None, echo=None)
-
-
-def _weight_point_config(base_echo: dict, parameter: str, value: float) -> ScenarioConfig:
-    # revalidated, so that a weight outside [0, 1] gives an error row
-    data = {key: v for key, v in base_echo.items() if key != "sweep"}
-    weights = ("w_b", "w_c") if parameter == "w" else (parameter,)
-    data["synthetic"] = {**data["synthetic"], **dict.fromkeys(weights, value)}
-    return config_from_dict(data)
+def _point_config(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
+    """cfg with one sweep value in place of a setting or of the weights."""
+    if parameter in ANGLE_SWEEP_PARAMETERS:
+        setting = {parameter[0]: Direction3.from_angle(math.radians(value))}
+        changed = {"settings": replace(cfg.settings, **setting)}
+    else:
+        # revalidated, so that a weight outside [0, 1] gives an error row
+        weights = ("w_b", "w_c") if parameter == "w" else (parameter,)
+        block = {**cfg.echo["synthetic"], **dict.fromkeys(weights, value)}
+        changed = {"synthetic": _parse_synthetic(block)}
+    return replace(cfg, sweep=None, echo=None, **changed)
 
 
 def _failure_status(e: SimulatorError) -> str:
@@ -791,29 +787,23 @@ def _run_row(run, scenario_id: str) -> dict[str, str]:
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict[str, str]]:
     """One CSV row per sweep value, in sweep order.
 
-    The settings do not enter the geometry, so an angle sweep integrates
-    the geodesics and builds the detector frames once, and each row runs
-    only the settings-dependent stages on them; if the geometry fails,
-    every row carries that failure's status. A weight sweep validates and
-    runs each row's config in full. Rows run serially; ``workers`` is
-    accepted and ignored.
+    Neither the settings nor the synthetic weights enter the geometry, so
+    a sweep integrates the geodesics and builds the detector frames once
+    (none in synthetic mode), and each row runs only the settings-dependent
+    stages on them; if the geometry fails, every row carries that failure's
+    status. Rows run serially; ``workers`` is accepted and ignored.
     """
     if cfg.sweep is None:
         raise ValidationError("sweep", "config has no sweep block")
     param = cfg.sweep.parameter
     points = [(value, f"{param}={_fmt(value)}") for value in cfg.sweep.values()]
-    if param not in ANGLE_SWEEP_PARAMETERS:
-        return [
-            _run_row(lambda v=v: run_scenario(_weight_point_config(cfg.echo, param, v)), sid)
-            for v, sid in points
-        ]
     try:
         geometry = _geometry(cfg)
     except PipelineError as e:
         return [error_row(sid, _failure_status(e)) for _, sid in points]
     return [
         _run_row(
-            lambda v=v: _evaluate(_angle_point_config(cfg, param, v), geometry, time.perf_counter()),
+            lambda v=v: _evaluate(_point_config(cfg, param, v), geometry, time.perf_counter()),
             sid,
         )
         for v, sid in points
@@ -821,34 +811,6 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict[str, str]]:
 
 
 DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
-
-
-def _horizon_point_config(
-    spec: MetricSpec, r_emit: float, r_detect: float, settings: SettingsTriple, tol: float
-) -> ScenarioConfig:
-    # particle 1 stays at the emission event (zero-length path); particle 2
-    # falls radially from rest there until it reaches r_detect. Both tangents
-    # are the static one, which the strict user-config validator would reject
-    # as coincident geodesics, so this internal scenario is assembled directly.
-    f0 = 1.0 - 2.0 * spec.mass / r_emit
-    origin = SpacetimePoint(
-        np.array([0.0, r_emit, math.pi / 2.0, 0.0]), spec.chart
-    )
-    u_static = FourVector(np.array([1.0 / math.sqrt(f0), 0.0, 0.0, 0.0]), origin)
-    return ScenarioConfig(
-        settings=settings,
-        frame_choice=FRAME_STATIC,
-        tol=tol,
-        mc_n=DEFAULT_MC_N,
-        mc_seed=DEFAULT_MC_SEED,
-        lhv_audit=False,
-        metric=spec,
-        origin=origin,
-        u1=u_static,
-        u2=u_static,
-        stop1=StopCondition.proper_time(0.0),
-        stop2=StopCondition.radius(r_detect),
-    )
 
 
 def run_horizon_sweep(
@@ -860,33 +822,59 @@ def run_horizon_sweep(
 ) -> list[dict[str, str]]:
     """Weight-versus-radius study outside the horizon guard.
 
-    The emission event sits at the first (largest) radius; for each r the
-    second particle falls radially from rest and is read out at r, so the
-    row's w_b tracks the transported weight w(r). Radii at or below the
-    guard produce 'horizon_guard' rows instead of failing the run. Rows run
-    serially; ``workers`` is accepted and ignored.
+    The emission event sits at the first (largest) radius. Particle 1 stays
+    there (a zero-length path read out in the static frame), which is built
+    once; for each r particle 2 falls radially from rest and is read out at
+    r in the static frame there, so the row's w_b tracks the transported
+    weight w(r). Radii at or below the guard produce 'horizon_guard' rows
+    instead of failing the run. The radii must be finite and strictly
+    decreasing (ValidationError otherwise). Rows run serially; ``workers``
+    is accepted and ignored.
     """
     if spec.kind != SCHWARZSCHILD:
         raise ValidationError("metric.kind", "horizon sweep needs a Schwarzschild metric")
     tol = _tol(tol)
-    rs = [float(r) for r in r_values]
-    if len(rs) == 0:
-        return []
+    rs = [_finite(r, "r_values") for r in r_values]
     if any(b >= a for a, b in zip(rs, rs[1:])):
         raise ValidationError("r_values", "must be strictly decreasing")
-    triple = _parse_settings(dict(settings or DEFAULT_HORIZON_SETTINGS))
-    r_emit = rs[0]
+    cfg = ScenarioConfig(
+        settings=_parse_settings(dict(settings or DEFAULT_HORIZON_SETTINGS)),
+        frame_choice=FRAME_STATIC,
+        tol=tol,
+        mc_n=DEFAULT_MC_N,
+        mc_seed=DEFAULT_MC_SEED,
+        lhv_audit=False,
+        metric=spec,
+    )
+    # rs decreases, so the rows at or below the guard come last
+    live = [(r, f"r={_fmt(r)}") for r in rs if r > spec.guard_radius]
+    guarded = [error_row(f"r={_fmt(r)}", "horizon_guard") for r in rs[len(live):]]
+    if not live:
+        return guarded
 
-    rows = []
-    for r in rs:
-        sid = f"r={_fmt(r)}"
-        if r <= spec.guard_radius:
-            rows.append(error_row(sid, "horizon_guard"))
-        else:
-            rows.append(_run_row(
-                lambda: run_scenario(_horizon_point_config(spec, r_emit, r, triple, tol)), sid
-            ))
-    return rows
+    origin = spec.point(0.0, rs[0], math.pi / 2.0, 0.0)
+    u_static = FourVector([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / rs[0]), 0.0, 0.0, 0.0], origin)
+    try:
+        with _stage("geodesic_1"):
+            geo1 = integrate_geodesic(spec, origin, u_static, StopCondition.proper_time(0.0), tol)
+        with _stage("frames"):
+            frame_L = _detector_frame(cfg, geo1)
+    except PipelineError as e:
+        return [error_row(sid, _failure_status(e)) for _, sid in live] + guarded
+    summary_1 = GeodesicSummary.from_path(geo1)
+
+    def row(r: float) -> RunReport:
+        t0 = time.perf_counter()
+        with _stage("geodesic_2"):
+            geo2 = integrate_geodesic(spec, origin, u_static, StopCondition.radius(r), tol)
+        with _stage("frames"):
+            frame_R = _detector_frame(cfg, geo2)
+        geometry = _Geometry(
+            geo1, geo2, frame_L, frame_R, summary_1, GeodesicSummary.from_path(geo2)
+        )
+        return _evaluate(cfg, geometry, t0)
+
+    return [_run_row(lambda r=r: row(r), sid) for r, sid in live] + guarded
 
 
 # -- canned configs -----------------------------------------------------------

@@ -232,6 +232,19 @@ def test_flat_radius_stop_takes_the_first_crossing(flat):
         integrate_geodesic(flat, x0, away, StopCondition.radius(3.0))
 
 
+def test_slow_flat_leg_reaches_a_far_radius(flat):
+    # the root is at tau ~ 1e5, far past any free-fall estimate of the leg
+    x0 = minkowski_point(0.0, 0.0, 0.0, 0.0)
+    speed = 1e-4
+    gamma = 1.0 / math.sqrt(1.0 - speed * speed)
+    u0 = FourVector([gamma, speed * gamma, 0.0, 0.0], x0)
+    path = integrate_geodesic(flat, x0, u0, StopCondition.radius(10.0))
+    assert path.tau_end == pytest.approx(10.0 / (speed * gamma), rel=1e-15)
+    assert path.points[-1][1] == pytest.approx(10.0, rel=1e-15)
+    with pytest.raises(StepFailure, match="not reached"):
+        integrate_geodesic(flat, x0, u0, StopCondition.radius(10.0, max_tau=1e4))
+
+
 def test_flat_coordinate_time_stop_is_linear(flat):
     x0 = minkowski_point(2.0, 0.0, 0.0, 0.0)
     u0 = FourVector([1.25, 0.0, 0.75, 0.0], x0)

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from grbell import (
+    Direction3,
+    FourVector,
     HorizonApproach,
     MetricSpec,
     ParseError,
     PipelineError,
+    SettingsTriple,
+    StopCondition,
     ValidationError,
     config_from_dict,
     find_max_violation,
@@ -22,7 +26,7 @@ from grbell import (
     schwarzschild_demo_config,
 )
 from grbell import scenario
-from grbell.scenario import CSV_HEADER, csv_row
+from grbell.scenario import CSV_HEADER, csv_row, error_row
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -290,6 +294,16 @@ def test_horizon_sweep_requires_descending():
         run_horizon_sweep(spec, [5.0, 6.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_horizon_sweep_rejects_non_finite_radii(bad, position):
+    spec = MetricSpec("schwarzschild", mass=1.0)
+    r_values = [10.0, 5.0]
+    r_values[position] = bad
+    with pytest.raises(ValidationError, match="r_values"):
+        run_horizon_sweep(spec, r_values)
+
+
 def test_horizon_sweep_asymptotically_flat():
     # far from the mass the transported weight matches the flat value 1
     spec = MetricSpec("schwarzschild", mass=1.0)
@@ -299,14 +313,21 @@ def test_horizon_sweep_asymptotically_flat():
 
 
 def _per_row_reference(data, values):
-    """The CSV of one full run_scenario per sweep value."""
+    """The CSV of one full run_scenario per sweep value, or its error row."""
     param = data["sweep"]["parameter"]
     rows = []
     for value in values:
         row_data = {key: v for key, v in data.items() if key != "sweep"}
-        row_data["settings"] = {**data["settings"], param: value}
-        report = run_scenario(config_from_dict(row_data))
-        rows.append(csv_row(report, f"{param}={format(value, '.17g')}"))
+        if param in scenario.ANGLE_SWEEP_PARAMETERS:
+            row_data["settings"] = {**data["settings"], param: value}
+        else:
+            weights = ("w_b", "w_c") if param == "w" else (param,)
+            row_data["synthetic"] = {**data["synthetic"], **dict.fromkeys(weights, value)}
+        sid = f"{param}={format(value, '.17g')}"
+        try:
+            rows.append(csv_row(run_scenario(config_from_dict(row_data)), sid))
+        except ValidationError:
+            rows.append(error_row(sid, "error:ValidationError"))
     return rows_to_csv(rows)
 
 
@@ -349,6 +370,113 @@ def test_angle_sweep_geometry_failure_marks_every_row():
     assert [r["scenario_id"] for r in rows] == ["b_deg=0", "b_deg=30", "b_deg=60", "b_deg=90"]
     assert all(r["status"] == expected for r in rows)
     assert all(r["w_b"] == "nan" and r["violated"] == "false" for r in rows)
+
+
+def weight_sweep_data(param):
+    """A weight sweep that starts above 1 and ends below 0."""
+    data = {
+        "settings": {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0},
+        "synthetic": {
+            "w_b": 0.9,
+            "b": [0.5, math.sqrt(3) / 2, 0.0],
+            "w_c": 0.8,
+            "c": [-0.5, math.sqrt(3) / 2, 0.0],
+        },
+    }
+    data["sweep"] = {"parameter": param, "start": 1.2, "stop": -0.2, "step": -0.1}
+    return data
+
+
+@pytest.mark.parametrize("param", ["w", "w_b", "w_c"])
+def test_weight_sweep_matches_per_row_runs(param):
+    data = weight_sweep_data(param)
+    cfg = config_from_dict(data)
+    text = rows_to_csv(run_sweep(cfg))
+    # 1.2 - 12 * 0.1 is -2.2e-16, so that row is an error row too
+    assert text.count(",ok,") == 10
+    assert text.count(",error:ValidationError,") == 5
+    assert text == _per_row_reference(data, cfg.sweep.values())
+
+
+def test_weight_sweep_validates_its_config_once(monkeypatch):
+    calls = []
+    original = scenario.config_from_dict
+
+    def counting(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(scenario, "config_from_dict", counting)
+    rows = run_sweep(scenario.config_from_dict(weight_sweep_data("w")))
+    assert len(rows) == 15
+    assert len(calls) == 1
+
+
+def test_horizon_sweep_integrates_the_emission_leg_once(monkeypatch):
+    stops = []
+    original = scenario.integrate_geodesic
+
+    def counting(spec, x0, u0, stop, tol):
+        stops.append(stop)
+        return original(spec, x0, u0, stop, tol)
+
+    monkeypatch.setattr(scenario, "integrate_geodesic", counting)
+    spec = MetricSpec("schwarzschild", mass=1.0, horizon_eps=1e-6)
+    rows = run_horizon_sweep(spec, [10.0, 6.0, 3.0, 2.2, 2.0 * (1 + 1e-8), 1.5])
+    live = [r for r in rows if r["status"] != "horizon_guard"]
+    assert len(live) == 4 and all(r["status"] == "ok" for r in live)
+    assert len(stops) == len(live) + 1
+    assert stops[0] == StopCondition.proper_time(0.0)
+    assert stops[1:] == [StopCondition.radius(r) for r in (10.0, 6.0, 3.0, 2.2)]
+
+
+def _horizon_reference(spec, r_values, tol):
+    """Each row of a horizon study as one full run_scenario with both legs."""
+    origin = spec.point(0.0, r_values[0], math.pi / 2.0, 0.0)
+    u_static = FourVector([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / r_values[0]), 0, 0, 0], origin)
+    settings = SettingsTriple(*(Direction3.from_angle(math.radians(d)) for d in (0.0, 60.0, 120.0)))
+    rows = []
+    for r in r_values:
+        sid = f"r={format(r, '.17g')}"
+        if r <= spec.guard_radius:
+            rows.append(error_row(sid, "horizon_guard"))
+            continue
+        cfg = scenario.ScenarioConfig(
+            settings=settings,
+            frame_choice="static", tol=tol, mc_n=100_000, mc_seed=0, lhv_audit=False,
+            metric=spec, origin=origin, u1=u_static, u2=u_static,
+            stop1=StopCondition.proper_time(0.0), stop2=StopCondition.radius(r),
+        )
+        try:
+            rows.append(csv_row(run_scenario(cfg), sid))
+        except PipelineError as e:
+            status = (
+                "horizon_approach" if isinstance(e.cause, HorizonApproach) else f"error:{e.stage}"
+            )
+            rows.append(error_row(sid, status))
+    return rows_to_csv(rows)
+
+
+GUARD = 2.0 * (1 + 1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "r_values, tol, ok_rows",
+    [
+        ([10.0, 6.0, 2.5, GUARD * 1.001, GUARD * (1 + 1e-5), GUARD, 1.0], 1e-10, 3),
+        ([10.0, 6.0, 2.5, GUARD * 1.001, GUARD * (1 + 1e-5), GUARD, 1.0], 1e-6, 3),
+        # r^2 overflows at the emission event, so every row above the guard fails there
+        ([1e200, 1e199, 1.0], 1e-10, 0),
+    ],
+)
+def test_horizon_sweep_across_the_guard_matches_per_row_runs(r_values, tol, ok_rows):
+    spec = MetricSpec("schwarzschild", mass=1.0, horizon_eps=1e-6)
+    text = rows_to_csv(run_horizon_sweep(spec, r_values, tol=tol))
+    assert text.count(",ok,") >= ok_rows
+    assert text.count(",horizon_guard,") == sum(r <= GUARD for r in r_values)
+    assert text == _horizon_reference(spec, r_values, tol)
 
 
 def recording_paths(monkeypatch):
