@@ -29,6 +29,8 @@ from .errors import (
     HorizonDomain,
     InsufficientSamples,
     InvalidChart,
+    MetricUnderflow,
+    NonFiniteVector,
     ParseError,
     PipelineError,
     SimulatorError,

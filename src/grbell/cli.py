@@ -14,6 +14,7 @@ audit/selftest failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -31,6 +32,10 @@ EXIT_GEOMETRY = 3
 EXIT_AUDIT = 4
 
 
+# built once per process: a parser holds reference cycles that only a full
+# garbage collection frees, so one per call grew the resident set of a
+# process that calls main() many times
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grbell",

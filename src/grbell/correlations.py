@@ -13,16 +13,24 @@ two transported settings b, c with w_b >= w_c, local models are bounded by
 and the weighted difference vector d = w_b**2 * b - w_c**2 * c controls
 which settings a break that bound: the quantum value of the left side is
 |a . d|, so any a with |a . d| > b . d violates.
+
+Every evaluation runs on arrays: the settings a as rows of a (k, 3) array
+and each arm as a ProjectionStack, so a sweep's rows, or the candidates
+of the grid search, are one pass. generalized_bell_check,
+violation_condition and find_max_violation are the one-row case, and the
+report objects are built only for the rows a caller asks for.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateD
-from .frames import Direction3, ProjectionResult
+from .frames import Direction3, ProjectionResult, ProjectionStack
+from .geometry import row_dot
 
 TOL_INEQ = 1e-12
 
@@ -70,21 +78,116 @@ class ViolationAngles:
     degenerate: bool
 
 
+class InequalityStack(NamedTuple):
+    """generalized_bell_check over rows; b and c are the post-swap arms."""
+
+    p_ab: np.ndarray
+    p_ac: np.ndarray
+    p_bc: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    violated: np.ndarray
+    b: ProjectionStack
+    c: ProjectionStack
+    swapped: np.ndarray
+    degenerate: np.ndarray
+    tol: float
+
+    def report(self, j: int) -> InequalityReport:
+        b, c = self.b.result(j), self.c.result(j)
+        return InequalityReport(
+            p_ab=float(self.p_ab[j]),
+            p_ac=float(self.p_ac[j]),
+            p_bc=float(self.p_bc[j]),
+            lhs=float(self.lhs[j]),
+            rhs=float(self.rhs[j]),
+            margin=float(self.margin[j]),
+            violated=bool(self.violated[j]),
+            w_b=b.w,
+            w_c=c.w,
+            b_direction=b.direction,
+            c_direction=c.direction,
+            swapped=bool(self.swapped[j]),
+            degenerate=bool(self.degenerate[j]),
+            tol=self.tol,
+        )
+
+
+class ViolationStack(NamedTuple):
+    """violation_condition over rows."""
+
+    d: np.ndarray  # (k, 3)
+    cos_phi: np.ndarray
+    cos_theta: np.ndarray
+    condition_holds: np.ndarray
+    degenerate: np.ndarray
+
+    def angles(self, j: int) -> ViolationAngles:
+        return ViolationAngles(
+            d=self.d[j].copy(),
+            cos_phi=float(self.cos_phi[j]),
+            cos_theta=float(self.cos_theta[j]),
+            condition_holds=bool(self.condition_holds[j]),
+            degenerate=bool(self.degenerate[j]),
+        )
+
+
+def _one(projection: ProjectionResult) -> ProjectionStack:
+    return ProjectionStack.of([projection])
+
+
+def _correlations(a: np.ndarray, arm: ProjectionStack) -> np.ndarray:
+    """P(a, b) = -(a . b) * w**2 per row; exactly 0 for a degenerate arm."""
+    return np.where(arm.degenerate, 0.0, -row_dot(a, arm.direction) * arm.w**2)
+
+
 def quantum_correlation(a: Direction3, proj_b: ProjectionResult) -> float:
     """P(a, b) = -(a . b_direction) * w**2; exactly 0 for a degenerate arm."""
-    if proj_b.degenerate:
-        return 0.0
-    return -a.dot(proj_b.direction) * proj_b.w**2
+    return float(_correlations(a.d[None], _one(proj_b))[0])
+
+
+def _weighted_differences(
+    arm_b: ProjectionStack, arm_c: ProjectionStack
+) -> tuple[np.ndarray, np.ndarray]:
+    """d = w_b^2 * b - w_c^2 * c per row, degenerate arms contributing zero, and |d|."""
+    term_b = np.where(arm_b.degenerate[:, None], 0.0, arm_b.w[:, None] ** 2 * arm_b.direction)
+    term_c = np.where(arm_c.degenerate[:, None], 0.0, arm_c.w[:, None] ** 2 * arm_c.direction)
+    # summed from zero, so that a -0.0 term reads 0.0
+    d = 0.0 + term_b - term_c
+    return d, np.sqrt(row_dot(d, d))
 
 
 def weighted_difference(proj_b: ProjectionResult, proj_c: ProjectionResult) -> np.ndarray:
     """d = w_b^2 * b - w_c^2 * c with degenerate arms contributing zero."""
-    d = np.zeros(3)
-    if not proj_b.degenerate:
-        d += proj_b.w**2 * proj_b.direction.d
-    if not proj_c.degenerate:
-        d -= proj_c.w**2 * proj_c.direction.d
-    return d
+    return _weighted_differences(_one(proj_b), _one(proj_c))[0][0]
+
+
+def bell_stack(
+    a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack, tol: float = TOL_INEQ
+) -> InequalityStack:
+    """Both sides of the bound for the rows a of a (k, 3) array.
+
+    Rows pair up by index; a side with one row is used for every row. Where
+    w_b < w_c the row's arms are swapped, as in generalized_bell_check.
+    """
+    swapped = arm_b.w < arm_c.w
+    if swapped.any():
+        b, c = arm_c.where(swapped, arm_b), arm_b.where(swapped, arm_c)
+    else:
+        b, c = arm_b, arm_c
+    p_ab = _correlations(a, b)
+    p_ac = _correlations(a, c)
+    lhs = np.abs(p_ab - p_ac)
+    degenerate = b.degenerate | c.degenerate
+    bc = np.where(degenerate, 0.0, row_dot(b.direction, c.direction))
+    p_bc = np.where(degenerate, np.nan, -bc * c.w**2)
+    rhs = b.w**2 - c.w**2 * bc
+    margin = lhs - rhs
+    return InequalityStack(
+        p_ab=p_ab, p_ac=p_ac, p_bc=p_bc, lhs=lhs, rhs=rhs, margin=margin,
+        violated=margin > tol, b=b, c=c, swapped=swapped, degenerate=degenerate, tol=tol,
+    )
 
 
 def generalized_bell_check(
@@ -98,37 +201,20 @@ def generalized_bell_check(
     The bound's derivation needs w_b >= w_c; when the caller's pair comes
     in the other order the two arms are swapped and the report says so.
     """
-    swapped = proj_b.w < proj_c.w
-    if swapped:
-        proj_b, proj_c = proj_c, proj_b
+    return bell_stack(triple.a.d[None], _one(proj_b), _one(proj_c), tol).report(0)
 
-    p_ab = quantum_correlation(triple.a, proj_b)
-    p_ac = quantum_correlation(triple.a, proj_c)
-    lhs = abs(p_ab - p_ac)
 
-    if proj_b.degenerate or proj_c.degenerate:
-        bc, p_bc = 0.0, float("nan")
-    else:
-        bc = proj_b.direction.dot(proj_c.direction)
-        p_bc = -bc * proj_c.w**2
-    rhs = proj_b.w**2 - proj_c.w**2 * bc
-    margin = lhs - rhs
-    return InequalityReport(
-        p_ab=p_ab,
-        p_ac=p_ac,
-        p_bc=p_bc,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        violated=margin > tol,
-        w_b=proj_b.w,
-        w_c=proj_c.w,
-        b_direction=proj_b.direction,
-        c_direction=proj_c.direction,
-        swapped=swapped,
-        degenerate=proj_b.degenerate or proj_c.degenerate,
-        tol=tol,
-    )
+def violation_stack(
+    a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack, tol: float = TOL_INEQ
+) -> ViolationStack:
+    """Angles of a and b against d per row; vacuously satisfied where d vanishes."""
+    d, norm = _weighted_differences(arm_b, arm_c)
+    degenerate = norm <= 1e-12
+    safe = np.where(degenerate, 1.0, norm)
+    cos_phi = np.where(degenerate, 0.0, row_dot(a, d) / safe)
+    cos_theta = np.where(degenerate | arm_b.degenerate, 0.0, row_dot(arm_b.direction, d) / safe)
+    holds = degenerate | (np.abs(cos_phi) <= cos_theta + tol)
+    return ViolationStack(d, cos_phi, cos_theta, holds, degenerate)
 
 
 def violation_condition(
@@ -138,47 +224,39 @@ def violation_condition(
     tol: float = TOL_INEQ,
 ) -> ViolationAngles:
     """Angles of a and b against d; vacuously satisfied when d vanishes."""
-    d = weighted_difference(proj_b, proj_c)
-    norm = float(np.linalg.norm(d))
-    if norm <= 1e-12:
-        return ViolationAngles(
-            d=d, cos_phi=0.0, cos_theta=0.0, condition_holds=True, degenerate=True
-        )
-    cos_phi = float(triple.a.d @ d) / norm
-    b_dir = proj_b.direction if not proj_b.degenerate else None
-    cos_theta = float(b_dir.d @ d) / norm if b_dir is not None else 0.0
-    return ViolationAngles(
-        d=d,
-        cos_phi=cos_phi,
-        cos_theta=cos_theta,
-        condition_holds=abs(cos_phi) <= cos_theta + tol,
-        degenerate=False,
+    return violation_stack(triple.a.d[None], _one(proj_b), _one(proj_c), tol).angles(0)
+
+
+def optimal_settings(arm_b: ProjectionStack, arm_c: ProjectionStack) -> tuple[np.ndarray, np.ndarray]:
+    """a = d/|d| per row, the setting of largest margin, and where it exists.
+
+    The quantum left side is |a . d|; rows whose d vanishes (|d| <= 1e-12)
+    have no optimizing setting and hold zeros.
+    """
+    d, norm = _weighted_differences(arm_b, arm_c)
+    found = norm > 1e-12
+    return np.where(found[:, None], d / np.where(found, norm, 1.0)[:, None], 0.0), found
+
+
+def _grid_directions(n: int) -> np.ndarray:
+    """The n x n sphere grid, theta-major, as the rows of an (n^2, 3) array."""
+    thetas = [math.pi * (i + 0.5) / n for i in range(n)]
+    phis = [2.0 * math.pi * j / n for j in range(n)]
+    sin_t = np.array([math.sin(t) for t in thetas])[:, None]
+    cos_p = np.array([math.cos(p) for p in phis])
+    sin_p = np.array([math.sin(p) for p in phis])
+    return np.stack(
+        [
+            (sin_t * cos_p).ravel(),
+            (sin_t * sin_p).ravel(),
+            np.repeat([math.cos(t) for t in thetas], n),
+        ],
+        axis=1,
     )
 
 
-def _grid_directions(n: int) -> list[Direction3]:
-    dirs = []
-    for i in range(n):
-        theta = math.pi * (i + 0.5) / n
-        for j in range(n):
-            phi = 2.0 * math.pi * j / n
-            dirs.append(
-                Direction3(
-                    np.array(
-                        [
-                            math.sin(theta) * math.cos(phi),
-                            math.sin(theta) * math.sin(phi),
-                            math.cos(theta),
-                        ]
-                    )
-                )
-            )
-    return dirs
-
-
-def _margin_of(a: Direction3, proj_b, proj_c) -> float:
-    probe = SettingsTriple(a=a, b=a, c=a)
-    return generalized_bell_check(probe, proj_b, proj_c).margin
+def _margin_of(a: Direction3, arm_b: ProjectionStack, arm_c: ProjectionStack) -> float:
+    return float(bell_stack(a.d[None], arm_b, arm_c).margin[0])
 
 
 def find_max_violation(
@@ -193,21 +271,19 @@ def find_max_violation(
     Grid mode scans an n x n sphere grid and refines the best cell by
     shrinking-step coordinate descent; ties break lexicographically.
     """
-    d = weighted_difference(proj_b, proj_c)
-    norm = float(np.linalg.norm(d))
-    if norm <= 1e-12:
+    arm_b, arm_c = _one(proj_b), _one(proj_c)
+    best, found = optimal_settings(arm_b, arm_c)
+    if not found[0]:
         raise DegenerateD("weighted difference vanishes; no optimizing setting")
 
     if search == "analytic":
-        a_star = Direction3(d / norm)
+        a_star = Direction3(best[0])
     elif search == "grid":
-        best: tuple[float, tuple, Direction3] | None = None
-        for cand in _grid_directions(grid_n):
-            m = _margin_of(cand, proj_b, proj_c)
-            key = (m, tuple(-cand.d))
-            if best is None or key > best[:2]:
-                best = (m, key[1], cand)
-        a_star = _refine(best[2], proj_b, proj_c)
+        candidates = _grid_directions(grid_n)
+        margins = bell_stack(candidates, arm_b, arm_c).margin
+        # the largest (margin, -direction), compared lexicographically
+        order = np.lexsort((-candidates[:, 2], -candidates[:, 1], -candidates[:, 0], margins))
+        a_star = _refine(Direction3(candidates[order[-1]]), arm_b, arm_c)
     else:
         raise ValueError(f"unknown search mode {search!r}")
 
@@ -219,8 +295,11 @@ def find_max_violation(
     return a_star, generalized_bell_check(triple, proj_b, proj_c)
 
 
-def _refine(a: Direction3, proj_b, proj_c) -> Direction3:
-    """Coordinate descent on spherical angles until margin gain < 1e-10."""
+def _refine(a: Direction3, proj_b: ProjectionStack, proj_c: ProjectionStack) -> Direction3:
+    """Coordinate descent on spherical angles until margin gain < 1e-10.
+
+    proj_b and proj_c are the two arms as one-row stacks.
+    """
     theta = math.acos(max(-1.0, min(1.0, a.d[2])))
     phi = math.atan2(a.d[1], a.d[0])
     step = 0.1

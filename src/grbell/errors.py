@@ -19,6 +19,10 @@ class BasePointMismatch(SimulatorError):
     """Operation mixing tensors based at different events."""
 
 
+class MetricUnderflow(SimulatorError):
+    """A metric component underflows to zero, so the chart cannot resolve the event."""
+
+
 # -- geodesics and transport ------------------------------------------------
 
 class BadNormalization(SimulatorError):
@@ -49,6 +53,10 @@ class DegenerateBasis(SimulatorError):
 
 class ZeroVector(SimulatorError):
     """A direction or projection was requested for a zero vector."""
+
+
+class NonFiniteVector(SimulatorError):
+    """A transported or projected vector has a non-finite component."""
 
 
 # -- correlations -----------------------------------------------------------

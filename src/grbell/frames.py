@@ -6,11 +6,20 @@ tetrad components to unit length, then take the spatial triple. Its
 Euclidean norm is the weight w in [0, 1]; the triple divided by w is the
 measured unit direction. A purely spatial vector keeps w = 1, a purely
 timelike one degenerates to w = 0.
+
+Embedding and projection are linear, so they run on stacks of vectors,
+one per row: embed_stack puts every setting of a sweep into the tetrad at
+once, and project_stack projects every transported row with the frame's
+one 4x4 tetrad_projector. embed_direction and project_to_frame are the
+one-row case; a ProjectionResult is built only for the rows a caller asks
+for.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +27,8 @@ from .errors import (
     BadNormalization,
     BasePointMismatch,
     DegenerateBasis,
+    NonFiniteVector,
+    SimulatorError,
     StaticFrameUnavailable,
     ZeroVector,
 )
@@ -29,6 +40,8 @@ from .geometry import (
     SpacetimePoint,
     _frozen_array,
     metric_components,
+    row_dot,
+    row_matvec,
     same_event,
 )
 
@@ -168,39 +181,122 @@ def build_comoving_frame(spec: MetricSpec, p: SpacetimePoint, u: FourVector) -> 
     return LocalFrame(p, spec, *e)
 
 
+def spatial_legs(frame: LocalFrame) -> np.ndarray:
+    """The frame's spatial legs e1, e2, e3 as the rows of a (3, 4) array."""
+    return np.stack([frame.e1.components, frame.e2.components, frame.e3.components])
+
+
+def embed_stack(legs: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """d1*e1 + d2*e2 + d3*e3 for each row d of D, with legs from spatial_legs."""
+    return D[:, 0:1] * legs[0] + D[:, 1:2] * legs[1] + D[:, 2:3] * legs[2]
+
+
 def embed_direction(frame: LocalFrame, d: Direction3) -> FourVector:
     """Spacelike unit 4-vector d1*e1 + d2*e2 + d3*e3 at the frame's event."""
-    comps = (
-        d.d[0] * frame.e1.components
-        + d.d[1] * frame.e2.components
-        + d.d[2] * frame.e3.components
-    )
-    return FourVector(comps, frame.base)
+    return FourVector(embed_stack(spatial_legs(frame), d.d[None])[0], frame.base)
+
+
+def tetrad_projector(frame: LocalFrame) -> np.ndarray:
+    """E g, with the legs e_a as the rows of E: (E g) v holds g(e_a, v)."""
+    g = metric_components(frame.spec, frame.base.coords)
+    E = np.stack([leg.components for leg in frame.legs()])
+    return E @ g
+
+
+_ETA_DIAG = np.diag(ETA)
 
 
 def tetrad_components(frame: LocalFrame, v: FourVector) -> np.ndarray:
     """Components v^a with v = v^a e_a, via eta^{ab} g(e_b, v)."""
     if not same_event(frame.base, v.base):
         raise BasePointMismatch("vector not based at the frame's event")
-    g = metric_components(frame.spec, frame.base.coords)
-    E = np.stack([leg.components for leg in frame.legs()])
-    return np.diag(ETA) * (E @ g @ v.components)
+    return _ETA_DIAG * (tetrad_projector(frame) @ v.components)
+
+
+class ProjectionStack(NamedTuple):
+    """Projections of k vectors as arrays; row j is one ProjectionResult.
+
+    direction rows are zero where degenerate. errors maps a row whose
+    vector could not be projected to the error project_to_frame raises
+    for it; such a row holds w = 0 and counts as degenerate.
+    """
+
+    w: np.ndarray               # (k,)
+    direction: np.ndarray       # (k, 3)
+    degenerate: np.ndarray      # (k,) bool
+    time_component: np.ndarray  # (k,)
+    errors: dict[int, SimulatorError]
+
+    @classmethod
+    def of(cls, results: Sequence[ProjectionResult]) -> "ProjectionStack":
+        return cls(
+            w=np.array([p.w for p in results], dtype=float),
+            direction=np.array(
+                [np.zeros(3) if p.degenerate else p.direction.d for p in results]
+            ).reshape(len(results), 3),
+            degenerate=np.array([p.degenerate for p in results], dtype=bool),
+            time_component=np.array([p.time_component for p in results], dtype=float),
+            errors={},
+        )
+
+    def rows(self, index) -> "ProjectionStack":
+        """The rows selected by index, without their errors."""
+        return ProjectionStack(
+            self.w[index], self.direction[index], self.degenerate[index],
+            self.time_component[index], {},
+        )
+
+    def where(self, mask: np.ndarray, other: "ProjectionStack") -> "ProjectionStack":
+        """Row j of self where mask[j], else row j of other."""
+        return ProjectionStack(
+            np.where(mask, self.w, other.w),
+            np.where(mask[:, None], self.direction, other.direction),
+            np.where(mask, self.degenerate, other.degenerate),
+            np.where(mask, self.time_component, other.time_component),
+            {},
+        )
+
+    def result(self, j: int) -> ProjectionResult:
+        degenerate = bool(self.degenerate[j])
+        return ProjectionResult(
+            w=float(self.w[j]),
+            direction=None if degenerate else Direction3(self.direction[j]),
+            degenerate=degenerate,
+            time_component=float(self.time_component[j]),
+        )
+
+
+def project_stack(projector: np.ndarray, V: np.ndarray) -> ProjectionStack:
+    """Weight and direction of each row of V, per the module's projection rule.
+
+    projector is tetrad_projector of the frame the rows are based in.
+    """
+    with np.errstate(all="ignore"):  # a non-finite row is reported as an error
+        comps = _ETA_DIAG * row_matvec(projector, V)
+        total = np.sqrt(row_dot(comps, comps))
+        q = comps / total[:, None]
+        # rounding can push the norm a few ulp past 1; the invariant is exact
+        w = np.minimum(np.sqrt(row_dot(q[:, 1:], q[:, 1:])), 1.0)
+    ok = np.isfinite(total) & (total > 0.0)
+    errors: dict[int, SimulatorError] = {}
+    for j in np.flatnonzero(~ok).tolist():
+        errors[j] = (
+            ZeroVector("cannot project a zero vector")
+            if total[j] == 0.0
+            else NonFiniteVector(f"tetrad components {comps[j].tolist()} overflow")
+        )
+        q[j], w[j] = 0.0, 0.0
+    degenerate = w < DEGENERATE_W
+    direction = q[:, 1:] / np.where(degenerate, 1.0, w)[:, None]
+    direction[degenerate] = 0.0
+    return ProjectionStack(w, direction, degenerate, q[:, 0], errors)
 
 
 def project_to_frame(frame: LocalFrame, v: FourVector) -> ProjectionResult:
     """Weight and direction of v in the frame, per the module's projection rule."""
-    comps = tetrad_components(frame, v)
-    total = float(np.linalg.norm(comps))
-    if total == 0.0:
-        raise ZeroVector("cannot project a zero vector")
-    q = comps / total
-    # rounding can push the norm a few ulp past 1; the invariant is exact
-    w = min(float(np.linalg.norm(q[1:])), 1.0)
-    if w < DEGENERATE_W:
-        return ProjectionResult(w=w, direction=None, degenerate=True, time_component=float(q[0]))
-    return ProjectionResult(
-        w=w,
-        direction=Direction3(q[1:] / w),
-        degenerate=False,
-        time_component=float(q[0]),
-    )
+    if not same_event(frame.base, v.base):
+        raise BasePointMismatch("vector not based at the frame's event")
+    projected = project_stack(tetrad_projector(frame), v.components[None])
+    if projected.errors:
+        raise projected.errors[0]
+    return projected.result(0)

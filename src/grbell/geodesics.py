@@ -375,9 +375,9 @@ def _schwarzschild_rhs(mass: float, kind: str, energy: float, ang_mom: float):
 
     The geodesic term Gamma^a_bc u^b u^c is written out over the nine
     nonzero Christoffel symbols of grbell.geometry.christoffel_components.
-    States at or inside r = 2M raise HorizonDomain; trial stages between
-    the guard and 2M still evaluate, so the guard event can locate the
-    crossing.
+    States at or inside r = 2M raise HorizonDomain, which makes _dopri
+    reject the step; trial stages between the guard and 2M still evaluate,
+    so the guard event can locate the crossing.
     """
     floor = 2.0 * mass
     timelike = kind == TIMELIKE
@@ -522,7 +522,9 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
     fires where y[component] crosses target, upward for direction > 0,
     downward for direction < 0 and either way for 0. The run ends at the
     earliest root within the first step that shows a crossing, at a state
-    read from the step's dense interpolant.
+    read from the step's dense interpolant. A trial step whose stage the
+    right-hand side refuses with HorizonDomain is rejected and shrunk by
+    _MIN_FACTOR; nfev counts six evaluations per trial step.
     """
     rtol, atol = tol, tol * 1e-3
     root_n = math.sqrt(len(y0))
@@ -560,18 +562,25 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
             h = t_new - t
             h_abs = h
             k1 = f
-            k2 = rhs([v + h * (_A21 * a) for v, a in zip(y, k1)])
-            k3 = rhs([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
-            k4 = rhs([v + h * (_A41 * a + _A42 * b + _A43 * c)
-                      for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = rhs([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                      for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                      for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
-                     for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(y_new)
             nfev += 6
+            try:
+                k2 = rhs([v + h * (_A21 * a) for v, a in zip(y, k1)])
+                k3 = rhs([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+                k4 = rhs([v + h * (_A41 * a + _A42 * b + _A43 * c)
+                          for v, a, b, c in zip(y, k1, k2, k3)])
+                k5 = rhs([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                          for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+                k6 = rhs([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                          for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+                y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
+                         for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
+                k7 = rhs(y_new)
+            except HorizonDomain:
+                # a trial stage left the chart: the step is too long
+                h_abs *= _MIN_FACTOR
+                step_rejected = True
+                rejected += 1
+                continue
             error = hypot(*[
                 h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q)
                 / (atol + max(abs(v), abs(w)) * rtol)

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasePointMismatch, HorizonDomain, InvalidChart, ValidationError
+from .errors import (
+    BasePointMismatch,
+    HorizonDomain,
+    InvalidChart,
+    MetricUnderflow,
+    ValidationError,
+)
 
 MINKOWSKI = "minkowski"
 SCHWARZSCHILD = "schwarzschild"
@@ -157,7 +163,11 @@ def metric_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
         return ETA.copy()
     r, theta = coords[1], coords[2]
     f = 1.0 - 2.0 * spec.mass / r
-    return np.diag([-f, 1.0 / f, r * r, (r * math.sin(theta)) ** 2])
+    g_thth, g_phph = r * r, (r * math.sin(theta)) ** 2
+    # f > 0 outside the guard; an overflow shows up as a non-finite drift
+    if g_thth == 0.0 or g_phph == 0.0:
+        raise MetricUnderflow(f"angular metric components underflow at r = {r}, theta = {theta}")
+    return np.diag([-f, 1.0 / f, g_thth, g_phph])
 
 
 def christoffel_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
@@ -192,6 +202,28 @@ def christoffel_at(spec: MetricSpec, p: SpacetimePoint) -> ChristoffelSymbols:
     """Exact Christoffel symbols of `spec` at `p`."""
     _check_chart(spec, p)
     return ChristoffelSymbols(christoffel_components(spec, p.coords), p)
+
+
+# Products over stacks of vectors, one vector per row. numpy's stacked matmul
+# makes the same BLAS call for every row (gemv, or dot) that it makes for a
+# single vector, so a row's result does not depend on how many rows are
+# stacked and equals the single-vector product bit for bit; a plain 2-D
+# product (gemm) rounds some columns differently.
+
+
+def row_matvec(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M @ v for each row v of V."""
+    return np.matmul(M, V[..., None])[..., 0]
+
+
+def row_vecmat(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v @ M for each row v of V."""
+    return np.matmul(V[..., None, :], M)[..., 0, :]
+
+
+def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """x @ y for each pair of rows; either side may be a single vector."""
+    return np.matmul(X[..., None, :], Y[..., None])[..., 0, 0]
 
 
 def inner(g: MetricTensor, u: FourVector, v: FourVector) -> float:

@@ -30,11 +30,20 @@ row generation for the sweep command.
 
 The settings a, b and c are chosen at the detectors and do not enter the
 geodesics, the detector tetrads or the R -> O -> L propagator, so the
-pipeline runs in two steps: the geometry (both geodesics and both detector
-frames), then the settings-dependent stages (embedding, transport,
-projection, inequality, optional LHV audit). Every row of a sweep or of
-the horizon study runs those stages on a shared geometry: a sweep integrates
-its geometry once, and the horizon study builds its emission side once.
+pipeline runs in two steps: the geometry (both geodesics, both detector
+frames, and from them the spatial legs at R and the projector of the
+tetrad at L), then the settings-dependent stages. Those are linear up to
+the projection, so they run as one array pass over k rows of settings:
+the 2k settings b and c are embedded at R, carried to L by one solve and
+one product, and projected together, and the inequality, the violation
+angles and the analytic optimum are evaluated over the arrays. Each row
+keeps its own transport and projection checks, so a failing row is tagged
+with its stage and the others go on. A single run is the k = 1 pass and
+builds its report objects (and runs the optional LHV audit) from row 0; a
+sweep evaluates all its rows on one geometry and writes them to CSV
+straight from the arrays, without an audit, which has no CSV column. The
+horizon study builds its emission side once and evaluates each radius as
+its own one-row pass.
 """
 from __future__ import annotations
 
@@ -43,20 +52,22 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .correlations import (
     InequalityReport,
+    InequalityStack,
     SettingsTriple,
     ViolationAngles,
-    find_max_violation,
-    generalized_bell_check,
-    violation_condition,
+    ViolationStack,
+    bell_stack,
+    optimal_settings,
+    violation_stack,
 )
 from .errors import (
-    DegenerateD,
     HorizonApproach,
     ParseError,
     PipelineError,
@@ -67,11 +78,14 @@ from .frames import (
     Direction3,
     LocalFrame,
     ProjectionResult,
+    ProjectionStack,
     build_comoving_frame,
     build_static_frame,
-    embed_direction,
+    embed_stack,
     make_projection,
-    project_to_frame,
+    project_stack,
+    spatial_legs,
+    tetrad_projector,
 )
 from .geodesics import GeodesicPath, StopCondition, integrate_geodesic
 from .geometry import (
@@ -83,7 +97,7 @@ from .geometry import (
     metric_components,
 )
 from .lhv import LHVAuditReport, lhv_inequality_audit, make_sign_model
-from .transport import transport_R_to_L
+from .transport import transport_stack
 
 CSV_HEADER = (
     "scenario_id,status,theta_ab_deg,theta_ac_deg,theta_bc_deg,"
@@ -505,14 +519,28 @@ def _detector_frame(cfg: ScenarioConfig, path: GeodesicPath) -> LocalFrame:
 
 @dataclass(frozen=True, eq=False)
 class _Geometry:
-    """What a scenario computes before it looks at the settings."""
+    """What a scenario computes before it looks at the settings.
+
+    Besides the paths and their summaries it keeps the two linear maps
+    every setting goes through: the spatial legs of the tetrad at R, which
+    embed a setting, and the projector of the tetrad at L.
+    """
 
     geo1: GeodesicPath
     geo2: GeodesicPath
-    frame_L: LocalFrame
-    frame_R: LocalFrame
     summary_1: GeodesicSummary
     summary_2: GeodesicSummary
+    legs_R: np.ndarray       # (3, 4), from spatial_legs
+    projector_L: np.ndarray  # (4, 4), from tetrad_projector
+
+    @classmethod
+    def of(
+        cls, geo1: GeodesicPath, geo2: GeodesicPath, frame_L: LocalFrame, frame_R: LocalFrame
+    ) -> "_Geometry":
+        return cls(
+            geo1, geo2, GeodesicSummary.from_path(geo1), GeodesicSummary.from_path(geo2),
+            spatial_legs(frame_R), tetrad_projector(frame_L),
+        )
 
 
 def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
@@ -524,41 +552,85 @@ def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
     with _stage("geodesic_2"):
         geo2 = integrate_geodesic(cfg.metric, cfg.origin, cfg.u2, cfg.stop2, cfg.tol)
     with _stage("frames"):
-        frame_L = _detector_frame(cfg, geo1)
-        frame_R = _detector_frame(cfg, geo2)
-    return _Geometry(
-        geo1, geo2, frame_L, frame_R,
-        GeodesicSummary.from_path(geo1), GeodesicSummary.from_path(geo2),
+        return _Geometry.of(geo1, geo2, _detector_frame(cfg, geo1), _detector_frame(cfg, geo2))
+
+
+class _Rows(NamedTuple):
+    """The settings-dependent results of k rows as arrays; row j is one run's.
+
+    errors maps each row that failed to its stage-tagged error; the other
+    rows are valid.
+    """
+
+    a: np.ndarray  # (k, 3)
+    proj_b: ProjectionStack
+    proj_c: ProjectionStack
+    inequality: InequalityStack
+    angles: ViolationStack
+    best: np.ndarray        # (k, 3), a = d/|d|; zero where d vanishes
+    best_found: np.ndarray  # (k,)
+    best_margin: np.ndarray  # (k,)
+    errors: dict[int, PipelineError]
+
+
+def _evaluate(
+    geometry: _Geometry | None,
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    synthetic: list[SyntheticProjections] | None = None,
+) -> _Rows:
+    """The settings-dependent stages for k rows of settings a, b, c, each (k, 3).
+
+    On a geometry the 2k settings b and c are embedded at R, carried to L
+    and projected as one stack. A row that fails transport or projection
+    is tagged with that stage and the other rows go on. In synthetic mode
+    (geometry None) synthetic gives each row's projections.
+    """
+    k = len(a)
+    errors: dict[int, PipelineError] = {}
+    if geometry is None:
+        proj_b = ProjectionStack.of([s.proj_b for s in synthetic])
+        proj_c = ProjectionStack.of([s.proj_c for s in synthetic])
+    else:
+        V_R = embed_stack(geometry.legs_R, np.concatenate([b, c]))
+        with _stage("transport"):
+            moved = transport_stack(geometry.geo1, geometry.geo2, V_R)
+        projected = project_stack(geometry.projector_L, moved.v)
+        # a row keeps the failure a one-row run meets first: transport
+        # before projection, arm b before arm c (later entries win)
+        for stage, failed in (("projection", projected.errors), ("transport", moved.errors)):
+            for j in sorted(failed, reverse=True):
+                errors[j % k] = PipelineError(stage, failed[j])
+        proj_b, proj_c = projected.rows(slice(0, k)), projected.rows(slice(k, None))
+
+    best, best_found = optimal_settings(proj_b, proj_c)
+    return _Rows(
+        a=a,
+        proj_b=proj_b,
+        proj_c=proj_c,
+        inequality=bell_stack(a, proj_b, proj_c),
+        angles=violation_stack(a, proj_b, proj_c),
+        best=best,
+        best_found=best_found,
+        best_margin=bell_stack(best, proj_b, proj_c).margin,
+        errors=errors,
     )
+
+
+def _settings_rows(settings: SettingsTriple, k: int = 1) -> list[np.ndarray]:
+    """a, b and c repeated over k rows."""
+    return [np.tile(d.d, (k, 1)) for d in (settings.a, settings.b, settings.c)]
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the full pipeline for one configuration."""
     t0 = time.perf_counter()
-    return _evaluate(cfg, _geometry(cfg), t0)
-
-
-def _evaluate(cfg: ScenarioConfig, geometry: _Geometry | None, t0: float) -> RunReport:
-    """The settings-dependent stages, on a geometry from ``_geometry(cfg)``."""
-    if geometry is None:
-        proj_b, proj_c = cfg.synthetic.proj_b, cfg.synthetic.proj_c
-    else:
-        geo1, geo2, frame_R = geometry.geo1, geometry.geo2, geometry.frame_R
-        with _stage("transport"):
-            moved_b = transport_R_to_L(geo1, geo2, embed_direction(frame_R, cfg.settings.b))
-            moved_c = transport_R_to_L(geo1, geo2, embed_direction(frame_R, cfg.settings.c))
-        with _stage("projection"):
-            proj_b = project_to_frame(geometry.frame_L, moved_b.v)
-            proj_c = project_to_frame(geometry.frame_L, moved_c.v)
-
-    with _stage("inequality"):
-        inequality = generalized_bell_check(cfg.settings, proj_b, proj_c)
-        angles = violation_condition(cfg.settings, proj_b, proj_c)
-        try:
-            best_setting, best_report = find_max_violation(proj_b, proj_c, "analytic")
-            best_margin = best_report.margin
-        except DegenerateD:
-            best_setting, best_margin = None, None
+    geometry = _geometry(cfg)
+    rows = _evaluate(geometry, *_settings_rows(cfg.settings), synthetic=[cfg.synthetic])
+    if rows.errors:
+        raise rows.errors[0] from rows.errors[0].cause
+    proj_b, proj_c = rows.proj_b.result(0), rows.proj_c.result(0)
 
     lhv = None
     if cfg.lhv_audit:
@@ -573,18 +645,19 @@ def _evaluate(cfg: ScenarioConfig, geometry: _Geometry | None, t0: float) -> Run
                 cfg.mc_seed,
             )
 
+    found = bool(rows.best_found[0])
     return RunReport(
         status="ok",
         config=cfg.echo or {},
         settings=cfg.settings,
         proj_b=proj_b,
         proj_c=proj_c,
-        inequality=inequality,
-        angles=angles,
+        inequality=rows.inequality.report(0),
+        angles=rows.angles.angles(0),
         geodesic_1=None if geometry is None else geometry.summary_1,
         geodesic_2=None if geometry is None else geometry.summary_2,
-        best_setting=best_setting,
-        best_margin=best_margin,
+        best_setting=Direction3(rows.best[0]) if found else None,
+        best_margin=float(rows.best_margin[0]) if found else None,
         lhv=lhv,
         elapsed_s=time.perf_counter() - t0,
     )
@@ -597,10 +670,10 @@ def _dir_list(d: Direction3 | None) -> list[float] | None:
     return None if d is None else [float(x) for x in d.d]
 
 
-def _angle_deg(d1: Direction3 | None, d2: Direction3 | None) -> float:
+def _angle_deg(d1: np.ndarray | None, d2: np.ndarray | None) -> float:
     if d1 is None or d2 is None:
         return float("nan")
-    return math.degrees(math.acos(max(-1.0, min(1.0, d1.dot(d2)))))
+    return math.degrees(math.acos(max(-1.0, min(1.0, float(d1 @ d2)))))
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -717,26 +790,57 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_NUMERIC_COLUMNS = ("w_b", "w_c", "P_ab", "P_ac", "P_bc", "lhs", "rhs", "margin")
+
+
+def _csv_fields(scenario_id, status, a, b, c, numbers, violated) -> dict[str, str]:
+    """The CSV row formatter, for run reports and sweep rows alike.
+
+    a is the left setting and b, c are the post-swap arm directions (None
+    for a degenerate arm); numbers are the _NUMERIC_COLUMNS in order.
+    """
+    row = {
+        "scenario_id": scenario_id,
+        "status": status,
+        "theta_ab_deg": _fmt(_angle_deg(a, b)),
+        "theta_ac_deg": _fmt(_angle_deg(a, c)),
+        "theta_bc_deg": _fmt(_angle_deg(b, c)),
+    }
+    row.update(zip(_NUMERIC_COLUMNS, map(_fmt, numbers)))
+    row["violated"] = "true" if violated else "false"
+    return row
+
+
+def _vector(d: Direction3 | None) -> np.ndarray | None:
+    return None if d is None else d.d
+
+
 def csv_row(report: RunReport, scenario_id: str) -> dict[str, str]:
     """One CSV row; directions are the post-swap (w_b >= w_c) arms."""
     ineq = report.inequality
-    a = report.settings.a
-    return {
-        "scenario_id": scenario_id,
-        "status": report.status,
-        "theta_ab_deg": _fmt(_angle_deg(a, ineq.b_direction)),
-        "theta_ac_deg": _fmt(_angle_deg(a, ineq.c_direction)),
-        "theta_bc_deg": _fmt(_angle_deg(ineq.b_direction, ineq.c_direction)),
-        "w_b": _fmt(ineq.w_b),
-        "w_c": _fmt(ineq.w_c),
-        "P_ab": _fmt(ineq.p_ab),
-        "P_ac": _fmt(ineq.p_ac),
-        "P_bc": _fmt(ineq.p_bc),
-        "lhs": _fmt(ineq.lhs),
-        "rhs": _fmt(ineq.rhs),
-        "margin": _fmt(ineq.margin),
-        "violated": "true" if ineq.violated else "false",
-    }
+    numbers = (ineq.w_b, ineq.w_c, ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin)
+    return _csv_fields(
+        scenario_id, report.status, report.settings.a.d,
+        _vector(ineq.b_direction), _vector(ineq.c_direction), numbers, ineq.violated,
+    )
+
+
+def _csv_rows(rows: _Rows, scenario_ids: list[str]) -> list[dict[str, str]]:
+    """The CSV row of each evaluated row, or its error row, without report objects."""
+    ineq = rows.inequality
+    numbers = np.stack(
+        [ineq.b.w, ineq.c.w, ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin],
+        axis=1,
+    ).tolist()
+    out = []
+    for j, sid in enumerate(scenario_ids):
+        if j in rows.errors:
+            out.append(error_row(sid, _failure_status(rows.errors[j])))
+            continue
+        b = None if ineq.b.degenerate[j] else ineq.b.direction[j]
+        c = None if ineq.c.degenerate[j] else ineq.c.direction[j]
+        out.append(_csv_fields(sid, "ok", rows.a[j], b, c, numbers[j], ineq.violated[j]))
+    return out
 
 
 def error_row(scenario_id: str, status: str) -> dict[str, str]:
@@ -758,17 +862,13 @@ def rows_to_csv(rows: list[dict[str, str]]) -> str:
 # -- sweeps -------------------------------------------------------------------
 
 
-def _point_config(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
-    """cfg with one sweep value in place of a setting or of the weights."""
-    if parameter in ANGLE_SWEEP_PARAMETERS:
-        setting = {parameter[0]: Direction3.from_angle(math.radians(value))}
-        changed = {"settings": replace(cfg.settings, **setting)}
-    else:
-        # revalidated, so that a weight outside [0, 1] gives an error row
-        weights = ("w_b", "w_c") if parameter == "w" else (parameter,)
-        block = {**cfg.echo["synthetic"], **dict.fromkeys(weights, value)}
-        changed = {"synthetic": _parse_synthetic(block)}
-    return replace(cfg, sweep=None, echo=None, **changed)
+def _weight_point(cfg: ScenarioConfig, parameter: str, value: float) -> SyntheticProjections:
+    """The synthetic block with one sweep value in place of the weights.
+
+    It is revalidated, so that a weight outside [0, 1] gives an error row.
+    """
+    weights = ("w_b", "w_c") if parameter == "w" else (parameter,)
+    return _parse_synthetic({**cfg.echo["synthetic"], **dict.fromkeys(weights, value)})
 
 
 def _failure_status(e: SimulatorError) -> str:
@@ -777,37 +877,46 @@ def _failure_status(e: SimulatorError) -> str:
     return f"error:{type(e).__name__}"
 
 
-def _run_row(run, scenario_id: str) -> dict[str, str]:
-    try:
-        return csv_row(run(), scenario_id)
-    except SimulatorError as e:
-        return error_row(scenario_id, _failure_status(e))
-
-
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict[str, str]]:
     """One CSV row per sweep value, in sweep order.
 
     Neither the settings nor the synthetic weights enter the geometry, so
     a sweep integrates the geodesics and builds the detector frames once
-    (none in synthetic mode), and each row runs only the settings-dependent
-    stages on them; if the geometry fails, every row carries that failure's
-    status. Rows run serially; ``workers`` is accepted and ignored.
+    (none in synthetic mode) and evaluates all its rows on them as one
+    array pass; if the geometry fails, every row carries that failure's
+    status. Rows run no LHV audit, which has no CSV column. ``workers`` is
+    accepted and ignored.
     """
     if cfg.sweep is None:
         raise ValidationError("sweep", "config has no sweep block")
     param = cfg.sweep.parameter
-    points = [(value, f"{param}={_fmt(value)}") for value in cfg.sweep.values()]
+    values = cfg.sweep.values()
+    sids = [f"{param}={_fmt(value)}" for value in values]
+    settings = dict(zip("abc", _settings_rows(cfg.settings, len(values))))
+    synthetic = [cfg.synthetic] * len(values) if cfg.is_synthetic else None
+    invalid: dict[int, dict[str, str]] = {}
+    if param in ANGLE_SWEEP_PARAMETERS:
+        settings[param[0]] = np.array(
+            [[math.cos(math.radians(v)), math.sin(math.radians(v)), 0.0] for v in values]
+        ).reshape(-1, 3)
+    else:
+        synthetic = []
+        for i, value in enumerate(values):
+            try:
+                synthetic.append(_weight_point(cfg, param, value))
+            except ValidationError as e:
+                invalid[i] = error_row(sids[i], _failure_status(e))
+        keep = [i for i in range(len(values)) if i not in invalid]
+        settings = {name: rows[keep] for name, rows in settings.items()}
+    valid_sids = [sid for i, sid in enumerate(sids) if i not in invalid]
+    if not valid_sids:
+        return list(invalid.values())
     try:
-        geometry = _geometry(cfg)
+        rows = _csv_rows(_evaluate(_geometry(cfg), **settings, synthetic=synthetic), valid_sids)
     except PipelineError as e:
-        return [error_row(sid, _failure_status(e)) for _, sid in points]
-    return [
-        _run_row(
-            lambda v=v: _evaluate(_point_config(cfg, param, v), geometry, time.perf_counter()),
-            sid,
-        )
-        for v, sid in points
-    ]
+        rows = [error_row(sid, _failure_status(e)) for sid in valid_sids]
+    evaluated = iter(rows)
+    return [invalid[i] if i in invalid else next(evaluated) for i in range(len(values))]
 
 
 DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
@@ -861,20 +970,19 @@ def run_horizon_sweep(
             frame_L = _detector_frame(cfg, geo1)
     except PipelineError as e:
         return [error_row(sid, _failure_status(e)) for _, sid in live] + guarded
-    summary_1 = GeodesicSummary.from_path(geo1)
+    settings = _settings_rows(cfg.settings)
 
-    def row(r: float) -> RunReport:
-        t0 = time.perf_counter()
-        with _stage("geodesic_2"):
-            geo2 = integrate_geodesic(spec, origin, u_static, StopCondition.radius(r), tol)
-        with _stage("frames"):
-            frame_R = _detector_frame(cfg, geo2)
-        geometry = _Geometry(
-            geo1, geo2, frame_L, frame_R, summary_1, GeodesicSummary.from_path(geo2)
-        )
-        return _evaluate(cfg, geometry, t0)
+    def row(r: float, sid: str) -> dict[str, str]:
+        try:
+            with _stage("geodesic_2"):
+                geo2 = integrate_geodesic(spec, origin, u_static, StopCondition.radius(r), tol)
+            with _stage("frames"):
+                geometry = _Geometry.of(geo1, geo2, frame_L, _detector_frame(cfg, geo2))
+            return _csv_rows(_evaluate(geometry, *settings), [sid])[0]
+        except SimulatorError as e:
+            return error_row(sid, _failure_status(e))
 
-    return [_run_row(lambda r=r: row(r), sid) for r, sid in live] + guarded
+    return [row(r, sid) for r, sid in live] + guarded
 
 
 # -- canned configs -----------------------------------------------------------

@@ -6,10 +6,17 @@ F(tau) F(0)^-1 for Marck's parallel frame F on a Schwarzschild leg.
 Forward transport applies P at the last stored step, backward transport
 solves with it, and the two-leg transfer R -> O -> L chains a backward leg
 with a forward one: v_L = P_L solve(P_R, v_R).
+
+The work is done on stacks of vectors, one per row: transport_stack
+carries every setting of a sweep in one solve and one product, and checks
+each row's norm and tangent-dot drift on its own, so a row that fails
+its check fails alone. parallel_transport and transport_R_to_L are the
+one-row case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,10 +24,12 @@ from .errors import (
     BasePointMismatch,
     CommonOriginMismatch,
     InvalidChart,
+    NonFiniteVector,
+    SimulatorError,
     StepFailure,
 )
 from .geodesics import GeodesicPath
-from .geometry import FourVector, same_event
+from .geometry import FourVector, SpacetimePoint, row_dot, row_matvec, row_vecmat, same_event
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -37,16 +46,67 @@ class TransportedVector:
     tangent_dot_drift: float
 
 
-def _invariants(path: GeodesicPath, i: int, v: np.ndarray) -> tuple[float, float, float, float]:
-    """(v.v, v.u) at stored step i plus the sum-of-magnitudes conditioning of each."""
+class TransportedStack(NamedTuple):
+    """Rows of vectors arrived at the destination event, with per-row diagnostics.
+
+    errors maps the index of each row that failed its checks to the error
+    a one-row transport raises for it; the other rows are valid.
+    """
+
+    v: np.ndarray                  # (k, 4)
+    norm_drift: np.ndarray         # (k,)
+    tangent_dot_drift: np.ndarray  # (k,)
+    errors: dict[int, SimulatorError]
+
+
+def _invariants(path: GeodesicPath, i: int, V: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row v of V: (v.v, v.u) at stored step i and the sum-of-magnitudes conditioning of each."""
     u, g = path.tangents[i], path.metrics[i]
-    g_abs, v_abs, u_abs = np.abs(g), np.abs(v), np.abs(u)
-    return (
-        float(v @ g @ v),
-        float(v @ g @ u),
-        float(v_abs @ g_abs @ v_abs),
-        float(v_abs @ g_abs @ u_abs),
-    )
+    V_abs = np.abs(V)
+    vg, vg_abs = row_vecmat(V, g), row_vecmat(V_abs, np.abs(g))
+    return row_dot(vg, V), row_dot(vg, u), row_dot(vg_abs, V_abs), row_dot(vg_abs, np.abs(u))
+
+
+def _carry(path: GeodesicPath, V: np.ndarray, direction: str) -> TransportedStack:
+    """Levi-Civita transport of the rows of V along the whole path.
+
+    Inner products with the tangent and the vector's own norm are
+    conserved; each row's relative drift is checked against
+    max(1e-8, 100 * tol), and a row that exceeds it or is not finite fails.
+    """
+    # the vectors at the path's first and last stored steps
+    P_end = path.propagators[-1]
+    if direction == FORWARD:
+        first, last = V, row_matvec(P_end, V)
+    else:
+        last, first = V, np.linalg.solve(P_end, V[..., None])[..., 0]
+    at_first, at_last = _invariants(path, 0, first), _invariants(path, -1, last)
+    start, end = (at_first, at_last) if direction == FORWARD else (at_last, at_first)
+    start_norm, start_dot, cond_n0, cond_d0 = start
+    end_norm, end_dot, cond_n1, cond_d1 = end
+    norm_drift = np.abs(end_norm - start_norm) / np.maximum(np.abs(start_norm), 1.0)
+    dot_drift = np.abs(end_dot - start_dot) / np.maximum(np.abs(start_dot), 1.0)
+    bound = max(1e-8, 100.0 * path.tol)
+    # near the horizon both products cancel heavily; scale the bound by the
+    # worst conditioning seen at either end (1 in mild regimes)
+    norm_bound = bound * np.maximum(np.maximum(1.0, cond_n0), cond_n1)
+    dot_bound = bound * np.maximum(np.maximum(1.0, cond_d0), cond_d1)
+
+    moved = last if direction == FORWARD else first
+    finite = np.all(np.isfinite(moved), axis=-1)
+    # written so that a NaN drift fails
+    ok = finite & (norm_drift <= norm_bound) & (dot_drift <= dot_bound)
+    errors: dict[int, SimulatorError] = {}
+    for j in np.flatnonzero(~ok).tolist():
+        errors[j] = (
+            StepFailure(
+                f"transport drift norm={norm_drift[j]:.3e} tangent_dot={dot_drift[j]:.3e} "
+                f"exceeds ({norm_bound[j]:.3e}, {dot_bound[j]:.3e})"
+            )
+            if finite[j]
+            else NonFiniteVector(f"transported vector {moved[j].tolist()} is not finite")
+        )
+    return TransportedStack(moved, norm_drift, dot_drift, errors)
 
 
 def parallel_transport(
@@ -66,38 +126,44 @@ def parallel_transport(
     anchor = path.start_point() if direction == FORWARD else path.end_point()
     if not same_event(anchor, v0.base):
         raise BasePointMismatch(f"vector based at {v0.base}, path {direction} end is {anchor}")
-
-    # the vector at the path's first and last stored steps
-    P_end = path.propagators[-1]
-    if direction == FORWARD:
-        first = np.asarray(v0.components, dtype=float)
-        last = P_end @ first
-    else:
-        last = np.asarray(v0.components, dtype=float)
-        first = np.linalg.solve(P_end, last)
-
-    at_first, at_last = _invariants(path, 0, first), _invariants(path, -1, last)
-    start, end = (at_first, at_last) if direction == FORWARD else (at_last, at_first)
-    start_norm, start_dot, cond_n0, cond_d0 = start
-    end_norm, end_dot, cond_n1, cond_d1 = end
-    norm_drift = abs(end_norm - start_norm) / max(abs(start_norm), 1.0)
-    dot_drift = abs(end_dot - start_dot) / max(abs(start_dot), 1.0)
-    bound = max(1e-8, 100.0 * path.tol)
-    # near the horizon both products cancel heavily; scale the bound by the
-    # worst conditioning seen at either end (1 in mild regimes)
-    norm_bound = bound * max(1.0, cond_n0, cond_n1)
-    dot_bound = bound * max(1.0, cond_d0, cond_d1)
-    if norm_drift > norm_bound or dot_drift > dot_bound:
-        raise StepFailure(
-            f"transport drift norm={norm_drift:.3e} tangent_dot={dot_drift:.3e} "
-            f"exceeds ({norm_bound:.3e}, {dot_bound:.3e})"
-        )
-
+    with np.errstate(all="ignore"):  # a non-finite row is reported as an error
+        moved = _carry(path, v0.components[None], direction)
     dest = path.end_point() if direction == FORWARD else path.start_point()
+    return _one_row(moved, dest)
+
+
+def _one_row(moved: TransportedStack, dest: SpacetimePoint) -> TransportedVector:
+    if moved.errors:
+        raise moved.errors[0]
     return TransportedVector(
-        v=FourVector(last if direction == FORWARD else first, dest),
-        norm_drift=float(norm_drift),
-        tangent_dot_drift=float(dot_drift),
+        v=FourVector(moved.v[0], dest),
+        norm_drift=float(moved.norm_drift[0]),
+        tangent_dot_drift=float(moved.tangent_dot_drift[0]),
+    )
+
+
+def transport_stack(geo_L: GeodesicPath, geo_R: GeodesicPath, V_R: np.ndarray) -> TransportedStack:
+    """Carry the rows of V_R from event R back to the shared origin O, then out to L.
+
+    Both paths must start at the same emission event within 1e-9 in
+    coordinates; the rows are based at geo_R's endpoint on entry and at
+    geo_L's on return. A row that fails on the way back keeps that error.
+    """
+    if geo_L.spec != geo_R.spec:
+        raise InvalidChart("paths integrated in different metrics")
+    origin_gap = np.max(np.abs(geo_L.points[0] - geo_R.points[0]))
+    if origin_gap > COMMON_ORIGIN_TOL:
+        raise CommonOriginMismatch(
+            f"emission events differ by {origin_gap:.3e} in coordinates"
+        )
+    with np.errstate(all="ignore"):  # a non-finite row is reported as an error
+        back = _carry(geo_R, V_R, BACKWARD)
+        out = _carry(geo_L, back.v, FORWARD)
+    return TransportedStack(
+        v=out.v,
+        norm_drift=np.maximum(back.norm_drift, out.norm_drift),
+        tangent_dot_drift=np.maximum(back.tangent_dot_drift, out.tangent_dot_drift),
+        errors={**out.errors, **back.errors},
     )
 
 
@@ -109,19 +175,6 @@ def transport_R_to_L(
     Both paths must start at the same emission event within 1e-9 in
     coordinates. The result is based at geo_L's endpoint.
     """
-    if geo_L.spec != geo_R.spec:
-        raise InvalidChart("paths integrated in different metrics")
-    origin_gap = np.max(np.abs(geo_L.points[0] - geo_R.points[0]))
-    if origin_gap > COMMON_ORIGIN_TOL:
-        raise CommonOriginMismatch(
-            f"emission events differ by {origin_gap:.3e} in coordinates"
-        )
-    back = parallel_transport(geo_R, v_R, BACKWARD)
-    # rebase onto geo_L's origin object: same event within the tolerance above
-    at_origin = FourVector(back.v.components, geo_L.start_point())
-    forward = parallel_transport(geo_L, at_origin, FORWARD)
-    return TransportedVector(
-        v=forward.v,
-        norm_drift=max(back.norm_drift, forward.norm_drift),
-        tangent_dot_drift=max(back.tangent_dot_drift, forward.tangent_dot_drift),
-    )
+    if not same_event(geo_R.end_point(), v_R.base):
+        raise BasePointMismatch(f"vector based at {v_R.base}, path end is {geo_R.end_point()}")
+    return _one_row(transport_stack(geo_L, geo_R, v_R.components[None]), geo_L.end_point())

@@ -307,3 +307,28 @@ def test_any_field_value_gives_an_exit_code(tmp_path, base_and_path, value):
     out = tmp_path / "report.txt"
     code = main(["run", "--config", write(tmp_path, data), "--out", str(out)])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GEOMETRY, EXIT_AUDIT)
+
+
+def test_horizon_at_loose_tol_gives_ok_rows(tmp_path):
+    out = tmp_path / "horizon.csv"
+    code = main([
+        "--tol", "1e-3", "--quiet", "horizon", "--mass", "1",
+        "--r-start", "10", "--r-end", "6", "--steps", "2", "--out", str(out),
+    ])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["r=10", "ok"], ["r=6", "ok"]]
+
+
+def test_repeated_runs_leave_no_reference_cycles(tmp_path):
+    # cyclic garbage outlives a call until a full collection, so a process
+    # that calls main() in a loop (the benchmark does) would keep growing
+    import gc
+
+    data = flat_baseline_config()
+    data["sweep"] = {"parameter": "a_deg", "start": 0.0, "stop": 180.0, "step": 5.0}
+    argv = ["--quiet", "sweep", "--config", write(tmp_path, data), "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() == 0

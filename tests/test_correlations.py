@@ -14,6 +14,8 @@ from grbell import (
     violation_condition,
     weighted_difference,
 )
+from grbell.correlations import bell_stack, optimal_settings, violation_stack
+from grbell.frames import ProjectionStack
 from conftest import random_direction
 
 
@@ -223,3 +225,42 @@ def test_margin_positive_iff_cos_theta_below_one(rng):
             assert report.margin > 0.0
             hits += 1
     assert hits > 30
+
+
+def test_stacked_rows_equal_one_row_evaluations(rng):
+    # a row's results do not depend on the rows evaluated with it; the grid
+    # search's tie-break relies on this
+    pairs = []
+    for j in range(12):
+        w_b, w_c = rng.uniform(0.0, 1.0, 2)
+        if j % 4 == 0:
+            w_c = 0.0  # a degenerate arm
+        if j % 5 == 0:
+            w_c = w_b  # a vanishing d when the directions agree too
+        b = random_direction(rng)
+        c = b if j % 5 == 0 else random_direction(rng)
+        pairs.append((make_projection(w_b, b), make_projection(w_c, c)))
+    arm_b = ProjectionStack.of([pb for pb, _ in pairs])
+    arm_c = ProjectionStack.of([pc for _, pc in pairs])
+    a = np.array([random_direction(rng).d for _ in pairs])
+    ineq = bell_stack(a, arm_b, arm_c)
+    angles = violation_stack(a, arm_b, arm_c)
+    best, found = optimal_settings(arm_b, arm_c)
+    for j, (pb, pc) in enumerate(pairs):
+        triple = SettingsTriple(Direction3(a[j]), Direction3(a[j]), Direction3(a[j]))
+        one = generalized_bell_check(triple, pb, pc)
+        row = ineq.report(j)
+        for field in ("p_ab", "p_ac", "lhs", "rhs", "margin", "w_b", "w_c", "violated", "swapped"):
+            assert getattr(row, field) == getattr(one, field)
+        assert np.array_equal(row.p_bc, one.p_bc, equal_nan=True)
+        one_angles = violation_condition(triple, pb, pc)
+        assert np.array_equal(angles.d[j], one_angles.d)
+        assert (angles.cos_phi[j], angles.cos_theta[j]) == (one_angles.cos_phi, one_angles.cos_theta)
+        if found[j]:
+            a_star, report = find_max_violation(pb, pc, "analytic")
+            assert np.array_equal(best[j], a_star.d)
+            assert bell_stack(best[j:j + 1], arm_b.rows(slice(j, j + 1)), arm_c.rows(slice(j, j + 1))).margin[0] == report.margin
+        else:
+            with pytest.raises(DegenerateD):
+                find_max_violation(pb, pc, "analytic")
+    assert not found.all() and found.any() and ineq.degenerate.any() and ineq.swapped.any()

@@ -7,6 +7,7 @@ from grbell import (
     BadNormalization,
     Direction3,
     FourVector,
+    NonFiniteVector,
     StaticFrameUnavailable,
     ZeroVector,
     build_comoving_frame,
@@ -19,7 +20,7 @@ from grbell import (
     project_to_frame,
     schwarzschild_point,
 )
-from grbell.frames import tetrad_components
+from grbell.frames import project_stack, tetrad_components, tetrad_projector
 from conftest import random_direction, random_exterior_point
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -147,6 +148,32 @@ def test_projection_zero_vector_raises(flat):
     frame = build_static_frame(flat, p)
     with pytest.raises(ZeroVector):
         project_to_frame(frame, FourVector([0.0, 0.0, 0.0, 0.0], p))
+
+
+def test_projection_of_an_overflowing_vector_raises(flat):
+    # the tetrad components are finite but their norm overflows; w would
+    # read 0 (a silent degenerate arm) or NaN without the check
+    p = minkowski_point(0.0, 0.0, 0.0, 0.0)
+    frame = build_static_frame(flat, p)
+    with pytest.raises(NonFiniteVector):
+        project_to_frame(frame, FourVector([1e300, 1e300, 0.0, 0.0], p))
+
+
+def test_projection_stack_fails_only_the_bad_rows(schw, rng):
+    p = random_exterior_point(rng)
+    frame = build_static_frame(schw, p)
+    vectors = [embed_direction(frame, random_direction(rng)) for _ in range(4)]
+    V = np.array([v.components for v in vectors] + [[0.0] * 4])
+    V[1] *= 1e300
+    stack = project_stack(tetrad_projector(frame), V)
+    assert set(stack.errors) == {1, 4}
+    assert isinstance(stack.errors[1], NonFiniteVector)
+    assert isinstance(stack.errors[4], ZeroVector)
+    assert stack.w[1] == stack.w[4] == 0.0 and stack.degenerate[1] and stack.degenerate[4]
+    for j in (0, 2, 3):
+        one = project_to_frame(frame, vectors[j])
+        assert stack.w[j] == one.w and stack.time_component[j] == one.time_component
+        assert np.array_equal(stack.direction[j], one.direction.d)
 
 
 def test_projection_weight_range_and_unitarity(schw, rng):

@@ -9,6 +9,7 @@ from grbell import (
     HorizonDomain,
     InvalidChart,
     MetricSpec,
+    MetricUnderflow,
     ValidationError,
     christoffel_at,
     finite_difference_christoffel,
@@ -133,3 +134,14 @@ def test_metric_spec_validation():
         MetricSpec("minkowski", mass=float("nan"))
     with pytest.raises(InvalidChart):
         MetricSpec("kerr", mass=1.0)
+
+
+def test_metric_underflow_is_an_error():
+    spec = MetricSpec("schwarzschild", mass=1e-300)
+    with pytest.raises(MetricUnderflow):
+        metric_at(spec, schwarzschild_point(0.0, 1e-298, math.pi / 2, 0.0))
+    # sin(theta)^2 underflows near the axis even at an ordinary radius
+    with pytest.raises(MetricUnderflow):
+        metric_at(MetricSpec("schwarzschild", mass=1.0), schwarzschild_point(0.0, 10.0, 1e-170, 0.0))
+    g = metric_at(spec, schwarzschild_point(0.0, 1e-150, math.pi / 2, 0.0)).g
+    assert g[2, 2] > 0.0 and g[3, 3] > 0.0

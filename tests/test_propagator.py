@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from grbell import FourVector, StepFailure, StopCondition, integrate_geodesic
+from grbell import FourVector, HorizonDomain, StepFailure, StopCondition, integrate_geodesic
 from grbell import geodesics
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from grbell.geometry import christoffel_components, schwarzschild_point
@@ -158,6 +158,21 @@ def test_stepper_locates_a_terminal_event_on_its_dense_output():
 def test_stepper_rejects_a_non_finite_state():
     with pytest.raises(StepFailure, match="non-finite"):
         geodesics._dopri(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 5.0, 1e-8, [], "stop")
+
+
+def test_stepper_rejects_a_step_whose_stage_leaves_the_domain():
+    # y = 1 - tau leaves the domain y > 0 at tau = 1; the controller grows
+    # the step tenfold on this linear system until a trial stage crosses it
+    def rhs(y):
+        if y[0] <= 0.0:
+            raise HorizonDomain(f"y = {y[0]}")
+        return [-1.0]
+
+    run = geodesics._dopri(rhs, [1.0], 10.0, 1e-10, [(0, 0.25, -1)], "stop")
+    assert run.event == 0
+    assert run.taus[-1] == pytest.approx(0.75, abs=1e-12)
+    assert run.rejected >= 1
+    assert run.nfev == 2 + 6 * (run.accepted + run.rejected)
 
 
 def test_stepper_fails_on_step_size_underflow():

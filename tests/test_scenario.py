@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from grbell import (
     ParseError,
     PipelineError,
     SettingsTriple,
+    StepFailure,
     StopCondition,
     ValidationError,
     config_from_dict,
@@ -573,3 +575,75 @@ def test_flat_legs_report_no_stepper_work():
     for label in ("geodesic_1", "geodesic_2"):
         assert payload[label]["stats"] == {"nfev": 0, "accepted": 0, "rejected": 0}
 
+
+def test_sweep_rows_run_no_lhv_audit(monkeypatch):
+    calls = []
+    original = scenario.lhv_inequality_audit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "lhv_inequality_audit", counting)
+    data = schwarzschild_demo_config()
+    data["sweep"] = {"parameter": "b_deg", "start": 0.0, "stop": 180.0, "step": 30.0}
+    audited = rows_to_csv(run_sweep(config_from_dict(data)))
+    data["lhv_audit"] = False
+    assert audited == rows_to_csv(run_sweep(config_from_dict(data)))
+    assert audited.count(",ok,") == 7
+    assert calls == []
+
+
+def test_horizon_sweep_at_loose_tol_shrinks_steps_that_reach_the_horizon():
+    # at tol 1e-3 a trial stage of the infall to r = 6 lands inside r = 2M
+    spec = MetricSpec("schwarzschild", mass=1.0)
+    rows = run_horizon_sweep(spec, [10.0, 6.0], tol=1e-3)
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert 0.9 < float(rows[1]["w_b"]) < 1.0
+
+
+def test_horizon_sweep_metric_underflow_rows_are_errors():
+    # r^2 = 1e-596 underflows to 0: the rows used to read ok with P_ab = -1
+    spec = MetricSpec("schwarzschild", mass=1e-300)
+    rows = run_horizon_sweep(spec, [1e-298, 1e-299])
+    assert [r["status"] for r in rows] == ["error:geodesic_1", "error:geodesic_1"]
+
+
+def _bent_flat_geometry():
+    """The flat baseline's geometry with P_R leaking 1e-3 of z into y."""
+    cfg = config_from_dict(flat_baseline_config())
+    geometry = scenario._geometry(cfg)
+    P = geometry.geo2.propagators.copy()
+    P[-1, 2, 3] = 1e-3
+    return cfg, dataclasses.replace(
+        geometry, geo2=dataclasses.replace(geometry.geo2, propagators=P)
+    )
+
+
+def test_a_failing_row_fails_alone_with_its_stage():
+    cfg, bent = _bent_flat_geometry()
+    # the projector scaled by 1e10 overflows only the tetrad components of the 1e150 row
+    bent = dataclasses.replace(bent, projector_L=bent.projector_L * 1e10)
+    a, b, c = (np.tile(d.d, (5, 1)) for d in (cfg.settings.a, cfg.settings.b, cfg.settings.c))
+    b[1] = [0.0, 0.6, 0.8]       # drifts past its bound on the way back
+    b[2] = [1e300, 0.0, 0.0]     # its norm overflows in the drift check
+    c[3] = [1e150, 0.0, 0.0]     # transported, but not projectable
+    sids = [f"row{j}" for j in range(5)]
+    rows = scenario._csv_rows(scenario._evaluate(bent, a, b, c), sids)
+    assert [r["status"] for r in rows] == [
+        "ok", "error:transport", "error:transport", "error:projection", "ok",
+    ]
+    for j in (0, 4):
+        one = scenario._csv_rows(scenario._evaluate(bent, a[j:j + 1], b[j:j + 1], c[j:j + 1]), [sids[j]])
+        assert rows[j] == one[0]
+
+
+def test_single_run_raises_the_tagged_error_of_its_row(monkeypatch):
+    cfg, bent = _bent_flat_geometry()
+    data = flat_baseline_config()
+    data["settings"] = {"a": [1.0, 0.0, 0.0], "b": [0.0, 0.6, 0.8], "c": [0.0, 1.0, 0.0]}
+    monkeypatch.setattr(scenario, "_geometry", lambda _cfg: bent)
+    with pytest.raises(PipelineError) as err:
+        run_scenario(config_from_dict(data))
+    assert err.value.stage == "transport"
+    assert isinstance(err.value.cause, StepFailure)

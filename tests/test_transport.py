@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from grbell import (
     BasePointMismatch,
     CommonOriginMismatch,
     FourVector,
+    NonFiniteVector,
     StepFailure,
     StopCondition,
     build_comoving_frame,
@@ -21,6 +23,7 @@ from grbell import (
 from grbell.frames import tetrad_components
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from grbell.geometry import metric_components
+from grbell.transport import transport_stack
 
 M = 1.0
 
@@ -210,3 +213,61 @@ def test_transport_r_to_l_origin_mismatch(schw):
     vR = FourVector([0.0, 1.0, 0.0, 0.0], geo_R.end_point())
     with pytest.raises(CommonOriginMismatch):
         transport_R_to_L(geo_L, geo_R, vR)
+
+
+def opposite_flat_legs(flat):
+    x0 = minkowski_point(0.0, 0.0, 0.0, 0.0)
+    gamma = 1.0 / math.sqrt(1.0 - 0.25)
+    return [
+        integrate_geodesic(
+            flat, x0, FourVector([gamma, s * 0.5 * gamma, 0.0, 0.0], x0), StopCondition.proper_time(5.0)
+        )
+        for s in (1.0, -1.0)
+    ]
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 64])
+def test_transport_stack_rows_equal_one_row_transports(schw, rng, width):
+    # a row's result does not depend on how many rows travel with it
+    geo_L = circular_path(schw, revolutions=0.25)
+    geo_R = circular_path(schw, revolutions=0.2, retrograde=True)
+    V = rng.standard_normal((width, 4))
+    moved = transport_stack(geo_L, geo_R, V)
+    assert moved.errors == {}
+    for j in range(width):
+        one = transport_R_to_L(geo_L, geo_R, FourVector(V[j], geo_R.end_point()))
+        assert np.array_equal(moved.v[j], one.v.components)
+        assert moved.norm_drift[j] == one.norm_drift
+        assert moved.tangent_dot_drift[j] == one.tangent_dot_drift
+
+
+def test_a_row_past_its_drift_bound_fails_alone(flat):
+    geo_L, geo_R = opposite_flat_legs(flat)
+    # P_R leaks 1e-3 of a vector's z component into y: only rows with z != 0 drift
+    P = geo_R.propagators.copy()
+    P[-1, 2, 3] = 1e-3
+    bent = dataclasses.replace(geo_R, propagators=P)
+    V = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0], [0.0, 0.6, 0.0, 0.8], [0.0, 0.0, 1.0, 0.0]])
+    moved = transport_stack(geo_L, bent, V)
+    assert list(moved.errors) == [2]
+    assert isinstance(moved.errors[2], StepFailure)
+    assert moved.norm_drift[2] > 1e-8  # the bound on this unit, untilted vector
+    with pytest.raises(StepFailure):
+        transport_R_to_L(geo_L, bent, FourVector(V[2], bent.end_point()))
+    for j in (0, 1, 3):
+        one = transport_R_to_L(geo_L, bent, FourVector(V[j], bent.end_point()))
+        assert np.array_equal(moved.v[j], one.v.components)
+        assert moved.norm_drift[j] == one.norm_drift == 0.0
+
+
+def test_a_non_finite_row_fails_alone(flat):
+    geo_L, geo_R = opposite_flat_legs(flat)
+    V = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0], [0.0, 1e300, 1e300, 0.0]])
+    moved = transport_stack(geo_L, geo_R, V)
+    assert sorted(moved.errors) == [1, 2]
+    assert isinstance(moved.errors[1], NonFiniteVector)
+    # finite, but its norm overflows: the drift reads NaN and fails its check
+    assert isinstance(moved.errors[2], StepFailure)
+    assert np.array_equal(moved.v[0], V[0])
+    with pytest.raises(StepFailure, match="nan"):
+        transport_R_to_L(geo_L, geo_R, FourVector(V[2], geo_R.end_point()))
