@@ -64,7 +64,6 @@ class InequalityReport:
     c_direction: Direction3 | None
     swapped: bool
     degenerate: bool
-    tol: float = TOL_INEQ
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +91,6 @@ class InequalityStack(NamedTuple):
     c: ProjectionStack
     swapped: np.ndarray
     degenerate: np.ndarray
-    tol: float
 
     def report(self, j: int) -> InequalityReport:
         b, c = self.b.result(j), self.c.result(j)
@@ -110,7 +108,6 @@ class InequalityStack(NamedTuple):
             c_direction=c.direction,
             swapped=bool(self.swapped[j]),
             degenerate=bool(self.degenerate[j]),
-            tol=self.tol,
         )
 
 
@@ -163,9 +160,7 @@ def weighted_difference(proj_b: ProjectionResult, proj_c: ProjectionResult) -> n
     return _weighted_differences(_one(proj_b), _one(proj_c))[0][0]
 
 
-def bell_stack(
-    a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack, tol: float = TOL_INEQ
-) -> InequalityStack:
+def bell_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) -> InequalityStack:
     """Both sides of the bound for the rows a of a (k, 3) array.
 
     Rows pair up by index; a side with one row is used for every row. Where
@@ -186,45 +181,37 @@ def bell_stack(
     margin = lhs - rhs
     return InequalityStack(
         p_ab=p_ab, p_ac=p_ac, p_bc=p_bc, lhs=lhs, rhs=rhs, margin=margin,
-        violated=margin > tol, b=b, c=c, swapped=swapped, degenerate=degenerate, tol=tol,
+        violated=margin > TOL_INEQ, b=b, c=c, swapped=swapped, degenerate=degenerate,
     )
 
 
 def generalized_bell_check(
-    triple: SettingsTriple,
-    proj_b: ProjectionResult,
-    proj_c: ProjectionResult,
-    tol: float = TOL_INEQ,
+    triple: SettingsTriple, proj_b: ProjectionResult, proj_c: ProjectionResult
 ) -> InequalityReport:
     """Evaluate |P(a,b) - P(a,c)| against w_b^2 - w_c^2 (b . c).
 
     The bound's derivation needs w_b >= w_c; when the caller's pair comes
     in the other order the two arms are swapped and the report says so.
     """
-    return bell_stack(triple.a.d[None], _one(proj_b), _one(proj_c), tol).report(0)
+    return bell_stack(triple.a.d[None], _one(proj_b), _one(proj_c)).report(0)
 
 
-def violation_stack(
-    a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack, tol: float = TOL_INEQ
-) -> ViolationStack:
+def violation_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) -> ViolationStack:
     """Angles of a and b against d per row; vacuously satisfied where d vanishes."""
     d, norm = _weighted_differences(arm_b, arm_c)
     degenerate = norm <= 1e-12
     safe = np.where(degenerate, 1.0, norm)
     cos_phi = np.where(degenerate, 0.0, row_dot(a, d) / safe)
     cos_theta = np.where(degenerate | arm_b.degenerate, 0.0, row_dot(arm_b.direction, d) / safe)
-    holds = degenerate | (np.abs(cos_phi) <= cos_theta + tol)
+    holds = degenerate | (np.abs(cos_phi) <= cos_theta + TOL_INEQ)
     return ViolationStack(d, cos_phi, cos_theta, holds, degenerate)
 
 
 def violation_condition(
-    triple: SettingsTriple,
-    proj_b: ProjectionResult,
-    proj_c: ProjectionResult,
-    tol: float = TOL_INEQ,
+    triple: SettingsTriple, proj_b: ProjectionResult, proj_c: ProjectionResult
 ) -> ViolationAngles:
     """Angles of a and b against d; vacuously satisfied when d vanishes."""
-    return violation_stack(triple.a.d[None], _one(proj_b), _one(proj_c), tol).angles(0)
+    return violation_stack(triple.a.d[None], _one(proj_b), _one(proj_c)).angles(0)
 
 
 def optimal_settings(arm_b: ProjectionStack, arm_c: ProjectionStack) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +240,6 @@ def _grid_directions(n: int) -> np.ndarray:
         ],
         axis=1,
     )
-
-
-def _margin_of(a: Direction3, arm_b: ProjectionStack, arm_c: ProjectionStack) -> float:
-    return float(bell_stack(a.d[None], arm_b, arm_c).margin[0])
 
 
 def find_max_violation(
@@ -298,28 +281,25 @@ def find_max_violation(
 def _refine(a: Direction3, proj_b: ProjectionStack, proj_c: ProjectionStack) -> Direction3:
     """Coordinate descent on spherical angles until margin gain < 1e-10.
 
-    proj_b and proj_c are the two arms as one-row stacks.
+    proj_b and proj_c are the two arms as one-row stacks. Each round scores
+    its four neighbours as one stack and moves to the best one that gains;
+    a round without a gain halves the step.
     """
     theta = math.acos(max(-1.0, min(1.0, a.d[2])))
     phi = math.atan2(a.d[1], a.d[0])
     step = 0.1
-    current = _margin_of(a, proj_b, proj_c)
+    current = float(bell_stack(a.d[None], proj_b, proj_c).margin[0])
 
     def direction_of(th, ph):
-        return Direction3(
-            np.array(
-                [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-            )
-        )
+        return [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
 
     while step > 1e-12:
-        improved = False
-        for dth, dph in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand = direction_of(theta + dth, phi + dph)
-            m = _margin_of(cand, proj_b, proj_c)
-            if m > current + 1e-10:
-                theta, phi, current = theta + dth, phi + dph, m
-                improved = True
-        if not improved:
+        moves = ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step))
+        candidates = np.array([direction_of(theta + dth, phi + dph) for dth, dph in moves])
+        margins = bell_stack(candidates, proj_b, proj_c).margin
+        best = int(np.argmax(margins))
+        if margins[best] > current + 1e-10:
+            theta, phi, current = theta + moves[best][0], phi + moves[best][1], float(margins[best])
+        else:
             step *= 0.5
-    return direction_of(theta, phi)
+    return Direction3(np.array(direction_of(theta, phi)))

@@ -12,7 +12,9 @@ one per row: embed_stack puts every setting of a sweep into the tetrad at
 once, and project_stack projects every transported row with the frame's
 one 4x4 tetrad_projector. embed_direction and project_to_frame are the
 one-row case; a ProjectionResult is built only for the rows a caller asks
-for.
+for. weighted_stack builds the same stack from given weights along one
+direction, without a tetrad (the synthetic mode); make_projection is its
+one-row case.
 """
 from __future__ import annotations
 
@@ -122,11 +124,27 @@ class ProjectionResult:
 
 
 def make_projection(w: float, direction=None) -> ProjectionResult:
-    """Synthetic projection for driving the correlation layer directly."""
-    if w < DEGENERATE_W:
-        return ProjectionResult(w=w, direction=None, degenerate=True, time_component=math.sqrt(max(0.0, 1.0 - w * w)))
-    d = direction if isinstance(direction, Direction3) else Direction3.from_vector(direction)
-    return ProjectionResult(w=w, direction=d, degenerate=False, time_component=math.sqrt(max(0.0, 1.0 - w * w)))
+    """Synthetic projection for driving the correlation layer directly.
+
+    A degenerate weight ignores direction; any other weight needs one that
+    normalises (ZeroVector otherwise).
+    """
+    d = direction.d if isinstance(direction, Direction3) else unit_or_none(direction)
+    stack = weighted_stack(np.array([w], dtype=float), d)
+    if stack.errors:
+        raise stack.errors[0]
+    return stack.result(0)
+
+
+def unit_or_none(v) -> np.ndarray | None:
+    """v normalised as Direction3.from_vector does it; None if v is None or cannot be."""
+    if v is None:
+        return None
+    try:
+        with np.errstate(over="ignore"):  # an overflowing norm fails the unit check
+            return Direction3.from_vector(v).d
+    except (ZeroVector, ValueError):
+        return None
 
 
 def build_static_frame(spec: MetricSpec, p: SpacetimePoint) -> LocalFrame:
@@ -264,6 +282,23 @@ class ProjectionStack(NamedTuple):
             degenerate=degenerate,
             time_component=float(self.time_component[j]),
         )
+
+
+def weighted_stack(w: np.ndarray, direction: np.ndarray | None) -> ProjectionStack:
+    """Projections of the (k,) weights w, each along one unit direction.
+
+    direction is None when it could not be normalised; a row whose weight
+    is not degenerate then fails with ZeroVector and holds w = 0.
+    """
+    degenerate = w < DEGENERATE_W
+    errors: dict[int, SimulatorError] = {}
+    if direction is None:
+        for j in np.flatnonzero(~degenerate).tolist():
+            errors[j] = ZeroVector(f"weight {w[j]} needs a direction that normalises")
+        w = np.where(degenerate, w, 0.0)
+        degenerate, direction = np.ones_like(degenerate), np.zeros(3)
+    direction = np.where(degenerate[:, None], 0.0, direction)
+    return ProjectionStack(w, direction, degenerate, np.sqrt(np.maximum(0.0, 1.0 - w * w)), errors)
 
 
 def project_stack(projector: np.ndarray, V: np.ndarray) -> ProjectionStack:

@@ -35,15 +35,16 @@ frames, and from them the spatial legs at R and the projector of the
 tetrad at L), then the settings-dependent stages. Those are linear up to
 the projection, so they run as one array pass over k rows of settings:
 the 2k settings b and c are embedded at R, carried to L by one solve and
-one product, and projected together, and the inequality, the violation
-angles and the analytic optimum are evaluated over the arrays. Each row
-keeps its own transport and projection checks, so a failing row is tagged
-with its stage and the others go on. A single run is the k = 1 pass and
-builds its report objects (and runs the optional LHV audit) from row 0; a
-sweep evaluates all its rows on one geometry and writes them to CSV
-straight from the arrays, without an audit, which has no CSV column. The
-horizon study builds its emission side once and evaluates each radius as
-its own one-row pass.
+one product, and projected together, and the inequality is evaluated over
+the arrays. Each row keeps its own transport and projection checks, so a
+failing row is tagged with its stage and the others go on. A synthetic
+block is parsed once into two weights and two unit directions; its arms
+are built from arrays of weights, so a weight row is one range check. A
+single run is the k = 1 pass and adds the report objects, violation
+angles, analytic optimum, geodesic summaries and optional LHV audit of
+its one row; a sweep writes only what the CSV prints, straight from the
+arrays. The horizon study builds its emission side once and evaluates
+each radius as its own one-row pass.
 """
 from __future__ import annotations
 
@@ -62,7 +63,6 @@ from .correlations import (
     InequalityStack,
     SettingsTriple,
     ViolationAngles,
-    ViolationStack,
     bell_stack,
     optimal_settings,
     violation_stack,
@@ -82,10 +82,11 @@ from .frames import (
     build_comoving_frame,
     build_static_frame,
     embed_stack,
-    make_projection,
     project_stack,
     spatial_legs,
     tetrad_projector,
+    unit_or_none,
+    weighted_stack,
 )
 from .geodesics import GeodesicPath, StopCondition, integrate_geodesic
 from .geometry import (
@@ -135,12 +136,6 @@ _TOP_KEYS = _GEOMETRY_KEYS | {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class SyntheticProjections:
-    proj_b: ProjectionResult
-    proj_c: ProjectionResult
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     parameter: str
@@ -181,7 +176,7 @@ class ScenarioConfig:
     u2: FourVector | None = None
     stop1: StopCondition | None = None
     stop2: StopCondition | None = None
-    synthetic: SyntheticProjections | None = None
+    synthetic: Synthetic | None = None
     sweep: SweepSpec | None = None
     echo: dict | None = None  # validated input with defaults; None if built internally
 
@@ -289,19 +284,31 @@ def _parse_settings(d) -> SettingsTriple:
     )
 
 
-def _parse_synthetic(d) -> SyntheticProjections:
+class Synthetic(NamedTuple):
+    """Each arm's weight, or a weight sweep's (k,) row weights, and unit
+    direction (None if it cannot be normalised, for degenerate weights only)."""
+
+    w_b: float | np.ndarray
+    b: np.ndarray | None
+    w_c: float | np.ndarray
+    c: np.ndarray | None
+
+
+def _parse_synthetic(d) -> Synthetic:
     if not isinstance(d, dict):
         raise ValidationError("synthetic", "expected an object")
     _check_keys(d, {"w_b", "b", "w_c", "c"}, "synthetic")
-    w_b = float(_require(d, "w_b", "synthetic"))
-    w_c = float(_require(d, "w_c", "synthetic"))
-    for name, w in (("w_b", w_b), ("w_c", w_c)):
-        if not 0.0 <= w <= 1.0:
-            raise ValidationError(f"synthetic.{name}", "weight must be in [0, 1]")
-    return SyntheticProjections(
-        proj_b=make_projection(w_b, _floats(_require(d, "b", "synthetic"), 3, "synthetic.b")),
-        proj_c=make_projection(w_c, _floats(_require(d, "c", "synthetic"), 3, "synthetic.c")),
+    synthetic = Synthetic(
+        w_b=float(_require(d, "w_b", "synthetic")),
+        b=unit_or_none(_floats(_require(d, "b", "synthetic"), 3, "synthetic.b")),
+        w_c=float(_require(d, "w_c", "synthetic")),
+        c=unit_or_none(_floats(_require(d, "c", "synthetic"), 3, "synthetic.c")),
     )
+    # the block is its own one-row case: the check its sweep rows get
+    errors = _synthetic_arms(synthetic, 1)[2]
+    if errors:
+        raise errors[0]
+    return synthetic
 
 
 def _normalized_tangent(
@@ -510,37 +517,26 @@ def _stage(name: str):
         raise PipelineError(name, e) from e
 
 
-def _detector_frame(cfg: ScenarioConfig, path: GeodesicPath) -> LocalFrame:
+def _detector_frame(metric: MetricSpec, frame_choice: str, path: GeodesicPath) -> LocalFrame:
     end = path.end_point()
-    if cfg.frame_choice == FRAME_COMOVING:
-        return build_comoving_frame(cfg.metric, end, path.end_tangent())
-    return build_static_frame(cfg.metric, end)
+    if frame_choice == FRAME_COMOVING:
+        return build_comoving_frame(metric, end, path.end_tangent())
+    return build_static_frame(metric, end)
 
 
 @dataclass(frozen=True, eq=False)
 class _Geometry:
     """What a scenario computes before it looks at the settings.
 
-    Besides the paths and their summaries it keeps the two linear maps
-    every setting goes through: the spatial legs of the tetrad at R, which
-    embed a setting, and the projector of the tetrad at L.
+    Besides the paths it keeps the two linear maps every setting goes
+    through: the spatial legs of the tetrad at R, which embed a setting,
+    and the projector of the tetrad at L.
     """
 
     geo1: GeodesicPath
     geo2: GeodesicPath
-    summary_1: GeodesicSummary
-    summary_2: GeodesicSummary
     legs_R: np.ndarray       # (3, 4), from spatial_legs
     projector_L: np.ndarray  # (4, 4), from tetrad_projector
-
-    @classmethod
-    def of(
-        cls, geo1: GeodesicPath, geo2: GeodesicPath, frame_L: LocalFrame, frame_R: LocalFrame
-    ) -> "_Geometry":
-        return cls(
-            geo1, geo2, GeodesicSummary.from_path(geo1), GeodesicSummary.from_path(geo2),
-            spatial_legs(frame_R), tetrad_projector(frame_L),
-        )
 
 
 def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
@@ -552,25 +548,67 @@ def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
     with _stage("geodesic_2"):
         geo2 = integrate_geodesic(cfg.metric, cfg.origin, cfg.u2, cfg.stop2, cfg.tol)
     with _stage("frames"):
-        return _Geometry.of(geo1, geo2, _detector_frame(cfg, geo1), _detector_frame(cfg, geo2))
+        frame_L = _detector_frame(cfg.metric, cfg.frame_choice, geo1)
+        frame_R = _detector_frame(cfg.metric, cfg.frame_choice, geo2)
+        return _Geometry(geo1, geo2, spatial_legs(frame_R), tetrad_projector(frame_L))
+
+
+# both arms of k rows, and the error of each row that failed
+_Arms = tuple[ProjectionStack, ProjectionStack, dict[int, SimulatorError]]
+
+
+def _synthetic_arms(synthetic: Synthetic, k: int) -> _Arms:
+    """Both arms of k synthetic rows. A row fails with ValidationError when a
+    weight is outside [0, 1] or not degenerate on an unusable direction."""
+    errors: dict[int, SimulatorError] = {}
+    arms = []
+    for name, w, direction in (("b", synthetic.w_b, synthetic.b), ("c", synthetic.w_c, synthetic.c)):
+        w = np.broadcast_to(np.asarray(w, dtype=float), (k,))
+        in_range = (0.0 <= w) & (w <= 1.0)
+        arm = weighted_stack(np.where(in_range, w, 0.0), direction)
+        for j in np.flatnonzero(~in_range).tolist():
+            errors.setdefault(j, ValidationError(f"synthetic.w_{name}", "weight must be in [0, 1]"))
+        for j, e in arm.errors.items():
+            errors.setdefault(j, ValidationError(f"synthetic.{name}", str(e)))
+        arms.append(arm)
+    return arms[0], arms[1], errors
+
+
+def _arms(
+    geometry: _Geometry | None, b: np.ndarray, c: np.ndarray, synthetic: Synthetic | None
+) -> _Arms:
+    """Both arms for k rows of settings b, c, each (k, 3).
+
+    On a geometry the 2k settings b and c are embedded at R, carried to L
+    and projected as one stack. A row that fails transport or projection
+    is tagged with that stage and the other rows go on. In synthetic mode
+    (geometry None) the arms are the synthetic block's.
+    """
+    k = len(b)
+    if geometry is None:
+        return _synthetic_arms(synthetic, k)
+    errors: dict[int, SimulatorError] = {}
+    V_R = embed_stack(geometry.legs_R, np.concatenate([b, c]))
+    with _stage("transport"):
+        moved = transport_stack(geometry.geo1, geometry.geo2, V_R)
+    projected = project_stack(geometry.projector_L, moved.v)
+    # a row keeps the failure a one-row run meets first: transport
+    # before projection, arm b before arm c (later entries win)
+    for stage, failed in (("projection", projected.errors), ("transport", moved.errors)):
+        for j in sorted(failed, reverse=True):
+            errors[j % k] = PipelineError(stage, failed[j])
+    return projected.rows(slice(0, k)), projected.rows(slice(k, None)), errors
 
 
 class _Rows(NamedTuple):
-    """The settings-dependent results of k rows as arrays; row j is one run's.
+    """What the CSV prints of k rows, as arrays; row j is one run's.
 
-    errors maps each row that failed to its stage-tagged error; the other
-    rows are valid.
+    errors maps each row that failed to its error; the other rows are valid.
     """
 
     a: np.ndarray  # (k, 3)
-    proj_b: ProjectionStack
-    proj_c: ProjectionStack
     inequality: InequalityStack
-    angles: ViolationStack
-    best: np.ndarray        # (k, 3), a = d/|d|; zero where d vanishes
-    best_found: np.ndarray  # (k,)
-    best_margin: np.ndarray  # (k,)
-    errors: dict[int, PipelineError]
+    errors: dict[int, SimulatorError]
 
 
 def _evaluate(
@@ -578,44 +616,11 @@ def _evaluate(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    synthetic: list[SyntheticProjections] | None = None,
+    synthetic: Synthetic | None = None,
 ) -> _Rows:
-    """The settings-dependent stages for k rows of settings a, b, c, each (k, 3).
-
-    On a geometry the 2k settings b and c are embedded at R, carried to L
-    and projected as one stack. A row that fails transport or projection
-    is tagged with that stage and the other rows go on. In synthetic mode
-    (geometry None) synthetic gives each row's projections.
-    """
-    k = len(a)
-    errors: dict[int, PipelineError] = {}
-    if geometry is None:
-        proj_b = ProjectionStack.of([s.proj_b for s in synthetic])
-        proj_c = ProjectionStack.of([s.proj_c for s in synthetic])
-    else:
-        V_R = embed_stack(geometry.legs_R, np.concatenate([b, c]))
-        with _stage("transport"):
-            moved = transport_stack(geometry.geo1, geometry.geo2, V_R)
-        projected = project_stack(geometry.projector_L, moved.v)
-        # a row keeps the failure a one-row run meets first: transport
-        # before projection, arm b before arm c (later entries win)
-        for stage, failed in (("projection", projected.errors), ("transport", moved.errors)):
-            for j in sorted(failed, reverse=True):
-                errors[j % k] = PipelineError(stage, failed[j])
-        proj_b, proj_c = projected.rows(slice(0, k)), projected.rows(slice(k, None))
-
-    best, best_found = optimal_settings(proj_b, proj_c)
-    return _Rows(
-        a=a,
-        proj_b=proj_b,
-        proj_c=proj_c,
-        inequality=bell_stack(a, proj_b, proj_c),
-        angles=violation_stack(a, proj_b, proj_c),
-        best=best,
-        best_found=best_found,
-        best_margin=bell_stack(best, proj_b, proj_c).margin,
-        errors=errors,
-    )
+    """The inequality for k rows of settings a, b, c, each (k, 3)."""
+    proj_b, proj_c, errors = _arms(geometry, b, c, synthetic)
+    return _Rows(a, bell_stack(a, proj_b, proj_c), errors)
 
 
 def _settings_rows(settings: SettingsTriple, k: int = 1) -> list[np.ndarray]:
@@ -627,10 +632,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the full pipeline for one configuration."""
     t0 = time.perf_counter()
     geometry = _geometry(cfg)
-    rows = _evaluate(geometry, *_settings_rows(cfg.settings), synthetic=[cfg.synthetic])
-    if rows.errors:
-        raise rows.errors[0] from rows.errors[0].cause
-    proj_b, proj_c = rows.proj_b.result(0), rows.proj_c.result(0)
+    a, b, c = _settings_rows(cfg.settings)
+    arm_b, arm_c, errors = _arms(geometry, b, c, cfg.synthetic)
+    if errors:
+        raise errors[0] from getattr(errors[0], "cause", None)
+    proj_b, proj_c = arm_b.result(0), arm_c.result(0)
+    best, found = optimal_settings(arm_b, arm_c)
 
     lhv = None
     if cfg.lhv_audit:
@@ -645,19 +652,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
                 cfg.mc_seed,
             )
 
-    found = bool(rows.best_found[0])
     return RunReport(
         status="ok",
         config=cfg.echo or {},
         settings=cfg.settings,
         proj_b=proj_b,
         proj_c=proj_c,
-        inequality=rows.inequality.report(0),
-        angles=rows.angles.angles(0),
-        geodesic_1=None if geometry is None else geometry.summary_1,
-        geodesic_2=None if geometry is None else geometry.summary_2,
-        best_setting=Direction3(rows.best[0]) if found else None,
-        best_margin=float(rows.best_margin[0]) if found else None,
+        inequality=bell_stack(a, arm_b, arm_c).report(0),
+        angles=violation_stack(a, arm_b, arm_c).angles(0),
+        geodesic_1=None if geometry is None else GeodesicSummary.from_path(geometry.geo1),
+        geodesic_2=None if geometry is None else GeodesicSummary.from_path(geometry.geo2),
+        best_setting=Direction3(best[0]) if found[0] else None,
+        best_margin=float(bell_stack(best, arm_b, arm_c).margin[0]) if found[0] else None,
         lhv=lhv,
         elapsed_s=time.perf_counter() - t0,
     )
@@ -862,15 +868,6 @@ def rows_to_csv(rows: list[dict[str, str]]) -> str:
 # -- sweeps -------------------------------------------------------------------
 
 
-def _weight_point(cfg: ScenarioConfig, parameter: str, value: float) -> SyntheticProjections:
-    """The synthetic block with one sweep value in place of the weights.
-
-    It is revalidated, so that a weight outside [0, 1] gives an error row.
-    """
-    weights = ("w_b", "w_c") if parameter == "w" else (parameter,)
-    return _parse_synthetic({**cfg.echo["synthetic"], **dict.fromkeys(weights, value)})
-
-
 def _failure_status(e: SimulatorError) -> str:
     if isinstance(e, PipelineError):
         return "horizon_approach" if isinstance(e.cause, HorizonApproach) else f"error:{e.stage}"
@@ -884,39 +881,30 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict[str, str]]:
     a sweep integrates the geodesics and builds the detector frames once
     (none in synthetic mode) and evaluates all its rows on them as one
     array pass; if the geometry fails, every row carries that failure's
-    status. Rows run no LHV audit, which has no CSV column. ``workers`` is
-    accepted and ignored.
+    status. An angle row replaces one column of the settings, a weight row
+    one weight of the synthetic block. Rows run no LHV audit, which has no
+    CSV column. ``workers`` is accepted and ignored.
     """
     if cfg.sweep is None:
         raise ValidationError("sweep", "config has no sweep block")
     param = cfg.sweep.parameter
     values = cfg.sweep.values()
+    if not values:
+        return []
     sids = [f"{param}={_fmt(value)}" for value in values]
     settings = dict(zip("abc", _settings_rows(cfg.settings, len(values))))
-    synthetic = [cfg.synthetic] * len(values) if cfg.is_synthetic else None
-    invalid: dict[int, dict[str, str]] = {}
+    synthetic = cfg.synthetic
     if param in ANGLE_SWEEP_PARAMETERS:
         settings[param[0]] = np.array(
             [[math.cos(math.radians(v)), math.sin(math.radians(v)), 0.0] for v in values]
-        ).reshape(-1, 3)
+        )
     else:
-        synthetic = []
-        for i, value in enumerate(values):
-            try:
-                synthetic.append(_weight_point(cfg, param, value))
-            except ValidationError as e:
-                invalid[i] = error_row(sids[i], _failure_status(e))
-        keep = [i for i in range(len(values)) if i not in invalid]
-        settings = {name: rows[keep] for name, rows in settings.items()}
-    valid_sids = [sid for i, sid in enumerate(sids) if i not in invalid]
-    if not valid_sids:
-        return list(invalid.values())
+        weights = ("w_b", "w_c") if param == "w" else (param,)
+        synthetic = synthetic._replace(**dict.fromkeys(weights, np.array(values)))
     try:
-        rows = _csv_rows(_evaluate(_geometry(cfg), **settings, synthetic=synthetic), valid_sids)
+        return _csv_rows(_evaluate(_geometry(cfg), **settings, synthetic=synthetic), sids)
     except PipelineError as e:
-        rows = [error_row(sid, _failure_status(e)) for sid in valid_sids]
-    evaluated = iter(rows)
-    return [invalid[i] if i in invalid else next(evaluated) for i in range(len(values))]
+        return [error_row(sid, _failure_status(e)) for sid in sids]
 
 
 DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
@@ -925,7 +913,6 @@ DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
 def run_horizon_sweep(
     spec: MetricSpec,
     r_values: list[float],
-    settings: dict | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
 ) -> list[dict[str, str]]:
@@ -935,10 +922,10 @@ def run_horizon_sweep(
     there (a zero-length path read out in the static frame), which is built
     once; for each r particle 2 falls radially from rest and is read out at
     r in the static frame there, so the row's w_b tracks the transported
-    weight w(r). Radii at or below the guard produce 'horizon_guard' rows
-    instead of failing the run. The radii must be finite and strictly
-    decreasing (ValidationError otherwise). Rows run serially; ``workers``
-    is accepted and ignored.
+    weight w(r). Every row uses DEFAULT_HORIZON_SETTINGS. Radii at or below
+    the guard produce 'horizon_guard' rows instead of failing the run. The
+    radii must be finite and strictly decreasing (ValidationError
+    otherwise). Rows run serially; ``workers`` is accepted and ignored.
     """
     if spec.kind != SCHWARZSCHILD:
         raise ValidationError("metric.kind", "horizon sweep needs a Schwarzschild metric")
@@ -946,15 +933,6 @@ def run_horizon_sweep(
     rs = [_finite(r, "r_values") for r in r_values]
     if any(b >= a for a, b in zip(rs, rs[1:])):
         raise ValidationError("r_values", "must be strictly decreasing")
-    cfg = ScenarioConfig(
-        settings=_parse_settings(dict(settings or DEFAULT_HORIZON_SETTINGS)),
-        frame_choice=FRAME_STATIC,
-        tol=tol,
-        mc_n=DEFAULT_MC_N,
-        mc_seed=DEFAULT_MC_SEED,
-        lhv_audit=False,
-        metric=spec,
-    )
     # rs decreases, so the rows at or below the guard come last
     live = [(r, f"r={_fmt(r)}") for r in rs if r > spec.guard_radius]
     guarded = [error_row(f"r={_fmt(r)}", "horizon_guard") for r in rs[len(live):]]
@@ -967,17 +945,18 @@ def run_horizon_sweep(
         with _stage("geodesic_1"):
             geo1 = integrate_geodesic(spec, origin, u_static, StopCondition.proper_time(0.0), tol)
         with _stage("frames"):
-            frame_L = _detector_frame(cfg, geo1)
+            projector_L = tetrad_projector(_detector_frame(spec, FRAME_STATIC, geo1))
     except PipelineError as e:
         return [error_row(sid, _failure_status(e)) for _, sid in live] + guarded
-    settings = _settings_rows(cfg.settings)
+    settings = _settings_rows(_parse_settings(DEFAULT_HORIZON_SETTINGS))
 
     def row(r: float, sid: str) -> dict[str, str]:
         try:
             with _stage("geodesic_2"):
                 geo2 = integrate_geodesic(spec, origin, u_static, StopCondition.radius(r), tol)
             with _stage("frames"):
-                geometry = _Geometry.of(geo1, geo2, frame_L, _detector_frame(cfg, geo2))
+                legs_R = spatial_legs(_detector_frame(spec, FRAME_STATIC, geo2))
+            geometry = _Geometry(geo1, geo2, legs_R, projector_L)
             return _csv_rows(_evaluate(geometry, *settings), [sid])[0]
         except SimulatorError as e:
             return error_row(sid, _failure_status(e))

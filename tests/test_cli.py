@@ -26,6 +26,13 @@ def test_run_text_format(tmp_path, capsys):
     assert "VIOLATED" in out and "margin" in out
 
 
+def test_run_text_format_reports_the_audit(capsys):
+    config = os.path.join(CONFIGS, "schwarzschild_demo.json")
+    assert main(["run", "--config", config]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "lhv audit         n=20000 seed=7 passed" in lines
+
+
 def test_run_json_format(tmp_path):
     out = tmp_path / "report.json"
     code = main([
@@ -170,7 +177,7 @@ def test_tol_override(tmp_path):
     "flag, value",
     [
         ("--mass", "nan"), ("--mass", "-1"), ("--r-start", "inf"), ("--horizon-eps", "nan"),
-        ("--tol", "nan"), ("--steps", "1000000000"),
+        ("--tol", "nan"), ("--steps", "1000000000"), ("--r-start", "2.5"), ("--r-end", "11"),
     ],
 )
 def test_horizon_bad_number_is_config_error(tmp_path, capsys, flag, value):

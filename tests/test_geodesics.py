@@ -268,3 +268,16 @@ def test_zero_tangent_rejected(flat, schw):
                      (schw, schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0))):
         with pytest.raises(BadNormalization, match="zero"):
             integrate_geodesic(spec, x0, FourVector([0.0] * 4, x0), StopCondition.proper_time(1.0))
+
+
+def test_conservation_drift_past_its_bound_fails_the_leg(schw, monkeypatch):
+    from grbell import geodesics
+
+    x0 = schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0)
+    u0 = static_tangent(schw, x0)
+    stop = StopCondition.proper_time(10.0)
+    energy = integrate_geodesic(schw, x0, u0, stop).drift["energy"]
+    assert energy > 0.0
+    monkeypatch.setattr(geodesics, "_drift_bound", lambda tol: 0.5 * energy)
+    with pytest.raises(StepFailure, match="conservation drift"):
+        integrate_geodesic(schw, x0, u0, stop)

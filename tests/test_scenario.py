@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grbell import (
     Direction3,
@@ -28,6 +30,7 @@ from grbell import (
     schwarzschild_demo_config,
 )
 from grbell import scenario
+from grbell.cli import EXIT_CONFIG, EXIT_OK, main
 from grbell.scenario import CSV_HEADER, csv_row, error_row
 
 
@@ -400,6 +403,51 @@ def test_weight_sweep_matches_per_row_runs(param):
     assert text == _per_row_reference(data, cfg.sweep.values())
 
 
+def unusable_direction_data(b):
+    """A w_b sweep whose arm b cannot be normalised: only w_b = 0 may use it."""
+    return {
+        "settings": {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0},
+        "synthetic": {"w_b": 0.0, "b": b, "w_c": 0.5, "c": [1, 0, 0]},
+        "sweep": {"parameter": "w_b", "start": 0.0, "stop": 1.0, "step": 0.5},
+    }
+
+
+@pytest.mark.parametrize("b", [[0, 0, 0], [1e308, 1e308, 0]], ids=["zero", "overflowing"])
+def test_weight_sweep_on_an_unusable_direction_fails_only_its_rows(tmp_path, b):
+    data = unusable_direction_data(b)
+    out = tmp_path / "rows.csv"
+    assert main(["--quiet", "sweep", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == EXIT_OK
+    text = out.read_text(encoding="utf-8")
+    statuses = [line.split(",")[1] for line in text.splitlines()[1:]]
+    assert statuses == ["ok", "error:ValidationError", "error:ValidationError"]
+    assert text == _per_row_reference(data, [0.0, 0.5, 1.0])
+    # a single run of the block with w_b > 0 is a config error
+    data = {**data, "synthetic": {**data["synthetic"], "w_b": 0.5}}
+    del data["sweep"]
+    assert main(["run", "--config", str(write_config(tmp_path, data, "run.json"))]) == EXIT_CONFIG
+
+
+def test_degenerate_arm_reads_nan_angles(tmp_path):
+    data = weight_sweep_data("w_c")
+    data["synthetic"]["w_c"] = 0.0
+    data["sweep"] = {"parameter": "w_c", "start": 0.0, "stop": 0.5, "step": 0.25}
+    out = tmp_path / "rows.csv"
+    argv = ["--quiet", "sweep", "--config", str(write_config(tmp_path, data)), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    text = out.read_text(encoding="utf-8")
+    assert text == _per_row_reference(data, [0.0, 0.25, 0.5])
+    run_out = tmp_path / "run.csv"
+    argv = ["run", "--config", str(write_config(tmp_path, data)), "--format", "csv", "--out", str(run_out)]
+    assert main(argv) == EXIT_OK
+    header, run_row = run_out.read_text(encoding="utf-8").splitlines()
+    sweep_row = text.splitlines()[1]
+    assert sweep_row == run_row.replace("run,", "w_c=0,", 1)
+    row = dict(zip(header.split(","), run_row.split(",")))
+    assert row["status"] == "ok" and row["w_c"] == "0"
+    assert row["theta_ac_deg"] == row["theta_bc_deg"] == row["P_bc"] == "nan"
+    assert row["theta_ab_deg"] != "nan" and row["P_ac"] == "0"
+
+
 def test_weight_sweep_validates_its_config_once(monkeypatch):
     calls = []
     original = scenario.config_from_dict
@@ -647,3 +695,36 @@ def test_single_run_raises_the_tagged_error_of_its_row(monkeypatch):
         run_scenario(config_from_dict(data))
     assert err.value.stage == "transport"
     assert isinstance(err.value.cause, StepFailure)
+
+
+weights = st.sampled_from([0.0, 1e-10, 1e-9, 0.5, 1.0]) | st.floats(-0.5, 1.5)
+directions = st.sampled_from(
+    [[0.0, 0.0, 0.0], [1e308, 1e308, 0.0], [1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]]
+) | st.lists(st.floats(-1e308, 1e308), min_size=3, max_size=3)
+
+
+# derandomized so that every run of the suite checks the same examples
+@settings(
+    max_examples=40, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    w_b=weights, b=directions, w_c=weights, c=directions,
+    parameter=st.sampled_from(["w", "w_b", "w_c"]), start=weights,
+    step=st.sampled_from([0.5, -0.5, 0.25, -0.3]), count=st.integers(0, 5),
+)
+def test_any_weight_sweep_matches_per_row_runs(tmp_path, w_b, b, w_c, c, parameter, start, step, count):
+    data = {
+        "settings": {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0},
+        "synthetic": {"w_b": w_b, "b": b, "w_c": w_c, "c": c},
+        "sweep": {"parameter": parameter, "start": start, "stop": start + count * step, "step": step},
+    }
+    out = tmp_path / "rows.csv"
+    code = main(["--quiet", "sweep", "--config", str(write_config(tmp_path, data)), "--out", str(out)])
+    try:
+        cfg = config_from_dict(data)
+    except ValidationError:
+        assert code == EXIT_CONFIG
+        return
+    assert code == EXIT_OK
+    assert out.read_text(encoding="utf-8") == _per_row_reference(data, cfg.sweep.values())
