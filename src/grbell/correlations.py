@@ -135,8 +135,8 @@ def _one(projection: ProjectionResult) -> ProjectionStack:
 
 
 def _correlations(a: np.ndarray, arm: ProjectionStack) -> np.ndarray:
-    """P(a, b) = -(a . b) * w**2 per row; exactly 0 for a degenerate arm."""
-    return np.where(arm.degenerate, 0.0, -row_dot(a, arm.direction) * arm.w**2)
+    """P(a, b) = 0 - (a . b) * w**2 per row, never -0.0; exactly 0 for a degenerate arm."""
+    return np.where(arm.degenerate, 0.0, 0.0 - row_dot(a, arm.direction) * arm.w**2)
 
 
 def quantum_correlation(a: Direction3, proj_b: ProjectionResult) -> float:
@@ -176,7 +176,7 @@ def bell_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) ->
     lhs = np.abs(p_ab - p_ac)
     degenerate = b.degenerate | c.degenerate
     bc = np.where(degenerate, 0.0, row_dot(b.direction, c.direction))
-    p_bc = np.where(degenerate, np.nan, -bc * c.w**2)
+    p_bc = np.where(degenerate, np.nan, 0.0 - bc * c.w**2)
     rhs = b.w**2 - c.w**2 * bc
     margin = lhs - rhs
     return InequalityStack(

@@ -43,14 +43,18 @@ are built from arrays of weights, so a weight row is one range check. A
 single run is the k = 1 pass and adds the report objects, violation
 angles, analytic optimum, geodesic summaries and optional LHV audit of
 its one row; a sweep writes only what the CSV prints, straight from the
-arrays. The horizon study builds its emission side once and evaluates
-each radius as its own one-row pass.
+arrays. The CSV rows are formatted in one pass too: one stacked dot
+product gives the cosines of all three angle columns, libm's acos the
+angles, and one %.17g template the reals of each row; a single run's row
+is the one-row case. The horizon study builds its emission side once and
+evaluates each radius as its own one-row pass.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
+import numbers
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -96,6 +100,7 @@ from .geometry import (
     MetricSpec,
     SpacetimePoint,
     metric_components,
+    row_dot,
 )
 from .lhv import LHVAuditReport, lhv_inequality_audit, make_sign_model
 from .transport import transport_stack
@@ -198,12 +203,16 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ValidationError(field, "unknown field (strict mode)")
 
 
+def _is_real(value) -> bool:
+    """A real number; JSON's true and false are not numbers here, nor is a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 def _finite(value, field: str) -> float:
     """A finite float; JSON's NaN and Infinity literals are rejected here."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(field, f"not a number: {e}") from None
+    if not _is_real(value):
+        raise ValidationError(field, f"not a number: {value!r}")
+    x = float(value)
     if not math.isfinite(x):
         raise ValidationError(field, "must be finite")
     return x
@@ -223,6 +232,8 @@ def _floats(value, count: int, field: str) -> np.ndarray:
         raise ValidationError(field, f"not a numeric array: {e}") from None
     if arr.shape != (count,):
         raise ValidationError(field, f"expected {count} numbers, got shape {arr.shape}")
+    if not all(map(_is_real, value)):
+        raise ValidationError(field, f"not a numeric array: {value!r}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(field, "values must be finite")
     return arr
@@ -268,11 +279,10 @@ def _parse_settings(d) -> SettingsTriple:
     if not isinstance(d, dict):
         raise ValidationError("settings", "expected an object")
     if set(d) == {"a_deg", "b_deg", "c_deg"}:
-        return SettingsTriple(
-            a=Direction3.from_angle(math.radians(float(d["a_deg"]))),
-            b=Direction3.from_angle(math.radians(float(d["b_deg"]))),
-            c=Direction3.from_angle(math.radians(float(d["c_deg"]))),
-        )
+        return SettingsTriple(*(
+            Direction3.from_angle(math.radians(_finite(d[key], f"settings.{key}")))
+            for key in ANGLE_SWEEP_PARAMETERS
+        ))
     if set(d) == {"a", "b", "c"}:
         return SettingsTriple(
             a=Direction3.from_vector(_floats(d["a"], 3, "settings.a")),
@@ -299,9 +309,9 @@ def _parse_synthetic(d) -> Synthetic:
         raise ValidationError("synthetic", "expected an object")
     _check_keys(d, {"w_b", "b", "w_c", "c"}, "synthetic")
     synthetic = Synthetic(
-        w_b=float(_require(d, "w_b", "synthetic")),
+        w_b=_finite(_require(d, "w_b", "synthetic"), "synthetic.w_b"),
         b=unit_or_none(_floats(_require(d, "b", "synthetic"), 3, "synthetic.b")),
-        w_c=float(_require(d, "w_c", "synthetic")),
+        w_c=_finite(_require(d, "w_c", "synthetic"), "synthetic.w_c"),
         c=unit_or_none(_floats(_require(d, "c", "synthetic"), 3, "synthetic.c")),
     )
     # the block is its own one-row case: the check its sweep rows get
@@ -676,12 +686,6 @@ def _dir_list(d: Direction3 | None) -> list[float] | None:
     return None if d is None else [float(x) for x in d.d]
 
 
-def _angle_deg(d1: np.ndarray | None, d2: np.ndarray | None) -> float:
-    if d1 is None or d2 is None:
-        return float("nan")
-    return math.degrees(math.acos(max(-1.0, min(1.0, float(d1 @ d2)))))
-
-
 def report_to_dict(report: RunReport) -> dict:
     """JSON-ready view of a run; excludes wall-clock time so output is stable."""
     ineq = report.inequality
@@ -792,60 +796,53 @@ def report_to_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-_NUMERIC_COLUMNS = ("w_b", "w_c", "P_ab", "P_ac", "P_bc", "lhs", "rhs", "margin")
-
-
-def _csv_fields(scenario_id, status, a, b, c, numbers, violated) -> dict[str, str]:
-    """The CSV row formatter, for run reports and sweep rows alike.
-
-    a is the left setting and b, c are the post-swap arm directions (None
-    for a degenerate arm); numbers are the _NUMERIC_COLUMNS in order.
-    """
-    row = {
-        "scenario_id": scenario_id,
-        "status": status,
-        "theta_ab_deg": _fmt(_angle_deg(a, b)),
-        "theta_ac_deg": _fmt(_angle_deg(a, c)),
-        "theta_bc_deg": _fmt(_angle_deg(b, c)),
-    }
-    row.update(zip(_NUMERIC_COLUMNS, map(_fmt, numbers)))
-    row["violated"] = "true" if violated else "false"
-    return row
-
-
-def _vector(d: Direction3 | None) -> np.ndarray | None:
-    return None if d is None else d.d
+# the reals of a CSV row, after its id and status and before its verdict
+_REALS_TEMPLATE = ",".join(["%.17g"] * (len(CSV_COLUMNS) - 3))
+_CELLS = operator.itemgetter(*CSV_COLUMNS)
 
 
 def csv_row(report: RunReport, scenario_id: str) -> dict[str, str]:
-    """One CSV row; directions are the post-swap (w_b >= w_c) arms."""
+    """A run's CSV row: the one-row case of _csv_rows, from its settings and inequality."""
     ineq = report.inequality
-    numbers = (ineq.w_b, ineq.w_c, ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin)
-    return _csv_fields(
-        scenario_id, report.status, report.settings.a.d,
-        _vector(ineq.b_direction), _vector(ineq.c_direction), numbers, ineq.violated,
+    arm_b, arm_c = (
+        ProjectionStack.of([ProjectionResult(w, d, d is None)])
+        for w, d in ((ineq.w_b, ineq.b_direction), (ineq.w_c, ineq.c_direction))
     )
+    columns = (ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin, ineq.violated)
+    stack = InequalityStack(
+        *(np.array([x]) for x in columns), arm_b, arm_c,
+        swapped=np.array([ineq.swapped]), degenerate=np.array([ineq.degenerate]),
+    )
+    return _csv_rows(_Rows(report.settings.a.d[None], stack, {}), [scenario_id])[0]
 
 
 def _csv_rows(rows: _Rows, scenario_ids: list[str]) -> list[dict[str, str]]:
-    """The CSV row of each evaluated row, or its error row, without report objects."""
-    ineq = rows.inequality
-    numbers = np.stack(
-        [ineq.b.w, ineq.c.w, ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin],
-        axis=1,
-    ).tolist()
+    """The CSV row of each evaluated row, or its error row, in one pass over the arrays.
+
+    The angles are between a and the post-swap arms, NaN beside a
+    degenerate arm: the cosines of all three columns come from one stacked
+    dot product, clamped to [-1, 1], and go through libm's acos. Every real
+    prints with %.17g, which is format(x, ".17g") byte for byte.
+    """
+    ineq, k = rows.inequality, len(scenario_ids)
+    b, c = ineq.b, ineq.c
+    cosines = row_dot(
+        np.concatenate([rows.a, rows.a, b.direction]),
+        np.concatenate([b.direction, c.direction, c.direction]),
+    )
+    degenerate = np.concatenate([b.degenerate, c.degenerate, b.degenerate | c.degenerate])
+    # np.clip gives max(-1, min(1, x)) per value; math.acos passes the NaN through
+    cosines = np.where(degenerate, np.nan, np.clip(cosines, -1.0, 1.0)).tolist()
+    angles = [math.degrees(math.acos(x)) for x in cosines]
+    columns = np.stack([b.w, c.w, ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin])
+    reals = zip(angles[:k], angles[k:2 * k], angles[2 * k:], *columns.tolist())
     out = []
-    for j, sid in enumerate(scenario_ids):
+    for j, (sid, row, violated) in enumerate(zip(scenario_ids, reals, ineq.violated.tolist())):
         if j in rows.errors:
             out.append(error_row(sid, _failure_status(rows.errors[j])))
             continue
-        b = None if ineq.b.degenerate[j] else ineq.b.direction[j]
-        c = None if ineq.c.degenerate[j] else ineq.c.direction[j]
-        out.append(_csv_fields(sid, "ok", rows.a[j], b, c, numbers[j], ineq.violated[j]))
+        cells = (_REALS_TEMPLATE % row).split(",")
+        out.append(dict(zip(CSV_COLUMNS, (sid, "ok", *cells, "true" if violated else "false"))))
     return out
 
 
@@ -858,11 +855,7 @@ def error_row(scenario_id: str, status: str) -> dict[str, str]:
 
 
 def rows_to_csv(rows: list[dict[str, str]]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for row in rows:
-        buf.write(",".join(row[col] for col in CSV_COLUMNS) + "\n")
-    return buf.getvalue()
+    return "\n".join([CSV_HEADER, *(",".join(_CELLS(row)) for row in rows), ""])
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -891,7 +884,7 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict[str, str]]:
     values = cfg.sweep.values()
     if not values:
         return []
-    sids = [f"{param}={_fmt(value)}" for value in values]
+    sids = [f"{param}={value:.17g}" for value in values]
     settings = dict(zip("abc", _settings_rows(cfg.settings, len(values))))
     synthetic = cfg.synthetic
     if param in ANGLE_SWEEP_PARAMETERS:
@@ -934,8 +927,8 @@ def run_horizon_sweep(
     if any(b >= a for a, b in zip(rs, rs[1:])):
         raise ValidationError("r_values", "must be strictly decreasing")
     # rs decreases, so the rows at or below the guard come last
-    live = [(r, f"r={_fmt(r)}") for r in rs if r > spec.guard_radius]
-    guarded = [error_row(f"r={_fmt(r)}", "horizon_guard") for r in rs[len(live):]]
+    live = [(r, f"r={r:.17g}") for r in rs if r > spec.guard_radius]
+    guarded = [error_row(f"r={r:.17g}", "horizon_guard") for r in rs[len(live):]]
     if not live:
         return guarded
 

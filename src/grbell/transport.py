@@ -84,12 +84,14 @@ def _carry(path: GeodesicPath, V: np.ndarray, direction: str) -> TransportedStac
     start, end = (at_first, at_last) if direction == FORWARD else (at_last, at_first)
     start_norm, start_dot, cond_n0, cond_d0 = start
     end_norm, end_dot, cond_n1, cond_d1 = end
-    norm_drift = np.abs(end_norm - start_norm) / np.maximum(np.abs(start_norm), 1.0)
+    norm_scale = np.maximum(np.abs(start_norm), 1.0)
+    norm_drift = np.abs(end_norm - start_norm) / norm_scale
     dot_drift = np.abs(end_dot - start_dot) / np.maximum(np.abs(start_dot), 1.0)
     bound = max(1e-8, 100.0 * path.tol)
     # near the horizon both products cancel heavily; scale the bound by the
-    # worst conditioning seen at either end (1 in mild regimes)
-    norm_bound = bound * np.maximum(np.maximum(1.0, cond_n0), cond_n1)
+    # worst conditioning seen at either end (1 in mild regimes), taken relative
+    # to |v.v| for the norm, as its drift is: it then does not grow with |v|
+    norm_bound = bound * np.maximum(1.0, np.maximum(cond_n0, cond_n1) / norm_scale)
     dot_bound = bound * np.maximum(np.maximum(1.0, cond_d0), cond_d1)
 
     moved = last if direction == FORWARD else first

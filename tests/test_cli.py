@@ -339,3 +339,36 @@ def test_repeated_runs_leave_no_reference_cycles(tmp_path):
     gc.collect()
     assert main(argv) == 0
     assert gc.collect() == 0
+
+
+NOT_NUMBERS = {
+    "settings": {"a_deg": "0", "b_deg": True, "c_deg": 120},
+    "synthetic": {"w_b": True, "b": [1, 0, 0], "w_c": "0.5", "c": [0, 1, 0]},
+}
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        (None, None, None),  # every field at once: the first one parsed is named
+        ("settings", "a_deg", "0"),
+        ("settings", "b_deg", True),
+        ("synthetic", "w_b", True),
+        ("synthetic", "w_c", "0.5"),
+        ("synthetic", "b", [True, 0, 0]),
+        ("synthetic", "c", ["0", 1, 0]),
+    ],
+)
+def test_config_fields_that_are_not_numbers_are_config_errors(tmp_path, capsys, block, key, value):
+    if block is None:
+        data, field = NOT_NUMBERS, "synthetic.w_b"
+    else:
+        data = {
+            "settings": {"a_deg": 0, "b_deg": 60, "c_deg": 120},
+            "synthetic": {"w_b": 0.9, "b": [1, 0, 0], "w_c": 0.5, "c": [0, 1, 0]},
+        }
+        data[block][key] = value
+        field = f"{block}.{key}"
+    assert main(["--quiet", "run", "--config", write(tmp_path, data), "--format", "csv"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err

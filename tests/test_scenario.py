@@ -31,6 +31,8 @@ from grbell import (
 )
 from grbell import scenario
 from grbell.cli import EXIT_CONFIG, EXIT_OK, main
+from grbell.correlations import bell_stack
+from grbell.frames import ProjectionStack
 from grbell.scenario import CSV_HEADER, csv_row, error_row
 
 
@@ -728,3 +730,164 @@ def test_any_weight_sweep_matches_per_row_runs(tmp_path, w_b, b, w_c, c, paramet
         return
     assert code == EXIT_OK
     assert out.read_text(encoding="utf-8") == _per_row_reference(data, cfg.sweep.values())
+
+
+def test_a_large_row_whose_back_leg_leaks_fails_alone():
+    # a row of size 1e150 leaking 1e-3 of its z component into y drifts by
+    # 1e-6 of its norm; the norm check's bound no longer grows with its size
+    cfg, bent = _bent_flat_geometry()
+    a, b, c = scenario._settings_rows(cfg.settings, 3)
+    b[1] = [0.0, 0.0, 1e150]
+    sids = ["row0", "row1", "row2"]
+    rows = scenario._csv_rows(scenario._evaluate(bent, a, b, c), sids)
+    assert [r["status"] for r in rows] == ["ok", "error:transport", "ok"]
+    # the same rows on the unbent geometry are all ok
+    rows = scenario._csv_rows(scenario._evaluate(scenario._geometry(cfg), a, b, c), sids)
+    assert [r["status"] for r in rows] == ["ok", "ok", "ok"]
+
+
+def _angle_reference(x, y):
+    if x is None or y is None:
+        return float("nan")
+    return math.degrees(math.acos(max(-1.0, min(1.0, float(x @ y)))))
+
+
+def _csv_reference(rows, sids):
+    """The CSV rows of rows, formatted one cell at a time."""
+    ineq, out = rows.inequality, []
+    for j, sid in enumerate(sids):
+        if j in rows.errors:
+            out.append(error_row(sid, scenario._failure_status(rows.errors[j])))
+            continue
+        b = None if ineq.b.degenerate[j] else ineq.b.direction[j]
+        c = None if ineq.c.degenerate[j] else ineq.c.direction[j]
+        a = rows.a[j]
+        reals = [_angle_reference(a, b), _angle_reference(a, c), _angle_reference(b, c)]
+        reals += [ineq.b.w[j], ineq.c.w[j]]
+        reals += [x[j] for x in (ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin)]
+        cells = [sid, "ok", *(format(float(x), ".17g") for x in reals)]
+        cells.append("true" if ineq.violated[j] else "false")
+        out.append(dict(zip(CSV_HEADER.split(","), cells)))
+    return out
+
+
+def _units(rng, *shape):
+    v = rng.standard_normal((*shape, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _random_rows(k, degenerate_arms, seed=0):
+    """k rows of random settings and arms, about half of them swapped (w_b < w_c).
+
+    The arms named in degenerate_arms are degenerate on the even rows, and
+    the last of two or more rows failed.
+    """
+    rng = np.random.default_rng([seed, k])
+    arms = []
+    for name in "bc":
+        w = rng.uniform(0.0, 1.0, k)
+        direction = _units(rng, k)
+        degenerate = np.zeros(k, dtype=bool)
+        if name in degenerate_arms:
+            degenerate[::2] = True
+            w[::2], direction[::2] = 0.0, 0.0
+        arms.append(ProjectionStack(w, direction, degenerate, np.sqrt(1.0 - w**2), {}))
+    a = _units(rng, k)
+    errors = {k - 1: PipelineError("transport", StepFailure("drift"))} if k > 1 else {}
+    return scenario._Rows(a, bell_stack(a, *arms), errors)
+
+
+@pytest.mark.parametrize("degenerate_arms", ["", "b", "c", "bc"])
+@pytest.mark.parametrize("k", [1, 2, 91])
+def test_csv_rows_match_a_scalar_formatter(k, degenerate_arms):
+    rows = _random_rows(k, degenerate_arms)
+    sids = [f"row,{j}" for j in range(k)]
+    assert scenario._csv_rows(rows, sids) == _csv_reference(rows, sids)
+    if degenerate_arms:
+        assert rows.inequality.degenerate[0] and np.isnan(rows.inequality.p_bc[0])
+        assert scenario._csv_rows(rows, sids)[0]["P_bc"] == "nan"
+    if k == 91:
+        assert rows.inequality.swapped.any() and not rows.inequality.swapped.all()
+
+
+def test_csv_rows_print_extreme_reals_as_format_does():
+    rows = _random_rows(4, "")
+    extreme = np.array([5e-324, -5e-324, 1e300, -1e300])
+    ineq = rows.inequality._replace(
+        p_ab=extreme, p_ac=extreme[::-1], lhs=extreme, rhs=-extreme,
+        margin=np.array([math.nan, math.inf, -math.inf, -0.0]),
+    )
+    rows = rows._replace(inequality=ineq, errors={})
+    sids = [f"x{j}" for j in range(4)]
+    out = scenario._csv_rows(rows, sids)
+    assert out == _csv_reference(rows, sids)
+    assert [r["P_ab"] for r in out] == [
+        "4.9406564584124654e-324", "-4.9406564584124654e-324",
+        "1.0000000000000001e+300", "-1.0000000000000001e+300",
+    ]
+    assert [r["margin"] for r in out] == ["nan", "inf", "-inf", "-0"]
+
+
+def test_csv_row_keeps_a_comma_in_its_id():
+    report = run_scenario(config_from_dict(flat_baseline_config()))
+    row = csv_row(report, "left,right")
+    assert list(row) == CSV_HEADER.split(",")
+    assert row["scenario_id"] == "left,right"
+    assert {**row, "scenario_id": "x"} == csv_row(report, "x")
+    assert rows_to_csv([row]).splitlines()[1].startswith("left,right,ok,")
+
+
+@pytest.mark.parametrize(
+    "synthetic",
+    [
+        None,
+        {"w_b": 0.4, "b": [0.3, -1.0, 0.2], "w_c": 0.6, "c": [1.0, 0.0, 0.5]},  # swapped
+        {"w_b": 0.0, "b": [0.0, 0.0, 0.0], "w_c": 0.7, "c": [1.0, 1.0, 0.0]},   # degenerate b
+        {"w_b": 0.0, "b": [0.0, 0.0, 0.0], "w_c": 0.0, "c": [0.0, 0.0, 0.0]},   # both degenerate
+    ],
+)
+def test_csv_row_of_a_run_is_its_one_row_sweep(synthetic):
+    data = flat_baseline_config()
+    if synthetic is not None:
+        data = {"settings": data["settings"], "synthetic": synthetic}
+    data["settings"] = {"a_deg": 10.0, "b_deg": 60.0, "c_deg": 120.0}
+    cfg = config_from_dict(data)
+    data["sweep"] = {"parameter": "a_deg", "start": 10.0, "stop": 10.0, "step": 1.0}
+    [swept] = run_sweep(config_from_dict(data))
+    assert csv_row(run_scenario(cfg), swept["scenario_id"]) == swept
+
+
+def test_zero_correlations_print_as_zero(tmp_path):
+    # a is at right angles to both arms and the arms to each other: every
+    # dot product is zero, and each correlation is 0, not -0
+    data = {
+        "settings": {"a_deg": 0.0, "b_deg": 90.0, "c_deg": 90.0},
+        "synthetic": {"w_b": 0.9, "b": [0.0, 1.0, 0.0], "w_c": 0.5, "c": [0.0, 0.0, 1.0]},
+    }
+    path = str(write_config(tmp_path, data))
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"run.{fmt}"
+        assert main(["--quiet", "run", "--config", path, "--format", fmt, "--out", str(out)]) == EXIT_OK
+    header, line = (tmp_path / "run.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert [row["P_ab"], row["P_ac"], row["P_bc"]] == ["0", "0", "0"]
+    assert "-0.0" not in (tmp_path / "run.json").read_text()
+    ineq = run_scenario(config_from_dict(data)).inequality
+    assert [math.copysign(1.0, p) for p in (ineq.p_ab, ineq.p_ac, ineq.p_bc)] == [1.0, 1.0, 1.0]
+    data["sweep"] = {"parameter": "w_b", "start": 0.9, "stop": 1.0, "step": 0.1}
+    swept = run_sweep(config_from_dict(data))
+    assert [[r["P_ab"], r["P_ac"], r["P_bc"]] for r in swept] == [["0", "0", "0"]] * 2
+
+
+def test_finite_takes_numpy_numbers_but_no_booleans():
+    assert scenario._finite(np.float64(2.5), "r") == 2.5
+    assert scenario._finite(np.int64(3), "r") == 3.0
+    for value in (True, np.bool_(False), "1", None, [1.0]):
+        with pytest.raises(ValidationError, match="r: not a number"):
+            scenario._finite(value, "r")
+    with pytest.raises(ValidationError, match="settings.b"):
+        settings = {"a": [1, 0, 0], "b": [0, np.bool_(1), 0], "c": [0, 0, 1]}
+        config_from_dict({**flat_baseline_config(), "settings": settings})
+    # the horizon radii come from np.linspace
+    rows = run_horizon_sweep(MetricSpec("schwarzschild", mass=1.0), np.linspace(10.0, 6.0, 3))
+    assert [r["scenario_id"] for r in rows] == ["r=10", "r=8", "r=6"]

@@ -271,3 +271,17 @@ def test_a_non_finite_row_fails_alone(flat):
     assert np.array_equal(moved.v[0], V[0])
     with pytest.raises(StepFailure, match="nan"):
         transport_R_to_L(geo_L, geo_R, FourVector(V[2], geo_R.end_point()))
+
+
+def test_the_norm_check_does_not_loosen_with_the_size_of_the_vector(flat):
+    geo_L, geo_R = opposite_flat_legs(flat)
+    P = geo_R.propagators.copy()
+    P[-1, 2, 3] = 1e-3
+    bent = dataclasses.replace(geo_R, propagators=P)
+    # the same leak of 1e-3 of z into y at sizes 1 and 1e150: both drift by 6.4e-7 of their norm
+    V = np.array([[0.0, 0.6, 0.0, 0.8], [0.0, 0.6e150, 0.0, 0.8e150], [0.0, 1e150, 0.0, 0.0]])
+    moved = transport_stack(geo_L, bent, V)
+    assert sorted(moved.errors) == [0, 1]
+    assert moved.norm_drift[1] == pytest.approx(moved.norm_drift[0], rel=1e-9)
+    assert isinstance(moved.errors[1], StepFailure)
+    assert moved.norm_drift[2] == 0.0
