@@ -156,21 +156,31 @@ def _weighted_differences(
 
 
 def weighted_difference(proj_b: ProjectionResult, proj_c: ProjectionResult) -> np.ndarray:
-    """d = w_b^2 * b - w_c^2 * c with degenerate arms contributing zero."""
-    return _weighted_differences(_one(proj_b), _one(proj_c))[0][0]
+    """d = w_b^2 * b - w_c^2 * c in the bound's order, degenerate arms contributing zero."""
+    return _weighted_differences(*_ordered(_one(proj_b), _one(proj_c))[:2])[0][0]
+
+
+def _ordered(
+    arm_b: ProjectionStack, arm_c: ProjectionStack
+) -> tuple[ProjectionStack, ProjectionStack, np.ndarray]:
+    """The arms in the bound's order, w_b >= w_c, and the rows where they were swapped.
+
+    The one place the two weights are compared: the bound, the angle test
+    and the optimum all start from it.
+    """
+    swapped = arm_b.w < arm_c.w
+    if swapped.any():
+        return arm_c.where(swapped, arm_b), arm_b.where(swapped, arm_c), swapped
+    return arm_b, arm_c, swapped
 
 
 def bell_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) -> InequalityStack:
     """Both sides of the bound for the rows a of a (k, 3) array.
 
-    Rows pair up by index; a side with one row is used for every row. Where
-    w_b < w_c the row's arms are swapped, as in generalized_bell_check.
+    Rows pair up by index; a side with one row is used for every row. The
+    arms are taken in the bound's order (_ordered), and swapped says where.
     """
-    swapped = arm_b.w < arm_c.w
-    if swapped.any():
-        b, c = arm_c.where(swapped, arm_b), arm_b.where(swapped, arm_c)
-    else:
-        b, c = arm_b, arm_c
+    b, c, swapped = _ordered(arm_b, arm_c)
     p_ab = _correlations(a, b)
     p_ac = _correlations(a, c)
     lhs = np.abs(p_ab - p_ac)
@@ -197,7 +207,8 @@ def generalized_bell_check(
 
 
 def violation_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) -> ViolationStack:
-    """Angles of a and b against d per row; vacuously satisfied where d vanishes."""
+    """Angles of a and b against d per row, arms in the bound's order; vacuous where d vanishes."""
+    arm_b, arm_c, _ = _ordered(arm_b, arm_c)
     d, norm = _weighted_differences(arm_b, arm_c)
     degenerate = norm <= 1e-12
     safe = np.where(degenerate, 1.0, norm)
@@ -217,10 +228,10 @@ def violation_condition(
 def optimal_settings(arm_b: ProjectionStack, arm_c: ProjectionStack) -> tuple[np.ndarray, np.ndarray]:
     """a = d/|d| per row, the setting of largest margin, and where it exists.
 
-    The quantum left side is |a . d|; rows whose d vanishes (|d| <= 1e-12)
-    have no optimizing setting and hold zeros.
+    d is taken in the bound's order. The quantum left side is |a . d|; rows
+    whose d vanishes (|d| <= 1e-12) have no optimizing setting and hold zeros.
     """
-    d, norm = _weighted_differences(arm_b, arm_c)
+    d, norm = _weighted_differences(*_ordered(arm_b, arm_c)[:2])
     found = norm > 1e-12
     return np.where(found[:, None], d / np.where(found, norm, 1.0)[:, None], 0.0), found
 
@@ -270,12 +281,7 @@ def find_max_violation(
     else:
         raise ValueError(f"unknown search mode {search!r}")
 
-    triple = SettingsTriple(
-        a=a_star,
-        b=proj_b.direction if not proj_b.degenerate else a_star,
-        c=proj_c.direction if not proj_c.degenerate else a_star,
-    )
-    return a_star, generalized_bell_check(triple, proj_b, proj_c)
+    return a_star, bell_stack(a_star.d[None], arm_b, arm_c).report(0)
 
 
 def _refine(a: Direction3, proj_b: ProjectionStack, proj_c: ProjectionStack) -> Direction3:

@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientSamples, ValidationError
-from .frames import Direction3, ProjectionResult
-from .correlations import SettingsTriple
+from .frames import Direction3, ProjectionResult, ProjectionStack
+from .correlations import SettingsTriple, _ordered
 
 MIN_SAMPLES = 100
 SIGMA_FACTOR = 4.0
@@ -188,7 +188,8 @@ def lhv_inequality_audit(
 ) -> LHVAuditReport:
     """Check |P(a,b) - P(a,c)| <= w_b^2 + P(b,c) on every triple.
 
-    Each triple needs w_b >= w_c (the bound's precondition). Triple i draws
+    Each triple needs its arms in the bound's order, w_b >= w_c, as
+    correlations decides it for the quantum side. Triple i draws
     one batch of n hidden variables from the stream keyed (seed, i) and
     evaluates all three correlations on it; the audit is reproducible, and
     its memory does not grow with the number of triples. A row is satisfied
@@ -209,7 +210,7 @@ def lhv_inequality_audit(
     root = model.seed if seed is None else seed
     rows = []
     for i, (triple, proj_b, proj_c) in enumerate(triples):
-        if proj_b.w < proj_c.w:
+        if _ordered(ProjectionStack.of([proj_b]), ProjectionStack.of([proj_c]))[2][0]:
             raise ValidationError(
                 f"triples[{i}]", f"needs w_b >= w_c, got {proj_b.w} < {proj_c.w}"
             )

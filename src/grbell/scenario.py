@@ -648,16 +648,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         raise errors[0] from getattr(errors[0], "cause", None)
     proj_b, proj_c = arm_b.result(0), arm_c.result(0)
     best, found = optimal_settings(arm_b, arm_c)
+    ineq = bell_stack(a, arm_b, arm_c)
 
     lhv = None
     if cfg.lhv_audit:
         with _stage("lhv_audit"):
-            ordered = (
-                (proj_b, proj_c) if proj_b.w >= proj_c.w else (proj_c, proj_b)
-            )
             lhv = lhv_inequality_audit(
                 make_sign_model(cfg.mc_seed),
-                [(cfg.settings, ordered[0], ordered[1])],
+                [(cfg.settings, ineq.b.result(0), ineq.c.result(0))],
                 cfg.mc_n,
                 cfg.mc_seed,
             )
@@ -668,7 +666,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         settings=cfg.settings,
         proj_b=proj_b,
         proj_c=proj_c,
-        inequality=bell_stack(a, arm_b, arm_c).report(0),
+        inequality=ineq.report(0),
         angles=violation_stack(a, arm_b, arm_c).angles(0),
         geodesic_1=None if geometry is None else GeodesicSummary.from_path(geometry.geo1),
         geodesic_2=None if geometry is None else GeodesicSummary.from_path(geometry.geo2),

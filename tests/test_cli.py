@@ -97,6 +97,32 @@ def test_geometry_failure_exit_code(tmp_path, capsys):
     assert "geodesic_1" in capsys.readouterr().err
 
 
+SWAPPED_RUN = {
+    "settings": {"a_deg": 30.0, "b_deg": 60.0, "c_deg": 120.0},
+    "synthetic": {"w_b": 0.5, "b": [0, 1, 0], "w_c": 0.9, "c": [1, 0, 0]},
+}
+
+
+def test_swapped_run_reports_one_arm_order(tmp_path):
+    # the config's b arm has the smaller weight: the inequality, the angle
+    # test and the best setting all take c as the bound's b arm
+    out = tmp_path / "report.json"
+    code = main(["run", "--config", write(tmp_path, SWAPPED_RUN), "--out", str(out), "--format", "json"])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    ineq, angles = report["inequality"], report["violation_angles"]
+    assert ineq["swapped"] is True
+    assert (ineq["w_b"], ineq["b_direction"], ineq["w_c"], ineq["c_direction"]) == (
+        0.9, [1.0, 0.0, 0.0], 0.5, [0.0, 1.0, 0.0]
+    )
+    assert ineq["violated"] is False and angles["condition_holds"] is True
+    assert angles["d"] == [0.81, -0.25, 0.0]
+    norm = math.hypot(0.81, 0.25)
+    assert angles["cos_theta"] == pytest.approx(0.81 / norm, abs=1e-15)
+    assert report["best_setting"] == pytest.approx([0.81 / norm, -0.25 / norm, 0.0], abs=1e-15)
+    assert report["best_margin"] == pytest.approx(norm - 0.81, abs=1e-15)
+
+
 def test_sweep_deterministic_across_runs_and_workers(tmp_path):
     data = flat_baseline_config()
     data["sweep"] = {"parameter": "a_deg", "start": 0.0, "stop": 180.0, "step": 5.0}

@@ -264,3 +264,57 @@ def test_stacked_rows_equal_one_row_evaluations(rng):
             with pytest.raises(DegenerateD):
                 find_max_violation(pb, pc, "analytic")
     assert not found.all() and found.any() and ineq.degenerate.any() and ineq.swapped.any()
+
+
+def _unit_rows(rng, k):
+    v = rng.standard_normal((k, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _random_arms(rng, k):
+    """k random arm pairs, either arm the larger, as two ProjectionStacks."""
+    return tuple(
+        ProjectionStack(rng.uniform(1e-3, 1.0, k), _unit_rows(rng, k), np.zeros(k, bool), np.zeros(k), {})
+        for _ in "bc"
+    )
+
+
+def test_bound_angle_test_and_optimum_agree_in_either_arm_order():
+    # the angle test |a.d| > b.d and the bound give one verdict, and the
+    # optimum is d/|d|, when all three take the arms in the bound's order
+    rng = np.random.default_rng(1212)
+    k = 20000
+    arm_b, arm_c = _random_arms(rng, k)
+    a = _unit_rows(rng, k)
+    ineq = bell_stack(a, arm_b, arm_c)
+    angles = violation_stack(a, arm_b, arm_c)
+    best, found = optimal_settings(arm_b, arm_c)
+    assert 9000 < ineq.swapped.sum() < 11000
+    clear = np.abs(ineq.margin) > 1e-9
+    assert clear.sum() > 19000
+    assert not np.any(clear & (angles.condition_holds == ineq.violated))
+    b, c = ineq.b, ineq.c
+    d = b.w[:, None] ** 2 * b.direction - c.w[:, None] ** 2 * c.direction
+    assert found.all()
+    assert np.allclose(best, d / np.linalg.norm(d, axis=1)[:, None], rtol=0.0, atol=1e-12)
+    assert np.allclose(angles.d, d, rtol=0.0, atol=1e-15)
+
+
+def test_one_row_wrappers_agree_in_either_arm_order():
+    rng = np.random.default_rng(1213)
+    arm_b, arm_c = _random_arms(rng, 400)
+    swapped = 0
+    for j in range(400):
+        pb, pc = arm_b.result(j), arm_c.result(j)
+        triple = SettingsTriple(random_direction(rng), pb.direction, pc.direction)
+        report = generalized_bell_check(triple, pb, pc)
+        swapped += report.swapped
+        if abs(report.margin) > 1e-9:
+            assert violation_condition(triple, pb, pc).condition_holds == (not report.violated)
+        order = (pc, pb) if report.swapped else (pb, pc)
+        d = order[0].w ** 2 * order[0].direction.d - order[1].w ** 2 * order[1].direction.d
+        assert np.allclose(weighted_difference(pb, pc), d, rtol=0.0, atol=1e-15)
+        a_star, best = find_max_violation(pb, pc, "analytic")
+        assert np.allclose(a_star.d, d / np.linalg.norm(d), rtol=0.0, atol=1e-12)
+        assert best.swapped == report.swapped and best.margin >= report.margin
+    assert 150 < swapped < 250
