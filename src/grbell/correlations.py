@@ -33,6 +33,10 @@ from .frames import Direction3, ProjectionResult, ProjectionStack
 from .geometry import row_dot
 
 TOL_INEQ = 1e-12
+# arms keep the caller's order unless w_c exceeds w_b by more than this many
+# ulp of w_b: weights that differ by rounding alone (a symmetric geometry
+# transports both arms alike) do not swap on their last bit
+ARM_ORDER_ULP = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +167,12 @@ def weighted_difference(proj_b: ProjectionResult, proj_c: ProjectionResult) -> n
 def _ordered(
     arm_b: ProjectionStack, arm_c: ProjectionStack
 ) -> tuple[ProjectionStack, ProjectionStack, np.ndarray]:
-    """The arms in the bound's order, w_b >= w_c, and the rows where they were swapped.
+    """The arms in the bound's order, w_b >= w_c to ARM_ORDER_ULP ulp, and where they were swapped.
 
     The one place the two weights are compared: the bound, the angle test
     and the optimum all start from it.
     """
-    swapped = arm_b.w < arm_c.w
+    swapped = arm_c.w - arm_b.w > ARM_ORDER_ULP * np.spacing(arm_b.w)
     if swapped.any():
         return arm_c.where(swapped, arm_b), arm_b.where(swapped, arm_c), swapped
     return arm_b, arm_c, swapped

@@ -14,7 +14,7 @@ from grbell import (
     violation_condition,
     weighted_difference,
 )
-from grbell.correlations import bell_stack, optimal_settings, violation_stack
+from grbell.correlations import ARM_ORDER_ULP, bell_stack, optimal_settings, violation_stack
 from grbell.frames import ProjectionStack
 from conftest import random_direction
 
@@ -318,3 +318,35 @@ def test_one_row_wrappers_agree_in_either_arm_order():
         assert np.allclose(a_star.d, d / np.linalg.norm(d), rtol=0.0, atol=1e-12)
         assert best.swapped == report.swapped and best.margin >= report.margin
     assert 150 < swapped < 250
+
+
+def _ulps_above(w, n):
+    for _ in range(n):
+        w = np.nextafter(w, 2.0)
+    return float(w)
+
+
+@pytest.mark.parametrize(
+    "w_c, swapped",
+    [
+        (0.9, False),
+        (_ulps_above(0.9, 1), False),
+        (_ulps_above(0.9, ARM_ORDER_ULP), False),
+        (_ulps_above(0.9, ARM_ORDER_ULP + 1), True),
+        (0.9 + 1e-12, True),
+        (0.5, False),
+    ],
+)
+def test_arms_swap_only_beyond_rounding(w_c, swapped):
+    # weights that differ in their last bits keep the caller's order
+    proj_b, proj_c = make_projection(0.9, coplanar(60.0)), make_projection(w_c, coplanar(120.0))
+    triple = triple_at(0.0, 60.0, 120.0)
+    report = generalized_bell_check(triple, proj_b, proj_c)
+    assert report.swapped is swapped
+    assert (report.w_b, report.w_c) == ((w_c, 0.9) if swapped else (0.9, w_c))
+    first = (proj_c if swapped else proj_b).direction.d
+    assert np.array_equal(report.b_direction.d, first)
+    # the angle test's b arm is the bound's b arm
+    d = weighted_difference(proj_b, proj_c)
+    angles = violation_condition(triple, proj_b, proj_c)
+    assert angles.cos_theta == pytest.approx(first @ d / np.linalg.norm(d), abs=1e-15)

@@ -15,6 +15,7 @@ from grbell import (
     make_sign_model,
     verify_anticorrelation,
 )
+from grbell.correlations import ARM_ORDER_ULP
 from grbell.lhv import ROUNDING_SLACK, SIGMA_FACTOR, LHVModel, stream
 from conftest import random_direction
 
@@ -217,6 +218,34 @@ def test_audit_rejects_misordered_weights():
         lhv_inequality_audit(
             model,
             [(triple, make_projection(0.4, tilted(60.0)), make_projection(0.9, tilted(120.0)))],
+            1000,
+            seed=0,
+        )
+
+
+def test_audit_accepts_weights_equal_to_rounding():
+    # w_c above w_b by ARM_ORDER_ULP ulp is the bound's order to rounding;
+    # with a = b = c every sample gives lhs - rhs = 2 (w_c^2 - w_b^2), the
+    # most the sign model can exceed the bound by, and the exact gate holds
+    w_b = 0.9
+    w_c = w_b
+    for _ in range(ARM_ORDER_ULP):
+        w_c = float(np.nextafter(w_c, 1.0))
+    b = tilted(40.0)
+    audit = lhv_inequality_audit(
+        make_sign_model(0),
+        [(SettingsTriple(b, b, b), make_projection(w_b, b), make_projection(w_c, b))],
+        1000,
+        seed=0,
+    )
+    row = audit.rows[0]
+    assert 0.0 < row.margin <= ROUNDING_SLACK / 2
+    assert audit.passed
+    with pytest.raises(ValidationError):
+        lhv_inequality_audit(
+            make_sign_model(0),
+            [(SettingsTriple(b, b, b), make_projection(w_b, b),
+              make_projection(float(np.nextafter(w_c, 1.0)), b))],
             1000,
             seed=0,
         )

@@ -31,7 +31,7 @@ from grbell import (
 )
 from grbell import scenario
 from grbell.cli import EXIT_CONFIG, EXIT_OK, main
-from grbell.correlations import bell_stack
+from grbell.correlations import ARM_ORDER_ULP, bell_stack
 from grbell.frames import ProjectionStack
 from grbell.scenario import CSV_HEADER, csv_row, error_row
 
@@ -891,3 +891,18 @@ def test_finite_takes_numpy_numbers_but_no_booleans():
     # the horizon radii come from np.linspace
     rows = run_horizon_sweep(MetricSpec("schwarzschild", mass=1.0), np.linspace(10.0, 6.0, 3))
     assert [r["scenario_id"] for r in rows] == ["r=10", "r=8", "r=6"]
+
+
+def test_comoving_demo_rows_keep_the_config_arm_order():
+    # the comoving frames carry b and c alike: w_b and w_c differ in the
+    # last bits only, so the b/c columns stay in the config's order, where
+    # b's weight is the smaller by rounding
+    data = schwarzschild_demo_config()
+    data["frame_choice"] = "comoving"
+    data["sweep"] = {"parameter": "a_deg", "start": 0.0, "stop": 180.0, "step": 2.0}
+    rows = run_sweep(config_from_dict(data))
+    assert len(rows) == 91
+    for row in rows:
+        w_b, w_c = float(row["w_b"]), float(row["w_c"])
+        assert row["status"] == "ok"
+        assert w_b < w_c <= w_b + ARM_ORDER_ULP * np.spacing(w_b)
