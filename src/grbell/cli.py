@@ -6,8 +6,7 @@
     grbell lhv-audit --config cfg.json [--n 100000] [--seed 0]
     grbell selftest
 
-Global options: --tol, --seed, --workers (accepted and ignored; rows run
-serially), --quiet. Exit codes: 0 success,
+Global options: --tol, --seed, --quiet. Exit codes: 0 success,
 2 configuration error, 3 geometry or integration error, 4 statistical
 audit/selftest failure.
 """
@@ -51,11 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         target.add_argument(
             "--seed", type=int, help="override Monte Carlo seed",
             **(kw or {"default": None}),
-        )
-        target.add_argument(
-            "--workers", type=int,
-            help="accepted and ignored; sweep and horizon rows run serially",
-            **(kw or {"default": 1}),
         )
         if suppress:
             target.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
@@ -137,7 +131,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    rows = sc.run_sweep(cfg, workers=args.workers)
+    rows = sc.run_sweep(cfg)
     _write(args.out, sc.rows_to_csv(rows))
     if not args.quiet:
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -156,7 +150,7 @@ def _cmd_horizon(args) -> int:
     spec = MetricSpec(SCHWARZSCHILD, mass=args.mass, horizon_eps=args.horizon_eps)
     r_values = list(np.linspace(args.r_start, args.r_end, args.steps))
     tol = args.tol if args.tol is not None else sc.DEFAULT_TOL
-    rows = sc.run_horizon_sweep(spec, r_values, tol=tol, workers=args.workers)
+    rows = sc.run_horizon_sweep(spec, r_values, tol=tol)
     _write(args.out, sc.rows_to_csv(rows))
     if not args.quiet:
         print(f"wrote {len(rows)} rows to {args.out}")

