@@ -209,13 +209,23 @@ def _is_real(value) -> bool:
 
 
 def _finite(value, field: str) -> float:
-    """A finite float; JSON's NaN and Infinity literals are rejected here."""
+    """A finite float; NaN, Infinity and integers beyond the float range are rejected here."""
     if not _is_real(value):
         raise ValidationError(field, f"not a number: {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
     if not math.isfinite(x):
         raise ValidationError(field, "must be finite")
     return x
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer: not 1000.0, and not true or false either."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, (bool, np.bool_)):
+        raise ValidationError(field, f"not an integer: {value!r}")
+    return int(value)
 
 
 def _tol(value) -> float:
@@ -228,6 +238,8 @@ def _tol(value) -> float:
 def _floats(value, count: int, field: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValidationError(field, "values must be finite") from None
     except (TypeError, ValueError) as e:
         raise ValidationError(field, f"not a numeric array: {e}") from None
     if arr.shape != (count,):
@@ -373,14 +385,19 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(mc, dict):
         raise ValidationError("mc", "expected an object")
     _check_keys(mc, {"n", "seed"}, "mc")
-    mc_n = int(mc.get("n", DEFAULT_MC_N))
-    mc_seed = int(mc.get("seed", DEFAULT_MC_SEED))
+    mc_n = _integer(mc.get("n", DEFAULT_MC_N), "mc.n")
+    mc_seed = _integer(mc.get("seed", DEFAULT_MC_SEED), "mc.seed")
+    if mc_seed < 0:
+        raise ValidationError("mc.seed", "must be non-negative")
     if mc_n < 100:
         raise ValidationError("mc.n", "must be at least 100")
     if mc_n > MAX_MC_N:
         raise ValidationError("mc.n", f"must be at most {MAX_MC_N}")
 
-    lhv_audit = bool(data.get("lhv_audit", False))
+    lhv_audit = data.get("lhv_audit", False)
+    if not isinstance(lhv_audit, (bool, np.bool_)):
+        raise ValidationError("lhv_audit", f"not true or false: {lhv_audit!r}")
+    lhv_audit = bool(lhv_audit)
 
     sweep = None
     if "sweep" in data:

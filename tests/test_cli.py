@@ -304,8 +304,14 @@ def _field_paths(value, prefix=()):
 def _fuzz_bases():
     with open(os.path.join(CONFIGS, "synthetic_weights.json"), encoding="utf-8") as fh:
         synthetic = json.load(fh)
+    # copies that carry the Monte Carlo block and the audit switch, so those
+    # fields are fuzzed too; n = 100 keeps each audit cheap
+    audited = [
+        {**base, "mc": {"n": 100, "seed": 0}, "lhv_audit": True}
+        for base in (flat_baseline_config(), synthetic)
+    ]
     return [
-        (base, path) for base in (flat_baseline_config(), synthetic)
+        (base, path) for base in (flat_baseline_config(), synthetic, *audited)
         for path in _field_paths(base)
     ]
 
@@ -397,3 +403,58 @@ def test_config_fields_that_are_not_numbers_are_config_errors(tmp_path, capsys, 
     assert main(["--quiet", "run", "--config", write(tmp_path, data), "--format", "csv"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+
+
+SYNTHETIC = {
+    "settings": {"a_deg": 0, "b_deg": 60, "c_deg": 120},
+    "synthetic": {"w_b": 0.9, "b": [1, 0, 0], "w_c": 0.5, "c": [0, 1, 0]},
+}
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"mc": {"seed": -5}}, "mc.seed"),
+        ({"mc": {"seed": True}}, "mc.seed"),
+        ({"mc": {"seed": 7.0}}, "mc.seed"),
+        ({"mc": {"n": "1000"}}, "mc.n"),
+        ({"mc": {"n": 1000.7}}, "mc.n"),
+        ({"mc": {"n": False}}, "mc.n"),
+        ({"mc": {"n": "1000", "seed": True}, "lhv_audit": "no"}, "mc.n"),
+        ({"lhv_audit": "no"}, "lhv_audit"),
+        ({"lhv_audit": 1}, "lhv_audit"),
+        ({"tol": 10**400}, "tol"),
+        ({"settings": {"a_deg": -(10**400), "b_deg": 60, "c_deg": 120}}, "settings.a_deg"),
+        ({"synthetic": {**SYNTHETIC["synthetic"], "c": [10**400, 0, 0]}}, "synthetic.c"),
+    ],
+)
+def test_integer_boolean_and_huge_fields_are_config_errors(tmp_path, capsys, extra, field):
+    data = {**SYNTHETIC, **extra}
+    assert main(["--quiet", "run", "--config", write(tmp_path, data)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {field}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--seed", "-3", "run"], "mc.seed"),
+        (["run", "--seed", "-1"], "mc.seed"),
+        (["lhv-audit", "--seed", "-3"], "mc.seed"),
+        (["lhv-audit", "--n", "-3"], "mc.n"),
+    ],
+)
+def test_negative_seed_or_n_override_is_config_error(capsys, argv, field):
+    config = os.path.join(CONFIGS, "schwarzschild_demo.json")
+    assert main([*argv, "--config", config]) == EXIT_CONFIG
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_integer_and_boolean_fields_run(tmp_path, capsys):
+    data = {**SYNTHETIC, "mc": {"n": 1000, "seed": 0}, "lhv_audit": False}
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", write(tmp_path, data), "--format", "json", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["config"]["mc"] == {"n": 1000, "seed": 0} and report["lhv_audit"] is None
+    assert main(["--seed", "3", "run", "--config", write(tmp_path, {**data, "lhv_audit": True})]) == EXIT_OK
+    assert "lhv audit         n=1000 seed=3 passed" in capsys.readouterr().out
