@@ -6,9 +6,10 @@
     grbell lhv-audit --config cfg.json [--n 100000] [--seed 0]
     grbell selftest
 
-Global options: --tol, --seed, --quiet. Exit codes: 0 success,
-2 configuration error, 3 geometry or integration error, 4 statistical
-audit/selftest failure.
+Global options: --tol, --seed, --quiet. --seed and --n override the
+config's mc block and are checked as its fields are (a non-negative
+integer seed). Exit codes: 0 success, 2 configuration error, 3 geometry or
+integration error, 4 statistical audit/selftest failure.
 """
 from __future__ import annotations
 

@@ -14,6 +14,10 @@ and the weighted difference vector d = w_b**2 * b - w_c**2 * c controls
 which settings a break that bound: the quantum value of the left side is
 |a . d|, so any a with |a . d| > b . d violates.
 
+The bound, the angle test and the optimum a = d/|d| hold only in that
+order; _ordered alone decides it, up to rounding, and every evaluation
+starts from it.
+
 Every evaluation runs on arrays: the settings a as rows of a (k, 3) array
 and each arm as a ProjectionStack, so a sweep's rows, or the candidates
 of the grid search, are one pass. generalized_bell_check,

@@ -223,7 +223,7 @@ def _finite(value, field: str) -> float:
 
 def _integer(value, field: str) -> int:
     """A JSON integer: not 1000.0, and not true or false either."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, (bool, np.bool_)):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValidationError(field, f"not an integer: {value!r}")
     return int(value)
 

@@ -449,12 +449,3 @@ def test_negative_seed_or_n_override_is_config_error(capsys, argv, field):
     assert main([*argv, "--config", config]) == EXIT_CONFIG
     assert f"config error: {field}:" in capsys.readouterr().err
 
-
-def test_integer_and_boolean_fields_run(tmp_path, capsys):
-    data = {**SYNTHETIC, "mc": {"n": 1000, "seed": 0}, "lhv_audit": False}
-    out = tmp_path / "report.json"
-    assert main(["run", "--config", write(tmp_path, data), "--format", "json", "--out", str(out)]) == EXIT_OK
-    report = json.loads(out.read_text())
-    assert report["config"]["mc"] == {"n": 1000, "seed": 0} and report["lhv_audit"] is None
-    assert main(["--seed", "3", "run", "--config", write(tmp_path, {**data, "lhv_audit": True})]) == EXIT_OK
-    assert "lhv audit         n=1000 seed=3 passed" in capsys.readouterr().out
