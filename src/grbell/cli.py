@@ -6,6 +6,9 @@
     grbell lhv-audit --config cfg.json [--n 100000] [--seed 0]
     grbell selftest
 
+The horizon study reads radii down to the fixed guard radius 2M(1 + 1e-6);
+a radius at or inside it gives a horizon_guard row.
+
 Global options: --tol, --seed, --quiet. --seed and --n override the
 config's mc block and are checked as its fields are (a non-negative
 integer seed). Exit codes: 0 success, 2 configuration error, 3 geometry or
@@ -82,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hor.add_argument("--r-end", type=float, required=True)
     p_hor.add_argument("--steps", type=int, required=True)
     p_hor.add_argument("--out", required=True)
-    p_hor.add_argument("--horizon-eps", type=float, default=1e-6)
 
     p_audit = sub.add_parser(
         "lhv-audit", parents=[common], help="Monte Carlo inequality audit of a scenario"
@@ -148,7 +150,7 @@ def _cmd_horizon(args) -> int:
         raise ConfigError(f"--steps must be between 1 and {sc.MAX_ROWS}")
     if not args.r_start > args.r_end:
         raise ConfigError("--r-start must exceed --r-end")
-    spec = MetricSpec(SCHWARZSCHILD, mass=args.mass, horizon_eps=args.horizon_eps)
+    spec = MetricSpec(SCHWARZSCHILD, mass=args.mass)
     r_values = list(np.linspace(args.r_start, args.r_end, args.steps))
     tol = args.tol if args.tol is not None else sc.DEFAULT_TOL
     rows = sc.run_horizon_sweep(spec, r_values, tol=tol)

@@ -34,6 +34,7 @@ from .errors import (
     StaticFrameUnavailable,
     ZeroVector,
 )
+from .geodesics import TIMELIKE, tangent_kind
 from .geometry import (
     ETA,
     MINKOWSKI,
@@ -177,10 +178,8 @@ def build_comoving_frame(spec: MetricSpec, p: SpacetimePoint, u: FourVector) -> 
         raise BasePointMismatch("u must be based at p")
     g = metric_components(spec, p.coords)
     uu = float(u.components @ g @ u.components)
-    if abs(uu + 1.0) > 1e-8:
-        raise BadNormalization(f"u.u = {uu}, expected -1")
-    if u.components[0] <= 0.0:
-        raise BadNormalization("u must be future-pointing (u^t > 0)")
+    if tangent_kind(u.components, uu) != TIMELIKE:
+        raise BadNormalization("a comoving frame needs a timelike u, not a null one")
 
     legs = [np.asarray(u.components, dtype=float)]
     for axis in (1, 2, 3):

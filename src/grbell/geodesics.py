@@ -1,5 +1,10 @@
 """Geodesics and the parallel propagator of each leg, in closed form where possible.
 
+A leg's kind comes from its initial tangent alone: tangent_kind reads
+timelike or null from u.u and refuses a past-pointing u. A stop is a kind
+and a value; a radius or coordinate-time stop within STOP_SNAP of the
+start gives a zero-length leg.
+
 Flat legs are straight lines in the Cartesian chart, x = x0 + u0 tau, and
 their parallel propagator is the identity. A radius stop is the first
 positive root of a quadratic and a coordinate-time stop is linear, so flat
@@ -69,6 +74,12 @@ STOP_RADIUS = "radius"
 STOP_COORDINATE_TIME = "coordinate_time"
 
 NORMALIZATION_TOL = 1e-8
+# u.u of a null tangent cancels terms of size max|u|^2, so its check scales
+# with them, but never beyond NORMALIZATION_TOL
+NULL_NORM_TOL = 1e-9
+
+# a radius or coordinate-time stop this close to the start is already reached
+STOP_SNAP = 1e-10
 
 # cap on the accepted solver steps of one integration, so that a far or
 # unreachable stop fails with StepFailure instead of running for days
@@ -108,8 +119,6 @@ class StopCondition:
 
     kind: str
     value: float
-    tolerance: float = 1e-10
-    max_tau: float | None = None
 
     def __post_init__(self):
         if self.kind not in (STOP_PROPER_TIME, STOP_RADIUS, STOP_COORDINATE_TIME):
@@ -120,16 +129,16 @@ class StopCondition:
             raise ValidationError("stop.value", "radius target must be positive")
 
     @classmethod
-    def proper_time(cls, tau: float, **kw) -> "StopCondition":
-        return cls(STOP_PROPER_TIME, tau, **kw)
+    def proper_time(cls, tau: float) -> "StopCondition":
+        return cls(STOP_PROPER_TIME, tau)
 
     @classmethod
-    def radius(cls, r: float, **kw) -> "StopCondition":
-        return cls(STOP_RADIUS, r, **kw)
+    def radius(cls, r: float) -> "StopCondition":
+        return cls(STOP_RADIUS, r)
 
     @classmethod
-    def coordinate_time(cls, t: float, **kw) -> "StopCondition":
-        return cls(STOP_COORDINATE_TIME, t, **kw)
+    def coordinate_time(cls, t: float) -> "StopCondition":
+        return cls(STOP_COORDINATE_TIME, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,14 +202,21 @@ def _conservation_drift(
     return drift
 
 
-def _classify_tangent(spec: MetricSpec, x0: SpacetimePoint, u0: FourVector) -> str:
-    if not np.any(u0.components):
+def tangent_kind(u: np.ndarray, uu: float) -> str:
+    """TIMELIKE or NULL: the kind of tangent u, whose norm is uu = g(u, u).
+
+    Timelike means |u.u + 1| <= NORMALIZATION_TOL, null means
+    |u.u| <= min(NORMALIZATION_TOL, NULL_NORM_TOL max(1, max|u|^2)). Either
+    must be future-pointing, u^t > 0, which outside the horizon is the same
+    condition in both charts. Raises BadNormalization for anything else.
+    """
+    if not np.any(u):
         raise BadNormalization("u is the zero vector")
-    g = metric_components(spec, x0.coords)
-    uu = float(u0.components @ g @ u0.components)
+    if not u[0] > 0.0:
+        raise BadNormalization(f"u^t = {u[0]}; u must be future-pointing (u^t > 0)")
     if abs(uu + 1.0) <= NORMALIZATION_TOL:
         return TIMELIKE
-    if abs(uu) <= NORMALIZATION_TOL:
+    if abs(uu) <= min(NORMALIZATION_TOL, NULL_NORM_TOL * max(1.0, float(np.max(np.abs(u))) ** 2)):
         return NULL
     raise BadNormalization(f"u.u = {uu}, expected -1 (timelike) or 0 (null)")
 
@@ -209,11 +225,7 @@ def _tau_cap(
     spec: MetricSpec, x0: SpacetimePoint, u0: FourVector, stop: StopCondition
 ) -> float:
     if stop.kind == STOP_PROPER_TIME:
-        if stop.max_tau is not None and stop.max_tau < stop.value:
-            raise StepFailure(f"proper time {stop.value} exceeds max_tau = {stop.max_tau}")
         return stop.value
-    if stop.max_tau is not None:
-        return stop.max_tau
     if stop.kind == STOP_COORDINATE_TIME:
         # dt/dparam >= E0 along the path since g_tt u^t is conserved and f <= 1
         g = metric_components(spec, x0.coords)
@@ -279,14 +291,16 @@ def integrate_geodesic(
 
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
     the integrated state (x, u, psi); flat legs are exact.
-    Raises HorizonApproach if the path would cross the guard radius,
-    StepFailure if the stop is not reached within the tau cap (on a flat
-    leg, the stop's max_tau) or MAX_STEPS steps, the state turns
+    Raises BadNormalization unless tangent_kind accepts u0, HorizonApproach
+    if the path would cross the guard radius, StepFailure if the stop is
+    not reached within the tau cap (a flat leg has none) or MAX_STEPS
+    steps, the state turns
     non-finite, the step size underflows, conservation drifts exceed
     max(1e-8, 100 * tol) or the propagator fails to preserve the metric.
     """
     metric_components(spec, x0.coords)  # chart + domain check
-    kind = _classify_tangent(spec, x0, u0)
+    u = u0.components
+    kind = tangent_kind(u, float(u @ metric_components(spec, x0.coords) @ u))
 
     if stop.kind == STOP_RADIUS and spec.kind == SCHWARZSCHILD:
         if stop.value <= spec.guard_radius:
@@ -297,9 +311,9 @@ def integrate_geodesic(
         (stop.kind == STOP_PROPER_TIME and stop.value == 0.0)
         or (
             stop.kind == STOP_RADIUS
-            and abs(_chart_radius(spec, x0.coords) - stop.value) <= stop.tolerance
+            and abs(_chart_radius(spec, x0.coords) - stop.value) <= STOP_SNAP
         )
-        or (stop.kind == STOP_COORDINATE_TIME and abs(x0.coords[0] - stop.value) <= stop.tolerance)
+        or (stop.kind == STOP_COORDINATE_TIME and abs(x0.coords[0] - stop.value) <= STOP_SNAP)
     ):
         return _checked_path(
             spec, kind, tol, np.array([0.0]), np.array([x0.coords]), np.array([u0.components]),
@@ -307,9 +321,7 @@ def integrate_geodesic(
         )
     if spec.kind == SCHWARZSCHILD:
         return _schwarzschild_leg(spec, kind, x0, u0, stop, tol, _tau_cap(spec, x0, u0, stop))
-    # a flat leg knows its tau exactly, so only the stop's own max_tau caps it
-    cap = math.inf if stop.max_tau is None else stop.max_tau
-    return _straight_line(spec, kind, x0, u0, stop, tol, cap)
+    return _straight_line(spec, kind, x0, u0, stop, tol)
 
 
 def _not_reached(stop: StopCondition, cap: float) -> StepFailure:
@@ -318,7 +330,7 @@ def _not_reached(stop: StopCondition, cap: float) -> StepFailure:
 
 def _straight_line(
     spec: MetricSpec, kind: str, x0: SpacetimePoint, u0: FourVector,
-    stop: StopCondition, tol: float, cap: float,
+    stop: StopCondition, tol: float,
 ) -> GeodesicPath:
     """A flat leg: x = x0 + u0 tau with P = I, its stop solved in closed form."""
     x, u = x0.coords, u0.components
@@ -328,8 +340,8 @@ def _straight_line(
         tau = (stop.value - x[0]) / u[0]
     else:
         tau = _line_radius_root(x[1:4], u[1:4], stop.value)
-    if not 0.0 < tau <= cap:
-        raise _not_reached(stop, cap)
+    if not tau > 0.0:
+        raise _not_reached(stop, math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         end = x + u * tau
     if not np.all(np.isfinite(end)):

@@ -6,7 +6,8 @@ Conventions used everywhere in this package:
 * metric signature (-, +, +, +),
 * Minkowski spacetime in Cartesian coordinates (t, x, y, z),
 * Schwarzschild spacetime in the exterior chart (t, r, theta, phi),
-  restricted to r > 2M(1 + horizon_eps).
+  restricted to r > 2M(1 + HORIZON_EPS), a fixed guard with
+  HORIZON_EPS = 1e-6 just outside the horizon.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ CHART_SCHWARZSCHILD = "schwarzschild"
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 ETA.flags.writeable = False
+
+HORIZON_EPS = 1e-6
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -79,11 +82,10 @@ class FourVector:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Which spacetime to use; mass and horizon guard apply to Schwarzschild."""
+    """Which spacetime to use: a kind and, for Schwarzschild, a mass."""
 
     kind: str
     mass: float = 0.0
-    horizon_eps: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in (MINKOWSKI, SCHWARZSCHILD):
@@ -92,8 +94,6 @@ class MetricSpec:
             raise ValidationError("metric.mass", "must be finite")
         if self.kind == SCHWARZSCHILD and not self.mass > 0.0:
             raise ValidationError("metric.mass", "must be positive")
-        if not (math.isfinite(self.horizon_eps) and self.horizon_eps > 0.0):
-            raise ValidationError("metric.horizon_eps", "must be finite and positive")
 
     @property
     def chart(self) -> str:
@@ -101,10 +101,10 @@ class MetricSpec:
 
     @property
     def guard_radius(self) -> float:
-        """Smallest admissible radius, 2M(1 + horizon_eps); 0 for flat space."""
+        """Smallest admissible radius, 2M(1 + HORIZON_EPS); 0 for flat space."""
         if self.kind == MINKOWSKI:
             return 0.0
-        return 2.0 * self.mass * (1.0 + self.horizon_eps)
+        return 2.0 * self.mass * (1.0 + HORIZON_EPS)
 
     def point(self, *coords: float) -> SpacetimePoint:
         return SpacetimePoint(np.asarray(coords, dtype=float), self.chart)

@@ -23,6 +23,10 @@ in configs and CSV columns, radians internally. Geometry scenario:
       "lhv_audit": false
     }
 
+A tangent's kind comes from u.u by geodesics.tangent_kind, which also asks
+u^t > 0; a tangent within 1e-6 of unit norm is first rescaled to it. A stop
+is {kind, value}; the metric is {kind, mass}, guarded at 2M(1 + 1e-6).
+
 Synthetic mode replaces the geometry block with
     "synthetic": {"w_b": 0.9, "b": [1,0,0], "w_c": 0.8, "c": [0.5,0.866,0]}
 and an optional "sweep" block {"parameter", "start", "stop", "step"} drives
@@ -72,6 +76,7 @@ from .correlations import (
     violation_stack,
 )
 from .errors import (
+    BadNormalization,
     HorizonApproach,
     ParseError,
     PipelineError,
@@ -92,7 +97,7 @@ from .frames import (
     unit_or_none,
     weighted_stack,
 )
-from .geodesics import GeodesicPath, StopCondition, integrate_geodesic
+from .geodesics import GeodesicPath, StopCondition, integrate_geodesic, tangent_kind
 from .geometry import (
     MINKOWSKI,
     SCHWARZSCHILD,
@@ -132,7 +137,6 @@ MAX_ROWS = 100_000
 _GEOMETRY_KEYS = {"metric", "origin", "u1", "u2", "stop1", "stop2", "frame_choice"}
 _TOP_KEYS = _GEOMETRY_KEYS | {
     "settings",
-    "worldline",
     "tol",
     "mc",
     "lhv_audit",
@@ -254,37 +258,26 @@ def _floats(value, count: int, field: str) -> np.ndarray:
 def _parse_metric(d, field="metric") -> MetricSpec:
     if not isinstance(d, dict):
         raise ValidationError(field, "expected an object")
-    _check_keys(d, {"kind", "mass", "horizon_eps"}, field)
+    _check_keys(d, {"kind", "mass"}, field)
     kind = _require(d, "kind", field)
     if kind == MINKOWSKI:
         if "mass" in d and d["mass"] not in (0, 0.0):
             raise ValidationError(f"{field}.mass", "flat metric takes no mass")
         return MetricSpec(MINKOWSKI)
     if kind == SCHWARZSCHILD:
-        # MetricSpec rejects a non-positive mass or horizon_eps
-        return MetricSpec(
-            SCHWARZSCHILD,
-            mass=_finite(_require(d, "mass", field), f"{field}.mass"),
-            horizon_eps=_finite(d.get("horizon_eps", 1e-6), f"{field}.horizon_eps"),
-        )
+        # MetricSpec rejects a non-positive mass
+        return MetricSpec(SCHWARZSCHILD, mass=_finite(_require(d, "mass", field), f"{field}.mass"))
     raise ValidationError(f"{field}.kind", f"unknown metric kind {kind!r}")
 
 
 def _parse_stop(d, field: str) -> StopCondition:
     if not isinstance(d, dict):
         raise ValidationError(field, "expected an object")
-    _check_keys(d, {"kind", "value", "tolerance", "max_tau"}, field)
-    try:
-        return StopCondition(
-            kind=_require(d, "kind", field),
-            value=_finite(_require(d, "value", field), f"{field}.value"),
-            tolerance=_finite(d.get("tolerance", 1e-10), f"{field}.tolerance"),
-            max_tau=_finite(d["max_tau"], f"{field}.max_tau") if "max_tau" in d else None,
-        )
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ValidationError(field, str(e)) from None
+    _check_keys(d, {"kind", "value"}, field)
+    return StopCondition(
+        kind=_require(d, "kind", field),
+        value=_finite(_require(d, "value", field), f"{field}.value"),
+    )
 
 
 def _parse_settings(d) -> SettingsTriple:
@@ -334,19 +327,18 @@ def _parse_synthetic(d) -> Synthetic:
 
 
 def _normalized_tangent(
-    spec: MetricSpec, origin: SpacetimePoint, raw: np.ndarray, worldline: str, field: str
+    g: np.ndarray, origin: SpacetimePoint, raw: np.ndarray, field: str
 ) -> FourVector:
-    g = metric_components(spec, origin.coords)
+    """raw as a tangent at origin, where the metric is g; within 1e-6 of unit
+    norm it is rescaled to exact unit norm, then tangent_kind must accept it."""
     uu = float(raw @ g @ raw)
-    if worldline == "timelike":
-        if uu >= 0 or abs(uu + 1.0) > 1e-6:
-            raise ValidationError(
-                field, f"u.u = {uu}; timelike tangents must be unit within 1e-6"
-            )
-        return FourVector(raw / math.sqrt(-uu), origin)
-    scale = float(np.max(np.abs(raw))) ** 2
-    if abs(uu) > 1e-9 * max(scale, 1.0):
-        raise ValidationError(field, f"u.u = {uu}; null tangents must have zero norm")
+    if abs(uu + 1.0) <= 1e-6:
+        raw = raw / math.sqrt(-uu)
+        uu = float(raw @ g @ raw)
+    try:
+        tangent_kind(raw, uu)
+    except BadNormalization as e:
+        raise ValidationError(field, str(e)) from None
     return FourVector(raw, origin)
 
 
@@ -419,10 +411,6 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
             step=_finite(_require(s, "step", "sweep"), "sweep.step"),
         )
 
-    worldline = data.get("worldline", "timelike")
-    if worldline not in ("timelike", "null"):
-        raise ValidationError("worldline", "must be 'timelike' or 'null'")
-
     metric = origin = u1 = u2 = stop1 = stop2 = None
     frame_choice = data.get("frame_choice", FRAME_STATIC)
     if frame_choice not in (FRAME_STATIC, FRAME_COMOVING):
@@ -433,23 +421,17 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         coords = _floats(_require(data, "origin", ""), 4, "origin")
         try:
             origin = SpacetimePoint(coords, metric.chart)
-            metric_components(metric, coords)
+            g = metric_components(metric, coords)
         except SimulatorError as e:
             raise ValidationError("origin", f"origin inside horizon guard: {e}") from None
-        u1 = _normalized_tangent(
-            metric, origin, _floats(_require(data, "u1", ""), 4, "u1"), worldline, "u1"
-        )
-        u2 = _normalized_tangent(
-            metric, origin, _floats(_require(data, "u2", ""), 4, "u2"), worldline, "u2"
-        )
+        u1 = _normalized_tangent(g, origin, _floats(_require(data, "u1", ""), 4, "u1"), "u1")
+        u2 = _normalized_tangent(g, origin, _floats(_require(data, "u2", ""), 4, "u2"), "u2")
         if np.max(np.abs(u1.components - u2.components)) <= 1e-12:
             raise ValidationError("u2", "u1 and u2 must define distinct geodesics")
         stop1 = _parse_stop(_require(data, "stop1", ""), "stop1")
         stop2 = _parse_stop(_require(data, "stop2", ""), "stop2")
 
-    echo = _echo_dict(
-        data, metric, tol, mc_n, mc_seed, frame_choice, worldline, lhv_audit
-    )
+    echo = _echo_dict(data, metric, tol, mc_n, mc_seed, frame_choice, lhv_audit)
     return ScenarioConfig(
         settings=settings,
         frame_choice=frame_choice,
@@ -469,18 +451,13 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
     )
 
 
-def _echo_dict(data, metric, tol, mc_n, mc_seed, frame_choice, worldline, lhv_audit) -> dict:
+def _echo_dict(data, metric, tol, mc_n, mc_seed, frame_choice, lhv_audit) -> dict:
     echo = json.loads(json.dumps(data))  # deep copy of plain JSON
     echo["tol"] = tol
     echo["mc"] = {"n": mc_n, "seed": mc_seed}
     echo["lhv_audit"] = lhv_audit
     if metric is not None:
         echo["frame_choice"] = frame_choice
-        echo["worldline"] = echo.get("worldline", worldline)
-        m = dict(echo["metric"])
-        if metric.kind == SCHWARZSCHILD:
-            m.setdefault("horizon_eps", metric.horizon_eps)
-        echo["metric"] = m
     return echo
 
 

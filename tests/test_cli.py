@@ -201,7 +201,7 @@ def test_tol_override(tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [
-        ("--mass", "nan"), ("--mass", "-1"), ("--r-start", "inf"), ("--horizon-eps", "nan"),
+        ("--mass", "nan"), ("--mass", "-1"), ("--r-start", "inf"),
         ("--tol", "nan"), ("--steps", "1000000000"), ("--r-start", "2.5"), ("--r-end", "11"),
     ],
 )
@@ -212,6 +212,58 @@ def test_horizon_bad_number_is_config_error(tmp_path, capsys, flag, value):
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the tangent's kind comes from u.u; the stop snap, the tau cap and the
+# horizon guard are constants. Each value is the key's old default.
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        (None, "worldline", "timelike"),
+        ("stop1", "tolerance", 1e-10),
+        ("stop2", "tolerance", 1e-10),
+        ("stop1", "max_tau", 100.0),
+        ("stop2", "max_tau", 100.0),
+        ("metric", "horizon_eps", 1e-6),
+    ],
+)
+def test_removed_config_keys_are_config_errors(tmp_path, capsys, block, key, value):
+    data = schwarzschild_demo_config()
+    (data if block is None else data[block])[key] = value
+    field = key if block is None else f"{block}.{key}"
+    assert main(["run", "--config", write(tmp_path, data)]) == EXIT_CONFIG
+    assert f"config error: {field}: unknown field" in capsys.readouterr().err
+
+
+def test_horizon_eps_flag_is_an_argument_error(tmp_path, capsys):
+    argv = ["--quiet", "horizon", "--mass", "1.0", "--r-start", "10", "--r-end", "2.5",
+            "--steps", "3", "--out", str(tmp_path / "horizon.csv"), "--horizon-eps", "1e-6"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --horizon-eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frame", ["static", "comoving"])
+def test_past_pointing_tangent_is_config_error(tmp_path, capsys, frame):
+    data = schwarzschild_demo_config()
+    data["u1"] = [-x for x in data["u1"]]
+    data["frame_choice"] = frame
+    assert main(["run", "--config", write(tmp_path, data)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: u1: " in err and "future-pointing" in err
+
+
+def test_null_tangents_are_checked_at_parse_time_by_the_integrator_rule(tmp_path, capsys):
+    # u.u = 1e-4 is within 1e-9 max|u|^2 = 0.1 but not within the
+    # integrator's 1e-8, so it is refused when the config is parsed
+    data = flat_baseline_config()
+    data["u1"] = [1e4, 1e4, 0.0, 0.0]
+    data["u2"] = [1e4, -1e4, 0.0, 0.0]
+    assert main(["run", "--config", write(tmp_path, data)]) == EXIT_OK
+    data["u1"][1] *= 1.0 + 5e-13
+    assert main(["run", "--config", write(tmp_path, data)]) == EXIT_CONFIG
+    assert "config error: u1: u.u = " in capsys.readouterr().err
 
 
 # scipy would integrate a tol below 100 eps at 100 eps, with a warning
@@ -310,8 +362,16 @@ def _fuzz_bases():
         {**base, "mc": {"n": 100, "seed": 0}, "lhv_audit": True}
         for base in (flat_baseline_config(), synthetic)
     ]
+    # the demo's legs cut at tau = 1 with the audit off, so its parse
+    # paths (metric, origin, tangents, stops) are fuzzed at a few ms each
+    schwarzschild = {
+        **schwarzschild_demo_config(),
+        "stop1": {"kind": "proper_time", "value": 1.0},
+        "stop2": {"kind": "proper_time", "value": 1.0},
+        "lhv_audit": False,
+    }
     return [
-        (base, path) for base in (flat_baseline_config(), synthetic, *audited)
+        (base, path) for base in (flat_baseline_config(), synthetic, schwarzschild, *audited)
         for path in _field_paths(base)
     ]
 
@@ -335,7 +395,11 @@ json_values = st.recursive(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(base_and_path=st.sampled_from(FUZZ_BASES), value=json_values)
-def test_any_field_value_gives_an_exit_code(tmp_path, base_and_path, value):
+def test_any_field_value_gives_an_exit_code(tmp_path, monkeypatch, base_and_path, value):
+    from grbell import geodesics
+
+    # a stop that is never reached fails after 200 steps, not 50 000
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 200)
     base, path = base_and_path
     data = json.loads(json.dumps(base))
     target = data

@@ -137,6 +137,27 @@ def test_bad_normalization_rejected(schw):
         integrate_geodesic(schw, x0, FourVector([1.0, 0.0, 0.0, 0.0], x0), StopCondition.proper_time(1.0))
 
 
+@pytest.mark.parametrize("size, bound", [(1.0, 1e-9), (3.0, 9e-9), (1e4, 1e-8)])
+def test_null_rule_takes_the_stricter_bound(size, bound):
+    # |u.u| <= min(1e-8, 1e-9 max(1, max|u|^2))
+    from grbell.geodesics import NULL, tangent_kind
+
+    u = np.array([size, size, 0.0, 0.0])
+    for uu in (0.0, 0.99 * bound, -0.99 * bound):
+        assert tangent_kind(u, uu) == NULL
+    for uu in (1.01 * bound, -1.01 * bound):
+        with pytest.raises(BadNormalization, match="expected -1"):
+            tangent_kind(u, uu)
+
+
+def test_past_pointing_tangent_rejected(flat, schw):
+    for spec, x0 in ((flat, minkowski_point(0.0, 0.0, 0.0, 0.0)),
+                     (schw, schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0))):
+        for u in (-static_tangent(spec, x0).components, [-1.0, 0.0, 0.0, 0.0]):
+            with pytest.raises(BadNormalization, match="future-pointing"):
+                integrate_geodesic(spec, x0, FourVector(u, x0), StopCondition.proper_time(1.0))
+
+
 def test_horizon_approach(schw):
     # free fall from rest crosses the guard before proper time 100 elapses
     x0 = schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0)
@@ -154,7 +175,7 @@ def test_unreachable_stop_fails(schw):
     x0 = schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0)
     u0 = circular_orbit_tangent(10.0, x0)
     with pytest.raises(StepFailure):
-        integrate_geodesic(schw, x0, u0, StopCondition.radius(20.0, max_tau=500.0))
+        integrate_geodesic(schw, x0, u0, StopCondition.radius(20.0))
 
 
 def test_step_budget_bounds_one_integration(schw, monkeypatch):
@@ -184,10 +205,8 @@ def test_far_radius_target_hits_the_step_budget(schw, monkeypatch):
 def test_proper_time_stop_ends_at_its_value_within_max_tau(schw):
     x0 = schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0)
     u0 = circular_orbit_tangent(10.0, x0)
-    path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(5.0, max_tau=10.0))
+    path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(5.0))
     assert path.tau_end == 5.0
-    with pytest.raises(StepFailure):
-        integrate_geodesic(schw, x0, u0, StopCondition.proper_time(5.0, max_tau=2.0))
 
 
 def test_halving_tolerance_halves_error(schw):
@@ -241,8 +260,6 @@ def test_slow_flat_leg_reaches_a_far_radius(flat):
     path = integrate_geodesic(flat, x0, u0, StopCondition.radius(10.0))
     assert path.tau_end == pytest.approx(10.0 / (speed * gamma), rel=1e-15)
     assert path.points[-1][1] == pytest.approx(10.0, rel=1e-15)
-    with pytest.raises(StepFailure, match="not reached"):
-        integrate_geodesic(flat, x0, u0, StopCondition.radius(10.0, max_tau=1e4))
 
 
 def test_flat_coordinate_time_stop_is_linear(flat):
@@ -260,7 +277,7 @@ def test_flat_leg_beyond_the_float_range_fails_cleanly(flat):
     assert path.points[-1][1] == pytest.approx(1e300, rel=1e-15)
     slower = FourVector([1.25, 0.75, 0.0, 0.0], x0)  # tau = 1.7e308 / 0.75 overflows
     with pytest.raises(StepFailure, match="overflows"):
-        integrate_geodesic(flat, x0, slower, StopCondition.radius(1.7e308, max_tau=math.inf))
+        integrate_geodesic(flat, x0, slower, StopCondition.radius(1.7e308))
 
 
 def test_zero_tangent_rejected(flat, schw):

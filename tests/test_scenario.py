@@ -167,12 +167,23 @@ def test_synthetic_mode():
 def test_null_worldline_config():
     # photon pair along opposite x rays; affine-parameter stops
     data = flat_baseline_config()
-    data["worldline"] = "null"
     data["u1"] = [1.0, 1.0, 0.0, 0.0]
     data["u2"] = [1.0, -1.0, 0.0, 0.0]
     report = run_scenario(config_from_dict(data))
     assert report.inequality.w_b == pytest.approx(1.0, abs=1e-9)
     assert report.inequality.margin == pytest.approx(0.5, abs=1e-9)
+
+
+def test_schwarzschild_null_leg_config():
+    # u1 an outgoing radial null ray, u2 the demo's timelike orbit: each
+    # leg's kind comes from its own u.u
+    data = schwarzschild_demo_config()
+    data["lhv_audit"] = False
+    data["u1"] = [1.0 / (1.0 - 2.0 / 10.0), 1.0, 0.0, 0.0]
+    report = run_scenario(config_from_dict(data))
+    assert report.status == "ok"
+    assert report.geodesic_1.endpoint[1] > 10.0
+    assert report.geodesic_1.drift["norm"] < 1e-8
 
 
 def test_synthetic_conflicts_with_geometry():
@@ -283,7 +294,7 @@ def test_sweep_deterministic_across_workers():
 
 
 def test_horizon_sweep_rows():
-    spec = MetricSpec("schwarzschild", mass=1.0, horizon_eps=1e-6)
+    spec = MetricSpec("schwarzschild", mass=1.0)
     r_values = [10.0, 6.0, 3.0, 2.2, 2.0 * (1 + 1e-8)]
     rows = run_horizon_sweep(spec, r_values)
     assert [r["scenario_id"] for r in rows] == [f"r={format(v, '.17g')}" for v in r_values]
@@ -472,7 +483,7 @@ def test_horizon_sweep_integrates_the_emission_leg_once(monkeypatch):
         return original(spec, x0, u0, stop, tol)
 
     monkeypatch.setattr(scenario, "integrate_geodesic", counting)
-    spec = MetricSpec("schwarzschild", mass=1.0, horizon_eps=1e-6)
+    spec = MetricSpec("schwarzschild", mass=1.0)
     rows = run_horizon_sweep(spec, [10.0, 6.0, 3.0, 2.2, 2.0 * (1 + 1e-8), 1.5])
     live = [r for r in rows if r["status"] != "horizon_guard"]
     assert len(live) == 4 and all(r["status"] == "ok" for r in live)
@@ -523,7 +534,7 @@ GUARD = 2.0 * (1 + 1e-6)
     ],
 )
 def test_horizon_sweep_across_the_guard_matches_per_row_runs(r_values, tol, ok_rows):
-    spec = MetricSpec("schwarzschild", mass=1.0, horizon_eps=1e-6)
+    spec = MetricSpec("schwarzschild", mass=1.0)
     text = rows_to_csv(run_horizon_sweep(spec, r_values, tol=tol))
     assert text.count(",ok,") >= ok_rows
     assert text.count(",horizon_guard,") == sum(r <= GUARD for r in r_values)
