@@ -25,10 +25,13 @@ Every Schwarzschild geodesic lies in a plane through r = 0, so a frame
 parallel along it is algebraic in (x, u) and the one scalar psi (J.-A.
 Marck, Proc. R. Soc. Lond. A 385, 431 (1983)). With u^ the tangent in the
 static tetrad, Lambda = |(u^2, u^3)|, n = (u^2, u^3) / Lambda, E = f u^t and
-L = r Lambda, the frame holds u and the orbital-plane normal (0, 0, n3, -n2):
+L = r Lambda, the frame holds u and the orbital-plane normal (0, 0, n3, -n2).
+Both kinds of leg rebuild u^0 = hypot(u^1, sqrt(D)), D = eps + Lambda^2, from
+the integrated spatial components, so u.u = -eps (1 timelike, 0 null) holds
+to rounding; the path stores that u and checks the integrated one:
 
-* timelike legs add a = (u^1, u^0, 0, 0) / sqrt(u^0^2 - u^1^2) and
-  b ~ (Lambda u^0, Lambda u^1, (u^0^2 - u^1^2) n), turned by psi, with
+* timelike legs add a = (u^1, u^0, 0, 0) / sqrt(D) and
+  b = (Lambda u^0, Lambda u^1, D n) / sqrt(D), turned by psi, with
   dpsi/dtau = -E L / (r^2 + L^2);
 * null legs add m = m0 + psi u, where m0 = (0, Lambda, -u^1 n) / u^0 is the
   unit vector orthogonal to u, the plane normal and the static observer,
@@ -47,7 +50,7 @@ counters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,7 +158,7 @@ class GeodesicPath:
     tol: float
     taus: np.ndarray          # (n,), strictly increasing, taus[0] == 0
     points: np.ndarray        # (n, 4)
-    tangents: np.ndarray      # (n, 4)
+    tangents: np.ndarray      # (n, 4); on Schwarzschild legs the frame's u
     propagators: np.ndarray   # (n, 4, 4), parallel propagator from taus[0]
     metrics: np.ndarray       # (n, 4, 4), metric components at the points
     drift: dict[str, float]   # max conservation drifts, checked at integration
@@ -251,10 +254,6 @@ def _drift_bound(tol: float) -> float:
     return max(1e-8, 100.0 * tol)
 
 
-def _metric_stack(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
-    return np.stack([metric_components(spec, x) for x in points])
-
-
 def check_metric_preserved(
     g: np.ndarray, propagators: np.ndarray, sizes: np.ndarray | None = None
 ) -> float:
@@ -298,8 +297,8 @@ def integrate_geodesic(
     non-finite, the step size underflows, conservation drifts exceed
     max(1e-8, 100 * tol) or the propagator fails to preserve the metric.
     """
-    metric_components(spec, x0.coords)  # chart + domain check
     u = u0.components
+    # the metric at x0 is also the chart and domain check
     kind = tangent_kind(u, float(u @ metric_components(spec, x0.coords) @ u))
 
     if stop.kind == STOP_RADIUS and spec.kind == SCHWARZSCHILD:
@@ -452,15 +451,16 @@ def _schwarzschild_leg(
 
     states = np.array(run.states)
     points = np.ascontiguousarray(states[:, :4])
-    tangents = np.ascontiguousarray(states[:, 4:8])
-    frames = _parallel_frames(spec, kind, points, tangents, states[:, 8])
+    frames = _parallel_frames(spec, kind, points, states[:, 4:8], states[:, 8])
     inverse = np.linalg.inv(frames[0])
     propagators = frames @ inverse
     propagators[0] = np.eye(4)
-    return _checked_path(
-        spec, kind, tol, np.array(run.taus), points, tangents, propagators,
-        np.abs(frames) @ np.abs(inverse), run.nfev, run.accepted, run.rejected,
+    path = _checked_path(
+        spec, kind, tol, np.array(run.taus), points, np.ascontiguousarray(states[:, 4:8]),
+        propagators, np.abs(frames) @ np.abs(inverse), run.nfev, run.accepted, run.rejected,
     )
+    # the integrated tangents are checked above; P carries the frame's u
+    return replace(path, tangents=np.ascontiguousarray(frames[:, :, 0]))
 
 
 def _parallel_frames(
@@ -470,16 +470,14 @@ def _parallel_frames(
 
     Timelike legs: (u, a cos psi + b sin psi, -a sin psi + b cos psi, l),
     orthonormal. Null legs: (u, n, m, l) with n.u = -1, m.m = l.l = 1 and
-    all other products 0. Each vector is normalised from the state itself,
-    so the frame keeps its Gram matrix to rounding even where the stored u
-    carries integration error.
+    all other products 0. u^t is rebuilt by the one rule of the module
+    docstring, so the Gram matrix holds to rounding wherever u drifts.
     """
     r, theta = points[:, 1], points[:, 2]
     sqrt_f = np.sqrt(1.0 - 2.0 * spec.mass / r)
     r_sin = r * np.sin(theta)
     # u in the static tetrad f^-1/2 d_t, f^1/2 d_r, r^-1 d_theta, (r sin theta)^-1 d_phi
-    U0, U1 = sqrt_f * tangents[:, 0], tangents[:, 1] / sqrt_f
-    U2, U3 = r * tangents[:, 2], r_sin * tangents[:, 3]
+    U1, U2, U3 = tangents[:, 1] / sqrt_f, r * tangents[:, 2], r_sin * tangents[:, 3]
     lam = np.hypot(U2, U3)
     zero = np.zeros_like(r)
     if lam[0] == 0.0:  # radial leg: theta-hat and phi-hat are parallel
@@ -487,30 +485,28 @@ def _parallel_frames(
     else:
         n2, n3 = U2 / lam, U3 / lam
     normal = (zero, zero, n3, -n2)
+    # U0^2 - U1^2 = D = eps + Lambda^2, with no cancellation in forming D
+    eps = 1.0 if kind == TIMELIKE else 0.0
+    D, root_D = eps + lam * lam, np.hypot(eps, lam)
+    U0 = np.hypot(U1, root_D)
+    u = (U0, U1, U2, U3)
     if kind == TIMELIKE:
-        D = (U0 - U1) * (U0 + U1)
-        N = D - lam * lam  # -g(u, u)
-        if not np.all(N > 0.0):
-            raise StepFailure("integrated tangent left the timelike cone; tol is too loose")
-        u_hat = [c / np.sqrt(N) for c in (U0, U1, U2, U3)]
-        a = [c / np.sqrt(D) for c in (U1, U0, zero, zero)]
-        b = [c / np.sqrt(D * N) for c in (lam * U0, lam * U1, D * n2, D * n3)]
+        a = [c / root_D for c in (U1, U0, zero, zero)]
+        b = [c / root_D for c in (lam * U0, lam * U1, D * n2, D * n3)]
         cos_psi, sin_psi = np.cos(psi), np.sin(psi)
         columns = (
-            u_hat,
+            u,
             [ca * cos_psi + cb * sin_psi for ca, cb in zip(a, b)],
             [cb * cos_psi - ca * sin_psi for ca, cb in zip(a, b)],
             normal,
         )
     else:
-        U0 = np.copysign(np.hypot(U1, lam), U0)  # exactly null up to rounding
-        k = (U0, U1, U2, U3)
         m0 = [c / U0 for c in (zero, lam, -U1 * n2, -U1 * n3)]
         n0 = [c / (2.0 * U0 * U0) for c in (U0, -U1, -lam * n2, -lam * n3)]
         columns = (
-            k,
-            [cn + psi * cm + 0.5 * psi * psi * ck for cn, cm, ck in zip(n0, m0, k)],
-            [cm + psi * ck for cm, ck in zip(m0, k)],
+            u,
+            [cn + psi * cm + 0.5 * psi * psi * ck for cn, cm, ck in zip(n0, m0, u)],
+            [cm + psi * ck for cm, ck in zip(m0, u)],
             normal,
         )
     legs = np.stack([1.0 / sqrt_f, sqrt_f, 1.0 / r, 1.0 / r_sin], axis=1)
@@ -690,7 +686,7 @@ def _checked_path(
     and the propagator check share that stack, and the path keeps both the
     stack and the drift.
     """
-    g = _metric_stack(spec, points)
+    g = np.stack([metric_components(spec, x) for x in points])
     drift = _conservation_drift(spec, kind, points, tangents, g)
     bound = _drift_bound(tol)
     # the tangent-norm check cancels catastrophically near the horizon

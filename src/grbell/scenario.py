@@ -274,10 +274,12 @@ def _parse_stop(d, field: str) -> StopCondition:
     if not isinstance(d, dict):
         raise ValidationError(field, "expected an object")
     _check_keys(d, {"kind", "value"}, field)
-    return StopCondition(
-        kind=_require(d, "kind", field),
-        value=_finite(_require(d, "value", field), f"{field}.value"),
-    )
+    kind = _require(d, "kind", field)
+    value = _finite(_require(d, "value", field), f"{field}.value")
+    try:
+        return StopCondition(kind, value)
+    except ValidationError as e:  # StopCondition names its fields stop.kind, stop.value
+        raise ValidationError(field + e.field.removeprefix("stop"), e.reason) from None
 
 
 def _parse_settings(d) -> SettingsTriple:

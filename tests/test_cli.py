@@ -422,6 +422,43 @@ def test_horizon_at_loose_tol_gives_ok_rows(tmp_path):
     assert [row.split(",")[:2] for row in rows] == [["r=10", "ok"], ["r=6", "ok"]]
 
 
+def test_horizon_at_loose_tol_reaches_the_guard_with_ok_rows(tmp_path):
+    out = tmp_path / "horizon.csv"
+    code = main([
+        "--tol", "1e-3", "--quiet", "horizon", "--mass", "1",
+        "--r-start", "10", "--r-end", "2.000003", "--steps", "40", "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["ok"] * 40
+
+
+@pytest.mark.parametrize("tol", [10.0**-k for k in range(3, 11)])
+def test_comoving_readout_of_a_radial_infall_runs(tmp_path, tol):
+    # particle 2 falls radially from rest to r = 2.01 (gamma 12.7 against
+    # the static frame there) and is read out in its own frame
+    data = schwarzschild_demo_config()
+    data.update(
+        frame_choice="comoving", lhv_audit=False, tol=tol,
+        u2=[1.0 / math.sqrt(0.8), 0.0, 0.0, 0.0], stop2={"kind": "radius", "value": 2.01},
+    )
+    assert main(["--quiet", "run", "--config", write(tmp_path, data)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "stop, value, message",
+    [
+        ("stop2", {"kind": "radius", "value": -1}, "stop2.value: target must be non-negative"),
+        ("stop2", {"kind": "radius", "value": 0}, "stop2.value: radius target must be positive"),
+        ("stop1", {"kind": "angle", "value": 1}, "stop1.kind: unknown kind 'angle'"),
+    ],
+)
+def test_a_bad_stop_is_named_in_its_error(tmp_path, capsys, stop, value, message):
+    data = schwarzschild_demo_config()
+    data[stop] = value
+    assert main(["run", "--config", write(tmp_path, data)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_repeated_runs_leave_no_reference_cycles(tmp_path):
     # cyclic garbage outlives a call until a full collection, so a process
     # that calls main() in a loop (the benchmark does) would keep growing

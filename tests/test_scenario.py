@@ -554,8 +554,9 @@ def recording_paths(monkeypatch):
 
 
 def test_demo_evaluates_metric_once_per_stored_point(monkeypatch):
-    # per path: one domain check, one tangent classification, then one
-    # metric stack shared by the drift and propagator checks and the summary
+    # per path: one metric at x0 for the domain check and the tangent's
+    # kind, then one stack shared by the drift and propagator checks and the
+    # summary
     from grbell import geodesics
 
     calls = []
@@ -571,7 +572,7 @@ def test_demo_evaluates_metric_once_per_stored_point(monkeypatch):
     data["lhv_audit"] = False
     run_scenario(config_from_dict(data))
     assert len(paths) == 2
-    assert len(calls) == sum(2 + len(path.taus) for path in paths)
+    assert len(calls) == sum(1 + len(path.taus) for path in paths)
 
 
 def test_demo_transport_evaluates_no_metric(monkeypatch):
@@ -591,7 +592,7 @@ def test_demo_transport_evaluates_no_metric(monkeypatch):
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
     run_scenario(config_from_dict(data))
-    assert callers.count("grbell.geodesics") == sum(2 + len(path.taus) for path in paths)
+    assert callers.count("grbell.geodesics") == sum(1 + len(path.taus) for path in paths)
     assert "grbell.transport" not in callers
 
 
