@@ -14,6 +14,16 @@ correlations on it. Because the bound holds at every lambda of that batch
 (J. S. Bell, Physics 1, 195 (1964)), its sample means obey it exactly up
 to rounding, and a row passes two gates: that exact one, with a
 rounding-only slack, and the 4-sigma statistical one.
+
+Every estimate streams its batch: lambda is drawn CHUNK rows at a time from
+the one stream, and the chunks concatenate to the same lambda as one draw
+of n, so every per-sample response is the same as in one draw. Each chunk
+is folded into per-series moments and dropped, so an estimate's memory does
+not grow with n beyond one sum per chunk. Only the summation order differs
+from one whole-batch pass: a mean is the exactly rounded sum (math.fsum) of
+the chunk sums over n, and a standard error comes from the chunks' centred
+sums of squares, merged by the rule of T. F. Chan, G. H. Golub and R. J.
+LeVeque ("Algorithms for computing the sample variance", 1983).
 """
 from __future__ import annotations
 
@@ -34,6 +44,10 @@ SIGMA_FACTOR = 4.0
 # (at most 0.5 eps seen over 820 triples that saturate the bound, n = 100
 # to 1e6); sampling noise does not enter that gate
 ROUNDING_SLACK = 16.0 * float(np.finfo(float).eps)
+# lambda rows per chunk: a chunk's working set (lambda, its responses and
+# the per-sample series) stays in cache, and its arrays stay below the size
+# at which the allocator maps and trims them on every call
+CHUNK = 2**13
 
 
 @dataclass(frozen=True)
@@ -103,15 +117,44 @@ def make_sign_model(seed: int = 0) -> LHVModel:
     )
 
 
-def _estimate(prod: np.ndarray, seed: int) -> MCEstimate:
-    """Mean and standard error of per-sample products."""
-    n = prod.shape[0]
-    return MCEstimate(
-        mean=float(prod.mean()),
-        stderr=float(prod.std(ddof=1) / math.sqrt(n)),
-        n=n,
-        seed=seed,
-    )
+def _chunks(model: LHVModel, n: int, rng: np.random.Generator):
+    """n hidden variables from rng, drawn CHUNK rows at a time."""
+    for start in range(0, n, CHUNK):
+        yield model.sample(min(CHUNK, n - start), rng)
+
+
+class _Moments:
+    """Count, chunk sums and merged centred sum of squares of k series.
+
+    add takes one chunk, shape (k, m); the centred sums of squares (M2)
+    of the chunks are merged pairwise by Chan, Golub and LeVeque's rule.
+    """
+
+    def __init__(self, k: int, n: int):
+        self.n = 0
+        self.sums = np.empty((-(-n // CHUNK), k))
+        self.mean = np.zeros(k)
+        self.m2 = np.zeros(k)
+
+    def add(self, x: np.ndarray) -> None:
+        m = x.shape[1]
+        s = self.sums[self.n // CHUNK]  # every chunk before the last is full
+        x.sum(axis=1, out=s)
+        mean = s / m
+        dev = x - mean[:, None]
+        delta = mean - self.mean
+        n = self.n + m
+        self.m2 += np.einsum("ij,ij->i", dev, dev) + delta**2 * (self.n * m / n)
+        self.mean += delta * (m / n)
+        self.n = n
+
+    def estimates(self, seed: int) -> list[MCEstimate]:
+        """Per series: mean as math.fsum of the chunk sums over n, and stderr."""
+        stderr = np.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n)
+        return [
+            MCEstimate(mean=math.fsum(col) / self.n, stderr=float(se), n=self.n, seed=seed)
+            for col, se in zip(self.sums.T, stderr)
+        ]
 
 
 def correlation_mc(
@@ -125,8 +168,10 @@ def correlation_mc(
     if n < MIN_SAMPLES:
         raise InsufficientSamples(f"n = {n} below minimum {MIN_SAMPLES}")
     root = model.seed if seed is None else seed
-    lam = model.sample(n, stream(root))
-    return _estimate(model.respond_A(a, lam) * model.respond_B(proj_b, lam), root)
+    moments = _Moments(1, n)
+    for lam in _chunks(model, n, stream(root)):
+        moments.add((model.respond_A(a, lam) * model.respond_B(proj_b, lam))[None])
+    return moments.estimates(root)[0]
 
 
 def verify_anticorrelation(
@@ -142,12 +187,11 @@ def verify_anticorrelation(
     is evaluated on its arrival direction.
     """
     root = model.seed if seed is None else seed
-    lam = model.sample(n, stream(root))
-    B = model.respond_B(proj_a, lam)
-    if proj_a.degenerate:
-        return bool(np.all(B == 0.0))
-    A = model.respond_A(proj_a.direction, lam)
-    return bool(np.array_equal(B, -proj_a.w**2 * A))
+    for lam in _chunks(model, n, stream(root)):
+        A = 0.0 if proj_a.degenerate else model.respond_A(proj_a.direction, lam)
+        if not np.all(model.respond_B(proj_a, lam) == -proj_a.w**2 * A):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +235,9 @@ def lhv_inequality_audit(
     Each triple needs its arms in the bound's order, w_b >= w_c, as
     correlations decides it for the quantum side. Triple i draws
     one batch of n hidden variables from the stream keyed (seed, i) and
-    evaluates all three correlations on it; the audit is reproducible, and
-    its memory does not grow with the number of triples. A row is satisfied
+    evaluates all three correlations on it, CHUNK rows at a time; the audit
+    is reproducible, and its memory does not grow with the number of
+    triples, nor with n beyond one sum per chunk. A row is satisfied
     only if it passes two gates: lhs <= rhs + ROUNDING_SLACK, which a model
     with B(x, lambda) = -w_x^2 A(x, lambda) at every sample meets exactly,
     and lhs <= rhs + SIGMA_FACTOR * min(margin_stderr, combined_stderr)
@@ -214,34 +259,32 @@ def lhv_inequality_audit(
             raise ValidationError(
                 f"triples[{i}]", f"needs w_b >= w_c, got {proj_b.w} < {proj_c.w}"
             )
-        lam = model.sample(n, stream(root, i))
-        A_a = model.respond_A(triple.a, lam)
-        B_c = model.respond_B(proj_c, lam)
-        prod_ab = A_a * model.respond_B(proj_b, lam)
-        prod_ac = A_a * B_c
-        est_ab = _estimate(prod_ab, root)
-        est_ac = _estimate(prod_ac, root)
-        # the per-sample margin is s (ab - ac) - bc; s times it, with the
-        # same spread, is (ab - ac) - s bc, built in place of ab so that
-        # the audit holds no more arrays at once than the three estimates
-        spread = prod_ab
-        spread -= prod_ac
-        del prod_ab, prod_ac
-        if proj_b.degenerate:
-            # b arm carries no direction: P(b, c) has A(b) undefined, but the
-            # b and c responses are zero too, so the bound reduces to 0 <= w_b^2
-            est_bc = MCEstimate(mean=0.0, stderr=0.0, n=n, seed=root)
-        else:
-            prod_bc = model.respond_A(proj_b.direction, lam) * B_c
-            est_bc = _estimate(prod_bc, root)
-            if est_ab.mean >= est_ac.mean:
-                spread -= prod_bc
+        # per sample: ab, ac, bc and the margin for either sign s of
+        # P(a,b) - P(a,c), (ab - ac) - bc and (ab - ac) + bc; s is known
+        # only once the means are, so both are kept. A degenerate b arm has
+        # no direction, so A(b) is undefined, but its B and bc are zero and
+        # the bound reduces to 0 <= w_b^2
+        moments = _Moments(5, n)
+        for lam in _chunks(model, n, stream(root, i)):
+            series = np.empty((5, lam.shape[0]))
+            ab, ac, bc, minus, plus = series
+            A_a = model.respond_A(triple.a, lam)
+            B_c = model.respond_B(proj_c, lam)
+            np.multiply(A_a, model.respond_B(proj_b, lam), out=ab)
+            np.multiply(A_a, B_c, out=ac)
+            if proj_b.degenerate:
+                bc.fill(0.0)
             else:
-                spread += prod_bc
+                np.multiply(model.respond_A(proj_b.direction, lam), B_c, out=bc)
+            np.subtract(ab, ac, out=minus)
+            np.add(minus, bc, out=plus)
+            minus -= bc
+            moments.add(series)
+        est_ab, est_ac, est_bc, est_minus, est_plus = moments.estimates(root)
         lhs = abs(est_ab.mean - est_ac.mean)
         rhs = proj_b.w**2 + est_bc.mean
         combined = math.sqrt(est_ab.stderr**2 + est_ac.stderr**2 + est_bc.stderr**2)
-        margin_stderr = _estimate(spread, root).stderr
+        margin_stderr = (est_minus if est_ab.mean >= est_ac.mean else est_plus).stderr
         rows.append(
             TripleAudit(
                 index=i,

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from grbell import (
     verify_anticorrelation,
 )
 from grbell.correlations import ARM_ORDER_ULP
-from grbell.lhv import ROUNDING_SLACK, SIGMA_FACTOR, LHVModel, stream
+from grbell.lhv import CHUNK, ROUNDING_SLACK, SIGMA_FACTOR, LHVModel, _uniform_sphere, stream
 from conftest import random_direction
 
 Z = Direction3(np.array([0.0, 0.0, 1.0]))
@@ -282,19 +286,31 @@ def test_audit_samples_once_per_triple():
             (triple, make_projection(0.0), make_projection(0.0))]
     lhv_inequality_audit(model, args, 1000, seed=1)
     assert calls == [1000, 1000, 1000]
+    # past one chunk, a triple draws its batch CHUNK rows at a time
+    calls.clear()
+    lhv_inequality_audit(model, args, 2 * CHUNK + 1, seed=1)
+    assert calls == [CHUNK, CHUNK, 1] * 3
 
 
 def test_exact_gate_flags_a_model_the_sigma_gate_passes():
-    # B is doubled on the first 5 of 1e5 samples: each such sample raises
-    # lhs - rhs by 1/n, far below 4 sigma but far above rounding
+    # B is doubled on the first 5 of the triple's 1e5 samples: each such
+    # sample raises lhs - rhs by 1/n, far below 4 sigma but far above
+    # rounding; the batch comes in chunks, so the stream position is counted
+    # across sample calls
     base = make_sign_model(0)
+    drawn = {"before": 0, "total": 0}
+
+    def sample(n, rng):
+        drawn["before"] = drawn["total"]
+        drawn["total"] += n
+        return base.sample(n, rng)
 
     def respond_B(proj, lam):
         B = base.respond_B(proj, lam)
-        B[:5] *= 2.0
+        B[: max(0, 5 - drawn["before"])] *= 2.0
         return B
 
-    broken = LHVModel("broken", 0, base.sample, base.respond_A, respond_B)
+    broken = LHVModel("broken", 0, sample, base.respond_A, respond_B)
     args = [boundary_triple()]
     row = lhv_inequality_audit(broken, args, 100_000, seed=5).rows[0]
     assert row.margin == pytest.approx(5e-5, abs=1e-12)
@@ -332,6 +348,9 @@ def test_margin_stderr_is_the_spread_of_the_per_sample_margin(rng):
             make_projection(w_b, random_direction(rng)),
             make_projection(rng.uniform(0.05, w_b), random_direction(rng)),
         ))
+    # past one chunk and not a multiple of it: the merged moments equal the
+    # two-pass spread of the whole batch
+    assert n > CHUNK and n % CHUNK
     rows = lhv_inequality_audit(model, args, n, seed=seed).rows
     ratios = []
     for i, ((triple, proj_b, proj_c), row) in enumerate(zip(args, rows)):
@@ -366,3 +385,104 @@ def test_audit_passes_the_sound_model_on_coincident_settings(rng):
         row = lhv_inequality_audit(model, [(SettingsTriple(a, a, a), proj, proj)], 1000, seed=k).rows[0]
         assert row.satisfied
         assert abs(row.margin) <= ROUNDING_SLACK
+
+
+def test_audit_chunks_concatenate_to_one_draw():
+    base = make_sign_model(0)
+    chunks = []
+
+    def recording(n, rng):
+        chunks.append(base.sample(n, rng))
+        return chunks[-1]
+
+    model = LHVModel("recorded", 0, recording, base.respond_A, base.respond_B)
+    n, seed = 3 * CHUNK + 17, 6
+    lhv_inequality_audit(model, [boundary_triple()] * 2, n, seed=seed)
+    for i in range(2):
+        drawn = np.concatenate(chunks[4 * i : 4 * i + 4])
+        assert np.array_equal(drawn, _uniform_sphere(n, stream(seed, i)))
+
+
+def random_triple(rng, w_b, w_c):
+    return (
+        SettingsTriple(random_direction(rng), random_direction(rng), random_direction(rng)),
+        make_projection(w_b, random_direction(rng)),
+        make_projection(w_c, random_direction(rng)),
+    )
+
+
+def test_audit_with_a_one_sample_last_chunk(rng):
+    triple = random_triple(rng, 0.9, 0.6)
+    row = lhv_inequality_audit(make_sign_model(0), [triple], 2 * CHUNK + 1, seed=3).rows[0]
+    stderrs = [row.p_ab.stderr, row.p_ac.stderr, row.p_bc.stderr,
+               row.combined_stderr, row.margin_stderr]
+    assert all(math.isfinite(se) and se > 0.0 for se in stderrs)
+    assert row.satisfied
+
+
+def saturating_triple(rng):
+    # b on the arc from a to c, and w_b = w_c: the per-sample margin is 0 at
+    # every lambda, so only the summation's rounding is left in the margin
+    a, c = random_direction(rng).d, random_direction(rng).d
+    c = c - (c @ a) * a
+    c /= np.linalg.norm(c)
+    theta = rng.uniform(0.2, 3.0)
+    t = rng.uniform(0.05, 0.95)
+    b = math.cos(t * theta) * a + math.sin(t * theta) * c
+    c = math.cos(theta) * a + math.sin(theta) * c
+    w = rng.uniform(0.3, 1.0)
+    proj_b = make_projection(w, Direction3.from_vector(b))
+    proj_c = make_projection(w, Direction3.from_vector(c))
+    triple = SettingsTriple(Direction3.from_vector(a), proj_b.direction, proj_c.direction)
+    return triple, proj_b, proj_c
+
+
+def test_saturating_triples_keep_the_exact_gate_at_a_million_samples(rng):
+    triples = [saturating_triple(rng) for _ in range(4)]
+    audit = lhv_inequality_audit(make_sign_model(0), triples, 1_000_000, seed=12)
+    assert audit.passed
+    assert all(abs(row.margin) <= ROUNDING_SLACK for row in audit.rows)
+
+
+def test_audit_memory_does_not_grow_with_n(rng):
+    # the batch streams through fixed chunks: the traced peak (numpy buffers
+    # included) is about 1.0 MB at any n, where a whole batch of 1e6 samples
+    # alone is 24 MB
+    triple = random_triple(rng, 0.9, 0.5)
+    peaks = []
+    for n in (1_000_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            lhv_inequality_audit(make_sign_model(0), [triple], n, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert max(peaks) < 1.5e6
+
+
+# peak RSS of `grbell lhv-audit --n 10000000` on the demo: 38 MB measured
+# (Python 3.11, numpy 2.4, x86-64 Linux), 658 MB when a triple held its
+# whole batch
+PEAK_RSS_BOUND_KB = 64 * 1024
+
+
+def test_largest_accepted_audit_runs_in_bounded_memory():
+    # mc.n at its cap on the demo; a wrapper process reports the peak RSS of
+    # its one child, so no other child of the test process counts
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    code = (
+        "import resource, subprocess, sys\n"
+        "args = [sys.executable, '-m', 'grbell.cli', 'lhv-audit', '--config',\n"
+        "        'configs/schwarzschild_demo.json', '--n', '10000000']\n"
+        "code = subprocess.run(args, stdout=subprocess.DEVNULL).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < PEAK_RSS_BOUND_KB
