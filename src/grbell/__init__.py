@@ -15,8 +15,6 @@ from .correlations import (
     find_max_violation,
     generalized_bell_check,
     quantum_correlation,
-    violation_condition,
-    weighted_difference,
 )
 from .errors import (
     BadNormalization,
@@ -45,22 +43,13 @@ from .frames import (
     ProjectionResult,
     build_comoving_frame,
     build_static_frame,
-    embed_direction,
     make_projection,
-    project_to_frame,
-    tetrad_components,
 )
 from .geodesics import GeodesicPath, StopCondition, integrate_geodesic
 from .geometry import (
-    ChristoffelSymbols,
     FourVector,
     MetricSpec,
-    MetricTensor,
     SpacetimePoint,
-    christoffel_at,
-    finite_difference_christoffel,
-    inner,
-    metric_at,
     minkowski_point,
     same_event,
     schwarzschild_point,
@@ -90,6 +79,5 @@ from .scenario import (
     run_sweep,
     schwarzschild_demo_config,
 )
-from .transport import TransportedVector, parallel_transport, transport_R_to_L
 
 __version__ = "0.1.0"

@@ -20,9 +20,10 @@ starts from it.
 
 Every evaluation runs on arrays: the settings a as rows of a (k, 3) array
 and each arm as a ProjectionStack, so a sweep's rows, or the candidates
-of the grid search, are one pass. generalized_bell_check,
-violation_condition and find_max_violation are the one-row case, and the
-report objects are built only for the rows a caller asks for.
+of the grid search, are one pass. quantum_correlation,
+generalized_bell_check and find_max_violation are the one-row case, which
+grbell selftest uses; the report objects are built only for the rows a
+caller asks for.
 """
 from __future__ import annotations
 
@@ -120,7 +121,7 @@ class InequalityStack(NamedTuple):
 
 
 class ViolationStack(NamedTuple):
-    """violation_condition over rows."""
+    """The angle test of ViolationAngles over rows."""
 
     d: np.ndarray  # (k, 3)
     cos_phi: np.ndarray
@@ -161,11 +162,6 @@ def _weighted_differences(
     # summed from zero, so that a -0.0 term reads 0.0
     d = 0.0 + term_b - term_c
     return d, np.sqrt(row_dot(d, d))
-
-
-def weighted_difference(proj_b: ProjectionResult, proj_c: ProjectionResult) -> np.ndarray:
-    """d = w_b^2 * b - w_c^2 * c in the bound's order, degenerate arms contributing zero."""
-    return _weighted_differences(*_ordered(_one(proj_b), _one(proj_c))[:2])[0][0]
 
 
 def _ordered(
@@ -224,13 +220,6 @@ def violation_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStac
     cos_theta = np.where(degenerate | arm_b.degenerate, 0.0, row_dot(arm_b.direction, d) / safe)
     holds = degenerate | (np.abs(cos_phi) <= cos_theta + TOL_INEQ)
     return ViolationStack(d, cos_phi, cos_theta, holds, degenerate)
-
-
-def violation_condition(
-    triple: SettingsTriple, proj_b: ProjectionResult, proj_c: ProjectionResult
-) -> ViolationAngles:
-    """Angles of a and b against d; vacuously satisfied when d vanishes."""
-    return violation_stack(triple.a.d[None], _one(proj_b), _one(proj_c)).angles(0)
 
 
 def optimal_settings(arm_b: ProjectionStack, arm_c: ProjectionStack) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,9 @@ timelike one degenerates to w = 0.
 Embedding and projection are linear, so they run on stacks of vectors,
 one per row: embed_stack puts every setting of a sweep into the tetrad at
 once, and project_stack projects every transported row with the frame's
-one 4x4 tetrad_projector. embed_direction and project_to_frame are the
-one-row case; a ProjectionResult is built only for the rows a caller asks
-for. weighted_stack builds the same stack from given weights along one
+one 4x4 tetrad_projector. One vector is a stack of one row, and a
+ProjectionResult is built only for the rows a caller asks for.
+weighted_stack builds the same stack from given weights along one
 direction, without a tetrad (the synthetic mode); make_projection is its
 one-row case.
 """
@@ -97,11 +97,6 @@ class LocalFrame:
 
     def legs(self) -> list[FourVector]:
         return [self.e0, self.e1, self.e2, self.e3]
-
-    def gram_matrix(self) -> np.ndarray:
-        g = metric_components(self.spec, self.base.coords)
-        E = np.stack([leg.components for leg in self.legs()])
-        return E @ g @ E.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,11 +203,6 @@ def embed_stack(legs: np.ndarray, D: np.ndarray) -> np.ndarray:
     return D[:, 0:1] * legs[0] + D[:, 1:2] * legs[1] + D[:, 2:3] * legs[2]
 
 
-def embed_direction(frame: LocalFrame, d: Direction3) -> FourVector:
-    """Spacelike unit 4-vector d1*e1 + d2*e2 + d3*e3 at the frame's event."""
-    return FourVector(embed_stack(spatial_legs(frame), d.d[None])[0], frame.base)
-
-
 def tetrad_projector(frame: LocalFrame) -> np.ndarray:
     """E g, with the legs e_a as the rows of E: (E g) v holds g(e_a, v)."""
     g = metric_components(frame.spec, frame.base.coords)
@@ -223,19 +213,12 @@ def tetrad_projector(frame: LocalFrame) -> np.ndarray:
 _ETA_DIAG = np.diag(ETA)
 
 
-def tetrad_components(frame: LocalFrame, v: FourVector) -> np.ndarray:
-    """Components v^a with v = v^a e_a, via eta^{ab} g(e_b, v)."""
-    if not same_event(frame.base, v.base):
-        raise BasePointMismatch("vector not based at the frame's event")
-    return _ETA_DIAG * (tetrad_projector(frame) @ v.components)
-
-
 class ProjectionStack(NamedTuple):
     """Projections of k vectors as arrays; row j is one ProjectionResult.
 
     direction rows are zero where degenerate. errors maps a row whose
-    vector could not be projected to the error project_to_frame raises
-    for it; such a row holds w = 0 and counts as degenerate.
+    vector could not be projected to its error; such a row holds w = 0
+    and counts as degenerate.
     """
 
     w: np.ndarray               # (k,)
@@ -324,13 +307,3 @@ def project_stack(projector: np.ndarray, V: np.ndarray) -> ProjectionStack:
     direction = q[:, 1:] / np.where(degenerate, 1.0, w)[:, None]
     direction[degenerate] = 0.0
     return ProjectionStack(w, direction, degenerate, q[:, 0], errors)
-
-
-def project_to_frame(frame: LocalFrame, v: FourVector) -> ProjectionResult:
-    """Weight and direction of v in the frame, per the module's projection rule."""
-    if not same_event(frame.base, v.base):
-        raise BasePointMismatch("vector not based at the frame's event")
-    projected = project_stack(tetrad_projector(frame), v.components[None])
-    if projected.errors:
-        raise projected.errors[0]
-    return projected.result(0)

@@ -170,14 +170,8 @@ class GeodesicPath:
     def tau_end(self) -> float:
         return float(self.taus[-1])
 
-    def start_point(self) -> SpacetimePoint:
-        return SpacetimePoint(self.points[0], self.spec.chart)
-
     def end_point(self) -> SpacetimePoint:
         return SpacetimePoint(self.points[-1], self.spec.chart)
-
-    def start_tangent(self) -> FourVector:
-        return FourVector(self.tangents[0], self.start_point())
 
     def end_tangent(self) -> FourVector:
         return FourVector(self.tangents[-1], self.end_point())
@@ -385,7 +379,8 @@ def _schwarzschild_rhs(mass: float, kind: str, energy: float, ang_mom: float):
     """d(x, u, psi)/dtau on the exterior chart, as a function of the state list.
 
     The geodesic term Gamma^a_bc u^b u^c is written out over the nine
-    nonzero Christoffel symbols of grbell.geometry.christoffel_components.
+    nonzero Christoffel symbols of the closed-form table in tests/reference.py,
+    which the tests check this term against.
     States at or inside r = 2M raise HorizonDomain, which makes _dopri
     reject the step; trial stages between the guard and 2M still evaluate,
     so the guard event can locate the crossing.

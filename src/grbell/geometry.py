@@ -1,4 +1,4 @@
-"""Spacetime geometry: metric tensors, Christoffel symbols, inner products.
+"""Spacetime geometry: events, vectors, the metric, and products over stacks of rows.
 
 Conventions used everywhere in this package:
 
@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BasePointMismatch,
-    HorizonDomain,
-    InvalidChart,
-    MetricUnderflow,
-    ValidationError,
-)
+from .errors import HorizonDomain, InvalidChart, MetricUnderflow, ValidationError
 
 MINKOWSKI = "minkowski"
 SCHWARZSCHILD = "schwarzschild"
@@ -110,28 +104,6 @@ class MetricSpec:
         return SpacetimePoint(np.asarray(coords, dtype=float), self.chart)
 
 
-@dataclass(frozen=True, eq=False)
-class MetricTensor:
-    """Covariant components g_{mu nu} at a base event."""
-
-    g: np.ndarray
-    base: SpacetimePoint
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", _frozen_array(self.g, (4, 4)))
-
-
-@dataclass(frozen=True, eq=False)
-class ChristoffelSymbols:
-    """Connection coefficients Gamma^mu_{alpha beta}, symmetric in (alpha, beta)."""
-
-    gamma: np.ndarray
-    base: SpacetimePoint
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", _frozen_array(self.gamma, (4, 4, 4)))
-
-
 def minkowski_point(t: float, x: float, y: float, z: float) -> SpacetimePoint:
     return SpacetimePoint(np.array([t, x, y, z]), CHART_CARTESIAN)
 
@@ -151,11 +123,6 @@ def _check_domain(spec: MetricSpec, coords: np.ndarray) -> None:
         raise HorizonDomain(f"r = {coords[1]} inside radius {spec.guard_radius}")
 
 
-def _check_chart(spec: MetricSpec, p: SpacetimePoint) -> None:
-    if p.chart != spec.chart:
-        raise InvalidChart(f"point in chart {p.chart!r}, metric uses {spec.chart!r}")
-
-
 def metric_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """g_{mu nu} as a plain (4, 4) array."""
     _check_domain(spec, coords)
@@ -168,40 +135,6 @@ def metric_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     if g_thth == 0.0 or g_phph == 0.0:
         raise MetricUnderflow(f"angular metric components underflow at r = {r}, theta = {theta}")
     return np.diag([-f, 1.0 / f, g_thth, g_phph])
-
-
-def christoffel_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    """Gamma^mu_{alpha beta} as a plain (4, 4, 4) array (closed forms)."""
-    _check_domain(spec, coords)
-    G = np.zeros((4, 4, 4))
-    if spec.kind == MINKOWSKI:
-        return G
-    M = spec.mass
-    r, theta = coords[1], coords[2]
-    f = 1.0 - 2.0 * M / r
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    G[0, 0, 1] = G[0, 1, 0] = M / (r * r * f)
-    G[1, 0, 0] = M * f / (r * r)
-    G[1, 1, 1] = -M / (r * r * f)
-    G[1, 2, 2] = -r * f
-    G[1, 3, 3] = -r * f * sin_t * sin_t
-    G[2, 1, 2] = G[2, 2, 1] = 1.0 / r
-    G[2, 3, 3] = -sin_t * cos_t
-    G[3, 1, 3] = G[3, 3, 1] = 1.0 / r
-    G[3, 2, 3] = G[3, 3, 2] = cos_t / sin_t
-    return G
-
-
-def metric_at(spec: MetricSpec, p: SpacetimePoint) -> MetricTensor:
-    """Exact metric tensor of `spec` at `p`."""
-    _check_chart(spec, p)
-    return MetricTensor(metric_components(spec, p.coords), p)
-
-
-def christoffel_at(spec: MetricSpec, p: SpacetimePoint) -> ChristoffelSymbols:
-    """Exact Christoffel symbols of `spec` at `p`."""
-    _check_chart(spec, p)
-    return ChristoffelSymbols(christoffel_components(spec, p.coords), p)
 
 
 # Products over stacks of vectors, one vector per row. numpy's stacked matmul
@@ -224,39 +157,3 @@ def row_vecmat(V: np.ndarray, M: np.ndarray) -> np.ndarray:
 def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """x @ y for each pair of rows; either side may be a single vector."""
     return np.matmul(X[..., None, :], Y[..., None])[..., 0, 0]
-
-
-def inner(g: MetricTensor, u: FourVector, v: FourVector) -> float:
-    """Scalar product g_{mu nu} u^mu v^nu; u and v must share g's base event.
-
-    Contracted through the symmetrized outer product, so swapping u and v
-    gives the bit-identical result.
-    """
-    if not (same_event(g.base, u.base) and same_event(g.base, v.base)):
-        raise BasePointMismatch("inner() requires tensors at the same event")
-    outer = np.outer(u.components, v.components)
-    return float(np.sum(g.g * (0.5 * (outer + outer.T))))
-
-
-def finite_difference_christoffel(
-    spec: MetricSpec, p: SpacetimePoint, step: float = 1e-6
-) -> np.ndarray:
-    """Gamma rebuilt from centered differences of the metric.
-
-    Validator for the closed forms: Gamma^mu_{ab} =
-    (1/2) g^{mu nu} (d_a g_{nb} + d_b g_{na} - d_nu g_{ab}).
-    """
-    _check_chart(spec, p)
-    coords = p.coords
-    dg = np.zeros((4, 4, 4))  # dg[lam, mu, nu] = d_lam g_{mu nu}
-    for lam in range(4):
-        h = step * max(1.0, abs(coords[lam]))
-        plus = coords.copy()
-        minus = coords.copy()
-        plus[lam] += h
-        minus[lam] -= h
-        dg[lam] = (metric_components(spec, plus) - metric_components(spec, minus)) / (2 * h)
-    g_inv = np.linalg.inv(metric_components(spec, coords))
-    # bracket[a, b, nu] = d_a g_{nu b} + d_b g_{nu a} - d_nu g_{ab}
-    bracket = dg.transpose(0, 2, 1) + dg.transpose(2, 0, 1) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("mn,abn->mab", g_inv, bracket)

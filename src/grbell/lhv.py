@@ -41,8 +41,8 @@ MIN_SAMPLES = 100
 SIGMA_FACTOR = 4.0
 # slack of the exact audit gate, for rounding only: the three sample means
 # and the lhs and rhs built from them each carry a few ulp of rounding
-# (at most 0.5 eps seen over 820 triples that saturate the bound, n = 100
-# to 1e6); sampling noise does not enter that gate
+# (triples that saturate the bound with w_b = w_c < 1 reach |margin| = 2 eps
+# at n = 1e6, 1/8 of this slack); sampling noise does not enter that gate
 ROUNDING_SLACK = 16.0 * float(np.finfo(float).eps)
 # lambda rows per chunk: a chunk's working set (lambda, its responses and
 # the per-sample series) stays in cache, and its arrays stay below the size

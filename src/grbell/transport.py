@@ -10,26 +10,18 @@ with a forward one: v_L = P_L solve(P_R, v_R).
 The work is done on stacks of vectors, one per row: transport_stack
 carries every setting of a sweep in one solve and one product, and checks
 each row's norm and tangent-dot drift on its own, so a row that fails
-its check fails alone. parallel_transport and transport_R_to_L are the
-one-row case.
+its check fails alone. One vector is a stack of one row: a row's result
+does not depend on how many rows travel with it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BasePointMismatch,
-    CommonOriginMismatch,
-    InvalidChart,
-    NonFiniteVector,
-    SimulatorError,
-    StepFailure,
-)
+from .errors import CommonOriginMismatch, InvalidChart, NonFiniteVector, SimulatorError, StepFailure
 from .geodesics import GeodesicPath
-from .geometry import FourVector, SpacetimePoint, row_dot, row_matvec, row_vecmat, same_event
+from .geometry import row_dot, row_matvec, row_vecmat
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -37,20 +29,11 @@ BACKWARD = "backward"
 COMMON_ORIGIN_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class TransportedVector:
-    """Vector arrived at the destination event, with conservation diagnostics."""
-
-    v: FourVector
-    norm_drift: float
-    tangent_dot_drift: float
-
-
 class TransportedStack(NamedTuple):
     """Rows of vectors arrived at the destination event, with per-row diagnostics.
 
-    errors maps the index of each row that failed its checks to the error
-    a one-row transport raises for it; the other rows are valid.
+    errors maps the index of each row that failed its checks to its error;
+    the other rows are valid.
     """
 
     v: np.ndarray                  # (k, 4)
@@ -111,39 +94,6 @@ def _carry(path: GeodesicPath, V: np.ndarray, direction: str) -> TransportedStac
     return TransportedStack(moved, norm_drift, dot_drift, errors)
 
 
-def parallel_transport(
-    path: GeodesicPath,
-    v0: FourVector,
-    direction: str = FORWARD,
-) -> TransportedVector:
-    """Levi-Civita transport of v0 along the whole path.
-
-    Forward transport starts at the path's first event, backward at its
-    last. Inner products with the tangent and the vector's own norm are
-    conserved; their relative drift is checked against max(1e-8, 100 * tol)
-    and reported on the result.
-    """
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    anchor = path.start_point() if direction == FORWARD else path.end_point()
-    if not same_event(anchor, v0.base):
-        raise BasePointMismatch(f"vector based at {v0.base}, path {direction} end is {anchor}")
-    with np.errstate(all="ignore"):  # a non-finite row is reported as an error
-        moved = _carry(path, v0.components[None], direction)
-    dest = path.end_point() if direction == FORWARD else path.start_point()
-    return _one_row(moved, dest)
-
-
-def _one_row(moved: TransportedStack, dest: SpacetimePoint) -> TransportedVector:
-    if moved.errors:
-        raise moved.errors[0]
-    return TransportedVector(
-        v=FourVector(moved.v[0], dest),
-        norm_drift=float(moved.norm_drift[0]),
-        tangent_dot_drift=float(moved.tangent_dot_drift[0]),
-    )
-
-
 def transport_stack(geo_L: GeodesicPath, geo_R: GeodesicPath, V_R: np.ndarray) -> TransportedStack:
     """Carry the rows of V_R from event R back to the shared origin O, then out to L.
 
@@ -167,16 +117,3 @@ def transport_stack(geo_L: GeodesicPath, geo_R: GeodesicPath, V_R: np.ndarray) -
         tangent_dot_drift=np.maximum(back.tangent_dot_drift, out.tangent_dot_drift),
         errors={**out.errors, **back.errors},
     )
-
-
-def transport_R_to_L(
-    geo_L: GeodesicPath, geo_R: GeodesicPath, v_R: FourVector
-) -> TransportedVector:
-    """Carry v_R from event R back to the shared origin O, then out to L.
-
-    Both paths must start at the same emission event within 1e-9 in
-    coordinates. The result is based at geo_L's endpoint.
-    """
-    if not same_event(geo_R.end_point(), v_R.base):
-        raise BasePointMismatch(f"vector based at {v_R.base}, path end is {geo_R.end_point()}")
-    return _one_row(transport_stack(geo_L, geo_R, v_R.components[None]), geo_L.end_point())

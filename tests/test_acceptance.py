@@ -19,30 +19,26 @@ from grbell import (
     build_static_frame,
     config_from_dict,
     correlation_mc,
-    embed_direction,
     find_max_violation,
     flat_baseline_config,
     generalized_bell_check,
     integrate_geodesic,
-    inner,
     lhv_inequality_audit,
     make_projection,
     make_sign_model,
-    metric_at,
     minkowski_point,
-    parallel_transport,
-    project_to_frame,
     quantum_correlation,
     rows_to_csv,
     run_scenario,
     run_sweep,
     schwarzschild_point,
-    transport_R_to_L,
-    weighted_difference,
 )
 from grbell.errors import SimulatorError
-from grbell.frames import tetrad_components
+from grbell.frames import embed_stack, project_stack, spatial_legs, tetrad_projector
+from grbell.geometry import metric_components
+from grbell.transport import FORWARD, _carry, transport_stack
 from conftest import random_direction
+from reference import checked, tetrad_components, weighted_difference
 from test_lhv import sign_correlation_quadrature
 
 M = 1.0
@@ -65,14 +61,18 @@ def test_criterion_1_flat_space_reduction():
     geo_R = integrate_geodesic(
         flat, x0, FourVector([gamma, -0.5 * gamma, 0, 0], x0), StopCondition.proper_time(5.0)
     )
-    frame_L = build_static_frame(flat, geo_L.end_point())
-    frame_R = build_static_frame(flat, geo_R.end_point())
+    projector_L = tetrad_projector(build_static_frame(flat, geo_L.end_point()))
+    legs_R = spatial_legs(build_static_frame(flat, geo_R.end_point()))
+
+    def arrival(d):
+        moved = checked(transport_stack(geo_L, geo_R, embed_stack(legs_R, d.d[None])))
+        return checked(project_stack(projector_L, moved.v)).result(0)
 
     rng = np.random.default_rng(1001)
     for _ in range(100):
         a, b, c = (random_direction(rng) for _ in range(3))
-        proj_b = project_to_frame(frame_L, transport_R_to_L(geo_L, geo_R, embed_direction(frame_R, b)).v)
-        proj_c = project_to_frame(frame_L, transport_R_to_L(geo_L, geo_R, embed_direction(frame_R, c)).v)
+        proj_b = arrival(b)
+        proj_c = arrival(c)
         assert abs(proj_b.w - 1.0) <= 1e-9
         assert abs(proj_c.w - 1.0) <= 1e-9
         p_ab = quantum_correlation(a, proj_b)
@@ -115,14 +115,14 @@ def test_criterion_3_geometry_fidelity():
 
     # transport preserves inner products
     rng = np.random.default_rng(33)
-    v0 = FourVector(rng.standard_normal(4), path.start_point())
-    w0 = FourVector(rng.standard_normal(4), path.start_point())
-    v1 = parallel_transport(path, v0)
-    w1 = parallel_transport(path, w0)
-    assert v1.norm_drift <= 1e-7 and v1.tangent_dot_drift <= 1e-7
-    g0 = metric_at(schw, path.start_point())
-    g1 = metric_at(schw, path.end_point())
-    assert abs(inner(g1, v1.v, w1.v) - inner(g0, v0, w0)) <= 1e-7
+    v0 = rng.standard_normal(4)
+    w0 = rng.standard_normal(4)
+    v1 = checked(_carry(path, v0[None], FORWARD))
+    w1 = checked(_carry(path, w0[None], FORWARD))
+    assert v1.norm_drift[0] <= 1e-7 and v1.tangent_dot_drift[0] <= 1e-7
+    g0 = metric_components(schw, path.points[0])
+    g1 = metric_components(schw, path.points[-1])
+    assert abs(v1.v[0] @ g1 @ w1.v[0] - v0 @ g0 @ w0) <= 1e-7
 
     # geodetic precession for one circular orbit at r = 10M
     r = 10.0
@@ -134,10 +134,10 @@ def test_criterion_3_geometry_fidelity():
         FourVector([ut_c, 0, 0, omega * ut_c], x0),
         StopCondition.proper_time(2.0 * math.pi / (omega * ut_c)),
     )
-    radial = FourVector([0.0, math.sqrt(0.8), 0.0, 0.0], orbit.start_point())
-    moved = parallel_transport(orbit, radial)
+    radial = np.array([[0.0, math.sqrt(0.8), 0.0, 0.0]])
+    moved = checked(_carry(orbit, radial, FORWARD))
     frame = build_comoving_frame(schw, orbit.end_point(), orbit.end_tangent())
-    comps = tetrad_components(frame, moved.v)
+    comps = tetrad_components(frame, moved.v[0])
     angle = math.atan2(comps[3], comps[1])
     expected = 2.0 * math.pi * (1.0 - math.sqrt(0.7))
     assert abs(abs(angle) - expected) <= 1e-4
@@ -165,8 +165,8 @@ def test_criterion_4_projection_weight():
             )
             spec = schw
         frame = build_static_frame(spec, p)
-        v = FourVector(rng.standard_normal(4) * 10 ** rng.uniform(-2, 2), p)
-        proj = project_to_frame(frame, v)
+        v = rng.standard_normal(4) * 10 ** rng.uniform(-2, 2)
+        proj = checked(project_stack(tetrad_projector(frame), v[None])).result(0)
         assert 0.0 <= proj.w <= 1.0
 
     # round-trip identity
@@ -174,7 +174,8 @@ def test_criterion_4_projection_weight():
         p = schwarzschild_point(0.0, rng.uniform(3.0, 30.0), rng.uniform(0.5, 2.5), 0.0)
         frame = build_static_frame(schw, p)
         d = random_direction(rng)
-        proj = project_to_frame(frame, embed_direction(frame, d))
+        V = embed_stack(spatial_legs(frame), d.d[None])
+        proj = checked(project_stack(tetrad_projector(frame), V)).result(0)
         assert abs(proj.w - 1.0) <= 1e-10
         assert np.max(np.abs(proj.direction.d - d.d)) <= 1e-10
 
@@ -192,7 +193,8 @@ def test_criterion_4_projection_weight():
     frame_L = build_static_frame(schw, geo_L.end_point())
     frame_R = build_static_frame(schw, geo_R.end_point())
     b = Direction3.from_angle(math.radians(60.0))
-    proj = project_to_frame(frame_L, transport_R_to_L(geo_L, geo_R, embed_direction(frame_R, b)).v)
+    moved = checked(transport_stack(geo_L, geo_R, embed_stack(spatial_legs(frame_R), b.d[None])))
+    proj = checked(project_stack(tetrad_projector(frame_L), moved.v)).result(0)
     assert abs(proj.w - 1.0) <= 1e-4
     _passed("criterion 4: projection weight (w in [0,1] x 10^4, round trip, asymptotic flatness)")
 
@@ -228,8 +230,8 @@ def _schwarzschild_weight_pool(n_scenarios=24) -> list[float]:
             frame_L = build_static_frame(schw, geo_L.end_point())
             frame_R = build_static_frame(schw, geo_R.end_point())
             for d in (random_direction(rng), random_direction(rng)):
-                moved = transport_R_to_L(geo_L, geo_R, embed_direction(frame_R, d))
-                pool.append(project_to_frame(frame_L, moved.v).w)
+                moved = checked(transport_stack(geo_L, geo_R, embed_stack(spatial_legs(frame_R), d.d[None])))
+                pool.append(checked(project_stack(tetrad_projector(frame_L), moved.v)).w[0])
         except SimulatorError:
             continue
     return pool

@@ -11,12 +11,11 @@ from grbell import (
     generalized_bell_check,
     make_projection,
     quantum_correlation,
-    violation_condition,
-    weighted_difference,
 )
 from grbell.correlations import ARM_ORDER_ULP, bell_stack, optimal_settings, violation_stack
 from grbell.frames import ProjectionStack
 from conftest import random_direction
+from reference import violation_angles, weighted_difference
 
 
 def coplanar(angle_deg: float) -> Direction3:
@@ -148,7 +147,7 @@ def test_violation_condition_hand_case():
     d = weighted_difference(proj_b, proj_c)
     assert np.allclose(d, [1.0, -1.0, 0.0])
     a = Direction3.from_vector(d)
-    angles = violation_condition(SettingsTriple(a, proj_b.direction, proj_c.direction), proj_b, proj_c)
+    angles = violation_angles(SettingsTriple(a, proj_b.direction, proj_c.direction), proj_b, proj_c)
     assert angles.cos_theta == pytest.approx(0.7071067811865476, abs=1e-12)
     assert angles.cos_phi == pytest.approx(1.0, abs=1e-12)
     assert not angles.condition_holds
@@ -158,7 +157,7 @@ def test_violation_condition_orthogonal_setting():
     proj_b = make_projection(1.0, [1.0, 0.0, 0.0])
     proj_c = make_projection(1.0, [0.0, 1.0, 0.0])
     a = Direction3(np.array([0.0, 0.0, 1.0]))  # orthogonal to d
-    angles = violation_condition(SettingsTriple(a, proj_b.direction, proj_c.direction), proj_b, proj_c)
+    angles = violation_angles(SettingsTriple(a, proj_b.direction, proj_c.direction), proj_b, proj_c)
     assert angles.cos_phi == pytest.approx(0.0, abs=1e-15)
     assert angles.condition_holds
 
@@ -166,7 +165,7 @@ def test_violation_condition_orthogonal_setting():
 def test_violation_condition_vacuous_when_d_vanishes():
     b = coplanar(30.0)
     proj = make_projection(0.7, b)
-    angles = violation_condition(SettingsTriple(coplanar(0.0), b, b), proj, proj)
+    angles = violation_angles(SettingsTriple(coplanar(0.0), b, b), proj, proj)
     assert angles.degenerate and angles.condition_holds
 
 
@@ -186,7 +185,7 @@ def test_no_violation_when_b_parallel_to_d():
     proj_c = make_projection(0.5, b)
     a_star, report = find_max_violation(proj_b, proj_c, "analytic")
     assert report.margin <= 1e-12
-    angles = violation_condition(SettingsTriple(a_star, b, b), proj_b, proj_c)
+    angles = violation_angles(SettingsTriple(a_star, b, b), proj_b, proj_c)
     assert angles.cos_theta == pytest.approx(1.0, abs=1e-12)
 
 
@@ -253,7 +252,7 @@ def test_stacked_rows_equal_one_row_evaluations(rng):
         for field in ("p_ab", "p_ac", "lhs", "rhs", "margin", "w_b", "w_c", "violated", "swapped"):
             assert getattr(row, field) == getattr(one, field)
         assert np.array_equal(row.p_bc, one.p_bc, equal_nan=True)
-        one_angles = violation_condition(triple, pb, pc)
+        one_angles = violation_angles(triple, pb, pc)
         assert np.array_equal(angles.d[j], one_angles.d)
         assert (angles.cos_phi[j], angles.cos_theta[j]) == (one_angles.cos_phi, one_angles.cos_theta)
         if found[j]:
@@ -310,7 +309,7 @@ def test_one_row_wrappers_agree_in_either_arm_order():
         report = generalized_bell_check(triple, pb, pc)
         swapped += report.swapped
         if abs(report.margin) > 1e-9:
-            assert violation_condition(triple, pb, pc).condition_holds == (not report.violated)
+            assert violation_angles(triple, pb, pc).condition_holds == (not report.violated)
         order = (pc, pb) if report.swapped else (pb, pc)
         d = order[0].w ** 2 * order[0].direction.d - order[1].w ** 2 * order[1].direction.d
         assert np.allclose(weighted_difference(pb, pc), d, rtol=0.0, atol=1e-15)
@@ -348,5 +347,5 @@ def test_arms_swap_only_beyond_rounding(w_c, swapped):
     assert np.array_equal(report.b_direction.d, first)
     # the angle test's b arm is the bound's b arm
     d = weighted_difference(proj_b, proj_c)
-    angles = violation_condition(triple, proj_b, proj_c)
+    angles = violation_angles(triple, proj_b, proj_c)
     assert angles.cos_theta == pytest.approx(first @ d / np.linalg.norm(d), abs=1e-15)

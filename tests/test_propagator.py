@@ -13,8 +13,9 @@ from scipy.integrate import solve_ivp
 from grbell import FourVector, HorizonDomain, StepFailure, StopCondition, integrate_geodesic
 from grbell import geodesics
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
-from grbell.geometry import christoffel_components, schwarzschild_point
+from grbell.geometry import schwarzschild_point
 from conftest import random_exterior_point
+from reference import christoffel_components
 
 M = 1.0
 EPS = float(np.finfo(float).eps)

@@ -906,8 +906,7 @@ def test_finite_takes_numpy_numbers_but_no_booleans():
 
 def test_comoving_demo_rows_keep_the_config_arm_order():
     # the comoving frames carry b and c alike: w_b and w_c differ in the
-    # last bits only, so the b/c columns stay in the config's order, where
-    # b's weight is the smaller by rounding
+    # last bits only, either way round, so _ordered keeps the config's order
     data = schwarzschild_demo_config()
     data["frame_choice"] = "comoving"
     data["sweep"] = {"parameter": "a_deg", "start": 0.0, "stop": 180.0, "step": 2.0}
@@ -916,4 +915,10 @@ def test_comoving_demo_rows_keep_the_config_arm_order():
     for row in rows:
         w_b, w_c = float(row["w_b"]), float(row["w_c"])
         assert row["status"] == "ok"
-        assert w_b < w_c <= w_b + ARM_ORDER_ULP * np.spacing(w_b)
+        assert abs(w_b - w_c) <= ARM_ORDER_ULP * np.spacing(w_b)
+    # the config's b (60 deg) stays in the b column: at a = 0 it is the arm
+    # nearer a; transport turns both arrival directions, so the angles are
+    # not the config's
+    first = rows[0]
+    assert first["scenario_id"] == "a_deg=0"
+    assert float(first["theta_ab_deg"]) < float(first["theta_ac_deg"])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from grbell import (
-    BasePointMismatch,
     CommonOriginMismatch,
     FourVector,
     MetricSpec,
@@ -15,24 +14,15 @@ from grbell import (
     build_comoving_frame,
     build_static_frame,
     integrate_geodesic,
-    inner,
-    metric_at,
     minkowski_point,
-    parallel_transport,
     run_horizon_sweep,
     schwarzschild_point,
-    transport_R_to_L,
 )
-from grbell.frames import (
-    embed_stack,
-    project_stack,
-    spatial_legs,
-    tetrad_components,
-    tetrad_projector,
-)
+from grbell.frames import embed_stack, project_stack, spatial_legs, tetrad_projector
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from grbell.geometry import metric_components
-from grbell.transport import transport_stack
+from grbell.transport import BACKWARD, FORWARD, _carry, transport_stack
+from reference import checked, tetrad_components
 
 M = 1.0
 
@@ -100,54 +90,52 @@ def test_perturbed_propagator_fails_metric_check(schw):
 
 def test_forward_backward_round_trip_is_exact_to_rounding(schw, rng):
     path = circular_path(schw, revolutions=0.4)
-    v0 = FourVector(rng.standard_normal(4), path.start_point())
-    there = parallel_transport(path, v0)
-    back = parallel_transport(path, there.v, direction="backward")
-    assert np.max(np.abs(back.v.components - v0.components)) < 1e-12
+    v0 = rng.standard_normal((1, 4))
+    there = checked(_carry(path, v0, FORWARD))
+    back = checked(_carry(path, there.v, BACKWARD))
+    assert np.max(np.abs(back.v - v0)) < 1e-12
 
 
 def test_transport_r_to_l_is_propagator_product(schw, rng):
     geo_L = circular_path(schw, revolutions=0.25)
     geo_R = circular_path(schw, revolutions=0.2, retrograde=True)
-    vR = FourVector(rng.standard_normal(4), geo_R.end_point())
-    out = transport_R_to_L(geo_L, geo_R, vR)
-    expected = geo_L.propagators[-1] @ np.linalg.solve(geo_R.propagators[-1], vR.components)
-    assert np.array_equal(out.v.components, expected)
+    vR = rng.standard_normal(4)
+    out = checked(transport_stack(geo_L, geo_R, vR[None]))
+    expected = geo_L.propagators[-1] @ np.linalg.solve(geo_R.propagators[-1], vR)
+    assert np.array_equal(out.v[0], expected)
 
 
 def test_flat_transport_is_identity(flat, rng):
     path = flat_path(flat)
     for _ in range(5):
-        v0 = FourVector(rng.standard_normal(4), path.start_point())
-        out = parallel_transport(path, v0)
-        assert np.max(np.abs(out.v.components - v0.components)) < 1e-12
+        v0 = rng.standard_normal((1, 4))
+        out = checked(_carry(path, v0, FORWARD))
+        assert np.max(np.abs(out.v - v0)) < 1e-12
 
 
 def test_forward_backward_round_trip(schw, rng):
     path = circular_path(schw, revolutions=0.4)
-    v0 = FourVector(rng.standard_normal(4), path.start_point())
-    there = parallel_transport(path, v0)
-    back = parallel_transport(path, there.v, direction="backward")
-    assert np.max(np.abs(back.v.components - v0.components)) < 1e-7
+    v0 = rng.standard_normal((1, 4))
+    there = checked(_carry(path, v0, FORWARD))
+    back = checked(_carry(path, there.v, BACKWARD))
+    assert np.max(np.abs(back.v - v0)) < 1e-7
 
 
 def test_norm_and_tangent_product_conserved(schw):
     path = circular_path(schw, revolutions=0.7)
-    v0 = FourVector([0.0, math.sqrt(0.8), 0.0, 0.0], path.start_point())
-    out = parallel_transport(path, v0)
-    assert out.norm_drift < 1e-7
-    assert out.tangent_dot_drift < 1e-7
+    out = checked(_carry(path, np.array([[0.0, math.sqrt(0.8), 0.0, 0.0]]), FORWARD))
+    assert out.norm_drift[0] < 1e-7
+    assert out.tangent_dot_drift[0] < 1e-7
 
 
 def test_pairwise_inner_products_conserved(schw, rng):
     path = circular_path(schw, revolutions=0.5)
-    p0, p1 = path.start_point(), path.end_point()
-    g0, g1 = metric_at(path.spec, p0), metric_at(path.spec, p1)
-    v0 = FourVector(rng.standard_normal(4), p0)
-    w0 = FourVector(rng.standard_normal(4), p0)
-    v1 = parallel_transport(path, v0).v
-    w1 = parallel_transport(path, w0).v
-    assert inner(g1, v1, w1) == pytest.approx(inner(g0, v0, w0), abs=1e-7)
+    g0, g1 = (metric_components(path.spec, x) for x in path.points[[0, -1]])
+    v0 = rng.standard_normal(4)
+    w0 = rng.standard_normal(4)
+    v1 = checked(_carry(path, v0[None], FORWARD)).v[0]
+    w1 = checked(_carry(path, w0[None], FORWARD)).v[0]
+    assert v1 @ g1 @ w1 == pytest.approx(v0 @ g0 @ w0, abs=1e-7)
 
 
 def test_geodetic_precession_circular_orbit(schw):
@@ -156,22 +144,14 @@ def test_geodetic_precession_circular_orbit(schw):
     r = 10.0
     path = circular_path(schw, r=r, revolutions=1.0)
     f = 1.0 - 2.0 * M / r
-    v0 = FourVector([0.0, math.sqrt(f), 0.0, 0.0], path.start_point())
-    out = parallel_transport(path, v0)
+    out = checked(_carry(path, np.array([[0.0, math.sqrt(f), 0.0, 0.0]]), FORWARD))
 
     frame = build_comoving_frame(schw, path.end_point(), path.end_tangent())
-    comps = tetrad_components(frame, out.v)
+    comps = tetrad_components(frame, out.v[0])
     assert abs(comps[0]) < 1e-9  # stays orthogonal to the orbit
     angle = math.atan2(comps[3], comps[1])
     expected = 2.0 * math.pi * (1.0 - math.sqrt(1.0 - 3.0 * M / r))
     assert abs(abs(angle) - expected) < 1e-4
-
-
-def test_transport_base_point_checked(schw):
-    path = circular_path(schw, revolutions=0.3)
-    stray = FourVector([0.0, 1.0, 0.0, 0.0], schwarzschild_point(0.0, 7.0, 1.0, 0.0))
-    with pytest.raises(BasePointMismatch):
-        parallel_transport(path, stray)
 
 
 def test_transport_r_to_l_flat_identity(flat, rng):
@@ -183,32 +163,31 @@ def test_transport_r_to_l_flat_identity(flat, rng):
     geo_R = integrate_geodesic(
         flat, x0, FourVector([gamma, -0.5 * gamma, 0.0, 0.0], x0), StopCondition.proper_time(5.0)
     )
-    vR = FourVector(rng.standard_normal(4), geo_R.end_point())
-    out = transport_R_to_L(geo_L, geo_R, vR)
-    assert np.max(np.abs(out.v.components - vR.components)) < 1e-11
+    vR = rng.standard_normal((1, 4))
+    out = checked(transport_stack(geo_L, geo_R, vR))
+    assert np.max(np.abs(out.v - vR)) < 1e-11
 
 
 def test_transport_r_to_l_degenerate_right_leg(schw, rng):
     geo_L = circular_path(schw, revolutions=0.4)
-    x0 = geo_L.start_point()
+    x0 = schw.point(*geo_L.points[0])
     geo_R = integrate_geodesic(
-        schw, x0, geo_L.start_tangent(), StopCondition.proper_time(0.0)
+        schw, x0, FourVector(geo_L.tangents[0], x0), StopCondition.proper_time(0.0)
     )
-    vO = FourVector(rng.standard_normal(4), x0)
-    combined = transport_R_to_L(geo_L, geo_R, FourVector(vO.components, geo_R.end_point()))
-    direct = parallel_transport(geo_L, vO)
-    assert np.max(np.abs(combined.v.components - direct.v.components)) < 1e-12
+    vO = rng.standard_normal((1, 4))
+    combined = checked(transport_stack(geo_L, geo_R, vO))
+    direct = checked(_carry(geo_L, vO, FORWARD))
+    assert np.max(np.abs(combined.v - direct.v)) < 1e-12
 
 
 def test_transport_r_to_l_opposite_orbits_preserves_norm(schw):
     # two opposite equatorial geodesics from r = 10
     geo_L = circular_path(schw, revolutions=0.25)
     geo_R = circular_path(schw, revolutions=0.25, retrograde=True)
-    p_R = geo_R.end_point()
-    vR = FourVector([0.0, math.sqrt(1.0 - 2.0 * M / p_R.coords[1]), 0.0, 0.0], p_R)
-    norm_R = inner(metric_at(geo_R.spec, p_R), vR, vR)
-    out = transport_R_to_L(geo_L, geo_R, vR)
-    norm_L = inner(metric_at(geo_L.spec, geo_L.end_point()), out.v, out.v)
+    vR = np.array([0.0, math.sqrt(1.0 - 2.0 * M / geo_R.points[-1, 1]), 0.0, 0.0])
+    norm_R = vR @ metric_components(geo_R.spec, geo_R.points[-1]) @ vR
+    vL = checked(transport_stack(geo_L, geo_R, vR[None])).v[0]
+    norm_L = vL @ metric_components(geo_L.spec, geo_L.points[-1]) @ vL
     assert norm_L == pytest.approx(norm_R, abs=1e-7)
 
 
@@ -219,9 +198,8 @@ def test_transport_r_to_l_origin_mismatch(schw):
     geo_R = integrate_geodesic(
         schw, x1, FourVector([1.0 / math.sqrt(f), 0.0, 0.0, 0.0], x1), StopCondition.proper_time(1.0)
     )
-    vR = FourVector([0.0, 1.0, 0.0, 0.0], geo_R.end_point())
     with pytest.raises(CommonOriginMismatch):
-        transport_R_to_L(geo_L, geo_R, vR)
+        transport_stack(geo_L, geo_R, np.array([[0.0, 1.0, 0.0, 0.0]]))
 
 
 def opposite_flat_legs(flat):
@@ -237,17 +215,19 @@ def opposite_flat_legs(flat):
 
 @pytest.mark.parametrize("width", [1, 2, 7, 64])
 def test_transport_stack_rows_equal_one_row_transports(schw, rng, width):
-    # a row's result does not depend on how many rows travel with it
+    # a row's result does not depend on how many rows travel with it: each
+    # row of a width-k stack equals the same row carried as a stack of one
     geo_L = circular_path(schw, revolutions=0.25)
     geo_R = circular_path(schw, revolutions=0.2, retrograde=True)
     V = rng.standard_normal((width, 4))
     moved = transport_stack(geo_L, geo_R, V)
     assert moved.errors == {}
     for j in range(width):
-        one = transport_R_to_L(geo_L, geo_R, FourVector(V[j], geo_R.end_point()))
-        assert np.array_equal(moved.v[j], one.v.components)
-        assert moved.norm_drift[j] == one.norm_drift
-        assert moved.tangent_dot_drift[j] == one.tangent_dot_drift
+        one = transport_stack(geo_L, geo_R, V[j:j + 1])
+        assert one.errors == {}
+        assert np.array_equal(moved.v[j], one.v[0])
+        assert moved.norm_drift[j] == one.norm_drift[0]
+        assert moved.tangent_dot_drift[j] == one.tangent_dot_drift[0]
 
 
 def test_a_row_past_its_drift_bound_fails_alone(flat):
@@ -262,11 +242,11 @@ def test_a_row_past_its_drift_bound_fails_alone(flat):
     assert isinstance(moved.errors[2], StepFailure)
     assert moved.norm_drift[2] > 1e-8  # the bound on this unit, untilted vector
     with pytest.raises(StepFailure):
-        transport_R_to_L(geo_L, bent, FourVector(V[2], bent.end_point()))
+        checked(transport_stack(geo_L, bent, V[2:3]))
     for j in (0, 1, 3):
-        one = transport_R_to_L(geo_L, bent, FourVector(V[j], bent.end_point()))
-        assert np.array_equal(moved.v[j], one.v.components)
-        assert moved.norm_drift[j] == one.norm_drift == 0.0
+        one = checked(transport_stack(geo_L, bent, V[j:j + 1]))
+        assert np.array_equal(moved.v[j], one.v[0])
+        assert moved.norm_drift[j] == one.norm_drift[0] == 0.0
 
 
 def test_a_non_finite_row_fails_alone(flat):
@@ -279,7 +259,7 @@ def test_a_non_finite_row_fails_alone(flat):
     assert isinstance(moved.errors[2], StepFailure)
     assert np.array_equal(moved.v[0], V[0])
     with pytest.raises(StepFailure, match="nan"):
-        transport_R_to_L(geo_L, geo_R, FourVector(V[2], geo_R.end_point()))
+        checked(transport_stack(geo_L, geo_R, V[2:3]))
 
 
 def test_the_norm_check_does_not_loosen_with_the_size_of_the_vector(flat):
