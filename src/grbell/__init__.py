@@ -18,7 +18,6 @@ from .correlations import (
 )
 from .errors import (
     BadNormalization,
-    BasePointMismatch,
     CommonOriginMismatch,
     ConfigError,
     DegenerateBasis,
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .frames import (
     Direction3,
-    LocalFrame,
     ProjectionResult,
     build_comoving_frame,
     build_static_frame,
@@ -47,11 +45,9 @@ from .frames import (
 )
 from .geodesics import GeodesicPath, StopCondition, integrate_geodesic
 from .geometry import (
-    FourVector,
     MetricSpec,
     SpacetimePoint,
     minkowski_point,
-    same_event,
     schwarzschild_point,
 )
 from .lhv import (

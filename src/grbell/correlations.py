@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateD
+from .errors import DegenerateD, ValidationError
 from .frames import Direction3, ProjectionResult, ProjectionStack
 from .geometry import row_dot
 
@@ -260,7 +260,8 @@ def find_max_violation(
 
     Analytic mode: the quantum left side is |a . d|, maximal at a = d/|d|.
     Grid mode scans an n x n sphere grid and refines the best cell by
-    shrinking-step coordinate descent; ties break lexicographically.
+    shrinking-step coordinate descent; ties break lexicographically. Any
+    other search raises ValidationError.
     """
     arm_b, arm_c = _one(proj_b), _one(proj_c)
     best, found = optimal_settings(arm_b, arm_c)
@@ -276,7 +277,7 @@ def find_max_violation(
         order = np.lexsort((-candidates[:, 2], -candidates[:, 1], -candidates[:, 0], margins))
         a_star = _refine(Direction3(candidates[order[-1]]), arm_b, arm_c)
     else:
-        raise ValueError(f"unknown search mode {search!r}")
+        raise ValidationError("search", f"unknown search mode {search!r}")
 
     return a_star, bell_stack(a_star.d[None], arm_b, arm_c).report(0)
 

@@ -15,10 +15,6 @@ class HorizonDomain(SimulatorError):
     """Schwarzschild point at or inside the guarded radius 2M(1+eps)."""
 
 
-class BasePointMismatch(SimulatorError):
-    """Operation mixing tensors based at different events."""
-
-
 class MetricUnderflow(SimulatorError):
     """A metric component underflows to zero, so the chart cannot resolve the event."""
 

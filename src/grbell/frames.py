@@ -1,5 +1,9 @@
 """Local orthonormal tetrads and the weighted projection of transported vectors.
 
+A tetrad is one (4, 4) array E with the legs e0..e3 as its rows, so that
+g(e_a, e_b) = eta_ab. Its projector is E g, with g the metric at the
+tetrad's event: (E g) v holds g(e_a, v).
+
 A transported measurement direction generally acquires a time component in
 the detector's tetrad. The rule used here: Euclidean-normalize the four
 tetrad components to unit length, then take the spatial triple. Its
@@ -9,8 +13,8 @@ timelike one degenerates to w = 0.
 
 Embedding and projection are linear, so they run on stacks of vectors,
 one per row: embed_stack puts every setting of a sweep into the tetrad at
-once, and project_stack projects every transported row with the frame's
-one 4x4 tetrad_projector. One vector is a stack of one row, and a
+once, and project_stack projects every transported row with the tetrad's
+one 4x4 projector. One vector is a stack of one row, and a
 ProjectionResult is built only for the rows a caller asks for.
 weighted_stack builds the same stack from given weights along one
 direction, without a tetrad (the synthetic mode); make_projection is its
@@ -27,7 +31,6 @@ import numpy as np
 
 from .errors import (
     BadNormalization,
-    BasePointMismatch,
     DegenerateBasis,
     NonFiniteVector,
     SimulatorError,
@@ -38,14 +41,11 @@ from .geodesics import TIMELIKE, tangent_kind
 from .geometry import (
     ETA,
     MINKOWSKI,
-    FourVector,
     MetricSpec,
     SpacetimePoint,
     _frozen_array,
-    metric_components,
     row_dot,
     row_matvec,
-    same_event,
 )
 
 DEGENERATE_W = 1e-9
@@ -82,21 +82,6 @@ class Direction3:
 
     def __neg__(self) -> "Direction3":
         return Direction3(-self.d)
-
-
-@dataclass(frozen=True, eq=False)
-class LocalFrame:
-    """Orthonormal tetrad {e0, e1, e2, e3} at an event, g(e_a, e_b) = eta_ab."""
-
-    base: SpacetimePoint
-    spec: MetricSpec
-    e0: FourVector
-    e1: FourVector
-    e2: FourVector
-    e3: FourVector
-
-    def legs(self) -> list[FourVector]:
-        return [self.e0, self.e1, self.e2, self.e3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,44 +128,33 @@ def unit_or_none(v) -> np.ndarray | None:
         return None
 
 
-def build_static_frame(spec: MetricSpec, p: SpacetimePoint) -> LocalFrame:
+def build_static_frame(spec: MetricSpec, p: SpacetimePoint) -> np.ndarray:
     """Tetrad of the static observer: e0 along d/dt, spatial legs along the axes."""
     if p.chart != spec.chart:
         raise StaticFrameUnavailable(f"point chart {p.chart!r} does not match metric")
     if spec.kind == MINKOWSKI:
-        legs = np.eye(4)
-    else:
-        r, theta = p.coords[1], p.coords[2]
-        if r <= spec.guard_radius:
-            raise StaticFrameUnavailable(
-                f"no static observer at r = {r} <= {spec.guard_radius}"
-            )
-        f = 1.0 - 2.0 * spec.mass / r
-        legs = np.diag(
-            [1.0 / math.sqrt(f), math.sqrt(f), 1.0 / r, 1.0 / (r * math.sin(theta))]
-        )
-    e = [FourVector(legs[i], p) for i in range(4)]
-    return LocalFrame(p, spec, *e)
+        return np.eye(4)
+    r, theta = p.coords[1], p.coords[2]
+    if r <= spec.guard_radius:
+        raise StaticFrameUnavailable(f"no static observer at r = {r} <= {spec.guard_radius}")
+    f = 1.0 - 2.0 * spec.mass / r
+    return np.diag([1.0 / math.sqrt(f), math.sqrt(f), 1.0 / r, 1.0 / (r * math.sin(theta))])
 
 
-def build_comoving_frame(spec: MetricSpec, p: SpacetimePoint, u: FourVector) -> LocalFrame:
-    """Tetrad riding with 4-velocity u: e0 = u, spatial legs by Gram-Schmidt.
+def build_comoving_frame(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Tetrad riding with 4-velocity u at an event where the metric is g:
+    e0 = u, spatial legs by Gram-Schmidt.
 
     Candidates are the spatial coordinate axes in chart order, so the result
     is deterministic. Future-pointing timelike u is required.
     """
-    if not same_event(p, u.base):
-        raise BasePointMismatch("u must be based at p")
-    g = metric_components(spec, p.coords)
-    uu = float(u.components @ g @ u.components)
-    if tangent_kind(u.components, uu) != TIMELIKE:
+    if tangent_kind(u, float(u @ g @ u)) != TIMELIKE:
         raise BadNormalization("a comoving frame needs a timelike u, not a null one")
 
-    legs = [np.asarray(u.components, dtype=float)]
+    legs = [np.asarray(u, dtype=float)]
     for axis in (1, 2, 3):
-        cand = np.zeros(4)
-        cand[axis] = 1.0
-        w = cand.copy()
+        w = np.zeros(4)
+        w[axis] = 1.0
         # eta-weighted projections: e0 has norm -1, spatial legs +1
         w = w + float(legs[0] @ g @ w) * legs[0]
         for prev in legs[1:]:
@@ -189,25 +163,12 @@ def build_comoving_frame(spec: MetricSpec, p: SpacetimePoint, u: FourVector) -> 
         if norm_sq <= GRAM_SCHMIDT_PIVOT:
             raise DegenerateBasis(f"pivot {norm_sq} for axis {axis}")
         legs.append(w / math.sqrt(norm_sq))
-    e = [FourVector(leg, p) for leg in legs]
-    return LocalFrame(p, spec, *e)
+    return np.stack(legs)
 
 
-def spatial_legs(frame: LocalFrame) -> np.ndarray:
-    """The frame's spatial legs e1, e2, e3 as the rows of a (3, 4) array."""
-    return np.stack([frame.e1.components, frame.e2.components, frame.e3.components])
-
-
-def embed_stack(legs: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """d1*e1 + d2*e2 + d3*e3 for each row d of D, with legs from spatial_legs."""
-    return D[:, 0:1] * legs[0] + D[:, 1:2] * legs[1] + D[:, 2:3] * legs[2]
-
-
-def tetrad_projector(frame: LocalFrame) -> np.ndarray:
-    """E g, with the legs e_a as the rows of E: (E g) v holds g(e_a, v)."""
-    g = metric_components(frame.spec, frame.base.coords)
-    E = np.stack([leg.components for leg in frame.legs()])
-    return E @ g
+def embed_stack(E: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """d1*e1 + d2*e2 + d3*e3 for each row d of D, with the legs e_a the rows of E."""
+    return D[:, 0:1] * E[1] + D[:, 1:2] * E[2] + D[:, 2:3] * E[3]
 
 
 _ETA_DIAG = np.diag(ETA)
@@ -286,7 +247,7 @@ def weighted_stack(w: np.ndarray, direction: np.ndarray | None) -> ProjectionSta
 def project_stack(projector: np.ndarray, V: np.ndarray) -> ProjectionStack:
     """Weight and direction of each row of V, per the module's projection rule.
 
-    projector is tetrad_projector of the frame the rows are based in.
+    projector is E g of the tetrad E the rows are read in, g the metric there.
     """
     with np.errstate(all="ignore"):  # a non-finite row is reported as an error
         comps = _ETA_DIAG * row_matvec(projector, V)

@@ -61,13 +61,7 @@ from .errors import (
     StepFailure,
     ValidationError,
 )
-from .geometry import (
-    SCHWARZSCHILD,
-    FourVector,
-    MetricSpec,
-    SpacetimePoint,
-    metric_components,
-)
+from .geometry import SCHWARZSCHILD, MetricSpec, SpacetimePoint, metric_components
 
 TIMELIKE = "timelike"
 NULL = "null"
@@ -173,12 +167,6 @@ class GeodesicPath:
     def end_point(self) -> SpacetimePoint:
         return SpacetimePoint(self.points[-1], self.spec.chart)
 
-    def end_tangent(self) -> FourVector:
-        return FourVector(self.tangents[-1], self.end_point())
-
-    def conservation_drift(self) -> dict[str, float]:
-        """Max drift of the tangent norm and, for Schwarzschild, E and L_z."""
-        return dict(self.drift)
 
 
 def _conservation_drift(
@@ -219,14 +207,14 @@ def tangent_kind(u: np.ndarray, uu: float) -> str:
 
 
 def _tau_cap(
-    spec: MetricSpec, x0: SpacetimePoint, u0: FourVector, stop: StopCondition
+    spec: MetricSpec, x0: SpacetimePoint, u0: np.ndarray, stop: StopCondition
 ) -> float:
     if stop.kind == STOP_PROPER_TIME:
         return stop.value
     if stop.kind == STOP_COORDINATE_TIME:
         # dt/dparam >= E0 along the path since g_tt u^t is conserved and f <= 1
         g = metric_components(spec, x0.coords)
-        e0 = max(float(-g[0, 0] * u0.components[0]), 1e-12)
+        e0 = max(float(-g[0, 0] * u0[0]), 1e-12)
         return (abs(stop.value - x0.coords[0]) + 1.0) / min(e0, 1.0) + 1.0
     r0 = _chart_radius(spec, x0.coords)
     r_far = max(r0, stop.value)
@@ -276,11 +264,11 @@ def check_metric_preserved(
 def integrate_geodesic(
     spec: MetricSpec,
     x0: SpacetimePoint,
-    u0: FourVector,
+    u0: np.ndarray,
     stop: StopCondition,
     tol: float = 1e-10,
 ) -> GeodesicPath:
-    """The geodesic from (x0, u0) until the stop condition fires.
+    """The geodesic from x0 with tangent u0, a (4,) array, until the stop fires.
 
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
     the integrated state (x, u, psi); flat legs are exact.
@@ -291,9 +279,8 @@ def integrate_geodesic(
     non-finite, the step size underflows, conservation drifts exceed
     max(1e-8, 100 * tol) or the propagator fails to preserve the metric.
     """
-    u = u0.components
     # the metric at x0 is also the chart and domain check
-    kind = tangent_kind(u, float(u @ metric_components(spec, x0.coords) @ u))
+    kind = tangent_kind(u0, float(u0 @ metric_components(spec, x0.coords) @ u0))
 
     if stop.kind == STOP_RADIUS and spec.kind == SCHWARZSCHILD:
         if stop.value <= spec.guard_radius:
@@ -309,7 +296,7 @@ def integrate_geodesic(
         or (stop.kind == STOP_COORDINATE_TIME and abs(x0.coords[0] - stop.value) <= STOP_SNAP)
     ):
         return _checked_path(
-            spec, kind, tol, np.array([0.0]), np.array([x0.coords]), np.array([u0.components]),
+            spec, kind, tol, np.array([0.0]), np.array([x0.coords]), np.array([u0]),
             np.eye(4)[None, :, :],
         )
     if spec.kind == SCHWARZSCHILD:
@@ -322,11 +309,11 @@ def _not_reached(stop: StopCondition, cap: float) -> StepFailure:
 
 
 def _straight_line(
-    spec: MetricSpec, kind: str, x0: SpacetimePoint, u0: FourVector,
+    spec: MetricSpec, kind: str, x0: SpacetimePoint, u0: np.ndarray,
     stop: StopCondition, tol: float,
 ) -> GeodesicPath:
     """A flat leg: x = x0 + u0 tau with P = I, its stop solved in closed form."""
-    x, u = x0.coords, u0.components
+    x, u = x0.coords, u0
     if stop.kind == STOP_PROPER_TIME:
         tau = stop.value
     elif stop.kind == STOP_COORDINATE_TIME:
@@ -417,10 +404,10 @@ def _schwarzschild_rhs(mass: float, kind: str, energy: float, ang_mom: float):
 
 
 def _schwarzschild_leg(
-    spec: MetricSpec, kind: str, x0: SpacetimePoint, u0: FourVector,
+    spec: MetricSpec, kind: str, x0: SpacetimePoint, u0: np.ndarray,
     stop: StopCondition, tol: float, cap: float,
 ) -> GeodesicPath:
-    y0 = [float(v) for v in x0.coords] + [float(v) for v in u0.components] + [0.0]
+    y0 = [float(v) for v in x0.coords] + [float(v) for v in u0] + [0.0]
     r0, th0 = y0[1], y0[2]
     energy = (1.0 - 2.0 * spec.mass / r0) * y0[4]
     ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])

@@ -1,4 +1,7 @@
-"""Spacetime geometry: events, vectors, the metric, and products over stacks of rows.
+"""Spacetime geometry: events in a chart, the metric, and products over stacks of rows.
+
+A vector is a plain (4,) array of contravariant components v^mu, and a
+stack of vectors holds one per row.
 
 Conventions used everywhere in this package:
 
@@ -60,20 +63,6 @@ class SpacetimePoint:
         return f"SpacetimePoint({self.coords.tolist()}, {self.chart!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class FourVector:
-    """Contravariant components v^mu attached to a base event."""
-
-    components: np.ndarray
-    base: SpacetimePoint
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _frozen_array(self.components, (4,)))
-
-    def __repr__(self):
-        return f"FourVector({self.components.tolist()} @ {self.base!r})"
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """Which spacetime to use: a kind and, for Schwarzschild, a mass."""
@@ -110,10 +99,6 @@ def minkowski_point(t: float, x: float, y: float, z: float) -> SpacetimePoint:
 
 def schwarzschild_point(t: float, r: float, theta: float, phi: float) -> SpacetimePoint:
     return SpacetimePoint(np.array([t, r, theta, phi]), CHART_SCHWARZSCHILD)
-
-
-def same_event(p: SpacetimePoint, q: SpacetimePoint, tol: float = 1e-12) -> bool:
-    return p.chart == q.chart and bool(np.all(np.abs(p.coords - q.coords) <= tol))
 
 
 def _check_domain(spec: MetricSpec, coords: np.ndarray) -> None:

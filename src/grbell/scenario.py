@@ -34,10 +34,11 @@ row generation for the sweep command.
 
 The settings a, b and c are chosen at the detectors and do not enter the
 geodesics, the detector tetrads or the R -> O -> L propagator, so the
-pipeline runs in two steps: the geometry (both geodesics, both detector
-frames, and from them the spatial legs at R and the projector of the
-tetrad at L), then the settings-dependent stages. Those are linear up to
-the projection, so they run as one array pass over k rows of settings:
+pipeline runs in two steps: the geometry (both geodesics and both
+detector tetrads, each a 4x4 array with its legs as rows; the projector at
+L is that tetrad times the metric its path stores at L), then the
+settings-dependent stages. Those are linear up to the projection, so
+they run as one array pass over k rows of settings:
 the 2k settings b and c are embedded at R, carried to L by one solve and
 one product, and projected together, and the inequality is evaluated over
 the arrays. Each row keeps its own transport and projection checks, so a
@@ -85,15 +86,12 @@ from .errors import (
 )
 from .frames import (
     Direction3,
-    LocalFrame,
     ProjectionResult,
     ProjectionStack,
     build_comoving_frame,
     build_static_frame,
     embed_stack,
     project_stack,
-    spatial_legs,
-    tetrad_projector,
     unit_or_none,
     weighted_stack,
 )
@@ -101,9 +99,9 @@ from .geodesics import GeodesicPath, StopCondition, integrate_geodesic, tangent_
 from .geometry import (
     MINKOWSKI,
     SCHWARZSCHILD,
-    FourVector,
     MetricSpec,
     SpacetimePoint,
+    _frozen_array,
     metric_components,
     row_dot,
 )
@@ -181,8 +179,8 @@ class ScenarioConfig:
     lhv_audit: bool
     metric: MetricSpec | None = None
     origin: SpacetimePoint | None = None
-    u1: FourVector | None = None
-    u2: FourVector | None = None
+    u1: np.ndarray | None = None  # (4,), read-only
+    u2: np.ndarray | None = None
     stop1: StopCondition | None = None
     stop2: StopCondition | None = None
     synthetic: Synthetic | None = None
@@ -328,11 +326,10 @@ def _parse_synthetic(d) -> Synthetic:
     return synthetic
 
 
-def _normalized_tangent(
-    g: np.ndarray, origin: SpacetimePoint, raw: np.ndarray, field: str
-) -> FourVector:
-    """raw as a tangent at origin, where the metric is g; within 1e-6 of unit
-    norm it is rescaled to exact unit norm, then tangent_kind must accept it."""
+def _normalized_tangent(g: np.ndarray, raw: np.ndarray, field: str) -> np.ndarray:
+    """raw as a read-only tangent at an event where the metric is g; within
+    1e-6 of unit norm it is rescaled to exact unit norm, then tangent_kind
+    must accept it."""
     uu = float(raw @ g @ raw)
     if abs(uu + 1.0) <= 1e-6:
         raw = raw / math.sqrt(-uu)
@@ -341,7 +338,7 @@ def _normalized_tangent(
         tangent_kind(raw, uu)
     except BadNormalization as e:
         raise ValidationError(field, str(e)) from None
-    return FourVector(raw, origin)
+    return _frozen_array(raw, (4,))
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -426,9 +423,9 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
             g = metric_components(metric, coords)
         except SimulatorError as e:
             raise ValidationError("origin", f"origin inside horizon guard: {e}") from None
-        u1 = _normalized_tangent(g, origin, _floats(_require(data, "u1", ""), 4, "u1"), "u1")
-        u2 = _normalized_tangent(g, origin, _floats(_require(data, "u2", ""), 4, "u2"), "u2")
-        if np.max(np.abs(u1.components - u2.components)) <= 1e-12:
+        u1 = _normalized_tangent(g, _floats(_require(data, "u1", ""), 4, "u1"), "u1")
+        u2 = _normalized_tangent(g, _floats(_require(data, "u2", ""), 4, "u2"), "u2")
+        if np.max(np.abs(u1 - u2)) <= 1e-12:
             raise ValidationError("u2", "u1 and u2 must define distinct geodesics")
         stop1 = _parse_stop(_require(data, "stop1", ""), "stop1")
         stop2 = _parse_stop(_require(data, "stop2", ""), "stop2")
@@ -492,7 +489,7 @@ class GeodesicSummary:
         return cls(
             tau_end=path.tau_end,
             endpoint=[float(x) for x in path.points[-1]],
-            drift=path.conservation_drift(),
+            drift=dict(path.drift),
             stats={"nfev": path.nfev, "accepted": path.accepted, "rejected": path.rejected},
         )
 
@@ -523,11 +520,11 @@ def _stage(name: str):
         raise PipelineError(name, e) from e
 
 
-def _detector_frame(metric: MetricSpec, frame_choice: str, path: GeodesicPath) -> LocalFrame:
-    end = path.end_point()
+def _detector_frame(frame_choice: str, path: GeodesicPath) -> np.ndarray:
+    """The tetrad at the path's end, with the metric the path holds there."""
     if frame_choice == FRAME_COMOVING:
-        return build_comoving_frame(metric, end, path.end_tangent())
-    return build_static_frame(metric, end)
+        return build_comoving_frame(path.metrics[-1], path.tangents[-1])
+    return build_static_frame(path.spec, path.end_point())
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,14 +532,14 @@ class _Geometry:
     """What a scenario computes before it looks at the settings.
 
     Besides the paths it keeps the two linear maps every setting goes
-    through: the spatial legs of the tetrad at R, which embed a setting,
-    and the projector of the tetrad at L.
+    through: the tetrad at R, whose spatial legs embed a setting, and the
+    projector E g of the tetrad at L.
     """
 
     geo1: GeodesicPath
     geo2: GeodesicPath
-    legs_R: np.ndarray       # (3, 4), from spatial_legs
-    projector_L: np.ndarray  # (4, 4), from tetrad_projector
+    tetrad_R: np.ndarray     # (4, 4), legs as rows
+    projector_L: np.ndarray  # (4, 4)
 
 
 def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
@@ -554,9 +551,9 @@ def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
     with _stage("geodesic_2"):
         geo2 = integrate_geodesic(cfg.metric, cfg.origin, cfg.u2, cfg.stop2, cfg.tol)
     with _stage("frames"):
-        frame_L = _detector_frame(cfg.metric, cfg.frame_choice, geo1)
-        frame_R = _detector_frame(cfg.metric, cfg.frame_choice, geo2)
-        return _Geometry(geo1, geo2, spatial_legs(frame_R), tetrad_projector(frame_L))
+        E_L = _detector_frame(cfg.frame_choice, geo1)
+        E_R = _detector_frame(cfg.frame_choice, geo2)
+        return _Geometry(geo1, geo2, E_R, E_L @ geo1.metrics[-1])
 
 
 # both arms of k rows, and the error of each row that failed
@@ -594,7 +591,7 @@ def _arms(
     if geometry is None:
         return _synthetic_arms(synthetic, k)
     errors: dict[int, SimulatorError] = {}
-    V_R = embed_stack(geometry.legs_R, np.concatenate([b, c]))
+    V_R = embed_stack(geometry.tetrad_R, np.concatenate([b, c]))
     with _stage("transport"):
         moved = transport_stack(geometry.geo1, geometry.geo2, V_R)
     projected = project_stack(geometry.projector_L, moved.v)
@@ -924,12 +921,12 @@ def run_horizon_sweep(
         return guarded
 
     origin = spec.point(0.0, rs[0], math.pi / 2.0, 0.0)
-    u_static = FourVector([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / rs[0]), 0.0, 0.0, 0.0], origin)
+    u_static = np.array([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / rs[0]), 0.0, 0.0, 0.0])
     try:
         with _stage("geodesic_1"):
             geo1 = integrate_geodesic(spec, origin, u_static, StopCondition.proper_time(0.0), tol)
         with _stage("frames"):
-            projector_L = tetrad_projector(_detector_frame(spec, FRAME_STATIC, geo1))
+            projector_L = _detector_frame(FRAME_STATIC, geo1) @ geo1.metrics[-1]
     except PipelineError as e:
         return [error_row(sid, _failure_status(e)) for _, sid in live] + guarded
     settings = _settings_rows(_parse_settings(DEFAULT_HORIZON_SETTINGS))
@@ -939,8 +936,8 @@ def run_horizon_sweep(
             with _stage("geodesic_2"):
                 geo2 = integrate_geodesic(spec, origin, u_static, StopCondition.radius(r), tol)
             with _stage("frames"):
-                legs_R = spatial_legs(_detector_frame(spec, FRAME_STATIC, geo2))
-            geometry = _Geometry(geo1, geo2, legs_R, projector_L)
+                E_R = _detector_frame(FRAME_STATIC, geo2)
+            geometry = _Geometry(geo1, geo2, E_R, projector_L)
             return _csv_rows(_evaluate(geometry, *settings), [sid])[0]
         except SimulatorError as e:
             return error_row(sid, _failure_status(e))

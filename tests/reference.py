@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from grbell.correlations import _ordered, _weighted_differences, violation_stack
-from grbell.frames import ProjectionStack, tetrad_projector
+from grbell.frames import ProjectionStack
 from grbell.geometry import ETA, MINKOWSKI, _check_domain, metric_components
 
 
@@ -65,9 +65,10 @@ def checked(stack):
     return stack
 
 
-def tetrad_components(frame, v):
-    """Components v^a with v = v^a e_a, via eta^{ab} g(e_b, v)."""
-    return np.diag(ETA) * (tetrad_projector(frame) @ v)
+def tetrad_components(E, g, v):
+    """Components v^a with v = v^a e_a, via eta^{ab} g(e_b, v), for the tetrad
+    E (legs as rows) at an event where the metric is g."""
+    return np.diag(ETA) * (E @ g @ v)
 
 
 def weighted_difference(proj_b, proj_c):

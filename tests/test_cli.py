@@ -370,8 +370,11 @@ def _fuzz_bases():
         "stop2": {"kind": "proper_time", "value": 1.0},
         "lhv_audit": False,
     }
+    # the same legs read out in comoving tetrads built from each path's end
+    comoving = {**schwarzschild, "frame_choice": "comoving"}
     return [
-        (base, path) for base in (flat_baseline_config(), synthetic, schwarzschild, *audited)
+        (base, path)
+        for base in (flat_baseline_config(), synthetic, schwarzschild, comoving, *audited)
         for path in _field_paths(base)
     ]
 

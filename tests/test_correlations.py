@@ -7,6 +7,7 @@ from grbell import (
     DegenerateD,
     Direction3,
     SettingsTriple,
+    ValidationError,
     find_max_violation,
     generalized_bell_check,
     make_projection,
@@ -187,6 +188,14 @@ def test_no_violation_when_b_parallel_to_d():
     assert report.margin <= 1e-12
     angles = violation_angles(SettingsTriple(a_star, b, b), proj_b, proj_c)
     assert angles.cos_theta == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unknown_search_mode_is_a_validation_error():
+    proj_b = make_projection(1.0, coplanar(60.0))
+    proj_c = make_projection(0.5, coplanar(120.0))
+    with pytest.raises(ValidationError, match="unknown search mode 'newton'") as info:
+        find_max_violation(proj_b, proj_c, "newton")
+    assert info.value.field == "search"
 
 
 def test_grid_search_matches_analytic(rng):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from grbell import (
     Direction3,
-    FourVector,
     HorizonApproach,
     MetricSpec,
     ParseError,
@@ -495,7 +494,7 @@ def test_horizon_sweep_integrates_the_emission_leg_once(monkeypatch):
 def _horizon_reference(spec, r_values, tol):
     """Each row of a horizon study as one full run_scenario with both legs."""
     origin = spec.point(0.0, r_values[0], math.pi / 2.0, 0.0)
-    u_static = FourVector([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / r_values[0]), 0, 0, 0], origin)
+    u_static = np.array([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / r_values[0]), 0, 0, 0])
     settings = SettingsTriple(*(Direction3.from_angle(math.radians(d)) for d in (0.0, 60.0, 120.0)))
     rows = []
     for r in r_values:
@@ -575,9 +574,11 @@ def test_demo_evaluates_metric_once_per_stored_point(monkeypatch):
     assert len(calls) == sum(1 + len(path.taus) for path in paths)
 
 
-def test_demo_transport_evaluates_no_metric(monkeypatch):
-    # transport reads g at a leg's ends from the path's stored stack, so no
-    # metric_components call in a run comes from grbell.transport
+@pytest.mark.parametrize("frame_choice", ["static", "comoving"])
+def test_demo_transport_evaluates_no_metric(monkeypatch, frame_choice):
+    # transport and the detector tetrads read g at a leg's ends from the
+    # path's stored stack, so no metric_components call in a run comes from
+    # grbell.transport or grbell.frames
     import sys
 
     callers = []
@@ -591,9 +592,11 @@ def test_demo_transport_evaluates_no_metric(monkeypatch):
     paths = recording_paths(monkeypatch)
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
+    data["frame_choice"] = frame_choice
     run_scenario(config_from_dict(data))
     assert callers.count("grbell.geodesics") == sum(1 + len(path.taus) for path in paths)
     assert "grbell.transport" not in callers
+    assert "grbell.frames" not in callers
 
 
 def test_csv_correlations_come_from_the_report():
