@@ -44,12 +44,7 @@ from .frames import (
     make_projection,
 )
 from .geodesics import GeodesicPath, StopCondition, integrate_geodesic
-from .geometry import (
-    MetricSpec,
-    SpacetimePoint,
-    minkowski_point,
-    schwarzschild_point,
-)
+from .geometry import MetricSpec
 from .lhv import (
     LHVAuditReport,
     LHVModel,

@@ -8,7 +8,7 @@ class SimulatorError(Exception):
 # -- geometry ---------------------------------------------------------------
 
 class InvalidChart(SimulatorError):
-    """Point or vector expressed in a chart the metric does not use."""
+    """Unknown metric kind, or an event outside its chart (theta not in (0, pi))."""
 
 
 class HorizonDomain(SimulatorError):
@@ -16,7 +16,8 @@ class HorizonDomain(SimulatorError):
 
 
 class MetricUnderflow(SimulatorError):
-    """A metric component underflows to zero, so the chart cannot resolve the event."""
+    """A metric component underflows to zero or overflows to inf, so the chart
+    cannot resolve the event."""
 
 
 # -- geodesics and transport ------------------------------------------------

@@ -42,7 +42,6 @@ from .geometry import (
     ETA,
     MINKOWSKI,
     MetricSpec,
-    SpacetimePoint,
     _frozen_array,
     row_dot,
     row_matvec,
@@ -128,15 +127,16 @@ def unit_or_none(v) -> np.ndarray | None:
         return None
 
 
-def build_static_frame(spec: MetricSpec, p: SpacetimePoint) -> np.ndarray:
-    """Tetrad of the static observer: e0 along d/dt, spatial legs along the axes."""
-    if p.chart != spec.chart:
-        raise StaticFrameUnavailable(f"point chart {p.chart!r} does not match metric")
+def build_static_frame(spec: MetricSpec, x: np.ndarray) -> np.ndarray:
+    """Tetrad of the static observer at the event x, a (4,) array: e0 along
+    d/dt, spatial legs along the axes."""
     if spec.kind == MINKOWSKI:
         return np.eye(4)
-    r, theta = p.coords[1], p.coords[2]
+    r, theta = x[1], x[2]
     if r <= spec.guard_radius:
         raise StaticFrameUnavailable(f"no static observer at r = {r} <= {spec.guard_radius}")
+    if not 0.0 < theta < math.pi:
+        raise StaticFrameUnavailable(f"no static observer at theta = {theta} outside (0, pi)")
     f = 1.0 - 2.0 * spec.mass / r
     return np.diag([1.0 / math.sqrt(f), math.sqrt(f), 1.0 / r, 1.0 / (r * math.sin(theta))])
 

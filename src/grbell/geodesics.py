@@ -61,7 +61,7 @@ from .errors import (
     StepFailure,
     ValidationError,
 )
-from .geometry import SCHWARZSCHILD, MetricSpec, SpacetimePoint, metric_components
+from .geometry import SCHWARZSCHILD, MetricSpec, metric_components
 
 TIMELIKE = "timelike"
 NULL = "null"
@@ -164,10 +164,6 @@ class GeodesicPath:
     def tau_end(self) -> float:
         return float(self.taus[-1])
 
-    def end_point(self) -> SpacetimePoint:
-        return SpacetimePoint(self.points[-1], self.spec.chart)
-
-
 
 def _conservation_drift(
     spec: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, g: np.ndarray
@@ -207,16 +203,16 @@ def tangent_kind(u: np.ndarray, uu: float) -> str:
 
 
 def _tau_cap(
-    spec: MetricSpec, x0: SpacetimePoint, u0: np.ndarray, stop: StopCondition
+    spec: MetricSpec, g: np.ndarray, x0: np.ndarray, u0: np.ndarray, stop: StopCondition
 ) -> float:
+    """Largest affine parameter a leg from x0, where the metric is g, may take."""
     if stop.kind == STOP_PROPER_TIME:
         return stop.value
     if stop.kind == STOP_COORDINATE_TIME:
         # dt/dparam >= E0 along the path since g_tt u^t is conserved and f <= 1
-        g = metric_components(spec, x0.coords)
         e0 = max(float(-g[0, 0] * u0[0]), 1e-12)
-        return (abs(stop.value - x0.coords[0]) + 1.0) / min(e0, 1.0) + 1.0
-    r0 = _chart_radius(spec, x0.coords)
+        return (abs(stop.value - x0[0]) + 1.0) / min(e0, 1.0) + 1.0
+    r0 = _chart_radius(spec, x0)
     r_far = max(r0, stop.value)
     # generous radial free-fall scale ~ r^{3/2} / sqrt(M), plus a flat-space term
     # (r * sqrt(r) overflows to inf, where r**1.5 would raise, for a huge target)
@@ -263,12 +259,13 @@ def check_metric_preserved(
 
 def integrate_geodesic(
     spec: MetricSpec,
-    x0: SpacetimePoint,
+    x0: np.ndarray,
     u0: np.ndarray,
     stop: StopCondition,
     tol: float = 1e-10,
 ) -> GeodesicPath:
-    """The geodesic from x0 with tangent u0, a (4,) array, until the stop fires.
+    """The geodesic from the event x0 with tangent u0, both (4,) arrays, until
+    the stop fires.
 
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
     the integrated state (x, u, psi); flat legs are exact.
@@ -279,8 +276,9 @@ def integrate_geodesic(
     non-finite, the step size underflows, conservation drifts exceed
     max(1e-8, 100 * tol) or the propagator fails to preserve the metric.
     """
-    # the metric at x0 is also the chart and domain check
-    kind = tangent_kind(u0, float(u0 @ metric_components(spec, x0.coords) @ u0))
+    # the metric at x0 is also the domain check
+    g0 = metric_components(spec, x0)
+    kind = tangent_kind(u0, float(u0 @ g0 @ u0))
 
     if stop.kind == STOP_RADIUS and spec.kind == SCHWARZSCHILD:
         if stop.value <= spec.guard_radius:
@@ -291,16 +289,16 @@ def integrate_geodesic(
         (stop.kind == STOP_PROPER_TIME and stop.value == 0.0)
         or (
             stop.kind == STOP_RADIUS
-            and abs(_chart_radius(spec, x0.coords) - stop.value) <= STOP_SNAP
+            and abs(_chart_radius(spec, x0) - stop.value) <= STOP_SNAP
         )
-        or (stop.kind == STOP_COORDINATE_TIME and abs(x0.coords[0] - stop.value) <= STOP_SNAP)
+        or (stop.kind == STOP_COORDINATE_TIME and abs(x0[0] - stop.value) <= STOP_SNAP)
     ):
         return _checked_path(
-            spec, kind, tol, np.array([0.0]), np.array([x0.coords]), np.array([u0]),
+            spec, kind, tol, np.array([0.0]), np.array([x0]), np.array([u0]),
             np.eye(4)[None, :, :],
         )
     if spec.kind == SCHWARZSCHILD:
-        return _schwarzschild_leg(spec, kind, x0, u0, stop, tol, _tau_cap(spec, x0, u0, stop))
+        return _schwarzschild_leg(spec, kind, x0, u0, stop, tol, _tau_cap(spec, g0, x0, u0, stop))
     return _straight_line(spec, kind, x0, u0, stop, tol)
 
 
@@ -309,11 +307,11 @@ def _not_reached(stop: StopCondition, cap: float) -> StepFailure:
 
 
 def _straight_line(
-    spec: MetricSpec, kind: str, x0: SpacetimePoint, u0: np.ndarray,
+    spec: MetricSpec, kind: str, x0: np.ndarray, u0: np.ndarray,
     stop: StopCondition, tol: float,
 ) -> GeodesicPath:
     """A flat leg: x = x0 + u0 tau with P = I, its stop solved in closed form."""
-    x, u = x0.coords, u0
+    x, u = x0, u0
     if stop.kind == STOP_PROPER_TIME:
         tau = stop.value
     elif stop.kind == STOP_COORDINATE_TIME:
@@ -404,10 +402,10 @@ def _schwarzschild_rhs(mass: float, kind: str, energy: float, ang_mom: float):
 
 
 def _schwarzschild_leg(
-    spec: MetricSpec, kind: str, x0: SpacetimePoint, u0: np.ndarray,
+    spec: MetricSpec, kind: str, x0: np.ndarray, u0: np.ndarray,
     stop: StopCondition, tol: float, cap: float,
 ) -> GeodesicPath:
-    y0 = [float(v) for v in x0.coords] + [float(v) for v in u0] + [0.0]
+    y0 = [float(v) for v in x0] + [float(v) for v in u0] + [0.0]
     r0, th0 = y0[1], y0[2]
     energy = (1.0 - 2.0 * spec.mass / r0) * y0[4]
     ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
@@ -664,9 +662,9 @@ def _checked_path(
 ) -> GeodesicPath:
     """The path through the stored states, once its checks pass.
 
-    The metric is evaluated once per stored point; the conservation drift
-    and the propagator check share that stack, and the path keeps both the
-    stack and the drift.
+    The metric is evaluated once per stored point, which also checks the
+    point's domain; the conservation drift and the propagator check share
+    that stack, and the path keeps both the stack and the drift.
     """
     g = np.stack([metric_components(spec, x) for x in points])
     drift = _conservation_drift(spec, kind, points, tangents, g)

@@ -1,7 +1,8 @@
-"""Spacetime geometry: events in a chart, the metric, and products over stacks of rows.
+"""Spacetime geometry: the metric and products over stacks of rows.
 
-A vector is a plain (4,) array of contravariant components v^mu, and a
-stack of vectors holds one per row.
+An event is a plain (4,) array of chart coordinates x^mu, a vector a plain
+(4,) array of contravariant components v^mu, and a stack of vectors holds
+one per row.
 
 Conventions used everywhere in this package:
 
@@ -10,7 +11,8 @@ Conventions used everywhere in this package:
 * Minkowski spacetime in Cartesian coordinates (t, x, y, z),
 * Schwarzschild spacetime in the exterior chart (t, r, theta, phi),
   restricted to r > 2M(1 + HORIZON_EPS), a fixed guard with
-  HORIZON_EPS = 1e-6 just outside the horizon.
+  HORIZON_EPS = 1e-6 just outside the horizon, and to 0 < theta < pi.
+  metric_components checks that domain at every event it is given.
 """
 from __future__ import annotations
 
@@ -24,9 +26,6 @@ from .errors import HorizonDomain, InvalidChart, MetricUnderflow, ValidationErro
 MINKOWSKI = "minkowski"
 SCHWARZSCHILD = "schwarzschild"
 
-CHART_CARTESIAN = "cartesian"
-CHART_SCHWARZSCHILD = "schwarzschild"
-
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 ETA.flags.writeable = False
 
@@ -39,28 +38,6 @@ def _frozen_array(values, shape) -> np.ndarray:
         raise ValueError(f"components must be finite, got {arr}")
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class SpacetimePoint:
-    """Event coordinates x^mu in a named chart."""
-
-    coords: np.ndarray
-    chart: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _frozen_array(self.coords, (4,)))
-        if self.chart not in (CHART_CARTESIAN, CHART_SCHWARZSCHILD):
-            raise InvalidChart(f"unknown chart {self.chart!r}")
-        if self.chart == CHART_SCHWARZSCHILD:
-            r, theta = self.coords[1], self.coords[2]
-            if r <= 0.0:
-                raise HorizonDomain(f"r = {r} must be positive")
-            if not 0.0 < theta < math.pi:
-                raise InvalidChart(f"theta = {theta} outside (0, pi)")
-
-    def __repr__(self):
-        return f"SpacetimePoint({self.coords.tolist()}, {self.chart!r})"
 
 
 @dataclass(frozen=True)
@@ -79,46 +56,43 @@ class MetricSpec:
             raise ValidationError("metric.mass", "must be positive")
 
     @property
-    def chart(self) -> str:
-        return CHART_CARTESIAN if self.kind == MINKOWSKI else CHART_SCHWARZSCHILD
-
-    @property
     def guard_radius(self) -> float:
         """Smallest admissible radius, 2M(1 + HORIZON_EPS); 0 for flat space."""
         if self.kind == MINKOWSKI:
             return 0.0
         return 2.0 * self.mass * (1.0 + HORIZON_EPS)
 
-    def point(self, *coords: float) -> SpacetimePoint:
-        return SpacetimePoint(np.asarray(coords, dtype=float), self.chart)
-
-
-def minkowski_point(t: float, x: float, y: float, z: float) -> SpacetimePoint:
-    return SpacetimePoint(np.array([t, x, y, z]), CHART_CARTESIAN)
-
-
-def schwarzschild_point(t: float, r: float, theta: float, phi: float) -> SpacetimePoint:
-    return SpacetimePoint(np.array([t, r, theta, phi]), CHART_SCHWARZSCHILD)
-
 
 def _check_domain(spec: MetricSpec, coords: np.ndarray) -> None:
     if spec.kind != SCHWARZSCHILD:
         return
+    # the guard radius is positive, so r > 0 follows
     if coords[1] <= spec.guard_radius:
         raise HorizonDomain(f"r = {coords[1]} inside radius {spec.guard_radius}")
+    if not 0.0 < coords[2] < math.pi:
+        raise InvalidChart(f"theta = {coords[2]} outside (0, pi)")
 
 
 def metric_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    """g_{mu nu} as a plain (4, 4) array."""
+    """g_{mu nu} as a plain (4, 4) array at the event coords.
+
+    Raises HorizonDomain or InvalidChart for an event outside the chart's
+    domain, and MetricUnderflow where an angular component is not a positive
+    finite float.
+    """
     _check_domain(spec, coords)
     if spec.kind == MINKOWSKI:
         return ETA.copy()
-    r, theta = coords[1], coords[2]
+    # Python floats: an overflow gives inf here, with no numpy warning
+    r, theta = float(coords[1]), float(coords[2])
     f = 1.0 - 2.0 * spec.mass / r
-    g_thth, g_phph = r * r, (r * math.sin(theta)) ** 2
-    # f > 0 outside the guard; an overflow shows up as a non-finite drift
-    if g_thth == 0.0 or g_phph == 0.0:
-        raise MetricUnderflow(f"angular metric components underflow at r = {r}, theta = {theta}")
+    r_sin = r * math.sin(theta)
+    g_thth, g_phph = r * r, r_sin * r_sin
+    if not (0.0 < g_phph and g_thth < math.inf):
+        raise MetricUnderflow(
+            f"angular metric components {g_thth}, {g_phph} not positive and finite"
+            f" at r = {r}, theta = {theta}"
+        )
     return np.diag([-f, 1.0 / f, g_thth, g_phph])
 
 

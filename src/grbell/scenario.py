@@ -100,7 +100,6 @@ from .geometry import (
     MINKOWSKI,
     SCHWARZSCHILD,
     MetricSpec,
-    SpacetimePoint,
     _frozen_array,
     metric_components,
     row_dot,
@@ -178,7 +177,7 @@ class ScenarioConfig:
     mc_seed: int
     lhv_audit: bool
     metric: MetricSpec | None = None
-    origin: SpacetimePoint | None = None
+    origin: np.ndarray | None = None  # (4,), read-only
     u1: np.ndarray | None = None  # (4,), read-only
     u2: np.ndarray | None = None
     stop1: StopCondition | None = None
@@ -289,11 +288,13 @@ def _parse_settings(d) -> SettingsTriple:
             for key in ANGLE_SWEEP_PARAMETERS
         ))
     if set(d) == {"a", "b", "c"}:
-        return SettingsTriple(
-            a=Direction3.from_vector(_floats(d["a"], 3, "settings.a")),
-            b=Direction3.from_vector(_floats(d["b"], 3, "settings.b")),
-            c=Direction3.from_vector(_floats(d["c"], 3, "settings.c")),
-        )
+        units = []
+        for key in ("a", "b", "c"):
+            unit = unit_or_none(_floats(d[key], 3, f"settings.{key}"))
+            if unit is None:
+                raise ValidationError(f"settings.{key}", "does not normalise to a unit vector")
+            units.append(Direction3(unit))
+        return SettingsTriple(*units)
     raise ValidationError(
         "settings", "use exactly {a_deg, b_deg, c_deg} or {a, b, c}"
     )
@@ -417,12 +418,11 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
 
     if synthetic is None:
         metric = _parse_metric(_require(data, "metric", ""))
-        coords = _floats(_require(data, "origin", ""), 4, "origin")
+        origin = _frozen_array(_floats(_require(data, "origin", ""), 4, "origin"), (4,))
         try:
-            origin = SpacetimePoint(coords, metric.chart)
-            g = metric_components(metric, coords)
+            g = metric_components(metric, origin)
         except SimulatorError as e:
-            raise ValidationError("origin", f"origin inside horizon guard: {e}") from None
+            raise ValidationError("origin", str(e)) from None
         u1 = _normalized_tangent(g, _floats(_require(data, "u1", ""), 4, "u1"), "u1")
         u2 = _normalized_tangent(g, _floats(_require(data, "u2", ""), 4, "u2"), "u2")
         if np.max(np.abs(u1 - u2)) <= 1e-12:
@@ -524,7 +524,7 @@ def _detector_frame(frame_choice: str, path: GeodesicPath) -> np.ndarray:
     """The tetrad at the path's end, with the metric the path holds there."""
     if frame_choice == FRAME_COMOVING:
         return build_comoving_frame(path.metrics[-1], path.tangents[-1])
-    return build_static_frame(path.spec, path.end_point())
+    return build_static_frame(path.spec, path.points[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -920,7 +920,7 @@ def run_horizon_sweep(
     if not live:
         return guarded
 
-    origin = spec.point(0.0, rs[0], math.pi / 2.0, 0.0)
+    origin = np.array([0.0, rs[0], math.pi / 2.0, 0.0])
     u_static = np.array([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / rs[0]), 0.0, 0.0, 0.0])
     try:
         with _stage("geodesic_1"):

@@ -25,12 +25,10 @@ from grbell import (
     lhv_inequality_audit,
     make_projection,
     make_sign_model,
-    minkowski_point,
     quantum_correlation,
     rows_to_csv,
     run_scenario,
     run_sweep,
-    schwarzschild_point,
 )
 from grbell.errors import SimulatorError
 from grbell.frames import embed_stack, project_stack
@@ -52,7 +50,7 @@ def _passed(name: str) -> None:
 
 def test_criterion_1_flat_space_reduction():
     flat = MetricSpec("minkowski")
-    x0 = minkowski_point(0.0, 0.0, 0.0, 0.0)
+    x0 = np.array([0.0, 0.0, 0.0, 0.0])
     gamma = 1.0 / math.sqrt(1.0 - 0.25)
     geo_L = integrate_geodesic(
         flat, x0, np.array([gamma, 0.5 * gamma, 0, 0]), StopCondition.proper_time(5.0)
@@ -60,8 +58,8 @@ def test_criterion_1_flat_space_reduction():
     geo_R = integrate_geodesic(
         flat, x0, np.array([gamma, -0.5 * gamma, 0, 0]), StopCondition.proper_time(5.0)
     )
-    projector_L = build_static_frame(flat, geo_L.end_point()) @ geo_L.metrics[-1]
-    E_R = build_static_frame(flat, geo_R.end_point())
+    projector_L = build_static_frame(flat, geo_L.points[-1]) @ geo_L.metrics[-1]
+    E_R = build_static_frame(flat, geo_R.points[-1])
 
     def arrival(d):
         moved = checked(transport_stack(geo_L, geo_R, embed_stack(E_R, d.d[None])))
@@ -99,7 +97,7 @@ def test_criterion_2_canonical_violation():
 
 def test_criterion_3_geometry_fidelity():
     schw = MetricSpec("schwarzschild", mass=M)
-    x0 = schwarzschild_point(0.0, 10.0, math.pi / 2, 0.0)
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
 
     # conservation over proper length 100M on an eccentric orbit
     uphi = 3.7 / 100.0
@@ -154,35 +152,35 @@ def test_criterion_4_projection_weight():
 
     for i in range(10_000):
         if i % 2:
-            p = minkowski_point(*rng.uniform(-10, 10, size=4))
+            p = rng.uniform(-10, 10, size=4)
             spec = flat
         else:
-            p = schwarzschild_point(
+            p = np.array([
                 rng.uniform(-5, 5),
                 rng.uniform(3.0, 40.0),
                 rng.uniform(0.3, math.pi - 0.3),
                 rng.uniform(-math.pi, math.pi),
-            )
+            ])
             spec = schw
         E = build_static_frame(spec, p)
         v = rng.standard_normal(4) * 10 ** rng.uniform(-2, 2)
-        proj = checked(project_stack(E @ metric_components(spec, p.coords), v[None])).result(0)
+        proj = checked(project_stack(E @ metric_components(spec, p), v[None])).result(0)
         assert 0.0 <= proj.w <= 1.0
 
     # round-trip identity
     for _ in range(200):
-        p = schwarzschild_point(0.0, rng.uniform(3.0, 30.0), rng.uniform(0.5, 2.5), 0.0)
+        p = np.array([0.0, rng.uniform(3.0, 30.0), rng.uniform(0.5, 2.5), 0.0])
         E = build_static_frame(schw, p)
         d = random_direction(rng)
         V = embed_stack(E, d.d[None])
-        proj = checked(project_stack(E @ metric_components(schw, p.coords), V)).result(0)
+        proj = checked(project_stack(E @ metric_components(schw, p), V)).result(0)
         assert abs(proj.w - 1.0) <= 1e-10
         assert np.max(np.abs(proj.direction.d - d.d)) <= 1e-10
 
     # asymptotically flat regime: r = 10^4 M matches the Minkowski value 1
     r = 1.0e4
     f = 1.0 - 2.0 * M / r
-    x0 = schwarzschild_point(0.0, r, math.pi / 2, 0.0)
+    x0 = np.array([0.0, r, math.pi / 2, 0.0])
     v_loc = 0.3
     gam = 1.0 / math.sqrt(1.0 - v_loc**2)
     up = gam * v_loc / r
@@ -190,8 +188,8 @@ def test_criterion_4_projection_weight():
     u2 = np.array([gam / math.sqrt(f), 0.0, 0.0, -up])
     geo_L = integrate_geodesic(schw, x0, u1, StopCondition.proper_time(20.0))
     geo_R = integrate_geodesic(schw, x0, u2, StopCondition.proper_time(20.0))
-    E_L = build_static_frame(schw, geo_L.end_point())
-    E_R = build_static_frame(schw, geo_R.end_point())
+    E_L = build_static_frame(schw, geo_L.points[-1])
+    E_R = build_static_frame(schw, geo_R.points[-1])
     b = Direction3.from_angle(math.radians(60.0))
     moved = checked(transport_stack(geo_L, geo_R, embed_stack(E_R, b.d[None])))
     proj = checked(project_stack(E_L @ geo_L.metrics[-1], moved.v)).result(0)
@@ -209,7 +207,7 @@ def _schwarzschild_weight_pool(n_scenarios=24) -> list[float]:
     pool: list[float] = []
     while len(pool) < 2 * n_scenarios:
         r0 = rng.uniform(8.0, 25.0)
-        x0 = schwarzschild_point(0.0, r0, math.pi / 2, 0.0)
+        x0 = np.array([0.0, r0, math.pi / 2, 0.0])
         E0 = build_static_frame(schw, x0)
         tau = rng.uniform(3.0, 10.0)
 
@@ -221,8 +219,8 @@ def _schwarzschild_weight_pool(n_scenarios=24) -> list[float]:
         try:
             geo_L = integrate_geodesic(schw, x0, boosted(vel), StopCondition.proper_time(tau))
             geo_R = integrate_geodesic(schw, x0, boosted(-vel), StopCondition.proper_time(tau))
-            E_L = build_static_frame(schw, geo_L.end_point())
-            E_R = build_static_frame(schw, geo_R.end_point())
+            E_L = build_static_frame(schw, geo_L.points[-1])
+            E_R = build_static_frame(schw, geo_R.points[-1])
             for d in (random_direction(rng), random_direction(rng)):
                 moved = checked(transport_stack(geo_L, geo_R, embed_stack(E_R, d.d[None])))
                 pool.append(checked(project_stack(E_L @ geo_L.metrics[-1], moved.v)).w[0])

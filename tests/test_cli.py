@@ -448,16 +448,19 @@ def test_comoving_readout_of_a_radial_infall_runs(tmp_path, tol):
 
 
 @pytest.mark.parametrize(
-    "stop, value, message",
+    "field, value, message",
     [
         ("stop2", {"kind": "radius", "value": -1}, "stop2.value: target must be non-negative"),
         ("stop2", {"kind": "radius", "value": 0}, "stop2.value: radius target must be positive"),
         ("stop1", {"kind": "angle", "value": 1}, "stop1.kind: unknown kind 'angle'"),
+        ("origin", [0.0, 10.0, 4.0, 0.0], "origin: theta = 4.0 outside (0, pi)"),
+        # r^2 overflows: the origin is refused, not its tangents' NaN norms
+        ("origin", [0.0, 1e200, math.pi / 2, 0.0], "origin: angular metric components inf"),
     ],
 )
-def test_a_bad_stop_is_named_in_its_error(tmp_path, capsys, stop, value, message):
+def test_a_bad_stop_is_named_in_its_error(tmp_path, capsys, field, value, message):
     data = schwarzschild_demo_config()
-    data[stop] = value
+    data[field] = value
     assert main(["run", "--config", write(tmp_path, data)]) == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
 
@@ -530,6 +533,8 @@ SYNTHETIC = {
         ({"tol": 10**400}, "tol"),
         ({"settings": {"a_deg": -(10**400), "b_deg": 60, "c_deg": 120}}, "settings.a_deg"),
         ({"synthetic": {**SYNTHETIC["synthetic"], "c": [10**400, 0, 0]}}, "synthetic.c"),
+        ({"settings": {"a": [1e308, 1e308, 0], "b": [0, 1, 0], "c": [0, 0, 1]}}, "settings.a"),
+        ({"settings": {"a": [1, 0, 0], "b": [0, 0, 0], "c": [0, 0, 1]}}, "settings.b"),
     ],
 )
 def test_integer_boolean_and_huge_fields_are_config_errors(tmp_path, capsys, extra, field):

@@ -13,7 +13,6 @@ from scipy.integrate import solve_ivp
 from grbell import HorizonDomain, StepFailure, StopCondition, integrate_geodesic
 from grbell import geodesics
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
-from grbell.geometry import schwarzschild_point
 from conftest import random_exterior_point
 from reference import christoffel_components
 
@@ -44,7 +43,7 @@ def launch(rng, kind, radial_fraction=None):
     direction's angular part, so 0 gives a radial leg.
     """
     x0 = random_exterior_point(rng, r_min=6.0, r_max=25.0)
-    r, theta = x0.coords[1], x0.coords[2]
+    r, theta = x0[1], x0[2]
     n = rng.standard_normal(3)
     if radial_fraction is not None:
         n = np.array([math.copysign(1.0, n[0]), radial_fraction * n[1], radial_fraction * n[2]])
@@ -105,7 +104,7 @@ def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):
     # about gamma^2 larger than P itself, so its rounding exceeds the slack
     # times |P|^T |g| |P|; the path's own check scales with |F| |F(0)^-1|
     theta, f, gamma = 1.2, 0.8, 100.0
-    x0 = schwarzschild_point(0.0, 10.0, theta, 0.3)
+    x0 = np.array([0.0, 10.0, theta, 0.3])
     speed = math.sqrt(1.0 - 1.0 / gamma**2)
     static_legs = np.array([1.0 / math.sqrt(f), math.sqrt(f), 0.1, 0.1 / math.sin(theta)])
     u0 = static_legs * gamma * np.array([1.0, 0.6 * speed, 0.8 * speed, 0.0])
@@ -120,7 +119,7 @@ def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):
 def test_hand_written_geodesic_term_matches_the_christoffel_symbols(schw, rng):
     rhs = geodesics._schwarzschild_rhs(M, "timelike", 1.0, 1.0)
     for _ in range(200):
-        x = random_exterior_point(rng).coords
+        x = random_exterior_point(rng)
         u = rng.standard_normal(4)
         acceleration = np.array(rhs(list(x) + list(u) + [0.0])[4:8])
         G = christoffel_components(schw, x)
@@ -185,7 +184,7 @@ def test_stepper_fails_on_step_size_underflow():
 def test_equatorial_null_leg_carries_the_plane_normal(schw):
     # the orbital-plane normal is a frame vector: on an equatorial ray P
     # maps d_theta to (r0 / r) d_theta and mixes nothing else into it
-    x0 = schwarzschild_point(0.0, 8.0, math.pi / 2, 0.0)
+    x0 = np.array([0.0, 8.0, math.pi / 2, 0.0])
     f = 0.75
     u0 = np.array([1.0 / math.sqrt(f), 0.6 * math.sqrt(f), 0.0, 0.8 / 8.0])
     path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(4.0))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -493,7 +494,7 @@ def test_horizon_sweep_integrates_the_emission_leg_once(monkeypatch):
 
 def _horizon_reference(spec, r_values, tol):
     """Each row of a horizon study as one full run_scenario with both legs."""
-    origin = spec.point(0.0, r_values[0], math.pi / 2.0, 0.0)
+    origin = np.array([0.0, r_values[0], math.pi / 2.0, 0.0])
     u_static = np.array([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / r_values[0]), 0, 0, 0])
     settings = SettingsTriple(*(Direction3.from_angle(math.radians(d)) for d in (0.0, 60.0, 120.0)))
     rows = []
@@ -521,8 +522,6 @@ def _horizon_reference(spec, r_values, tol):
 GUARD = 2.0 * (1 + 1e-6)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize(
     "r_values, tol, ok_rows",
     [
@@ -534,10 +533,14 @@ GUARD = 2.0 * (1 + 1e-6)
 )
 def test_horizon_sweep_across_the_guard_matches_per_row_runs(r_values, tol, ok_rows):
     spec = MetricSpec("schwarzschild", mass=1.0)
-    text = rows_to_csv(run_horizon_sweep(spec, r_values, tol=tol))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        text = rows_to_csv(run_horizon_sweep(spec, r_values, tol=tol))
+        reference = _horizon_reference(spec, r_values, tol)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert text.count(",ok,") >= ok_rows
     assert text.count(",horizon_guard,") == sum(r <= GUARD for r in r_values)
-    assert text == _horizon_reference(spec, r_values, tol)
+    assert text == reference
 
 
 def recording_paths(monkeypatch):
@@ -552,10 +555,11 @@ def recording_paths(monkeypatch):
     return paths
 
 
-def test_demo_evaluates_metric_once_per_stored_point(monkeypatch):
-    # per path: one metric at x0 for the domain check and the tangent's
-    # kind, then one stack shared by the drift and propagator checks and the
-    # summary
+@pytest.mark.parametrize("kind, value", [("proper_time", 20.0), ("coordinate_time", 24.0)])
+def test_demo_evaluates_metric_once_per_stored_point(monkeypatch, kind, value):
+    # per path: one metric at x0 for the domain check, the tangent's kind
+    # and a coordinate-time leg's tau cap, then one stack shared by the drift
+    # and propagator checks and the summary
     from grbell import geodesics
 
     calls = []
@@ -569,6 +573,7 @@ def test_demo_evaluates_metric_once_per_stored_point(monkeypatch):
     paths = recording_paths(monkeypatch)
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
+    data["stop1"] = data["stop2"] = {"kind": kind, "value": value}
     run_scenario(config_from_dict(data))
     assert len(paths) == 2
     assert len(calls) == sum(1 + len(path.taus) for path in paths)
