@@ -8,14 +8,7 @@ three-setting inequality it can violate, and Monte Carlo hidden-variable
 models that cannot.
 """
 
-from .correlations import (
-    InequalityReport,
-    SettingsTriple,
-    ViolationAngles,
-    find_max_violation,
-    generalized_bell_check,
-    quantum_correlation,
-)
+from .correlations import InequalityReport, SettingsTriple, find_max_violation
 from .errors import (
     BadNormalization,
     CommonOriginMismatch,

@@ -19,11 +19,11 @@ order; _ordered alone decides it, up to rounding, and every evaluation
 starts from it.
 
 Every evaluation runs on arrays: the settings a as rows of a (k, 3) array
-and each arm as a ProjectionStack, so a sweep's rows, or the candidates
-of the grid search, are one pass. quantum_correlation,
-generalized_bell_check and find_max_violation are the one-row case, which
-grbell selftest uses; the report objects are built only for the rows a
-caller asks for.
+and each arm as a ProjectionStack, so a sweep's rows, a single run's one
+row, the random triples of grbell selftest and the candidates of the grid
+search are each one pass. find_max_violation takes and returns the public
+one-row objects; an InequalityReport is built only for a row a caller
+asks for.
 """
 from __future__ import annotations
 
@@ -75,19 +75,8 @@ class InequalityReport:
     degenerate: bool
 
 
-@dataclass(frozen=True, eq=False)
-class ViolationAngles:
-    """Angle test on d = w_b^2 b - w_c^2 c: local models need |cos phi| <= cos theta."""
-
-    d: np.ndarray
-    cos_phi: float
-    cos_theta: float
-    condition_holds: bool
-    degenerate: bool
-
-
 class InequalityStack(NamedTuple):
-    """generalized_bell_check over rows; b and c are the post-swap arms."""
+    """Both sides of the bound over rows; b and c are the post-swap arms."""
 
     p_ab: np.ndarray
     p_ac: np.ndarray
@@ -121,7 +110,7 @@ class InequalityStack(NamedTuple):
 
 
 class ViolationStack(NamedTuple):
-    """The angle test of ViolationAngles over rows."""
+    """Angle test on d = w_b^2 b - w_c^2 c per row: local models need |cos phi| <= cos theta."""
 
     d: np.ndarray  # (k, 3)
     cos_phi: np.ndarray
@@ -129,28 +118,10 @@ class ViolationStack(NamedTuple):
     condition_holds: np.ndarray
     degenerate: np.ndarray
 
-    def angles(self, j: int) -> ViolationAngles:
-        return ViolationAngles(
-            d=self.d[j].copy(),
-            cos_phi=float(self.cos_phi[j]),
-            cos_theta=float(self.cos_theta[j]),
-            condition_holds=bool(self.condition_holds[j]),
-            degenerate=bool(self.degenerate[j]),
-        )
-
-
-def _one(projection: ProjectionResult) -> ProjectionStack:
-    return ProjectionStack.of([projection])
-
 
 def _correlations(a: np.ndarray, arm: ProjectionStack) -> np.ndarray:
     """P(a, b) = 0 - (a . b) * w**2 per row, never -0.0; exactly 0 for a degenerate arm."""
     return np.where(arm.degenerate, 0.0, 0.0 - row_dot(a, arm.direction) * arm.w**2)
-
-
-def quantum_correlation(a: Direction3, proj_b: ProjectionResult) -> float:
-    """P(a, b) = -(a . b_direction) * w**2; exactly 0 for a degenerate arm."""
-    return float(_correlations(a.d[None], _one(proj_b))[0])
 
 
 def _weighted_differences(
@@ -197,17 +168,6 @@ def bell_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) ->
         p_ab=p_ab, p_ac=p_ac, p_bc=p_bc, lhs=lhs, rhs=rhs, margin=margin,
         violated=margin > TOL_INEQ, b=b, c=c, swapped=swapped, degenerate=degenerate,
     )
-
-
-def generalized_bell_check(
-    triple: SettingsTriple, proj_b: ProjectionResult, proj_c: ProjectionResult
-) -> InequalityReport:
-    """Evaluate |P(a,b) - P(a,c)| against w_b^2 - w_c^2 (b . c).
-
-    The bound's derivation needs w_b >= w_c; when the caller's pair comes
-    in the other order the two arms are swapped and the report says so.
-    """
-    return bell_stack(triple.a.d[None], _one(proj_b), _one(proj_c)).report(0)
 
 
 def violation_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) -> ViolationStack:
@@ -263,36 +223,36 @@ def find_max_violation(
     shrinking-step coordinate descent; ties break lexicographically. Any
     other search raises ValidationError.
     """
-    arm_b, arm_c = _one(proj_b), _one(proj_c)
+    arm_b, arm_c = ProjectionStack.of([proj_b]), ProjectionStack.of([proj_c])
     best, found = optimal_settings(arm_b, arm_c)
     if not found[0]:
         raise DegenerateD("weighted difference vanishes; no optimizing setting")
 
     if search == "analytic":
-        a_star = Direction3(best[0])
+        a_star = best[0]
     elif search == "grid":
         candidates = _grid_directions(grid_n)
         margins = bell_stack(candidates, arm_b, arm_c).margin
         # the largest (margin, -direction), compared lexicographically
         order = np.lexsort((-candidates[:, 2], -candidates[:, 1], -candidates[:, 0], margins))
-        a_star = _refine(Direction3(candidates[order[-1]]), arm_b, arm_c)
+        a_star = _refine(candidates[order[-1]], arm_b, arm_c)
     else:
         raise ValidationError("search", f"unknown search mode {search!r}")
 
-    return a_star, bell_stack(a_star.d[None], arm_b, arm_c).report(0)
+    return Direction3(a_star), bell_stack(a_star[None], arm_b, arm_c).report(0)
 
 
-def _refine(a: Direction3, proj_b: ProjectionStack, proj_c: ProjectionStack) -> Direction3:
-    """Coordinate descent on spherical angles until margin gain < 1e-10.
+def _refine(a: np.ndarray, proj_b: ProjectionStack, proj_c: ProjectionStack) -> np.ndarray:
+    """Coordinate descent on spherical angles from the unit (3,) a until margin gain < 1e-10.
 
     proj_b and proj_c are the two arms as one-row stacks. Each round scores
     its four neighbours as one stack and moves to the best one that gains;
     a round without a gain halves the step.
     """
-    theta = math.acos(max(-1.0, min(1.0, a.d[2])))
-    phi = math.atan2(a.d[1], a.d[0])
+    theta = math.acos(max(-1.0, min(1.0, a[2])))
+    phi = math.atan2(a[1], a[0])
     step = 0.1
-    current = float(bell_stack(a.d[None], proj_b, proj_c).margin[0])
+    current = float(bell_stack(a[None], proj_b, proj_c).margin[0])
 
     def direction_of(th, ph):
         return [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
@@ -306,4 +266,4 @@ def _refine(a: Direction3, proj_b: ProjectionStack, proj_c: ProjectionStack) -> 
             theta, phi, current = theta + moves[best][0], phi + moves[best][1], float(margins[best])
         else:
             step *= 0.5
-    return Direction3(np.array(direction_of(theta, phi)))
+    return np.array(direction_of(theta, phi))

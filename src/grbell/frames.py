@@ -14,11 +14,11 @@ timelike one degenerates to w = 0.
 Embedding and projection are linear, so they run on stacks of vectors,
 one per row: embed_stack puts every setting of a sweep into the tetrad at
 once, and project_stack projects every transported row with the tetrad's
-one 4x4 projector. One vector is a stack of one row, and a
-ProjectionResult is built only for the rows a caller asks for.
-weighted_stack builds the same stack from given weights along one
-direction, without a tetrad (the synthetic mode); make_projection is its
-one-row case.
+one 4x4 projector. One vector is a stack of one row. weighted_stack
+builds the same stack from given weights, without a tetrad (the
+synthetic mode and grbell selftest). Direction3, ProjectionResult and
+make_projection are the public one-row views: the package builds them
+only where a caller of its public functions reads them.
 """
 from __future__ import annotations
 
@@ -75,12 +75,6 @@ class Direction3:
     def from_angle(cls, angle_rad: float) -> "Direction3":
         """In-plane direction (cos, sin, 0) in the frame's e1-e2 plane."""
         return cls(np.array([math.cos(angle_rad), math.sin(angle_rad), 0.0]))
-
-    def dot(self, other: "Direction3") -> float:
-        return float(self.d @ other.d)
-
-    def __neg__(self) -> "Direction3":
-        return Direction3(-self.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +222,8 @@ class ProjectionStack(NamedTuple):
 
 
 def weighted_stack(w: np.ndarray, direction: np.ndarray | None) -> ProjectionStack:
-    """Projections of the (k,) weights w, each along one unit direction.
+    """Projections of the (k,) weights w along one unit direction, (3,), or
+    one per row, (k, 3).
 
     direction is None when it could not be normalised; a row whose weight
     is not degenerate then fails with ZeroVector and holds w = 0.

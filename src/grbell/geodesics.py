@@ -197,7 +197,8 @@ def tangent_kind(u: np.ndarray, uu: float) -> str:
         raise BadNormalization(f"u^t = {u[0]}; u must be future-pointing (u^t > 0)")
     if abs(uu + 1.0) <= NORMALIZATION_TOL:
         return TIMELIKE
-    if abs(uu) <= min(NORMALIZATION_TOL, NULL_NORM_TOL * max(1.0, float(np.max(np.abs(u))) ** 2)):
+    size = float(np.max(np.abs(u)))  # size * size is inf, where size ** 2 would raise, beyond 1e154
+    if abs(uu) <= min(NORMALIZATION_TOL, NULL_NORM_TOL * max(1.0, size * size)):
         return NULL
     raise BadNormalization(f"u.u = {uu}, expected -1 (timelike) or 0 (null)")
 
@@ -278,7 +279,8 @@ def integrate_geodesic(
     """
     # the metric at x0 is also the domain check
     g0 = metric_components(spec, x0)
-    kind = tangent_kind(u0, float(u0 @ g0 @ u0))
+    with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
+        kind = tangent_kind(u0, float(u0 @ g0 @ u0))
 
     if stop.kind == STOP_RADIUS and spec.kind == SCHWARZSCHILD:
         if stop.value <= spec.guard_radius:

@@ -44,15 +44,17 @@ one product, and projected together, and the inequality is evaluated over
 the arrays. Each row keeps its own transport and projection checks, so a
 failing row is tagged with its stage and the others go on. A synthetic
 block is parsed once into two weights and two unit directions; its arms
-are built from arrays of weights, so a weight row is one range check. A
-single run is the k = 1 pass and adds the report objects, violation
-angles, analytic optimum, geodesic summaries and optional LHV audit of
-its one row; a sweep writes only what the CSV prints, straight from the
-arrays. The CSV rows are formatted in one pass too: one stacked dot
-product gives the cosines of all three angle columns, libm's acos the
-angles, and one %.17g template the reals of each row; a single run's row
-is the one-row case. The horizon study builds its emission side once and
-evaluates each radius as its own one-row pass.
+are built from arrays of weights, so a weight row is one range check.
+The settings are parsed into one (3, 3) array with rows a, b, c. A single
+run is the k = 1 pass: its report keeps the pass's row arrays, and adds
+the violation angles, analytic optimum, geodesic summaries and optional
+LHV audit of its one row, with the public one-row objects built from
+them. A sweep writes only what the CSV prints, straight from the arrays.
+The CSV rows are formatted in one pass too: one stacked dot product gives
+the cosines of all three angle columns, libm's acos the angles, and one
+%.17g template the reals of each row; a single run's CSV row is its
+report's rows through the same formatter. The horizon study builds its
+emission side once and evaluates each radius as its own one-row pass.
 """
 from __future__ import annotations
 
@@ -71,7 +73,7 @@ from .correlations import (
     InequalityReport,
     InequalityStack,
     SettingsTriple,
-    ViolationAngles,
+    ViolationStack,
     bell_stack,
     optimal_settings,
     violation_stack,
@@ -152,17 +154,19 @@ class SweepSpec:
     def __post_init__(self):
         if self.step == 0.0:
             raise ValidationError("sweep.step", "must be nonzero")
-        # values() stops after about span + 1 rows; inf and NaN fail too
-        span = (self.stop - self.start) / self.step
-        if not span < MAX_ROWS:
+        # below it start + n step rounds back to start for many n in a row
+        if abs(self.step) < math.ulp(max(abs(self.start), abs(self.stop))):
+            raise ValidationError("sweep.step", "below the float spacing of the sweep's values")
+        if len(self.values()) > MAX_ROWS:
             raise ValidationError("sweep", f"asks for more than {MAX_ROWS} rows")
 
     def values(self) -> list[float]:
+        """start + n step from n = 0 while not past stop, at most MAX_ROWS + 1 of them."""
         sign = 1.0 if self.step > 0 else -1.0  # negation is exact
         eps = 1e-9 * max(1.0, abs(self.step))
         out = []
         v = self.start
-        while sign * v <= sign * self.stop + eps:
+        while sign * v <= sign * self.stop + eps and len(out) <= MAX_ROWS:
             out.append(v)
             v = self.start + len(out) * self.step
         return out
@@ -170,7 +174,7 @@ class SweepSpec:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    settings: SettingsTriple
+    settings: np.ndarray  # (3, 3), rows a, b, c; read-only
     frame_choice: str
     tol: float
     mc_n: int
@@ -279,22 +283,22 @@ def _parse_stop(d, field: str) -> StopCondition:
         raise ValidationError(field + e.field.removeprefix("stop"), e.reason) from None
 
 
-def _parse_settings(d) -> SettingsTriple:
+def _parse_settings(d) -> np.ndarray:
+    """The settings as a read-only (3, 3) array of unit rows a, b, c; an
+    angle is the in-plane direction (cos, sin, 0)."""
     if not isinstance(d, dict):
         raise ValidationError("settings", "expected an object")
     if set(d) == {"a_deg", "b_deg", "c_deg"}:
-        return SettingsTriple(*(
-            Direction3.from_angle(math.radians(_finite(d[key], f"settings.{key}")))
-            for key in ANGLE_SWEEP_PARAMETERS
-        ))
+        angles = [math.radians(_finite(d[key], f"settings.{key}")) for key in ANGLE_SWEEP_PARAMETERS]
+        return _frozen_array([[math.cos(x), math.sin(x), 0.0] for x in angles], (3, 3))
     if set(d) == {"a", "b", "c"}:
-        units = []
+        rows = []
         for key in ("a", "b", "c"):
             unit = unit_or_none(_floats(d[key], 3, f"settings.{key}"))
             if unit is None:
                 raise ValidationError(f"settings.{key}", "does not normalise to a unit vector")
-            units.append(Direction3(unit))
-        return SettingsTriple(*units)
+            rows.append(unit)
+        return _frozen_array(rows, (3, 3))
     raise ValidationError(
         "settings", "use exactly {a_deg, b_deg, c_deg} or {a, b, c}"
     )
@@ -331,10 +335,11 @@ def _normalized_tangent(g: np.ndarray, raw: np.ndarray, field: str) -> np.ndarra
     """raw as a read-only tangent at an event where the metric is g; within
     1e-6 of unit norm it is rescaled to exact unit norm, then tangent_kind
     must accept it."""
-    uu = float(raw @ g @ raw)
-    if abs(uu + 1.0) <= 1e-6:
-        raw = raw / math.sqrt(-uu)
+    with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
         uu = float(raw @ g @ raw)
+        if abs(uu + 1.0) <= 1e-6:
+            raw = raw / math.sqrt(-uu)
+            uu = float(raw @ g @ raw)
     try:
         tangent_kind(raw, uu)
     except BadNormalization as e:
@@ -496,13 +501,15 @@ class GeodesicSummary:
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
+    """One run: its one-row arrays (rows, angles) and the public one-row views of them."""
+
     status: str
     config: dict
-    settings: SettingsTriple
+    rows: _Rows
     proj_b: ProjectionResult
     proj_c: ProjectionResult
     inequality: InequalityReport
-    angles: ViolationAngles
+    angles: ViolationStack
     geodesic_1: GeodesicSummary | None = None
     geodesic_2: GeodesicSummary | None = None
     best_setting: Direction3 | None = None
@@ -626,9 +633,9 @@ def _evaluate(
     return _Rows(a, bell_stack(a, proj_b, proj_c), errors)
 
 
-def _settings_rows(settings: SettingsTriple, k: int = 1) -> list[np.ndarray]:
-    """a, b and c repeated over k rows."""
-    return [np.tile(d.d, (k, 1)) for d in (settings.a, settings.b, settings.c)]
+def _settings_rows(settings: np.ndarray, k: int = 1) -> list[np.ndarray]:
+    """a, b and c, the rows of the (3, 3) settings, each repeated over k rows."""
+    return [np.tile(d, (k, 1)) for d in settings]
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -639,16 +646,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     arm_b, arm_c, errors = _arms(geometry, b, c, cfg.synthetic)
     if errors:
         raise errors[0] from getattr(errors[0], "cause", None)
-    proj_b, proj_c = arm_b.result(0), arm_c.result(0)
     best, found = optimal_settings(arm_b, arm_c)
-    ineq = bell_stack(a, arm_b, arm_c)
+    rows = _Rows(a, bell_stack(a, arm_b, arm_c), errors)
 
     lhv = None
     if cfg.lhv_audit:
+        triple = SettingsTriple(*map(Direction3, cfg.settings))
         with _stage("lhv_audit"):
             lhv = lhv_inequality_audit(
                 make_sign_model(cfg.mc_seed),
-                [(cfg.settings, ineq.b.result(0), ineq.c.result(0))],
+                [(triple, rows.inequality.b.result(0), rows.inequality.c.result(0))],
                 cfg.mc_n,
                 cfg.mc_seed,
             )
@@ -656,11 +663,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     return RunReport(
         status="ok",
         config=cfg.echo or {},
-        settings=cfg.settings,
-        proj_b=proj_b,
-        proj_c=proj_c,
-        inequality=ineq.report(0),
-        angles=violation_stack(a, arm_b, arm_c).angles(0),
+        rows=rows,
+        proj_b=arm_b.result(0),
+        proj_c=arm_c.result(0),
+        inequality=rows.inequality.report(0),
+        angles=violation_stack(a, arm_b, arm_c),
         geodesic_1=None if geometry is None else GeodesicSummary.from_path(geometry.geo1),
         geodesic_2=None if geometry is None else GeodesicSummary.from_path(geometry.geo2),
         best_setting=Direction3(best[0]) if found[0] else None,
@@ -709,11 +716,11 @@ def report_to_dict(report: RunReport) -> dict:
             "swapped": ineq.swapped,
         },
         "violation_angles": {
-            "d": [float(x) for x in report.angles.d],
-            "cos_phi": report.angles.cos_phi,
-            "cos_theta": report.angles.cos_theta,
-            "condition_holds": report.angles.condition_holds,
-            "degenerate": report.angles.degenerate,
+            "d": report.angles.d[0].tolist(),
+            "cos_phi": float(report.angles.cos_phi[0]),
+            "cos_theta": float(report.angles.cos_theta[0]),
+            "condition_holds": bool(report.angles.condition_holds[0]),
+            "degenerate": bool(report.angles.degenerate[0]),
         },
         "best_setting": _dir_list(report.best_setting),
         "best_margin": report.best_margin,
@@ -793,18 +800,8 @@ _CELLS = operator.itemgetter(*CSV_COLUMNS)
 
 
 def csv_row(report: RunReport, scenario_id: str) -> dict[str, str]:
-    """A run's CSV row: the one-row case of _csv_rows, from its settings and inequality."""
-    ineq = report.inequality
-    arm_b, arm_c = (
-        ProjectionStack.of([ProjectionResult(w, d, d is None)])
-        for w, d in ((ineq.w_b, ineq.b_direction), (ineq.w_c, ineq.c_direction))
-    )
-    columns = (ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin, ineq.violated)
-    stack = InequalityStack(
-        *(np.array([x]) for x in columns), arm_b, arm_c,
-        swapped=np.array([ineq.swapped]), degenerate=np.array([ineq.degenerate]),
-    )
-    return _csv_rows(_Rows(report.settings.a.d[None], stack, {}), [scenario_id])[0]
+    """A run's CSV row: its one row through the sweep's formatter."""
+    return _csv_rows(report.rows, [scenario_id])[0]
 
 
 def _csv_rows(rows: _Rows, scenario_ids: list[str]) -> list[dict[str, str]]:

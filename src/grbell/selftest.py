@@ -11,19 +11,11 @@ import math
 
 import numpy as np
 
-from .correlations import (
-    SettingsTriple,
-    find_max_violation,
-    generalized_bell_check,
-    quantum_correlation,
-)
-from .frames import Direction3, make_projection
+from .correlations import bell_stack, find_max_violation
+from .frames import Direction3, make_projection, weighted_stack
+from .geometry import row_dot
 from .lhv import correlation_mc, make_sign_model, verify_anticorrelation
 from .scenario import config_from_dict, flat_baseline_config, run_scenario
-
-
-def _random_direction(rng) -> Direction3:
-    return Direction3.from_vector(rng.standard_normal(3))
 
 
 def run_selftest(quiet: bool = False) -> bool:
@@ -47,20 +39,17 @@ def run_selftest(quiet: bool = False) -> bool:
         f"lhs={ineq.lhs!r} rhs={ineq.rhs!r}",
     )
 
+    # 20 random unit triples a, b, c scored as one stack with both weights 1
     rng = np.random.default_rng(20240811)
-    ok_cos, ok_classic = True, True
-    for _ in range(20):
-        a, b, c = (_random_direction(rng) for _ in range(3))
-        proj_b, proj_c = make_projection(1.0, b), make_projection(1.0, c)
-        p_ab = quantum_correlation(a, proj_b)
-        if abs(p_ab + a.dot(b)) > 1e-12:
-            ok_cos = False
-        rep = generalized_bell_check(SettingsTriple(a, b, c), proj_b, proj_c)
-        classic_rhs = 1.0 + quantum_correlation(b, proj_c)
-        if abs(rep.rhs - classic_rhs) > 1e-15:
-            ok_classic = False
-    record("P(a,b) = -cos(theta) at w = 1", ok_cos)
-    record("inequality reduces to the classic form at w = 1", ok_classic)
+    normals = rng.standard_normal((20, 3, 3))
+    a, b, c = (normals / np.linalg.norm(normals, axis=2, keepdims=True)).transpose(1, 0, 2)
+    ones = np.ones(20)
+    ineq = bell_stack(a, weighted_stack(ones, b), weighted_stack(ones, c))
+    record("P(a,b) = -cos(theta) at w = 1", bool(np.all(np.abs(ineq.p_ab + row_dot(a, b)) <= 1e-12)))
+    record(
+        "inequality reduces to the classic form at w = 1",
+        bool(np.all(np.abs(ineq.rhs - (1.0 - row_dot(b, c))) <= 1e-15)),
+    )
 
     model = make_sign_model(3)
     a = Direction3(np.array([0.0, 0.0, 1.0]))
@@ -84,8 +73,8 @@ def run_selftest(quiet: bool = False) -> bool:
 
     ok_grid = True
     for _ in range(5):
-        proj_b = make_projection(rng.uniform(0.5, 1.0), _random_direction(rng))
-        proj_c = make_projection(rng.uniform(0.1, proj_b.w), _random_direction(rng))
+        proj_b = make_projection(rng.uniform(0.5, 1.0), rng.standard_normal(3))
+        proj_c = make_projection(rng.uniform(0.1, proj_b.w), rng.standard_normal(3))
         _, rep_a = find_max_violation(proj_b, proj_c, "analytic")
         _, rep_g = find_max_violation(proj_b, proj_c, "grid", grid_n=24)
         if abs(rep_a.margin - rep_g.margin) > 1e-6:

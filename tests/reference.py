@@ -5,13 +5,13 @@ writes its connection terms out by hand, and transport uses a closed-form
 propagator. christoffel_components is the closed-form table both are
 checked against, and finite_difference_christoffel rebuilds that table
 from the metric. The adapters below give the stack kernels a one-row call
-shape that several tests share.
+shape, on the package's public one-row objects, that several tests share.
 """
 import math
 
 import numpy as np
 
-from grbell.correlations import _ordered, _weighted_differences, violation_stack
+from grbell.correlations import _ordered, _weighted_differences, bell_stack, violation_stack
 from grbell.frames import ProjectionStack
 from grbell.geometry import ETA, MINKOWSKI, _check_domain, metric_components
 
@@ -77,7 +77,20 @@ def weighted_difference(proj_b, proj_c):
     return _weighted_differences(arms[0], arms[1])[0][0]
 
 
-def violation_angles(triple, proj_b, proj_c):
-    """violation_stack of one triple's setting a and one pair of arms."""
+def quantum_correlation(a, proj_b):
+    """P(a, b) = -(a . b) w^2 of one setting a and one arm, from bell_stack."""
+    arm = ProjectionStack.of([proj_b])
+    return float(bell_stack(a.d[None], arm, arm).p_ab[0])
+
+
+def generalized_bell_check(triple, proj_b, proj_c):
+    """bell_stack's report of one triple's setting a and one pair of arms."""
     arm_b, arm_c = ProjectionStack.of([proj_b]), ProjectionStack.of([proj_c])
-    return violation_stack(triple.a.d[None], arm_b, arm_c).angles(0)
+    return bell_stack(triple.a.d[None], arm_b, arm_c).report(0)
+
+
+def violation_angles(triple, proj_b, proj_c):
+    """violation_stack's row of one triple's setting a and one pair of arms."""
+    arm_b, arm_c = ProjectionStack.of([proj_b]), ProjectionStack.of([proj_c])
+    stack = violation_stack(triple.a.d[None], arm_b, arm_c)
+    return type(stack)(*(field[0] for field in stack))

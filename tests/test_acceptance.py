@@ -20,12 +20,10 @@ from grbell import (
     correlation_mc,
     find_max_violation,
     flat_baseline_config,
-    generalized_bell_check,
     integrate_geodesic,
     lhv_inequality_audit,
     make_projection,
     make_sign_model,
-    quantum_correlation,
     rows_to_csv,
     run_scenario,
     run_sweep,
@@ -35,7 +33,13 @@ from grbell.frames import embed_stack, project_stack
 from grbell.geometry import metric_components
 from grbell.transport import FORWARD, _carry, transport_stack
 from conftest import random_direction
-from reference import checked, tetrad_components, weighted_difference
+from reference import (
+    checked,
+    generalized_bell_check,
+    quantum_correlation,
+    tetrad_components,
+    weighted_difference,
+)
 from test_lhv import sign_correlation_quadrature
 
 M = 1.0
@@ -73,7 +77,7 @@ def test_criterion_1_flat_space_reduction():
         assert abs(proj_b.w - 1.0) <= 1e-9
         assert abs(proj_c.w - 1.0) <= 1e-9
         p_ab = quantum_correlation(a, proj_b)
-        assert abs(p_ab - (-a.dot(b))) <= 1e-9
+        assert abs(p_ab - (-(a.d @ b.d))) <= 1e-9
         # the bound reduces to the classic form 1 + P(b, c)
         report = generalized_bell_check(SettingsTriple(a, b, c), proj_b, proj_c)
         assert abs(report.rhs - (1.0 + quantum_correlation(b, proj_c))) <= 1e-9

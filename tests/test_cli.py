@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grbell import flat_baseline_config, schwarzschild_demo_config
@@ -303,6 +303,37 @@ def test_sweep_row_cap_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _limit_address_space():
+    # a list that grows without end then fails with MemoryError in the child
+    # instead of taking the machine's memory until the timeout
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "start, step, field",
+    [
+        # start + n step rounds back to start for n up to about 1e284
+        (1e300, 1.0, "sweep.step"),
+        # start + n step stays within the end tolerance 1e-9 for n up to 1e11
+        (0.0, 1e-20, "sweep"),
+    ],
+)
+def test_a_sweep_that_would_not_end_is_config_error(tmp_path, start, step, field):
+    data = flat_baseline_config()
+    data["sweep"] = {"parameter": "a_deg", "start": start, "stop": start, "step": step}
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
+    argv = ["sweep", "--config", write(tmp_path, data), "--out", str(tmp_path / "s.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "grbell.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=30, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert f"config error: {field}: " in proc.stderr
+
+
 def test_lhv_audit_reuses_the_run_audit(tmp_path, capsys, monkeypatch):
     from grbell import cli, scenario
 
@@ -353,7 +384,7 @@ def _field_paths(value, prefix=()):
             yield from _field_paths(child, prefix + (key,))
 
 
-def _fuzz_bases():
+def _fuzz_documents():
     with open(os.path.join(CONFIGS, "synthetic_weights.json"), encoding="utf-8") as fh:
         synthetic = json.load(fh)
     # copies that carry the Monte Carlo block and the audit switch, so those
@@ -372,14 +403,11 @@ def _fuzz_bases():
     }
     # the same legs read out in comoving tetrads built from each path's end
     comoving = {**schwarzschild, "frame_choice": "comoving"}
-    return [
-        (base, path)
-        for base in (flat_baseline_config(), synthetic, schwarzschild, comoving, *audited)
-        for path in _field_paths(base)
-    ]
+    return [flat_baseline_config(), synthetic, schwarzschild, comoving, *audited]
 
 
-FUZZ_BASES = _fuzz_bases()
+FUZZ_DOCUMENTS = _fuzz_documents()
+FUZZ_BASES = [(base, path) for base in FUZZ_DOCUMENTS for path in _field_paths(base)]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.text(max_size=12)
@@ -412,6 +440,63 @@ def test_any_field_value_gives_an_exit_code(tmp_path, monkeypatch, base_and_path
     out = tmp_path / "report.txt"
     code = main(["run", "--config", write(tmp_path, data), "--out", str(out)])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GEOMETRY, EXIT_AUDIT)
+
+
+# each fuzz base with a short a_deg sweep, so that the sweep command has rows
+# to write and the sweep block is fuzzed too
+WHOLE_BASES = [
+    {**base, "sweep": {"parameter": "a_deg", "start": 0.0, "stop": 90.0, "step": 45.0}}
+    for base in FUZZ_DOCUMENTS
+]
+
+
+@st.composite
+def edited_documents(draw):
+    """A fuzz base and 1 to 4 edits (path, value) of its fields and list elements."""
+    base = draw(st.sampled_from(WHOLE_BASES))
+    edit = st.tuples(st.sampled_from(list(_field_paths(base))), st.floats(-400.0, 400.0) | json_values)
+    return base, draw(st.lists(edit, min_size=1, max_size=4))
+
+
+def _edited(base, edits):
+    """base with each edit applied in turn; an edit whose path an earlier one removed is skipped."""
+    data = json.loads(json.dumps(base))
+    for path, value in edits:
+        target = data
+        for key in path[:-1]:
+            target = target[key] if _has(target, key) else None
+        if target is not None and (isinstance(target, dict) or _has(target, path[-1])):
+            target[path[-1]] = value
+    return data
+
+
+def _has(container, key) -> bool:
+    if isinstance(container, dict):
+        return key in container
+    return isinstance(container, list) and isinstance(key, int) and key < len(container)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(
+    max_examples=100, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(document=edited_documents())
+# u.u of the demo's first tangent overflows
+@example(document=(WHOLE_BASES[2], [(("u1", 3), 1e300)]))
+def test_any_edited_document_gives_an_exit_code_in_every_command(tmp_path, monkeypatch, document):
+    from grbell import geodesics
+
+    monkeypatch.setattr(geodesics, "MAX_STEPS", 200)
+    config = write(tmp_path, _edited(*document))
+    out = str(tmp_path / "out")
+    commands = [["run", "--config", config, "--out", out, "--format", f] for f in ("text", "csv", "json")]
+    commands += [
+        ["--quiet", "sweep", "--config", config, "--out", out],
+        ["lhv-audit", "--config", config, "--n", "1000"],
+    ]
+    for argv in commands:
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_GEOMETRY, EXIT_AUDIT)
 
 
 def test_horizon_at_loose_tol_gives_ok_rows(tmp_path):
@@ -456,8 +541,11 @@ def test_comoving_readout_of_a_radial_infall_runs(tmp_path, tol):
         ("origin", [0.0, 10.0, 4.0, 0.0], "origin: theta = 4.0 outside (0, pi)"),
         # r^2 overflows: the origin is refused, not its tangents' NaN norms
         ("origin", [0.0, 1e200, math.pi / 2, 0.0], "origin: angular metric components inf"),
+        # u.u overflows: the tangent is refused by name
+        ("u1", [1.1952286093343936, 0.0, 0.0, 1e300], "u1: u.u = inf"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_bad_stop_is_named_in_its_error(tmp_path, capsys, field, value, message):
     data = schwarzschild_demo_config()
     data[field] = value

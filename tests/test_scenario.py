@@ -9,12 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from grbell import (
-    Direction3,
     HorizonApproach,
     MetricSpec,
     ParseError,
     PipelineError,
-    SettingsTriple,
     StepFailure,
     StopCondition,
     ValidationError,
@@ -107,7 +105,7 @@ def test_settings_forms():
     data = flat_baseline_config()
     data["settings"] = {"a": [1, 0, 0], "b": [0.5, math.sqrt(3) / 2, 0], "c": [-0.5, math.sqrt(3) / 2, 0]}
     cfg = config_from_dict(data)
-    assert cfg.settings.a.d[0] == 1.0
+    assert cfg.settings[0][0] == 1.0
     data["settings"] = {"a_deg": 0.0, "b": [0, 1, 0]}
     with pytest.raises(ValidationError, match="settings"):
         config_from_dict(data)
@@ -119,8 +117,8 @@ def test_flat_baseline_report():
     assert abs(ineq.w_b - 1.0) <= 1e-9 and abs(ineq.w_c - 1.0) <= 1e-9
     assert ineq.margin == pytest.approx(0.5, abs=1e-9)
     assert ineq.violated
-    assert report.angles.cos_phi == pytest.approx(1.0, abs=1e-9)
-    assert not report.angles.condition_holds
+    assert report.angles.cos_phi[0] == pytest.approx(1.0, abs=1e-9)
+    assert not report.angles.condition_holds[0]
     assert report.best_margin == pytest.approx(0.5, abs=1e-9)
 
 
@@ -496,7 +494,7 @@ def _horizon_reference(spec, r_values, tol):
     """Each row of a horizon study as one full run_scenario with both legs."""
     origin = np.array([0.0, r_values[0], math.pi / 2.0, 0.0])
     u_static = np.array([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / r_values[0]), 0, 0, 0])
-    settings = SettingsTriple(*(Direction3.from_angle(math.radians(d)) for d in (0.0, 60.0, 120.0)))
+    settings = np.array([[math.cos(math.radians(d)), math.sin(math.radians(d)), 0.0] for d in (0.0, 60.0, 120.0)])
     rows = []
     for r in r_values:
         sid = f"r={format(r, '.17g')}"
@@ -611,7 +609,7 @@ def test_csv_correlations_come_from_the_report():
     report = run_scenario(cfg)
     ineq = report.inequality
     row = csv_row(report, "run")
-    assert report.settings is cfg.settings
+    assert np.array_equal(report.rows.a[0], cfg.settings[0])
     assert [row["P_ab"], row["P_ac"], row["P_bc"]] == [
         format(p, ".17g") for p in (ineq.p_ab, ineq.p_ac, ineq.p_bc)
     ]
@@ -693,7 +691,7 @@ def test_a_failing_row_fails_alone_with_its_stage():
     cfg, bent = _bent_flat_geometry()
     # the projector scaled by 1e10 overflows only the tetrad components of the 1e150 row
     bent = dataclasses.replace(bent, projector_L=bent.projector_L * 1e10)
-    a, b, c = (np.tile(d.d, (5, 1)) for d in (cfg.settings.a, cfg.settings.b, cfg.settings.c))
+    a, b, c = (np.tile(d, (5, 1)) for d in cfg.settings)
     b[1] = [0.0, 0.6, 0.8]       # drifts past its bound on the way back
     b[2] = [1e300, 0.0, 0.0]     # its norm overflows in the drift check
     c[3] = [1e150, 0.0, 0.0]     # transported, but not projectable
