@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     PipelineError,
     SimulatorError,
-    StaticFrameUnavailable,
     StepFailure,
     ValidationError,
     ZeroVector,

@@ -40,10 +40,6 @@ class CommonOriginMismatch(SimulatorError):
 
 # -- local frames -----------------------------------------------------------
 
-class StaticFrameUnavailable(SimulatorError):
-    """No static observer exists at the requested point."""
-
-
 class DegenerateBasis(SimulatorError):
     """Gram-Schmidt pivot collapsed; candidate vectors not independent."""
 

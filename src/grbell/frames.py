@@ -1,8 +1,9 @@
 """Local orthonormal tetrads and the weighted projection of transported vectors.
 
 A tetrad is one (4, 4) array E with the legs e0..e3 as its rows, so that
-g(e_a, e_b) = eta_ab. Its projector is E g, with g the metric at the
-tetrad's event: (E g) v holds g(e_a, v).
+g(e_a, e_b) = eta_ab. Both tetrads are built from g, the metric at the
+tetrad's event (the comoving one also from the tangent there), and the
+projector is E g: (E g) v holds g(e_a, v).
 
 A transported measurement direction generally acquires a time component in
 the detector's tetrad. The rule used here: Euclidean-normalize the four
@@ -34,18 +35,10 @@ from .errors import (
     DegenerateBasis,
     NonFiniteVector,
     SimulatorError,
-    StaticFrameUnavailable,
     ZeroVector,
 )
 from .geodesics import TIMELIKE, tangent_kind
-from .geometry import (
-    ETA,
-    MINKOWSKI,
-    MetricSpec,
-    _frozen_array,
-    row_dot,
-    row_matvec,
-)
+from .geometry import ETA, _frozen_array, row_dot, row_matvec
 
 DEGENERATE_W = 1e-9
 GRAM_SCHMIDT_PIVOT = 1e-12
@@ -121,18 +114,13 @@ def unit_or_none(v) -> np.ndarray | None:
         return None
 
 
-def build_static_frame(spec: MetricSpec, x: np.ndarray) -> np.ndarray:
-    """Tetrad of the static observer at the event x, a (4,) array: e0 along
-    d/dt, spatial legs along the axes."""
-    if spec.kind == MINKOWSKI:
-        return np.eye(4)
-    r, theta = x[1], x[2]
-    if r <= spec.guard_radius:
-        raise StaticFrameUnavailable(f"no static observer at r = {r} <= {spec.guard_radius}")
-    if not 0.0 < theta < math.pi:
-        raise StaticFrameUnavailable(f"no static observer at theta = {theta} outside (0, pi)")
-    f = 1.0 - 2.0 * spec.mass / r
-    return np.diag([1.0 / math.sqrt(f), math.sqrt(f), 1.0 / r, 1.0 / (r * math.sin(theta))])
+def build_static_frame(g: np.ndarray) -> np.ndarray:
+    """Tetrad of the static observer at an event where the metric is g: e0
+    along d/dt, spatial legs along the axes."""
+    # both charts are diagonal with g_tt g_11 = -1; e1 reads sqrt(-g_tt), not
+    # 1/sqrt(g_11), so that it keeps the bits of sqrt(f)
+    root_f = np.sqrt(-g[0, 0])
+    return np.diag([1.0 / root_f, root_f, 1.0 / np.sqrt(g[2, 2]), 1.0 / np.sqrt(g[3, 3])])
 
 
 def build_comoving_frame(g: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ from .errors import (
     StepFailure,
     ValidationError,
 )
-from .geometry import SCHWARZSCHILD, MetricSpec, metric_components
+from .geometry import SCHWARZSCHILD, MetricSpec, metric_components, metric_stack
 
 TIMELIKE = "timelike"
 NULL = "null"
@@ -173,8 +173,7 @@ def _conservation_drift(
     drift = {"norm": float(np.max(np.abs(uu - n0)))}
     if spec.kind == SCHWARZSCHILD:
         r, theta = points[:, 1], points[:, 2]
-        f = 1.0 - 2.0 * spec.mass / r
-        E = f * tangents[:, 0]
+        E = -g[:, 0, 0] * tangents[:, 0]
         Lz = r**2 * np.sin(theta) ** 2 * tangents[:, 3]
         drift["energy"] = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-12))
         drift["angular_momentum"] = float(
@@ -664,11 +663,11 @@ def _checked_path(
 ) -> GeodesicPath:
     """The path through the stored states, once its checks pass.
 
-    The metric is evaluated once per stored point, which also checks the
-    point's domain; the conservation drift and the propagator check share
-    that stack, and the path keeps both the stack and the drift.
+    The metric is evaluated once per stored point, in one stack that also
+    checks each point's domain; the conservation drift and the propagator
+    check share that stack, and the path keeps both the stack and the drift.
     """
-    g = np.stack([metric_components(spec, x) for x in points])
+    g = metric_stack(spec, points)
     drift = _conservation_drift(spec, kind, points, tangents, g)
     bound = _drift_bound(tol)
     # the tangent-norm check cancels catastrophically near the horizon

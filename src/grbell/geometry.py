@@ -12,7 +12,8 @@ Conventions used everywhere in this package:
 * Schwarzschild spacetime in the exterior chart (t, r, theta, phi),
   restricted to r > 2M(1 + HORIZON_EPS), a fixed guard with
   HORIZON_EPS = 1e-6 just outside the horizon, and to 0 < theta < pi.
-  metric_components checks that domain at every event it is given.
+  metric_stack evaluates the metric over a stack of events and checks that
+  domain at each; metric_components is its one-row case.
 """
 from __future__ import annotations
 
@@ -63,37 +64,43 @@ class MetricSpec:
         return 2.0 * self.mass * (1.0 + HORIZON_EPS)
 
 
-def _check_domain(spec: MetricSpec, coords: np.ndarray) -> None:
-    if spec.kind != SCHWARZSCHILD:
-        return
+def metric_stack(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
+    """g_{mu nu} as an (n, 4, 4) array at the (n, 4) events X.
+
+    Checks the chart's domain at every event. The first event outside it
+    raises: HorizonDomain for r at or inside the guard, else InvalidChart for
+    theta outside (0, pi), else MetricUnderflow where an angular component is
+    not a positive finite float.
+    """
+    if spec.kind == MINKOWSKI:
+        return np.broadcast_to(ETA, (len(X), 4, 4)).copy()
+    r, theta = X[:, 1], X[:, 2]
+    with np.errstate(all="ignore"):  # bad rows raise below instead of warning
+        f = 1.0 - 2.0 * spec.mass / r
+        r_sin = r * np.sin(theta)
+        g_thth, g_phph = r * r, r_sin * r_sin
     # the guard radius is positive, so r > 0 follows
-    if coords[1] <= spec.guard_radius:
-        raise HorizonDomain(f"r = {coords[1]} inside radius {spec.guard_radius}")
-    if not 0.0 < coords[2] < math.pi:
-        raise InvalidChart(f"theta = {coords[2]} outside (0, pi)")
+    inside = r <= spec.guard_radius
+    off_chart = ~((0.0 < theta) & (theta < math.pi))
+    bad = inside | off_chart | ~((0.0 < g_phph) & (g_thth < math.inf))
+    if bad.any():
+        j = int(np.argmax(bad))
+        if inside[j]:
+            raise HorizonDomain(f"r = {float(r[j])} inside radius {spec.guard_radius}")
+        if off_chart[j]:
+            raise InvalidChart(f"theta = {float(theta[j])} outside (0, pi)")
+        raise MetricUnderflow(
+            f"angular metric components {float(g_thth[j])}, {float(g_phph[j])} not positive"
+            f" and finite at r = {float(r[j])}, theta = {float(theta[j])}"
+        )
+    g = np.zeros((len(X), 4, 4))
+    g[:, 0, 0], g[:, 1, 1], g[:, 2, 2], g[:, 3, 3] = -f, 1.0 / f, g_thth, g_phph
+    return g
 
 
 def metric_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    """g_{mu nu} as a plain (4, 4) array at the event coords.
-
-    Raises HorizonDomain or InvalidChart for an event outside the chart's
-    domain, and MetricUnderflow where an angular component is not a positive
-    finite float.
-    """
-    _check_domain(spec, coords)
-    if spec.kind == MINKOWSKI:
-        return ETA.copy()
-    # Python floats: an overflow gives inf here, with no numpy warning
-    r, theta = float(coords[1]), float(coords[2])
-    f = 1.0 - 2.0 * spec.mass / r
-    r_sin = r * math.sin(theta)
-    g_thth, g_phph = r * r, r_sin * r_sin
-    if not (0.0 < g_phph and g_thth < math.inf):
-        raise MetricUnderflow(
-            f"angular metric components {g_thth}, {g_phph} not positive and finite"
-            f" at r = {r}, theta = {theta}"
-        )
-    return np.diag([-f, 1.0 / f, g_thth, g_phph])
+    """g_{mu nu} as a plain (4, 4) array at the event coords: metric_stack's one-row case."""
+    return metric_stack(spec, coords[None])[0]
 
 
 # Products over stacks of vectors, one vector per row. numpy's stacked matmul

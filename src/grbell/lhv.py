@@ -232,6 +232,8 @@ def lhv_inequality_audit(
 ) -> LHVAuditReport:
     """Check |P(a,b) - P(a,c)| <= w_b^2 + P(b,c) on every triple.
 
+    Only triple.a is read: the audit's b and c are the arms' arrival
+    directions, proj_b.direction and proj_c.direction, weighted by their w.
     Each triple needs its arms in the bound's order, w_b >= w_c, as
     correlations decides it for the quantum side. Triple i draws
     one batch of n hidden variables from the stream keyed (seed, i) and

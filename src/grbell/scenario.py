@@ -163,7 +163,8 @@ class SweepSpec:
     def values(self) -> list[float]:
         """start + n step from n = 0 while not past stop, at most MAX_ROWS + 1 of them."""
         sign = 1.0 if self.step > 0 else -1.0  # negation is exact
-        eps = 1e-9 * max(1.0, abs(self.step))
+        # at most half a step, so the tolerance never admits a value a step past stop
+        eps = min(1e-9 * max(1.0, abs(self.step)), 0.5 * abs(self.step))
         out = []
         v = self.start
         while sign * v <= sign * self.stop + eps and len(out) <= MAX_ROWS:
@@ -531,7 +532,7 @@ def _detector_frame(frame_choice: str, path: GeodesicPath) -> np.ndarray:
     """The tetrad at the path's end, with the metric the path holds there."""
     if frame_choice == FRAME_COMOVING:
         return build_comoving_frame(path.metrics[-1], path.tangents[-1])
-    return build_static_frame(path.spec, path.points[-1])
+    return build_static_frame(path.metrics[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -918,9 +919,9 @@ def run_horizon_sweep(
         return guarded
 
     origin = np.array([0.0, rs[0], math.pi / 2.0, 0.0])
-    u_static = np.array([1.0 / math.sqrt(1.0 - 2.0 * spec.mass / rs[0]), 0.0, 0.0, 0.0])
     try:
         with _stage("geodesic_1"):
+            u_static = build_static_frame(metric_components(spec, origin))[0]
             geo1 = integrate_geodesic(spec, origin, u_static, StopCondition.proper_time(0.0), tol)
         with _stage("frames"):
             projector_L = _detector_frame(FRAME_STATIC, geo1) @ geo1.metrics[-1]

@@ -13,12 +13,12 @@ import numpy as np
 
 from grbell.correlations import _ordered, _weighted_differences, bell_stack, violation_stack
 from grbell.frames import ProjectionStack
-from grbell.geometry import ETA, MINKOWSKI, _check_domain, metric_components
+from grbell.geometry import ETA, MINKOWSKI, metric_components
 
 
 def christoffel_components(spec, coords):
     """Gamma^mu_{alpha beta} as a plain (4, 4, 4) array (closed forms)."""
-    _check_domain(spec, coords)
+    metric_components(spec, coords)  # the chart's domain check
     G = np.zeros((4, 4, 4))
     if spec.kind == MINKOWSKI:
         return G

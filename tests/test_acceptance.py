@@ -62,8 +62,8 @@ def test_criterion_1_flat_space_reduction():
     geo_R = integrate_geodesic(
         flat, x0, np.array([gamma, -0.5 * gamma, 0, 0]), StopCondition.proper_time(5.0)
     )
-    projector_L = build_static_frame(flat, geo_L.points[-1]) @ geo_L.metrics[-1]
-    E_R = build_static_frame(flat, geo_R.points[-1])
+    projector_L = build_static_frame(metric_components(flat, geo_L.points[-1])) @ geo_L.metrics[-1]
+    E_R = build_static_frame(metric_components(flat, geo_R.points[-1]))
 
     def arrival(d):
         moved = checked(transport_stack(geo_L, geo_R, embed_stack(E_R, d.d[None])))
@@ -166,7 +166,7 @@ def test_criterion_4_projection_weight():
                 rng.uniform(-math.pi, math.pi),
             ])
             spec = schw
-        E = build_static_frame(spec, p)
+        E = build_static_frame(metric_components(spec, p))
         v = rng.standard_normal(4) * 10 ** rng.uniform(-2, 2)
         proj = checked(project_stack(E @ metric_components(spec, p), v[None])).result(0)
         assert 0.0 <= proj.w <= 1.0
@@ -174,7 +174,7 @@ def test_criterion_4_projection_weight():
     # round-trip identity
     for _ in range(200):
         p = np.array([0.0, rng.uniform(3.0, 30.0), rng.uniform(0.5, 2.5), 0.0])
-        E = build_static_frame(schw, p)
+        E = build_static_frame(metric_components(schw, p))
         d = random_direction(rng)
         V = embed_stack(E, d.d[None])
         proj = checked(project_stack(E @ metric_components(schw, p), V)).result(0)
@@ -192,8 +192,8 @@ def test_criterion_4_projection_weight():
     u2 = np.array([gam / math.sqrt(f), 0.0, 0.0, -up])
     geo_L = integrate_geodesic(schw, x0, u1, StopCondition.proper_time(20.0))
     geo_R = integrate_geodesic(schw, x0, u2, StopCondition.proper_time(20.0))
-    E_L = build_static_frame(schw, geo_L.points[-1])
-    E_R = build_static_frame(schw, geo_R.points[-1])
+    E_L = build_static_frame(metric_components(schw, geo_L.points[-1]))
+    E_R = build_static_frame(metric_components(schw, geo_R.points[-1]))
     b = Direction3.from_angle(math.radians(60.0))
     moved = checked(transport_stack(geo_L, geo_R, embed_stack(E_R, b.d[None])))
     proj = checked(project_stack(E_L @ geo_L.metrics[-1], moved.v)).result(0)
@@ -212,7 +212,7 @@ def _schwarzschild_weight_pool(n_scenarios=24) -> list[float]:
     while len(pool) < 2 * n_scenarios:
         r0 = rng.uniform(8.0, 25.0)
         x0 = np.array([0.0, r0, math.pi / 2, 0.0])
-        E0 = build_static_frame(schw, x0)
+        E0 = build_static_frame(metric_components(schw, x0))
         tau = rng.uniform(3.0, 10.0)
 
         def boosted(vel):
@@ -223,8 +223,8 @@ def _schwarzschild_weight_pool(n_scenarios=24) -> list[float]:
         try:
             geo_L = integrate_geodesic(schw, x0, boosted(vel), StopCondition.proper_time(tau))
             geo_R = integrate_geodesic(schw, x0, boosted(-vel), StopCondition.proper_time(tau))
-            E_L = build_static_frame(schw, geo_L.points[-1])
-            E_R = build_static_frame(schw, geo_R.points[-1])
+            E_L = build_static_frame(metric_components(schw, geo_L.points[-1]))
+            E_R = build_static_frame(metric_components(schw, geo_R.points[-1]))
             for d in (random_direction(rng), random_direction(rng)):
                 moved = checked(transport_stack(geo_L, geo_R, embed_stack(E_R, d.d[None])))
                 pool.append(checked(project_stack(E_L @ geo_L.metrics[-1], moved.v)).w[0])

@@ -316,13 +316,14 @@ def _limit_address_space():
     [
         # start + n step rounds back to start for n up to about 1e284
         (1e300, 1.0, "sweep.step"),
-        # start + n step stays within the end tolerance 1e-9 for n up to 1e11
+        # 1e11 rows to stop = 1e-9, a list that outgrows memory without the row cap
         (0.0, 1e-20, "sweep"),
     ],
 )
 def test_a_sweep_that_would_not_end_is_config_error(tmp_path, start, step, field):
     data = flat_baseline_config()
-    data["sweep"] = {"parameter": "a_deg", "start": start, "stop": start, "step": step}
+    stop = start + 1e11 * step  # rounds back to start = 1e300
+    data["sweep"] = {"parameter": "a_deg", "start": start, "stop": stop, "step": step}
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
     argv = ["sweep", "--config", write(tmp_path, data), "--out", str(tmp_path / "s.csv")]

@@ -7,7 +7,8 @@ from grbell import (
     BadNormalization,
     Direction3,
     NonFiniteVector,
-    StaticFrameUnavailable,
+    HorizonDomain,
+    InvalidChart,
     ZeroVector,
     build_comoving_frame,
     build_static_frame,
@@ -31,7 +32,7 @@ def assert_orthonormal(spec, p, E, tol=1e-9):
 
 
 def test_static_frame_flat_is_coordinate_basis(flat):
-    E = build_static_frame(flat, np.array([1.0, 2.0, 3.0, 4.0]))
+    E = build_static_frame(metric_components(flat, np.array([1.0, 2.0, 3.0, 4.0])))
     for i, leg in enumerate(E):
         expected = np.zeros(4)
         expected[i] = 1.0
@@ -41,26 +42,27 @@ def test_static_frame_flat_is_coordinate_basis(flat):
 def test_static_frame_schwarzschild_closed_form(schw):
     # e0^t = (1 - 2M/r)^{-1/2}, e1^r = (1 - 2M/r)^{1/2} at r = 8
     p = np.array([0.0, 8.0, math.pi / 2, 0.0])
-    E = build_static_frame(schw, p)
+    E = build_static_frame(metric_components(schw, p))
     assert E[0, 0] == pytest.approx(1.1547005383792515, abs=1e-12)
     assert E[1, 1] == pytest.approx(0.8660254037844386, abs=1e-12)
     assert_orthonormal(schw, p, E)
 
 
 def test_static_frame_unavailable_inside_guard(schw):
-    with pytest.raises(StaticFrameUnavailable):
-        build_static_frame(schw, np.array([0.0, 2.0 * (1 + 1e-8), 1.0, 0.0]))
+    # the tetrad is built from the metric at its event, which refuses the event
+    with pytest.raises(HorizonDomain):
+        build_static_frame(metric_components(schw, np.array([0.0, 2.0 * (1 + 1e-8), 1.0, 0.0])))
 
 
 def test_static_frame_unavailable_on_the_axis(schw):
-    with pytest.raises(StaticFrameUnavailable):
-        build_static_frame(schw, np.array([0.0, 8.0, 0.0, 0.0]))
+    with pytest.raises(InvalidChart):
+        build_static_frame(metric_components(schw, np.array([0.0, 8.0, 0.0, 0.0])))
 
 
 def test_static_frames_orthonormal_at_random_points(schw, rng):
     for _ in range(20):
         p = random_exterior_point(rng)
-        assert_orthonormal(schw, p, build_static_frame(schw, p))
+        assert_orthonormal(schw, p, build_static_frame(metric_components(schw, p)))
 
 
 def test_comoving_frame_flat_rest_is_coordinate_basis(flat):
@@ -87,7 +89,7 @@ def test_comoving_frame_orthonormal_random(schw, rng):
     # boost the static observer by a random sub-luminal local velocity
     for _ in range(20):
         p = random_exterior_point(rng)
-        static = build_static_frame(schw, p)
+        static = build_static_frame(metric_components(schw, p))
         vel = rng.uniform(-0.5, 0.5, size=3)
         gamma = 1.0 / math.sqrt(1.0 - vel @ vel)
         u = gamma * (static[0] + vel[0] * static[1] + vel[1] * static[2] + vel[2] * static[3])
@@ -103,7 +105,7 @@ def test_comoving_frame_rejects_bad_normalization(flat):
 
 
 def test_embed_direction_flat(flat):
-    E = build_static_frame(flat, np.array([0.0, 0.0, 0.0, 0.0]))
+    E = build_static_frame(metric_components(flat, np.array([0.0, 0.0, 0.0, 0.0])))
     v = embed_stack(E, np.array([[1.0, 0.0, 0.0]]))[0]
     assert np.array_equal(v, [0.0, 1.0, 0.0, 0.0])
 
@@ -111,7 +113,7 @@ def test_embed_direction_flat(flat):
 def test_embed_direction_properties(schw, rng):
     for _ in range(20):
         p = random_exterior_point(rng)
-        E = build_static_frame(schw, p)
+        E = build_static_frame(metric_components(schw, p))
         v = embed_stack(E, random_direction(rng).d[None])[0]
         g = metric_components(schw, p)
         assert abs(v @ g @ E[0]) < 1e-10
@@ -120,7 +122,7 @@ def test_embed_direction_properties(schw, rng):
 
 def test_projection_of_spatial_vector(flat):
     p = np.array([0.0, 0.0, 0.0, 0.0])
-    E = build_static_frame(flat, p)
+    E = build_static_frame(metric_components(flat, p))
     d = Direction3.from_vector([2.0, -1.0, 0.5])
     V = embed_stack(E, d.d[None])
     proj = checked(project_stack(projector(flat, p, E), V)).result(0)
@@ -131,7 +133,7 @@ def test_projection_of_spatial_vector(flat):
 def test_projection_symmetric_split(flat):
     # tetrad components (1, 1, 0, 0) -> w = 1/sqrt(2), direction (1, 0, 0)
     p = np.array([0.0, 0.0, 0.0, 0.0])
-    E = build_static_frame(flat, p)
+    E = build_static_frame(metric_components(flat, p))
     proj = checked(project_stack(projector(flat, p, E), np.array([[1.0, 1.0, 0.0, 0.0]]))).result(0)
     assert proj.w == pytest.approx(0.7071067811865476, abs=1e-12)
     assert np.allclose(proj.direction.d, [1.0, 0.0, 0.0])
@@ -139,7 +141,7 @@ def test_projection_symmetric_split(flat):
 
 def test_projection_of_timelike_vector_is_degenerate(flat):
     p = np.array([0.0, 0.0, 0.0, 0.0])
-    E = build_static_frame(flat, p)
+    E = build_static_frame(metric_components(flat, p))
     proj = checked(project_stack(projector(flat, p, E), np.array([[3.0, 0.0, 0.0, 0.0]]))).result(0)
     assert proj.degenerate
     assert proj.w == 0.0
@@ -148,7 +150,7 @@ def test_projection_of_timelike_vector_is_degenerate(flat):
 
 def test_projection_zero_vector_raises(flat):
     p = np.array([0.0, 0.0, 0.0, 0.0])
-    E = build_static_frame(flat, p)
+    E = build_static_frame(metric_components(flat, p))
     with pytest.raises(ZeroVector):
         checked(project_stack(projector(flat, p, E), np.array([[0.0, 0.0, 0.0, 0.0]])))
 
@@ -157,7 +159,7 @@ def test_projection_of_an_overflowing_vector_raises(flat):
     # the tetrad components are finite but their norm overflows; w would
     # read 0 (a silent degenerate arm) or NaN without the check
     p = np.array([0.0, 0.0, 0.0, 0.0])
-    E = build_static_frame(flat, p)
+    E = build_static_frame(metric_components(flat, p))
     with pytest.raises(NonFiniteVector):
         checked(project_stack(projector(flat, p, E), np.array([[1e300, 1e300, 0.0, 0.0]])))
 
@@ -165,7 +167,7 @@ def test_projection_of_an_overflowing_vector_raises(flat):
 def test_projection_stack_fails_only_the_bad_rows(schw, rng):
     # a row's result does not depend on how many rows are projected with it
     p = random_exterior_point(rng)
-    E = build_static_frame(schw, p)
+    E = build_static_frame(metric_components(schw, p))
     D = np.array([random_direction(rng).d for _ in range(4)])
     V = np.concatenate([embed_stack(E, D), np.zeros((1, 4))])
     V[1] *= 1e300
@@ -186,7 +188,7 @@ def test_projection_weight_range_and_unitarity(schw, rng):
     # w in [0, 1] and w^2 + q0^2 = 1 for arbitrary vectors in arbitrary frames
     for _ in range(500):
         p = random_exterior_point(rng)
-        E = build_static_frame(schw, p)
+        E = build_static_frame(metric_components(schw, p))
         v = rng.standard_normal(4) * 10 ** rng.uniform(-3, 3)
         proj = checked(project_stack(projector(schw, p, E), v[None])).result(0)
         assert 0.0 <= proj.w <= 1.0
@@ -196,7 +198,7 @@ def test_projection_weight_range_and_unitarity(schw, rng):
 def test_embed_project_round_trip(schw, rng):
     for _ in range(50):
         p = random_exterior_point(rng)
-        E = build_static_frame(schw, p)
+        E = build_static_frame(metric_components(schw, p))
         d = random_direction(rng)
         V = embed_stack(E, d.d[None])
         proj = checked(project_stack(projector(schw, p, E), V)).result(0)
@@ -206,7 +208,7 @@ def test_embed_project_round_trip(schw, rng):
 
 def test_tetrad_components_reconstruct(schw, rng):
     p = random_exterior_point(rng)
-    E = build_static_frame(schw, p)
+    E = build_static_frame(metric_components(schw, p))
     v = rng.standard_normal(4)
     comps = tetrad_components(E, metric_components(schw, p), v)
     rebuilt = sum(c * leg for c, leg in zip(comps, E))

@@ -10,8 +10,8 @@ from grbell import (
     MetricUnderflow,
     ValidationError,
 )
-from grbell.geometry import metric_components
-from conftest import random_exterior_point
+from grbell.geometry import metric_components, metric_stack
+from conftest import random_exterior_point, random_flat_point
 from reference import christoffel_components, finite_difference_christoffel
 
 
@@ -119,3 +119,62 @@ def test_metric_underflow_is_an_error():
         metric_components(MetricSpec("schwarzschild", mass=1.0), near_axis)
     g = metric_components(spec, np.array([0.0, 1e-150, math.pi / 2, 0.0]))
     assert g[2, 2] > 0.0 and g[3, 3] > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+@pytest.mark.parametrize("chart", ["flat", "schw"])
+def test_metric_stack_rows_are_metric_components(request, rng, chart, n):
+    # a row's metric does not depend on how many events are stacked with it
+    spec = request.getfixturevalue(chart)
+    if chart == "flat":
+        X = np.array([random_flat_point(rng) for _ in range(n)])
+    else:
+        X = np.array([random_exterior_point(rng, r_min=2.0 * (1 + 2e-6)) for _ in range(n)])
+    g = metric_stack(spec, X)
+    assert g.shape == (n, 4, 4)
+    for x, g_x in zip(X, g):
+        assert np.array_equal(g_x, metric_components(spec, x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "mass, bad, error, message",
+    [
+        (1.0, [0.0, 2.0000001, math.pi / 2, 0.0], HorizonDomain,
+         "r = 2.0000001 inside radius 2.000002"),
+        (1.0, [0.0, 10.0, 0.0, 0.0], InvalidChart, "theta = 0.0 outside (0, pi)"),
+        (1e-300, [0.0, 1e-298, math.pi / 2, 0.0], MetricUnderflow,
+         "angular metric components 0.0, 0.0 not positive and finite"
+         " at r = 1e-298, theta = 1.5707963267948966"),
+        (1.0, [0.0, 1e200, math.pi / 2, 0.0], MetricUnderflow,
+         "angular metric components inf, inf not positive and finite"
+         " at r = 1e+200, theta = 1.5707963267948966"),
+        # a NaN coordinate fails no comparison of the guard or the chart
+        (1.0, [0.0, math.nan, 1.0, 0.0], MetricUnderflow,
+         "angular metric components nan, nan not positive and finite at r = nan, theta = 1.0"),
+        (1.0, [0.0, 5.0, math.nan, 0.0], InvalidChart, "theta = nan outside (0, pi)"),
+    ],
+)
+def test_metric_stack_raises_for_its_first_bad_row(rng, mass, bad, error, message):
+    # the class and message metric_components gives for that row alone; a
+    # later row that is bad in another way is not the one reported
+    spec = MetricSpec("schwarzschild", mass=mass)
+    X = np.array([random_exterior_point(rng) for _ in range(6)])
+    X[2] = bad
+    X[4] = [0.0, 10.0, 4.0, 0.0]
+    for events in (X, X[2:3]):
+        with pytest.raises(error) as raised:
+            metric_stack(spec, events)
+        assert str(raised.value) == message
+    with pytest.raises(error) as raised:
+        metric_components(spec, X[2])
+    assert str(raised.value) == message
+
+
+def test_metric_stack_checks_rows_in_order_not_by_kind(schw, rng):
+    # row 5 fails the guard, which each row checks first, but row 3 comes first
+    X = np.array([random_exterior_point(rng) for _ in range(7)])
+    X[3, 2] = -0.5
+    X[5, 1] = 2.0000001
+    with pytest.raises(InvalidChart, match=r"^theta = -0\.5 outside \(0, pi\)$"):
+        metric_stack(schw, X)

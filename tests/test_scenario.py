@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -31,7 +32,7 @@ from grbell import scenario
 from grbell.cli import EXIT_CONFIG, EXIT_OK, main
 from grbell.correlations import ARM_ORDER_ULP, bell_stack
 from grbell.frames import ProjectionStack
-from grbell.scenario import CSV_HEADER, csv_row, error_row
+from grbell.scenario import CSV_HEADER, SweepSpec, csv_row, error_row
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -282,6 +283,22 @@ def test_sweep_empty_range():
     rows = run_sweep(config_from_dict(data))
     assert rows == []
     assert rows_to_csv(rows) == CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize(
+    "start, stop, step, count",
+    [
+        (0.0, 0.0, 1e-12, 1),
+        (0.0, 0.0, -1e-12, 1),
+        (5.0, 5.0, 1e-12, 1),
+        (5.0, 5.0, -1e-12, 1),
+        (0.0, 1e-9, 1e-10, 11),
+    ],
+)
+def test_a_sweep_with_a_tiny_step_gives_the_rows_it_asks_for(start, stop, step, count):
+    # the end tolerance is at most half a step; an absolute 1e-9 admitted
+    # 1000 more values past start = stop, and 10 more past stop = 1e-9
+    assert len(SweepSpec("a_deg", start, stop, step).values()) == count
 
 
 def test_sweep_deterministic_across_workers():
@@ -553,53 +570,54 @@ def recording_paths(monkeypatch):
     return paths
 
 
+def counting_metric_events(monkeypatch) -> collections.Counter:
+    """Events evaluated through geometry.metric_stack, counted by the module
+    that asked for them; metric_components' one row counts for its caller."""
+    import sys
+
+    events = collections.Counter()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grbell") and hasattr(module, "metric_stack"):
+            def counting(spec, X, _original=module.metric_stack):
+                frame = sys._getframe(1)
+                while frame.f_globals["__name__"] == "grbell.geometry":
+                    frame = frame.f_back
+                events[frame.f_globals["__name__"]] += len(X)
+                return _original(spec, X)
+
+            monkeypatch.setattr(module, "metric_stack", counting)
+    return events
+
+
 @pytest.mark.parametrize("kind, value", [("proper_time", 20.0), ("coordinate_time", 24.0)])
 def test_demo_evaluates_metric_once_per_stored_point(monkeypatch, kind, value):
     # per path: one metric at x0 for the domain check, the tangent's kind
     # and a coordinate-time leg's tau cap, then one stack shared by the drift
     # and propagator checks and the summary
-    from grbell import geodesics
-
-    calls = []
-    original = geodesics.metric_components
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(geodesics, "metric_components", counting)
+    events = counting_metric_events(monkeypatch)
     paths = recording_paths(monkeypatch)
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
     data["stop1"] = data["stop2"] = {"kind": kind, "value": value}
     run_scenario(config_from_dict(data))
     assert len(paths) == 2
-    assert len(calls) == sum(1 + len(path.taus) for path in paths)
+    assert events["grbell.geodesics"] == sum(1 + len(path.taus) for path in paths)
 
 
 @pytest.mark.parametrize("frame_choice", ["static", "comoving"])
 def test_demo_transport_evaluates_no_metric(monkeypatch, frame_choice):
     # transport and the detector tetrads read g at a leg's ends from the
-    # path's stored stack, so no metric_components call in a run comes from
+    # path's stored stack, so no metric event in a run comes from
     # grbell.transport or grbell.frames
-    import sys
-
-    callers = []
-    for name, module in list(sys.modules.items()):
-        if name.startswith("grbell") and hasattr(module, "metric_components"):
-            def counting(*args, _original=module.metric_components, **kwargs):
-                callers.append(sys._getframe(1).f_globals["__name__"])
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, "metric_components", counting)
+    events = counting_metric_events(monkeypatch)
     paths = recording_paths(monkeypatch)
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
     data["frame_choice"] = frame_choice
     run_scenario(config_from_dict(data))
-    assert callers.count("grbell.geodesics") == sum(1 + len(path.taus) for path in paths)
-    assert "grbell.transport" not in callers
-    assert "grbell.frames" not in callers
+    assert events["grbell.geodesics"] == sum(1 + len(path.taus) for path in paths)
+    assert "grbell.transport" not in events
+    assert "grbell.frames" not in events
 
 
 def test_csv_correlations_come_from_the_report():

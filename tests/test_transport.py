@@ -304,10 +304,10 @@ def test_radial_infall_matches_the_closed_form_weight(schw):
     D /= np.linalg.norm(D, axis=1)[:, None]
     origin, rest = infall_start()
     stay = integrate_geodesic(schw, origin, rest, StopCondition.proper_time(0.0))
-    projector = build_static_frame(schw, stay.points[-1]) @ stay.metrics[-1]
+    projector = build_static_frame(metric_components(schw, stay.points[-1])) @ stay.metrics[-1]
     for r in INFALL_RADII:
         fall = integrate_geodesic(schw, origin, rest, StopCondition.radius(r))
-        V = embed_stack(build_static_frame(schw, fall.points[-1]), D)
+        V = embed_stack(build_static_frame(metric_components(schw, fall.points[-1])), D)
         moved = transport_stack(stay, fall, V)
         assert moved.errors == {}, r
         w = project_stack(projector, moved.v).w
