@@ -3,7 +3,7 @@
 A leg's kind comes from its initial tangent alone: tangent_kind reads
 timelike or null from u.u and refuses a past-pointing u. A stop is a kind
 and a value; a radius or coordinate-time stop within STOP_SNAP of the
-start gives a zero-length leg.
+start, in units of M on a Schwarzschild leg, gives a zero-length leg.
 
 Flat legs are straight lines in the Cartesian chart, x = x0 + u0 tau, and
 their parallel propagator is the identity. A radius stop is the first
@@ -75,7 +75,8 @@ NORMALIZATION_TOL = 1e-8
 # with them, but never beyond NORMALIZATION_TOL
 NULL_NORM_TOL = 1e-9
 
-# a radius or coordinate-time stop this close to the start is already reached
+# a radius or coordinate-time stop this close to the start is already reached;
+# on a Schwarzschild leg the distance is in units of M, the chart's only scale
 STOP_SNAP = 1e-10
 
 # cap on the accepted solver steps of one integration, so that a far or
@@ -286,13 +287,11 @@ def integrate_geodesic(
             raise ValidationError("stop.value", "radius target inside horizon guard")
 
     # degenerate stop: zero-length path
+    snap = STOP_SNAP * spec.mass if spec.kind == SCHWARZSCHILD else STOP_SNAP
     if (
         (stop.kind == STOP_PROPER_TIME and stop.value == 0.0)
-        or (
-            stop.kind == STOP_RADIUS
-            and abs(_chart_radius(spec, x0) - stop.value) <= STOP_SNAP
-        )
-        or (stop.kind == STOP_COORDINATE_TIME and abs(x0[0] - stop.value) <= STOP_SNAP)
+        or (stop.kind == STOP_RADIUS and abs(_chart_radius(spec, x0) - stop.value) <= snap)
+        or (stop.kind == STOP_COORDINATE_TIME and abs(x0[0] - stop.value) <= snap)
     ):
         return _checked_path(
             spec, kind, tol, np.array([0.0]), np.array([x0]), np.array([u0]),

@@ -1,10 +1,14 @@
 """Local hidden-variable models and Monte Carlo checks of the inequality.
 
-The built-in model draws a shared unit 3-vector lambda uniformly on the
-sphere. The left response is sign(a . lambda) = +-1; the right response is
--w**2 * sign(b . lambda), so the exact anti-correlation B = -w**2 * A holds
-pointwise for every lambda. For w = 1 this is the classic sign model whose
-correlation is -(1 - 2*theta/pi) at setting angle theta.
+The built-in model draws a shared hidden variable lambda, a standard normal
+3-vector: it is isotropic, not unit, because a normal 3-vector already has
+a uniformly distributed direction (M. E. Muller, Comm. ACM 2, 19 (1959))
+and the responses read only that direction. The left response is
+sign(a . lambda) = +-1; the right response is -w**2 * sign(b . lambda), so
+the exact anti-correlation B = -w**2 * A holds pointwise for every lambda.
+For w = 1 this is the classic sign model whose correlation is
+-(1 - 2*theta/pi) at setting angle theta. Each side responds to a stack of
+settings at once, so a chunk of lambda costs one matrix product per side.
 
 Randomness is driven by numpy SeedSequence streams: the stream for a key
 is spawned deterministically, so every estimate depends only on its seed
@@ -60,29 +64,25 @@ class MCEstimate:
 
 @dataclass(frozen=True, eq=False)
 class LHVModel:
-    """Sampler over hidden variables plus the two detector responses.
+    """Sampler over hidden variables plus the two detectors' responses.
 
-    respond_A maps (direction, lambdas) to +-1 per sample; respond_B maps
-    (projection, lambdas) to +-w**2 per sample.
+    sample(m, rng) draws m hidden variables, (m, 3). respond_A(a, lam) maps
+    the (k, 3) left directions a to +-1 per sample, (k, m); respond_B(arms,
+    lam) maps the k right arms of a ProjectionStack to +-w**2 per sample,
+    (k, m), with +0.0 on every sample of a degenerate arm. Each side reads
+    only its own settings and lambda, as locality demands.
     """
 
     name: str
     seed: int
     sample: Callable[[int, np.random.Generator], np.ndarray]
-    respond_A: Callable[[Direction3, np.ndarray], np.ndarray]
-    respond_B: Callable[[ProjectionResult, np.ndarray], np.ndarray]
+    respond_A: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    respond_B: Callable[[ProjectionStack, np.ndarray], np.ndarray]
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic sub-stream for (seed, *key)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-def _uniform_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal((n, 3))
-    norm = np.einsum("ij,ij->i", v, v)
-    v /= np.sqrt(norm, out=norm)[:, None]
-    return v
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -96,22 +96,22 @@ def _sign(x: np.ndarray) -> np.ndarray:
 
 
 def make_sign_model(seed: int = 0) -> LHVModel:
-    """Uniform-sphere sign model; obeys the anti-correlation identity exactly."""
+    """Sign model on raw normal lambda; obeys the anti-correlation identity exactly."""
 
-    def respond_A(a: Direction3, lam: np.ndarray) -> np.ndarray:
-        return _sign(lam @ a.d)
+    def respond_A(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return _sign(a @ lam.T)
 
-    def respond_B(proj: ProjectionResult, lam: np.ndarray) -> np.ndarray:
-        if proj.degenerate:
-            return np.zeros(lam.shape[0])
-        response = _sign(lam @ proj.direction.d)
-        response *= -proj.w**2
+    def respond_B(arms: ProjectionStack, lam: np.ndarray) -> np.ndarray:
+        response = _sign(arms.direction @ lam.T)
+        response *= -arms.w[:, None] ** 2
+        # assigned, not multiplied by 0, which would give -0.0 where the sign is +1
+        response[arms.degenerate] = 0.0
         return response
 
     return LHVModel(
         name="sign",
         seed=seed,
-        sample=_uniform_sphere,
+        sample=lambda n, rng: rng.standard_normal((n, 3)),
         respond_A=respond_A,
         respond_B=respond_B,
     )
@@ -168,9 +168,10 @@ def correlation_mc(
     if n < MIN_SAMPLES:
         raise InsufficientSamples(f"n = {n} below minimum {MIN_SAMPLES}")
     root = model.seed if seed is None else seed
+    a_rows, arm = a.d[None], ProjectionStack.of([proj_b])
     moments = _Moments(1, n)
     for lam in _chunks(model, n, stream(root)):
-        moments.add((model.respond_A(a, lam) * model.respond_B(proj_b, lam))[None])
+        moments.add(model.respond_A(a_rows, lam) * model.respond_B(arm, lam))
     return moments.estimates(root)[0]
 
 
@@ -187,9 +188,10 @@ def verify_anticorrelation(
     is evaluated on its arrival direction.
     """
     root = model.seed if seed is None else seed
+    arm = ProjectionStack.of([proj_a])
     for lam in _chunks(model, n, stream(root)):
-        A = 0.0 if proj_a.degenerate else model.respond_A(proj_a.direction, lam)
-        if not np.all(model.respond_B(proj_a, lam) == -proj_a.w**2 * A):
+        A = 0.0 if proj_a.degenerate else model.respond_A(arm.direction, lam)
+        if not np.all(model.respond_B(arm, lam) == -proj_a.w**2 * A):
             return False
     return True
 
@@ -257,27 +259,33 @@ def lhv_inequality_audit(
     root = model.seed if seed is None else seed
     rows = []
     for i, (triple, proj_b, proj_c) in enumerate(triples):
-        if _ordered(ProjectionStack.of([proj_b]), ProjectionStack.of([proj_c]))[2][0]:
+        arms = ProjectionStack.of([proj_b, proj_c])
+        if _ordered(arms.rows([0]), arms.rows([1]))[2][0]:
             raise ValidationError(
                 f"triples[{i}]", f"needs w_b >= w_c, got {proj_b.w} < {proj_c.w}"
             )
         # per sample: ab, ac, bc and the margin for either sign s of
         # P(a,b) - P(a,c), (ab - ac) - bc and (ab - ac) + bc; s is known
-        # only once the means are, so both are kept. A degenerate b arm has
-        # no direction, so A(b) is undefined, but its B and bc are zero and
-        # the bound reduces to 0 <= w_b^2
+        # only once the means are, so both are kept. Per chunk, A responds
+        # to b's arrival direction and a, B to the arms b and c: b is the
+        # first row on both sides, so A(b) and B(b) come from the same row
+        # of same-shaped products and the sign model's B = -w^2 A holds at
+        # every sample, as the exact gate needs. A degenerate b arm has no
+        # direction (its row is zero), so A(b) means nothing, but its B and
+        # bc are zero and the bound reduces to 0 <= w_b^2
+        left = np.stack([arms.direction[0], triple.a.d])
         moments = _Moments(5, n)
         for lam in _chunks(model, n, stream(root, i)):
             series = np.empty((5, lam.shape[0]))
             ab, ac, bc, minus, plus = series
-            A_a = model.respond_A(triple.a, lam)
-            B_c = model.respond_B(proj_c, lam)
-            np.multiply(A_a, model.respond_B(proj_b, lam), out=ab)
+            A_b, A_a = model.respond_A(left, lam)
+            B_b, B_c = model.respond_B(arms, lam)
+            np.multiply(A_a, B_b, out=ab)
             np.multiply(A_a, B_c, out=ac)
             if proj_b.degenerate:
                 bc.fill(0.0)
             else:
-                np.multiply(model.respond_A(proj_b.direction, lam), B_c, out=bc)
+                np.multiply(A_b, B_c, out=bc)
             np.subtract(ab, ac, out=minus)
             np.add(minus, bc, out=plus)
             minus -= bc

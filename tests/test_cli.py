@@ -152,6 +152,29 @@ def test_horizon_command(tmp_path):
     assert radii == sorted(radii, reverse=True)
 
 
+def test_small_mass_horizon_study_has_no_wrong_ok_rows(tmp_path):
+    # the geometry is scale-free, so an ok row at M = 1e-160 must read what
+    # the same row reads at M = 1; a leg snapped to its start would repeat
+    # the emission row's w = 1 on every row
+    rows = {}
+    for mass, r_start, r_end in (("1e-160", "1e-159", "4e-160"), ("1", "10", "4")):
+        out = tmp_path / f"horizon-{mass}.csv"
+        argv = ["--quiet", "horizon", "--mass", mass, "--r-start", r_start,
+                "--r-end", r_end, "--steps", "3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        header, *lines = out.read_text().splitlines()
+        rows[mass] = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows["1e-160"]) == len(rows["1"]) == 3
+    assert rows["1e-160"][0]["status"] == "ok"
+    for small, unit in zip(rows["1e-160"], rows["1"]):
+        assert unit["status"] == "ok"
+        if small["status"] == "ok":
+            for key in ("w_b", "w_c", "P_ab", "P_ac", "P_bc"):
+                assert float(small[key]) == pytest.approx(float(unit[key]), abs=1e-6)
+        else:
+            assert small["status"] == "error:geodesic_2"
+
+
 def test_lhv_audit_command(tmp_path, capsys):
     data = schwarzschild_demo_config()
     data["mc"] = {"n": 5000, "seed": 1}

@@ -13,6 +13,7 @@ from grbell import (
     ValidationError,
     integrate_geodesic,
 )
+from grbell.geodesics import STOP_SNAP
 
 M = 1.0
 
@@ -126,6 +127,36 @@ def test_degenerate_stop_single_sample(schw):
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     path = integrate_geodesic(schw, x0, static_tangent(schw, x0), StopCondition.proper_time(0.0))
     assert len(path.taus) == 1 and path.tau_end == 0.0
+
+
+@pytest.mark.parametrize("mass", [1.0, 1e-160])
+def test_stop_snap_is_in_units_of_the_mass(mass):
+    # a stop within STOP_SNAP M of the start is already reached; a stop
+    # 5 M away in t is a real leg at every mass, not a zero-length one
+    spec = MetricSpec("schwarzschild", mass=mass)
+    x0 = np.array([0.0, 10.0 * mass, math.pi / 2, 0.0])
+    u0 = static_tangent(spec, x0)
+    for near in (StopCondition.coordinate_time(0.5 * STOP_SNAP * mass),
+                 StopCondition.radius(x0[1] - 0.5 * STOP_SNAP * mass)):
+        assert len(integrate_geodesic(spec, x0, u0, near).taus) == 1
+    path = integrate_geodesic(spec, x0, u0, StopCondition.coordinate_time(5.0 * mass))
+    assert len(path.taus) > 2 and path.points[-1][0] == pytest.approx(5.0 * mass, rel=1e-8)
+    # at M = 1e-160 the radial fall to 4 M fails its drift check (the
+    # stepper's absolute tolerance is not scaled by M); it must not come
+    # back as its start
+    try:
+        path = integrate_geodesic(spec, x0, u0, StopCondition.radius(4.0 * mass))
+    except StepFailure:
+        assert mass != 1.0
+    else:
+        assert len(path.taus) > 2 and path.points[-1][1] == pytest.approx(4.0 * mass, rel=1e-8)
+
+
+def test_flat_stop_snap_stays_absolute(flat):
+    x0 = np.array([0.0, 0.0, 0.0, 0.0])
+    u0 = static_tangent(flat, x0)
+    assert len(integrate_geodesic(flat, x0, u0, StopCondition.coordinate_time(0.5 * STOP_SNAP)).taus) == 1
+    assert len(integrate_geodesic(flat, x0, u0, StopCondition.coordinate_time(2.0 * STOP_SNAP)).taus) == 2
 
 
 def test_bad_normalization_rejected(schw):

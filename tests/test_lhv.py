@@ -20,10 +20,21 @@ from grbell import (
     verify_anticorrelation,
 )
 from grbell.correlations import ARM_ORDER_ULP
-from grbell.lhv import CHUNK, ROUNDING_SLACK, SIGMA_FACTOR, LHVModel, _uniform_sphere, stream
+from grbell.frames import ProjectionStack
+from grbell.lhv import CHUNK, ROUNDING_SLACK, SIGMA_FACTOR, LHVModel, stream
 from conftest import random_direction
 
 Z = Direction3(np.array([0.0, 0.0, 1.0]))
+
+
+def respond_A(model, a: Direction3, lam):
+    """A's responses to the one direction a."""
+    return model.respond_A(a.d[None], lam)[0]
+
+
+def respond_B(model, proj, lam):
+    """B's responses to the one arm proj."""
+    return model.respond_B(ProjectionStack.of([proj]), lam)[0]
 
 
 def tilted(theta_deg: float) -> Direction3:
@@ -71,20 +82,20 @@ def test_closed_form_matches_quadrature(theta_deg):
 def test_response_values_exact():
     model = make_sign_model(0)
     lam = model.sample(1000, stream(0))
-    A = model.respond_A(Z, lam)
+    A = respond_A(model, Z, lam)
     assert set(np.unique(A)) <= {-1.0, 1.0}
     w = 0.73
-    B = model.respond_B(make_projection(w, Z), lam)
+    B = respond_B(model, make_projection(w, Z), lam)
     assert set(np.unique(B)) <= {-(w**2), w**2}
 
 
 def test_response_hand_cases():
     model = make_sign_model(0)
     b = np.array([[0.0, 0.0, 1.0]])
-    assert model.respond_A(Z, b)[0] == 1.0
-    assert model.respond_B(make_projection(1.0, Z), b)[0] == -1.0
+    assert respond_A(model, Z, b)[0] == 1.0
+    assert respond_B(model, make_projection(1.0, Z), b)[0] == -1.0
     # w = 0.5 and lambda anti-aligned: -w^2 sign(-1) = +0.25
-    assert model.respond_B(make_projection(0.5, Z), -b)[0] == 0.25
+    assert respond_B(model, make_projection(0.5, Z), -b)[0] == 0.25
 
 
 def test_anticorrelation_holds_pointwise(rng):
@@ -103,16 +114,31 @@ def test_anticorrelation_detects_flipped_model():
         seed=0,
         sample=base.sample,
         respond_A=base.respond_A,
-        respond_B=lambda proj, lam: -base.respond_B(proj, lam),
+        respond_B=lambda arms, lam: -base.respond_B(arms, lam),
     )
     assert not verify_anticorrelation(broken, Z, make_projection(1.0, Z), 1000, seed=4)
+
+
+def test_b_responds_alike_on_both_sides_of_a_stacked_call(rng):
+    # the audit asks A for (b, a) and B for (b, c): b's two responses come
+    # from the first row of same-shaped products and must anti-correlate
+    # exactly at every sample, or the exact gate would fail a sound model
+    model = make_sign_model(0)
+    for k in range(20):
+        a, b, c = random_direction(rng), random_direction(rng), random_direction(rng)
+        proj_b, proj_c = make_projection(rng.uniform(0.3, 1.0), b), make_projection(0.2, c)
+        for m in (1, 17, CHUNK):
+            lam = model.sample(m, stream(k, m))
+            A_b = model.respond_A(np.stack([b.d, a.d]), lam)[0]
+            B_b = model.respond_B(ProjectionStack.of([proj_b, proj_c]), lam)[0]
+            assert np.array_equal(B_b, -proj_b.w**2 * A_b)
 
 
 def test_degenerate_weight_response_is_zero():
     model = make_sign_model(0)
     proj = make_projection(0.0)
     lam = model.sample(500, stream(9))
-    assert np.all(model.respond_B(proj, lam) == 0.0)
+    assert np.all(respond_B(model, proj, lam) == 0.0)
     assert verify_anticorrelation(model, Z, proj, 500, seed=9)
 
 
@@ -196,10 +222,12 @@ def test_audit_random_triples_hold(rng):
     assert audit.passed and audit.failures == 0
 
 
-def test_sampled_hidden_variables_are_unit():
+def test_sampled_hidden_variables_are_the_raw_normal_draw():
+    # the responses read only lambda's direction, which is uniform for a
+    # standard normal 3-vector, so the draw is not normalised; isotropy is
+    # covered by the closed-form and quadrature tests
     model = make_sign_model(0)
-    lam = model.sample(5000, stream(31))
-    assert np.max(np.abs(np.linalg.norm(lam, axis=1) - 1.0)) < 1e-12
+    assert np.array_equal(model.sample(5000, stream(31)), stream(31).standard_normal((5000, 3)))
 
 
 def test_audit_equal_settings_triple():
@@ -305,12 +333,12 @@ def test_exact_gate_flags_a_model_the_sigma_gate_passes():
         drawn["total"] += n
         return base.sample(n, rng)
 
-    def respond_B(proj, lam):
-        B = base.respond_B(proj, lam)
-        B[: max(0, 5 - drawn["before"])] *= 2.0
+    def doubled_B(arms, lam):
+        B = base.respond_B(arms, lam)
+        B[:, : max(0, 5 - drawn["before"])] *= 2.0
         return B
 
-    broken = LHVModel("broken", 0, sample, base.respond_A, respond_B)
+    broken = LHVModel("broken", 0, sample, base.respond_A, doubled_B)
     args = [boundary_triple()]
     row = lhv_inequality_audit(broken, args, 100_000, seed=5).rows[0]
     assert row.margin == pytest.approx(5e-5, abs=1e-12)
@@ -355,9 +383,9 @@ def test_margin_stderr_is_the_spread_of_the_per_sample_margin(rng):
     ratios = []
     for i, ((triple, proj_b, proj_c), row) in enumerate(zip(args, rows)):
         lam = model.sample(n, stream(seed, i))
-        ab = model.respond_A(triple.a, lam) * model.respond_B(proj_b, lam)
-        ac = model.respond_A(triple.a, lam) * model.respond_B(proj_c, lam)
-        bc = model.respond_A(proj_b.direction, lam) * model.respond_B(proj_c, lam)
+        ab = respond_A(model, triple.a, lam) * respond_B(model, proj_b, lam)
+        ac = respond_A(model, triple.a, lam) * respond_B(model, proj_c, lam)
+        bc = respond_A(model, proj_b.direction, lam) * respond_B(model, proj_c, lam)
         s = 1.0 if ab.mean() >= ac.mean() else -1.0
         margin = s * (ab - ac) - bc
         assert row.margin_stderr == pytest.approx(margin.std(ddof=1) / math.sqrt(n), rel=1e-9)
@@ -400,7 +428,64 @@ def test_audit_chunks_concatenate_to_one_draw():
     lhv_inequality_audit(model, [boundary_triple()] * 2, n, seed=seed)
     for i in range(2):
         drawn = np.concatenate(chunks[4 * i : 4 * i + 4])
-        assert np.array_equal(drawn, _uniform_sphere(n, stream(seed, i)))
+        assert np.array_equal(drawn, stream(seed, i).standard_normal((n, 3)))
+
+
+def pinned_triples():
+    # three fixed random triples and one whose c arm is degenerate
+    rng = np.random.default_rng(2323)
+    triples = [
+        (
+            SettingsTriple(random_direction(rng), random_direction(rng), random_direction(rng)),
+            make_projection(w_b, random_direction(rng)),
+            make_projection(w_c, random_direction(rng)),
+        )
+        for w_b, w_c in ((0.95, 0.4), (0.7, 0.7), (0.5, 0.2))
+    ]
+    a, b = random_direction(rng), random_direction(rng)
+    triples.append((SettingsTriple(a, b, b), make_projection(0.8, b), make_projection(0.0)))
+    return triples
+
+
+# (p_ab, p_ac, p_bc as mean and stderr, margin, margin_stderr) of each audit,
+# recorded while lambda was still normalised to the unit sphere: the signs of
+# a . lambda, and so every number, must not move with its length
+PINNED_AUDITS = {
+    "demo": (-0.0654407616030947, 0.007038885266127828, 0.06184950029560779,
+             0.007040508757342665, -0.32640574994714305, 0.006665788709178217,
+             -0.5438765735671834, 0.009681212313426087),
+    0: (0.205409, 0.006214306117015488, -0.021376000000000006, 0.0011212565237310962,
+        -0.09772800000000004, 0.0008958247741055761, -0.5779869999999999, 0.005166180466513061),
+    1: (0.14352099999999998, 0.0033129495785018076, -0.28895299999999996, 0.002798338743707761,
+        -0.051253999999999994, 0.003445902651912025, -0.006272000000000055, 0.000782764164219886),
+    2: (0.077725, 0.0016802030748896497, -0.03651200000000002, 0.00011551779091551675,
+        0.012708000000000002, 0.0002681956995305178, -0.14847099999999996, 0.0014576883585724462),
+    3: (-0.03500800000000001, 0.004518820972770248, 0.0, 0.0, 0.0, 0.0,
+        -0.6049920000000001, 0.004518820972770248),
+}
+
+
+def test_audit_numbers_are_pinned_bit_for_bit():
+    from grbell.scenario import load_config, run_scenario
+
+    def numbers(row):
+        values = (row.p_ab.mean, row.p_ab.stderr, row.p_ac.mean, row.p_ac.stderr,
+                  row.p_bc.mean, row.p_bc.stderr, row.margin, row.margin_stderr)
+        return [float(v).hex() for v in values]
+
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "schwarzschild_demo.json")
+    rows = {"demo": run_scenario(load_config(demo)).lhv.rows[0]}
+    triples = pinned_triples()
+    rows.update(enumerate(lhv_inequality_audit(make_sign_model(0), triples, 20_000, seed=23).rows))
+    assert {key: numbers(row) for key, row in rows.items()} == {
+        key: [v.hex() for v in values] for key, values in PINNED_AUDITS.items()
+    }
+    # the degenerate arm responds +0.0 on every sample, never -0.0
+    _, proj_b, proj_c = triples[3]
+    lam = make_sign_model(0).sample(CHUNK, stream(23, 3))
+    B = make_sign_model(0).respond_B(ProjectionStack.of([proj_b, proj_c]), lam)
+    assert proj_c.degenerate and np.all(B[1] == 0.0) and not np.signbit(B[1]).any()
+    assert np.signbit(B[0]).any() and not np.signbit(B[0]).all()
 
 
 def random_triple(rng, w_b, w_c):
