@@ -43,14 +43,16 @@ to rounding; the path stores that u and checks the integrated one:
 On a radial leg (L = 0), n is theta-hat and psi stays 0. The propagator of
 a leg is P(tau) = F(tau) F(0)^-1 for that frame F, with P(0) = I exactly,
 so P^T g(x) P = g(x0) holds by construction; it is still checked at every
-stored step, at a rounding slack. Each path keeps the metric at its stored
-steps, the conservation drift it was checked against and its integrator
-counters.
+stored step, at a rounding slack. A leg evaluates the metric once, as one
+stack over its stored steps: the frame reads f = -g_tt from it, and the
+drift and propagator checks contract its diagonal (the metric is diagonal in
+both charts), which gives the bits of the full contraction. Each path keeps
+that stack, the drift it was checked against and its integrator counters.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,18 +169,19 @@ class GeodesicPath:
 
 
 def _conservation_drift(
-    spec: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, g: np.ndarray
+    spec: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, d: np.ndarray
 ) -> dict[str, float]:
-    uu = np.einsum("nab,na,nb->n", g, tangents, tangents)
+    """Worst drift of u.u, E and L_z, from the metric's (n, 4) diagonal d; L_z's floor is M."""
+    uu = np.einsum("na,na,na->n", d, tangents, tangents)
     n0 = -1.0 if kind == TIMELIKE else 0.0
     drift = {"norm": float(np.max(np.abs(uu - n0)))}
     if spec.kind == SCHWARZSCHILD:
         r, theta = points[:, 1], points[:, 2]
-        E = -g[:, 0, 0] * tangents[:, 0]
+        E = -d[:, 0] * tangents[:, 0]
         Lz = r**2 * np.sin(theta) ** 2 * tangents[:, 3]
         drift["energy"] = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-12))
         drift["angular_momentum"] = float(
-            np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), 1.0)
+            np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), spec.mass)
         )
     return drift
 
@@ -238,20 +241,21 @@ def check_metric_preserved(
 ) -> float:
     """Raise StepFailure unless P^T g(x) P = g(x0) at every stored step.
 
-    g holds the metric at the stored points, g[0] at the emission event.
-    P is built from a frame that is orthonormal up to rounding, so the
+    g holds the diagonal metric at the stored points, g[0] at the emission
+    event. P is built from a frame that is orthonormal up to rounding, so the
     bound is METRIC_SLACK times the conditioning max(|P|^T |g| sizes), the
     size of the terms that cancel. sizes bounds, entry by entry, the terms
     summed into P and defaults to |P|; for P = F F(0)^-1 it is
     |F| |F(0)^-1|, which exceeds |P| by about gamma^2 on a leg whose tangent
     is boosted by gamma against the static frame. Returns the worst residual.
     """
+    d = np.diagonal(g, axis1=1, axis2=2)
     residual = float(np.max(np.abs(
-        np.einsum("nab,nac,ncd->nbd", propagators, g, propagators) - g[0]
+        np.einsum("nab,na,nad->nbd", propagators, d, propagators) - g[0]
     )))
     P_abs = np.abs(propagators)
     sizes = P_abs if sizes is None else sizes
-    conditioning = float(np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), sizes)))
+    conditioning = float(np.max(np.einsum("nab,na,nad->nbd", P_abs, np.abs(d), sizes)))
     bound = METRIC_SLACK * max(1.0, conditioning)
     if not residual <= bound:
         raise StepFailure(f"propagator metric residual {residual:.3e} exceeds {bound:.3e}")
@@ -431,30 +435,32 @@ def _schwarzschild_leg(
 
     states = np.array(run.states)
     points = np.ascontiguousarray(states[:, :4])
-    frames = _parallel_frames(spec, kind, points, states[:, 4:8], states[:, 8])
+    g = metric_stack(spec, points)
+    frames = _parallel_frames(kind, points, g, states[:, 4:8], states[:, 8])
     inverse = np.linalg.inv(frames[0])
     propagators = frames @ inverse
     propagators[0] = np.eye(4)
-    path = _checked_path(
-        spec, kind, tol, np.array(run.taus), points, np.ascontiguousarray(states[:, 4:8]),
+    # the integrated tangents are checked; the path stores the frame's u, which P carries
+    return _checked_path(
+        spec, kind, tol, np.array(run.taus), points, states[:, 4:8],
         propagators, np.abs(frames) @ np.abs(inverse), run.nfev, run.accepted, run.rejected,
+        g=g, stored_tangents=np.ascontiguousarray(frames[:, :, 0]),
     )
-    # the integrated tangents are checked above; P carries the frame's u
-    return replace(path, tangents=np.ascontiguousarray(frames[:, :, 0]))
 
 
 def _parallel_frames(
-    spec: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, psi: np.ndarray
+    kind: str, points: np.ndarray, g: np.ndarray, tangents: np.ndarray, psi: np.ndarray
 ) -> np.ndarray:
     """Marck's parallel frame at each stored state, as the columns of (n, 4, 4).
 
+    g is the metric stack at the points, whose -g_tt is f = 1 - 2M/r.
     Timelike legs: (u, a cos psi + b sin psi, -a sin psi + b cos psi, l),
     orthonormal. Null legs: (u, n, m, l) with n.u = -1, m.m = l.l = 1 and
     all other products 0. u^t is rebuilt by the one rule of the module
     docstring, so the Gram matrix holds to rounding wherever u drifts.
     """
     r, theta = points[:, 1], points[:, 2]
-    sqrt_f = np.sqrt(1.0 - 2.0 * spec.mass / r)
+    sqrt_f = np.sqrt(-g[:, 0, 0])
     r_sin = r * np.sin(theta)
     # u in the static tetrad f^-1/2 d_t, f^1/2 d_r, r^-1 d_theta, (r sin theta)^-1 d_phi
     U1, U2, U3 = tangents[:, 1] / sqrt_f, r * tangents[:, 2], r_sin * tangents[:, 3]
@@ -464,33 +470,23 @@ def _parallel_frames(
         n2, n3 = np.ones_like(r), zero
     else:
         n2, n3 = U2 / lam, U3 / lam
-    normal = (zero, zero, n3, -n2)
+    normal = np.stack([zero, zero, n3, -n2], axis=1)
     # U0^2 - U1^2 = D = eps + Lambda^2, with no cancellation in forming D
     eps = 1.0 if kind == TIMELIKE else 0.0
     D, root_D = eps + lam * lam, np.hypot(eps, lam)
     U0 = np.hypot(U1, root_D)
-    u = (U0, U1, U2, U3)
+    u, psi = np.stack([U0, U1, U2, U3], axis=1), psi[:, None]
     if kind == TIMELIKE:
-        a = [c / root_D for c in (U1, U0, zero, zero)]
-        b = [c / root_D for c in (lam * U0, lam * U1, D * n2, D * n3)]
+        a = np.stack([U1, U0, zero, zero], axis=1) / root_D[:, None]
+        b = np.stack([lam * U0, lam * U1, D * n2, D * n3], axis=1) / root_D[:, None]
         cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-        columns = (
-            u,
-            [ca * cos_psi + cb * sin_psi for ca, cb in zip(a, b)],
-            [cb * cos_psi - ca * sin_psi for ca, cb in zip(a, b)],
-            normal,
-        )
+        columns = (u, a * cos_psi + b * sin_psi, b * cos_psi - a * sin_psi, normal)
     else:
-        m0 = [c / U0 for c in (zero, lam, -U1 * n2, -U1 * n3)]
-        n0 = [c / (2.0 * U0 * U0) for c in (U0, -U1, -lam * n2, -lam * n3)]
-        columns = (
-            u,
-            [cn + psi * cm + 0.5 * psi * psi * ck for cn, cm, ck in zip(n0, m0, u)],
-            [cm + psi * ck for cm, ck in zip(m0, u)],
-            normal,
-        )
+        m0 = np.stack([zero, lam, -U1 * n2, -U1 * n3], axis=1) / U0[:, None]
+        n0 = np.stack([U0, -U1, -lam * n2, -lam * n3], axis=1) / (2.0 * U0 * U0)[:, None]
+        columns = (u, n0 + psi * m0 + 0.5 * psi * psi * u, m0 + psi * u, normal)
     legs = np.stack([1.0 / sqrt_f, sqrt_f, 1.0 / r, 1.0 / r_sin], axis=1)
-    return legs[:, :, None] * np.stack([np.stack(col, axis=1) for col in columns], axis=2)
+    return legs[:, :, None] * np.stack(columns, axis=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,6 +533,7 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
     nfev, accepted, rejected = 2, 0, 0
 
     t, y = 0.0, y0
+    y_abs = [abs(v) for v in y]
     taus, states = [t], [y]
     g = [y[c] - target for c, target, _ in events]
     while t < tau_end:
@@ -569,10 +566,11 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
                 step_rejected = True
                 rejected += 1
                 continue
+            y_new_abs = [abs(w) for w in y_new]
             error = hypot(*[
                 h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q)
-                / (atol + max(abs(v), abs(w)) * rtol)
-                for a, c, d, e, p, q, v, w in zip(k1, k3, k4, k5, k6, k7, y, y_new)
+                / (atol + (w if w > v else v) * rtol)
+                for a, c, d, e, p, q, v, w in zip(k1, k3, k4, k5, k6, k7, y_abs, y_new_abs)
             ]) / root_n
             if not isfinite(error):
                 raise StepFailure(f"non-finite state after tau = {t}")
@@ -613,7 +611,7 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
             states.append([dense(i, x) for i in range(len(y))])
             return _Run(taus, states, event, nfev, accepted, rejected)
 
-        t, y, f, g = t_new, y_new, k7, g_new
+        t, y, y_abs, f, g = t_new, y_new, y_new_abs, k7, g_new
         taus.append(t)
         states.append(y)
     return _Run(taus, states, None, nfev, accepted, rejected)
@@ -659,21 +657,24 @@ def _checked_path(
     spec: MetricSpec, kind: str, tol: float, taus: np.ndarray, points: np.ndarray,
     tangents: np.ndarray, propagators: np.ndarray, sizes: np.ndarray | None = None,
     nfev: int = 0, accepted: int = 0, rejected: int = 0,
+    g: np.ndarray | None = None, stored_tangents: np.ndarray | None = None,
 ) -> GeodesicPath:
-    """The path through the stored states, once its checks pass.
+    """The path through the stored states, once the checks of its tangents pass.
 
     The metric is evaluated once per stored point, in one stack that also
-    checks each point's domain; the conservation drift and the propagator
-    check share that stack, and the path keeps both the stack and the drift.
+    checks each point's domain, unless the caller passes that stack as g;
+    the drift and propagator checks contract its diagonal. The path keeps
+    the stack, the drift and stored_tangents, by default the checked ones.
     """
-    g = metric_stack(spec, points)
-    drift = _conservation_drift(spec, kind, points, tangents, g)
+    g = metric_stack(spec, points) if g is None else g
+    d = np.diagonal(g, axis1=1, axis2=2)
+    drift = _conservation_drift(spec, kind, points, tangents, d)
     bound = _drift_bound(tol)
     # the tangent-norm check cancels catastrophically near the horizon
     # (terms ~ E^2/f against a result of order 1), so its bound scales with
     # the conditioning number; the Killing checks have no such cancellation
     u_abs = np.abs(tangents)
-    conditioning = float(np.max(np.einsum("nab,na,nb->n", np.abs(g), u_abs, u_abs)))
+    conditioning = float(np.max(np.einsum("na,na,na->n", np.abs(d), u_abs, u_abs)))
     bounds = {k: bound for k in drift}
     bounds["norm"] = bound * max(1.0, conditioning)
     bad = {k: v for k, v in drift.items() if v > bounds[k]}
@@ -686,7 +687,7 @@ def _checked_path(
         tol=tol,
         taus=taus,
         points=points,
-        tangents=tangents,
+        tangents=tangents if stored_tangents is None else stored_tangents,
         propagators=propagators,
         metrics=g,
         drift=drift,

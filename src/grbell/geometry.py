@@ -115,11 +115,6 @@ def row_matvec(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(M, V[..., None])[..., 0]
 
 
-def row_vecmat(V: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """v @ M for each row v of V."""
-    return np.matmul(V[..., None, :], M)[..., 0, :]
-
-
 def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """x @ y for each pair of rows; either side may be a single vector."""
     return np.matmul(X[..., None, :], Y[..., None])[..., 0, 0]

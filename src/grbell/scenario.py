@@ -157,11 +157,6 @@ class SweepSpec:
         # below it start + n step rounds back to start for many n in a row
         if abs(self.step) < math.ulp(max(abs(self.start), abs(self.stop))):
             raise ValidationError("sweep.step", "below the float spacing of the sweep's values")
-        if len(self.values()) > MAX_ROWS:
-            raise ValidationError("sweep", f"asks for more than {MAX_ROWS} rows")
-
-    def values(self) -> list[float]:
-        """start + n step from n = 0 while not past stop, at most MAX_ROWS + 1 of them."""
         sign = 1.0 if self.step > 0 else -1.0  # negation is exact
         # at most half a step, so the tolerance never admits a value a step past stop
         eps = min(1e-9 * max(1.0, abs(self.step)), 0.5 * abs(self.step))
@@ -170,7 +165,13 @@ class SweepSpec:
         while sign * v <= sign * self.stop + eps and len(out) <= MAX_ROWS:
             out.append(v)
             v = self.start + len(out) * self.step
-        return out
+        if len(out) > MAX_ROWS:
+            raise ValidationError("sweep", f"asks for more than {MAX_ROWS} rows")
+        object.__setattr__(self, "_values", tuple(out))
+
+    def values(self) -> tuple[float, ...]:
+        """start + n step from n = 0 while not past stop, listed once at construction."""
+        return self._values
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CommonOriginMismatch, InvalidChart, NonFiniteVector, SimulatorError, StepFailure
 from .geodesics import GeodesicPath
-from .geometry import row_dot, row_matvec, row_vecmat
+from .geometry import row_dot, row_matvec
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -43,10 +43,13 @@ class TransportedStack(NamedTuple):
 
 
 def _invariants(path: GeodesicPath, i: int, V: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per row v of V: (v.v, v.u) at stored step i and the sum-of-magnitudes conditioning of each."""
-    u, g = path.tangents[i], path.metrics[i]
+    """Per row v of V: (v.v, v.u) at stored step i and the sum-of-magnitudes conditioning of each.
+
+    g is diagonal in both charts, so v g is v times g's diagonal.
+    """
+    u, d = path.tangents[i], np.diagonal(path.metrics[i])
     V_abs = np.abs(V)
-    vg, vg_abs = row_vecmat(V, g), row_vecmat(V_abs, np.abs(g))
+    vg, vg_abs = V * d, V_abs * np.abs(d)
     return row_dot(vg, V), row_dot(vg, u), row_dot(vg_abs, V_abs), row_dot(vg_abs, np.abs(u))
 
 

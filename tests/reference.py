@@ -4,8 +4,11 @@ The package needs no Christoffel symbols: the geodesic right-hand side
 writes its connection terms out by hand, and transport uses a closed-form
 propagator. christoffel_components is the closed-form table both are
 checked against, and finite_difference_christoffel rebuilds that table
-from the metric. The adapters below give the stack kernels a one-row call
-shape, on the package's public one-row objects, that several tests share.
+from the metric. column_list_frames and row_vecmat_invariants are the
+earlier forms of two kernels, kept so that tests can pin the package's
+faster forms to their bits. The adapters below give the stack kernels a
+one-row call shape, on the package's public one-row objects, that several
+tests share.
 """
 import math
 
@@ -13,7 +16,8 @@ import numpy as np
 
 from grbell.correlations import _ordered, _weighted_differences, bell_stack, violation_stack
 from grbell.frames import ProjectionStack
-from grbell.geometry import ETA, MINKOWSKI, metric_components
+from grbell.geodesics import TIMELIKE
+from grbell.geometry import ETA, MINKOWSKI, metric_components, row_dot
 
 
 def christoffel_components(spec, coords):
@@ -56,6 +60,59 @@ def finite_difference_christoffel(spec, coords, step=1e-6):
     # bracket[a, b, nu] = d_a g_{nu b} + d_b g_{nu a} - d_nu g_{ab}
     bracket = dg.transpose(0, 2, 1) + dg.transpose(2, 0, 1) - dg.transpose(1, 2, 0)
     return 0.5 * np.einsum("mn,abn->mab", g_inv, bracket)
+
+
+def column_list_frames(spec, kind, points, tangents, psi):
+    """Marck's parallel frame assembled from 16 column arrays, with f from the mass."""
+    r, theta = points[:, 1], points[:, 2]
+    sqrt_f = np.sqrt(1.0 - 2.0 * spec.mass / r)
+    r_sin = r * np.sin(theta)
+    U1, U2, U3 = tangents[:, 1] / sqrt_f, r * tangents[:, 2], r_sin * tangents[:, 3]
+    lam = np.hypot(U2, U3)
+    zero = np.zeros_like(r)
+    if lam[0] == 0.0:
+        n2, n3 = np.ones_like(r), zero
+    else:
+        n2, n3 = U2 / lam, U3 / lam
+    normal = (zero, zero, n3, -n2)
+    eps = 1.0 if kind == TIMELIKE else 0.0
+    D, root_D = eps + lam * lam, np.hypot(eps, lam)
+    U0 = np.hypot(U1, root_D)
+    u = (U0, U1, U2, U3)
+    if kind == TIMELIKE:
+        a = [c / root_D for c in (U1, U0, zero, zero)]
+        b = [c / root_D for c in (lam * U0, lam * U1, D * n2, D * n3)]
+        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+        columns = (
+            u,
+            [ca * cos_psi + cb * sin_psi for ca, cb in zip(a, b)],
+            [cb * cos_psi - ca * sin_psi for ca, cb in zip(a, b)],
+            normal,
+        )
+    else:
+        m0 = [c / U0 for c in (zero, lam, -U1 * n2, -U1 * n3)]
+        n0 = [c / (2.0 * U0 * U0) for c in (U0, -U1, -lam * n2, -lam * n3)]
+        columns = (
+            u,
+            [cn + psi * cm + 0.5 * psi * psi * ck for cn, cm, ck in zip(n0, m0, u)],
+            [cm + psi * ck for cm, ck in zip(m0, u)],
+            normal,
+        )
+    legs = np.stack([1.0 / sqrt_f, sqrt_f, 1.0 / r, 1.0 / r_sin], axis=1)
+    return legs[:, :, None] * np.stack([np.stack(col, axis=1) for col in columns], axis=2)
+
+
+def row_vecmat(V, M):
+    """v @ M for each row v of V, as a stacked matmul."""
+    return np.matmul(V[..., None, :], M)[..., 0, :]
+
+
+def row_vecmat_invariants(path, i, V):
+    """transport's (v.v, v.u) and their conditioning, with v g as a full vector-matrix product."""
+    u, g = path.tangents[i], path.metrics[i]
+    V_abs = np.abs(V)
+    vg, vg_abs = row_vecmat(V, g), row_vecmat(V_abs, np.abs(g))
+    return row_dot(vg, V), row_dot(vg, u), row_dot(vg_abs, V_abs), row_dot(vg_abs, np.abs(u))
 
 
 def checked(stack):

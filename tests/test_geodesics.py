@@ -90,6 +90,22 @@ def test_conservation_drift_long_path(schw):
     assert drift["angular_momentum"] < 1e-8
 
 
+def test_angular_momentum_drift_is_relative_at_any_mass():
+    # at M = 1e-160, L_z ~ 4M varies by 1e-6 of itself along the path; an
+    # absolute floor of 1 would read that drift as about 1e-166
+    from grbell import geodesics
+    from grbell.geometry import metric_stack
+
+    spec = MetricSpec("schwarzschild", mass=1e-160)
+    r = 10.0 * spec.mass
+    points = np.array([[0.0, r, math.pi / 2, 0.0]] * 4)
+    uphi = 4.0 * spec.mass / (r * r) * (1.0 + 1e-6 * np.array([0.0, 0.5, 1.0, -0.3]))
+    tangents = np.column_stack([np.full(4, 1.2), np.zeros(4), np.zeros(4), uphi])
+    d = np.diagonal(metric_stack(spec, points), axis1=1, axis2=2)
+    drift = geodesics._conservation_drift(spec, "timelike", points, tangents, d)
+    assert drift["angular_momentum"] == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_tangent_normalization_every_sample(schw):
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     path = integrate_geodesic(schw, x0, static_tangent(schw, x0), StopCondition.radius(5.0))

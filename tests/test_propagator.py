@@ -14,7 +14,7 @@ from grbell import HorizonDomain, StepFailure, StopCondition, integrate_geodesic
 from grbell import geodesics
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from conftest import random_exterior_point
-from reference import christoffel_components
+from reference import christoffel_components, column_list_frames
 
 M = 1.0
 EPS = float(np.finfo(float).eps)
@@ -97,6 +97,65 @@ def test_propagator_is_exact_at_emission_and_keeps_the_metric(schw, rng, kind, r
     conditioning = np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), P_abs))
     assert residual <= METRIC_SLACK * max(1.0, conditioning)
     assert check_metric_preserved(g, P) == residual
+
+
+@pytest.mark.parametrize("kind, radial_fraction", LEGS)
+def test_frame_blocks_equal_the_column_list_frames(schw, rng, monkeypatch, kind, radial_fraction):
+    # the frame is built as (n, 4) blocks with f read from the leg's metric
+    # stack; the 16-column assembly with f from the mass gives the same bits
+    calls = []
+
+    def recording(kind, points, g, tangents, psi):
+        frames = original(kind, points, g, tangents, psi)
+        calls.append((kind, points, tangents, psi, frames))
+        return frames
+
+    original = geodesics._parallel_frames
+    monkeypatch.setattr(geodesics, "_parallel_frames", recording)
+    for _ in range(6):
+        x0, u0 = launch(rng, kind, radial_fraction)
+        try:
+            integrate_geodesic(schw, x0, u0, StopCondition.proper_time(rng.uniform(1.0, 12.0)))
+        except StepFailure:
+            continue
+    assert len(calls) >= 3
+    for leg_kind, points, tangents, psi, frames in calls:
+        assert leg_kind == kind
+        if radial_fraction is not None:
+            r, theta = points[0, 1], points[0, 2]
+            L = r * math.hypot(r * tangents[0, 2], r * math.sin(theta) * tangents[0, 3])
+            assert L < 1e-4
+        assert np.array_equal(frames, column_list_frames(schw, kind, points, tangents, psi))
+
+
+def test_diagonal_contractions_equal_the_full_ones(schw, rng, monkeypatch):
+    # g is diagonal in both charts; each contraction of its diagonal d gives
+    # the bits of the full (n, 4, 4) contraction it replaces
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        d = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-6, 6, (n, 4))
+        g = np.zeros((n, 4, 4))
+        g[:, range(4), range(4)] = d
+        d = np.diagonal(g, axis1=1, axis2=2)
+        u = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-3, 3, (n, 4))
+        P = rng.standard_normal((n, 4, 4)) * 10.0 ** rng.uniform(-3, 3, (n, 4, 4))
+        sizes = np.abs(rng.standard_normal((n, 4, 4)))
+        assert np.array_equal(np.einsum("na,na,na->n", d, u, u), np.einsum("nab,na,nb->n", g, u, u))
+        assert np.array_equal(
+            np.einsum("nab,na,nad->nbd", P, d, P), np.einsum("nab,nac,ncd->nbd", P, g, P)
+        )
+        assert np.array_equal(
+            np.einsum("nab,na,nad->nbd", np.abs(P), np.abs(d), sizes),
+            np.einsum("nab,nac,ncd->nbd", np.abs(P), np.abs(g), sizes),
+        )
+        assert np.array_equal(u * d[0], np.matmul(u[:, None, :], g[0])[:, 0, :])
+        with monkeypatch.context() as m:
+            m.setattr(geodesics, "METRIC_SLACK", math.inf)
+            residual = np.max(np.abs(np.einsum("nab,nac,ncd->nbd", P, g, P) - g[0]))
+            assert check_metric_preserved(g, P, sizes) == residual
+        norm = np.max(np.abs(np.einsum("nab,na,nb->n", g, u, u) + 1.0))
+        points = rng.uniform(3.0, 30.0, (n, 4))
+        assert geodesics._conservation_drift(schw, "timelike", points, u, d)["norm"] == norm
 
 
 def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):

@@ -301,6 +301,26 @@ def test_a_sweep_with_a_tiny_step_gives_the_rows_it_asks_for(start, stop, step, 
     assert len(SweepSpec("a_deg", start, stop, step).values()) == count
 
 
+def test_a_sweep_lists_its_values_once(monkeypatch):
+    # the row cap and run_sweep read the one list made at construction
+    sweep = SweepSpec("b_deg", 0.0, 180.0, 2.0)
+    assert sweep.values() is sweep.values()
+    assert len(sweep.values()) == 91
+    calls = []
+    original = SweepSpec.values
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SweepSpec, "values", counted)
+    data = scenario.schwarzschild_demo_config()
+    data["lhv_audit"] = False
+    data["sweep"] = {"parameter": "b_deg", "start": 0.0, "stop": 180.0, "step": 2.0}
+    assert len(run_sweep(config_from_dict(data))) == 91
+    assert len(calls) == 1
+
+
 def test_sweep_deterministic_across_workers():
     cfg = sweep_config(step=5.0)
     text_1 = rows_to_csv(run_sweep(cfg))

@@ -18,8 +18,9 @@ from grbell import (
 from grbell.frames import embed_stack, project_stack
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from grbell.geometry import metric_components
+from grbell import transport
 from grbell.transport import BACKWARD, FORWARD, _carry, transport_stack
-from reference import checked, tetrad_components
+from reference import checked, row_vecmat_invariants, tetrad_components
 
 M = 1.0
 
@@ -258,6 +259,34 @@ def test_a_non_finite_row_fails_alone(flat):
     assert np.array_equal(moved.v[0], V[0])
     with pytest.raises(StepFailure, match="nan"):
         checked(transport_stack(geo_L, geo_R, V[2:3]))
+
+
+def test_diagonal_invariants_give_the_row_vecmat_results_bit_for_bit(schw, rng, monkeypatch):
+    # v g as v times g's diagonal against the full vector-matrix product, on
+    # finite rows, rows whose norm overflows and non-finite rows
+    legs = [
+        (circular_path(schw, revolutions=0.25), circular_path(schw, revolutions=0.2, retrograde=True)),
+        (circular_path(schw, revolutions=0.3), radial_infall_path(schw, r_end=2.5)),
+    ]
+    V = np.concatenate([
+        rng.standard_normal((6, 4)),
+        rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(150, 300, (4, 4)),
+        [[0.0, 1e300, 1e300, 0.0], [1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+        [[0.0, math.inf, 0.0, 0.0], [-math.inf, 1.0, 0.0, 0.0], [math.nan, 0.0, 1.0, 0.0]],
+        [[1.0, 0.0, math.inf, -math.inf], [math.nan] * 4],
+    ])
+    for geo_L, geo_R in legs:
+        diagonal = transport_stack(geo_L, geo_R, V)
+        with monkeypatch.context() as m:
+            m.setattr(transport, "_invariants", row_vecmat_invariants)
+            full = transport_stack(geo_L, geo_R, V)
+        assert np.array_equal(diagonal.v, full.v, equal_nan=True)
+        assert np.array_equal(diagonal.norm_drift, full.norm_drift, equal_nan=True)
+        assert np.array_equal(diagonal.tangent_dot_drift, full.tangent_dot_drift, equal_nan=True)
+        assert {j: type(e) for j, e in diagonal.errors.items()} == {
+            j: type(e) for j, e in full.errors.items()
+        }
+        assert len(diagonal.errors) >= 7
 
 
 def test_the_norm_check_does_not_loosen_with_the_size_of_the_vector(flat):
