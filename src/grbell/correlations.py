@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateD, ValidationError
+from .errors import DegenerateD, SimulatorError, ValidationError
 from .frames import Direction3, ProjectionResult, ProjectionStack
 from .geometry import row_dot
 
@@ -76,8 +76,10 @@ class InequalityReport:
 
 
 class InequalityStack(NamedTuple):
-    """Both sides of the bound over rows; b and c are the post-swap arms."""
+    """Both sides of the bound over the rows a; b and c are the post-swap arms.
+    errors maps each row whose arms could not be formed to its error."""
 
+    a: np.ndarray  # (k, 3), or (1, 3) for one a against every row
     p_ab: np.ndarray
     p_ac: np.ndarray
     p_bc: np.ndarray
@@ -89,6 +91,7 @@ class InequalityStack(NamedTuple):
     c: ProjectionStack
     swapped: np.ndarray
     degenerate: np.ndarray
+    errors: dict[int, SimulatorError]
 
     def report(self, j: int) -> InequalityReport:
         b, c = self.b.result(j), self.c.result(j)
@@ -165,8 +168,9 @@ def bell_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) ->
     rhs = b.w**2 - c.w**2 * bc
     margin = lhs - rhs
     return InequalityStack(
-        p_ab=p_ab, p_ac=p_ac, p_bc=p_bc, lhs=lhs, rhs=rhs, margin=margin,
+        a=a, p_ab=p_ab, p_ac=p_ac, p_bc=p_bc, lhs=lhs, rhs=rhs, margin=margin,
         violated=margin > TOL_INEQ, b=b, c=c, swapped=swapped, degenerate=degenerate,
+        errors={},
     )
 
 

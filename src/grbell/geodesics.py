@@ -13,13 +13,14 @@ legs need no ODE.
 Schwarzschild legs integrate the 9-component state (x, u, psi) with a
 Dormand-Prince 5(4) stepper on Python floats (J. R. Dormand and P. J.
 Prince, J. Comput. Appl. Math. 6, 19 (1980)), with rtol = tol and
-atol = tol * 1e-3. The RMS error norm, step-size controller and
-initial-step rule follow Hairer, Norsett and Wanner, Solving ODEs I, sec.
-II.4, and the quartic dense output L. F. Shampine, Math. Comp. 46, 135
-(1986), as in the common RK45 solvers. Terminal events (target radius,
-coordinate time, horizon guard) are located by bracketing the root on the
-step's dense interpolant. One integration takes at most MAX_STEPS accepted
-steps.
+atol = tol * 1e-3. The state is stepped in units of M, the chart's one
+scale, so that atol means the same at every mass. The RMS error norm,
+step-size controller and initial-step rule follow Hairer, Norsett and
+Wanner, Solving ODEs I, sec. II.4, and the quartic dense output L. F.
+Shampine, Math. Comp. 46, 135 (1986), as in the common RK45 solvers.
+Terminal events (target radius, coordinate time, horizon guard) are
+located by bracketing the root on the step's dense interpolant. One
+integration takes at most MAX_STEPS accepted steps.
 
 Every Schwarzschild geodesic lies in a plane through r = 0, so a frame
 parallel along it is algebraic in (x, u) and the one scalar psi (J.-A.
@@ -233,6 +234,7 @@ def _chart_radius(spec: MetricSpec, coords: np.ndarray) -> float:
 
 
 def _drift_bound(tol: float) -> float:
+    """The relative drift a leg's conservation checks, and transport along it, allow at tol."""
     return max(1e-8, 100.0 * tol)
 
 
@@ -273,7 +275,7 @@ def integrate_geodesic(
     the stop fires.
 
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
-    the integrated state (x, u, psi); flat legs are exact.
+    the integrated state (x, u, psi), in units of M; flat legs are exact.
     Raises BadNormalization unless tangent_kind accepts u0, HorizonApproach
     if the path would cross the guard radius, StepFailure if the stop is
     not reached within the tau cap (a flat leg has none) or MAX_STEPS
@@ -364,31 +366,31 @@ def _line_radius_root(x: np.ndarray, v: np.ndarray, radius: float) -> float:
     return rho * scale / speed
 
 
-def _schwarzschild_rhs(mass: float, kind: str, energy: float, ang_mom: float):
-    """d(x, u, psi)/dtau on the exterior chart, as a function of the state list.
+def _schwarzschild_rhs(kind: str, energy: float, ang_mom: float):
+    """d(x, u, psi)/dtau on the exterior chart of unit mass, as a function of
+    the state list.
 
     The geodesic term Gamma^a_bc u^b u^c is written out over the nine
     nonzero Christoffel symbols of the closed-form table in tests/reference.py,
     which the tests check this term against.
-    States at or inside r = 2M raise HorizonDomain, which makes _dopri
-    reject the step; trial stages between the guard and 2M still evaluate,
+    States at or inside r = 2 raise HorizonDomain, which makes _dopri
+    reject the step; trial stages between the guard and 2 still evaluate,
     so the guard event can locate the crossing.
     """
-    floor = 2.0 * mass
     timelike = kind == TIMELIKE
     L2 = ang_mom * ang_mom
     # dpsi/dtau = -E L / (r^2 + L^2) on timelike legs, -M L / (E r^3) on null ones
-    psi_scale = -energy * ang_mom if timelike else -mass * ang_mom / energy
+    psi_scale = -energy * ang_mom if timelike else -ang_mom / energy
     sin, cos = math.sin, math.cos
 
     def rhs(y):
         _, r, th, _, ut, ur, uth, uph, _ = y
-        if r <= floor:
-            raise HorizonDomain(f"r = {r} inside radius {floor}")
-        f = 1.0 - 2.0 * mass / r
+        if r <= 2.0:
+            raise HorizonDomain(f"r = {r} M inside radius 2 M")
+        f = 1.0 - 2.0 / r
         s, c = sin(th), cos(th)
-        g_tr = mass / (r * r * f)            # Gamma^t_tr = -Gamma^r_rr
-        g_tt = mass * f / (r * r)            # Gamma^r_tt
+        g_tr = 1.0 / (r * r * f)             # Gamma^t_tr = -Gamma^r_rr
+        g_tt = f / (r * r)                   # Gamma^r_tt
         rf = r * f                           # -Gamma^r_thth
         inv_r = 1.0 / r                      # Gamma^th_rth = Gamma^ph_rph
         cot = c / s                          # Gamma^ph_thph
@@ -409,31 +411,38 @@ def _schwarzschild_leg(
     spec: MetricSpec, kind: str, x0: np.ndarray, u0: np.ndarray,
     stop: StopCondition, tol: float, cap: float,
 ) -> GeodesicPath:
+    """A Schwarzschild leg, stepped at unit mass: t, r, tau and the stop are
+    divided by M and u^theta, u^phi multiplied by it, which is exact at M = 1."""
+    M = spec.mass
     y0 = [float(v) for v in x0] + [float(v) for v in u0] + [0.0]
-    r0, th0 = y0[1], y0[2]
-    energy = (1.0 - 2.0 * spec.mass / r0) * y0[4]
-    ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
-    rhs = _schwarzschild_rhs(spec.mass, kind, energy, ang_mom)
+    scaled = [y0[0] / M, y0[1] / M, *y0[2:6], y0[6] * M, y0[7] * M, 0.0]
+    r0, th0 = scaled[1], scaled[2]
+    energy = (1.0 - 2.0 / r0) * scaled[4]
+    ang_mom = r0 * math.hypot(r0 * scaled[6], r0 * math.sin(th0) * scaled[7])
+    rhs = _schwarzschild_rhs(kind, energy, ang_mom)
 
     # events: (state component, target, direction), the guard last
     events = []
     if stop.kind == STOP_RADIUS:
-        events.append((1, stop.value, 0))
+        events.append((1, stop.value / M, 0))
     elif stop.kind == STOP_COORDINATE_TIME:
-        events.append((0, stop.value, 0))
-    events.append((1, spec.guard_radius, -1))
+        events.append((0, stop.value / M, 0))
+    events.append((1, spec.guard_radius / M, -1))
+    what = f"stop condition {stop.kind} = {stop.value}"
     try:
-        run = _dopri(rhs, y0, cap, tol, events, f"stop condition {stop.kind} = {stop.value}")
+        run = _dopri(rhs, scaled, cap / M, tol, events, what, unit=M)
     except (ArithmeticError, ValueError) as e:  # e.g. a trial stage on the polar axis
         raise StepFailure(f"integration failed: {e}") from None
+    taus = np.array(run.taus) * M
     if run.event == len(events) - 1:
-        raise HorizonApproach(
-            f"path reached guard radius {spec.guard_radius} at tau = {run.taus[-1]}"
-        )
+        raise HorizonApproach(f"path reached guard radius {spec.guard_radius} at tau = {taus[-1]}")
     if stop.kind != STOP_PROPER_TIME and run.event is None:
         raise _not_reached(stop, cap)
 
     states = np.array(run.states)
+    states[:, :2] *= M
+    states[:, 6:8] /= M
+    states[0] = y0  # the start as given, not rounded through the scaling
     points = np.ascontiguousarray(states[:, :4])
     g = metric_stack(spec, points)
     frames = _parallel_frames(kind, points, g, states[:, 4:8], states[:, 8])
@@ -442,7 +451,7 @@ def _schwarzschild_leg(
     propagators[0] = np.eye(4)
     # the integrated tangents are checked; the path stores the frame's u, which P carries
     return _checked_path(
-        spec, kind, tol, np.array(run.taus), points, states[:, 4:8],
+        spec, kind, tol, taus, points, states[:, 4:8],
         propagators, np.abs(frames) @ np.abs(inverse), run.nfev, run.accepted, run.rejected,
         g=g, stored_tangents=np.ascontiguousarray(frames[:, :, 0]),
     )
@@ -499,7 +508,9 @@ class _Run:
     rejected: int
 
 
-def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) -> _Run:
+def _dopri(
+    rhs, y0: list[float], tau_end: float, tol: float, events, what: str, unit: float = 1.0
+) -> _Run:
     """Integrate y' = rhs(y) from tau = 0 to tau_end with Dormand-Prince 5(4).
 
     events are terminal (component, target, direction) triples: event j
@@ -508,7 +519,8 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
     earliest root within the first step that shows a crossing, at a state
     read from the step's dense interpolant. A trial step whose stage the
     right-hand side refuses with HorizonDomain is rejected and shrunk by
-    _MIN_FACTOR; nfev counts six evaluations per trial step.
+    _MIN_FACTOR; nfev counts six evaluations per trial step. Messages give
+    tau times unit, in the caller's units.
     """
     rtol, atol = tol, tol * 1e-3
     root_n = math.sqrt(len(y0))
@@ -542,7 +554,7 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
         step_rejected = False
         while True:
             if h_abs < min_step:
-                raise StepFailure(f"step size underflow at tau = {t}")
+                raise StepFailure(f"step size underflow at tau = {t * unit}")
             t_new = min(t + h_abs, tau_end)
             h = t_new - t
             h_abs = h
@@ -573,7 +585,7 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
                 for a, c, d, e, p, q, v, w in zip(k1, k3, k4, k5, k6, k7, y_abs, y_new_abs)
             ]) / root_n
             if not isfinite(error):
-                raise StepFailure(f"non-finite state after tau = {t}")
+                raise StepFailure(f"non-finite state after tau = {t * unit}")
             if error < 1.0:
                 factor = _MAX_FACTOR if error == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * error ** -0.2

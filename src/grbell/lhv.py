@@ -117,6 +117,14 @@ def make_sign_model(seed: int = 0) -> LHVModel:
     )
 
 
+def _root_seed(model: LHVModel, n: int, seed: int | None) -> int:
+    """The seed of an estimate of n samples, the model's unless one is given;
+    every estimate needs n >= MIN_SAMPLES (InsufficientSamples otherwise)."""
+    if n < MIN_SAMPLES:
+        raise InsufficientSamples(f"n = {n} below minimum {MIN_SAMPLES}")
+    return model.seed if seed is None else seed
+
+
 def _chunks(model: LHVModel, n: int, rng: np.random.Generator):
     """n hidden variables from rng, drawn CHUNK rows at a time."""
     for start in range(0, n, CHUNK):
@@ -165,9 +173,7 @@ def correlation_mc(
     seed: int | None = None,
 ) -> MCEstimate:
     """Sample mean of A(a, lambda) * B(b, lambda) over n draws."""
-    if n < MIN_SAMPLES:
-        raise InsufficientSamples(f"n = {n} below minimum {MIN_SAMPLES}")
-    root = model.seed if seed is None else seed
+    root = _root_seed(model, n, seed)
     a_rows, arm = a.d[None], ProjectionStack.of([proj_b])
     moments = _Moments(1, n)
     for lam in _chunks(model, n, stream(root)):
@@ -187,7 +193,7 @@ def verify_anticorrelation(
     proj_a is the transported projection of the same setting a; the identity
     is evaluated on its arrival direction.
     """
-    root = model.seed if seed is None else seed
+    root = _root_seed(model, n, seed)
     arm = ProjectionStack.of([proj_a])
     for lam in _chunks(model, n, stream(root)):
         A = 0.0 if proj_a.degenerate else model.respond_A(arm.direction, lam)
@@ -254,9 +260,7 @@ def lhv_inequality_audit(
     per-sample margin can be exactly constant (b = c), so that gate also
     allows the rounding of terms of size w_b^2.
     """
-    if n < MIN_SAMPLES:
-        raise InsufficientSamples(f"n = {n} below minimum {MIN_SAMPLES}")
-    root = model.seed if seed is None else seed
+    root = _root_seed(model, n, seed)
     rows = []
     for i, (triple, proj_b, proj_c) in enumerate(triples):
         arms = ProjectionStack.of([proj_b, proj_c])

@@ -45,23 +45,23 @@ the arrays. Each row keeps its own transport and projection checks, so a
 failing row is tagged with its stage and the others go on. A synthetic
 block is parsed once into two weights and two unit directions; its arms
 are built from arrays of weights, so a weight row is one range check.
-The settings are parsed into one (3, 3) array with rows a, b, c. A single
-run is the k = 1 pass: its report keeps the pass's row arrays, and adds
-the violation angles, analytic optimum, geodesic summaries and optional
-LHV audit of its one row, with the public one-row objects built from
-them. A sweep writes only what the CSV prints, straight from the arrays.
-The CSV rows are formatted in one pass too: one stacked dot product gives
-the cosines of all three angle columns, libm's acos the angles, and one
-%.17g template the reals of each row; a single run's CSV row is its
-report's rows through the same formatter. The horizon study builds its
-emission side once and evaluates each radius as its own one-row pass.
+The settings are parsed into one (3, 3) array with rows a, b, c. A pass
+returns one InequalityStack, which also holds its settings a and the
+error of each failed row. A single run is the k = 1 pass: its report
+keeps that stack and adds the violation angles, analytic optimum,
+geodesic summaries and optional LHV audit of its one row, with the public
+one-row objects built from them. A CSV row is one line of text, written
+from the stack in one pass: one stacked dot product gives the cosines of
+the three angle columns, libm's acos the angles, and one template with
+%.17g reals each ok line; a single run's line comes through the same
+formatter. The horizon study builds its emission side once and evaluates
+each radius as its own one-row pass.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
-import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -507,7 +507,7 @@ class RunReport:
 
     status: str
     config: dict
-    rows: _Rows
+    rows: InequalityStack
     proj_b: ProjectionResult
     proj_c: ProjectionResult
     inequality: InequalityReport
@@ -612,27 +612,16 @@ def _arms(
     return projected.rows(slice(0, k)), projected.rows(slice(k, None)), errors
 
 
-class _Rows(NamedTuple):
-    """What the CSV prints of k rows, as arrays; row j is one run's.
-
-    errors maps each row that failed to its error; the other rows are valid.
-    """
-
-    a: np.ndarray  # (k, 3)
-    inequality: InequalityStack
-    errors: dict[int, SimulatorError]
-
-
 def _evaluate(
     geometry: _Geometry | None,
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
     synthetic: Synthetic | None = None,
-) -> _Rows:
-    """The inequality for k rows of settings a, b, c, each (k, 3)."""
+) -> InequalityStack:
+    """The inequality for k rows of settings a, b, c, each (k, 3), and its failed rows' errors."""
     proj_b, proj_c, errors = _arms(geometry, b, c, synthetic)
-    return _Rows(a, bell_stack(a, proj_b, proj_c), errors)
+    return bell_stack(a, proj_b, proj_c)._replace(errors=errors)
 
 
 def _settings_rows(settings: np.ndarray, k: int = 1) -> list[np.ndarray]:
@@ -649,7 +638,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     if errors:
         raise errors[0] from getattr(errors[0], "cause", None)
     best, found = optimal_settings(arm_b, arm_c)
-    rows = _Rows(a, bell_stack(a, arm_b, arm_c), errors)
+    rows = bell_stack(a, arm_b, arm_c)
 
     lhv = None
     if cfg.lhv_audit:
@@ -657,7 +646,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         with _stage("lhv_audit"):
             lhv = lhv_inequality_audit(
                 make_sign_model(cfg.mc_seed),
-                [(triple, rows.inequality.b.result(0), rows.inequality.c.result(0))],
+                [(triple, rows.b.result(0), rows.c.result(0))],
                 cfg.mc_n,
                 cfg.mc_seed,
             )
@@ -668,7 +657,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         rows=rows,
         proj_b=arm_b.result(0),
         proj_c=arm_c.result(0),
-        inequality=rows.inequality.report(0),
+        inequality=rows.report(0),
         angles=violation_stack(a, arm_b, arm_c),
         geodesic_1=None if geometry is None else GeodesicSummary.from_path(geometry.geo1),
         geodesic_2=None if geometry is None else GeodesicSummary.from_path(geometry.geo2),
@@ -796,26 +785,26 @@ def report_to_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the reals of a CSV row, after its id and status and before its verdict
-_REALS_TEMPLATE = ",".join(["%.17g"] * (len(CSV_COLUMNS) - 3))
-_CELLS = operator.itemgetter(*CSV_COLUMNS)
+# a CSV line: its id and status, its reals, and its verdict
+_REALS = len(CSV_COLUMNS) - 3
+_OK_LINE = "%s,ok," + ",".join(["%.17g"] * _REALS) + ",%s"
+_NANS = ",nan" * _REALS
 
 
-def csv_row(report: RunReport, scenario_id: str) -> dict[str, str]:
-    """A run's CSV row: its one row through the sweep's formatter."""
+def csv_row(report: RunReport, scenario_id: str) -> str:
+    """A run's CSV line: its one row through the sweep's formatter."""
     return _csv_rows(report.rows, [scenario_id])[0]
 
 
-def _csv_rows(rows: _Rows, scenario_ids: list[str]) -> list[dict[str, str]]:
-    """The CSV row of each evaluated row, or its error row, in one pass over the arrays.
+def _csv_rows(rows: InequalityStack, scenario_ids: list[str]) -> list[str]:
+    """The CSV line of each evaluated row, or its error line, in one pass over the arrays.
 
     The angles are between a and the post-swap arms, NaN beside a
     degenerate arm: the cosines of all three columns come from one stacked
     dot product, clamped to [-1, 1], and go through libm's acos. Every real
     prints with %.17g, which is format(x, ".17g") byte for byte.
     """
-    ineq, k = rows.inequality, len(scenario_ids)
-    b, c = ineq.b, ineq.c
+    b, c, k = rows.b, rows.c, len(scenario_ids)
     cosines = row_dot(
         np.concatenate([rows.a, rows.a, b.direction]),
         np.concatenate([b.direction, c.direction, c.direction]),
@@ -824,28 +813,22 @@ def _csv_rows(rows: _Rows, scenario_ids: list[str]) -> list[dict[str, str]]:
     # np.clip gives max(-1, min(1, x)) per value; math.acos passes the NaN through
     cosines = np.where(degenerate, np.nan, np.clip(cosines, -1.0, 1.0)).tolist()
     angles = [math.degrees(math.acos(x)) for x in cosines]
-    columns = np.stack([b.w, c.w, ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin])
+    columns = np.stack([b.w, c.w, rows.p_ab, rows.p_ac, rows.p_bc, rows.lhs, rows.rhs, rows.margin])
     reals = zip(angles[:k], angles[k:2 * k], angles[2 * k:], *columns.tolist())
-    out = []
-    for j, (sid, row, violated) in enumerate(zip(scenario_ids, reals, ineq.violated.tolist())):
-        if j in rows.errors:
-            out.append(error_row(sid, _failure_status(rows.errors[j])))
-            continue
-        cells = (_REALS_TEMPLATE % row).split(",")
-        out.append(dict(zip(CSV_COLUMNS, (sid, "ok", *cells, "true" if violated else "false"))))
-    return out
+    return [
+        error_row(sid, _failure_status(rows.errors[j])) if j in rows.errors
+        else _OK_LINE % (sid, *row, "true" if violated else "false")
+        for j, (sid, row, violated) in enumerate(zip(scenario_ids, reals, rows.violated.tolist()))
+    ]
 
 
-def error_row(scenario_id: str, status: str) -> dict[str, str]:
-    row = {col: "nan" for col in CSV_COLUMNS}
-    row["scenario_id"] = scenario_id
-    row["status"] = status
-    row["violated"] = "false"
-    return row
+def error_row(scenario_id: str, status: str) -> str:
+    """The CSV line of a row that failed: its status, NaN reals, not violated."""
+    return f"{scenario_id},{status}{_NANS},false"
 
 
-def rows_to_csv(rows: list[dict[str, str]]) -> str:
-    return "\n".join([CSV_HEADER, *(",".join(_CELLS(row)) for row in rows), ""])
+def rows_to_csv(lines: list[str]) -> str:
+    return "\n".join([CSV_HEADER, *lines, ""])
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -857,8 +840,8 @@ def _failure_status(e: SimulatorError) -> str:
     return f"error:{type(e).__name__}"
 
 
-def run_sweep(cfg: ScenarioConfig) -> list[dict[str, str]]:
-    """One CSV row per sweep value, in sweep order.
+def run_sweep(cfg: ScenarioConfig) -> list[str]:
+    """One CSV line per sweep value, in sweep order.
 
     Neither the settings nor the synthetic weights enter the geometry, so
     a sweep integrates the geodesics and builds the detector frames once
@@ -895,7 +878,7 @@ DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
 
 def run_horizon_sweep(
     spec: MetricSpec, r_values: list[float], tol: float = DEFAULT_TOL
-) -> list[dict[str, str]]:
+) -> list[str]:
     """Weight-versus-radius study outside the horizon guard.
 
     The emission event sits at the first (largest) radius. Particle 1 stays
@@ -930,7 +913,7 @@ def run_horizon_sweep(
         return [error_row(sid, _failure_status(e)) for _, sid in live] + guarded
     settings = _settings_rows(_parse_settings(DEFAULT_HORIZON_SETTINGS))
 
-    def row(r: float, sid: str) -> dict[str, str]:
+    def row(r: float, sid: str) -> str:
         try:
             with _stage("geodesic_2"):
                 geo2 = integrate_geodesic(spec, origin, u_static, StopCondition.radius(r), tol)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CommonOriginMismatch, InvalidChart, NonFiniteVector, SimulatorError, StepFailure
-from .geodesics import GeodesicPath
+from .geodesics import GeodesicPath, _drift_bound
 from .geometry import row_dot, row_matvec
 
 FORWARD = "forward"
@@ -57,8 +57,8 @@ def _carry(path: GeodesicPath, V: np.ndarray, direction: str) -> TransportedStac
     """Levi-Civita transport of the rows of V along the whole path.
 
     Inner products with the tangent and the vector's own norm are
-    conserved; each row's relative drift is checked against
-    max(1e-8, 100 * tol), and a row that exceeds it or is not finite fails.
+    conserved; each row's relative drift is checked against the geodesic's
+    drift bound, and a row that exceeds it or is not finite fails.
     """
     # the vectors at the path's first and last stored steps
     P_end = path.propagators[-1]
@@ -73,7 +73,7 @@ def _carry(path: GeodesicPath, V: np.ndarray, direction: str) -> TransportedStac
     norm_scale = np.maximum(np.abs(start_norm), 1.0)
     norm_drift = np.abs(end_norm - start_norm) / norm_scale
     dot_drift = np.abs(end_dot - start_dot) / np.maximum(np.abs(start_dot), 1.0)
-    bound = max(1e-8, 100.0 * path.tol)
+    bound = _drift_bound(path.tol)
     # near the horizon both products cancel heavily; scale the bound by the
     # worst conditioning seen at either end (1 in mild regimes), taken relative
     # to |v.v| for the norm, as its drift is: it then does not grow with |v|

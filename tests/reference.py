@@ -8,7 +8,7 @@ from the metric. column_list_frames and row_vecmat_invariants are the
 earlier forms of two kernels, kept so that tests can pin the package's
 faster forms to their bits. The adapters below give the stack kernels a
 one-row call shape, on the package's public one-row objects, that several
-tests share.
+tests share, and csv_cells reads a CSV line back as its named cells.
 """
 import math
 
@@ -18,6 +18,7 @@ from grbell.correlations import _ordered, _weighted_differences, bell_stack, vio
 from grbell.frames import ProjectionStack
 from grbell.geodesics import TIMELIKE
 from grbell.geometry import ETA, MINKOWSKI, metric_components, row_dot
+from grbell.scenario import CSV_COLUMNS
 
 
 def christoffel_components(spec, coords):
@@ -151,3 +152,9 @@ def violation_angles(triple, proj_b, proj_c):
     arm_b, arm_c = ProjectionStack.of([proj_b]), ProjectionStack.of([proj_c])
     stack = violation_stack(triple.a.d[None], arm_b, arm_c)
     return type(stack)(*(field[0] for field in stack))
+
+
+def csv_cells(line):
+    """A CSV line as a dict from column name to cell. Only the id may hold a
+    comma, so the line is split from the right."""
+    return dict(zip(CSV_COLUMNS, line.rsplit(",", len(CSV_COLUMNS) - 1)))

@@ -179,6 +179,22 @@ def test_mc_minimum_samples():
         correlation_mc(model, Z, make_projection(1.0, Z), 99, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, 99])
+def test_every_estimate_needs_the_minimum_samples(n):
+    # one rule for all three: at n = 0 the anticorrelation check used to
+    # return True without drawing a sample
+    model = make_sign_model(0)
+    proj = make_projection(1.0, Z)
+    estimates = (
+        lambda: correlation_mc(model, Z, proj, n),
+        lambda: verify_anticorrelation(model, Z, proj, n),
+        lambda: lhv_inequality_audit(model, [(SettingsTriple(Z, Z, Z), proj, proj)], n),
+    )
+    for estimate in estimates:
+        with pytest.raises(InsufficientSamples):
+            estimate()
+
+
 def test_stderr_halves_when_n_quadruples():
     # empirical error across seeds, not just the reported 1/sqrt(n) factor
     model = make_sign_model(0)

@@ -176,7 +176,7 @@ def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):
 
 
 def test_hand_written_geodesic_term_matches_the_christoffel_symbols(schw, rng):
-    rhs = geodesics._schwarzschild_rhs(M, "timelike", 1.0, 1.0)
+    rhs = geodesics._schwarzschild_rhs("timelike", 1.0, 1.0)  # unit mass, as schw
     for _ in range(200):
         x = random_exterior_point(rng)
         u = rng.standard_normal(4)

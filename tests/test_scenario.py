@@ -33,6 +33,7 @@ from grbell.cli import EXIT_CONFIG, EXIT_OK, main
 from grbell.correlations import ARM_ORDER_ULP, bell_stack
 from grbell.frames import ProjectionStack
 from grbell.scenario import CSV_HEADER, SweepSpec, csv_row, error_row
+from reference import csv_cells
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -216,7 +217,7 @@ def test_csv_header_and_margin_identity():
         "w_b,w_c,P_ab,P_ac,P_bc,lhs,rhs,margin,violated"
     )
     report = run_scenario(config_from_dict(flat_baseline_config()))
-    row = csv_row(report, "x")
+    row = csv_cells(csv_row(report, "x"))
     assert float(row["margin"]) == float(row["lhs"]) - float(row["rhs"])
     assert row["violated"] == "true"
     # 17 significant digits round-trip
@@ -230,7 +231,7 @@ def sweep_config(step=30.0):
 
 
 def test_sweep_rows_and_optimum():
-    rows = run_sweep(sweep_config(step=1.0))
+    rows = [csv_cells(line) for line in run_sweep(sweep_config(step=1.0))]
     assert len(rows) == 181
     assert all(r["status"] == "ok" for r in rows)
     margins = [float(r["margin"]) for r in rows]
@@ -254,7 +255,7 @@ def test_sweep_margin_scales_as_w_squared():
         },
         "sweep": {"parameter": "w", "start": 0.2, "stop": 1.0, "step": 0.2},
     }
-    rows = run_sweep(config_from_dict(data))
+    rows = [csv_cells(line) for line in run_sweep(config_from_dict(data))]
     assert len(rows) == 5
     for row in rows:
         w = float(row["scenario_id"].split("=")[1])
@@ -272,7 +273,7 @@ def test_sweep_failed_rows_marked_and_run_continues():
         },
         "sweep": {"parameter": "w", "start": 0.5, "stop": 1.5, "step": 0.5},
     }
-    rows = run_sweep(config_from_dict(data))
+    rows = [csv_cells(line) for line in run_sweep(config_from_dict(data))]
     assert [r["status"] for r in rows] == ["ok", "ok", "error:ValidationError"]
     assert rows[2]["w_b"] == "nan" and rows[2]["violated"] == "false"
 
@@ -331,7 +332,7 @@ def test_sweep_deterministic_across_workers():
 def test_horizon_sweep_rows():
     spec = MetricSpec("schwarzschild", mass=1.0)
     r_values = [10.0, 6.0, 3.0, 2.2, 2.0 * (1 + 1e-8)]
-    rows = run_horizon_sweep(spec, r_values)
+    rows = [csv_cells(line) for line in run_horizon_sweep(spec, r_values)]
     assert [r["scenario_id"] for r in rows] == [f"r={format(v, '.17g')}" for v in r_values]
     assert rows[0]["status"] == "ok" and float(rows[0]["w_b"]) == 1.0
     ws = [float(r["w_b"]) for r in rows[:-1]]
@@ -359,7 +360,7 @@ def test_horizon_sweep_rejects_non_finite_radii(bad, position):
 def test_horizon_sweep_asymptotically_flat():
     # far from the mass the transported weight matches the flat value 1
     spec = MetricSpec("schwarzschild", mass=1.0)
-    rows = run_horizon_sweep(spec, [10_500.0, 10_000.0])
+    rows = [csv_cells(line) for line in run_horizon_sweep(spec, [10_500.0, 10_000.0])]
     assert rows[1]["status"] == "ok"
     assert abs(float(rows[1]["w_b"]) - 1.0) < 1e-4
 
@@ -404,7 +405,7 @@ def test_angle_sweep_integrates_geometry_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(scenario, "integrate_geodesic", counting)
-    rows = run_sweep(sweep_config(step=2.0))
+    rows = [csv_cells(line) for line in run_sweep(sweep_config(step=2.0))]
     assert len(rows) == 91 and all(r["status"] == "ok" for r in rows)
     assert len(calls) == 2
 
@@ -418,7 +419,7 @@ def test_angle_sweep_geometry_failure_marks_every_row():
         else f"error:{err.value.stage}"
     )
     data["sweep"] = {"parameter": "b_deg", "start": 0.0, "stop": 90.0, "step": 30.0}
-    rows = run_sweep(config_from_dict(data))
+    rows = [csv_cells(line) for line in run_sweep(config_from_dict(data))]
     assert [r["scenario_id"] for r in rows] == ["b_deg=0", "b_deg=30", "b_deg=60", "b_deg=90"]
     assert all(r["status"] == expected for r in rows)
     assert all(r["w_b"] == "nan" and r["violated"] == "false" for r in rows)
@@ -519,7 +520,7 @@ def test_horizon_sweep_integrates_the_emission_leg_once(monkeypatch):
 
     monkeypatch.setattr(scenario, "integrate_geodesic", counting)
     spec = MetricSpec("schwarzschild", mass=1.0)
-    rows = run_horizon_sweep(spec, [10.0, 6.0, 3.0, 2.2, 2.0 * (1 + 1e-8), 1.5])
+    rows = [csv_cells(line) for line in run_horizon_sweep(spec, [10.0, 6.0, 3.0, 2.2, 2.0 * (1 + 1e-8), 1.5])]
     live = [r for r in rows if r["status"] != "horizon_guard"]
     assert len(live) == 4 and all(r["status"] == "ok" for r in live)
     assert len(stops) == len(live) + 1
@@ -646,7 +647,7 @@ def test_csv_correlations_come_from_the_report():
     cfg = config_from_dict(data)
     report = run_scenario(cfg)
     ineq = report.inequality
-    row = csv_row(report, "run")
+    row = csv_cells(csv_row(report, "run"))
     assert np.array_equal(report.rows.a[0], cfg.settings[0])
     assert [row["P_ab"], row["P_ac"], row["P_bc"]] == [
         format(p, ".17g") for p in (ineq.p_ab, ineq.p_ac, ineq.p_bc)
@@ -702,15 +703,30 @@ def test_sweep_rows_run_no_lhv_audit(monkeypatch):
 def test_horizon_sweep_at_loose_tol_shrinks_steps_that_reach_the_horizon():
     # at tol 1e-3 a trial stage of the infall to r = 6 lands inside r = 2M
     spec = MetricSpec("schwarzschild", mass=1.0)
-    rows = run_horizon_sweep(spec, [10.0, 6.0], tol=1e-3)
+    rows = [csv_cells(line) for line in run_horizon_sweep(spec, [10.0, 6.0], tol=1e-3)]
     assert [r["status"] for r in rows] == ["ok", "ok"]
     assert 0.9 < float(rows[1]["w_b"]) < 1.0
+
+
+@pytest.mark.parametrize("mass", [1e-30, 1e-100])
+def test_a_small_mass_horizon_study_reads_the_unit_mass_weights(mass):
+    # the geometry is scale-free and the legs step in units of M, so the
+    # weights do not depend on the mass beyond rounding
+    def study(m):
+        lines = run_horizon_sweep(MetricSpec("schwarzschild", mass=m), [10.0 * m, 7.0 * m, 4.0 * m])
+        return [csv_cells(line) for line in lines]
+
+    unit, small = study(1.0), study(mass)
+    assert [r["status"] for r in small] == [r["status"] for r in unit] == ["ok"] * 3
+    for s, u in zip(small, unit):
+        for key in ("w_b", "w_c"):
+            assert abs(float(s[key]) - float(u[key])) <= 1e-13
 
 
 def test_horizon_sweep_metric_underflow_rows_are_errors():
     # r^2 = 1e-596 underflows to 0: the rows used to read ok with P_ab = -1
     spec = MetricSpec("schwarzschild", mass=1e-300)
-    rows = run_horizon_sweep(spec, [1e-298, 1e-299])
+    rows = [csv_cells(line) for line in run_horizon_sweep(spec, [1e-298, 1e-299])]
     assert [r["status"] for r in rows] == ["error:geodesic_1", "error:geodesic_1"]
 
 
@@ -735,7 +751,7 @@ def test_a_failing_row_fails_alone_with_its_stage():
     c[3] = [1e150, 0.0, 0.0]     # transported, but not projectable
     sids = [f"row{j}" for j in range(5)]
     rows = scenario._csv_rows(scenario._evaluate(bent, a, b, c), sids)
-    assert [r["status"] for r in rows] == [
+    assert [csv_cells(r)["status"] for r in rows] == [
         "ok", "error:transport", "error:transport", "error:projection", "ok",
     ]
     for j in (0, 4):
@@ -795,10 +811,10 @@ def test_a_large_row_whose_back_leg_leaks_fails_alone():
     b[1] = [0.0, 0.0, 1e150]
     sids = ["row0", "row1", "row2"]
     rows = scenario._csv_rows(scenario._evaluate(bent, a, b, c), sids)
-    assert [r["status"] for r in rows] == ["ok", "error:transport", "ok"]
+    assert [csv_cells(r)["status"] for r in rows] == ["ok", "error:transport", "ok"]
     # the same rows on the unbent geometry are all ok
     rows = scenario._csv_rows(scenario._evaluate(scenario._geometry(cfg), a, b, c), sids)
-    assert [r["status"] for r in rows] == ["ok", "ok", "ok"]
+    assert [csv_cells(r)["status"] for r in rows] == ["ok", "ok", "ok"]
 
 
 def _angle_reference(x, y):
@@ -807,22 +823,22 @@ def _angle_reference(x, y):
     return math.degrees(math.acos(max(-1.0, min(1.0, float(x @ y)))))
 
 
-def _csv_reference(rows, sids):
-    """The CSV rows of rows, formatted one cell at a time."""
-    ineq, out = rows.inequality, []
+def _csv_reference(ineq, sids):
+    """The CSV lines of the rows of ineq, formatted one cell at a time."""
+    out = []
     for j, sid in enumerate(sids):
-        if j in rows.errors:
-            out.append(error_row(sid, scenario._failure_status(rows.errors[j])))
+        if j in ineq.errors:
+            out.append(error_row(sid, scenario._failure_status(ineq.errors[j])))
             continue
         b = None if ineq.b.degenerate[j] else ineq.b.direction[j]
         c = None if ineq.c.degenerate[j] else ineq.c.direction[j]
-        a = rows.a[j]
+        a = ineq.a[j]
         reals = [_angle_reference(a, b), _angle_reference(a, c), _angle_reference(b, c)]
         reals += [ineq.b.w[j], ineq.c.w[j]]
         reals += [x[j] for x in (ineq.p_ab, ineq.p_ac, ineq.p_bc, ineq.lhs, ineq.rhs, ineq.margin)]
         cells = [sid, "ok", *(format(float(x), ".17g") for x in reals)]
         cells.append("true" if ineq.violated[j] else "false")
-        out.append(dict(zip(CSV_HEADER.split(","), cells)))
+        out.append(",".join(cells))
     return out
 
 
@@ -849,7 +865,7 @@ def _random_rows(k, degenerate_arms, seed=0):
         arms.append(ProjectionStack(w, direction, degenerate, np.sqrt(1.0 - w**2), {}))
     a = _units(rng, k)
     errors = {k - 1: PipelineError("transport", StepFailure("drift"))} if k > 1 else {}
-    return scenario._Rows(a, bell_stack(a, *arms), errors)
+    return bell_stack(a, *arms)._replace(errors=errors)
 
 
 @pytest.mark.parametrize("degenerate_arms", ["", "b", "c", "bc"])
@@ -859,23 +875,23 @@ def test_csv_rows_match_a_scalar_formatter(k, degenerate_arms):
     sids = [f"row,{j}" for j in range(k)]
     assert scenario._csv_rows(rows, sids) == _csv_reference(rows, sids)
     if degenerate_arms:
-        assert rows.inequality.degenerate[0] and np.isnan(rows.inequality.p_bc[0])
-        assert scenario._csv_rows(rows, sids)[0]["P_bc"] == "nan"
+        assert rows.degenerate[0] and np.isnan(rows.p_bc[0])
+        assert csv_cells(scenario._csv_rows(rows, sids)[0])["P_bc"] == "nan"
     if k == 91:
-        assert rows.inequality.swapped.any() and not rows.inequality.swapped.all()
+        assert rows.swapped.any() and not rows.swapped.all()
 
 
 def test_csv_rows_print_extreme_reals_as_format_does():
     rows = _random_rows(4, "")
     extreme = np.array([5e-324, -5e-324, 1e300, -1e300])
-    ineq = rows.inequality._replace(
+    rows = rows._replace(
         p_ab=extreme, p_ac=extreme[::-1], lhs=extreme, rhs=-extreme,
-        margin=np.array([math.nan, math.inf, -math.inf, -0.0]),
+        margin=np.array([math.nan, math.inf, -math.inf, -0.0]), errors={},
     )
-    rows = rows._replace(inequality=ineq, errors={})
     sids = [f"x{j}" for j in range(4)]
     out = scenario._csv_rows(rows, sids)
     assert out == _csv_reference(rows, sids)
+    out = [csv_cells(line) for line in out]
     assert [r["P_ab"] for r in out] == [
         "4.9406564584124654e-324", "-4.9406564584124654e-324",
         "1.0000000000000001e+300", "-1.0000000000000001e+300",
@@ -885,11 +901,12 @@ def test_csv_rows_print_extreme_reals_as_format_does():
 
 def test_csv_row_keeps_a_comma_in_its_id():
     report = run_scenario(config_from_dict(flat_baseline_config()))
-    row = csv_row(report, "left,right")
+    line = csv_row(report, "left,right")
+    row = csv_cells(line)
     assert list(row) == CSV_HEADER.split(",")
     assert row["scenario_id"] == "left,right"
-    assert {**row, "scenario_id": "x"} == csv_row(report, "x")
-    assert rows_to_csv([row]).splitlines()[1].startswith("left,right,ok,")
+    assert {**row, "scenario_id": "x"} == csv_cells(csv_row(report, "x"))
+    assert rows_to_csv([line]).splitlines()[1].startswith("left,right,ok,")
 
 
 @pytest.mark.parametrize(
@@ -909,7 +926,7 @@ def test_csv_row_of_a_run_is_its_one_row_sweep(synthetic):
     cfg = config_from_dict(data)
     data["sweep"] = {"parameter": "a_deg", "start": 10.0, "stop": 10.0, "step": 1.0}
     [swept] = run_sweep(config_from_dict(data))
-    assert csv_row(run_scenario(cfg), swept["scenario_id"]) == swept
+    assert csv_row(run_scenario(cfg), csv_cells(swept)["scenario_id"]) == swept
 
 
 def test_zero_correlations_print_as_zero(tmp_path):
@@ -930,7 +947,7 @@ def test_zero_correlations_print_as_zero(tmp_path):
     ineq = run_scenario(config_from_dict(data)).inequality
     assert [math.copysign(1.0, p) for p in (ineq.p_ab, ineq.p_ac, ineq.p_bc)] == [1.0, 1.0, 1.0]
     data["sweep"] = {"parameter": "w_b", "start": 0.9, "stop": 1.0, "step": 0.1}
-    swept = run_sweep(config_from_dict(data))
+    swept = [csv_cells(line) for line in run_sweep(config_from_dict(data))]
     assert [[r["P_ab"], r["P_ac"], r["P_bc"]] for r in swept] == [["0", "0", "0"]] * 2
 
 
@@ -944,7 +961,7 @@ def test_finite_takes_numpy_numbers_but_no_booleans():
         settings = {"a": [1, 0, 0], "b": [0, np.bool_(1), 0], "c": [0, 0, 1]}
         config_from_dict({**flat_baseline_config(), "settings": settings})
     # the horizon radii come from np.linspace
-    rows = run_horizon_sweep(MetricSpec("schwarzschild", mass=1.0), np.linspace(10.0, 6.0, 3))
+    rows = [csv_cells(line) for line in run_horizon_sweep(MetricSpec("schwarzschild", mass=1.0), np.linspace(10.0, 6.0, 3))]
     assert [r["scenario_id"] for r in rows] == ["r=10", "r=8", "r=6"]
 
 
@@ -954,7 +971,7 @@ def test_comoving_demo_rows_keep_the_config_arm_order():
     data = schwarzschild_demo_config()
     data["frame_choice"] = "comoving"
     data["sweep"] = {"parameter": "a_deg", "start": 0.0, "stop": 180.0, "step": 2.0}
-    rows = run_sweep(config_from_dict(data))
+    rows = [csv_cells(line) for line in run_sweep(config_from_dict(data))]
     assert len(rows) == 91
     for row in rows:
         w_b, w_c = float(row["w_b"]), float(row["w_c"])

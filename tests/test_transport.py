@@ -20,7 +20,7 @@ from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from grbell.geometry import metric_components
 from grbell import transport
 from grbell.transport import BACKWARD, FORWARD, _carry, transport_stack
-from reference import checked, row_vecmat_invariants, tetrad_components
+from reference import checked, csv_cells, row_vecmat_invariants, tetrad_components
 
 M = 1.0
 
@@ -349,7 +349,7 @@ def test_horizon_study_rows_match_the_closed_form_weight(r_end):
     # the study's settings 60 and 120 degrees from radial give w_b = w_c;
     # the worst relative error measured 2.6e-11 at the default tol
     radii = np.linspace(INFALL_R0, r_end, 40)
-    rows = run_horizon_sweep(MetricSpec("schwarzschild", mass=M), radii)
+    rows = [csv_cells(line) for line in run_horizon_sweep(MetricSpec("schwarzschild", mass=M), radii)]
     assert [row["status"] for row in rows] == ["ok"] * 40
     expected = infall_weight(radii, 0.5)
     for key in ("w_b", "w_c"):
