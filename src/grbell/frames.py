@@ -3,7 +3,9 @@
 A tetrad is one (4, 4) array E with the legs e0..e3 as its rows, so that
 g(e_a, e_b) = eta_ab. Both tetrads are built from g, the metric at the
 tetrad's event (the comoving one also from the tangent there), and the
-projector is E g: (E g) v holds g(e_a, v).
+projector is E g: (E g) v holds g(e_a, v). A scenario builds them from the
+metric and tangent its Schwarzschild paths store, in units of M, so the
+absolute GRAM_SCHMIDT_PIVOT compares numbers that do not depend on M.
 
 A transported measurement direction generally acquires a time component in
 the detector's tetrad. The rule used here: Euclidean-normalize the four

@@ -3,7 +3,15 @@
 A leg's kind comes from its initial tangent alone: tangent_kind reads
 timelike or null from u.u and refuses a past-pointing u. A stop is a kind
 and a value; a radius or coordinate-time stop within STOP_SNAP of the
-start, in units of M on a Schwarzschild leg, gives a zero-length leg.
+start gives a zero-length leg.
+
+A Schwarzschild leg is converted into units of M, the chart's one scale,
+once, where integrate_geodesic starts it, after its checks in the caller's
+units: x0 becomes (t/M, r/M, theta, phi), u0 becomes (u^t, u^r, M u^theta,
+M u^phi) and the stop value becomes value/M. Everything after that runs at
+unit mass, and the path is stored in units of M: its taus, points,
+tangents, metrics and propagators. It records the caller's spec, and
+converting back is the report's business.
 
 Flat legs are straight lines in the Cartesian chart, x = x0 + u0 tau, and
 their parallel propagator is the identity. A radius stop is the first
@@ -13,8 +21,9 @@ legs need no ODE.
 Schwarzschild legs integrate the 9-component state (x, u, psi) with a
 Dormand-Prince 5(4) stepper on Python floats (J. R. Dormand and P. J.
 Prince, J. Comput. Appl. Math. 6, 19 (1980)), with rtol = tol and
-atol = tol * 1e-3. The state is stepped in units of M, the chart's one
-scale, so that atol means the same at every mass. The RMS error norm,
+atol = tol * 1e-3, which mean the same at every mass in units of M. t and
+phi are stepped from the start, so the origin's t does not enter the step
+control, and added back to the stored states. The RMS error norm,
 step-size controller and initial-step rule follow Hairer, Norsett and
 Wanner, Solving ODEs I, sec. II.4, and the quartic dense output L. F.
 Shampine, Math. Comp. 46, 135 (1986), as in the common RK45 solvers.
@@ -78,8 +87,8 @@ NORMALIZATION_TOL = 1e-8
 # with them, but never beyond NORMALIZATION_TOL
 NULL_NORM_TOL = 1e-9
 
-# a radius or coordinate-time stop this close to the start is already reached;
-# on a Schwarzschild leg the distance is in units of M, the chart's only scale
+# a radius or coordinate-time stop this close to the start is already reached
+# (in units of M on a Schwarzschild leg)
 STOP_SNAP = 1e-10
 
 # cap on the accepted solver steps of one integration, so that a far or
@@ -146,9 +155,13 @@ class StopCondition:
 class GeodesicPath:
     """Sampled geodesic with tangent, propagator, checked drift and counters.
 
-    nfev, accepted and rejected count the stepper's right-hand-side
-    evaluations and its accepted and rejected steps; all three are 0 on a
-    leg that needs no ODE (flat space, zero length).
+    spec is the caller's metric. A Schwarzschild path holds everything in
+    units of M, in the exterior chart of unit mass: its taus, points,
+    tangents, metrics and propagators; its t and phi are the caller's origin
+    converted, not shifted to 0. nfev, accepted and rejected count the
+    stepper's right-hand-side evaluations and its accepted and rejected
+    steps; all three are 0 on a leg that needs no ODE (flat space, zero
+    length).
     """
 
     spec: MetricSpec
@@ -169,20 +182,25 @@ class GeodesicPath:
         return float(self.taus[-1])
 
 
+# the chart a Schwarzschild path is stored in
+_UNIT_MASS = MetricSpec(SCHWARZSCHILD, 1.0)
+
+
 def _conservation_drift(
-    spec: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, d: np.ndarray
+    chart: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, d: np.ndarray
 ) -> dict[str, float]:
-    """Worst drift of u.u, E and L_z, from the metric's (n, 4) diagonal d; L_z's floor is M."""
+    """Worst drift of u.u, E and L_z, from the metric's (n, 4) diagonal d in
+    the path's chart; L_z's floor is that chart's M, 1 on a Schwarzschild path."""
     uu = np.einsum("na,na,na->n", d, tangents, tangents)
     n0 = -1.0 if kind == TIMELIKE else 0.0
     drift = {"norm": float(np.max(np.abs(uu - n0)))}
-    if spec.kind == SCHWARZSCHILD:
+    if chart.kind == SCHWARZSCHILD:
         r, theta = points[:, 1], points[:, 2]
         E = -d[:, 0] * tangents[:, 0]
         Lz = r**2 * np.sin(theta) ** 2 * tangents[:, 3]
         drift["energy"] = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-12))
         drift["angular_momentum"] = float(
-            np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), spec.mass)
+            np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), chart.mass)
         )
     return drift
 
@@ -207,21 +225,18 @@ def tangent_kind(u: np.ndarray, uu: float) -> str:
     raise BadNormalization(f"u.u = {uu}, expected -1 (timelike) or 0 (null)")
 
 
-def _tau_cap(
-    spec: MetricSpec, g: np.ndarray, x0: np.ndarray, u0: np.ndarray, stop: StopCondition
-) -> float:
-    """Largest affine parameter a leg from x0, where the metric is g, may take."""
+def _tau_cap(stop: StopCondition, t0: float, r0: float, energy: float) -> float:
+    """Largest affine parameter a unit-mass leg from (t0, r0), with E = f u^t, may take."""
     if stop.kind == STOP_PROPER_TIME:
         return stop.value
     if stop.kind == STOP_COORDINATE_TIME:
-        # dt/dparam >= E0 along the path since g_tt u^t is conserved and f <= 1
-        e0 = max(float(-g[0, 0] * u0[0]), 1e-12)
-        return (abs(stop.value - x0[0]) + 1.0) / min(e0, 1.0) + 1.0
-    r0 = _chart_radius(spec, x0)
+        # dt/dparam >= E along the path since f u^t is conserved and f <= 1
+        e0 = max(energy, 1e-12)
+        return (abs(stop.value - t0) + 1.0) / min(e0, 1.0) + 1.0
     r_far = max(r0, stop.value)
-    # generous radial free-fall scale ~ r^{3/2} / sqrt(M), plus a flat-space term
+    # generous radial free-fall scale ~ r^{3/2}, plus a flat-space term
     # (r * sqrt(r) overflows to inf, where r**1.5 would raise, for a huge target)
-    scale = r_far * math.sqrt(r_far) / math.sqrt(max(spec.mass, 1e-3))
+    scale = r_far * math.sqrt(r_far)
     return 4.0 * scale + 10.0 * abs(r0 - stop.value) + 100.0
 
 
@@ -274,42 +289,47 @@ def integrate_geodesic(
     """The geodesic from the event x0 with tangent u0, both (4,) arrays, until
     the stop fires.
 
+    x0, u0 and the stop are in the caller's units, and are checked in them.
+    A Schwarzschild leg is then converted into units of M, and its path is
+    stored in them (see GeodesicPath); the path records spec as given.
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
     the integrated state (x, u, psi), in units of M; flat legs are exact.
     Raises BadNormalization unless tangent_kind accepts u0, HorizonApproach
     if the path would cross the guard radius, StepFailure if the stop is
     not reached within the tau cap (a flat leg has none) or MAX_STEPS
-    steps, the state turns
-    non-finite, the step size underflows, conservation drifts exceed
-    max(1e-8, 100 * tol) or the propagator fails to preserve the metric.
+    steps, the state turns non-finite, the step size underflows,
+    conservation drifts exceed max(1e-8, 100 * tol) or the propagator fails
+    to preserve the metric.
     """
     # the metric at x0 is also the domain check
     g0 = metric_components(spec, x0)
     with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
         kind = tangent_kind(u0, float(u0 @ g0 @ u0))
 
-    if stop.kind == STOP_RADIUS and spec.kind == SCHWARZSCHILD:
-        if stop.value <= spec.guard_radius:
+    if spec.kind == SCHWARZSCHILD:
+        if stop.kind == STOP_RADIUS and stop.value <= spec.guard_radius:
             raise ValidationError("stop.value", "radius target inside horizon guard")
+        # the one conversion into units of M, in Python floats: a t or r beyond
+        # the floats becomes inf without a warning, and the leg's checks refuse it
+        M = spec.mass
+        t, r, theta, phi = x0.tolist()
+        x0, u0 = np.array([t / M, r / M, theta, phi]), u0 * (1.0, 1.0, M, M)
+        stop = StopCondition(stop.kind, stop.value / M)
 
     # degenerate stop: zero-length path
-    snap = STOP_SNAP * spec.mass if spec.kind == SCHWARZSCHILD else STOP_SNAP
     if (
         (stop.kind == STOP_PROPER_TIME and stop.value == 0.0)
-        or (stop.kind == STOP_RADIUS and abs(_chart_radius(spec, x0) - stop.value) <= snap)
-        or (stop.kind == STOP_COORDINATE_TIME and abs(x0[0] - stop.value) <= snap)
+        or (stop.kind == STOP_RADIUS and abs(_chart_radius(spec, x0) - stop.value) <= STOP_SNAP)
+        # in Python floats, where inf - inf is NaN without a warning
+        or (stop.kind == STOP_COORDINATE_TIME and abs(float(x0[0]) - stop.value) <= STOP_SNAP)
     ):
         return _checked_path(
             spec, kind, tol, np.array([0.0]), np.array([x0]), np.array([u0]),
             np.eye(4)[None, :, :],
         )
     if spec.kind == SCHWARZSCHILD:
-        return _schwarzschild_leg(spec, kind, x0, u0, stop, tol, _tau_cap(spec, g0, x0, u0, stop))
+        return _schwarzschild_leg(spec, kind, x0, u0, stop, tol)
     return _straight_line(spec, kind, x0, u0, stop, tol)
-
-
-def _not_reached(stop: StopCondition, cap: float) -> StepFailure:
-    return StepFailure(f"stop condition {stop.kind} = {stop.value} not reached by tau = {cap}")
 
 
 def _straight_line(
@@ -325,7 +345,7 @@ def _straight_line(
     else:
         tau = _line_radius_root(x[1:4], u[1:4], stop.value)
     if not tau > 0.0:
-        raise _not_reached(stop, math.inf)
+        raise StepFailure(f"stop condition {stop.kind} = {stop.value} not reached by tau = inf")
     with np.errstate(over="ignore", invalid="ignore"):
         end = x + u * tau
     if not np.all(np.isfinite(end)):
@@ -408,43 +428,43 @@ def _schwarzschild_rhs(kind: str, energy: float, ang_mom: float):
 
 
 def _schwarzschild_leg(
-    spec: MetricSpec, kind: str, x0: np.ndarray, u0: np.ndarray,
-    stop: StopCondition, tol: float, cap: float,
+    spec: MetricSpec, kind: str, x0: np.ndarray, u0: np.ndarray, stop: StopCondition, tol: float
 ) -> GeodesicPath:
-    """A Schwarzschild leg, stepped at unit mass: t, r, tau and the stop are
-    divided by M and u^theta, u^phi multiplied by it, which is exact at M = 1."""
-    M = spec.mass
-    y0 = [float(v) for v in x0] + [float(v) for v in u0] + [0.0]
-    scaled = [y0[0] / M, y0[1] / M, *y0[2:6], y0[6] * M, y0[7] * M, 0.0]
-    r0, th0 = scaled[1], scaled[2]
-    energy = (1.0 - 2.0 / r0) * scaled[4]
-    ang_mom = r0 * math.hypot(r0 * scaled[6], r0 * math.sin(th0) * scaled[7])
+    """A Schwarzschild leg at unit mass, from x0 with tangent u0 to the stop, all in units of M.
+
+    t and phi are stepped from x0 and added back to the stored states.
+    """
+    t0, r0, th0, ph0 = x0.tolist()
+    y0 = [0.0, r0, th0, 0.0, *u0.tolist(), 0.0]
+    energy = (1.0 - 2.0 / r0) * y0[4]
+    ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
     rhs = _schwarzschild_rhs(kind, energy, ang_mom)
 
     # events: (state component, target, direction), the guard last
     events = []
     if stop.kind == STOP_RADIUS:
-        events.append((1, stop.value / M, 0))
+        events.append((1, stop.value, 0))
     elif stop.kind == STOP_COORDINATE_TIME:
-        events.append((0, stop.value / M, 0))
-    events.append((1, spec.guard_radius / M, -1))
-    what = f"stop condition {stop.kind} = {stop.value}"
+        events.append((0, stop.value - t0, 0))
+    guard = _UNIT_MASS.guard_radius
+    events.append((1, guard, -1))
+    what = f"stop condition {stop.kind} = {stop.value} M"
+    cap = _tau_cap(stop, t0, r0, energy)
     try:
-        run = _dopri(rhs, scaled, cap / M, tol, events, what, unit=M)
+        run = _dopri(rhs, y0, cap, tol, events, what)
     except (ArithmeticError, ValueError) as e:  # e.g. a trial stage on the polar axis
         raise StepFailure(f"integration failed: {e}") from None
-    taus = np.array(run.taus) * M
     if run.event == len(events) - 1:
-        raise HorizonApproach(f"path reached guard radius {spec.guard_radius} at tau = {taus[-1]}")
+        raise HorizonApproach(f"path reached guard radius {guard} M at tau = {run.taus[-1]} M")
     if stop.kind != STOP_PROPER_TIME and run.event is None:
-        raise _not_reached(stop, cap)
+        raise StepFailure(f"{what} not reached by tau = {cap} M")
 
     states = np.array(run.states)
-    states[:, :2] *= M
-    states[:, 6:8] /= M
-    states[0] = y0  # the start as given, not rounded through the scaling
+    states[:, 0] += t0
+    states[:, 3] += ph0
+    taus = np.array(run.taus)
     points = np.ascontiguousarray(states[:, :4])
-    g = metric_stack(spec, points)
+    g = metric_stack(_UNIT_MASS, points)
     frames = _parallel_frames(kind, points, g, states[:, 4:8], states[:, 8])
     inverse = np.linalg.inv(frames[0])
     propagators = frames @ inverse
@@ -508,9 +528,7 @@ class _Run:
     rejected: int
 
 
-def _dopri(
-    rhs, y0: list[float], tau_end: float, tol: float, events, what: str, unit: float = 1.0
-) -> _Run:
+def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) -> _Run:
     """Integrate y' = rhs(y) from tau = 0 to tau_end with Dormand-Prince 5(4).
 
     events are terminal (component, target, direction) triples: event j
@@ -520,7 +538,7 @@ def _dopri(
     read from the step's dense interpolant. A trial step whose stage the
     right-hand side refuses with HorizonDomain is rejected and shrunk by
     _MIN_FACTOR; nfev counts six evaluations per trial step. Messages give
-    tau times unit, in the caller's units.
+    tau as stepped, in units of M on a Schwarzschild leg.
     """
     rtol, atol = tol, tol * 1e-3
     root_n = math.sqrt(len(y0))
@@ -554,7 +572,7 @@ def _dopri(
         step_rejected = False
         while True:
             if h_abs < min_step:
-                raise StepFailure(f"step size underflow at tau = {t * unit}")
+                raise StepFailure(f"step size underflow at tau = {t}")
             t_new = min(t + h_abs, tau_end)
             h = t_new - t
             h_abs = h
@@ -585,7 +603,7 @@ def _dopri(
                 for a, c, d, e, p, q, v, w in zip(k1, k3, k4, k5, k6, k7, y_abs, y_new_abs)
             ]) / root_n
             if not isfinite(error):
-                raise StepFailure(f"non-finite state after tau = {t * unit}")
+                raise StepFailure(f"non-finite state after tau = {t}")
             if error < 1.0:
                 factor = _MAX_FACTOR if error == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * error ** -0.2
@@ -673,14 +691,16 @@ def _checked_path(
 ) -> GeodesicPath:
     """The path through the stored states, once the checks of its tangents pass.
 
-    The metric is evaluated once per stored point, in one stack that also
-    checks each point's domain, unless the caller passes that stack as g;
-    the drift and propagator checks contract its diagonal. The path keeps
-    the stack, the drift and stored_tangents, by default the checked ones.
+    The metric is evaluated once per stored point, in the chart of the
+    path's units, in one stack that also checks each point's domain, unless
+    the caller passes that stack as g; the drift and propagator checks
+    contract its diagonal. The path keeps spec, the stack, the drift and
+    stored_tangents, by default the checked ones.
     """
-    g = metric_stack(spec, points) if g is None else g
+    chart = _UNIT_MASS if spec.kind == SCHWARZSCHILD else spec
+    g = metric_stack(chart, points) if g is None else g
     d = np.diagonal(g, axis1=1, axis2=2)
-    drift = _conservation_drift(spec, kind, points, tangents, d)
+    drift = _conservation_drift(chart, kind, points, tangents, d)
     bound = _drift_bound(tol)
     # the tangent-norm check cancels catastrophically near the horizon
     # (terms ~ E^2/f against a result of order 1), so its bound scales with

@@ -24,8 +24,17 @@ in configs and CSV columns, radians internally. Geometry scenario:
     }
 
 A tangent's kind comes from u.u by geodesics.tangent_kind, which also asks
-u^t > 0; a tangent within 1e-6 of unit norm is first rescaled to it. A stop
-is {kind, value}; the metric is {kind, mass}, guarded at 2M(1 + 1e-6).
+u^t > 0; a tangent within 1e-6 of unit norm is first rescaled to it. u1 and
+u2 are one geodesic when their components in the static tetrad differ by at
+most 1e-12. A stop is {kind, value}; the metric is {kind, mass}, guarded at
+2M(1 + 1e-6).
+
+A Schwarzschild run works in units of M, the metric's one scale, so its
+weights, correlations, margins and verdict do not depend on M: each leg is
+converted where integrate_geodesic starts it, the paths, frames, transport
+and projection hold unit-mass numbers, and GeodesicSummary.from_path
+converts tau_end and the endpoint back. The echoed config keeps the
+caller's numbers.
 
 Synthetic mode replaces the geometry block with
     "synthetic": {"w_b": 0.9, "b": [1,0,0], "w_c": 0.8, "c": [0.5,0.866,0]}
@@ -432,7 +441,8 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
             raise ValidationError("origin", str(e)) from None
         u1 = _normalized_tangent(g, _floats(_require(data, "u1", ""), 4, "u1"), "u1")
         u2 = _normalized_tangent(g, _floats(_require(data, "u2", ""), 4, "u2"), "u2")
-        if np.max(np.abs(u1 - u2)) <= 1e-12:
+        # compared in the static tetrad, whose components do not depend on M
+        if np.max(np.abs(u1 - u2) * np.sqrt(np.abs(g.diagonal()))) <= 1e-12:
             raise ValidationError("u2", "u1 and u2 must define distinct geodesics")
         stop1 = _parse_stop(_require(data, "stop1", ""), "stop1")
         stop2 = _parse_stop(_require(data, "stop2", ""), "stop2")
@@ -493,9 +503,13 @@ class GeodesicSummary:
 
     @classmethod
     def from_path(cls, path: GeodesicPath) -> "GeodesicSummary":
+        """The path's summary in the caller's units: the one conversion back
+        from a Schwarzschild path's units of M."""
+        M = path.spec.mass if path.spec.kind == SCHWARZSCHILD else 1.0
+        t, r, theta, phi = path.points[-1].tolist()
         return cls(
-            tau_end=path.tau_end,
-            endpoint=[float(x) for x in path.points[-1]],
+            tau_end=path.tau_end * M,
+            endpoint=[t * M, r * M, theta, phi],
             drift=dict(path.drift),
             stats={"nfev": path.nfev, "accepted": path.accepted, "rejected": path.rejected},
         )

@@ -5,7 +5,9 @@ which grbell.geodesics builds in closed form: the identity on a flat leg,
 F(tau) F(0)^-1 for Marck's parallel frame F on a Schwarzschild leg.
 Forward transport applies P at the last stored step, backward transport
 solves with it, and the two-leg transfer R -> O -> L chains a backward leg
-with a forward one: v_L = P_L solve(P_R, v_R).
+with a forward one: v_L = P_L solve(P_R, v_R). A Schwarzschild path holds
+its propagators, metrics and points in units of M, so the solve and
+COMMON_ORIGIN_TOL see numbers that do not depend on M.
 
 The work is done on stacks of vectors, one per row: transport_stack
 carries every setting of a sweep in one solve and one product, and checks
@@ -100,9 +102,10 @@ def _carry(path: GeodesicPath, V: np.ndarray, direction: str) -> TransportedStac
 def transport_stack(geo_L: GeodesicPath, geo_R: GeodesicPath, V_R: np.ndarray) -> TransportedStack:
     """Carry the rows of V_R from event R back to the shared origin O, then out to L.
 
-    Both paths must start at the same emission event within 1e-9 in
-    coordinates; the rows are based at geo_R's endpoint on entry and at
-    geo_L's on return. A row that fails on the way back keeps that error.
+    Both paths must be integrated in the same metric and start at the same
+    emission event within 1e-9 in their stored coordinates; the rows are
+    based at geo_R's endpoint on entry and at geo_L's on return. A row that
+    fails on the way back keeps that error.
     """
     if geo_L.spec != geo_R.spec:
         raise InvalidChart("paths integrated in different metrics")

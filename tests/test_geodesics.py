@@ -14,6 +14,7 @@ from grbell import (
     integrate_geodesic,
 )
 from grbell.geodesics import STOP_SNAP
+from grbell.scenario import GeodesicSummary
 
 M = 1.0
 
@@ -155,12 +156,15 @@ def test_stop_snap_is_in_units_of_the_mass(mass):
     for near in (StopCondition.coordinate_time(0.5 * STOP_SNAP * mass),
                  StopCondition.radius(x0[1] - 0.5 * STOP_SNAP * mass)):
         assert len(integrate_geodesic(spec, x0, u0, near).taus) == 1
+    # the path is stored in units of M; the report converts its endpoint back
     path = integrate_geodesic(spec, x0, u0, StopCondition.coordinate_time(5.0 * mass))
-    assert len(path.taus) > 2 and path.points[-1][0] == pytest.approx(5.0 * mass, rel=1e-8)
+    assert len(path.taus) > 2 and path.points[-1][0] == pytest.approx(5.0, rel=1e-8)
+    assert GeodesicSummary.from_path(path).endpoint[0] == pytest.approx(5.0 * mass, rel=1e-8)
     # the leg steps in units of M, so the radial fall to 4 M is a real leg
     # that reaches its stop at every mass; it must not come back as its start
     path = integrate_geodesic(spec, x0, u0, StopCondition.radius(4.0 * mass))
-    assert len(path.taus) > 2 and path.points[-1][1] == pytest.approx(4.0 * mass, rel=1e-8)
+    assert len(path.taus) > 2 and path.points[-1][1] == pytest.approx(4.0, rel=1e-8)
+    assert GeodesicSummary.from_path(path).endpoint[1] == pytest.approx(4.0 * mass, rel=1e-8)
 
 
 def test_flat_stop_snap_stays_absolute(flat):

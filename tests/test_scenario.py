@@ -85,6 +85,42 @@ def test_identical_tangents_rejected():
         config_from_dict(data)
 
 
+def _demo_at(mass):
+    """The Schwarzschild demo at the given mass: r and the stops times M, u^phi over it."""
+    data = schwarzschild_demo_config()
+    data["metric"]["mass"] = mass
+    data["origin"][1] *= mass
+    for key in ("u1", "u2"):
+        data[key][3] /= mass
+    for key in ("stop1", "stop2"):
+        data[key]["value"] *= mass
+    return data
+
+
+@pytest.mark.parametrize("mass", [1e30, 2.0**40])
+def test_distinct_tangents_are_told_apart_at_a_large_mass(mass):
+    # u^phi = +-0.038 / M differ by less than 1e-12 in coordinates, but by
+    # 0.38 in the static tetrad, which does not depend on M
+    report = run_scenario(config_from_dict(_demo_at(mass)))
+    assert report.status == "ok"
+    if mass == 2.0**40:  # an exact scaling reads the unit-mass row bit for bit
+        unit = run_scenario(config_from_dict(schwarzschild_demo_config()))
+        assert csv_row(report, "run") == csv_row(unit, "run")
+
+
+@pytest.mark.parametrize("mass", [1.0, 1e30, 1e-30])
+def test_tangents_within_1e_13_in_the_static_tetrad_are_one_geodesic(mass):
+    data = _demo_at(mass)
+    data["u2"] = list(data["u1"])
+    with pytest.raises(ValidationError, match="u2: u1 and u2 must define distinct geodesics"):
+        config_from_dict(data)
+    # 1e-13 in the tetrad's phi leg is 1e-13 / r in u^phi, at every mass
+    data["u2"][3] += 1e-13 / data["origin"][1]
+    assert data["u2"][3] != data["u1"][3]
+    with pytest.raises(ValidationError, match="u2: u1 and u2 must define distinct geodesics"):
+        config_from_dict(data)
+
+
 def test_bad_value_types_are_validation_errors():
     data = flat_baseline_config()
     data["metric"] = {"kind": "schwarzschild", "mass": "heavy"}
