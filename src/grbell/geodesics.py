@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -185,6 +186,9 @@ class GeodesicPath:
 # the chart a Schwarzschild path is stored in
 _UNIT_MASS = MetricSpec(SCHWARZSCHILD, 1.0)
 
+_IDENTITY = np.eye(4)
+_IDENTITY.flags.writeable = False
+
 
 def _conservation_drift(
     chart: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, d: np.ndarray
@@ -193,15 +197,18 @@ def _conservation_drift(
     the path's chart; L_z's floor is that chart's M, 1 on a Schwarzschild path."""
     uu = np.einsum("na,na,na->n", d, tangents, tangents)
     n0 = -1.0 if kind == TIMELIKE else 0.0
-    drift = {"norm": float(np.max(np.abs(uu - n0)))}
+    drift = {"norm": float(np.abs(uu - n0).max())}
     if chart.kind == SCHWARZSCHILD:
         r, theta = points[:, 1], points[:, 2]
-        E = -d[:, 0] * tangents[:, 0]
-        Lz = r**2 * np.sin(theta) ** 2 * tangents[:, 3]
-        drift["energy"] = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-12))
-        drift["angular_momentum"] = float(
-            np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), chart.mass)
-        )
+        # E = f u^t, positive on every leg integrate_geodesic accepts, and L_z
+        weights = np.empty((2, len(points)))
+        np.negative(d[:, 0], out=weights[0])
+        np.multiply(r**2, np.sin(theta) ** 2, out=weights[1])
+        killing = weights * tangents[:, ::3].T
+        worst_E, worst_L = np.abs(killing - killing[:, :1]).max(axis=1).tolist()
+        E0, L0 = killing[:, 0].tolist()
+        drift["energy"] = worst_E / abs(E0)
+        drift["angular_momentum"] = worst_L / max(abs(L0), chart.mass)
     return drift
 
 
@@ -213,7 +220,7 @@ def tangent_kind(u: np.ndarray, uu: float) -> str:
     must be future-pointing, u^t > 0, which outside the horizon is the same
     condition in both charts. Raises BadNormalization for anything else.
     """
-    if not np.any(u):
+    if not u.any():
         raise BadNormalization("u is the zero vector")
     if not u[0] > 0.0:
         raise BadNormalization(f"u^t = {u[0]}; u must be future-pointing (u^t > 0)")
@@ -225,19 +232,23 @@ def tangent_kind(u: np.ndarray, uu: float) -> str:
     raise BadNormalization(f"u.u = {uu}, expected -1 (timelike) or 0 (null)")
 
 
-def _tau_cap(stop: StopCondition, t0: float, r0: float, energy: float) -> float:
-    """Largest affine parameter a unit-mass leg from (t0, r0), with E = f u^t, may take."""
+def _tau_cap(kind: str, stop: StopCondition, t0: float, r0: float, energy: float) -> float:
+    """Largest affine parameter a unit-mass leg from (t0, r0), with E = f u^t > 0, may take.
+
+    A radius stop's cap is a free-fall time, which a null leg's affine
+    parameter stretches by 1/E, as the coordinate-time cap does on both kinds.
+    """
     if stop.kind == STOP_PROPER_TIME:
         return stop.value
     if stop.kind == STOP_COORDINATE_TIME:
         # dt/dparam >= E along the path since f u^t is conserved and f <= 1
-        e0 = max(energy, 1e-12)
-        return (abs(stop.value - t0) + 1.0) / min(e0, 1.0) + 1.0
+        return (abs(stop.value - t0) + 1.0) / min(energy, 1.0) + 1.0
     r_far = max(r0, stop.value)
     # generous radial free-fall scale ~ r^{3/2}, plus a flat-space term
     # (r * sqrt(r) overflows to inf, where r**1.5 would raise, for a huge target)
     scale = r_far * math.sqrt(r_far)
-    return 4.0 * scale + 10.0 * abs(r0 - stop.value) + 100.0
+    cap = 4.0 * scale + 10.0 * abs(r0 - stop.value) + 100.0
+    return cap / min(energy, 1.0) if kind == NULL else cap
 
 
 def _chart_radius(spec: MetricSpec, coords: np.ndarray) -> float:
@@ -267,12 +278,21 @@ def check_metric_preserved(
     is boosted by gamma against the static frame. Returns the worst residual.
     """
     d = np.diagonal(g, axis1=1, axis2=2)
-    residual = float(np.max(np.abs(
-        np.einsum("nab,na,nad->nbd", propagators, d, propagators) - g[0]
-    )))
+    return _metric_residual(g[0], d, np.abs(d), propagators, sizes)
+
+
+def _metric_residual(
+    g0: np.ndarray, d: np.ndarray, d_abs: np.ndarray, propagators: np.ndarray,
+    sizes: np.ndarray | None,
+) -> float:
+    """check_metric_preserved from g(x0) and the (n, 4) diagonal d of the
+    metric stack, with its magnitudes d_abs."""
+    residual = np.einsum("nab,na,nad->nbd", propagators, d, propagators)
+    residual -= g0
+    residual = float(np.abs(residual, out=residual).max())
     P_abs = np.abs(propagators)
     sizes = P_abs if sizes is None else sizes
-    conditioning = float(np.max(np.einsum("nab,na,nad->nbd", P_abs, np.abs(d), sizes)))
+    conditioning = float(np.einsum("nab,na,nad->nbd", P_abs, d_abs, sizes).max())
     bound = METRIC_SLACK * max(1.0, conditioning)
     if not residual <= bound:
         raise StepFailure(f"propagator metric residual {residual:.3e} exceeds {bound:.3e}")
@@ -294,7 +314,8 @@ def integrate_geodesic(
     stored in them (see GeodesicPath); the path records spec as given.
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
     the integrated state (x, u, psi), in units of M; flat legs are exact.
-    Raises BadNormalization unless tangent_kind accepts u0, HorizonApproach
+    Raises BadNormalization unless tangent_kind accepts u0 and, on a
+    Schwarzschild leg, its Killing energy f u^t is positive, HorizonApproach
     if the path would cross the guard radius, StepFailure if the stop is
     not reached within the tau cap (a flat leg has none) or MAX_STEPS
     steps, the state turns non-finite, the step size underflows,
@@ -313,8 +334,13 @@ def integrate_geodesic(
         # the floats becomes inf without a warning, and the leg's checks refuse it
         M = spec.mass
         t, r, theta, phi = x0.tolist()
-        x0, u0 = np.array([t / M, r / M, theta, phi]), u0 * (1.0, 1.0, M, M)
+        ut, ur, uth, uph = u0.tolist()
+        x0, u0 = np.array([t / M, r / M, theta, phi]), np.array([ut, ur, uth * M, uph * M])
         stop = StopCondition(stop.kind, stop.value / M)
+        # E = f u^t divides a null leg's rates, its caps and the energy drift;
+        # a u^t so small that E underflows leaves them undefined
+        if not (1.0 - 2.0 / (r / M)) * ut > 0.0:
+            raise BadNormalization(f"Killing energy f u^t underflows to 0 at u^t = {ut}")
 
     # degenerate stop: zero-length path
     if (
@@ -449,7 +475,7 @@ def _schwarzschild_leg(
     guard = _UNIT_MASS.guard_radius
     events.append((1, guard, -1))
     what = f"stop condition {stop.kind} = {stop.value} M"
-    cap = _tau_cap(stop, t0, r0, energy)
+    cap = _tau_cap(kind, stop, t0, r0, energy)
     try:
         run = _dopri(rhs, y0, cap, tol, events, what)
     except (ArithmeticError, ValueError) as e:  # e.g. a trial stage on the polar axis
@@ -459,16 +485,16 @@ def _schwarzschild_leg(
     if stop.kind != STOP_PROPER_TIME and run.event is None:
         raise StepFailure(f"{what} not reached by tau = {cap} M")
 
-    states = np.array(run.states)
+    taus = np.array(run.taus)
+    states = np.fromiter(chain.from_iterable(run.states), float, 9 * len(taus)).reshape(-1, 9)
     states[:, 0] += t0
     states[:, 3] += ph0
-    taus = np.array(run.taus)
     points = np.ascontiguousarray(states[:, :4])
     g = metric_stack(_UNIT_MASS, points)
     frames = _parallel_frames(kind, points, g, states[:, 4:8], states[:, 8])
     inverse = np.linalg.inv(frames[0])
     propagators = frames @ inverse
-    propagators[0] = np.eye(4)
+    propagators[0] = _IDENTITY
     # the integrated tangents are checked; the path stores the frame's u, which P carries
     return _checked_path(
         spec, kind, tol, taus, points, states[:, 4:8],
@@ -487,35 +513,66 @@ def _parallel_frames(
     orthonormal. Null legs: (u, n, m, l) with n.u = -1, m.m = l.l = 1 and
     all other products 0. u^t is rebuilt by the one rule of the module
     docstring, so the Gram matrix holds to rounding wherever u drifts.
+    Each column is written into one buffer in the static tetrad, which its
+    legs then scale.
     """
+    n = len(points)
     r, theta = points[:, 1], points[:, 2]
-    sqrt_f = np.sqrt(-g[:, 0, 0])
+    # the legs f^-1/2 d_t, f^1/2 d_r, r^-1 d_theta, (r sin theta)^-1 d_phi
+    legs = np.empty((n, 4))
+    sqrt_f = np.sqrt(-g[:, 0, 0], out=legs[:, 1])
     r_sin = r * np.sin(theta)
-    # u in the static tetrad f^-1/2 d_t, f^1/2 d_r, r^-1 d_theta, (r sin theta)^-1 d_phi
-    U1, U2, U3 = tangents[:, 1] / sqrt_f, r * tangents[:, 2], r_sin * tangents[:, 3]
+    np.divide(1.0, sqrt_f, out=legs[:, 0])
+    np.divide(1.0, r, out=legs[:, 2])
+    np.divide(1.0, r_sin, out=legs[:, 3])
+    frames = np.zeros((n, 4, 4))
+    u = frames[:, :, 0]
+    U0, U1, U2, U3 = u.T
+    np.divide(tangents[:, 1], sqrt_f, out=U1)
+    np.multiply(r, tangents[:, 2], out=U2)
+    np.multiply(r_sin, tangents[:, 3], out=U3)
     lam = np.hypot(U2, U3)
-    zero = np.zeros_like(r)
+    # (n2, n3), the orbital plane's normal direction in the static tetrad
     if lam[0] == 0.0:  # radial leg: theta-hat and phi-hat are parallel
-        n2, n3 = np.ones_like(r), zero
+        normal = np.array([1.0, 0.0])
     else:
-        n2, n3 = U2 / lam, U3 / lam
-    normal = np.stack([zero, zero, n3, -n2], axis=1)
+        normal = u[:, 2:] / lam[:, None]
+    frames[:, 2, 3], frames[:, 3, 3] = normal[..., 1], -normal[..., 0]
     # U0^2 - U1^2 = D = eps + Lambda^2, with no cancellation in forming D
     eps = 1.0 if kind == TIMELIKE else 0.0
     D, root_D = eps + lam * lam, np.hypot(eps, lam)
-    U0 = np.hypot(U1, root_D)
-    u, psi = np.stack([U0, U1, U2, U3], axis=1), psi[:, None]
+    np.hypot(U1, root_D, out=U0)
+    psi = psi[:, None]
     if kind == TIMELIKE:
-        a = np.stack([U1, U0, zero, zero], axis=1) / root_D[:, None]
-        b = np.stack([lam * U0, lam * U1, D * n2, D * n3], axis=1) / root_D[:, None]
-        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-        columns = (u, a * cos_psi + b * sin_psi, b * cos_psi - a * sin_psi, normal)
+        # a = (U1, U0, 0, 0) / sqrt(D), b = (Lambda U0, Lambda U1, D n) / sqrt(D)
+        a, b = ab = np.zeros((2, n, 4))
+        a[:, :2] = u[:, 1::-1]
+        np.multiply(lam[:, None], u[:, :2], out=b[:, :2])
+        np.multiply(D[:, None], normal, out=b[:, 2:])
+        ab /= root_D[:, None]
+        trig = np.empty((2, n, 1))
+        np.cos(psi, out=trig[0])
+        np.sin(psi, out=trig[1])
+        # (a cos, a sin), (b cos, b sin)
+        (a_cos, a_sin), (b_cos, b_sin) = ab[:, None] * trig
+        np.add(a_cos, b_sin, out=frames[:, :, 1])
+        np.subtract(b_cos, a_sin, out=frames[:, :, 2])
     else:
-        m0 = np.stack([zero, lam, -U1 * n2, -U1 * n3], axis=1) / U0[:, None]
-        n0 = np.stack([U0, -U1, -lam * n2, -lam * n3], axis=1) / (2.0 * U0 * U0)[:, None]
-        columns = (u, n0 + psi * m0 + 0.5 * psi * psi * u, m0 + psi * u, normal)
-    legs = np.stack([1.0 / sqrt_f, sqrt_f, 1.0 / r, 1.0 / r_sin], axis=1)
-    return legs[:, :, None] * np.stack(columns, axis=2)
+        # m0 = (0, Lambda, -U1 n) / U0, n0 = (U0, -U1, -Lambda n) / (2 U0^2)
+        m0, n0 = np.zeros((2, n, 4))
+        neg_U1 = -U1
+        m0[:, 1] = lam
+        np.multiply(neg_U1[:, None], normal, out=m0[:, 2:])
+        n0[:, 0] = U0
+        n0[:, 1] = neg_U1
+        np.multiply(-lam[:, None], normal, out=n0[:, 2:])
+        m0 /= U0[:, None]
+        n0 /= (2.0 * U0 * U0)[:, None]
+        np.add(n0, psi * m0, out=frames[:, :, 1])
+        frames[:, :, 1] += 0.5 * psi * psi * u
+        np.add(m0, psi * u, out=frames[:, :, 2])
+    frames *= legs[:, :, None]
+    return frames
 
 
 @dataclass(frozen=True, eq=False)
@@ -699,20 +756,21 @@ def _checked_path(
     """
     chart = _UNIT_MASS if spec.kind == SCHWARZSCHILD else spec
     g = metric_stack(chart, points) if g is None else g
-    d = np.diagonal(g, axis1=1, axis2=2)
+    d = g.diagonal(axis1=1, axis2=2)
+    d_abs = np.abs(d)
     drift = _conservation_drift(chart, kind, points, tangents, d)
     bound = _drift_bound(tol)
     # the tangent-norm check cancels catastrophically near the horizon
     # (terms ~ E^2/f against a result of order 1), so its bound scales with
     # the conditioning number; the Killing checks have no such cancellation
     u_abs = np.abs(tangents)
-    conditioning = float(np.max(np.einsum("na,na,na->n", np.abs(d), u_abs, u_abs)))
+    conditioning = float(np.einsum("na,na,na->n", d_abs, u_abs, u_abs).max())
     bounds = {k: bound for k in drift}
     bounds["norm"] = bound * max(1.0, conditioning)
     bad = {k: v for k, v in drift.items() if v > bounds[k]}
     if bad:
         raise StepFailure(f"conservation drift {bad} exceeds {bounds}")
-    check_metric_preserved(g, propagators, sizes)
+    _metric_residual(g[0], d, d_abs, propagators, sizes)
     return GeodesicPath(
         spec=spec,
         kind=kind,

@@ -652,7 +652,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     if errors:
         raise errors[0] from getattr(errors[0], "cause", None)
     best, found = optimal_settings(arm_b, arm_c)
-    rows = bell_stack(a, arm_b, arm_c)
+    # the best setting is a second row of a: a row's values do not depend on
+    # the rows beside it, so the first row is the run's own
+    both = bell_stack(np.concatenate([a, best]), arm_b, arm_c)
+    rows = both._replace(
+        a=a, p_ab=both.p_ab[:1], p_ac=both.p_ac[:1], lhs=both.lhs[:1], margin=both.margin[:1],
+        violated=both.violated[:1],
+    )
 
     lhv = None
     if cfg.lhv_audit:
@@ -676,7 +682,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         geodesic_1=None if geometry is None else GeodesicSummary.from_path(geometry.geo1),
         geodesic_2=None if geometry is None else GeodesicSummary.from_path(geometry.geo2),
         best_setting=Direction3(best[0]) if found[0] else None,
-        best_margin=float(bell_stack(best, arm_b, arm_c).margin[0]) if found[0] else None,
+        best_margin=float(both.margin[1]) if found[0] else None,
         lhv=lhv,
         elapsed_s=time.perf_counter() - t0,
     )

@@ -44,15 +44,23 @@ class TransportedStack(NamedTuple):
     errors: dict[int, SimulatorError]
 
 
-def _invariants(path: GeodesicPath, i: int, V: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per row v of V: (v.v, v.u) at stored step i and the sum-of-magnitudes conditioning of each.
+def _invariants(path: GeodesicPath, W: np.ndarray) -> np.ndarray:
+    """(v.v, v.u) per row v of W[0] at the path's first stored step and of
+    W[1] at its last, and the sum-of-magnitudes conditioning of each.
 
-    g is diagonal in both charts, so v g is v times g's diagonal.
+    Returns (2, 2, 2, k): [products, conditioning], then [v.v, v.u], then
+    the two ends. g is diagonal in both charts, so v g is v times g's
+    diagonal; the four products are one stacked row_dot.
     """
-    u, d = path.tangents[i], np.diagonal(path.metrics[i])
-    V_abs = np.abs(V)
-    vg, vg_abs = V * d, V_abs * np.abs(d)
-    return row_dot(vg, V), row_dot(vg, u), row_dot(vg_abs, V_abs), row_dot(vg_abs, np.abs(u))
+    # partners[s, q, e]: v (q = 0) or u (q = 1) at end e, as is (s = 0) or in magnitude
+    partners = np.empty((2, 2, *W.shape))
+    partners[0, 0] = W
+    partners[0, 1, 0], partners[0, 1, 1] = path.tangents[0], path.tangents[-1]
+    np.abs(partners[0], out=partners[1])
+    d = np.empty((2, 2, 1, 4))
+    d[0, 0, 0], d[0, 1, 0] = path.metrics[0].diagonal(), path.metrics[-1].diagonal()
+    np.abs(d[0], out=d[1])
+    return row_dot((partners[:, 0] * d)[:, None], partners)
 
 
 def _carry(path: GeodesicPath, V: np.ndarray, direction: str) -> TransportedStack:
@@ -63,35 +71,38 @@ def _carry(path: GeodesicPath, V: np.ndarray, direction: str) -> TransportedStac
     drift bound, and a row that exceeds it or is not finite fails.
     """
     # the vectors at the path's first and last stored steps
+    W = np.empty((2, *V.shape))
     P_end = path.propagators[-1]
     if direction == FORWARD:
-        first, last = V, row_matvec(P_end, V)
+        W[0] = V
+        W[1] = row_matvec(P_end, V)
+        start, end = 0, 1
     else:
-        last, first = V, np.linalg.solve(P_end, V[..., None])[..., 0]
-    at_first, at_last = _invariants(path, 0, first), _invariants(path, -1, last)
-    start, end = (at_first, at_last) if direction == FORWARD else (at_last, at_first)
-    start_norm, start_dot, cond_n0, cond_d0 = start
-    end_norm, end_dot, cond_n1, cond_d1 = end
-    norm_scale = np.maximum(np.abs(start_norm), 1.0)
-    norm_drift = np.abs(end_norm - start_norm) / norm_scale
-    dot_drift = np.abs(end_dot - start_dot) / np.maximum(np.abs(start_dot), 1.0)
-    bound = _drift_bound(path.tol)
+        W[1] = V
+        W[0] = np.linalg.solve(P_end, V[..., None])[..., 0]
+        start, end = 1, 0
+    products, conditioning = _invariants(path, W)
+    # per row: the drift of v.v and of v.u, each relative to its start
+    scale = np.maximum(np.abs(products[:, start]), 1.0)
+    drift = np.abs(products[:, end] - products[:, start]) / scale
     # near the horizon both products cancel heavily; scale the bound by the
     # worst conditioning seen at either end (1 in mild regimes), taken relative
     # to |v.v| for the norm, as its drift is: it then does not grow with |v|
-    norm_bound = bound * np.maximum(1.0, np.maximum(cond_n0, cond_n1) / norm_scale)
-    dot_bound = bound * np.maximum(np.maximum(1.0, cond_d0), cond_d1)
+    worst = conditioning.max(axis=1)
+    worst[0] /= scale[0]
+    bounds = _drift_bound(path.tol) * np.maximum(1.0, worst)
 
-    moved = last if direction == FORWARD else first
-    finite = np.all(np.isfinite(moved), axis=-1)
+    moved = W[end]
+    finite = np.isfinite(moved).all(axis=-1)
     # written so that a NaN drift fails
-    ok = finite & (norm_drift <= norm_bound) & (dot_drift <= dot_bound)
+    ok = finite & (drift <= bounds).all(axis=0)
+    norm_drift, dot_drift = drift
     errors: dict[int, SimulatorError] = {}
     for j in np.flatnonzero(~ok).tolist():
         errors[j] = (
             StepFailure(
                 f"transport drift norm={norm_drift[j]:.3e} tangent_dot={dot_drift[j]:.3e} "
-                f"exceeds ({norm_bound[j]:.3e}, {dot_bound[j]:.3e})"
+                f"exceeds ({bounds[0, j]:.3e}, {bounds[1, j]:.3e})"
             )
             if finite[j]
             else NonFiniteVector(f"transported vector {moved[j].tolist()} is not finite")
@@ -109,7 +120,7 @@ def transport_stack(geo_L: GeodesicPath, geo_R: GeodesicPath, V_R: np.ndarray) -
     """
     if geo_L.spec != geo_R.spec:
         raise InvalidChart("paths integrated in different metrics")
-    origin_gap = np.max(np.abs(geo_L.points[0] - geo_R.points[0]))
+    origin_gap = np.abs(geo_L.points[0] - geo_R.points[0]).max()
     if origin_gap > COMMON_ORIGIN_TOL:
         raise CommonOriginMismatch(
             f"emission events differ by {origin_gap:.3e} in coordinates"

@@ -4,20 +4,23 @@ The package needs no Christoffel symbols: the geodesic right-hand side
 writes its connection terms out by hand, and transport uses a closed-form
 propagator. christoffel_components is the closed-form table both are
 checked against, and finite_difference_christoffel rebuilds that table
-from the metric. column_list_frames and row_vecmat_invariants are the
-earlier forms of two kernels, kept so that tests can pin the package's
-faster forms to their bits. The adapters below give the stack kernels a
-one-row call shape, on the package's public one-row objects, that several
-tests share, and csv_cells reads a CSV line back as its named cells.
+from the metric. column_list_frames, row_vecmat_invariants and the
+earlier_* functions are the earlier forms of the package's kernels, kept so
+that tests can pin the faster forms to their bits. The adapters below give
+the stack kernels a one-row call shape, on the package's public one-row
+objects, that several tests share, and csv_cells reads a CSV line back as
+its named cells.
 """
 import math
 
 import numpy as np
 
+from grbell import geodesics
 from grbell.correlations import _ordered, _weighted_differences, bell_stack, violation_stack
+from grbell.errors import NonFiniteVector, StepFailure
 from grbell.frames import ProjectionStack
-from grbell.geodesics import TIMELIKE
-from grbell.geometry import ETA, MINKOWSKI, metric_components, row_dot
+from grbell.geodesics import SCHWARZSCHILD, TIMELIKE, _drift_bound
+from grbell.geometry import ETA, MINKOWSKI, MetricSpec, metric_components, metric_stack, row_dot, row_matvec
 from grbell.scenario import CSV_COLUMNS
 
 
@@ -108,12 +111,106 @@ def row_vecmat(V, M):
     return np.matmul(V[..., None, :], M)[..., 0, :]
 
 
-def row_vecmat_invariants(path, i, V):
-    """transport's (v.v, v.u) and their conditioning, with v g as a full vector-matrix product."""
-    u, g = path.tangents[i], path.metrics[i]
-    V_abs = np.abs(V)
-    vg, vg_abs = row_vecmat(V, g), row_vecmat(V_abs, np.abs(g))
-    return row_dot(vg, V), row_dot(vg, u), row_dot(vg_abs, V_abs), row_dot(vg_abs, np.abs(u))
+def row_vecmat_invariants(path, W):
+    """transport's (v.v, v.u) and their conditioning at both ends, with v g
+    as a full vector-matrix product."""
+    u, g = path.tangents[[0, -1], None], path.metrics[[0, -1], None]
+    W_abs = np.abs(W)
+    vg, vg_abs = row_vecmat(W, g), row_vecmat(W_abs, np.abs(g))
+    return np.array([
+        [row_dot(vg, W), row_dot(vg, u)], [row_dot(vg_abs, W_abs), row_dot(vg_abs, np.abs(u))]
+    ])
+
+
+def earlier_conservation_drift(chart, kind, points, tangents, d):
+    """_conservation_drift with E and L_z as separate arrays and E's floor
+    max(|E0|, 1e-12), which no leg with E >= 1e-12 reaches."""
+    uu = np.einsum("na,na,na->n", d, tangents, tangents)
+    n0 = -1.0 if kind == TIMELIKE else 0.0
+    drift = {"norm": float(np.max(np.abs(uu - n0)))}
+    if chart.kind == SCHWARZSCHILD:
+        r, theta = points[:, 1], points[:, 2]
+        E = -d[:, 0] * tangents[:, 0]
+        Lz = r**2 * np.sin(theta) ** 2 * tangents[:, 3]
+        drift["energy"] = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-12))
+        drift["angular_momentum"] = float(
+            np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), chart.mass)
+        )
+    return drift
+
+
+def earlier_metric_check(g, propagators, sizes=None):
+    """check_metric_preserved with its own |d| and np.max reductions."""
+    d = np.diagonal(g, axis1=1, axis2=2)
+    residual = float(np.max(np.abs(
+        np.einsum("nab,na,nad->nbd", propagators, d, propagators) - g[0]
+    )))
+    P_abs = np.abs(propagators)
+    sizes = P_abs if sizes is None else sizes
+    conditioning = float(np.max(np.einsum("nab,na,nad->nbd", P_abs, np.abs(d), sizes)))
+    bound = geodesics.METRIC_SLACK * max(1.0, conditioning)
+    if not residual <= bound:
+        raise StepFailure(f"propagator metric residual {residual:.3e} exceeds {bound:.3e}")
+    return residual
+
+
+def earlier_leg_arrays(kind, taus, states, t0, ph0):
+    """A Schwarzschild leg's arrays from the stepper's lists, built with
+    np.array and the 16-column frames: (taus, points, integrated tangents,
+    propagators, sizes, metrics, stored tangents)."""
+    states = np.array(states)
+    states[:, 0] += t0
+    states[:, 3] += ph0
+    points = np.ascontiguousarray(states[:, :4])
+    unit_mass = MetricSpec(SCHWARZSCHILD, 1.0)
+    frames = column_list_frames(unit_mass, kind, points, states[:, 4:8], states[:, 8])
+    inverse = np.linalg.inv(frames[0])
+    propagators = frames @ inverse
+    propagators[0] = np.eye(4)
+    return (
+        np.array(taus), points, states[:, 4:8], propagators, np.abs(frames) @ np.abs(inverse),
+        metric_stack(unit_mass, points), np.ascontiguousarray(frames[:, :, 0]),
+    )
+
+
+def earlier_carry(path, V, direction):
+    """transport._carry with the invariants of each end computed apart:
+    (v, norm_drift, tangent_dot_drift, errors)."""
+    def invariants(i, V):
+        u, d = path.tangents[i], np.diagonal(path.metrics[i])
+        V_abs = np.abs(V)
+        vg, vg_abs = V * d, V_abs * np.abs(d)
+        return row_dot(vg, V), row_dot(vg, u), row_dot(vg_abs, V_abs), row_dot(vg_abs, np.abs(u))
+
+    P_end = path.propagators[-1]
+    if direction == "forward":
+        first, last = V, row_matvec(P_end, V)
+    else:
+        last, first = V, np.linalg.solve(P_end, V[..., None])[..., 0]
+    at_first, at_last = invariants(0, first), invariants(-1, last)
+    start, end = (at_first, at_last) if direction == "forward" else (at_last, at_first)
+    start_norm, start_dot, cond_n0, cond_d0 = start
+    end_norm, end_dot, cond_n1, cond_d1 = end
+    norm_scale = np.maximum(np.abs(start_norm), 1.0)
+    norm_drift = np.abs(end_norm - start_norm) / norm_scale
+    dot_drift = np.abs(end_dot - start_dot) / np.maximum(np.abs(start_dot), 1.0)
+    bound = _drift_bound(path.tol)
+    norm_bound = bound * np.maximum(1.0, np.maximum(cond_n0, cond_n1) / norm_scale)
+    dot_bound = bound * np.maximum(np.maximum(1.0, cond_d0), cond_d1)
+    moved = last if direction == "forward" else first
+    finite = np.all(np.isfinite(moved), axis=-1)
+    ok = finite & (norm_drift <= norm_bound) & (dot_drift <= dot_bound)
+    errors = {}
+    for j in np.flatnonzero(~ok).tolist():
+        errors[j] = (
+            StepFailure(
+                f"transport drift norm={norm_drift[j]:.3e} tangent_dot={dot_drift[j]:.3e} "
+                f"exceeds ({norm_bound[j]:.3e}, {dot_bound[j]:.3e})"
+            )
+            if finite[j]
+            else NonFiniteVector(f"transported vector {moved[j].tolist()} is not finite")
+        )
+    return moved, norm_drift, dot_drift, errors
 
 
 def checked(stack):

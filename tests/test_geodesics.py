@@ -140,6 +140,30 @@ def test_coordinate_time_stop(schw):
     assert path.points[-1][0] == pytest.approx(12.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("stop", [StopCondition.radius(14.0), StopCondition.coordinate_time(30.0)])
+def test_a_scaled_null_leg_reaches_its_stop(schw, stop):
+    # a null tangent scaled by 2^-k is the same ray with its affine
+    # parameter stretched by 2^k; the caps stretch with it
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    f = 1.0 - 2.0 / 10.0
+    u0 = np.array([1.0 / math.sqrt(f), 0.3 * math.sqrt(f), 0.0, math.sqrt(0.91) / 10.0])
+    unit = integrate_geodesic(schw, x0, u0, stop)
+    for k in (20, 40, 60):
+        path = integrate_geodesic(schw, x0, u0 * 2.0**-k, stop)
+        assert path.kind == "null"
+        assert np.allclose(path.points[-1], unit.points[-1], rtol=1e-9, atol=0.0)
+        assert path.tau_end == pytest.approx(unit.tau_end * 2.0**k, rel=1e-6)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_a_killing_energy_that_underflows_is_a_bad_normalization(schw, tau):
+    # u^t = 5e-324 passes as null (u.u underflows to 0), but f u^t rounds to 0
+    # at r = 3, where f = 1/3: neither a leg nor its energy drift is defined
+    x0 = np.array([0.0, 3.0, math.pi / 2, 0.0])
+    with pytest.raises(BadNormalization, match="Killing energy"):
+        integrate_geodesic(schw, x0, np.array([5e-324, 0.0, 0.0, 0.0]), StopCondition.proper_time(tau))
+
+
 def test_degenerate_stop_single_sample(schw):
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     path = integrate_geodesic(schw, x0, static_tangent(schw, x0), StopCondition.proper_time(0.0))

@@ -14,7 +14,13 @@ from grbell import HorizonDomain, StepFailure, StopCondition, integrate_geodesic
 from grbell import geodesics
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from conftest import random_exterior_point
-from reference import christoffel_components, column_list_frames
+from reference import (
+    christoffel_components,
+    column_list_frames,
+    earlier_conservation_drift,
+    earlier_leg_arrays,
+    earlier_metric_check,
+)
 
 M = 1.0
 EPS = float(np.finfo(float).eps)
@@ -251,3 +257,88 @@ def test_equatorial_null_leg_carries_the_plane_normal(schw):
     P = path.propagators[-1]
     assert np.max(np.abs(P[2, [0, 1, 3]])) <= 1e-12
     assert P[2, 2] == pytest.approx(8.0 / path.points[-1, 1], rel=1e-12)
+
+
+def recorded_legs(schw, flat, rng, monkeypatch):
+    """Each leg's _checked_path arguments, and each stepped leg's run, over
+    random timelike, null, radial and near-radial Schwarzschild legs, zero-length
+    legs of both kinds and flat legs of both kinds."""
+    checks, runs = [], []
+    checked_path, dopri = geodesics._checked_path, geodesics._dopri
+
+    def recording_check(*args, **kwargs):
+        checks.append((args, kwargs))
+        return checked_path(*args, **kwargs)
+
+    def recording_dopri(*args):
+        runs.append(dopri(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(geodesics, "_checked_path", recording_check)
+    monkeypatch.setattr(geodesics, "_dopri", recording_dopri)
+    for kind, radial_fraction in LEGS:
+        for _ in range(3):
+            x0, u0 = launch(rng, kind, radial_fraction)
+            for tau in (rng.uniform(1.0, 12.0), 0.0):
+                try:
+                    integrate_geodesic(schw, x0, u0, StopCondition.proper_time(tau))
+                except StepFailure:
+                    continue
+    for u0 in ([1.25, 0.6, 0.0, -0.45], [1.0, 0.6, 0.0, 0.8]):
+        integrate_geodesic(flat, np.array([0.5, 1.0, -2.0, 3.0]), np.array(u0), StopCondition.proper_time(4.0))
+    return checks, runs
+
+
+def test_leg_arrays_equal_the_earlier_assembly(schw, flat, rng, monkeypatch):
+    # the stored states, frames, propagators and sizes of every stepped leg
+    # are the bits of the np.array and 16-column assembly
+    checks, runs = recorded_legs(schw, flat, rng, monkeypatch)
+    stepped = [(args, kwargs) for args, kwargs in checks if len(args) > 8]
+    assert len(stepped) == len(runs) >= 12
+    kinds = set()
+    for (args, kwargs), run in zip(stepped, runs):
+        _, kind, _, taus, points, tangents, propagators, sizes = args[:8]
+        kinds.add((kind, bool(tangents[0, 2] == tangents[0, 3] == 0.0)))
+        t0, ph0 = points[0, 0], points[0, 3]
+        expected = earlier_leg_arrays(kind, run.taus, run.states, t0, ph0)
+        found = (taus, points, tangents, propagators, sizes, kwargs["g"], kwargs["stored_tangents"])
+        for new, old in zip(found, expected):
+            assert new.shape == old.shape
+            assert np.array_equal(new, old)
+    assert kinds == {("timelike", False), ("timelike", True), ("null", False), ("null", True)}
+
+
+def test_path_checks_equal_the_earlier_forms(schw, flat, rng, monkeypatch):
+    # the drift and the metric check of every leg, stepped, zero-length or
+    # flat, give the earlier forms' bits, and their failures the same message
+    checks, _ = recorded_legs(schw, flat, rng, monkeypatch)
+    lengths = set()
+    for args, kwargs in checks:
+        spec, kind, _, _, points, tangents, propagators = args[:7]
+        sizes = args[7] if len(args) > 7 else None
+        chart = geodesics._UNIT_MASS if spec.kind == "schwarzschild" else spec
+        g = kwargs.get("g")
+        g = geodesics.metric_stack(chart, points) if g is None else g
+        d = np.diagonal(g, axis1=1, axis2=2)
+        lengths.add((spec.kind, kind, len(points) > 1))
+        assert geodesics._conservation_drift(chart, kind, points, tangents, d) == (
+            earlier_conservation_drift(chart, kind, points, tangents, d)
+        )
+        bent = propagators + 1e-6
+        broken = propagators.copy()
+        broken[-1, 1, 2] = math.nan
+        for P in (propagators, bent, broken):
+            for size in (None, sizes, None if sizes is None else sizes + 1.0):
+                try:
+                    expected = earlier_metric_check(g, P, size)
+                except StepFailure as e:
+                    with pytest.raises(StepFailure) as found:
+                        check_metric_preserved(g, P, size)
+                    assert str(found.value) == str(e)
+                else:
+                    assert check_metric_preserved(g, P, size) == expected
+    assert lengths == {
+        (chart, kind, stepped)
+        for chart, stepped in (("schwarzschild", True), ("schwarzschild", False), ("minkowski", True))
+        for kind in ("timelike", "null")
+    }

@@ -222,6 +222,59 @@ def test_schwarzschild_null_leg_config():
     assert report.geodesic_1.drift["norm"] < 1e-8
 
 
+def null_leg_demo(scale):
+    # the demo with u1 a photon of static-tetrad components (1, 0.3, 0, sqrt(0.91))
+    # and affine scale `scale`, stopped at radius 14
+    data = schwarzschild_demo_config()
+    data["lhv_audit"] = False
+    f = 1.0 - 2.0 / 10.0
+    data["u1"] = [scale / math.sqrt(f), scale * 0.3 * math.sqrt(f), 0.0, scale * math.sqrt(0.91) / 10.0]
+    data["stop1"] = {"kind": "radius", "value": 14.0}
+    return data
+
+
+def test_a_null_leg_reaches_its_radius_stop_at_any_affine_scale():
+    # a null tangent's scale is free: its affine parameter, and so the cap on
+    # it, scales as 1/E, while the weights and the relative drifts stay put
+    unit = run_scenario(config_from_dict(null_leg_demo(1.0)))
+    for k in (20, 40, 60):
+        report = run_scenario(config_from_dict(null_leg_demo(2.0**-k)))
+        assert report.geodesic_1.endpoint[1] == pytest.approx(14.0, rel=1e-9)
+        assert report.proj_b.w == pytest.approx(unit.proj_b.w, abs=1e-9)
+        assert report.proj_c.w == pytest.approx(unit.proj_c.w, abs=1e-9)
+        assert report.inequality.margin == pytest.approx(unit.inequality.margin, abs=1e-9)
+        assert report.geodesic_1.tau_end == pytest.approx(unit.geodesic_1.tau_end * 2.0**k, rel=1e-6)
+        # the relative energy drift is of the unit scale's order, not floored away
+        assert 0.1 < report.geodesic_1.drift["energy"] / unit.geodesic_1.drift["energy"] < 10.0
+
+
+def test_a_run_reads_its_rows_and_best_margin_from_one_bell_stack():
+    # the best setting rides as a second row of a: the run's row and the
+    # best margin are the bits of two separate bell_stack calls
+    synthetic = {"w_b": 0.7, "b": [0.0, 1.0, 0.0], "w_c": 0.7, "c": [0.0, 1.0, 0.0]}
+    documents = [flat_baseline_config(), schwarzschild_demo_config(), null_leg_demo(1.0),
+                 {"settings": flat_baseline_config()["settings"], "synthetic": synthetic}]
+    found = []
+    for data in documents:
+        data["lhv_audit"] = False
+        cfg = config_from_dict(data)
+        report = run_scenario(cfg)
+        a, b, c = scenario._settings_rows(cfg.settings)
+        arm_b, arm_c, _ = scenario._arms(scenario._geometry(cfg), b, c, cfg.synthetic)
+        rows = bell_stack(a, arm_b, arm_c)
+        for name in ("a", "p_ab", "p_ac", "p_bc", "lhs", "rhs", "margin", "violated", "swapped", "degenerate"):
+            assert np.array_equal(getattr(report.rows, name), getattr(rows, name), equal_nan=True)
+        for arm, expected in ((report.rows.b, rows.b), (report.rows.c, rows.c)):
+            assert all(np.array_equal(x, y) for x, y in zip(arm[:4], expected[:4]))
+        found.append(report.best_setting is not None)
+        if report.best_setting is not None:
+            best = report.best_setting.d[None]
+            assert report.best_margin == float(bell_stack(best, arm_b, arm_c).margin[0])
+        else:
+            assert report.best_margin is None
+    assert found == [True, True, True, False]
+
+
 def test_synthetic_conflicts_with_geometry():
     data = flat_baseline_config()
     data["synthetic"] = {"w_b": 1.0, "b": [1, 0, 0], "w_c": 1.0, "c": [0, 1, 0]}

@@ -20,7 +20,7 @@ from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from grbell.geometry import metric_components
 from grbell import transport
 from grbell.transport import BACKWARD, FORWARD, _carry, transport_stack
-from reference import checked, csv_cells, row_vecmat_invariants, tetrad_components
+from reference import checked, csv_cells, earlier_carry, row_vecmat_invariants, tetrad_components
 
 M = 1.0
 
@@ -287,6 +287,46 @@ def test_diagonal_invariants_give_the_row_vecmat_results_bit_for_bit(schw, rng, 
             j: type(e) for j, e in full.errors.items()
         }
         assert len(diagonal.errors) >= 7
+
+
+def test_carry_equals_the_earlier_form(schw, flat, rng):
+    # both ends' invariants as one stacked product give the bits, the drifts
+    # and the errors of the ends taken apart, in both directions, on
+    # timelike, null, radial, zero-length and flat paths
+    x0 = np.array([0.0, 8.0, 1.2, 0.4])
+    f = 0.75
+    static_legs = np.array([1.0 / math.sqrt(f), math.sqrt(f), 1.0 / 8.0, 1.0 / (8.0 * math.sin(1.2))])
+    paths = [
+        circular_path(schw, revolutions=0.3),
+        radial_infall_path(schw, r_end=2.5),
+        integrate_geodesic(schw, x0, static_legs * [1.0, 0.6, 0.0, 0.8], StopCondition.proper_time(4.0)),
+        integrate_geodesic(schw, x0, static_legs * [1.0, -1.0, 0.0, 0.0], StopCondition.proper_time(2.0)),
+        integrate_geodesic(schw, x0, static_legs * [1.0, 0.0, 0.0, 0.0], StopCondition.proper_time(0.0)),
+        flat_path(flat),
+    ]
+    assert [p.kind for p in paths] == ["timelike", "timelike", "null", "null", "timelike", "timelike"]
+    V = np.concatenate([
+        rng.standard_normal((6, 4)),
+        rng.standard_normal((3, 4)) * 10.0 ** rng.uniform(150, 300, (3, 4)),
+        [[0.0, 1e300, 1e300, 0.0], [0.0, 0.0, 0.0, 0.0]],
+        [[0.0, math.inf, 0.0, 0.0], [math.nan, 0.0, 1.0, 0.0], [math.nan] * 4],
+    ])
+    failed = 0
+    for path in paths:
+        bent = dataclasses.replace(path, propagators=path.propagators * (1.0 + 1e-6))
+        for p in (path, bent):
+            for direction in (FORWARD, BACKWARD):
+                with np.errstate(all="ignore"):
+                    found = _carry(p, V, direction)
+                    v, norm_drift, dot_drift, errors = earlier_carry(p, V, direction)
+                assert np.array_equal(found.v, v, equal_nan=True)
+                assert np.array_equal(found.norm_drift, norm_drift, equal_nan=True)
+                assert np.array_equal(found.tangent_dot_drift, dot_drift, equal_nan=True)
+                assert {j: (type(e), str(e)) for j, e in found.errors.items()} == {
+                    j: (type(e), str(e)) for j, e in errors.items()
+                }
+                failed += len(errors)
+    assert failed >= 100
 
 
 def test_the_norm_check_does_not_loosen_with_the_size_of_the_vector(flat):
