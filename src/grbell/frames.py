@@ -3,7 +3,7 @@
 A tetrad is one (4, 4) array E with the legs e0..e3 as its rows, so that
 g(e_a, e_b) = eta_ab. Both tetrads are built from g, the metric at the
 tetrad's event (the comoving one also from the tangent there), and the
-projector is E g: (E g) v holds g(e_a, v). A scenario builds them from the
+projector is E * g: (E * g) v holds g(e_a, v). A scenario builds them from the
 metric and tangent its Schwarzschild paths store, in units of M, so the
 absolute GRAM_SCHMIDT_PIVOT compares numbers that do not depend on M.
 
@@ -119,10 +119,10 @@ def unit_or_none(v) -> np.ndarray | None:
 def build_static_frame(g: np.ndarray) -> np.ndarray:
     """Tetrad of the static observer at an event where the metric is g: e0
     along d/dt, spatial legs along the axes."""
-    # both charts are diagonal with g_tt g_11 = -1; e1 reads sqrt(-g_tt), not
-    # 1/sqrt(g_11), so that it keeps the bits of sqrt(f)
-    root_f = np.sqrt(-g[0, 0])
-    return np.diag([1.0 / root_f, root_f, 1.0 / np.sqrt(g[2, 2]), 1.0 / np.sqrt(g[3, 3])])
+    # both charts have g_tt g_11 = -1; e1 reads sqrt(-g_tt), not 1/sqrt(g_11),
+    # so that it keeps the bits of sqrt(f)
+    root_f = np.sqrt(-g[0])
+    return np.diag([1.0 / root_f, root_f, 1.0 / np.sqrt(g[2]), 1.0 / np.sqrt(g[3])])
 
 
 def build_comoving_frame(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ def build_comoving_frame(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     Candidates are the spatial coordinate axes in chart order, so the result
     is deterministic. Future-pointing timelike u is required.
     """
-    if tangent_kind(u, float(u @ g @ u)) != TIMELIKE:
+    if tangent_kind(u, float(u * g @ u)) != TIMELIKE:
         raise BadNormalization("a comoving frame needs a timelike u, not a null one")
 
     legs = [np.asarray(u, dtype=float)]
@@ -140,10 +140,10 @@ def build_comoving_frame(g: np.ndarray, u: np.ndarray) -> np.ndarray:
         w = np.zeros(4)
         w[axis] = 1.0
         # eta-weighted projections: e0 has norm -1, spatial legs +1
-        w = w + float(legs[0] @ g @ w) * legs[0]
+        w = w + float(legs[0] * g @ w) * legs[0]
         for prev in legs[1:]:
-            w = w - float(prev @ g @ w) * prev
-        norm_sq = float(w @ g @ w)
+            w = w - float(prev * g @ w) * prev
+        norm_sq = float(w * g @ w)
         if norm_sq <= GRAM_SCHMIDT_PIVOT:
             raise DegenerateBasis(f"pivot {norm_sq} for axis {axis}")
         legs.append(w / math.sqrt(norm_sq))
@@ -153,9 +153,6 @@ def build_comoving_frame(g: np.ndarray, u: np.ndarray) -> np.ndarray:
 def embed_stack(E: np.ndarray, D: np.ndarray) -> np.ndarray:
     """d1*e1 + d2*e2 + d3*e3 for each row d of D, with the legs e_a the rows of E."""
     return D[:, 0:1] * E[1] + D[:, 1:2] * E[2] + D[:, 2:3] * E[3]
-
-
-_ETA_DIAG = np.diag(ETA)
 
 
 class ProjectionStack(NamedTuple):
@@ -232,10 +229,10 @@ def weighted_stack(w: np.ndarray, direction: np.ndarray | None) -> ProjectionSta
 def project_stack(projector: np.ndarray, V: np.ndarray) -> ProjectionStack:
     """Weight and direction of each row of V, per the module's projection rule.
 
-    projector is E g of the tetrad E the rows are read in, g the metric there.
+    projector is E * g of the tetrad E the rows are read in, g the metric there.
     """
     with np.errstate(all="ignore"):  # a non-finite row is reported as an error
-        comps = _ETA_DIAG * row_matvec(projector, V)
+        comps = ETA * row_matvec(projector, V)
         total = np.sqrt(row_dot(comps, comps))
         q = comps / total[:, None]
         # rounding can push the norm a few ulp past 1; the invariant is exact

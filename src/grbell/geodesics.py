@@ -54,10 +54,9 @@ On a radial leg (L = 0), n is theta-hat and psi stays 0. The propagator of
 a leg is P(tau) = F(tau) F(0)^-1 for that frame F, with P(0) = I exactly,
 so P^T g(x) P = g(x0) holds by construction; it is still checked at every
 stored step, at a rounding slack. A leg evaluates the metric once, as one
-stack over its stored steps: the frame reads f = -g_tt from it, and the
-drift and propagator checks contract its diagonal (the metric is diagonal in
-both charts), which gives the bits of the full contraction. Each path keeps
-that stack, the drift it was checked against and its integrator counters.
+stack over its stored steps, from which the frame reads f = -g_tt and which
+the drift and propagator checks contract. Each path keeps that stack, the
+drift it was checked against and its integrator counters.
 """
 from __future__ import annotations
 
@@ -172,7 +171,7 @@ class GeodesicPath:
     points: np.ndarray        # (n, 4)
     tangents: np.ndarray      # (n, 4); on Schwarzschild legs the frame's u
     propagators: np.ndarray   # (n, 4, 4), parallel propagator from taus[0]
-    metrics: np.ndarray       # (n, 4, 4), metric components at the points
+    metrics: np.ndarray       # (n, 4), the metric's diagonal at the points
     drift: dict[str, float]   # max conservation drifts, checked at integration
     nfev: int = 0
     accepted: int = 0
@@ -191,18 +190,18 @@ _IDENTITY.flags.writeable = False
 
 
 def _conservation_drift(
-    chart: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, d: np.ndarray
+    chart: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, g: np.ndarray
 ) -> dict[str, float]:
-    """Worst drift of u.u, E and L_z, from the metric's (n, 4) diagonal d in
-    the path's chart; L_z's floor is that chart's M, 1 on a Schwarzschild path."""
-    uu = np.einsum("na,na,na->n", d, tangents, tangents)
+    """Worst drift of u.u, E and L_z, from the metric stack g in the path's
+    chart; L_z's floor is that chart's M, 1 on a Schwarzschild path."""
+    uu = np.einsum("na,na,na->n", g, tangents, tangents)
     n0 = -1.0 if kind == TIMELIKE else 0.0
     drift = {"norm": float(np.abs(uu - n0).max())}
     if chart.kind == SCHWARZSCHILD:
         r, theta = points[:, 1], points[:, 2]
         # E = f u^t, positive on every leg integrate_geodesic accepts, and L_z
         weights = np.empty((2, len(points)))
-        np.negative(d[:, 0], out=weights[0])
+        np.negative(g[:, 0], out=weights[0])
         np.multiply(r**2, np.sin(theta) ** 2, out=weights[1])
         killing = weights * tangents[:, ::3].T
         worst_E, worst_L = np.abs(killing - killing[:, :1]).max(axis=1).tolist()
@@ -215,10 +214,11 @@ def _conservation_drift(
 def tangent_kind(u: np.ndarray, uu: float) -> str:
     """TIMELIKE or NULL: the kind of tangent u, whose norm is uu = g(u, u).
 
-    Timelike means |u.u + 1| <= NORMALIZATION_TOL, null means
-    |u.u| <= min(NORMALIZATION_TOL, NULL_NORM_TOL max(1, max|u|^2)). Either
-    must be future-pointing, u^t > 0, which outside the horizon is the same
-    condition in both charts. Raises BadNormalization for anything else.
+    Timelike means |u.u + 1| <= NORMALIZATION_TOL, null means |u.u| <=
+    min(NORMALIZATION_TOL, NULL_NORM_TOL max|u|^2), at any scale of u where
+    that bound does not underflow to 0. Either must be future-pointing,
+    u^t > 0, which outside the horizon is the same condition in both
+    charts. Raises BadNormalization for anything else.
     """
     if not u.any():
         raise BadNormalization("u is the zero vector")
@@ -227,7 +227,10 @@ def tangent_kind(u: np.ndarray, uu: float) -> str:
     if abs(uu + 1.0) <= NORMALIZATION_TOL:
         return TIMELIKE
     size = float(np.max(np.abs(u)))  # size * size is inf, where size ** 2 would raise, beyond 1e154
-    if abs(uu) <= min(NORMALIZATION_TOL, NULL_NORM_TOL * max(1.0, size * size)):
+    null_tol = min(NORMALIZATION_TOL, NULL_NORM_TOL * size * size)
+    if null_tol == 0.0:
+        raise BadNormalization(f"u.u = {uu} underflows at max|u| = {size}: neither timelike nor null")
+    if abs(uu) <= null_tol:
         return NULL
     raise BadNormalization(f"u.u = {uu}, expected -1 (timelike) or 0 (null)")
 
@@ -269,30 +272,27 @@ def check_metric_preserved(
 ) -> float:
     """Raise StepFailure unless P^T g(x) P = g(x0) at every stored step.
 
-    g holds the diagonal metric at the stored points, g[0] at the emission
-    event. P is built from a frame that is orthonormal up to rounding, so the
+    g is the metric stack at the stored points, g[0] at the emission event.
+    P is built from a frame that is orthonormal up to rounding, so the
     bound is METRIC_SLACK times the conditioning max(|P|^T |g| sizes), the
     size of the terms that cancel. sizes bounds, entry by entry, the terms
     summed into P and defaults to |P|; for P = F F(0)^-1 it is
     |F| |F(0)^-1|, which exceeds |P| by about gamma^2 on a leg whose tangent
     is boosted by gamma against the static frame. Returns the worst residual.
     """
-    d = np.diagonal(g, axis1=1, axis2=2)
-    return _metric_residual(g[0], d, np.abs(d), propagators, sizes)
+    return _metric_residual(g, np.abs(g), propagators, sizes)
 
 
 def _metric_residual(
-    g0: np.ndarray, d: np.ndarray, d_abs: np.ndarray, propagators: np.ndarray,
-    sizes: np.ndarray | None,
+    g: np.ndarray, g_abs: np.ndarray, propagators: np.ndarray, sizes: np.ndarray | None
 ) -> float:
-    """check_metric_preserved from g(x0) and the (n, 4) diagonal d of the
-    metric stack, with its magnitudes d_abs."""
-    residual = np.einsum("nab,na,nad->nbd", propagators, d, propagators)
-    residual -= g0
+    """check_metric_preserved from the metric stack g and its magnitudes g_abs."""
+    residual = np.einsum("nab,na,nad->nbd", propagators, g, propagators)
+    residual -= np.diag(g[0])
     residual = float(np.abs(residual, out=residual).max())
     P_abs = np.abs(propagators)
     sizes = P_abs if sizes is None else sizes
-    conditioning = float(np.einsum("nab,na,nad->nbd", P_abs, d_abs, sizes).max())
+    conditioning = float(np.einsum("nab,na,nad->nbd", P_abs, g_abs, sizes).max())
     bound = METRIC_SLACK * max(1.0, conditioning)
     if not residual <= bound:
         raise StepFailure(f"propagator metric residual {residual:.3e} exceeds {bound:.3e}")
@@ -325,7 +325,7 @@ def integrate_geodesic(
     # the metric at x0 is also the domain check
     g0 = metric_components(spec, x0)
     with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
-        kind = tangent_kind(u0, float(u0 @ g0 @ u0))
+        kind = tangent_kind(u0, float(u0 * g0 @ u0))
 
     if spec.kind == SCHWARZSCHILD:
         if stop.kind == STOP_RADIUS and stop.value <= spec.guard_radius:
@@ -520,7 +520,7 @@ def _parallel_frames(
     r, theta = points[:, 1], points[:, 2]
     # the legs f^-1/2 d_t, f^1/2 d_r, r^-1 d_theta, (r sin theta)^-1 d_phi
     legs = np.empty((n, 4))
-    sqrt_f = np.sqrt(-g[:, 0, 0], out=legs[:, 1])
+    sqrt_f = np.sqrt(-g[:, 0], out=legs[:, 1])
     r_sin = r * np.sin(theta)
     np.divide(1.0, sqrt_f, out=legs[:, 0])
     np.divide(1.0, r, out=legs[:, 2])
@@ -750,27 +750,25 @@ def _checked_path(
 
     The metric is evaluated once per stored point, in the chart of the
     path's units, in one stack that also checks each point's domain, unless
-    the caller passes that stack as g; the drift and propagator checks
-    contract its diagonal. The path keeps spec, the stack, the drift and
-    stored_tangents, by default the checked ones.
+    the caller passes that stack as g. The path keeps spec, the stack, the
+    drift and stored_tangents, by default the checked ones.
     """
     chart = _UNIT_MASS if spec.kind == SCHWARZSCHILD else spec
     g = metric_stack(chart, points) if g is None else g
-    d = g.diagonal(axis1=1, axis2=2)
-    d_abs = np.abs(d)
-    drift = _conservation_drift(chart, kind, points, tangents, d)
+    g_abs = np.abs(g)
+    drift = _conservation_drift(chart, kind, points, tangents, g)
     bound = _drift_bound(tol)
     # the tangent-norm check cancels catastrophically near the horizon
     # (terms ~ E^2/f against a result of order 1), so its bound scales with
     # the conditioning number; the Killing checks have no such cancellation
     u_abs = np.abs(tangents)
-    conditioning = float(np.einsum("na,na,na->n", d_abs, u_abs, u_abs).max())
+    conditioning = float(np.einsum("na,na,na->n", g_abs, u_abs, u_abs).max())
     bounds = {k: bound for k in drift}
     bounds["norm"] = bound * max(1.0, conditioning)
     bad = {k: v for k, v in drift.items() if v > bounds[k]}
     if bad:
         raise StepFailure(f"conservation drift {bad} exceeds {bounds}")
-    _metric_residual(g[0], d, d_abs, propagators, sizes)
+    _metric_residual(g, g_abs, propagators, sizes)
     return GeodesicPath(
         spec=spec,
         kind=kind,

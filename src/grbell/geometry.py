@@ -11,8 +11,10 @@ Conventions used everywhere in this package:
 * Minkowski spacetime in Cartesian coordinates (t, x, y, z),
 * Schwarzschild spacetime in the exterior chart (t, r, theta, phi),
   restricted to r > 2M(1 + HORIZON_EPS), a fixed guard with
-  HORIZON_EPS = 1e-6 just outside the horizon, and to 0 < theta < pi.
-  metric_stack evaluates the metric over a stack of events and checks that
+  HORIZON_EPS = 1e-6 just outside the horizon, and to 0 < theta < pi,
+* both charts diagonal: the metric is stored as its diagonal, ETA or
+  (-f, 1/f, r^2, (r sin theta)^2), so g(v, w) = v * g @ w; metric_stack
+  evaluates it over a stack of events, one (n, 4) row each, and checks the
   domain at each; metric_components is its one-row case.
 """
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import HorizonDomain, InvalidChart, MetricUnderflow, ValidationErro
 MINKOWSKI = "minkowski"
 SCHWARZSCHILD = "schwarzschild"
 
-ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+ETA = np.array([-1.0, 1.0, 1.0, 1.0])
 ETA.flags.writeable = False
 
 HORIZON_EPS = 1e-6
@@ -65,7 +67,7 @@ class MetricSpec:
 
 
 def metric_stack(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
-    """g_{mu nu} as an (n, 4, 4) array at the (n, 4) events X.
+    """The metric's diagonal g_{mu mu} as an (n, 4) array at the (n, 4) events X.
 
     Checks the chart's domain at every event. The first event outside it
     raises: HorizonDomain for r at or inside the guard, else InvalidChart for
@@ -73,12 +75,15 @@ def metric_stack(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
     not a positive finite float.
     """
     if spec.kind == MINKOWSKI:
-        return np.broadcast_to(ETA, (len(X), 4, 4)).copy()
+        return np.broadcast_to(ETA, (len(X), 4)).copy()
     r, theta = X[:, 1], X[:, 2]
+    g = np.empty((len(X), 4))
+    g_tt, g_rr, g_thth, g_phph = g.T
     with np.errstate(all="ignore"):  # bad rows raise below instead of warning
         f = 1.0 - 2.0 * spec.mass / r
         r_sin = r * np.sin(theta)
-        g_thth, g_phph = r * r, r_sin * r_sin
+        np.multiply(r, r, out=g_thth)
+        np.multiply(r_sin, r_sin, out=g_phph)
     # the guard radius is positive, so r > 0 follows
     inside = r <= spec.guard_radius
     off_chart = ~((0.0 < theta) & (theta < math.pi))
@@ -93,13 +98,13 @@ def metric_stack(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
             f"angular metric components {float(g_thth[j])}, {float(g_phph[j])} not positive"
             f" and finite at r = {float(r[j])}, theta = {float(theta[j])}"
         )
-    g = np.zeros((len(X), 4, 4))
-    g[:, 0, 0], g[:, 1, 1], g[:, 2, 2], g[:, 3, 3] = -f, 1.0 / f, g_thth, g_phph
+    np.negative(f, out=g_tt)
+    np.divide(1.0, f, out=g_rr)
     return g
 
 
 def metric_components(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    """g_{mu nu} as a plain (4, 4) array at the event coords: metric_stack's one-row case."""
+    """The metric's diagonal as a plain (4,) array at the event coords, metric_stack's one row."""
     return metric_stack(spec, coords[None])[0]
 
 

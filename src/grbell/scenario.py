@@ -347,10 +347,10 @@ def _normalized_tangent(g: np.ndarray, raw: np.ndarray, field: str) -> np.ndarra
     1e-6 of unit norm it is rescaled to exact unit norm, then tangent_kind
     must accept it."""
     with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
-        uu = float(raw @ g @ raw)
+        uu = float(raw * g @ raw)
         if abs(uu + 1.0) <= 1e-6:
             raw = raw / math.sqrt(-uu)
-            uu = float(raw @ g @ raw)
+            uu = float(raw * g @ raw)
     try:
         tangent_kind(raw, uu)
     except BadNormalization as e:
@@ -442,7 +442,7 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         u1 = _normalized_tangent(g, _floats(_require(data, "u1", ""), 4, "u1"), "u1")
         u2 = _normalized_tangent(g, _floats(_require(data, "u2", ""), 4, "u2"), "u2")
         # compared in the static tetrad, whose components do not depend on M
-        if np.max(np.abs(u1 - u2) * np.sqrt(np.abs(g.diagonal()))) <= 1e-12:
+        if np.max(np.abs(u1 - u2) * np.sqrt(np.abs(g))) <= 1e-12:
             raise ValidationError("u2", "u1 and u2 must define distinct geodesics")
         stop1 = _parse_stop(_require(data, "stop1", ""), "stop1")
         stop2 = _parse_stop(_require(data, "stop2", ""), "stop2")
@@ -556,7 +556,7 @@ class _Geometry:
 
     Besides the paths it keeps the two linear maps every setting goes
     through: the tetrad at R, whose spatial legs embed a setting, and the
-    projector E g of the tetrad at L.
+    projector E * g of the tetrad at L.
     """
 
     geo1: GeodesicPath
@@ -576,7 +576,7 @@ def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
     with _stage("frames"):
         E_L = _detector_frame(cfg.frame_choice, geo1)
         E_R = _detector_frame(cfg.frame_choice, geo2)
-        return _Geometry(geo1, geo2, E_R, E_L @ geo1.metrics[-1])
+        return _Geometry(geo1, geo2, E_R, E_L * geo1.metrics[-1])
 
 
 # both arms of k rows, and the error of each row that failed
@@ -928,7 +928,7 @@ def run_horizon_sweep(
             u_static = build_static_frame(metric_components(spec, origin))[0]
             geo1 = integrate_geodesic(spec, origin, u_static, StopCondition.proper_time(0.0), tol)
         with _stage("frames"):
-            projector_L = _detector_frame(FRAME_STATIC, geo1) @ geo1.metrics[-1]
+            projector_L = _detector_frame(FRAME_STATIC, geo1) * geo1.metrics[-1]
     except PipelineError as e:
         return [error_row(sid, _failure_status(e)) for _, sid in live] + guarded
     settings = _settings_rows(_parse_settings(DEFAULT_HORIZON_SETTINGS))

@@ -49,8 +49,7 @@ def _invariants(path: GeodesicPath, W: np.ndarray) -> np.ndarray:
     W[1] at its last, and the sum-of-magnitudes conditioning of each.
 
     Returns (2, 2, 2, k): [products, conditioning], then [v.v, v.u], then
-    the two ends. g is diagonal in both charts, so v g is v times g's
-    diagonal; the four products are one stacked row_dot.
+    the two ends; the four products are one stacked row_dot.
     """
     # partners[s, q, e]: v (q = 0) or u (q = 1) at end e, as is (s = 0) or in magnitude
     partners = np.empty((2, 2, *W.shape))
@@ -58,7 +57,7 @@ def _invariants(path: GeodesicPath, W: np.ndarray) -> np.ndarray:
     partners[0, 1, 0], partners[0, 1, 1] = path.tangents[0], path.tangents[-1]
     np.abs(partners[0], out=partners[1])
     d = np.empty((2, 2, 1, 4))
-    d[0, 0, 0], d[0, 1, 0] = path.metrics[0].diagonal(), path.metrics[-1].diagonal()
+    d[0, 0, 0], d[0, 1, 0] = path.metrics[0], path.metrics[-1]
     np.abs(d[0], out=d[1])
     return row_dot((partners[:, 0] * d)[:, None], partners)
 

@@ -6,10 +6,11 @@ propagator. christoffel_components is the closed-form table both are
 checked against, and finite_difference_christoffel rebuilds that table
 from the metric. column_list_frames, row_vecmat_invariants and the
 earlier_* functions are the earlier forms of the package's kernels, kept so
-that tests can pin the faster forms to their bits. The adapters below give
-the stack kernels a one-row call shape, on the package's public one-row
-objects, that several tests share, and csv_cells reads a CSV line back as
-its named cells.
+that tests can pin the faster forms to their bits, and metric_matrices
+rebuilds the full metric matrices they contract from the stored diagonals.
+The adapters below give the stack kernels a one-row call shape, on the
+package's public one-row objects, that several tests share, and csv_cells
+reads a CSV line back as its named cells.
 """
 import math
 
@@ -59,8 +60,8 @@ def finite_difference_christoffel(spec, coords, step=1e-6):
         minus = coords.copy()
         plus[lam] += h
         minus[lam] -= h
-        dg[lam] = (metric_components(spec, plus) - metric_components(spec, minus)) / (2 * h)
-    g_inv = np.linalg.inv(metric_components(spec, coords))
+        dg[lam] = np.diag(metric_components(spec, plus) - metric_components(spec, minus)) / (2 * h)
+    g_inv = np.linalg.inv(np.diag(metric_components(spec, coords)))
     # bracket[a, b, nu] = d_a g_{nu b} + d_b g_{nu a} - d_nu g_{ab}
     bracket = dg.transpose(0, 2, 1) + dg.transpose(2, 0, 1) - dg.transpose(1, 2, 0)
     return 0.5 * np.einsum("mn,abn->mab", g_inv, bracket)
@@ -106,6 +107,13 @@ def column_list_frames(spec, kind, points, tangents, psi):
     return legs[:, :, None] * np.stack([np.stack(col, axis=1) for col in columns], axis=2)
 
 
+def metric_matrices(g):
+    """The full (..., 4, 4) metric matrices of the stored (..., 4) diagonals g."""
+    full = np.zeros((*g.shape, 4))
+    full[..., range(4), range(4)] = g
+    return full
+
+
 def row_vecmat(V, M):
     """v @ M for each row v of V, as a stacked matmul."""
     return np.matmul(V[..., None, :], M)[..., 0, :]
@@ -114,7 +122,7 @@ def row_vecmat(V, M):
 def row_vecmat_invariants(path, W):
     """transport's (v.v, v.u) and their conditioning at both ends, with v g
     as a full vector-matrix product."""
-    u, g = path.tangents[[0, -1], None], path.metrics[[0, -1], None]
+    u, g = path.tangents[[0, -1], None], metric_matrices(path.metrics[[0, -1], None])
     W_abs = np.abs(W)
     vg, vg_abs = row_vecmat(W, g), row_vecmat(W_abs, np.abs(g))
     return np.array([
@@ -139,11 +147,11 @@ def earlier_conservation_drift(chart, kind, points, tangents, d):
     return drift
 
 
-def earlier_metric_check(g, propagators, sizes=None):
-    """check_metric_preserved with its own |d| and np.max reductions."""
-    d = np.diagonal(g, axis1=1, axis2=2)
+def earlier_metric_check(d, propagators, sizes=None):
+    """check_metric_preserved with its own |d| and np.max reductions, and
+    g(x0) as a full matrix."""
     residual = float(np.max(np.abs(
-        np.einsum("nab,na,nad->nbd", propagators, d, propagators) - g[0]
+        np.einsum("nab,na,nad->nbd", propagators, d, propagators) - metric_matrices(d[0])
     )))
     P_abs = np.abs(propagators)
     sizes = P_abs if sizes is None else sizes
@@ -177,7 +185,7 @@ def earlier_carry(path, V, direction):
     """transport._carry with the invariants of each end computed apart:
     (v, norm_drift, tangent_dot_drift, errors)."""
     def invariants(i, V):
-        u, d = path.tangents[i], np.diagonal(path.metrics[i])
+        u, d = path.tangents[i], path.metrics[i]
         V_abs = np.abs(V)
         vg, vg_abs = V * d, V_abs * np.abs(d)
         return row_dot(vg, V), row_dot(vg, u), row_dot(vg_abs, V_abs), row_dot(vg_abs, np.abs(u))
@@ -223,7 +231,7 @@ def checked(stack):
 def tetrad_components(E, g, v):
     """Components v^a with v = v^a e_a, via eta^{ab} g(e_b, v), for the tetrad
     E (legs as rows) at an event where the metric is g."""
-    return np.diag(ETA) * (E @ g @ v)
+    return ETA * (E * g @ v)
 
 
 def weighted_difference(proj_b, proj_c):

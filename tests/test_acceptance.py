@@ -62,7 +62,7 @@ def test_criterion_1_flat_space_reduction():
     geo_R = integrate_geodesic(
         flat, x0, np.array([gamma, -0.5 * gamma, 0, 0]), StopCondition.proper_time(5.0)
     )
-    projector_L = build_static_frame(metric_components(flat, geo_L.points[-1])) @ geo_L.metrics[-1]
+    projector_L = build_static_frame(metric_components(flat, geo_L.points[-1])) * geo_L.metrics[-1]
     E_R = build_static_frame(metric_components(flat, geo_R.points[-1]))
 
     def arrival(d):
@@ -123,7 +123,7 @@ def test_criterion_3_geometry_fidelity():
     assert v1.norm_drift[0] <= 1e-7 and v1.tangent_dot_drift[0] <= 1e-7
     g0 = metric_components(schw, path.points[0])
     g1 = metric_components(schw, path.points[-1])
-    assert abs(v1.v[0] @ g1 @ w1.v[0] - v0 @ g0 @ w0) <= 1e-7
+    assert abs(v1.v[0] * g1 @ w1.v[0] - v0 * g0 @ w0) <= 1e-7
 
     # geodetic precession for one circular orbit at r = 10M
     r = 10.0
@@ -168,7 +168,7 @@ def test_criterion_4_projection_weight():
             spec = schw
         E = build_static_frame(metric_components(spec, p))
         v = rng.standard_normal(4) * 10 ** rng.uniform(-2, 2)
-        proj = checked(project_stack(E @ metric_components(spec, p), v[None])).result(0)
+        proj = checked(project_stack(E * metric_components(spec, p), v[None])).result(0)
         assert 0.0 <= proj.w <= 1.0
 
     # round-trip identity
@@ -177,7 +177,7 @@ def test_criterion_4_projection_weight():
         E = build_static_frame(metric_components(schw, p))
         d = random_direction(rng)
         V = embed_stack(E, d.d[None])
-        proj = checked(project_stack(E @ metric_components(schw, p), V)).result(0)
+        proj = checked(project_stack(E * metric_components(schw, p), V)).result(0)
         assert abs(proj.w - 1.0) <= 1e-10
         assert np.max(np.abs(proj.direction.d - d.d)) <= 1e-10
 
@@ -196,7 +196,7 @@ def test_criterion_4_projection_weight():
     E_R = build_static_frame(metric_components(schw, geo_R.points[-1]))
     b = Direction3.from_angle(math.radians(60.0))
     moved = checked(transport_stack(geo_L, geo_R, embed_stack(E_R, b.d[None])))
-    proj = checked(project_stack(E_L @ geo_L.metrics[-1], moved.v)).result(0)
+    proj = checked(project_stack(E_L * geo_L.metrics[-1], moved.v)).result(0)
     assert abs(proj.w - 1.0) <= 1e-4
     _passed("criterion 4: projection weight (w in [0,1] x 10^4, round trip, asymptotic flatness)")
 
@@ -227,7 +227,7 @@ def _schwarzschild_weight_pool(n_scenarios=24) -> list[float]:
             E_R = build_static_frame(metric_components(schw, geo_R.points[-1]))
             for d in (random_direction(rng), random_direction(rng)):
                 moved = checked(transport_stack(geo_L, geo_R, embed_stack(E_R, d.d[None])))
-                pool.append(checked(project_stack(E_L @ geo_L.metrics[-1], moved.v)).w[0])
+                pool.append(checked(project_stack(E_L * geo_L.metrics[-1], moved.v)).w[0])
         except SimulatorError:
             continue
     return pool

@@ -288,6 +288,23 @@ def test_null_tangents_are_checked_at_parse_time_by_the_integrator_rule(tmp_path
     assert "config error: u1: u.u = " in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size", [1e-10, 1e-20, 1e-300])
+def test_a_tangent_too_small_to_be_timelike_or_null_is_config_error(tmp_path, capsys, size):
+    # u.u = -f size^2 is not within 1e-9 size^2 of 0, or underflows with it;
+    # such a u once passed as null and its frame failed to invert
+    data = schwarzschild_demo_config()
+    data["u1"] = [size, 0.0, 0.0, 0.0]
+    config = write(tmp_path, data)
+    for argv in (
+        ["run", "--config", config],
+        ["--quiet", "sweep", "--config", config, "--out", str(tmp_path / "out.csv")],
+        ["lhv-audit", "--config", config],
+    ):
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: u1: u.u = " in capsys.readouterr().err
+
+
 # scipy would integrate a tol below 100 eps at 100 eps, with a warning
 @pytest.mark.parametrize("command", ["run", "run-config", "horizon"])
 def test_tol_below_the_integrator_floor_is_config_error(tmp_path, capsys, command):
@@ -546,6 +563,10 @@ def schwarzschild_documents(draw):
     f = max(1.0 - 2.0 / r_over_m, 1e-300)  # an origin at the guard is refused by the parser
     r = r_over_m * mass
     u1 = draw(_boosted_tangents(f, r, theta))
+    if draw(st.integers(0, 7)) == 0:
+        # a tangent scaled by 2^-k: a timelike one is then neither timelike nor null
+        scale = 2.0 ** -draw(st.integers(1, 1000))
+        u1 = [x * scale for x in u1]
     # u1 and u2 closer than 1e-12 are one geodesic, which the parser refuses
     u2 = draw(_boosted_tangents(f, r, theta).filter(lambda u: np.max(np.abs(np.subtract(u, u1))) > 1e-12))
     # a stop at -1 or 1e4 M is unreachable, below the guard, or refused by the parser

@@ -23,8 +23,8 @@ ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def projector(spec, p, E):
-    """E g, with g the metric at the tetrad's event p."""
-    return E @ metric_components(spec, p)
+    """E * g, with g the metric at the tetrad's event p."""
+    return E * metric_components(spec, p)
 
 
 def assert_orthonormal(spec, p, E, tol=1e-9):
@@ -116,8 +116,8 @@ def test_embed_direction_properties(schw, rng):
         E = build_static_frame(metric_components(schw, p))
         v = embed_stack(E, random_direction(rng).d[None])[0]
         g = metric_components(schw, p)
-        assert abs(v @ g @ E[0]) < 1e-10
-        assert v @ g @ v == pytest.approx(1.0, abs=1e-9)
+        assert abs(v * g @ E[0]) < 1e-10
+        assert v * g @ v == pytest.approx(1.0, abs=1e-9)
 
 
 def test_projection_of_spatial_vector(flat):

@@ -102,8 +102,8 @@ def test_angular_momentum_drift_is_relative_at_any_mass():
     points = np.array([[0.0, r, math.pi / 2, 0.0]] * 4)
     uphi = 4.0 * spec.mass / (r * r) * (1.0 + 1e-6 * np.array([0.0, 0.5, 1.0, -0.3]))
     tangents = np.column_stack([np.full(4, 1.2), np.zeros(4), np.zeros(4), uphi])
-    d = np.diagonal(metric_stack(spec, points), axis1=1, axis2=2)
-    drift = geodesics._conservation_drift(spec, "timelike", points, tangents, d)
+    g = metric_stack(spec, points)
+    drift = geodesics._conservation_drift(spec, "timelike", points, tangents, g)
     assert drift["angular_momentum"] == pytest.approx(1e-6, rel=1e-6)
 
 
@@ -157,11 +157,22 @@ def test_a_scaled_null_leg_reaches_its_stop(schw, stop):
 
 @pytest.mark.parametrize("tau", [0.0, 1.0])
 def test_a_killing_energy_that_underflows_is_a_bad_normalization(schw, tau):
-    # u^t = 5e-324 passes as null (u.u underflows to 0), but f u^t rounds to 0
-    # at r = 3, where f = 1/3: neither a leg nor its energy drift is defined
-    x0 = np.array([0.0, 3.0, math.pi / 2, 0.0])
+    # u^t = 5e-324 with u^phi = 1 passes as null at theta = 1e-150, where
+    # u.u = (r sin theta)^2 = 9e-300, but f u^t rounds to 0 at r = 3, where
+    # f = 1/3: neither a leg nor its energy drift is defined
+    x0 = np.array([0.0, 3.0, 1e-150, 0.0])
     with pytest.raises(BadNormalization, match="Killing energy"):
-        integrate_geodesic(schw, x0, np.array([5e-324, 0.0, 0.0, 0.0]), StopCondition.proper_time(tau))
+        integrate_geodesic(schw, x0, np.array([5e-324, 0.0, 0.0, 1.0]), StopCondition.proper_time(tau))
+
+
+@pytest.mark.parametrize("size", [1e-160, 1e-300, 5e-324])
+def test_a_tangent_whose_norm_underflows_is_a_bad_normalization(flat, schw, size):
+    # NULL_NORM_TOL max|u|^2 and u.u both underflow to 0, which tells a
+    # null u from a timelike one no more
+    for spec, x0 in ((flat, np.zeros(4)), (schw, np.array([0.0, 3.0, math.pi / 2, 0.0]))):
+        for u in ([size, 0.0, 0.0, 0.0], [size, size, 0.0, 0.0]):
+            with pytest.raises(BadNormalization, match="underflows at max"):
+                integrate_geodesic(spec, x0, np.array(u), StopCondition.proper_time(1.0))
 
 
 def test_degenerate_stop_single_sample(schw):
@@ -213,9 +224,11 @@ def test_an_overflowing_tangent_is_a_bad_normalization(flat, schw):
             integrate_geodesic(spec, x0, u0, StopCondition.proper_time(1.0))
 
 
-@pytest.mark.parametrize("size, bound", [(1.0, 1e-9), (3.0, 9e-9), (1e4, 1e-8)])
+@pytest.mark.parametrize(
+    "size, bound", [(1.0, 1e-9), (3.0, 9e-9), (1e4, 1e-8), (1e-5, 1e-19), (1e-100, 1e-209)]
+)
 def test_null_rule_takes_the_stricter_bound(size, bound):
-    # |u.u| <= min(1e-8, 1e-9 max(1, max|u|^2))
+    # |u.u| <= min(1e-8, 1e-9 max|u|^2), at every scale of u
     from grbell.geodesics import NULL, tangent_kind
 
     u = np.array([size, size, 0.0, 0.0])

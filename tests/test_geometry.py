@@ -18,22 +18,22 @@ from reference import christoffel_components, finite_difference_christoffel
 def test_minkowski_metric_is_eta(flat):
     p = np.array([3.0, -1.0, 2.0, 0.5])
     g = metric_components(flat, p)
-    assert np.array_equal(g, np.diag([-1.0, 1.0, 1.0, 1.0]))
+    assert np.array_equal(g, [-1.0, 1.0, 1.0, 1.0])
 
 
 def test_schwarzschild_metric_closed_form(schw):
     # line element: g_tt = -(1 - 2M/r), g_rr = 1/(1 - 2M/r)
     p = np.array([0.0, 4.0, math.pi / 2, 0.0])
     g = metric_components(schw, p)
-    assert g[0, 0] == pytest.approx(-0.5, abs=1e-15)
-    assert g[1, 1] == pytest.approx(2.0, abs=1e-15)
-    assert g[2, 2] == pytest.approx(16.0, abs=1e-12)
+    assert g[0] == pytest.approx(-0.5, abs=1e-15)
+    assert g[1] == pytest.approx(2.0, abs=1e-15)
+    assert g[2] == pytest.approx(16.0, abs=1e-12)
 
 
 def test_metric_is_symmetric_lorentzian(schw, rng):
     for _ in range(20):
         p = random_exterior_point(rng)
-        g = metric_components(schw, p)
+        g = np.diag(metric_components(schw, p))
         assert np.array_equal(g, g.T)
         eigs = np.linalg.eigvalsh(g)
         assert (eigs < 0).sum() == 1 and (eigs > 0).sum() == 3
@@ -84,15 +84,15 @@ def test_inner_products_flat(flat):
     g = metric_components(flat, p)
     et = np.array([1.0, 0.0, 0.0, 0.0])
     ex = np.array([0.0, 1.0, 0.0, 0.0])
-    assert et @ g @ et == -1.0
-    assert et @ g @ ex == 0.0
+    assert et * g @ et == -1.0
+    assert et * g @ ex == 0.0
 
 
 def test_inner_product_schwarzschild_radial(schw):
     p = np.array([0.0, 4.0, math.pi / 2, 0.0])
     g = metric_components(schw, p)
     er = np.array([0.0, 1.0, 0.0, 0.0])
-    assert er @ g @ er == pytest.approx(2.0, abs=1e-15)
+    assert er * g @ er == pytest.approx(2.0, abs=1e-15)
 
 
 def test_metric_spec_validation():
@@ -118,7 +118,7 @@ def test_metric_underflow_is_an_error():
         near_axis = np.array([0.0, 10.0, 1e-170, 0.0])
         metric_components(MetricSpec("schwarzschild", mass=1.0), near_axis)
     g = metric_components(spec, np.array([0.0, 1e-150, math.pi / 2, 0.0]))
-    assert g[2, 2] > 0.0 and g[3, 3] > 0.0
+    assert g[2] > 0.0 and g[3] > 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 37])
@@ -131,7 +131,7 @@ def test_metric_stack_rows_are_metric_components(request, rng, chart, n):
     else:
         X = np.array([random_exterior_point(rng, r_min=2.0 * (1 + 2e-6)) for _ in range(n)])
     g = metric_stack(spec, X)
-    assert g.shape == (n, 4, 4)
+    assert g.shape == (n, 4)
     for x, g_x in zip(X, g):
         assert np.array_equal(g_x, metric_components(spec, x))
 

@@ -20,6 +20,7 @@ from reference import (
     earlier_conservation_drift,
     earlier_leg_arrays,
     earlier_metric_check,
+    metric_matrices,
 )
 
 M = 1.0
@@ -96,13 +97,13 @@ def test_closed_form_propagator_matches_the_integrated_one(schw, rng, kind, radi
 def test_propagator_is_exact_at_emission_and_keeps_the_metric(schw, rng, kind, radial_fraction):
     x0, u0 = launch(rng, kind, radial_fraction)
     path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(3.0))
-    P, g = path.propagators, path.metrics
+    P, g = path.propagators, metric_matrices(path.metrics)
     assert np.array_equal(P[0], np.eye(4))
     residual = np.max(np.abs(np.einsum("nab,nac,ncd->nbd", P, g, P) - g[0]))
     P_abs = np.abs(P)
     conditioning = np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), P_abs))
     assert residual <= METRIC_SLACK * max(1.0, conditioning)
-    assert check_metric_preserved(g, P) == residual
+    assert check_metric_preserved(path.metrics, P) == residual
 
 
 @pytest.mark.parametrize("kind, radial_fraction", LEGS)
@@ -136,13 +137,11 @@ def test_frame_blocks_equal_the_column_list_frames(schw, rng, monkeypatch, kind,
 
 def test_diagonal_contractions_equal_the_full_ones(schw, rng, monkeypatch):
     # g is diagonal in both charts; each contraction of its diagonal d gives
-    # the bits of the full (n, 4, 4) contraction it replaces
+    # the bits of the full (n, 4, 4) contraction
     for _ in range(300):
         n = int(rng.integers(1, 40))
         d = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-6, 6, (n, 4))
-        g = np.zeros((n, 4, 4))
-        g[:, range(4), range(4)] = d
-        d = np.diagonal(g, axis1=1, axis2=2)
+        g = metric_matrices(d)
         u = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-3, 3, (n, 4))
         P = rng.standard_normal((n, 4, 4)) * 10.0 ** rng.uniform(-3, 3, (n, 4, 4))
         sizes = np.abs(rng.standard_normal((n, 4, 4)))
@@ -158,7 +157,7 @@ def test_diagonal_contractions_equal_the_full_ones(schw, rng, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(geodesics, "METRIC_SLACK", math.inf)
             residual = np.max(np.abs(np.einsum("nab,nac,ncd->nbd", P, g, P) - g[0]))
-            assert check_metric_preserved(g, P, sizes) == residual
+            assert check_metric_preserved(d, P, sizes) == residual
         norm = np.max(np.abs(np.einsum("nab,na,nb->n", g, u, u) + 1.0))
         points = rng.uniform(3.0, 30.0, (n, 4))
         assert geodesics._conservation_drift(schw, "timelike", points, u, d)["norm"] == norm
@@ -174,7 +173,7 @@ def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):
     static_legs = np.array([1.0 / math.sqrt(f), math.sqrt(f), 0.1, 0.1 / math.sin(theta)])
     u0 = static_legs * gamma * np.array([1.0, 0.6 * speed, 0.8 * speed, 0.0])
     path = integrate_geodesic(schw, x0, u0, StopCondition.proper_time(0.01))
-    P, g = path.propagators, path.metrics
+    P, g = path.propagators, metric_matrices(path.metrics)
     residual = np.max(np.abs(np.einsum("nab,nac,ncd->nbd", P, g, P) - g[0]))
     P_abs = np.abs(P)
     conditioning = np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), P_abs))
@@ -319,10 +318,9 @@ def test_path_checks_equal_the_earlier_forms(schw, flat, rng, monkeypatch):
         chart = geodesics._UNIT_MASS if spec.kind == "schwarzschild" else spec
         g = kwargs.get("g")
         g = geodesics.metric_stack(chart, points) if g is None else g
-        d = np.diagonal(g, axis1=1, axis2=2)
         lengths.add((spec.kind, kind, len(points) > 1))
-        assert geodesics._conservation_drift(chart, kind, points, tangents, d) == (
-            earlier_conservation_drift(chart, kind, points, tangents, d)
+        assert geodesics._conservation_drift(chart, kind, points, tangents, g) == (
+            earlier_conservation_drift(chart, kind, points, tangents, g)
         )
         bent = propagators + 1e-6
         broken = propagators.copy()

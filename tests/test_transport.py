@@ -20,7 +20,14 @@ from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from grbell.geometry import metric_components
 from grbell import transport
 from grbell.transport import BACKWARD, FORWARD, _carry, transport_stack
-from reference import checked, csv_cells, earlier_carry, row_vecmat_invariants, tetrad_components
+from reference import (
+    checked,
+    csv_cells,
+    earlier_carry,
+    metric_matrices,
+    row_vecmat_invariants,
+    tetrad_components,
+)
 
 M = 1.0
 
@@ -67,7 +74,8 @@ def test_propagator_starts_at_identity(schw):
 @pytest.mark.parametrize("make_path", [circular_path, radial_infall_path])
 def test_propagator_preserves_metric_every_step(schw, make_path):
     path = make_path(schw)
-    g = metric_stack(path)
+    d = metric_stack(path)
+    g = metric_matrices(d)
     P = path.propagators
     residual = np.max(np.abs(np.einsum("nab,nac,ncd->nbd", P, g, P) - g[0]), axis=(1, 2))
     P_abs = np.abs(P)
@@ -75,7 +83,7 @@ def test_propagator_preserves_metric_every_step(schw, make_path):
     bound = METRIC_SLACK * max(1.0, conditioning)
     assert len(residual) == len(path.taus) > 2
     assert np.all(residual <= bound)
-    assert check_metric_preserved(g, P) == np.max(residual)
+    assert check_metric_preserved(d, P) == np.max(residual)
 
 
 def test_perturbed_propagator_fails_metric_check(schw):
@@ -133,7 +141,7 @@ def test_pairwise_inner_products_conserved(schw, rng):
     w0 = rng.standard_normal(4)
     v1 = checked(_carry(path, v0[None], FORWARD)).v[0]
     w1 = checked(_carry(path, w0[None], FORWARD)).v[0]
-    assert v1 @ g1 @ w1 == pytest.approx(v0 @ g0 @ w0, abs=1e-7)
+    assert v1 * g1 @ w1 == pytest.approx(v0 * g0 @ w0, abs=1e-7)
 
 
 def test_geodetic_precession_circular_orbit(schw):
@@ -184,9 +192,9 @@ def test_transport_r_to_l_opposite_orbits_preserves_norm(schw):
     geo_L = circular_path(schw, revolutions=0.25)
     geo_R = circular_path(schw, revolutions=0.25, retrograde=True)
     vR = np.array([0.0, math.sqrt(1.0 - 2.0 * M / geo_R.points[-1, 1]), 0.0, 0.0])
-    norm_R = vR @ metric_components(geo_R.spec, geo_R.points[-1]) @ vR
+    norm_R = vR * metric_components(geo_R.spec, geo_R.points[-1]) @ vR
     vL = checked(transport_stack(geo_L, geo_R, vR[None])).v[0]
-    norm_L = vL @ metric_components(geo_L.spec, geo_L.points[-1]) @ vL
+    norm_L = vL * metric_components(geo_L.spec, geo_L.points[-1]) @ vL
     assert norm_L == pytest.approx(norm_R, abs=1e-7)
 
 
@@ -373,7 +381,7 @@ def test_radial_infall_matches_the_closed_form_weight(schw):
     D /= np.linalg.norm(D, axis=1)[:, None]
     origin, rest = infall_start()
     stay = integrate_geodesic(schw, origin, rest, StopCondition.proper_time(0.0))
-    projector = build_static_frame(metric_components(schw, stay.points[-1])) @ stay.metrics[-1]
+    projector = build_static_frame(metric_components(schw, stay.points[-1])) * stay.metrics[-1]
     for r in INFALL_RADII:
         fall = integrate_geodesic(schw, origin, rest, StopCondition.radius(r))
         V = embed_stack(build_static_frame(metric_components(schw, fall.points[-1])), D)
@@ -404,8 +412,8 @@ def test_a_schwarzschild_path_keeps_the_frame_tangent(schw):
     origin, rest = infall_start()
     path = integrate_geodesic(schw, origin, rest, StopCondition.radius(2.000003))
     g, u = path.metrics, path.tangents
-    uu = np.einsum("nab,na,nb->n", g, u, u)
-    conditioning = np.einsum("nab,na,nb->n", np.abs(g), np.abs(u), np.abs(u))
+    uu = np.einsum("na,na,na->n", g, u, u)
+    conditioning = np.einsum("na,na,na->n", np.abs(g), np.abs(u), np.abs(u))
     assert np.all(np.abs(uu + 1.0) <= 4.0 * np.finfo(float).eps * conditioning)
     assert path.drift["norm"] > 1e-4
     # P carries the stored tangent at the start into the one at the end
