@@ -29,7 +29,12 @@ Wanner, Solving ODEs I, sec. II.4, and the quartic dense output L. F.
 Shampine, Math. Comp. 46, 135 (1986), as in the common RK45 solvers.
 Terminal events (target radius, coordinate time, horizon guard) are
 located by bracketing the root on the step's dense interpolant. One
-integration takes at most MAX_STEPS accepted steps.
+integration takes at most MAX_STEPS accepted steps. The stepper forms its
+trial stages only on the components the right-hand side reads, and steps
+only those it moves: a general leg reads (r, theta, u) and moves all nine;
+a radial leg, u^theta = u^phi = 0, reads (r, u^t, u^r) and moves (t, r,
+u^t, u^r), and its other five components stay put. Both store the bits
+of the run that steps all nine components.
 
 Every Schwarzschild geodesic lies in a plane through r = 0, so a frame
 parallel along it is algebraic in (x, u) and the one scalar psi (J.-A.
@@ -61,8 +66,10 @@ drift it was checked against and its integrator counters.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -414,7 +421,7 @@ def _line_radius_root(x: np.ndarray, v: np.ndarray, radius: float) -> float:
 
 def _schwarzschild_rhs(kind: str, energy: float, ang_mom: float):
     """d(x, u, psi)/dtau on the exterior chart of unit mass, as a function of
-    the state list.
+    the components (r, theta, u^t, u^r, u^theta, u^phi) it reads.
 
     The geodesic term Gamma^a_bc u^b u^c is written out over the nine
     nonzero Christoffel symbols of the closed-form table in tests/reference.py,
@@ -430,7 +437,7 @@ def _schwarzschild_rhs(kind: str, energy: float, ang_mom: float):
     sin, cos = math.sin, math.cos
 
     def rhs(y):
-        _, r, th, _, ut, ur, uth, uph, _ = y
+        r, th, ut, ur, uth, uph = y
         if r <= 2.0:
             raise HorizonDomain(f"r = {r} M inside radius 2 M")
         f = 1.0 - 2.0 / r
@@ -441,16 +448,38 @@ def _schwarzschild_rhs(kind: str, energy: float, ang_mom: float):
         inv_r = 1.0 / r                      # Gamma^th_rth = Gamma^ph_rph
         cot = c / s                          # Gamma^ph_thph
         uph2 = uph * uph
-        return [
+        return (
             ut, ur, uth, uph,
             -2.0 * g_tr * ut * ur,
             -g_tt * ut * ut + g_tr * ur * ur + rf * uth * uth + rf * s * s * uph2,
             -2.0 * inv_r * ur * uth + s * c * uph2,
             -2.0 * inv_r * ur * uph - 2.0 * cot * uth * uph,
             psi_scale / (r * r + L2) if timelike else psi_scale / (r * r * r),
-        ]
+        )
 
     return rhs
+
+
+def _radial_rhs(y):
+    """d(t, r, u^t, u^r)/dtau of a radial leg, u^theta = u^phi = 0, from (r, u^t, u^r).
+
+    These are _schwarzschild_rhs's terms for the four components, in its
+    order. Its two angular terms of du^r/dtau are +0.0 on a radial leg, or
+    NaN where r f overflows, which is what r f * 0.0 gives. theta, phi,
+    u^theta, u^phi and psi do not move.
+    """
+    r, ut, ur = y
+    if r <= 2.0:
+        raise HorizonDomain(f"r = {r} M inside radius 2 M")
+    f = 1.0 - 2.0 / r
+    g_tr = 1.0 / (r * r * f)
+    g_tt = f / (r * r)
+    return ut, ur, -2.0 * g_tr * ut * ur, -g_tt * ut * ut + g_tr * ur * ur + r * f * 0.0
+
+
+# the components each right-hand side reads and moves, as _dopri's reads and moves
+_GENERAL = (1, 2, 4, 5, 6, 7), None
+_RADIAL = (1, 4, 5), (0, 1, 4, 5)
 
 
 def _schwarzschild_leg(
@@ -458,13 +487,17 @@ def _schwarzschild_leg(
 ) -> GeodesicPath:
     """A Schwarzschild leg at unit mass, from x0 with tangent u0 to the stop, all in units of M.
 
-    t and phi are stepped from x0 and added back to the stored states.
+    t and phi are stepped from x0 and added back to the stored states. A
+    radial leg, u^theta = u^phi = 0, steps (t, r, u^t, u^r) on _radial_rhs.
     """
     t0, r0, th0, ph0 = x0.tolist()
     y0 = [0.0, r0, th0, 0.0, *u0.tolist(), 0.0]
     energy = (1.0 - 2.0 / r0) * y0[4]
-    ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
-    rhs = _schwarzschild_rhs(kind, energy, ang_mom)
+    if y0[6] == 0.0 and y0[7] == 0.0:  # radial: L = 0, and theta and phi stay put
+        rhs, (reads, moves) = _radial_rhs, _RADIAL
+    else:
+        ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
+        rhs, (reads, moves) = _schwarzschild_rhs(kind, energy, ang_mom), _GENERAL
 
     # events: (state component, target, direction), the guard last
     events = []
@@ -477,7 +510,7 @@ def _schwarzschild_leg(
     what = f"stop condition {stop.kind} = {stop.value} M"
     cap = _tau_cap(kind, stop, t0, r0, energy)
     try:
-        run = _dopri(rhs, y0, cap, tol, events, what)
+        run = _dopri(rhs, y0, cap, tol, events, what, reads, moves)
     except (ArithmeticError, ValueError) as e:  # e.g. a trial stage on the polar axis
         raise StepFailure(f"integration failed: {e}") from None
     if run.event == len(events) - 1:
@@ -578,39 +611,62 @@ def _parallel_frames(
 @dataclass(frozen=True, eq=False)
 class _Run:
     taus: list[float]
-    states: list[list[float]]
+    states: list[Sequence[float]]  # every component of y0
     event: int | None  # index of the event that ended the run
     nfev: int
     accepted: int
     rejected: int
 
 
-def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) -> _Run:
+def _dopri(
+    rhs, y0: list[float], tau_end: float, tol: float, events, what: str,
+    reads: Sequence[int] | None = None, moves: Sequence[int] | None = None,
+) -> _Run:
     """Integrate y' = rhs(y) from tau = 0 to tau_end with Dormand-Prince 5(4).
 
-    events are terminal (component, target, direction) triples: event j
-    fires where y[component] crosses target, upward for direction > 0,
-    downward for direction < 0 and either way for 0. The run ends at the
-    earliest root within the first step that shows a crossing, at a state
-    read from the step's dense interpolant. A trial step whose stage the
-    right-hand side refuses with HorizonDomain is rejected and shrunk by
-    _MIN_FACTOR; nfev counts six evaluations per trial step. Messages give
-    tau as stepped, in units of M on a Schwarzschild leg.
+    reads and moves are increasing indices into y0, every component by
+    default, with reads among moves: rhs takes the components in reads and
+    returns the derivatives of those in moves. The trial stages are formed
+    on reads; steps, the error norm and the dense output run over moves;
+    every other component has derivative 0 and is carried, plus 0.0 after
+    the first step, so each stored state has the bits of the run that moves
+    every component with those zeros. The error norm still divides by
+    sqrt(len(y0)), and the initial-step rule reads all of y0.
+
+    events are terminal (component, target, direction) triples on moved
+    components: event j fires where y[component] crosses target, upward
+    for direction > 0, downward for direction < 0 and either way for 0.
+    The run ends at the earliest root within the first step that shows a
+    crossing, at a state read from the step's dense interpolant. A trial
+    step whose stage the right-hand side refuses with HorizonDomain is
+    rejected and shrunk by _MIN_FACTOR; nfev counts six evaluations per
+    trial step. Messages give tau as stepped, in units of M on a
+    Schwarzschild leg.
     """
     rtol, atol = tol, tol * 1e-3
     root_n = math.sqrt(len(y0))
     hypot, isfinite = math.hypot, math.isfinite
+    every = range(len(y0))
+    reads = every if reads is None else reads
+    moves = every if moves is None else moves
+    # the read components of a list over moves, as a tuple
+    at = [moves.index(i) for i in reads]
+    take = itemgetter(*at) if len(at) > 1 else lambda v, i=at[0]: (v[i],)
 
     def rms(values, scale):
         return hypot(*[v / s for v, s in zip(values, scale)]) / root_n
 
     # initial step (Hairer, Norsett and Wanner, sec. II.4)
-    f = rhs(y0)
+    y = [y0[i] for i in moves]
+    y_read = take(y)
+    f = rhs(y_read)
     scale = [atol + abs(v) * rtol for v in y0]
-    d0, d1 = rms(y0, scale), rms(f, scale)
+    d0 = rms(y0, scale)
+    scale = [scale[i] for i in moves]
+    d1 = rms(f, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, tau_end)
-    f1 = rhs([y + h0 * dy for y, dy in zip(y0, f)])
+    f1 = rhs([v + h0 * dv for v, dv in zip(y_read, take(f))])
     d2 = rms([b - a for a, b in zip(f, f1)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -619,34 +675,49 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
     h_abs = min(100.0 * h0, h1, tau_end)
     nfev, accepted, rejected = 2, 0, 0
 
-    t, y = 0.0, y0
+    def finished(event):
+        if len(moves) < len(y0):
+            # each later state over all of y0: its moved components, and y0 + 0.0 for the rest
+            after = [v + 0.0 for v in y0]
+            whole = itemgetter(*[moves.index(i) if i in moves else len(moves) + i for i in every])
+            states[1:] = [whole(v + after) for v in states[1:]]
+            states[0] = y0
+        return _Run(taus, states, event, nfev, accepted, rejected)
+
+    t = 0.0
     y_abs = [abs(v) for v in y]
     taus, states = [t], [y]
+    events = [(moves.index(c), target, direction) for c, target, direction in events]
     g = [y[c] - target for c, target, _ in events]
     while t < tau_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
+        k1, a1 = f, take(f)
         while True:
             if h_abs < min_step:
                 raise StepFailure(f"step size underflow at tau = {t}")
             t_new = min(t + h_abs, tau_end)
             h = t_new - t
             h_abs = h
-            k1 = f
             nfev += 6
             try:
-                k2 = rhs([v + h * (_A21 * a) for v, a in zip(y, k1)])
-                k3 = rhs([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+                k2 = rhs([v + h * (_A21 * a) for v, a in zip(y_read, a1)])
+                a2 = take(k2)
+                k3 = rhs([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y_read, a1, a2)])
+                a3 = take(k3)
                 k4 = rhs([v + h * (_A41 * a + _A42 * b + _A43 * c)
-                          for v, a, b, c in zip(y, k1, k2, k3)])
+                          for v, a, b, c in zip(y_read, a1, a2, a3)])
+                a4 = take(k4)
                 k5 = rhs([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                          for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+                          for v, a, b, c, d in zip(y_read, a1, a2, a3, a4)])
+                a5 = take(k5)
                 k6 = rhs([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                          for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+                          for v, a, b, c, d, e in zip(y_read, a1, a2, a3, a4, a5)])
                 y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
                          for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
-                k7 = rhs(y_new)
+                y_new_read = take(y_new)
+                k7 = rhs(y_new_read)
             except HorizonDomain:
                 # a trial stage left the chart: the step is too long
                 h_abs *= _MIN_FACTOR
@@ -696,12 +767,12 @@ def _dopri(rhs, y0: list[float], tau_end: float, tol: float, events, what: str) 
             tau = t + x * h
             taus.append(tau)
             states.append([dense(i, x) for i in range(len(y))])
-            return _Run(taus, states, event, nfev, accepted, rejected)
+            return finished(event)
 
-        t, y, y_abs, f, g = t_new, y_new, y_new_abs, k7, g_new
+        t, y, y_read, y_abs, f, g = t_new, y_new, y_new_read, y_new_abs, k7, g_new
         taus.append(t)
         states.append(y)
-    return _Run(taus, states, None, nfev, accepted, rejected)
+    return finished(None)
 
 
 def _bracket_root(fn) -> float:

@@ -542,8 +542,12 @@ def test_any_edited_document_gives_an_exit_code_in_every_command(tmp_path, monke
 @st.composite
 def _boosted_tangents(draw, f, r, theta):
     """A tangent boosted from the static observer at (r, theta), where the
-    metric's g_tt is -f: timelike at a speed below 1, or null at an energy."""
-    n = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    metric's g_tt is -f: timelike at a speed below 1, or null at an energy,
+    along a random direction or an exactly radial one, (+-1, +-0.0, +-0.0)."""
+    zero = st.sampled_from([0.0, -0.0])
+    n = np.array(draw(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3) | st.tuples(st.sampled_from([1.0, -1.0]), zero, zero)
+    ))
     norm = np.linalg.norm(n)
     n = n / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0])
     speed = draw(st.sampled_from([0.0, 0.5, 0.99, 1.0]) | st.floats(0.0, 0.9999))
@@ -592,12 +596,32 @@ def schwarzschild_documents(draw):
     }
 
 
+def _radial_infall_document(mass):
+    """Exactly radial legs at r = 10 M, inward to radius stops, with signed
+    zeros: a timelike one at speed 0.5 and a null one."""
+    f, gamma = 0.8, 1.0 / math.sqrt(0.75)
+    return {
+        "metric": {"kind": "schwarzschild", "mass": mass},
+        "origin": [0.0, 10.0 * mass, math.pi / 2, 0.0],
+        "u1": [gamma / math.sqrt(f), -0.5 * gamma * math.sqrt(f), -0.0, -0.0],
+        "u2": [1.0 / math.sqrt(f), -math.sqrt(f), 0.0, -0.0],
+        "stop1": {"kind": "radius", "value": 3.0 * mass},
+        "stop2": {"kind": "radius", "value": 2.5 * mass},
+        "settings": {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0},
+        "mc": {"n": 1000, "seed": 7},
+        "lhv_audit": True,
+        "sweep": {"parameter": "b_deg", "start": 0.0, "stop": 90.0, "step": 45.0},
+    }
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(
     max_examples=80, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(document=schwarzschild_documents())
+@example(document=_radial_infall_document(1.0))
+@example(document=_radial_infall_document(1e30))
 def test_any_schwarzschild_document_gives_an_exit_code_in_every_command(tmp_path, monkeypatch, document):
     from grbell import geodesics
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from grbell import HorizonDomain, StepFailure, StopCondition, integrate_geodesic
+from grbell import HorizonApproach, HorizonDomain, StepFailure, StopCondition, integrate_geodesic
 from grbell import geodesics
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from conftest import random_exterior_point
@@ -181,15 +181,38 @@ def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):
 
 
 def test_hand_written_geodesic_term_matches_the_christoffel_symbols(schw, rng):
+    # each right-hand side takes the components it reads; a radial leg's
+    # gives du^t and du^r, and u^theta and u^phi stay 0
     rhs = geodesics._schwarzschild_rhs("timelike", 1.0, 1.0)  # unit mass, as schw
     for _ in range(200):
         x = random_exterior_point(rng)
         u = rng.standard_normal(4)
-        acceleration = np.array(rhs(list(x) + list(u) + [0.0])[4:8])
-        G = christoffel_components(schw, x)
-        expected = -(G @ u @ u)
-        scale = np.abs(G) @ np.abs(u) @ np.abs(u)
-        assert np.all(np.abs(acceleration - expected) <= 4.0 * EPS * scale)
+        radial = np.array([u[0], u[1], 0.0, 0.0])
+        for acceleration, u in (
+            (np.array(rhs([x[1], x[2], *u])[4:8]), u),
+            (np.array([*geodesics._radial_rhs([x[1], u[0], u[1]])[2:], 0.0, 0.0]), radial),
+        ):
+            G = christoffel_components(schw, x)
+            expected = -(G @ u @ u)
+            scale = np.abs(G) @ np.abs(u) @ np.abs(u)
+            assert np.all(np.abs(acceleration - expected) <= 4.0 * EPS * scale)
+
+
+def test_radial_rhs_gives_the_bits_of_the_whole_rhs(rng):
+    # with u^theta = u^phi = +-0.0 the whole right-hand side's angular terms
+    # of du^r/dtau are +0.0, or NaN where r f overflows, as is r f * 0.0
+    rhs = geodesics._schwarzschild_rhs("timelike", 1.0, 0.0)
+    for _ in range(500):
+        r = float(rng.choice([rng.uniform(2.0001, 50.0), 1e300, math.inf]))
+        th = math.pi / 2 if rng.random() < 0.5 else float(rng.uniform(0.01, math.pi - 0.01))
+        ut, ur = (rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 200.0, 2)).tolist()
+        uth, uph = rng.choice([0.0, -0.0], 2).tolist()
+        whole = rhs([r, th, ut, ur, uth, uph])
+        radial = geodesics._radial_rhs([r, ut, ur])
+        found, expected = np.array(radial), np.array(whole[:2] + whole[4:6])
+        nan = np.isnan(found)
+        assert np.array_equal(nan, np.isnan(expected))
+        assert found[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def test_stepper_takes_the_steps_of_rk45():
@@ -243,6 +266,152 @@ def test_stepper_fails_on_step_size_underflow():
     # y' = 1 / (1 - y)^2 blows up at tau = 1/3; steps shrink until they underflow
     with pytest.raises(StepFailure):
         geodesics._dopri(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1.0, 1e-10, [], "stop")
+
+
+def run_outcome(call):
+    """A stepper run's taus and states as bytes, its event and counters, or
+    the class and message of what it raised."""
+    try:
+        run = call()
+    except Exception as e:  # noqa: BLE001 - compared, not handled
+        return type(e), str(e)
+    states = np.array(run.states)
+    return (np.array(run.taus).tobytes(), states.shape, states.tobytes(), run.event,
+            run.nfev, run.accepted, run.rejected)
+
+
+def test_reads_and_moves_step_a_toy_system_like_the_whole_state():
+    # y = (x, v, q, c): x' = v, v' = -x, q' = x is never read and c is
+    # constant; a terminal event on q ends the run on its dense output
+    def whole(y):
+        return [y[1], -y[0], y[0], 0.0]
+
+    def reduced(y):
+        x, v = y
+        return v, -x, x
+
+    for c in (2.5, 0.0, -0.0):
+        y0 = [1.0, 0.0, 0.25, c]
+        for tol in (1e-3, 1e-7, 1e-10):
+            for events in ([], [(2, 0.75, 1)], [(2, 0.75, 1), (0, -0.5, -1)]):
+                expected = run_outcome(lambda: geodesics._dopri(whole, y0, 10.0, tol, events, "stop"))
+                found = run_outcome(lambda: geodesics._dopri(
+                    reduced, y0, 10.0, tol, events, "stop", (0, 1), (0, 1, 2)))
+                assert found == expected
+                assert found[3] == (0 if events else None)
+                if events:
+                    # q = 0.25 + sin(tau) reaches 0.75 at tau = pi / 6
+                    assert np.frombuffer(found[0], float)[-1] == pytest.approx(math.pi / 6.0, abs=10.0 * tol)
+                # the constant's -0.0 turns +0.0 after the first step, as in the whole state
+                states = np.frombuffer(found[2], float).reshape(found[1])
+                assert math.copysign(1.0, states[-1, 3]) == 1.0
+
+
+def radial_leg(rng):
+    """A random radial leg at unit mass, as (kind, x0, u0, stop, tol).
+
+    Timelike legs at rest, inward or outward, or null legs inward or
+    outward, on or off the equator, with u^theta and u^phi each +0.0 or
+    -0.0, to a proper-time, radius or coordinate-time stop that may lie
+    past the guard radius or beyond the tau cap.
+    """
+    r0 = rng.uniform(2.05, 4.0) if rng.random() < 0.3 else rng.uniform(4.0, 30.0)
+    theta = math.pi / 2.0 if rng.random() < 0.5 else rng.uniform(0.2, math.pi - 0.2)
+    x0 = np.array([rng.uniform(-5.0, 5.0), r0, theta, rng.uniform(-math.pi, math.pi)])
+    f = 1.0 - 2.0 / r0
+    zeros = rng.choice([0.0, -0.0], 2).tolist()
+    motion = int(rng.integers(5))  # at rest, timelike in or out, null in or out
+    sign = -1.0 if motion in (1, 3) else 1.0
+    if motion < 3:
+        v = 0.0 if motion == 0 else rng.uniform(0.01, 0.9)
+        gamma = 1.0 / math.sqrt(1.0 - v * v)
+        kind, u0 = "timelike", [gamma / math.sqrt(f), sign * gamma * v * math.sqrt(f), *zeros]
+    else:
+        scale = rng.uniform(0.5, 2.0)
+        kind, u0 = "null", [scale / math.sqrt(f), sign * scale * math.sqrt(f), *zeros]
+    stop_kind = int(rng.integers(3))
+    if stop_kind == 0:
+        stop = StopCondition.proper_time(rng.uniform(0.5, 40.0))
+    elif stop_kind == 1:
+        stop = StopCondition.radius(rng.uniform(2.00001, r0 - 0.01) if rng.random() < 0.6
+                                    else rng.uniform(r0 + 0.01, r0 + 40.0))
+    else:
+        stop = StopCondition.coordinate_time(x0[0] + rng.uniform(-5.0, 60.0))
+    return kind, x0, np.array(u0), stop, 10.0 ** rng.uniform(-10.0, -3.0)
+
+
+def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
+    """Each leg's stepper run, on the components its right-hand side reads
+    and moves, equals the run that moves every component of the 9-component
+    state on the whole right-hand side. Returns each leg's outcome, as
+    (exception class name or "ok", whether the tau cap stopped it, the
+    right-hand side it stepped on or None)."""
+    calls, outcomes = [], []
+    dopri = geodesics._dopri
+
+    def recording(*args):
+        try:
+            run = dopri(*args)
+        except Exception as e:  # noqa: BLE001 - recorded and raised again
+            calls.append((args, (type(e), str(e))))
+            raise
+        calls.append((args, run_outcome(lambda: run)))
+        return run
+
+    monkeypatch.setattr(geodesics, "_dopri", recording)
+    for kind, x0, u0, stop, tol in legs:
+        stepped = len(calls)
+        try:
+            integrate_geodesic(schw, x0, u0, stop, tol)
+        except (StepFailure, HorizonApproach) as e:
+            outcome = type(e).__name__, "not reached by tau" in str(e)
+        else:
+            outcome = "ok", False
+        if len(calls) == stepped:  # a zero-length leg does not step
+            outcomes.append((*outcome, None))
+            continue
+        (rhs, y0, cap, _, events, what, _, _), found = calls[stepped]
+        r0, th0 = y0[1], y0[2]
+        energy = (1.0 - 2.0 / r0) * y0[4]
+        ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
+        whole_rhs = geodesics._schwarzschild_rhs(kind, energy, ang_mom)
+        expected = run_outcome(lambda: dopri(
+            lambda y: whole_rhs(y[1:3] + y[4:8]), y0, cap, tol, events, what))
+        assert found == expected
+        outcomes.append((*outcome, rhs))
+    return outcomes
+
+
+def test_radial_legs_step_like_the_whole_state(schw, rng, monkeypatch):
+    # a radial leg steps (t, r, u^t, u^r) from (r, u^t, u^r); the 9-component
+    # run gives the other five components +-0.0 derivatives, which change no
+    # step, and turns a -0.0 u^theta or u^phi into +0.0 at its first step
+    legs = [radial_leg(rng) for _ in range(320)]
+    stepped = [o for o in assert_legs_step_like_the_whole_state(schw, monkeypatch, legs) if o[2]]
+    assert len(stepped) >= 300
+    assert {rhs for _, _, rhs in stepped} == {geodesics._radial_rhs}
+    assert {o[:2] for o in stepped} == {
+        ("ok", False), ("HorizonApproach", False), ("StepFailure", True)
+    }
+    # 5 motions, 3 stop kinds and 4 signs of the zeros (u^theta, u^phi)
+    cases = {(kind, float(np.sign(u0[1])), stop.kind, math.copysign(1.0, u0[2]), math.copysign(1.0, u0[3]))
+             for kind, _, u0, stop, _ in legs}
+    assert len(cases) == 5 * 3 * 4
+
+
+def test_general_legs_step_like_the_whole_state(schw, rng, monkeypatch):
+    # a general leg forms its trial stages on the six components its
+    # right-hand side reads, and moves all nine
+    legs = []
+    for kind, radial_fraction in LEGS:
+        if radial_fraction == 0.0:
+            continue
+        for _ in range(8):
+            x0, u0 = launch(rng, kind, radial_fraction)
+            legs.append((kind, x0, u0, StopCondition.proper_time(rng.uniform(1.0, 12.0)),
+                         10.0 ** rng.uniform(-10.0, -3.0)))
+    outcomes = assert_legs_step_like_the_whole_state(schw, monkeypatch, legs)
+    assert all(rhs not in (None, geodesics._radial_rhs) for _, _, rhs in outcomes)
 
 
 def test_equatorial_null_leg_carries_the_plane_normal(schw):
