@@ -11,8 +11,9 @@ a radius at or inside it gives a horizon_guard row.
 
 Global options: --tol, --seed, --quiet. --seed and --n override the
 config's mc block and are checked as its fields are (a non-negative
-integer seed). Exit codes: 0 success, 2 configuration error, 3 geometry or
-integration error, 4 statistical audit/selftest failure.
+integer seed). Exit codes: 0 success, 2 configuration error (an --out that
+cannot be written too), 3 geometry or integration error, 4 statistical
+audit/selftest failure.
 """
 from __future__ import annotations
 
@@ -114,8 +115,11 @@ def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:  # a missing directory, a directory, no permission, a full disk
+            raise ConfigError(f"cannot write {path}: {e}") from None
 
 
 def _cmd_run(args) -> int:

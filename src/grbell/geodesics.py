@@ -34,7 +34,10 @@ trial stages only on the components the right-hand side reads, and steps
 only those it moves: a general leg reads (r, theta, u) and moves all nine;
 a radial leg, u^theta = u^phi = 0, reads (r, u^t, u^r) and moves (t, r,
 u^t, u^r), and its other five components stay put. Both store the bits
-of the run that steps all nine components.
+of the run that steps all nine components. A trial step, stages k2 to k7,
+the new state and its error norm, is one straight-line function per state
+shape, written out from the tableau and compiled on first use; it rounds
+each sum as the list form it replaced does.
 
 Every Schwarzschild geodesic lies in a plane through r = 0, so a frame
 parallel along it is algebraic in (x, u) and the one scalar psi (J.-A.
@@ -65,6 +68,7 @@ drift it was checked against and its integrator counters.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -107,17 +111,18 @@ MAX_STEPS = 50_000
 # terms that cancel in it (the check's conditioning factor)
 METRIC_SLACK = 64.0 * float(np.finfo(float).eps)
 
-# Dormand-Prince 5(4): stage weights, 5th-order solution, error weights and
-# the quartic dense output (Shampine's optimum c6)
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+# Dormand-Prince 5(4): the stage weights of k2..k6, the 5th-order solution's
+# weights of k1..k6, the error weights of k1..k7 and the quartic dense output
+# (Shampine's optimum c6)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 _DENSE = (
     (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
     (0, 0, 0, 0),
@@ -618,6 +623,46 @@ class _Run:
     rejected: int
 
 
+@functools.cache
+def _trial_step(m: int, at: tuple[int, ...]):
+    """_dopri's trial step over m moved components, of which the right-hand
+    side reads those at the positions at, as one straight-line function
+    trial(rhs, h, y, k1, atol, rtol, root_n) -> ((k1, ..., k7), y_new, error).
+
+    It forms stages k2..k7 and y_new and returns the RMS error norm. Every
+    sum is written out per component from the tableau, with each weight as
+    its float's repr, which reads back as the same float, and with the
+    zero weights left out, in the operand order of the list form that
+    tests/reference.py keeps as earlier_dopri; so every rounding is the
+    same. rhs gets its components as a tuple.
+    """
+    every = range(m)
+
+    def unpack(name, values):
+        return f"    {''.join(f'{name}{i}, ' for i in every)}= {values}\n"
+
+    def read(terms):
+        return f"({''.join(f'{terms(i)}, ' for i in at)})"
+
+    def weighted(weights, i):
+        return " + ".join(f"{w!r} * k{s}_{i}" for s, w in enumerate(weights, 1) if w)
+
+    src = "def trial(rhs, h, y, k1, atol, rtol, root_n):\n" + unpack("y", "y") + unpack("k1_", "k1")
+    for s, row in enumerate(_A, 2):
+        src += f"    k{s} = rhs({read(lambda i: f'y{i} + h * ({weighted(row, i)})')})\n"
+        src += unpack(f"k{s}_", f"k{s}")
+    src += "".join(f"    w{i} = y{i} + h * ({weighted(_B, i)})\n" for i in every)
+    src += f"    k7 = rhs({read(lambda i: f'w{i}')})\n" + unpack("k7_", "k7")
+    src += "".join(f"    v{i}, u{i} = abs(y{i}), abs(w{i})\n" for i in every)
+    src += "    error = hypot(" + ", ".join(
+        f"h * ({weighted(_E, i)}) / (atol + (u{i} if u{i} > v{i} else v{i}) * rtol)" for i in every
+    ) + ") / root_n\n"
+    src += f"    return (k1, k2, k3, k4, k5, k6, k7), [{', '.join(f'w{i}' for i in every)}], error\n"
+    scope = {"hypot": math.hypot}
+    exec(compile(src, f"<dopri trial step {m} {at}>", "exec"), scope)
+    return scope["trial"]
+
+
 def _dopri(
     rhs, y0: list[float], tau_end: float, tol: float, events, what: str,
     reads: Sequence[int] | None = None, moves: Sequence[int] | None = None,
@@ -631,7 +676,9 @@ def _dopri(
     every other component has derivative 0 and is carried, plus 0.0 after
     the first step, so each stored state has the bits of the run that moves
     every component with those zeros. The error norm still divides by
-    sqrt(len(y0)), and the initial-step rule reads all of y0.
+    sqrt(len(y0)), and the initial-step rule reads all of y0. Each trial
+    step runs _trial_step's function for (len(moves), the positions of
+    reads within moves), built once per shape.
 
     events are terminal (component, target, direction) triples on moved
     components: event j fires where y[component] crosses target, upward
@@ -650,8 +697,9 @@ def _dopri(
     reads = every if reads is None else reads
     moves = every if moves is None else moves
     # the read components of a list over moves, as a tuple
-    at = [moves.index(i) for i in reads]
+    at = tuple(moves.index(i) for i in reads)
     take = itemgetter(*at) if len(at) > 1 else lambda v, i=at[0]: (v[i],)
+    trial = _trial_step(len(moves), at)
 
     def rms(values, scale):
         return hypot(*[v / s for v, s in zip(values, scale)]) / root_n
@@ -685,7 +733,6 @@ def _dopri(
         return _Run(taus, states, event, nfev, accepted, rejected)
 
     t = 0.0
-    y_abs = [abs(v) for v in y]
     taus, states = [t], [y]
     events = [(moves.index(c), target, direction) for c, target, direction in events]
     g = [y[c] - target for c, target, _ in events]
@@ -693,7 +740,6 @@ def _dopri(
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
-        k1, a1 = f, take(f)
         while True:
             if h_abs < min_step:
                 raise StepFailure(f"step size underflow at tau = {t}")
@@ -702,34 +748,13 @@ def _dopri(
             h_abs = h
             nfev += 6
             try:
-                k2 = rhs([v + h * (_A21 * a) for v, a in zip(y_read, a1)])
-                a2 = take(k2)
-                k3 = rhs([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y_read, a1, a2)])
-                a3 = take(k3)
-                k4 = rhs([v + h * (_A41 * a + _A42 * b + _A43 * c)
-                          for v, a, b, c in zip(y_read, a1, a2, a3)])
-                a4 = take(k4)
-                k5 = rhs([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                          for v, a, b, c, d in zip(y_read, a1, a2, a3, a4)])
-                a5 = take(k5)
-                k6 = rhs([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                          for v, a, b, c, d, e in zip(y_read, a1, a2, a3, a4, a5)])
-                y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
-                         for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
-                y_new_read = take(y_new)
-                k7 = rhs(y_new_read)
+                stages, y_new, error = trial(rhs, h, y, f, atol, rtol, root_n)
             except HorizonDomain:
                 # a trial stage left the chart: the step is too long
                 h_abs *= _MIN_FACTOR
                 step_rejected = True
                 rejected += 1
                 continue
-            y_new_abs = [abs(w) for w in y_new]
-            error = hypot(*[
-                h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q)
-                / (atol + (w if w > v else v) * rtol)
-                for a, c, d, e, p, q, v, w in zip(k1, k3, k4, k5, k6, k7, y_abs, y_new_abs)
-            ]) / root_n
             if not isfinite(error):
                 raise StepFailure(f"non-finite state after tau = {t}")
             if error < 1.0:
@@ -752,7 +777,6 @@ def _dopri(
             or (direction <= 0 and g[j] >= 0.0 >= g_new[j])
         ]
         if crossed:
-            stages = (k1, k2, k3, k4, k5, k6, k7)
             # dense output y(t + x h) = y + h sum_j Q[i][j] x^(j+1)
             Q = [[sum(K[i] * row[j] for K, row in zip(stages, _DENSE)) for j in range(4)]
                  for i in range(len(y))]
@@ -769,7 +793,7 @@ def _dopri(
             states.append([dense(i, x) for i in range(len(y))])
             return finished(event)
 
-        t, y, y_read, y_abs, f, g = t_new, y_new, y_new_read, y_new_abs, k7, g_new
+        t, y, f, g = t_new, y_new, stages[-1], g_new
         taus.append(t)
         states.append(y)
     return finished(None)

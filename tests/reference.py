@@ -13,12 +13,13 @@ package's public one-row objects, that several tests share, and csv_cells
 reads a CSV line back as its named cells.
 """
 import math
+from operator import itemgetter
 
 import numpy as np
 
 from grbell import geodesics
 from grbell.correlations import _ordered, _weighted_differences, bell_stack, violation_stack
-from grbell.errors import NonFiniteVector, StepFailure
+from grbell.errors import HorizonDomain, NonFiniteVector, StepFailure
 from grbell.frames import ProjectionStack
 from grbell.geodesics import SCHWARZSCHILD, TIMELIKE, _drift_bound
 from grbell.geometry import ETA, MINKOWSKI, MetricSpec, metric_components, metric_stack, row_dot, row_matvec
@@ -179,6 +180,155 @@ def earlier_leg_arrays(kind, taus, states, t0, ph0):
         np.array(taus), points, states[:, 4:8], propagators, np.abs(frames) @ np.abs(inverse),
         metric_stack(unit_mass, points), np.ascontiguousarray(frames[:, :, 0]),
     )
+
+
+# the Dormand-Prince 5(4) tableau as earlier_dopri writes it, a copy kept
+# apart from the package's _A, _B and _E
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+)
+
+
+def earlier_dopri(rhs, y0, tau_end, tol, events, what, reads=None, moves=None):
+    """geodesics._dopri with its trial step written as list comprehensions
+    over zip, each stage's read components taken with an itemgetter, and
+    the running |y| carried from step to step."""
+    rtol, atol = tol, tol * 1e-3
+    root_n = math.sqrt(len(y0))
+    hypot, isfinite = math.hypot, math.isfinite
+    every = range(len(y0))
+    reads = every if reads is None else reads
+    moves = every if moves is None else moves
+    # the read components of a list over moves, as a tuple
+    at = [moves.index(i) for i in reads]
+    take = itemgetter(*at) if len(at) > 1 else lambda v, i=at[0]: (v[i],)
+
+    def rms(values, scale):
+        return hypot(*[v / s for v, s in zip(values, scale)]) / root_n
+
+    # initial step (Hairer, Norsett and Wanner, sec. II.4)
+    y = [y0[i] for i in moves]
+    y_read = take(y)
+    f = rhs(y_read)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = rms(y0, scale)
+    scale = [scale[i] for i in moves]
+    d1 = rms(f, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, tau_end)
+    f1 = rhs([v + h0 * dv for v, dv in zip(y_read, take(f))])
+    d2 = rms([b - a for a, b in zip(f, f1)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, tau_end)
+    nfev, accepted, rejected = 2, 0, 0
+
+    def finished(event):
+        if len(moves) < len(y0):
+            # each later state over all of y0: its moved components, and y0 + 0.0 for the rest
+            after = [v + 0.0 for v in y0]
+            whole = itemgetter(*[moves.index(i) if i in moves else len(moves) + i for i in every])
+            states[1:] = [whole(v + after) for v in states[1:]]
+            states[0] = y0
+        return geodesics._Run(taus, states, event, nfev, accepted, rejected)
+
+    t = 0.0
+    y_abs = [abs(v) for v in y]
+    taus, states = [t], [y]
+    events = [(moves.index(c), target, direction) for c, target, direction in events]
+    g = [y[c] - target for c, target, _ in events]
+    while t < tau_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        k1, a1 = f, take(f)
+        while True:
+            if h_abs < min_step:
+                raise StepFailure(f"step size underflow at tau = {t}")
+            t_new = min(t + h_abs, tau_end)
+            h = t_new - t
+            h_abs = h
+            nfev += 6
+            try:
+                k2 = rhs([v + h * (_A21 * a) for v, a in zip(y_read, a1)])
+                a2 = take(k2)
+                k3 = rhs([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y_read, a1, a2)])
+                a3 = take(k3)
+                k4 = rhs([v + h * (_A41 * a + _A42 * b + _A43 * c)
+                          for v, a, b, c in zip(y_read, a1, a2, a3)])
+                a4 = take(k4)
+                k5 = rhs([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                          for v, a, b, c, d in zip(y_read, a1, a2, a3, a4)])
+                a5 = take(k5)
+                k6 = rhs([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                          for v, a, b, c, d, e in zip(y_read, a1, a2, a3, a4, a5)])
+                y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
+                         for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
+                y_new_read = take(y_new)
+                k7 = rhs(y_new_read)
+            except HorizonDomain:
+                # a trial stage left the chart: the step is too long
+                h_abs *= geodesics._MIN_FACTOR
+                step_rejected = True
+                rejected += 1
+                continue
+            y_new_abs = [abs(w) for w in y_new]
+            error = hypot(*[
+                h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q)
+                / (atol + (w if w > v else v) * rtol)
+                for a, c, d, e, p, q, v, w in zip(k1, k3, k4, k5, k6, k7, y_abs, y_new_abs)
+            ]) / root_n
+            if not isfinite(error):
+                raise StepFailure(f"non-finite state after tau = {t}")
+            if error < 1.0:
+                factor = geodesics._MAX_FACTOR if error == 0.0 else min(
+                    geodesics._MAX_FACTOR, geodesics._SAFETY * error ** -0.2
+                )
+                h_abs *= min(1.0, factor) if step_rejected else factor
+                break
+            h_abs *= max(geodesics._MIN_FACTOR, geodesics._SAFETY * error ** -0.2)
+            step_rejected = True
+            rejected += 1
+        accepted += 1
+        if accepted > geodesics.MAX_STEPS:
+            raise StepFailure(f"{what} not reached within {geodesics.MAX_STEPS} steps")
+
+        g_new = [y_new[c] - target for c, target, _ in events]
+        crossed = [
+            j for j, (_, _, direction) in enumerate(events)
+            if (direction >= 0 and g[j] <= 0.0 <= g_new[j])
+            or (direction <= 0 and g[j] >= 0.0 >= g_new[j])
+        ]
+        if crossed:
+            stages = (k1, k2, k3, k4, k5, k6, k7)
+            # dense output y(t + x h) = y + h sum_j Q[i][j] x^(j+1)
+            Q = [[sum(K[i] * row[j] for K, row in zip(stages, geodesics._DENSE)) for j in range(4)]
+                 for i in range(len(y))]
+
+            def dense(i, x):
+                q = Q[i]
+                return y[i] + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
+
+            roots = [(geodesics._bracket_root(lambda x, c=events[j][0], target=events[j][1]:
+                                    dense(c, x) - target), j) for j in crossed]
+            x, event = min(roots)
+            tau = t + x * h
+            taus.append(tau)
+            states.append([dense(i, x) for i in range(len(y))])
+            return finished(event)
+
+        t, y, y_read, y_abs, f, g = t_new, y_new, y_new_read, y_new_abs, k7, g_new
+        taus.append(t)
+        states.append(y)
+    return finished(None)
 
 
 def earlier_carry(path, V, direction):

@@ -63,6 +63,21 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--format", "json"],
+    ["--quiet", "sweep"],
+    ["--quiet", "horizon", "--mass", "1", "--r-start", "10", "--r-end", "2.01", "--steps", "3"],
+])
+@pytest.mark.parametrize("out", ["missing/out.csv", "."])
+def test_an_unwritable_out_is_config_error(tmp_path, capsys, command, out):
+    # a missing directory, or a directory, where the output file should go
+    if "horizon" not in command:
+        command = [*command, "--config", os.path.join(CONFIGS, "flat_a_sweep.json")]
+    path = str(tmp_path / out)
+    assert main([*command, "--out", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {path}: ")
+
+
 def test_invalid_config_is_config_error(tmp_path, capsys):
     data = flat_baseline_config()
     data["origin"] = [0.0, 1.0]
@@ -573,19 +588,26 @@ def schwarzschild_documents(draw):
         u1 = [x * scale for x in u1]
     # u1 and u2 closer than 1e-12 are one geodesic, which the parser refuses
     u2 = draw(_boosted_tangents(f, r, theta).filter(lambda u: np.max(np.abs(np.subtract(u, u1))) > 1e-12))
-    # a stop at -1 or 1e4 M is unreachable, below the guard, or refused by the parser
-    stop = st.tuples(
-        st.sampled_from(["proper_time", "radius", "coordinate_time"]),
-        st.floats(0.0, 40.0) | st.sampled_from([-1.0, 1.0, 1e4]),
-    ).map(lambda kv: {"kind": kv[0], "value": kv[1] * mass})
+    # a stop at -1 or 1e4 M is unreachable, below the guard, or refused by the
+    # parser; a radius between the guard and r0, or just beyond r0, is one that
+    # legs falling in or climbing out reach within the step budget
+    guard = 2.0 * (1.0 + 1e-6)
+    near = (st.floats(0.0, 1.0).map(lambda x: guard + x * (r_over_m - guard))
+            | st.floats(1.0, 1.05).map(lambda x: x * r_over_m))
+
+    def stop():
+        kind = draw(st.sampled_from(["proper_time", "radius", "coordinate_time"]))
+        values = st.floats(0.0, 40.0) | st.sampled_from([-1.0, 1.0, 1e4])
+        return {"kind": kind, "value": draw(values | near if kind == "radius" else values) * mass}
+
     angle = st.floats(-360.0, 360.0)
     return {
         "metric": {"kind": "schwarzschild", "mass": mass},
         "origin": [draw(st.floats(-10.0, 10.0)) * mass, r, theta, draw(st.floats(-7.0, 7.0))],
         "u1": u1,
         "u2": u2,
-        "stop1": draw(stop),
-        "stop2": draw(stop),
+        "stop1": stop(),
+        "stop2": stop(),
         "frame_choice": draw(st.sampled_from(["static", "comoving"])),
         "settings": {"a_deg": draw(angle), "b_deg": draw(angle), "c_deg": draw(angle)},
         "tol": draw(st.sampled_from([1e-10, 1e-6, 1e-3])),

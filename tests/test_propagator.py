@@ -18,6 +18,7 @@ from reference import (
     christoffel_components,
     column_list_frames,
     earlier_conservation_drift,
+    earlier_dopri,
     earlier_leg_arrays,
     earlier_metric_check,
     metric_matrices,
@@ -215,11 +216,20 @@ def test_radial_rhs_gives_the_bits_of_the_whole_rhs(rng):
         assert found[~nan].tobytes() == expected[~nan].tobytes()
 
 
+def damped_oscillator(y):
+    return [y[1], -y[0] - 0.1 * y[1] * y[0] ** 2, 0.3 * y[0]]
+
+
+def leaves_at_zero(y):
+    """y' = -1 on the domain y > 0, which y = 1 - tau leaves at tau = 1."""
+    if y[0] <= 0.0:
+        raise HorizonDomain(f"y = {y[0]}")
+    return [-1.0]
+
+
 def test_stepper_takes_the_steps_of_rk45():
     # same tableau, error norm, controller and initial step: the same steps
-    def rhs(y):
-        return [y[1], -y[0] - 0.1 * y[1] * y[0] ** 2, 0.3 * y[0]]
-
+    rhs = damped_oscillator
     y0 = [1.5, 0.0, 0.2]
     for tol in (1e-6, 1e-9, 1e-11):
         run = geodesics._dopri(rhs, y0, 20.0, tol, [], "stop")
@@ -248,14 +258,9 @@ def test_stepper_rejects_a_non_finite_state():
 
 
 def test_stepper_rejects_a_step_whose_stage_leaves_the_domain():
-    # y = 1 - tau leaves the domain y > 0 at tau = 1; the controller grows
-    # the step tenfold on this linear system until a trial stage crosses it
-    def rhs(y):
-        if y[0] <= 0.0:
-            raise HorizonDomain(f"y = {y[0]}")
-        return [-1.0]
-
-    run = geodesics._dopri(rhs, [1.0], 10.0, 1e-10, [(0, 0.25, -1)], "stop")
+    # the controller grows the step tenfold on this linear system until a
+    # trial stage crosses the domain's edge
+    run = geodesics._dopri(leaves_at_zero, [1.0], 10.0, 1e-10, [(0, 0.25, -1)], "stop")
     assert run.event == 0
     assert run.taus[-1] == pytest.approx(0.75, abs=1e-12)
     assert run.rejected >= 1
@@ -280,31 +285,64 @@ def run_outcome(call):
             run.nfev, run.accepted, run.rejected)
 
 
+# y = (x, v, q, c): x' = v, v' = -x, q' = x is never read and c is constant;
+# a terminal event on q ends a run on its dense output
+def whole_toy(y):
+    return [y[1], -y[0], y[0], 0.0]
+
+
+def reduced_toy(y):
+    x, v = y
+    return v, -x, x
+
+
+TOY_RUNS = [
+    ([1.0, 0.0, 0.25, c], tol, events)
+    for c in (2.5, 0.0, -0.0)
+    for tol in (1e-3, 1e-7, 1e-10)
+    for events in ([], [(2, 0.75, 1)], [(2, 0.75, 1), (0, -0.5, -1)])
+]
+
+
 def test_reads_and_moves_step_a_toy_system_like_the_whole_state():
-    # y = (x, v, q, c): x' = v, v' = -x, q' = x is never read and c is
-    # constant; a terminal event on q ends the run on its dense output
-    def whole(y):
-        return [y[1], -y[0], y[0], 0.0]
+    for y0, tol, events in TOY_RUNS:
+        expected = run_outcome(lambda: geodesics._dopri(whole_toy, y0, 10.0, tol, events, "stop"))
+        found = run_outcome(lambda: geodesics._dopri(
+            reduced_toy, y0, 10.0, tol, events, "stop", (0, 1), (0, 1, 2)))
+        assert found == expected
+        assert found[3] == (0 if events else None)
+        if events:
+            # q = 0.25 + sin(tau) reaches 0.75 at tau = pi / 6
+            assert np.frombuffer(found[0], float)[-1] == pytest.approx(math.pi / 6.0, abs=10.0 * tol)
+        # the constant's -0.0 turns +0.0 after the first step, as in the whole state
+        states = np.frombuffer(found[2], float).reshape(found[1])
+        assert math.copysign(1.0, states[-1, 3]) == 1.0
 
-    def reduced(y):
-        x, v = y
-        return v, -x, x
 
-    for c in (2.5, 0.0, -0.0):
-        y0 = [1.0, 0.0, 0.25, c]
-        for tol in (1e-3, 1e-7, 1e-10):
-            for events in ([], [(2, 0.75, 1)], [(2, 0.75, 1), (0, -0.5, -1)]):
-                expected = run_outcome(lambda: geodesics._dopri(whole, y0, 10.0, tol, events, "stop"))
-                found = run_outcome(lambda: geodesics._dopri(
-                    reduced, y0, 10.0, tol, events, "stop", (0, 1), (0, 1, 2)))
-                assert found == expected
-                assert found[3] == (0 if events else None)
-                if events:
-                    # q = 0.25 + sin(tau) reaches 0.75 at tau = pi / 6
-                    assert np.frombuffer(found[0], float)[-1] == pytest.approx(math.pi / 6.0, abs=10.0 * tol)
-                # the constant's -0.0 turns +0.0 after the first step, as in the whole state
-                states = np.frombuffer(found[2], float).reshape(found[1])
-                assert math.copysign(1.0, states[-1, 3]) == 1.0
+# the stepper's arguments on the toy systems above, in groups by what they exercise
+STEPPER_CASES = {
+    "rk45": [(damped_oscillator, [1.5, 0.0, 0.2], 20.0, tol, [], "stop") for tol in (1e-6, 1e-9, 1e-11)],
+    "event": [(lambda y: [y[1], -y[0]], [1.0, 0.0], 10.0, 1e-10, [(0, 0.5, -1)], "stop")],
+    "domain": [(leaves_at_zero, [1.0], 10.0, 1e-10, [(0, 0.25, -1)], "stop")],
+    "non_finite": [(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 5.0, 1e-8, [], "stop")],
+    "underflow": [(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1.0, 1e-10, [], "stop")],
+    "reads_and_moves": [(rhs, y0, 10.0, tol, events, "stop", *shape)
+                        for y0, tol, events in TOY_RUNS
+                        for rhs, shape in ((whole_toy, ()), (reduced_toy, ((0, 1), (0, 1, 2))))],
+}
+
+
+@pytest.mark.parametrize("case", list(STEPPER_CASES))
+@pytest.mark.parametrize("max_steps", [geodesics.MAX_STEPS, 5])
+def test_stepper_equals_the_earlier_stepper(monkeypatch, case, max_steps):
+    # the straight-line trial step gives the bits of the list form, and
+    # raises what it raises, also where the step budget runs out
+    monkeypatch.setattr(geodesics, "MAX_STEPS", max_steps)
+    for args in STEPPER_CASES[case]:
+        found = run_outcome(lambda: geodesics._dopri(*args))
+        assert found == run_outcome(lambda: earlier_dopri(*args))
+        if max_steps == 5 and case == "rk45":
+            assert found == (StepFailure, "stop not reached within 5 steps")
 
 
 def radial_leg(rng):
@@ -343,7 +381,8 @@ def radial_leg(rng):
 def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
     """Each leg's stepper run, on the components its right-hand side reads
     and moves, equals the run that moves every component of the 9-component
-    state on the whole right-hand side. Returns each leg's outcome, as
+    state on the whole right-hand side, and the run of earlier_dopri on the
+    same arguments. Returns each leg's outcome, as
     (exception class name or "ok", whether the tau cap stopped it, the
     right-hand side it stepped on or None)."""
     calls, outcomes = [], []
@@ -370,7 +409,9 @@ def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
         if len(calls) == stepped:  # a zero-length leg does not step
             outcomes.append((*outcome, None))
             continue
-        (rhs, y0, cap, _, events, what, _, _), found = calls[stepped]
+        args, found = calls[stepped]
+        assert found == run_outcome(lambda: earlier_dopri(*args))
+        rhs, y0, cap, _, events, what, _, _ = args
         r0, th0 = y0[1], y0[2]
         energy = (1.0 - 2.0 / r0) * y0[4]
         ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
