@@ -12,7 +12,8 @@ a radius at or inside it gives a horizon_guard row.
 Global options: --tol, --seed, --quiet. --seed and --n override the
 config's mc block and are checked as its fields are (a non-negative
 integer seed). Exit codes: 0 success, 2 configuration error (an --out that
-cannot be written too), 3 geometry or integration error, 4 statistical
+cannot be written, or a standard output closed before the output was
+written, too), 3 geometry or integration error, 4 statistical
 audit/selftest failure.
 """
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -193,7 +195,17 @@ def main(argv=None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: the rest goes to the null device, so
+        # that the interpreter's final flush of stdout does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("config error: standard output closed before the output was written", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,26 +18,39 @@ their parallel propagator is the identity. A radius stop is the first
 positive root of a quadratic and a coordinate-time stop is linear, so flat
 legs need no ODE.
 
-Schwarzschild legs integrate the 9-component state (x, u, psi) with a
-Dormand-Prince 5(4) stepper on Python floats (J. R. Dormand and P. J.
-Prince, J. Comput. Appl. Math. 6, 19 (1980)), with rtol = tol and
-atol = tol * 1e-3, which mean the same at every mass in units of M. t and
-phi are stepped from the start, so the origin's t does not enter the step
-control, and added back to the stored states. The RMS error norm,
+A radial Schwarzschild leg, u^theta = u^phi = 0, is in closed form too,
+and stores its two ends. E = f u^t is conserved, so u^t = E / f and
+(u^r)^2 = E^2 - f (timelike) or E^2 (null). A timelike leg is the radial
+Kepler problem in proper time, written in the universal anomaly s,
+ds = dtau / r, with Stumpff's functions: one form for E < 1 (the cycloid
+of MTW eq. 31.10), E = 1 and E > 1, and through the turning point of a
+bound outward leg; t follows from the rapidity atanh(u^r / E). A null leg
+has affine length |r - r0| / |u^r| and t follows the tortoise coordinate
+r + 2M ln(r/2M - 1). A radius stop is direct; a proper-time or
+coordinate-time stop inverts the increasing clock with the bracketing
+root finder. A radius the leg never reaches (beyond its turning radius,
+or behind it with nothing to turn it back) and a coordinate time before
+the start are refused at once; a leg that reaches the guard radius first
+raises HorizonApproach; a leg longer than its tau cap fails as a stepped
+one does. Radial legs take no steps, and their counters read 0.
+
+Every other Schwarzschild leg integrates the 9-component state (x, u,
+psi) with a Dormand-Prince 5(4) stepper on Python floats (J. R. Dormand
+and P. J. Prince, J. Comput. Appl. Math. 6, 19 (1980)), with rtol = tol
+and atol = tol * 1e-3, which mean the same at every mass in units of M. t
+and phi are stepped from the start, so the origin's t does not enter the
+step control, and added back to the stored states. The RMS error norm,
 step-size controller and initial-step rule follow Hairer, Norsett and
 Wanner, Solving ODEs I, sec. II.4, and the quartic dense output L. F.
 Shampine, Math. Comp. 46, 135 (1986), as in the common RK45 solvers.
 Terminal events (target radius, coordinate time, horizon guard) are
 located by bracketing the root on the step's dense interpolant. One
 integration takes at most MAX_STEPS accepted steps. The stepper forms its
-trial stages only on the components the right-hand side reads, and steps
-only those it moves: a general leg reads (r, theta, u) and moves all nine;
-a radial leg, u^theta = u^phi = 0, reads (r, u^t, u^r) and moves (t, r,
-u^t, u^r), and its other five components stay put. Both store the bits
-of the run that steps all nine components. A trial step, stages k2 to k7,
-the new state and its error norm, is one straight-line function per state
-shape, written out from the tableau and compiled on first use; it rounds
-each sum as the list form it replaced does.
+trial stages only on the components the right-hand side reads, (r, theta,
+u). A trial step, stages k2 to k7, the new state and its error norm, is
+one straight-line function per state shape, written out from the tableau
+and compiled on first use; it rounds each sum as the list form it
+replaced does.
 
 Every Schwarzschild geodesic lies in a plane through r = 0, so a frame
 parallel along it is algebraic in (x, u) and the one scalar psi (J.-A.
@@ -172,8 +185,8 @@ class GeodesicPath:
     tangents, metrics and propagators; its t and phi are the caller's origin
     converted, not shifted to 0. nfev, accepted and rejected count the
     stepper's right-hand-side evaluations and its accepted and rejected
-    steps; all three are 0 on a leg that needs no ODE (flat space, zero
-    length).
+    steps; all three are 0 on a leg that needs no ODE (flat space, a radial
+    Schwarzschild leg, zero length).
     """
 
     spec: MetricSpec
@@ -205,7 +218,9 @@ def _conservation_drift(
     chart: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, g: np.ndarray
 ) -> dict[str, float]:
     """Worst drift of u.u, E and L_z, from the metric stack g in the path's
-    chart; L_z's floor is that chart's M, 1 on a Schwarzschild path."""
+    chart. E's drift is relative to E(0); L_z's to max(|L_z(0)|, floor), with
+    the floor the chart's M on a timelike leg and E(0) M on a null one, whose
+    E and L_z scale alike with its affine parameter."""
     uu = np.einsum("na,na,na->n", g, tangents, tangents)
     n0 = -1.0 if kind == TIMELIKE else 0.0
     drift = {"norm": float(np.abs(uu - n0).max())}
@@ -219,7 +234,8 @@ def _conservation_drift(
         worst_E, worst_L = np.abs(killing - killing[:, :1]).max(axis=1).tolist()
         E0, L0 = killing[:, 0].tolist()
         drift["energy"] = worst_E / abs(E0)
-        drift["angular_momentum"] = worst_L / max(abs(L0), chart.mass)
+        floor = chart.mass if kind == TIMELIKE else E0 * chart.mass
+        drift["angular_momentum"] = worst_L / max(abs(L0), floor)
     return drift
 
 
@@ -325,14 +341,16 @@ def integrate_geodesic(
     A Schwarzschild leg is then converted into units of M, and its path is
     stored in them (see GeodesicPath); the path records spec as given.
     tol controls the local error (relative tol; absolute is tol * 1e-3) of
-    the integrated state (x, u, psi), in units of M; flat legs are exact.
-    Raises BadNormalization unless tangent_kind accepts u0 and, on a
-    Schwarzschild leg, its Killing energy f u^t is positive, HorizonApproach
-    if the path would cross the guard radius, StepFailure if the stop is
-    not reached within the tau cap (a flat leg has none) or MAX_STEPS
-    steps, the state turns non-finite, the step size underflows,
-    conservation drifts exceed max(1e-8, 100 * tol) or the propagator fails
-    to preserve the metric.
+    the integrated state (x, u, psi), in units of M; flat and radial legs
+    are closed-form. Raises BadNormalization unless tangent_kind accepts u0
+    and, on a Schwarzschild leg, its Killing energy f u^t is positive,
+    HorizonApproach if the path would cross the guard radius, StepFailure
+    if a radial leg never meets its stop (a radius beyond its turning point
+    or behind it, a coordinate time before the start) or the stop is not
+    reached within the tau cap (a flat leg has none) or MAX_STEPS steps,
+    the state turns non-finite, the step size underflows, conservation
+    drifts exceed max(1e-8, 100 * tol) or the propagator fails to preserve
+    the metric.
     """
     # the metric at x0 is also the domain check
     g0 = metric_components(spec, x0)
@@ -465,26 +483,8 @@ def _schwarzschild_rhs(kind: str, energy: float, ang_mom: float):
     return rhs
 
 
-def _radial_rhs(y):
-    """d(t, r, u^t, u^r)/dtau of a radial leg, u^theta = u^phi = 0, from (r, u^t, u^r).
-
-    These are _schwarzschild_rhs's terms for the four components, in its
-    order. Its two angular terms of du^r/dtau are +0.0 on a radial leg, or
-    NaN where r f overflows, which is what r f * 0.0 gives. theta, phi,
-    u^theta, u^phi and psi do not move.
-    """
-    r, ut, ur = y
-    if r <= 2.0:
-        raise HorizonDomain(f"r = {r} M inside radius 2 M")
-    f = 1.0 - 2.0 / r
-    g_tr = 1.0 / (r * r * f)
-    g_tt = f / (r * r)
-    return ut, ur, -2.0 * g_tr * ut * ur, -g_tt * ut * ut + g_tr * ur * ur + r * f * 0.0
-
-
-# the components each right-hand side reads and moves, as _dopri's reads and moves
-_GENERAL = (1, 2, 4, 5, 6, 7), None
-_RADIAL = (1, 4, 5), (0, 1, 4, 5)
+# the components the general right-hand side reads, as _dopri's reads
+_READS = (1, 2, 4, 5, 6, 7)
 
 
 def _schwarzschild_leg(
@@ -492,17 +492,17 @@ def _schwarzschild_leg(
 ) -> GeodesicPath:
     """A Schwarzschild leg at unit mass, from x0 with tangent u0 to the stop, all in units of M.
 
-    t and phi are stepped from x0 and added back to the stored states. A
-    radial leg, u^theta = u^phi = 0, steps (t, r, u^t, u^r) on _radial_rhs.
+    A radial leg, u^theta = u^phi = 0, is _radial_leg's closed form. Any
+    other steps the 9-component state; t and phi are stepped from x0 and
+    added back to the stored states.
     """
     t0, r0, th0, ph0 = x0.tolist()
     y0 = [0.0, r0, th0, 0.0, *u0.tolist(), 0.0]
+    if y0[6] == 0.0 and y0[7] == 0.0:
+        return _radial_leg(spec, kind, x0, u0, stop, tol)
     energy = (1.0 - 2.0 / r0) * y0[4]
-    if y0[6] == 0.0 and y0[7] == 0.0:  # radial: L = 0, and theta and phi stay put
-        rhs, (reads, moves) = _radial_rhs, _RADIAL
-    else:
-        ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
-        rhs, (reads, moves) = _schwarzschild_rhs(kind, energy, ang_mom), _GENERAL
+    ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
+    rhs = _schwarzschild_rhs(kind, energy, ang_mom)
 
     # events: (state component, target, direction), the guard last
     events = []
@@ -515,7 +515,7 @@ def _schwarzschild_leg(
     what = f"stop condition {stop.kind} = {stop.value} M"
     cap = _tau_cap(kind, stop, t0, r0, energy)
     try:
-        run = _dopri(rhs, y0, cap, tol, events, what, reads, moves)
+        run = _dopri(rhs, y0, cap, tol, events, what, _READS)
     except (ArithmeticError, ValueError) as e:  # e.g. a trial stage on the polar axis
         raise StepFailure(f"integration failed: {e}") from None
     if run.event == len(events) - 1:
@@ -527,6 +527,15 @@ def _schwarzschild_leg(
     states = np.fromiter(chain.from_iterable(run.states), float, 9 * len(taus)).reshape(-1, 9)
     states[:, 0] += t0
     states[:, 3] += ph0
+    return _framed_path(spec, kind, tol, taus, states, run.nfev, run.accepted, run.rejected)
+
+
+def _framed_path(
+    spec: MetricSpec, kind: str, tol: float, taus: np.ndarray, states: np.ndarray,
+    nfev: int = 0, accepted: int = 0, rejected: int = 0,
+) -> GeodesicPath:
+    """The checked path through the (n, 9) states (x, u, psi) of a
+    Schwarzschild leg, with P = F F(0)^-1 from Marck's frame F."""
     points = np.ascontiguousarray(states[:, :4])
     g = metric_stack(_UNIT_MASS, points)
     frames = _parallel_frames(kind, points, g, states[:, 4:8], states[:, 8])
@@ -536,9 +545,285 @@ def _schwarzschild_leg(
     # the integrated tangents are checked; the path stores the frame's u, which P carries
     return _checked_path(
         spec, kind, tol, taus, points, states[:, 4:8],
-        propagators, np.abs(frames) @ np.abs(inverse), run.nfev, run.accepted, run.rejected,
+        propagators, np.abs(frames) @ np.abs(inverse), nfev, accepted, rejected,
         g=g, stored_tangents=np.ascontiguousarray(frames[:, :, 0]),
     )
+
+
+def _radial_leg(
+    spec: MetricSpec, kind: str, x0: np.ndarray, u0: np.ndarray, stop: StopCondition, tol: float
+) -> GeodesicPath:
+    """A radial leg, u^theta = u^phi = 0, at unit mass in closed form, stored as its two ends.
+
+    E = f u^t is conserved, so the end's u^t is E / f; its u^r, tau and t
+    come from _TimelikeFall or _NullFall, whose math errors are
+    StepFailure, as the stepper's are.
+    """
+    t0, r0, theta, phi = x0.tolist()
+    ut0, ur0 = u0[:2].tolist()
+    energy = (1.0 - 2.0 / r0) * ut0
+    cap = _tau_cap(kind, stop, t0, r0, energy)
+    try:
+        fall = _NullFall(r0, ur0, energy) if kind == NULL else _TimelikeFall(r0, ur0)
+        tau, dt, r, ur = _radial_end(fall, stop, t0, cap)
+        ut = energy / (1.0 - 2.0 / r)
+    except (ArithmeticError, ValueError) as e:
+        raise StepFailure(f"closed-form radial leg failed: {e}") from None
+    if not math.isfinite(tau + dt + r + ut + ur):
+        raise StepFailure(f"end of a radial leg of length tau = {tau} M overflows the chart")
+    states = np.zeros((2, 9))
+    states[0, :8] = t0, r0, theta, phi, *u0.tolist()
+    states[1, :6] = t0 + dt, r, theta, phi, ut, ur
+    return _framed_path(spec, kind, tol, np.array([0.0, tau]), states)
+
+
+def _radial_end(fall, stop: StopCondition, t0: float, cap: float) -> tuple[float, float, float, float]:
+    """(tau, t - t0, r, u^r) where a radial motion meets its stop, in units of M.
+
+    A radius stop is direct. A proper-time or coordinate-time stop inverts
+    the motion's increasing clock with _bracket_root on [0, hi], hi below
+    the guard and past the stop, and ends at the stop's value. Raises
+    StepFailure for a stop the motion never meets or meets beyond tau =
+    cap, and HorizonApproach if it reaches the guard radius first.
+    """
+    what = f"stop condition {stop.kind} = {stop.value} M"
+    if stop.kind == STOP_RADIUS:
+        p, r, ur = fall.at_radius(stop.value)
+        tau, dt = fall.clock(p, r, ur)
+    else:
+        proper = stop.kind == STOP_PROPER_TIME
+        target = stop.value if proper else stop.value - t0
+        if not target > 0.0:
+            raise StepFailure(f"{what} precedes the start t = {t0} M; t grows along every leg")
+        guard = _UNIT_MASS.guard_radius
+        at_guard = fall.at_radius(guard) if fall.falls else None
+        if at_guard is not None:
+            tau, dt = fall.clock(*at_guard)
+            if (tau if proper else dt) <= target:
+                if not tau <= cap:
+                    raise StepFailure(f"{what} not reached by tau = {cap} M")
+                raise HorizonApproach(f"path reached guard radius {guard} M at tau = {tau} M")
+        if proper and fall.affine:
+            p = target
+        else:
+            def late(p):
+                return fall.clock(p, *fall.state(p))[0 if proper else 1] - target
+
+            hi = fall.reach(proper, target)
+            hi = hi if at_guard is None else min(hi, at_guard[0])
+            p = hi * _bracket_root(lambda x: late(x * hi))
+        r, ur = fall.state(p)
+        tau, dt = fall.clock(p, r, ur)
+        tau, dt = (target, dt) if proper else (tau, target)
+    if not tau <= cap:
+        raise StepFailure(f"{what} not reached by tau = {cap} M")
+    return tau, dt, r, ur
+
+
+def _stumpff(z: float) -> tuple[float, float, float]:
+    """Stumpff's c1, c2, c3 at z, c_k(z) = sum_j (-z)^j / (2j + k)!: by the
+    series where |z| < 1, where the trigonometric forms cancel."""
+    if abs(z) < 1.0:
+        c1 = c2 = c3 = 0.0
+        for inverse_factorials in _STUMPFF_SERIES:  # Horner
+            c1 = inverse_factorials[0] - z * c1
+            c2 = inverse_factorials[1] - z * c2
+            c3 = inverse_factorials[2] - z * c3
+        return c1, c2, c3
+    if z > 0.0:
+        w = math.sqrt(z)
+        half = math.sin(0.5 * w) / w
+        return math.sin(w) / w, 2.0 * half * half, (w - math.sin(w)) / (z * w)
+    w = math.sqrt(-z)
+    half = math.sinh(0.5 * w) / w
+    return math.sinh(w) / w, 2.0 * half * half, (math.sinh(w) - w) / (-z * w)
+
+
+# 1 / (2j + 1)!, 1 / (2j + 2)!, 1 / (2j + 3)! for j = 11 down to 0: |z|^12 / 25! < 1e-25
+_STUMPFF_SERIES = tuple(
+    tuple(1.0 / math.factorial(2 * j + k) for k in (1, 2, 3)) for j in range(11, -1, -1)
+)
+
+
+def _arctan_ratio(z: float) -> float:
+    """atan(sqrt z) / sqrt z, continued as atanh(sqrt -z) / sqrt -z for z < 0; 1 at z = 0."""
+    if z > 0.0:
+        w = math.sqrt(z)
+        return math.atan(w) / w
+    if z < 0.0:
+        w = math.sqrt(-z)
+        return math.atanh(w) / w
+    return 1.0
+
+
+def _log_coth(v: float, a: float, r: float) -> float:
+    """ln((v + a) / (v - a)) = 2 acoth(v / a) of a radial speed |v| > a, where
+    v^2 - a^2 = 2 / r, as sign(v) (2 ln(a + |v|) - ln(2 / r))."""
+    return math.copysign(2.0 * math.log(a + abs(v)) - math.log(2.0 / r), v)
+
+
+def _rapidity(v: float, energy: float, f: float) -> float:
+    """atanh(v / E) of a radial speed v at energy E, where E^2 - v^2 = f; near
+    |v| = E as sign(v) (ln(E + |v|) - ln(f) / 2), which does not cancel."""
+    x = v / energy
+    if abs(x) <= 0.5:
+        return math.atanh(x)
+    return math.copysign(math.log(energy + abs(v)) - 0.5 * math.log(f), v)
+
+
+class _TimelikeFall:
+    """Radial timelike motion at unit mass from r0 with v0 = dr/dtau, in the
+    universal anomaly s, ds = dtau / r.
+
+    (dr/dtau)^2 = 2/r - alpha with alpha = 1 - E^2 = 2/r0 - v0^2, which is
+    2/r0 at rest, with no cancellation there. That is the radial Kepler
+    problem in proper time, and in s it is linear, r'' = 1 - alpha r; with
+    Stumpff's c_k(alpha s^2)
+        r = r0 + r0 v0 s c1 + (r0 v0^2 - 1) s^2 c2,
+        tau = r0 s + r0 v0 s^2 c2 + (r0 v0^2 - 1) s^3 c3,
+    one form for E < 1 (the cycloid of MTW eq. 31.10, eta = sqrt(alpha) s
+    from r_max = 2 / alpha), E = 1 and E > 1, and through the turning point
+    of an outward leg with E < 1. The speed falls as dv/ds = -1/r, so
+        s = 2 int_v^v0 dv / (v^2 + alpha),
+    and dt/ds = E r^2 / (r - 2) gives
+        t - t0 = E (tau + 2 s) + 4 (atanh(v0 / E) - atanh(v / E)),
+    with E = sqrt(f0 + v0^2) and every term finite at the guard.
+    """
+
+    affine = False
+
+    def __init__(self, r0: float, v0: float):
+        self.r0, self.v0 = r0, v0
+        self.alpha = 2.0 / r0 - v0 * v0
+        self.sigma, self.beta = r0 * v0, r0 * v0 * v0 - 1.0
+        # every leg but an outward one with E >= 1 comes down to the guard
+        self.falls = not (v0 > 0.0 and self.alpha <= 0.0)
+        f0 = (r0 - 2.0) / r0
+        self.energy = math.sqrt(f0 + v0 * v0)
+        self.rapidity0 = _rapidity(v0, self.energy, f0)
+        a = self.root = math.sqrt(-self.alpha) if self.alpha < 0.0 else 0.0
+        if a > 0.0:
+            # E > 1: r = A e^(a s) + B e^(-a s) - 1 / a^2, a^2 = -alpha, with A B = 1 / (4 a^4);
+            # the larger of A and B has no cancellation, and the other is its quotient
+            larger = 0.5 * (r0 + 1.0 / (a * a) + abs(self.sigma) / a)
+            smaller = 1.0 / (4.0 * a**4 * larger)
+            grow, decay = (larger, smaller) if v0 > 0.0 else (smaller, larger)
+            self.log_grow, self.log_decay = math.log(grow), math.log(decay)
+
+    def at_radius(self, r: float) -> tuple[float, float, float]:
+        """(s, r, v) where the motion first reaches r; StepFailure if it never does."""
+        r0, v0 = self.r0, self.v0
+        if r > r0 and not v0 > 0.0:
+            raise StepFailure(
+                f"a leg falling from rest or inward at r = {r0} M never reaches the larger radius {r} M"
+            )
+        if r < r0 and not self.falls:
+            raise StepFailure(
+                f"an outward leg with E >= 1 from r = {r0} M never turns back to the smaller radius {r} M"
+            )
+        v2 = v0 * v0 + 2.0 * (r0 - r) / (r * r0)
+        if not v2 >= 0.0:
+            raise StepFailure(
+                f"radius {r} M lies beyond the leg's turning radius r_max = {2.0 / self.alpha} M"
+            )
+        v = math.sqrt(v2) if r > r0 else -math.sqrt(v2)
+        # v0 - v and alpha + v0 v, from the radii where v0 and v have one sign
+        if (v0 > 0.0) != (v > 0.0):
+            drop = v0 - v
+            den = self.alpha + v0 * v
+        else:
+            drop = 2.0 * (r - r0) / (r * r0 * (v0 + v))
+            den = 2.0 / r0 - v0 * drop if v < 0.0 else 2.0 / r + v * drop
+        if den <= 0.0:  # a bound leg past its turning point
+            root = math.sqrt(self.alpha)
+            return 2.0 * math.atan2(root * drop, den) / root, r, v
+        x = drop / den
+        z = self.alpha * x * x
+        if z >= -0.25:
+            return 2.0 * x * _arctan_ratio(z), r, v
+        # E > 1 and atanh(sqrt -z) near 1: s = (2 / a) (acoth(v / a) - acoth(v0 / a)),
+        # in logs of v^2 - a^2 = 2 / r, which do not cancel
+        a = self.root
+        return (_log_coth(v, a, r) - _log_coth(v0, a, r0)) / a, r, v
+
+    def state(self, s: float) -> tuple[float, float]:
+        """(r, v) at anomaly s; v from the energy, v^2 = v0^2 + 2 (r0 - r) / (r r0),
+        where that does not cancel, so that u.u = -1 at r to rounding."""
+        r0, v0 = self.r0, self.v0
+        z = self.alpha * s * s
+        if z < -1.0:  # E > 1 and a s > 1, where the Stumpff terms grow like e^(a s) and cancel
+            a = self.root
+            grow, decay = math.exp(self.log_grow + a * s), math.exp(self.log_decay - a * s)
+            r = grow + decay - 1.0 / (a * a)
+            v = a * (grow - decay) / r
+        else:
+            c1, c2, _ = _stumpff(z)
+            r = r0 + self.sigma * s * c1 + self.beta * s * s * c2
+            v = (self.sigma * (1.0 - z * c2) + self.beta * s * c1) / r
+        fall = 2.0 * (r0 - r) / (r * r0)
+        v2 = v0 * v0 + fall
+        if v2 >= 0.25 * (v0 * v0 + abs(fall)):
+            v = math.copysign(math.sqrt(v2), v)
+        return r, v
+
+    def clock(self, s: float, r: float, v: float) -> tuple[float, float]:
+        """(tau, t - t0) at anomaly s, where the motion is at r with speed v."""
+        z = self.alpha * s * s
+        if z < -1.0:
+            # r'' = 1 - alpha r integrates to r v - r0 v0 = s - alpha tau, whose
+            # terms are of the size of tau where a s > 1 has taken r e-fold from r0
+            tau = (s + self.sigma - r * v) / self.alpha
+        else:
+            _, c2, c3 = _stumpff(z)
+            tau = self.r0 * s + self.sigma * s * s * c2 + self.beta * s * s * s * c3
+        rapidity = _rapidity(v, self.energy, (r - 2.0) / r)
+        return tau, self.energy * (tau + 2.0 * s) + 4.0 * (self.rapidity0 - rapidity)
+
+    def reach(self, proper: bool, target: float) -> float:
+        """An anomaly s at which tau, or t - t0, is at least target: a leg that
+        falls stays above the guard, where dtau/ds = r; one that escapes runs
+        at r(tau) >= r0 + a tau, a = sqrt(-alpha), so s <= ln(1 + a tau / r0) / a;
+        and t >= E tau."""
+        tau = target if proper else target / self.energy
+        if self.falls:
+            return tau / _UNIT_MASS.guard_radius
+        a = self.root
+        return math.log1p(a * tau / self.r0) / a if a > 0.0 else tau / self.r0
+
+
+class _NullFall:
+    """A radial null ray at unit mass from r0 with v0 = dr/dlambda, which is
+    constant: r = r0 + v0 lambda, and t follows the tortoise coordinate
+    r + 2 ln(r/2 - 1), t - t0 = (E / v0) (r - r0 + 2 ln((r - 2) / (r0 - 2)))."""
+
+    affine = True
+
+    def __init__(self, r0: float, v0: float, energy: float):
+        self.r0, self.v0, self.energy = r0, v0, energy
+        self.falls = not v0 > 0.0
+
+    def at_radius(self, r: float) -> tuple[float, float, float]:
+        """(lambda, r, v0) where the ray reaches r; StepFailure if it never does."""
+        lam = (r - self.r0) / self.v0
+        if not lam > 0.0:
+            way = "an outward ray never reaches the smaller" if self.v0 > 0.0 else (
+                "an inward ray never reaches the larger"
+            )
+            raise StepFailure(f"{way} radius {r} M from r = {self.r0} M")
+        return lam, r, self.v0
+
+    def state(self, lam: float) -> tuple[float, float]:
+        return self.r0 + self.v0 * lam, self.v0
+
+    def clock(self, lam: float, r: float, v: float) -> tuple[float, float]:
+        moved = self.v0 * lam  # r - r0, which may round to 0 far out
+        ratio = moved / (self.r0 - 2.0)  # (r - 2) / (r0 - 2) - 1
+        log = math.log1p(ratio) if abs(ratio) < 0.5 else math.log((r - 2.0) / (self.r0 - 2.0))
+        return lam, self.energy / self.v0 * (moved + 2.0 * log)
+
+    def reach(self, proper: bool, target: float) -> float:
+        """A lambda at which t - t0 is at least target: dt/dlambda = E / f > E."""
+        return target / self.energy
 
 
 def _parallel_frames(
@@ -616,7 +901,7 @@ def _parallel_frames(
 @dataclass(frozen=True, eq=False)
 class _Run:
     taus: list[float]
-    states: list[Sequence[float]]  # every component of y0
+    states: list[Sequence[float]]
     event: int | None  # index of the event that ended the run
     nfev: int
     accepted: int
@@ -625,8 +910,8 @@ class _Run:
 
 @functools.cache
 def _trial_step(m: int, at: tuple[int, ...]):
-    """_dopri's trial step over m moved components, of which the right-hand
-    side reads those at the positions at, as one straight-line function
+    """_dopri's trial step over m components, of which the right-hand side
+    reads those at the positions at, as one straight-line function
     trial(rhs, h, y, k1, atol, rtol, root_n) -> ((k1, ..., k7), y_new, error).
 
     It forms stages k2..k7 and y_new and returns the RMS error norm. Every
@@ -665,23 +950,17 @@ def _trial_step(m: int, at: tuple[int, ...]):
 
 def _dopri(
     rhs, y0: list[float], tau_end: float, tol: float, events, what: str,
-    reads: Sequence[int] | None = None, moves: Sequence[int] | None = None,
+    reads: Sequence[int] | None = None,
 ) -> _Run:
     """Integrate y' = rhs(y) from tau = 0 to tau_end with Dormand-Prince 5(4).
 
-    reads and moves are increasing indices into y0, every component by
-    default, with reads among moves: rhs takes the components in reads and
-    returns the derivatives of those in moves. The trial stages are formed
-    on reads; steps, the error norm and the dense output run over moves;
-    every other component has derivative 0 and is carried, plus 0.0 after
-    the first step, so each stored state has the bits of the run that moves
-    every component with those zeros. The error norm still divides by
-    sqrt(len(y0)), and the initial-step rule reads all of y0. Each trial
-    step runs _trial_step's function for (len(moves), the positions of
-    reads within moves), built once per shape.
+    reads are increasing indices into y0, every component by default: rhs
+    takes the components in reads and returns the derivatives of all of
+    y0. The trial stages are formed on reads. Each trial step runs
+    _trial_step's function for (len(y0), reads), built once per shape.
 
-    events are terminal (component, target, direction) triples on moved
-    components: event j fires where y[component] crosses target, upward
+    events are terminal (component, target, direction) triples: event j
+    fires where y[component] crosses target, upward
     for direction > 0, downward for direction < 0 and either way for 0.
     The run ends at the earliest root within the first step that shows a
     crossing, at a state read from the step's dense interpolant. A trial
@@ -693,24 +972,20 @@ def _dopri(
     rtol, atol = tol, tol * 1e-3
     root_n = math.sqrt(len(y0))
     hypot, isfinite = math.hypot, math.isfinite
-    every = range(len(y0))
-    reads = every if reads is None else reads
-    moves = every if moves is None else moves
-    # the read components of a list over moves, as a tuple
-    at = tuple(moves.index(i) for i in reads)
+    at = tuple(range(len(y0)) if reads is None else reads)
+    # the read components of a state, as a tuple
     take = itemgetter(*at) if len(at) > 1 else lambda v, i=at[0]: (v[i],)
-    trial = _trial_step(len(moves), at)
+    trial = _trial_step(len(y0), at)
 
     def rms(values, scale):
         return hypot(*[v / s for v, s in zip(values, scale)]) / root_n
 
     # initial step (Hairer, Norsett and Wanner, sec. II.4)
-    y = [y0[i] for i in moves]
+    y = list(y0)
     y_read = take(y)
     f = rhs(y_read)
     scale = [atol + abs(v) * rtol for v in y0]
     d0 = rms(y0, scale)
-    scale = [scale[i] for i in moves]
     d1 = rms(f, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, tau_end)
@@ -723,18 +998,8 @@ def _dopri(
     h_abs = min(100.0 * h0, h1, tau_end)
     nfev, accepted, rejected = 2, 0, 0
 
-    def finished(event):
-        if len(moves) < len(y0):
-            # each later state over all of y0: its moved components, and y0 + 0.0 for the rest
-            after = [v + 0.0 for v in y0]
-            whole = itemgetter(*[moves.index(i) if i in moves else len(moves) + i for i in every])
-            states[1:] = [whole(v + after) for v in states[1:]]
-            states[0] = y0
-        return _Run(taus, states, event, nfev, accepted, rejected)
-
     t = 0.0
     taus, states = [t], [y]
-    events = [(moves.index(c), target, direction) for c, target, direction in events]
     g = [y[c] - target for c, target, _ in events]
     while t < tau_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -791,12 +1056,12 @@ def _dopri(
             tau = t + x * h
             taus.append(tau)
             states.append([dense(i, x) for i in range(len(y))])
-            return finished(event)
+            return _Run(taus, states, event, nfev, accepted, rejected)
 
         t, y, f, g = t_new, y_new, stages[-1], g_new
         taus.append(t)
         states.append(y)
-    return finished(None)
+    return _Run(taus, states, None, nfev, accepted, rejected)
 
 
 def _bracket_root(fn) -> float:

@@ -133,7 +133,8 @@ def row_vecmat_invariants(path, W):
 
 def earlier_conservation_drift(chart, kind, points, tangents, d):
     """_conservation_drift with E and L_z as separate arrays and E's floor
-    max(|E0|, 1e-12), which no leg with E >= 1e-12 reaches."""
+    max(|E0|, 1e-12), which no leg with E >= 1e-12 reaches; L_z's floor is
+    M on a timelike leg and E0 M on a null one."""
     uu = np.einsum("na,na,na->n", d, tangents, tangents)
     n0 = -1.0 if kind == TIMELIKE else 0.0
     drift = {"norm": float(np.max(np.abs(uu - n0)))}
@@ -142,9 +143,8 @@ def earlier_conservation_drift(chart, kind, points, tangents, d):
         E = -d[:, 0] * tangents[:, 0]
         Lz = r**2 * np.sin(theta) ** 2 * tangents[:, 3]
         drift["energy"] = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-12))
-        drift["angular_momentum"] = float(
-            np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), chart.mass)
-        )
+        floor = chart.mass if kind == TIMELIKE else E[0] * chart.mass
+        drift["angular_momentum"] = float(np.max(np.abs(Lz - Lz[0])) / max(abs(Lz[0]), floor))
     return drift
 
 
@@ -329,6 +329,50 @@ def earlier_dopri(rhs, y0, tau_end, tol, events, what, reads=None, moves=None):
         taus.append(t)
         states.append(y)
     return finished(None)
+
+
+def earlier_radial_rhs(y):
+    """d(t, r, u^t, u^r)/dtau of a radial leg, u^theta = u^phi = 0, from
+    (r, u^t, u^r), at unit mass: the right-hand side the stepper ran radial
+    legs on before they were closed-form. Its angular term of du^r/dtau is
+    r f * 0.0, as the whole right-hand side's is on a radial leg."""
+    r, ut, ur = y
+    if r <= 2.0:
+        raise HorizonDomain(f"r = {r} M inside radius 2 M")
+    f = 1.0 - 2.0 / r
+    g_tr = 1.0 / (r * r * f)
+    g_tt = f / (r * r)
+    return ut, ur, -2.0 * g_tr * ut * ur, -g_tt * ut * ut + g_tr * ur * ur + r * f * 0.0
+
+
+def earlier_radial_leg(kind, x0, u0, stop, tol):
+    """A radial leg at unit mass as the stepper ran it: earlier_dopri on
+    earlier_radial_rhs, moving (t, r, u^t, u^r), with the events, tau cap
+    and outcomes of the stepped leg. Returns ("ok", (tau, t, r, u^t, u^r))
+    at its end, or (the class name of what it raised, whether the tau cap
+    or the step budget ended it)."""
+    t0, r0, th0, _ = x0.tolist()
+    y0 = [0.0, r0, th0, 0.0, *u0.tolist(), 0.0]
+    energy = (1.0 - 2.0 / r0) * y0[4]
+    events = []
+    if stop.kind == "radius":
+        events.append((1, stop.value, 0))
+    elif stop.kind == "coordinate_time":
+        events.append((0, stop.value - t0, 0))
+    events.append((1, geodesics._UNIT_MASS.guard_radius, -1))
+    cap = geodesics._tau_cap(kind, stop, t0, r0, energy)
+    try:
+        run = earlier_dopri(earlier_radial_rhs, y0, cap, tol, events, "stop", (1, 4, 5), (0, 1, 4, 5))
+    except StepFailure:
+        return "StepFailure", True
+    except (ArithmeticError, ValueError):
+        return "StepFailure", False
+    if run.event == len(events) - 1:
+        return "HorizonApproach", False
+    if stop.kind != "proper_time" and run.event is None:
+        return "StepFailure", True
+    t, r, _, _, ut, ur = run.states[-1][:6]
+    return "ok", (run.taus[-1], t + t0, r, ut, ur)
 
 
 def earlier_carry(path, V, direction):

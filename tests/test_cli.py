@@ -987,3 +987,51 @@ def test_negative_seed_or_n_override_is_config_error(capsys, argv, field):
     assert main([*argv, "--config", config]) == EXIT_CONFIG
     assert f"config error: {field}:" in capsys.readouterr().err
 
+
+
+def run_into_a_closed_pipe(argv, unbuffered):
+    """Run grbell with argv in a child whose standard output is a full pipe,
+    of which the reader reads 1 byte and then closes its end, so that the
+    child's first write of its output finds no reader. Returns the exit code
+    and standard error."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.set_blocking(write_end, False)
+    for chunk in (b"x" * 4096, b"x"):  # fill the pipe to the byte: a write then blocks
+        try:
+            while True:
+                os.write(write_end, chunk)
+        except BlockingIOError:
+            pass
+    os.set_blocking(write_end, True)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "grbell.cli", *argv], env=env, stdout=write_end,
+            stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    try:
+        os.read(read_end, 1)
+    finally:
+        os.close(read_end)
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["lhv-audit", "--config", os.path.join(CONFIGS, "schwarzschild_demo.json")],
+    ["run", "--config", os.path.join(CONFIGS, "schwarzschild_demo.json"), "--format", "json"],
+])
+def test_a_closed_standard_output_is_a_config_error(argv, unbuffered):
+    # as an unwritable --out is: exit 2 with a message, and no traceback or
+    # "Exception ignored" line when the interpreter flushes stdout at exit
+    code, err = run_into_a_closed_pipe(argv, unbuffered)
+    assert code == EXIT_CONFIG, err
+    assert "config error: standard output closed" in err
+    assert "Traceback" not in err and "Exception ignored" not in err

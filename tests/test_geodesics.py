@@ -107,6 +107,32 @@ def test_angular_momentum_drift_is_relative_at_any_mass():
     assert drift["angular_momentum"] == pytest.approx(1e-6, rel=1e-6)
 
 
+def test_null_angular_momentum_drift_does_not_depend_on_the_scale_of_u(schw, monkeypatch):
+    # a null tangent's scale is free: E and L_z scale with it, and so does
+    # their floor E(0) M. The null config's photon u1, integrated at scale 1
+    # and its tangents scaled by 2^-60, reads the same L_z drift; a floor of
+    # M read 9.5e-28 against 7.9e-11
+    from grbell import geodesics
+
+    checks = []
+    checked_path = geodesics._checked_path
+
+    def recording(*args, **kwargs):
+        checks.append((args, kwargs))
+        return checked_path(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "_checked_path", recording)
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    u1 = np.array([1.118033988749895, 0.2683281572999747, 0.0, 0.09539392014169457])
+    integrate_geodesic(schw, x0, u1, StopCondition.radius(14.0))
+    (_, kind, _, _, points, tangents, *_), kwargs = checks[-1]
+    assert kind == "null"
+    drifts = [geodesics._conservation_drift(geodesics._UNIT_MASS, kind, points, tangents * scale, kwargs["g"])
+              for scale in (1.0, 2.0**-60)]
+    assert drifts[0]["angular_momentum"] > 1e-12
+    assert drifts[1]["angular_momentum"] == pytest.approx(drifts[0]["angular_momentum"], rel=1e-12)
+
+
 def test_tangent_normalization_every_sample(schw):
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     path = integrate_geodesic(schw, x0, static_tangent(schw, x0), StopCondition.radius(5.0))
@@ -191,14 +217,15 @@ def test_stop_snap_is_in_units_of_the_mass(mass):
     for near in (StopCondition.coordinate_time(0.5 * STOP_SNAP * mass),
                  StopCondition.radius(x0[1] - 0.5 * STOP_SNAP * mass)):
         assert len(integrate_geodesic(spec, x0, u0, near).taus) == 1
-    # the path is stored in units of M; the report converts its endpoint back
+    # the path is stored in units of M; the report converts its endpoint back.
+    # A radial leg is closed-form: a real one stores its two ends
     path = integrate_geodesic(spec, x0, u0, StopCondition.coordinate_time(5.0 * mass))
-    assert len(path.taus) > 2 and path.points[-1][0] == pytest.approx(5.0, rel=1e-8)
+    assert len(path.taus) == 2 and path.points[-1][0] == pytest.approx(5.0, rel=1e-8)
     assert GeodesicSummary.from_path(path).endpoint[0] == pytest.approx(5.0 * mass, rel=1e-8)
     # the leg steps in units of M, so the radial fall to 4 M is a real leg
     # that reaches its stop at every mass; it must not come back as its start
     path = integrate_geodesic(spec, x0, u0, StopCondition.radius(4.0 * mass))
-    assert len(path.taus) > 2 and path.points[-1][1] == pytest.approx(4.0, rel=1e-8)
+    assert len(path.taus) == 2 and path.points[-1][1] == pytest.approx(4.0, rel=1e-8)
     assert GeodesicSummary.from_path(path).endpoint[1] == pytest.approx(4.0 * mass, rel=1e-8)
 
 
@@ -379,8 +406,11 @@ def test_zero_tangent_rejected(flat, schw):
 def test_conservation_drift_past_its_bound_fails_the_leg(schw, monkeypatch):
     from grbell import geodesics
 
+    # a stepped, mildly eccentric orbit: a closed-form radial leg has no
+    # energy drift to exceed
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
-    u0 = static_tangent(schw, x0)
+    uphi = 3.7 / 100.0
+    u0 = np.array([math.sqrt((1.0 + 100.0 * uphi**2) / 0.8), 0.0, 0.0, uphi])
     stop = StopCondition.proper_time(10.0)
     energy = integrate_geodesic(schw, x0, u0, stop).drift["energy"]
     assert energy > 0.0

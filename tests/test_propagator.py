@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from grbell import HorizonApproach, HorizonDomain, StepFailure, StopCondition, integrate_geodesic
+from grbell import (
+    HorizonApproach, HorizonDomain, SimulatorError, StepFailure, StopCondition, integrate_geodesic,
+)
 from grbell import geodesics
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
 from conftest import random_exterior_point
@@ -21,6 +23,8 @@ from reference import (
     earlier_dopri,
     earlier_leg_arrays,
     earlier_metric_check,
+    earlier_radial_leg,
+    earlier_radial_rhs,
     metric_matrices,
 )
 
@@ -191,29 +195,12 @@ def test_hand_written_geodesic_term_matches_the_christoffel_symbols(schw, rng):
         radial = np.array([u[0], u[1], 0.0, 0.0])
         for acceleration, u in (
             (np.array(rhs([x[1], x[2], *u])[4:8]), u),
-            (np.array([*geodesics._radial_rhs([x[1], u[0], u[1]])[2:], 0.0, 0.0]), radial),
+            (np.array([*earlier_radial_rhs([x[1], u[0], u[1]])[2:], 0.0, 0.0]), radial),
         ):
             G = christoffel_components(schw, x)
             expected = -(G @ u @ u)
             scale = np.abs(G) @ np.abs(u) @ np.abs(u)
             assert np.all(np.abs(acceleration - expected) <= 4.0 * EPS * scale)
-
-
-def test_radial_rhs_gives_the_bits_of_the_whole_rhs(rng):
-    # with u^theta = u^phi = +-0.0 the whole right-hand side's angular terms
-    # of du^r/dtau are +0.0, or NaN where r f overflows, as is r f * 0.0
-    rhs = geodesics._schwarzschild_rhs("timelike", 1.0, 0.0)
-    for _ in range(500):
-        r = float(rng.choice([rng.uniform(2.0001, 50.0), 1e300, math.inf]))
-        th = math.pi / 2 if rng.random() < 0.5 else float(rng.uniform(0.01, math.pi - 0.01))
-        ut, ur = (rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 200.0, 2)).tolist()
-        uth, uph = rng.choice([0.0, -0.0], 2).tolist()
-        whole = rhs([r, th, ut, ur, uth, uph])
-        radial = geodesics._radial_rhs([r, ut, ur])
-        found, expected = np.array(radial), np.array(whole[:2] + whole[4:6])
-        nan = np.isnan(found)
-        assert np.array_equal(nan, np.isnan(expected))
-        assert found[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def damped_oscillator(y):
@@ -291,9 +278,10 @@ def whole_toy(y):
     return [y[1], -y[0], y[0], 0.0]
 
 
-def reduced_toy(y):
+def read_toy(y):
+    """whole_toy from the components it reads, (x, v)."""
     x, v = y
-    return v, -x, x
+    return v, -x, x, 0.0
 
 
 TOY_RUNS = [
@@ -304,21 +292,6 @@ TOY_RUNS = [
 ]
 
 
-def test_reads_and_moves_step_a_toy_system_like_the_whole_state():
-    for y0, tol, events in TOY_RUNS:
-        expected = run_outcome(lambda: geodesics._dopri(whole_toy, y0, 10.0, tol, events, "stop"))
-        found = run_outcome(lambda: geodesics._dopri(
-            reduced_toy, y0, 10.0, tol, events, "stop", (0, 1), (0, 1, 2)))
-        assert found == expected
-        assert found[3] == (0 if events else None)
-        if events:
-            # q = 0.25 + sin(tau) reaches 0.75 at tau = pi / 6
-            assert np.frombuffer(found[0], float)[-1] == pytest.approx(math.pi / 6.0, abs=10.0 * tol)
-        # the constant's -0.0 turns +0.0 after the first step, as in the whole state
-        states = np.frombuffer(found[2], float).reshape(found[1])
-        assert math.copysign(1.0, states[-1, 3]) == 1.0
-
-
 # the stepper's arguments on the toy systems above, in groups by what they exercise
 STEPPER_CASES = {
     "rk45": [(damped_oscillator, [1.5, 0.0, 0.2], 20.0, tol, [], "stop") for tol in (1e-6, 1e-9, 1e-11)],
@@ -326,9 +299,10 @@ STEPPER_CASES = {
     "domain": [(leaves_at_zero, [1.0], 10.0, 1e-10, [(0, 0.25, -1)], "stop")],
     "non_finite": [(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 5.0, 1e-8, [], "stop")],
     "underflow": [(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1.0, 1e-10, [], "stop")],
-    "reads_and_moves": [(rhs, y0, 10.0, tol, events, "stop", *shape)
+    # the toy runs on the whole state and on the components read
+    "reads_and_moves": [(rhs, y0, 10.0, tol, events, "stop", *reads)
                         for y0, tol, events in TOY_RUNS
-                        for rhs, shape in ((whole_toy, ()), (reduced_toy, ((0, 1), (0, 1, 2))))],
+                        for rhs, reads in ((whole_toy, ()), (read_toy, ((0, 1),)))],
 }
 
 
@@ -379,10 +353,9 @@ def radial_leg(rng):
 
 
 def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
-    """Each leg's stepper run, on the components its right-hand side reads
-    and moves, equals the run that moves every component of the 9-component
-    state on the whole right-hand side, and the run of earlier_dopri on the
-    same arguments. Returns each leg's outcome, as
+    """Each leg's stepper run, on the components its right-hand side reads,
+    equals the run on the whole right-hand side, and the run of
+    earlier_dopri on the same arguments. Returns each leg's outcome, as
     (exception class name or "ok", whether the tau cap stopped it, the
     right-hand side it stepped on or None)."""
     calls, outcomes = [], []
@@ -411,7 +384,7 @@ def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
             continue
         args, found = calls[stepped]
         assert found == run_outcome(lambda: earlier_dopri(*args))
-        rhs, y0, cap, _, events, what, _, _ = args
+        rhs, y0, cap, _, events, what, _ = args
         r0, th0 = y0[1], y0[2]
         energy = (1.0 - 2.0 / r0) * y0[4]
         ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
@@ -423,21 +396,119 @@ def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
     return outcomes
 
 
-def test_radial_legs_step_like_the_whole_state(schw, rng, monkeypatch):
-    # a radial leg steps (t, r, u^t, u^r) from (r, u^t, u^r); the 9-component
-    # run gives the other five components +-0.0 derivatives, which change no
-    # step, and turns a -0.0 u^theta or u^phi into +0.0 at its first step
-    legs = [radial_leg(rng) for _ in range(320)]
-    stepped = [o for o in assert_legs_step_like_the_whole_state(schw, monkeypatch, legs) if o[2]]
-    assert len(stepped) >= 300
-    assert {rhs for _, _, rhs in stepped} == {geodesics._radial_rhs}
-    assert {o[:2] for o in stepped} == {
-        ("ok", False), ("HorizonApproach", False), ("StepFailure", True)
-    }
+def bound_radial_leg(rng, motion):
+    """A random timelike radial leg at unit mass that the three-way draw of
+    radial_leg does not make, as (kind, x0, u0, stop, tol): "unit" moves in
+    or out with E within 1e-9 of 1, "escape" moves out with E > 1, "turn"
+    moves out with E < 1 and turns at r_max, 1.05 to 3 times r0. Its stop
+    may lie behind it, beyond r_max, past the guard or beyond the tau cap."""
+    r0 = rng.uniform(2.05, 4.0) if rng.random() < 0.3 else rng.uniform(4.0, 30.0)
+    theta = math.pi / 2.0 if rng.random() < 0.5 else rng.uniform(0.2, math.pi - 0.2)
+    x0 = np.array([rng.uniform(-5.0, 5.0), r0, theta, rng.uniform(-math.pi, math.pi)])
+    if motion == "unit":  # (u^r)^2 = 2/r0 + E^2 - 1
+        v = math.copysign(math.sqrt(2.0 / r0 * (1.0 + rng.uniform(-1e-9, 1e-9))), rng.uniform(-1.0, 1.0))
+    elif motion == "escape":
+        v = math.sqrt(2.0 / r0 + rng.uniform(1e-3, 3.0))
+    else:
+        v = math.sqrt(2.0 / r0 - 2.0 / (r0 * rng.uniform(1.05, 3.0)))
+    f = 1.0 - 2.0 / r0
+    u0 = np.array([math.sqrt(f + v * v) / f, v, 0.0, 0.0])
+    stop_kind = int(rng.integers(3))
+    if stop_kind == 0:
+        stop = StopCondition.proper_time(rng.uniform(0.5, 60.0))
+    elif stop_kind == 1:
+        stop = StopCondition.radius(rng.uniform(2.00001, r0 - 0.01) if rng.random() < 0.5
+                                    else rng.uniform(r0 + 0.01, 3.5 * r0))
+    else:
+        stop = StopCondition.coordinate_time(x0[0] + rng.uniform(-5.0, 80.0))
+    return "timelike", x0, u0, stop, 1e-12
+
+
+# the closed-form end against the stepped one at tol 1e-12: tau, t, r and
+# u^r relative to max(1, |x|), where the stepper's error measured at most
+# 6.5e-11 over 2,700 ok legs of four seeds; u^t = E / f adds the factor
+# r / (r - 2) to the stepped end radius's error and measured at most 1.3e-9
+RADIAL_END_BOUNDS = {"tau": 1e-9, "t": 1e-9, "r": 1e-9, "u^t": 1e-8, "u^r": 1e-9}
+
+
+def test_radial_legs_match_the_stepped_reference(schw, rng):
+    # every radial leg is closed-form and meets the stepped leg of
+    # earlier_dopri on earlier_radial_rhs: the same outcome, and on ok legs
+    # the same end to the stepper's error; a stop it never meets fails at
+    # once, where the stepper hit the guard or ran out its tau cap
+    legs = [(*radial_leg(rng)[:4], 1e-12) for _ in range(320)]
     # 5 motions, 3 stop kinds and 4 signs of the zeros (u^theta, u^phi)
     cases = {(kind, float(np.sign(u0[1])), stop.kind, math.copysign(1.0, u0[2]), math.copysign(1.0, u0[3]))
              for kind, _, u0, stop, _ in legs}
     assert len(cases) == 5 * 3 * 4
+    legs += [bound_radial_leg(rng, motion) for motion in ("unit", "escape", "turn") for _ in range(40)]
+    outcomes = set()
+    for kind, x0, u0, stop, tol in legs:
+        expected = earlier_radial_leg(kind, x0, u0, stop, tol)
+        try:
+            path = integrate_geodesic(schw, x0, u0, stop, tol)
+        except HorizonApproach:
+            found = "HorizonApproach", False
+        except StepFailure as e:
+            message = str(e)
+            if "not reached by tau" not in message:
+                # beyond r_max, behind the leg, or before its start: the stepper does not meet it either
+                assert any(why in message for why in ("r_max", "never", "precedes")), message
+                assert expected[0] != "ok"
+                outcomes.add("unreachable")
+                continue
+            found = "StepFailure", True
+        else:
+            found = "ok", path
+        assert found[0] == expected[0], (kind, x0, u0, stop)
+        outcomes.add(found[0])
+        if found[0] != "ok":
+            assert found[1] == expected[1]
+            continue
+        assert len(path.taus) == 2 and path.tau_end > 0.0
+        assert (path.nfev, path.accepted, path.rejected) == (0, 0, 0)
+        tau, t, r, ut, ur = expected[1]
+        end = dict(zip(RADIAL_END_BOUNDS, (tau, t, r, ut, ur)))
+        got = dict(zip(RADIAL_END_BOUNDS, (path.tau_end, *path.points[-1, :2], *path.tangents[-1, :2])))
+        for key, bound in RADIAL_END_BOUNDS.items():
+            assert abs(got[key] - end[key]) <= bound * max(1.0, abs(end[key])), (key, got[key], end[key])
+        # the drifts: rounding of the ends' E = f u^t and u.u, and L_z = 0 exactly
+        g, u = path.metrics, path.tangents
+        conditioning = np.max(np.einsum("na,na,na->n", np.abs(g), np.abs(u), np.abs(u)))
+        assert path.drift["norm"] <= 8.0 * EPS * conditioning
+        assert path.drift["energy"] <= 4.0 * EPS
+        assert path.drift["angular_momentum"] == 0.0
+    assert outcomes == {"ok", "HorizonApproach", "StepFailure", "unreachable"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radial_legs_at_extreme_inputs_end_finite_or_fail(schw):
+    # r0 from just outside the guard to 1e300 M, E within 1 ulp of 1 and
+    # signed zeros give a finite two-point leg or a SimulatorError
+    guard = schw.guard_radius
+    radii = [math.nextafter(guard, math.inf), 2.001, 10.0, 1e8, 1e150, 1e300]
+    checked = 0
+    for r0 in radii:
+        f = 1.0 - 2.0 / r0
+        speeds = [0.0, -0.0, 0.5, -0.5]
+        unit = math.sqrt(2.0 / r0)  # E = 1
+        speeds += [s * w for w in (unit, math.nextafter(unit, 0.0), math.nextafter(unit, math.inf))
+                   for s in (1, -1)]
+        for v in speeds:
+            tangents = (("timelike", [math.sqrt(f + v * v) / f, v]), ("null", [1.0 / f, math.copysign(1.0, v)]))
+            for kind, u0 in tangents:
+                for zeros in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+                    for stop in (StopCondition.proper_time(3.0), StopCondition.radius(0.5 * r0 + 2.0),
+                                 StopCondition.radius(2.0 * r0), StopCondition.coordinate_time(5.0)):
+                        x0 = np.array([0.0, r0, math.pi / 2, -0.0])
+                        try:
+                            path = integrate_geodesic(schw, x0, np.array([*u0, *zeros]), stop)
+                        except SimulatorError:
+                            continue
+                        assert len(path.taus) in (1, 2) and path.kind == kind
+                        assert np.all(np.isfinite(path.points)) and np.all(np.isfinite(path.propagators))
+                        checked += 1
+    assert checked > 100
 
 
 def test_general_legs_step_like_the_whole_state(schw, rng, monkeypatch):
@@ -452,7 +523,7 @@ def test_general_legs_step_like_the_whole_state(schw, rng, monkeypatch):
             legs.append((kind, x0, u0, StopCondition.proper_time(rng.uniform(1.0, 12.0)),
                          10.0 ** rng.uniform(-10.0, -3.0)))
     outcomes = assert_legs_step_like_the_whole_state(schw, monkeypatch, legs)
-    assert all(rhs not in (None, geodesics._radial_rhs) for _, _, rhs in outcomes)
+    assert all(rhs is not None for _, _, rhs in outcomes)
 
 
 def test_equatorial_null_leg_carries_the_plane_normal(schw):
@@ -499,17 +570,26 @@ def recorded_legs(schw, flat, rng, monkeypatch):
 
 
 def test_leg_arrays_equal_the_earlier_assembly(schw, flat, rng, monkeypatch):
-    # the stored states, frames, propagators and sizes of every stepped leg
-    # are the bits of the np.array and 16-column assembly
+    # the stored states, frames, propagators and sizes of every stepped leg,
+    # and of every closed-form radial leg's two ends, are the bits of the
+    # np.array and 16-column assembly
     checks, runs = recorded_legs(schw, flat, rng, monkeypatch)
-    stepped = [(args, kwargs) for args, kwargs in checks if len(args) > 8]
+    framed = [(args, kwargs) for args, kwargs in checks if len(args) > 8]
+    stepped = [(args, kwargs) for args, kwargs in framed if args[8] > 0]
+    closed = [(args, kwargs) for args, kwargs in framed if args[8] == 0]
     assert len(stepped) == len(runs) >= 12
+    assert len(closed) >= 6
     kinds = set()
-    for (args, kwargs), run in zip(stepped, runs):
+    for (args, kwargs), run in [*zip(stepped, runs), *[(leg, None) for leg in closed]]:
         _, kind, _, taus, points, tangents, propagators, sizes = args[:8]
         kinds.add((kind, bool(tangents[0, 2] == tangents[0, 3] == 0.0)))
-        t0, ph0 = points[0, 0], points[0, 3]
-        expected = earlier_leg_arrays(kind, run.taus, run.states, t0, ph0)
+        if run is None:
+            assert len(taus) == 2
+            states = np.column_stack([points, tangents, np.zeros(2)])
+            expected = earlier_leg_arrays(kind, taus, states, 0.0, 0.0)
+        else:
+            t0, ph0 = points[0, 0], points[0, 3]
+            expected = earlier_leg_arrays(kind, run.taus, run.states, t0, ph0)
         found = (taus, points, tangents, propagators, sizes, kwargs["g"], kwargs["stored_tangents"])
         for new, old in zip(found, expected):
             assert new.shape == old.shape
