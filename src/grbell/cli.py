@@ -23,7 +23,9 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -113,13 +115,17 @@ def _load(args) -> sc.ScenarioConfig:
     return cfg
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    """Write text, one string or the strings an iterable makes one at a
+    time, to path, or to standard output if path is None; the file is
+    opened before the first string is asked for."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as e:  # a missing directory, a directory, no permission, a full disk
             raise ConfigError(f"cannot write {path}: {e}") from None
 
@@ -157,12 +163,13 @@ def _cmd_horizon(args) -> int:
     if not args.r_start > args.r_end:
         raise ConfigError("--r-start must exceed --r-end")
     spec = MetricSpec(SCHWARZSCHILD, mass=args.mass)
-    r_values = list(np.linspace(args.r_start, args.r_end, args.steps))
+    r_values = np.linspace(args.r_start, args.r_end, args.steps)
     tol = args.tol if args.tol is not None else sc.DEFAULT_TOL
-    rows = sc.run_horizon_sweep(spec, r_values, tol=tol)
-    _write(args.out, sc.rows_to_csv(rows))
+    # each row is written as it is made, one per radius
+    rows = (line + "\n" for line in sc.run_horizon_sweep(spec, r_values, tol=tol))
+    _write(args.out, chain([sc.CSV_HEADER + "\n"], rows))
     if not args.quiet:
-        print(f"wrote {len(rows)} rows to {args.out}")
+        print(f"wrote {len(r_values)} rows to {args.out}")
     return EXIT_OK
 
 

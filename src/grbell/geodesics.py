@@ -5,13 +5,14 @@ timelike or null from u.u and refuses a past-pointing u. A stop is a kind
 and a value; a radius or coordinate-time stop within STOP_SNAP of the
 start gives a zero-length leg.
 
-A Schwarzschild leg is converted into units of M, the chart's one scale,
-once, where integrate_geodesic starts it, after its checks in the caller's
-units: x0 becomes (t/M, r/M, theta, phi), u0 becomes (u^t, u^r, M u^theta,
-M u^phi) and the stop value becomes value/M. Everything after that runs at
-unit mass, and the path is stored in units of M: its taus, points,
-tangents, metrics and propagators. It records the caller's spec, and
-converting back is the report's business.
+A Schwarzschild start is converted into units of M, the chart's one scale,
+by unit_mass_start, before anything checks it: x0 becomes (t/M, r/M,
+theta, phi), u0 becomes (u^t, u^r, M u^theta, M u^phi) and the stop value
+becomes value/M. The conversion keeps u.u and a tangent's components in
+the static tetrad. Every check and everything after it runs at unit mass,
+and the path is stored in units of M: its taus, points, tangents, metrics
+and propagators. It records the caller's spec, and converting back is the
+report's business.
 
 Flat legs are straight lines in the Cartesian chart, x = x0 + u0 tau, and
 their parallel propagator is the identity. A radius stop is the first
@@ -214,6 +215,40 @@ _IDENTITY = np.eye(4)
 _IDENTITY.flags.writeable = False
 
 
+def unit_mass_start(
+    spec: MetricSpec, x0: np.ndarray | None = None, u0: np.ndarray | None = None,
+    stop_value: float | None = None,
+) -> tuple[MetricSpec, np.ndarray | None, np.ndarray | None, float | None]:
+    """The chart a leg in spec is checked and run in, and the start x0, u0
+    and stop value in that chart's units; each may be None, and stays None.
+
+    On Schwarzschild the chart is the exterior chart of unit mass, and the
+    start is converted into units of M: x0 becomes (t/M, r/M, theta, phi),
+    u0 becomes (u^t, u^r, M u^theta, M u^phi) and the stop value value/M, in
+    Python floats, where a number beyond the floats becomes inf without a
+    warning. A flat start is returned as given.
+    """
+    if spec.kind != SCHWARZSCHILD:
+        return spec, x0, u0, stop_value
+    M = spec.mass
+    if x0 is not None:
+        t, r, theta, phi = x0.tolist()
+        x0 = np.array([t / M, r / M, theta, phi])
+    if u0 is not None:
+        ut, ur, uth, uph = u0.tolist()
+        u0 = np.array([ut, ur, uth * M, uph * M])
+    if stop_value is not None:
+        stop_value = float(stop_value) / M
+    return _UNIT_MASS, x0, u0, stop_value
+
+
+def check_radius_stop(chart: MetricSpec, kind: str, value: float) -> None:
+    """Raise ValidationError for a radius stop whose value, in chart's
+    units, is at or inside the chart's guard radius."""
+    if kind == STOP_RADIUS and value <= chart.guard_radius:
+        raise ValidationError("stop.value", "radius target inside horizon guard")
+
+
 def _conservation_drift(
     chart: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, g: np.ndarray
 ) -> dict[str, float]:
@@ -337,14 +372,16 @@ def integrate_geodesic(
     """The geodesic from the event x0 with tangent u0, both (4,) arrays, until
     the stop fires.
 
-    x0, u0 and the stop are in the caller's units, and are checked in them.
-    A Schwarzschild leg is then converted into units of M, and its path is
-    stored in them (see GeodesicPath); the path records spec as given.
-    tol controls the local error (relative tol; absolute is tol * 1e-3) of
-    the integrated state (x, u, psi), in units of M; flat and radial legs
-    are closed-form. Raises BadNormalization unless tangent_kind accepts u0
-    and, on a Schwarzschild leg, its Killing energy f u^t is positive,
-    HorizonApproach if the path would cross the guard radius, StepFailure
+    x0, u0 and the stop are in the caller's units. A Schwarzschild leg is
+    converted into units of M by unit_mass_start first, then checked and
+    run in them, and its path is stored in them (see GeodesicPath); the
+    path records spec as given. tol controls the local error (relative tol;
+    absolute is tol * 1e-3) of the integrated state (x, u, psi), in units
+    of M; flat and radial legs are closed-form. Raises the metric's domain
+    errors for an x0 outside the chart, BadNormalization unless
+    tangent_kind accepts u0 and, on a Schwarzschild leg, its Killing energy
+    f u^t is positive, ValidationError for a radius stop at or inside the
+    guard, HorizonApproach if the path would cross the guard radius, StepFailure
     if a radial leg never meets its stop (a radius beyond its turning point
     or behind it, a coordinate time before the start) or the stop is not
     reached within the tau cap (a flat leg has none) or MAX_STEPS steps,
@@ -352,24 +389,19 @@ def integrate_geodesic(
     drifts exceed max(1e-8, 100 * tol) or the propagator fails to preserve
     the metric.
     """
+    chart, x0, u0, value = unit_mass_start(spec, x0, u0, stop.value)
     # the metric at x0 is also the domain check
-    g0 = metric_components(spec, x0)
+    g0 = metric_components(chart, x0)
     with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
         kind = tangent_kind(u0, float(u0 * g0 @ u0))
+    check_radius_stop(chart, stop.kind, value)
+    stop = StopCondition(stop.kind, value)
 
     if spec.kind == SCHWARZSCHILD:
-        if stop.kind == STOP_RADIUS and stop.value <= spec.guard_radius:
-            raise ValidationError("stop.value", "radius target inside horizon guard")
-        # the one conversion into units of M, in Python floats: a t or r beyond
-        # the floats becomes inf without a warning, and the leg's checks refuse it
-        M = spec.mass
-        t, r, theta, phi = x0.tolist()
-        ut, ur, uth, uph = u0.tolist()
-        x0, u0 = np.array([t / M, r / M, theta, phi]), np.array([ut, ur, uth * M, uph * M])
-        stop = StopCondition(stop.kind, stop.value / M)
         # E = f u^t divides a null leg's rates, its caps and the energy drift;
         # a u^t so small that E underflows leaves them undefined
-        if not (1.0 - 2.0 / (r / M)) * ut > 0.0:
+        ut = float(u0[0])
+        if not (1.0 - 2.0 / float(x0[1])) * ut > 0.0:
             raise BadNormalization(f"Killing energy f u^t underflows to 0 at u^t = {ut}")
 
     # degenerate stop: zero-length path

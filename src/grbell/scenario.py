@@ -30,11 +30,12 @@ most 1e-12. A stop is {kind, value}; the metric is {kind, mass}, guarded at
 2M(1 + 1e-6).
 
 A Schwarzschild run works in units of M, the metric's one scale, so its
-weights, correlations, margins and verdict do not depend on M: each leg is
-converted where integrate_geodesic starts it, the paths, frames, transport
-and projection hold unit-mass numbers, and GeodesicSummary.from_path
-converts tau_end and the endpoint back. The echoed config keeps the
-caller's numbers.
+weights, correlations, margins and verdict do not depend on M: the parser,
+each leg and the horizon study convert their start into units of M with
+geodesics.unit_mass_start before they check it, the paths, frames,
+transport and projection hold unit-mass numbers, and
+GeodesicSummary.from_path converts tau_end and the endpoint back. The
+config and its echo keep the caller's numbers.
 
 Synthetic mode replaces the geometry block with
     "synthetic": {"w_b": 0.9, "b": [1,0,0], "w_c": 0.8, "c": [0.5,0.866,0]}
@@ -64,7 +65,8 @@ from the stack in one pass: one stacked dot product gives the cosines of
 the three angle columns, libm's acos the angles, and one template with
 %.17g reals each ok line; a single run's line comes through the same
 formatter. The horizon study builds its emission side once and evaluates
-each radius as its own one-row pass.
+each radius as its own one-row pass, making each row's line when it is
+asked for.
 """
 from __future__ import annotations
 
@@ -72,6 +74,7 @@ import json
 import math
 import numbers
 import time
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -106,7 +109,14 @@ from .frames import (
     unit_or_none,
     weighted_stack,
 )
-from .geodesics import GeodesicPath, StopCondition, integrate_geodesic, tangent_kind
+from .geodesics import (
+    GeodesicPath,
+    StopCondition,
+    check_radius_stop,
+    integrate_geodesic,
+    tangent_kind,
+    unit_mass_start,
+)
 from .geometry import (
     MINKOWSKI,
     SCHWARZSCHILD,
@@ -282,15 +292,19 @@ def _parse_metric(d, field="metric") -> MetricSpec:
     raise ValidationError(f"{field}.kind", f"unknown metric kind {kind!r}")
 
 
-def _parse_stop(d, field: str) -> StopCondition:
+def _parse_stop(d, field: str, metric: MetricSpec) -> StopCondition:
+    """A stop, whose radius must lie outside the guard in units of M."""
     if not isinstance(d, dict):
         raise ValidationError(field, "expected an object")
     _check_keys(d, {"kind", "value"}, field)
     kind = _require(d, "kind", field)
     value = _finite(_require(d, "value", field), f"{field}.value")
     try:
-        return StopCondition(kind, value)
-    except ValidationError as e:  # StopCondition names its fields stop.kind, stop.value
+        stop = StopCondition(kind, value)
+        chart, _, _, value = unit_mass_start(metric, stop_value=value)
+        check_radius_stop(chart, kind, value)
+        return stop
+    except ValidationError as e:  # the stop's checks name its fields stop.kind, stop.value
         raise ValidationError(field + e.field.removeprefix("stop"), e.reason) from None
 
 
@@ -342,20 +356,29 @@ def _parse_synthetic(d) -> Synthetic:
     return synthetic
 
 
-def _normalized_tangent(g: np.ndarray, raw: np.ndarray, field: str) -> np.ndarray:
-    """raw as a read-only tangent at an event where the metric is g; within
-    1e-6 of unit norm it is rescaled to exact unit norm, then tangent_kind
-    must accept it."""
+def _normalized_tangent(
+    metric: MetricSpec, origin: np.ndarray, g: np.ndarray, raw: np.ndarray, field: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """raw as a read-only tangent at origin, and that tangent in units of M.
+
+    g is the metric at origin in units of M, where u.u is taken: within
+    1e-6 of unit norm raw is rescaled to exact unit norm, then tangent_kind
+    must accept the tangent in units of M, as integrate_geodesic does.
+    """
+    def in_units_of_m(u):
+        u_m = unit_mass_start(metric, u0=u)[2]
+        return u_m, float(u_m * g @ u_m)
+
     with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
-        uu = float(raw * g @ raw)
+        u_m, uu = in_units_of_m(raw)
         if abs(uu + 1.0) <= 1e-6:
             raw = raw / math.sqrt(-uu)
-            uu = float(raw * g @ raw)
+            u_m, uu = in_units_of_m(raw)
     try:
-        tangent_kind(raw, uu)
+        tangent_kind(u_m, uu)
     except BadNormalization as e:
         raise ValidationError(field, str(e)) from None
-    return _frozen_array(raw, (4,))
+    return _frozen_array(raw, (4,)), u_m
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -435,17 +458,19 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
     if synthetic is None:
         metric = _parse_metric(_require(data, "metric", ""))
         origin = _frozen_array(_floats(_require(data, "origin", ""), 4, "origin"), (4,))
+        # the origin's one metric, in units of M, checks its domain
+        chart, x, _, _ = unit_mass_start(metric, origin)
         try:
-            g = metric_components(metric, origin)
+            g = metric_components(chart, x)
         except SimulatorError as e:
             raise ValidationError("origin", str(e)) from None
-        u1 = _normalized_tangent(g, _floats(_require(data, "u1", ""), 4, "u1"), "u1")
-        u2 = _normalized_tangent(g, _floats(_require(data, "u2", ""), 4, "u2"), "u2")
+        u1, u1_m = _normalized_tangent(metric, origin, g, _floats(_require(data, "u1", ""), 4, "u1"), "u1")
+        u2, u2_m = _normalized_tangent(metric, origin, g, _floats(_require(data, "u2", ""), 4, "u2"), "u2")
         # compared in the static tetrad, whose components do not depend on M
-        if np.max(np.abs(u1 - u2) * np.sqrt(np.abs(g))) <= 1e-12:
+        if np.max(np.abs(u1_m - u2_m) * np.sqrt(np.abs(g))) <= 1e-12:
             raise ValidationError("u2", "u1 and u2 must define distinct geodesics")
-        stop1 = _parse_stop(_require(data, "stop1", ""), "stop1")
-        stop2 = _parse_stop(_require(data, "stop2", ""), "stop2")
+        stop1 = _parse_stop(_require(data, "stop1", ""), "stop1", metric)
+        stop2 = _parse_stop(_require(data, "stop2", ""), "stop2", metric)
 
     echo = _echo_dict(data, metric, tol, mc_n, mc_seed, frame_choice, lhv_audit)
     return ScenarioConfig(
@@ -897,18 +922,19 @@ DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
 
 
 def run_horizon_sweep(
-    spec: MetricSpec, r_values: list[float], tol: float = DEFAULT_TOL
-) -> list[str]:
-    """Weight-versus-radius study outside the horizon guard.
+    spec: MetricSpec, r_values: Iterable[float], tol: float = DEFAULT_TOL
+) -> Iterator[str]:
+    """Weight-versus-radius study outside the horizon guard, one CSV line per radius.
 
     The emission event sits at the first (largest) radius. Particle 1 stays
     there (a zero-length path read out in the static frame), which is built
     once; for each r particle 2 falls radially from rest and is read out at
     r in the static frame there, so the row's w_b tracks the transported
     weight w(r). Every row uses DEFAULT_HORIZON_SETTINGS. Radii at or below
-    the guard produce 'horizon_guard' rows instead of failing the run. The
-    radii must be finite and strictly decreasing (ValidationError
-    otherwise).
+    the guard, in units of M, produce 'horizon_guard' rows instead of
+    failing the run. The radii must be finite and strictly decreasing
+    (ValidationError otherwise). The arguments are checked at once; the
+    returned iterator makes each line when it is asked for.
     """
     if spec.kind != SCHWARZSCHILD:
         raise ValidationError("metric.kind", "horizon sweep needs a Schwarzschild metric")
@@ -916,21 +942,29 @@ def run_horizon_sweep(
     rs = [_finite(r, "r_values") for r in r_values]
     if any(b >= a for a, b in zip(rs, rs[1:])):
         raise ValidationError("r_values", "must be strictly decreasing")
-    # rs decreases, so the rows at or below the guard come last
-    live = [(r, f"r={r:.17g}") for r in rs if r > spec.guard_radius]
-    guarded = [error_row(f"r={r:.17g}", "horizon_guard") for r in rs[len(live):]]
-    if not live:
-        return guarded
+    return _horizon_rows(spec, rs, tol)
 
-    origin = np.array([0.0, rs[0], math.pi / 2.0, 0.0])
-    try:
-        with _stage("geodesic_1"):
-            u_static = build_static_frame(metric_components(spec, origin))[0]
-            geo1 = integrate_geodesic(spec, origin, u_static, StopCondition.proper_time(0.0), tol)
-        with _stage("frames"):
-            projector_L = _detector_frame(FRAME_STATIC, geo1) * geo1.metrics[-1]
-    except PipelineError as e:
-        return [error_row(sid, _failure_status(e)) for _, sid in live] + guarded
+
+def _horizon_rows(spec: MetricSpec, rs: list[float], tol: float) -> Iterator[str]:
+    """run_horizon_sweep's lines. Whether a radius lies outside the guard is
+    decided in units of M; rs decreases, so those radii come first."""
+    def outside(r: float) -> bool:
+        chart, _, _, r_in_m = unit_mass_start(spec, stop_value=r)
+        return r_in_m > chart.guard_radius
+
+    failure = None
+    if rs and outside(rs[0]):
+        origin = np.array([0.0, rs[0], math.pi / 2.0, 0.0])
+        chart, x, _, _ = unit_mass_start(spec, origin)
+        try:
+            with _stage("geodesic_1"):
+                # u^t = 1 / sqrt(f) does not depend on M
+                u_static = build_static_frame(metric_components(chart, x))[0]
+                geo1 = integrate_geodesic(spec, origin, u_static, StopCondition.proper_time(0.0), tol)
+            with _stage("frames"):
+                projector_L = _detector_frame(FRAME_STATIC, geo1) * geo1.metrics[-1]
+        except PipelineError as e:
+            failure = _failure_status(e)
     settings = _settings_rows(_parse_settings(DEFAULT_HORIZON_SETTINGS))
 
     def row(r: float, sid: str) -> str:
@@ -944,7 +978,14 @@ def run_horizon_sweep(
         except SimulatorError as e:
             return error_row(sid, _failure_status(e))
 
-    return [row(r, sid) for r, sid in live] + guarded
+    for r in rs:
+        sid = f"r={r:.17g}"
+        if not outside(r):
+            yield error_row(sid, "horizon_guard")
+        elif failure is not None:
+            yield error_row(sid, failure)
+        else:
+            yield row(r, sid)
 
 
 # -- canned configs -----------------------------------------------------------

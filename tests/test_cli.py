@@ -78,6 +78,27 @@ def test_an_unwritable_out_is_config_error(tmp_path, capsys, command, out):
     assert capsys.readouterr().err.startswith(f"config error: cannot write {path}: ")
 
 
+def test_a_horizon_study_writes_each_row_as_it_is_made(tmp_path, monkeypatch):
+    # the file is open before the first row is made, so an unwritable
+    # --out is refused before any row is
+    from grbell import scenario
+
+    out = tmp_path / "h.csv"
+    seen = []
+
+    def integrate(*args, _original=scenario.integrate_geodesic):
+        seen.append(out.exists())
+        return _original(*args)
+
+    monkeypatch.setattr(scenario, "integrate_geodesic", integrate)
+    argv = ["--quiet", "horizon", "--mass", "1", "--r-start", "10", "--r-end", "4", "--steps", "3"]
+    assert main([*argv, "--out", str(tmp_path / "missing" / "h.csv")]) == EXIT_CONFIG
+    assert seen == []
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert seen == [True] * 4
+    assert out.read_text().count("\n") == 4
+
+
 def test_invalid_config_is_config_error(tmp_path, capsys):
     data = flat_baseline_config()
     data["origin"] = [0.0, 1.0]
@@ -757,20 +778,27 @@ def test_an_origin_beyond_the_floats_in_units_of_m_gives_an_exit_code(tmp_path, 
 
 
 def _scale_range(document) -> tuple[int, int]:
-    """The k for which the square of each nonzero length (t, r, r sin theta,
-    the stops) and angular rate of document lies within 2^-1000 and 2^1000
-    at 2^k times its mass; (0, 0) if no k does."""
-    t, r, theta, _ = document["origin"]
+    """The k for which the mass, each nonzero length (t, r, the stops) and
+    each nonzero angular rate of document lie within 2^-1001 and 2^1000 at
+    2^k times its mass; (0, 0) if no k does.
+
+    Every check runs in units of M, where the scaled document's numbers are
+    the unscaled one's, so k is bounded only by the caller's numbers
+    themselves: they must stay normal floats, where a product or quotient
+    by 2^k is exact, with room below the largest float for the geodesic
+    summaries, which are scaled back by M.
+    """
+    t, r, _, _ = document["origin"]
     stops = [document[key]["value"] for key in ("stop1", "stop2")]
     lo, hi = -2000, 2000
-    for length in (t, r, r * math.sin(theta), *stops):
+    for length in (document["metric"]["mass"], t, r, *stops):
         if length != 0.0:
             e = math.frexp(length)[1]
-            lo, hi = max(lo, -500 - e), min(hi, 500 - e)
+            lo, hi = max(lo, -1000 - e), min(hi, 1000 - e)
     for rate in (u[i] for u in (document["u1"], document["u2"]) for i in (2, 3)):
         if rate != 0.0:
             e = math.frexp(rate)[1]
-            lo, hi = max(lo, e - 500), min(hi, e + 500)
+            lo, hi = max(lo, e - 1000), min(hi, e + 1000)
     return (lo, hi) if lo <= hi else (0, 0)
 
 
@@ -884,6 +912,8 @@ def test_comoving_readout_of_a_radial_infall_runs(tmp_path, tol):
         ("origin", [0.0, 1e200, math.pi / 2, 0.0], "origin: angular metric components inf"),
         # u.u overflows: the tangent is refused by name
         ("u1", [1.1952286093343936, 0.0, 0.0, 1e300], "u1: u.u = inf"),
+        # a radius at the guard is refused at parse time, not by the leg
+        ("stop1", {"kind": "radius", "value": 2.0 * (1 + 1e-6)}, "stop1.value: radius target inside horizon guard"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -437,6 +437,47 @@ def test_horizon_sweep_requires_descending():
         run_horizon_sweep(spec, [5.0, 6.0])
 
 
+def test_horizon_sweep_makes_each_row_when_it_is_asked_for(monkeypatch):
+    # the arguments are checked at once, and a row's legs are integrated only
+    # when its line is asked for, so a long study holds one row at a time
+    calls = []
+    original = scenario.integrate_geodesic
+
+    def counting(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(scenario, "integrate_geodesic", counting)
+    rows = run_horizon_sweep(MetricSpec("schwarzschild", mass=1.0), [10.0, 6.0, 3.0, 1.0])
+    assert calls == []
+    assert next(rows).startswith("r=10,ok,")
+    assert calls == [StopCondition.proper_time(0.0), StopCondition.radius(10.0)]
+    assert [line.split(",")[1] for line in rows] == ["ok", "ok", "horizon_guard"]
+    assert len(calls) == 4
+
+
+# at the second mass, the largest radius inside the guard in units of M lies
+# outside 2M (1 + 1e-6) in the caller's units
+@pytest.mark.parametrize("mass", [1.0, 1.2039469008067618, 1e-300, 1e300])
+def test_horizon_sweep_decides_the_guard_in_units_of_m(mass):
+    # a radius is a guard row exactly where a leg to it would be refused
+    # for its stop: at or inside 2 (1 + 1e-6) in units of M
+    guard = 2.0 * (1 + 1e-6)
+    inside = guard * mass  # then the largest radius with inside / mass <= guard
+    while inside / mass > guard:
+        inside = math.nextafter(inside, 0.0)
+    while math.nextafter(inside, math.inf) / mass <= guard:
+        inside = math.nextafter(inside, math.inf)
+    outside = math.nextafter(inside, math.inf)
+    spec = MetricSpec("schwarzschild", mass=mass)
+    rows = [csv_cells(line) for line in run_horizon_sweep(spec, [10.0 * mass, outside, inside])]
+    assert [r["status"] for r in rows][::2] == ["ok", "horizon_guard"]
+    assert rows[1]["status"] != "horizon_guard"
+    with pytest.raises(ValidationError, match="inside horizon guard"):
+        integrate_geodesic(spec, np.array([0.0, 10.0 * mass, math.pi / 2, 0.0]),
+                           np.array([1.0 / math.sqrt(0.8), 0.0, 0.0, 0.0]), StopCondition.radius(inside))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("position", [0, 1])
 def test_horizon_sweep_rejects_non_finite_radii(bad, position):
@@ -805,10 +846,11 @@ def test_horizon_sweep_at_loose_tol_shrinks_steps_that_reach_the_horizon():
     assert path.rejected > 0
 
 
-@pytest.mark.parametrize("mass", [1e-30, 1e-100])
+@pytest.mark.parametrize("mass", [1e-30, 1e-100, 1e-300, 1e300])
 def test_a_small_mass_horizon_study_reads_the_unit_mass_weights(mass):
-    # the geometry is scale-free and the legs step in units of M, so the
-    # weights do not depend on the mass beyond rounding
+    # the geometry is scale-free and the study and its legs are checked and
+    # stepped in units of M, so the weights do not depend on the mass beyond
+    # rounding, also where r^2 in the caller's units underflows or overflows
     def study(m):
         lines = run_horizon_sweep(MetricSpec("schwarzschild", mass=m), [10.0 * m, 7.0 * m, 4.0 * m])
         return [csv_cells(line) for line in lines]
@@ -818,13 +860,6 @@ def test_a_small_mass_horizon_study_reads_the_unit_mass_weights(mass):
     for s, u in zip(small, unit):
         for key in ("w_b", "w_c"):
             assert abs(float(s[key]) - float(u[key])) <= 1e-13
-
-
-def test_horizon_sweep_metric_underflow_rows_are_errors():
-    # r^2 = 1e-596 underflows to 0: the rows used to read ok with P_ab = -1
-    spec = MetricSpec("schwarzschild", mass=1e-300)
-    rows = [csv_cells(line) for line in run_horizon_sweep(spec, [1e-298, 1e-299])]
-    assert [r["status"] for r in rows] == ["error:geodesic_1", "error:geodesic_1"]
 
 
 def _bent_flat_geometry():
