@@ -31,9 +31,10 @@ r + 2M ln(r/2M - 1). A radius stop is direct; a proper-time or
 coordinate-time stop inverts the increasing clock with the bracketing
 root finder. A radius the leg never reaches (beyond its turning radius,
 or behind it with nothing to turn it back) and a coordinate time before
-the start are refused at once; a leg that reaches the guard radius first
-raises HorizonApproach; a leg longer than its tau cap fails as a stepped
-one does. Radial legs take no steps, and their counters read 0.
+the start are refused at once, and a leg that reaches the guard radius
+first raises HorizonApproach; a stop the motion meets is reached, however
+long the leg, so radial legs have no tau cap. Radial legs take no steps,
+and their counters read 0.
 
 Every other Schwarzschild leg integrates the 9-component state (x, u,
 psi) with a Dormand-Prince 5(4) stepper on Python floats (J. R. Dormand
@@ -299,7 +300,7 @@ def tangent_kind(u: np.ndarray, uu: float) -> str:
 
 
 def _tau_cap(kind: str, stop: StopCondition, t0: float, r0: float, energy: float) -> float:
-    """Largest affine parameter a unit-mass leg from (t0, r0), with E = f u^t > 0, may take.
+    """The stepper's tau_end on a unit-mass leg from (t0, r0), with E = f u^t > 0.
 
     A radius stop's cap is a free-fall time, which a null leg's affine
     parameter stretches by 1/E, as the coordinate-time cap does on both kinds.
@@ -343,19 +344,12 @@ def check_metric_preserved(
     |F| |F(0)^-1|, which exceeds |P| by about gamma^2 on a leg whose tangent
     is boosted by gamma against the static frame. Returns the worst residual.
     """
-    return _metric_residual(g, np.abs(g), propagators, sizes)
-
-
-def _metric_residual(
-    g: np.ndarray, g_abs: np.ndarray, propagators: np.ndarray, sizes: np.ndarray | None
-) -> float:
-    """check_metric_preserved from the metric stack g and its magnitudes g_abs."""
     residual = np.einsum("nab,na,nad->nbd", propagators, g, propagators)
     residual -= np.diag(g[0])
     residual = float(np.abs(residual, out=residual).max())
     P_abs = np.abs(propagators)
     sizes = P_abs if sizes is None else sizes
-    conditioning = float(np.einsum("nab,na,nad->nbd", P_abs, g_abs, sizes).max())
+    conditioning = float(np.einsum("nab,na,nad->nbd", P_abs, np.abs(g), sizes).max())
     bound = METRIC_SLACK * max(1.0, conditioning)
     if not residual <= bound:
         raise StepFailure(f"propagator metric residual {residual:.3e} exceeds {bound:.3e}")
@@ -383,11 +377,11 @@ def integrate_geodesic(
     f u^t is positive, ValidationError for a radius stop at or inside the
     guard, HorizonApproach if the path would cross the guard radius, StepFailure
     if a radial leg never meets its stop (a radius beyond its turning point
-    or behind it, a coordinate time before the start) or the stop is not
-    reached within the tau cap (a flat leg has none) or MAX_STEPS steps,
-    the state turns non-finite, the step size underflows, conservation
-    drifts exceed max(1e-8, 100 * tol) or the propagator fails to preserve
-    the metric.
+    or behind it, a coordinate time before the start) or a stepped leg
+    does not reach it within the stepper's tau cap or MAX_STEPS steps
+    (flat and radial legs have no cap), the state turns non-finite, the
+    step size underflows, conservation drifts exceed max(1e-8, 100 * tol)
+    or the propagator fails to preserve the metric.
     """
     chart, x0, u0, value = unit_mass_start(spec, x0, u0, stop.value)
     # the metric at x0 is also the domain check
@@ -594,10 +588,9 @@ def _radial_leg(
     t0, r0, theta, phi = x0.tolist()
     ut0, ur0 = u0[:2].tolist()
     energy = (1.0 - 2.0 / r0) * ut0
-    cap = _tau_cap(kind, stop, t0, r0, energy)
     try:
         fall = _NullFall(r0, ur0, energy) if kind == NULL else _TimelikeFall(r0, ur0)
-        tau, dt, r, ur = _radial_end(fall, stop, t0, cap)
+        tau, dt, r, ur = _radial_end(fall, stop, t0)
         ut = energy / (1.0 - 2.0 / r)
     except (ArithmeticError, ValueError) as e:
         raise StepFailure(f"closed-form radial leg failed: {e}") from None
@@ -609,14 +602,14 @@ def _radial_leg(
     return _framed_path(spec, kind, tol, np.array([0.0, tau]), states)
 
 
-def _radial_end(fall, stop: StopCondition, t0: float, cap: float) -> tuple[float, float, float, float]:
+def _radial_end(fall, stop: StopCondition, t0: float) -> tuple[float, float, float, float]:
     """(tau, t - t0, r, u^r) where a radial motion meets its stop, in units of M.
 
     A radius stop is direct. A proper-time or coordinate-time stop inverts
     the motion's increasing clock with _bracket_root on [0, hi], hi below
     the guard and past the stop, and ends at the stop's value. Raises
-    StepFailure for a stop the motion never meets or meets beyond tau =
-    cap, and HorizonApproach if it reaches the guard radius first.
+    StepFailure for a stop the motion never meets, and HorizonApproach if
+    it reaches the guard radius first.
     """
     what = f"stop condition {stop.kind} = {stop.value} M"
     if stop.kind == STOP_RADIUS:
@@ -632,8 +625,6 @@ def _radial_end(fall, stop: StopCondition, t0: float, cap: float) -> tuple[float
         if at_guard is not None:
             tau, dt = fall.clock(*at_guard)
             if (tau if proper else dt) <= target:
-                if not tau <= cap:
-                    raise StepFailure(f"{what} not reached by tau = {cap} M")
                 raise HorizonApproach(f"path reached guard radius {guard} M at tau = {tau} M")
         if proper and fall.affine:
             p = target
@@ -647,8 +638,6 @@ def _radial_end(fall, stop: StopCondition, t0: float, cap: float) -> tuple[float
         r, ur = fall.state(p)
         tau, dt = fall.clock(p, r, ur)
         tau, dt = (target, dt) if proper else (tau, target)
-    if not tau <= cap:
-        raise StepFailure(f"{what} not reached by tau = {cap} M")
     return tau, dt, r, ur
 
 
@@ -1160,7 +1149,7 @@ def _checked_path(
     bad = {k: v for k, v in drift.items() if v > bounds[k]}
     if bad:
         raise StepFailure(f"conservation drift {bad} exceeds {bounds}")
-    _metric_residual(g, g_abs, propagators, sizes)
+    check_metric_preserved(g, propagators, sizes)
     return GeodesicPath(
         spec=spec,
         kind=kind,

@@ -11,7 +11,8 @@ Conventions used everywhere in this package:
 * Minkowski spacetime in Cartesian coordinates (t, x, y, z),
 * Schwarzschild spacetime in the exterior chart (t, r, theta, phi),
   restricted to r > 2M(1 + HORIZON_EPS), a fixed guard with
-  HORIZON_EPS = 1e-6 just outside the horizon, and to 0 < theta < pi,
+  HORIZON_EPS = 1e-6 just outside the horizon, to 0 < theta < pi and to
+  finite t,
 * both charts diagonal: the metric is stored as its diagonal, ETA or
   (-f, 1/f, r^2, (r sin theta)^2), so g(v, w) = v * g @ w; metric_stack
   evaluates it over a stack of events, one (n, 4) row each, and checks the
@@ -71,8 +72,9 @@ def metric_stack(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
 
     Checks the chart's domain at every event. The first event outside it
     raises: HorizonDomain for r at or inside the guard, else InvalidChart for
-    theta outside (0, pi), else MetricUnderflow where an angular component is
-    not a positive finite float.
+    theta outside (0, pi), else MetricUnderflow where an angular component
+    is not a positive finite float, else InvalidChart for a t that is not
+    finite.
     """
     if spec.kind == MINKOWSKI:
         return np.broadcast_to(ETA, (len(X), 4)).copy()
@@ -87,17 +89,19 @@ def metric_stack(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
     # the guard radius is positive, so r > 0 follows
     inside = r <= spec.guard_radius
     off_chart = ~((0.0 < theta) & (theta < math.pi))
-    bad = inside | off_chart | ~((0.0 < g_phph) & (g_thth < math.inf))
+    bad = inside | off_chart | ~((0.0 < g_phph) & (g_thth < math.inf) & np.isfinite(X[:, 0]))
     if bad.any():
         j = int(np.argmax(bad))
         if inside[j]:
             raise HorizonDomain(f"r = {float(r[j])} inside radius {spec.guard_radius}")
         if off_chart[j]:
             raise InvalidChart(f"theta = {float(theta[j])} outside (0, pi)")
-        raise MetricUnderflow(
-            f"angular metric components {float(g_thth[j])}, {float(g_phph[j])} not positive"
-            f" and finite at r = {float(r[j])}, theta = {float(theta[j])}"
-        )
+        if not (0.0 < g_phph[j] and g_thth[j] < math.inf):
+            raise MetricUnderflow(
+                f"angular metric components {float(g_thth[j])}, {float(g_phph[j])} not positive"
+                f" and finite at r = {float(r[j])}, theta = {float(theta[j])}"
+            )
+        raise InvalidChart(f"t = {float(X[j, 0])} is not finite")
     np.negative(f, out=g_tt)
     np.divide(1.0, f, out=g_rr)
     return g

@@ -345,12 +345,13 @@ def earlier_radial_rhs(y):
     return ut, ur, -2.0 * g_tr * ut * ur, -g_tt * ut * ut + g_tr * ur * ur + r * f * 0.0
 
 
-def earlier_radial_leg(kind, x0, u0, stop, tol):
+def earlier_radial_leg(kind, x0, u0, stop, tol, cap=None):
     """A radial leg at unit mass as the stepper ran it: earlier_dopri on
-    earlier_radial_rhs, moving (t, r, u^t, u^r), with the events, tau cap
-    and outcomes of the stepped leg. Returns ("ok", (tau, t, r, u^t, u^r))
-    at its end, or (the class name of what it raised, whether the tau cap
-    or the step budget ended it)."""
+    earlier_radial_rhs, moving (t, r, u^t, u^r), with the events and
+    outcomes of the stepped leg, up to tau = cap, by default the stepped
+    leg's tau cap, which on a proper-time stop is its value. Returns ("ok",
+    (tau, t, r, u^t, u^r)) at its end, or (the class name of what it
+    raised, whether the cap or the step budget ended it)."""
     t0, r0, th0, _ = x0.tolist()
     y0 = [0.0, r0, th0, 0.0, *u0.tolist(), 0.0]
     energy = (1.0 - 2.0 / r0) * y0[4]
@@ -360,7 +361,7 @@ def earlier_radial_leg(kind, x0, u0, stop, tol):
     elif stop.kind == "coordinate_time":
         events.append((0, stop.value - t0, 0))
     events.append((1, geodesics._UNIT_MASS.guard_radius, -1))
-    cap = geodesics._tau_cap(kind, stop, t0, r0, energy)
+    cap = geodesics._tau_cap(kind, stop, t0, r0, energy) if cap is None else cap
     try:
         run = earlier_dopri(earlier_radial_rhs, y0, cap, tol, events, "stop", (1, 4, 5), (0, 1, 4, 5))
     except StepFailure:

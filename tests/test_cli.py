@@ -9,7 +9,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from grbell import flat_baseline_config, schwarzschild_demo_config
+from grbell import (
+    InvalidChart, MetricSpec, StopCondition, flat_baseline_config, integrate_geodesic,
+    schwarzschild_demo_config,
+)
 from grbell.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_GEOMETRY, EXIT_OK, main
 from grbell.scenario import CSV_HEADER
 
@@ -775,6 +778,26 @@ def test_an_origin_beyond_the_floats_in_units_of_m_gives_an_exit_code(tmp_path, 
     for fmt in ("json", "csv"):
         argv = ["run", "--config", write(tmp_path, data), "--out", str(tmp_path / "out"), "--format", fmt]
         assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_GEOMETRY)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_origin_t_beyond_the_floats_in_units_of_m_is_a_config_error(tmp_path, capsys):
+    # the demo at M = 1e-10 from t = 1e300, r = 10 M: t / M is inf, off the chart
+    mass = 1e-10
+    data = schwarzschild_demo_config()
+    data.update(metric={"kind": "schwarzschild", "mass": mass}, origin=[1e300, 10.0 * mass, math.pi / 2, 0.0])
+    for key in ("u1", "u2"):
+        data[key] = [*data[key][:2], *(rate / mass for rate in data[key][2:])]
+    for key in ("stop1", "stop2"):
+        data[key] = {**data[key], "value": data[key]["value"] * mass}
+    assert main(["run", "--config", write(tmp_path, data), "--format", "json"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: origin: t = inf is not finite")
+    x0 = np.array(data["origin"])
+    with pytest.raises(InvalidChart, match="^t = inf is not finite$"):
+        integrate_geodesic(MetricSpec("schwarzschild", mass), x0, np.array(data["u1"]),
+                           StopCondition.proper_time(1.0))
 
 
 def _scale_range(document) -> tuple[int, int]:

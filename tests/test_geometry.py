@@ -153,6 +153,12 @@ def test_metric_stack_rows_are_metric_components(request, rng, chart, n):
         (1.0, [0.0, math.nan, 1.0, 0.0], MetricUnderflow,
          "angular metric components nan, nan not positive and finite at r = nan, theta = 1.0"),
         (1.0, [0.0, 5.0, math.nan, 0.0], InvalidChart, "theta = nan outside (0, pi)"),
+        # the chart's t is a float: an event whose t is not finite is off it
+        (1.0, [math.inf, 10.0, math.pi / 2, 0.0], InvalidChart, "t = inf is not finite"),
+        (1.0, [math.nan, 10.0, 1.0, 0.0], InvalidChart, "t = nan is not finite"),
+        (1.0, [-math.inf, 1e200, math.pi / 2, 0.0], MetricUnderflow,
+         "angular metric components inf, inf not positive and finite"
+         " at r = 1e+200, theta = 1.5707963267948966"),
     ],
 )
 def test_metric_stack_raises_for_its_first_bad_row(rng, mass, bad, error, message):
