@@ -3,7 +3,9 @@
 A leg's kind comes from its initial tangent alone: tangent_kind reads
 timelike or null from u.u and refuses a past-pointing u. A stop is a kind
 and a value; a radius or coordinate-time stop within STOP_SNAP of the
-start gives a zero-length leg.
+start gives a zero-length leg, and a coordinate time before the start is
+refused. No leg has a cap on tau: each runs to its stop or is refused for
+a reason its orbit shows.
 
 A Schwarzschild start is converted into units of M, the chart's one scale,
 by unit_mass_start, before anything checks it: x0 becomes (t/M, r/M,
@@ -30,10 +32,9 @@ has affine length |r - r0| / |u^r| and t follows the tortoise coordinate
 r + 2M ln(r/2M - 1). A radius stop is direct; a proper-time or
 coordinate-time stop inverts the increasing clock with the bracketing
 root finder. A radius the leg never reaches (beyond its turning radius,
-or behind it with nothing to turn it back) and a coordinate time before
-the start are refused at once, and a leg that reaches the guard radius
-first raises HorizonApproach; a stop the motion meets is reached, however
-long the leg, so radial legs have no tau cap. Radial legs take no steps,
+or behind it with nothing to turn it back) is refused at once, and a leg
+that reaches the guard radius first raises HorizonApproach; a stop the
+motion meets is reached, however long the leg. Radial legs take no steps,
 and their counters read 0.
 
 Every other Schwarzschild leg integrates the 9-component state (x, u,
@@ -46,8 +47,11 @@ step-size controller and initial-step rule follow Hairer, Norsett and
 Wanner, Solving ODEs I, sec. II.4, and the quartic dense output L. F.
 Shampine, Math. Comp. 46, 135 (1986), as in the common RK45 solvers.
 Terminal events (target radius, coordinate time, horizon guard) are
-located by bracketing the root on the step's dense interpolant. One
-integration takes at most MAX_STEPS accepted steps. The stepper forms its
+located by bracketing the root on the step's dense interpolant. A radius
+where the effective potential f (eps + L^2/r^2) exceeds E^2 beyond the
+drift bound is refused before the first step (Chandrasekhar 1983, sec.
+19-20); any other stop is stepped until it fires, the guard is met, the
+state turns non-finite or MAX_STEPS steps are taken. The stepper forms its
 trial stages only on the components the right-hand side reads, (r, theta,
 u). A trial step, stages k2 to k7, the new state and its error norm, is
 one straight-line function per state shape, written out from the tableau
@@ -299,25 +303,6 @@ def tangent_kind(u: np.ndarray, uu: float) -> str:
     raise BadNormalization(f"u.u = {uu}, expected -1 (timelike) or 0 (null)")
 
 
-def _tau_cap(kind: str, stop: StopCondition, t0: float, r0: float, energy: float) -> float:
-    """The stepper's tau_end on a unit-mass leg from (t0, r0), with E = f u^t > 0.
-
-    A radius stop's cap is a free-fall time, which a null leg's affine
-    parameter stretches by 1/E, as the coordinate-time cap does on both kinds.
-    """
-    if stop.kind == STOP_PROPER_TIME:
-        return stop.value
-    if stop.kind == STOP_COORDINATE_TIME:
-        # dt/dparam >= E along the path since f u^t is conserved and f <= 1
-        return (abs(stop.value - t0) + 1.0) / min(energy, 1.0) + 1.0
-    r_far = max(r0, stop.value)
-    # generous radial free-fall scale ~ r^{3/2}, plus a flat-space term
-    # (r * sqrt(r) overflows to inf, where r**1.5 would raise, for a huge target)
-    scale = r_far * math.sqrt(r_far)
-    cap = 4.0 * scale + 10.0 * abs(r0 - stop.value) + 100.0
-    return cap / min(energy, 1.0) if kind == NULL else cap
-
-
 def _chart_radius(spec: MetricSpec, coords: np.ndarray) -> float:
     """Radial coordinate for radius stops: r, or Euclidean |x| in flat space."""
     if spec.kind == SCHWARZSCHILD:
@@ -376,12 +361,12 @@ def integrate_geodesic(
     tangent_kind accepts u0 and, on a Schwarzschild leg, its Killing energy
     f u^t is positive, ValidationError for a radius stop at or inside the
     guard, HorizonApproach if the path would cross the guard radius, StepFailure
-    if a radial leg never meets its stop (a radius beyond its turning point
-    or behind it, a coordinate time before the start) or a stepped leg
-    does not reach it within the stepper's tau cap or MAX_STEPS steps
-    (flat and radial legs have no cap), the state turns non-finite, the
-    step size underflows, conservation drifts exceed max(1e-8, 100 * tol)
-    or the propagator fails to preserve the metric.
+    if the leg never meets its stop (a coordinate time before the start; on
+    a Schwarzschild leg a radius where the effective potential exceeds E^2,
+    or a radial leg's radius behind it) or a stepped leg does not reach it
+    within MAX_STEPS steps, the state turns non-finite, the step size
+    underflows, conservation drifts exceed max(1e-8, 100 * tol) or the
+    propagator fails to preserve the metric. No leg has a cap on tau.
     """
     chart, x0, u0, value = unit_mass_start(spec, x0, u0, stop.value)
     # the metric at x0 is also the domain check
@@ -399,15 +384,21 @@ def integrate_geodesic(
             raise BadNormalization(f"Killing energy f u^t underflows to 0 at u^t = {ut}")
 
     # degenerate stop: zero-length path
+    t0 = float(x0[0])
     if (
         (stop.kind == STOP_PROPER_TIME and stop.value == 0.0)
         or (stop.kind == STOP_RADIUS and abs(_chart_radius(spec, x0) - stop.value) <= STOP_SNAP)
         # in Python floats, where inf - inf is NaN without a warning
-        or (stop.kind == STOP_COORDINATE_TIME and abs(float(x0[0]) - stop.value) <= STOP_SNAP)
+        or (stop.kind == STOP_COORDINATE_TIME and abs(t0 - stop.value) <= STOP_SNAP)
     ):
         return _checked_path(
             spec, kind, tol, np.array([0.0]), np.array([x0]), np.array([u0]),
             np.eye(4)[None, :, :],
+        )
+    if stop.kind == STOP_COORDINATE_TIME and not stop.value > t0:
+        unit = " M" if spec.kind == SCHWARZSCHILD else ""
+        raise StepFailure(
+            f"stop condition {stop.kind} = {stop.value}{unit} precedes the start t = {t0}{unit}"
         )
     if spec.kind == SCHWARZSCHILD:
         return _schwarzschild_leg(spec, kind, x0, u0, stop, tol)
@@ -529,25 +520,30 @@ def _schwarzschild_leg(
     energy = (1.0 - 2.0 / r0) * y0[4]
     ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
     rhs = _schwarzschild_rhs(kind, energy, ang_mom)
+    what = f"stop condition {stop.kind} = {stop.value} M"
 
     # events: (state component, target, direction), the guard last
     events = []
     if stop.kind == STOP_RADIUS:
+        # the leg moves only where E^2 >= V(r) = f (eps + L^2/r^2), to the drift bound
+        q = ang_mom / stop.value
+        potential = (1.0 - 2.0 / stop.value) * ((1.0 if kind == TIMELIKE else 0.0) + q * q)
+        if energy * energy < (1.0 - _drift_bound(tol)) * potential:
+            raise StepFailure(
+                f"{what} lies where the effective potential {potential} exceeds E^2 = {energy * energy}"
+            )
         events.append((1, stop.value, 0))
     elif stop.kind == STOP_COORDINATE_TIME:
         events.append((0, stop.value - t0, 0))
     guard = _UNIT_MASS.guard_radius
     events.append((1, guard, -1))
-    what = f"stop condition {stop.kind} = {stop.value} M"
-    cap = _tau_cap(kind, stop, t0, r0, energy)
+    tau_end = stop.value if stop.kind == STOP_PROPER_TIME else math.inf
     try:
-        run = _dopri(rhs, y0, cap, tol, events, what, _READS)
+        run = _dopri(rhs, y0, tau_end, tol, events, what, _READS)
     except (ArithmeticError, ValueError) as e:  # e.g. a trial stage on the polar axis
         raise StepFailure(f"integration failed: {e}") from None
     if run.event == len(events) - 1:
         raise HorizonApproach(f"path reached guard radius {guard} M at tau = {run.taus[-1]} M")
-    if stop.kind != STOP_PROPER_TIME and run.event is None:
-        raise StepFailure(f"{what} not reached by tau = {cap} M")
 
     taus = np.array(run.taus)
     states = np.fromiter(chain.from_iterable(run.states), float, 9 * len(taus)).reshape(-1, 9)
@@ -608,18 +604,15 @@ def _radial_end(fall, stop: StopCondition, t0: float) -> tuple[float, float, flo
     A radius stop is direct. A proper-time or coordinate-time stop inverts
     the motion's increasing clock with _bracket_root on [0, hi], hi below
     the guard and past the stop, and ends at the stop's value. Raises
-    StepFailure for a stop the motion never meets, and HorizonApproach if
+    StepFailure for a radius the motion never meets, and HorizonApproach if
     it reaches the guard radius first.
     """
-    what = f"stop condition {stop.kind} = {stop.value} M"
     if stop.kind == STOP_RADIUS:
         p, r, ur = fall.at_radius(stop.value)
         tau, dt = fall.clock(p, r, ur)
     else:
         proper = stop.kind == STOP_PROPER_TIME
         target = stop.value if proper else stop.value - t0
-        if not target > 0.0:
-            raise StepFailure(f"{what} precedes the start t = {t0} M; t grows along every leg")
         guard = _UNIT_MASS.guard_radius
         at_guard = fall.at_radius(guard) if fall.falls else None
         if at_guard is not None:
@@ -973,7 +966,7 @@ def _dopri(
     rhs, y0: list[float], tau_end: float, tol: float, events, what: str,
     reads: Sequence[int] | None = None,
 ) -> _Run:
-    """Integrate y' = rhs(y) from tau = 0 to tau_end with Dormand-Prince 5(4).
+    """Integrate y' = rhs(y) from tau = 0 to tau_end, which may be inf, with Dormand-Prince 5(4).
 
     reads are increasing indices into y0, every component by default: rhs
     takes the components in reads and returns the derivatives of all of
@@ -987,8 +980,8 @@ def _dopri(
     crossing, at a state read from the step's dense interpolant. A trial
     step whose stage the right-hand side refuses with HorizonDomain is
     rejected and shrunk by _MIN_FACTOR; nfev counts six evaluations per
-    trial step. Messages give tau as stepped, in units of M on a
-    Schwarzschild leg.
+    trial step. A step that would take tau past the floats is a non-finite
+    state. Messages give tau as stepped, in units of M on a Schwarzschild leg.
     """
     rtol, atol = tol, tol * 1e-3
     root_n = math.sqrt(len(y0))
@@ -1036,7 +1029,10 @@ def _dopri(
             try:
                 stages, y_new, error = trial(rhs, h, y, f, atol, rtol, root_n)
             except HorizonDomain:
-                # a trial stage left the chart: the step is too long
+                # a trial stage left the chart: the step is too long, unless
+                # it is infinite, which shrinking leaves infinite
+                if h == math.inf:
+                    raise StepFailure(f"non-finite state after tau = {t}") from None
                 h_abs *= _MIN_FACTOR
                 step_rejected = True
                 rejected += 1

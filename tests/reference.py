@@ -345,11 +345,25 @@ def earlier_radial_rhs(y):
     return ut, ur, -2.0 * g_tr * ut * ur, -g_tt * ut * ut + g_tr * ur * ur + r * f * 0.0
 
 
+def earlier_tau_cap(kind, stop, t0, r0, energy):
+    """The tau_end the stepper ran a unit-mass leg from (t0, r0) to, with
+    E = f u^t > 0, before no leg had a cap: the stop's value on a
+    proper-time stop, else a free-fall time, which a null leg's affine
+    parameter stretches by 1/E, as the coordinate-time cap does on both kinds."""
+    if stop.kind == "proper_time":
+        return stop.value
+    if stop.kind == "coordinate_time":
+        return (abs(stop.value - t0) + 1.0) / min(energy, 1.0) + 1.0
+    r_far = max(r0, stop.value)
+    cap = 4.0 * (r_far * math.sqrt(r_far)) + 10.0 * abs(r0 - stop.value) + 100.0
+    return cap / min(energy, 1.0) if kind == "null" else cap
+
+
 def earlier_radial_leg(kind, x0, u0, stop, tol, cap=None):
     """A radial leg at unit mass as the stepper ran it: earlier_dopri on
     earlier_radial_rhs, moving (t, r, u^t, u^r), with the events and
-    outcomes of the stepped leg, up to tau = cap, by default the stepped
-    leg's tau cap, which on a proper-time stop is its value. Returns ("ok",
+    outcomes of the stepped leg, up to tau = cap, by default
+    earlier_tau_cap, which on a proper-time stop is its value. Returns ("ok",
     (tau, t, r, u^t, u^r)) at its end, or (the class name of what it
     raised, whether the cap or the step budget ended it)."""
     t0, r0, th0, _ = x0.tolist()
@@ -361,7 +375,7 @@ def earlier_radial_leg(kind, x0, u0, stop, tol, cap=None):
     elif stop.kind == "coordinate_time":
         events.append((0, stop.value - t0, 0))
     events.append((1, geodesics._UNIT_MASS.guard_radius, -1))
-    cap = geodesics._tau_cap(kind, stop, t0, r0, energy) if cap is None else cap
+    cap = earlier_tau_cap(kind, stop, t0, r0, energy) if cap is None else cap
     try:
         run = earlier_dopri(earlier_radial_rhs, y0, cap, tol, events, "stop", (1, 4, 5), (0, 1, 4, 5))
     except StepFailure:

@@ -275,8 +275,9 @@ def test_horizon_bad_number_is_config_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-# the tangent's kind comes from u.u; the stop snap, the tau cap and the
-# horizon guard are constants. Each value is the key's old default.
+# the tangent's kind comes from u.u; the stop snap and the horizon guard
+# are constants, and no leg has a cap on tau. Each value is the key's old
+# default.
 @pytest.mark.parametrize(
     "block, key, value",
     [

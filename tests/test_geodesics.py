@@ -290,7 +290,7 @@ def test_radius_target_inside_guard_rejected(schw):
 def test_unreachable_stop_fails(schw):
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     u0 = circular_orbit_tangent(10.0, x0)
-    with pytest.raises(StepFailure):
+    with pytest.raises(StepFailure, match="effective potential"):
         integrate_geodesic(schw, x0, u0, StopCondition.radius(20.0))
 
 
@@ -309,13 +309,45 @@ def test_step_budget_bounds_one_integration(schw, monkeypatch):
 
 
 def test_far_radius_target_hits_the_step_budget(schw, monkeypatch):
-    # the derived tau cap overflows to inf; the step budget still ends the run
+    # 10.001 M lies off the circular orbit at 10 M, but within the effective
+    # potential's margin, so the leg is stepped; it never gets there, and
+    # the step budget ends the run
     from grbell import geodesics
 
     monkeypatch.setattr(geodesics, "MAX_STEPS", 200)
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     with pytest.raises(StepFailure, match="200 steps"):
-        integrate_geodesic(schw, x0, circular_orbit_tangent(10.0, x0), StopCondition.radius(1e300))
+        integrate_geodesic(schw, x0, circular_orbit_tangent(10.0, x0), StopCondition.radius(10.001))
+
+
+# from r0 = 30 M with static-tetrad velocity 0.05 radial (outward) and 0.19
+# azimuthal: a bound orbit with E = 0.98530 and L = 5.813 M that spans 23.6
+# to 42.6 M
+BOUND_ORBIT_U = np.array([1.0556733370402644, 0.04926475572854568, 0.0, 0.006459223131359831])
+
+
+def test_a_bound_orbit_reaches_a_stop_past_its_apocentre_and_is_refused_one_beyond_it(schw):
+    x0 = np.array([0.0, 30.0, math.pi / 2, 0.0])
+    path = integrate_geodesic(schw, x0, BOUND_ORBIT_U, StopCondition.radius(28.0))
+    assert path.points[-1, 1] == 28.0
+    assert path.points[:, 1].max() > 42.5  # out through the apocentre and back
+    with pytest.raises(StepFailure, match=r"effective potential 0\.97\d+ exceeds E\^2 = 0\.97"):
+        integrate_geodesic(schw, x0, BOUND_ORBIT_U, StopCondition.radius(45.0))
+
+
+@pytest.mark.parametrize("leg", ["flat", "radial", "stepped"])
+def test_a_coordinate_time_stop_before_the_start_is_refused_at_once(flat, schw, monkeypatch, leg):
+    from grbell import geodesics
+
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(geodesics, "_dopri", no_step)
+    x0 = np.array([5.0, 10.0, math.pi / 2, 0.0])
+    spec = flat if leg == "flat" else schw
+    u0 = circular_orbit_tangent(10.0, x0) if leg == "stepped" else static_tangent(spec, x0)
+    with pytest.raises(StepFailure, match="coordinate_time = 4.0.* precedes the start t = 5.0"):
+        integrate_geodesic(spec, x0, u0, StopCondition.coordinate_time(4.0))
 
 
 def test_proper_time_stop_ends_at_its_value_within_max_tau(schw):

@@ -244,6 +244,25 @@ def test_stepper_rejects_a_non_finite_state():
         geodesics._dopri(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 5.0, 1e-8, [], "stop")
 
 
+def test_stepper_without_an_end_fails_where_tau_would_overflow():
+    # y' = 1 with tau_end = inf: the controller grows each step tenfold, so a
+    # step soon takes tau past the floats; its trial stage leaves the domain
+    # there, and shrinking an infinite step leaves it infinite
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise RuntimeError("the stepper retries an infinite step")
+        if not math.isfinite(y[0]):
+            raise HorizonDomain(f"y = {y[0]}")
+        return (1.0,)
+
+    with pytest.raises(StepFailure, match="non-finite state"):
+        geodesics._dopri(rhs, [0.0], math.inf, 1e-8, [], "stop")
+
+
 def test_stepper_rejects_a_step_whose_stage_leaves_the_domain():
     # the controller grows the step tenfold on this linear system until a
     # trial stage crosses the domain's edge
@@ -325,7 +344,7 @@ def radial_leg(rng):
     Timelike legs at rest, inward or outward, or null legs inward or
     outward, on or off the equator, with u^theta and u^phi each +0.0 or
     -0.0, to a proper-time, radius or coordinate-time stop that may lie
-    past the guard radius or beyond the tau cap.
+    past the guard radius or beyond earlier_tau_cap.
     """
     r0 = rng.uniform(2.05, 4.0) if rng.random() < 0.3 else rng.uniform(4.0, 30.0)
     theta = math.pi / 2.0 if rng.random() < 0.5 else rng.uniform(0.2, math.pi - 0.2)
@@ -356,8 +375,8 @@ def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
     """Each leg's stepper run, on the components its right-hand side reads,
     equals the run on the whole right-hand side, and the run of
     earlier_dopri on the same arguments. Returns each leg's outcome, as
-    (exception class name or "ok", whether the tau cap stopped it, the
-    right-hand side it stepped on or None)."""
+    (exception class name or "ok", the right-hand side it stepped on or
+    None)."""
     calls, outcomes = [], []
     dopri = geodesics._dopri
 
@@ -376,11 +395,11 @@ def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
         try:
             integrate_geodesic(schw, x0, u0, stop, tol)
         except (StepFailure, HorizonApproach) as e:
-            outcome = type(e).__name__, "not reached by tau" in str(e)
+            outcome = type(e).__name__
         else:
-            outcome = "ok", False
+            outcome = "ok"
         if len(calls) == stepped:  # a zero-length leg does not step
-            outcomes.append((*outcome, None))
+            outcomes.append((outcome, None))
             continue
         args, found = calls[stepped]
         assert found == run_outcome(lambda: earlier_dopri(*args))
@@ -392,7 +411,7 @@ def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
         expected = run_outcome(lambda: dopri(
             lambda y: whole_rhs(y[1:3] + y[4:8]), y0, cap, tol, events, what))
         assert found == expected
-        outcomes.append((*outcome, rhs))
+        outcomes.append((outcome, rhs))
     return outcomes
 
 
@@ -401,7 +420,8 @@ def bound_radial_leg(rng, motion):
     radial_leg does not make, as (kind, x0, u0, stop, tol): "unit" moves in
     or out with E within 1e-9 of 1, "escape" moves out with E > 1, "turn"
     moves out with E < 1 and turns at r_max, 1.05 to 3 times r0. Its stop
-    may lie behind it, beyond r_max, past the guard or beyond the tau cap."""
+    may lie behind it, beyond r_max, past the guard or beyond
+    earlier_tau_cap."""
     r0 = rng.uniform(2.05, 4.0) if rng.random() < 0.3 else rng.uniform(4.0, 30.0)
     theta = math.pi / 2.0 if rng.random() < 0.5 else rng.uniform(0.2, math.pi - 0.2)
     x0 = np.array([rng.uniform(-5.0, 5.0), r0, theta, rng.uniform(-math.pi, math.pi)])
@@ -435,9 +455,9 @@ def test_radial_legs_match_the_stepped_reference(schw, rng):
     # every radial leg is closed-form and meets the stepped leg of
     # earlier_dopri on earlier_radial_rhs: the same outcome, and on ok legs
     # the same end to the stepper's error; a stop it never meets fails at
-    # once, where the stepper hit the guard or ran out its tau cap. A
-    # closed-form leg has no tau cap, so where the stepper ran out of its
-    # cap it is run again uncapped
+    # once, where the stepper hit the guard or ran out earlier_tau_cap. A
+    # closed-form leg has no cap on tau, so where the stepper ran out of
+    # that cap it is run again uncapped
     legs = [(*radial_leg(rng)[:4], 1e-12) for _ in range(320)]
     # 5 motions, 3 stop kinds and 4 signs of the zeros (u^theta, u^phi)
     cases = {(kind, float(np.sign(u0[1])), stop.kind, math.copysign(1.0, u0[2]), math.copysign(1.0, u0[3]))
@@ -521,7 +541,7 @@ def comeback_leg(rng, stop_kind):
 
 
 def test_radial_legs_thrown_outward_reach_stops_past_their_turn(schw, rng):
-    # a closed-form leg has no tau cap: a bound outward leg comes back and
+    # a closed-form leg has no cap on tau: a bound outward leg comes back and
     # reaches a stop past its turn, at the end the uncapped stepper finds.
     # At a time stop late in a long fall the stepper's own phase error,
     # |u^r| times its error in tau, exceeds 1e-9 of r (up to 790 times at
@@ -609,7 +629,52 @@ def test_general_legs_step_like_the_whole_state(schw, rng, monkeypatch):
             legs.append((kind, x0, u0, StopCondition.proper_time(rng.uniform(1.0, 12.0)),
                          10.0 ** rng.uniform(-10.0, -3.0)))
     outcomes = assert_legs_step_like_the_whole_state(schw, monkeypatch, legs)
-    assert all(rhs is not None for _, _, rhs in outcomes)
+    assert all(rhs is not None for _, rhs in outcomes)
+
+
+def test_the_effective_potential_refuses_only_radii_the_orbit_never_reaches(schw, monkeypatch):
+    # random non-radial timelike and null legs to a radius stop. A stop the
+    # effective potential refuses is never reached: the leg run again to a
+    # long proper-time stop (or to the guard) stays on its side of it. Any
+    # other leg reaches its stop, the guard or a step budget of 2,000
+    rng = np.random.default_rng(20261020)
+    full_budget = geodesics.MAX_STEPS
+    runs = []
+    dopri = geodesics._dopri
+
+    def recording(*args):
+        runs.append(dopri(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(geodesics, "_dopri", recording)
+    outcomes = {}
+    for i in range(200):
+        kind = ("timelike", "null")[i % 2]
+        x0, u0 = launch(rng, kind)
+        r0, target = x0[1], rng.uniform(2.05, 3.0 * x0[1])
+        monkeypatch.setattr(geodesics, "MAX_STEPS", 2000)
+        try:
+            path = integrate_geodesic(schw, x0, u0, StopCondition.radius(target))
+        except HorizonApproach:
+            outcome = "guard"
+        except StepFailure as e:
+            outcome = "budget" if "within 2000 steps" in str(e) else "refused"
+            if outcome == "refused":
+                assert "effective potential" in str(e), str(e)
+                monkeypatch.setattr(geodesics, "MAX_STEPS", full_budget)
+                runs.clear()
+                try:
+                    integrate_geodesic(schw, x0, u0, StopCondition.proper_time(1000.0))
+                except HorizonApproach:
+                    pass
+                radii = np.array([state[1] for state in runs[0].states])
+                assert np.all(radii > target) if target < r0 else np.all(radii < target)
+        else:
+            outcome = "reached"
+            assert path.points[-1, 1] == pytest.approx(target, rel=1e-12, abs=0.0)
+        outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
+    assert {outcome for _, outcome in outcomes} == {"reached", "guard", "budget", "refused"}
+    assert all(outcomes.get((kind, "refused"), 0) >= 10 for kind in ("timelike", "null")), outcomes
 
 
 def test_equatorial_null_leg_carries_the_plane_normal(schw):

@@ -743,9 +743,9 @@ def counting_metric_events(monkeypatch) -> collections.Counter:
 
 @pytest.mark.parametrize("kind, value", [("proper_time", 20.0), ("coordinate_time", 24.0)])
 def test_demo_evaluates_metric_once_per_stored_point(monkeypatch, kind, value):
-    # per path: one metric at x0 for the domain check, the tangent's kind
-    # and a coordinate-time leg's tau cap, then one stack shared by the drift
-    # and propagator checks and the summary
+    # per path: one metric at x0 for the domain check and the tangent's
+    # kind, then one stack shared by the drift and propagator checks and
+    # the summary
     events = counting_metric_events(monkeypatch)
     paths = recording_paths(monkeypatch)
     data = schwarzschild_demo_config()
