@@ -14,7 +14,11 @@ becomes value/M. The conversion keeps u.u and a tangent's components in
 the static tetrad. Every check and everything after it runs at unit mass,
 and the path is stored in units of M: its taus, points, tangents, metrics
 and propagators. It records the caller's spec, and converting back is the
-report's business.
+report's business. integrate_geodesic is run_leg(leg_start(...)):
+leg_start converts and checks a start once (the metric's domain at x0, the
+tangent's kind, a radius stop against the guard) and returns it as a
+LegStart, and run_leg runs a checked start, so a caller that keeps one
+runs it without converting or checking it again.
 
 Flat legs are straight lines in the Cartesian chart, x = x0 + u0 tau, and
 their parallel propagator is the identity. A radius stop is the first
@@ -48,8 +52,10 @@ Wanner, Solving ODEs I, sec. II.4, and the quartic dense output L. F.
 Shampine, Math. Comp. 46, 135 (1986), as in the common RK45 solvers.
 Terminal events (target radius, coordinate time, horizon guard) are
 located by bracketing the root on the step's dense interpolant. A radius
-where the effective potential f (eps + L^2/r^2) exceeds E^2 beyond the
-drift bound is refused before the first step (Chandrasekhar 1983, sec.
+where the effective potential V = f (eps + L^2/r^2) exceeds E^2 beyond
+the drift bound, or behind V's one maximum for r > 2 where that exceeds
+it (at r = 3 on a null leg, 6 / (1 + sqrt(1 - 12/L^2)) on a timelike one
+with L^2 > 12), is refused before the first step (Chandrasekhar 1983, sec.
 19-20); any other stop is stepped until it fires, the guard is met, the
 state turns non-finite or MAX_STEPS steps are taken. The stepper forms its
 trial stages only on the components the right-hand side reads, (r, theta,
@@ -247,13 +253,6 @@ def unit_mass_start(
     return _UNIT_MASS, x0, u0, stop_value
 
 
-def check_radius_stop(chart: MetricSpec, kind: str, value: float) -> None:
-    """Raise ValidationError for a radius stop whose value, in chart's
-    units, is at or inside the chart's guard radius."""
-    if kind == STOP_RADIUS and value <= chart.guard_radius:
-        raise ValidationError("stop.value", "radius target inside horizon guard")
-
-
 def _conservation_drift(
     chart: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, g: np.ndarray
 ) -> dict[str, float]:
@@ -368,17 +367,46 @@ def integrate_geodesic(
     underflows, conservation drifts exceed max(1e-8, 100 * tol) or the
     propagator fails to preserve the metric. No leg has a cap on tau.
     """
+    return run_leg(leg_start(spec, x0, u0, stop), tol)
+
+
+@dataclass(frozen=True, eq=False)
+class LegStart:
+    """A checked start, as leg_start returns it: spec is the caller's
+    metric, kind the tangent's, and x0, u0 (read-only (4,) arrays) and the
+    stop are in units of M on a Schwarzschild leg."""
+
+    spec: MetricSpec
+    kind: str
+    x0: np.ndarray
+    u0: np.ndarray
+    stop: StopCondition
+
+
+def leg_start(spec: MetricSpec, x0: np.ndarray, u0: np.ndarray, stop: StopCondition) -> LegStart:
+    """The start of integrate_geodesic's leg, converted by unit_mass_start
+    and checked as integrate_geodesic checks it before it runs: the metric's
+    domain errors at x0, BadNormalization unless tangent_kind accepts u0,
+    and ValidationError for a radius stop at or inside the guard."""
     chart, x0, u0, value = unit_mass_start(spec, x0, u0, stop.value)
     # the metric at x0 is also the domain check
     g0 = metric_components(chart, x0)
     with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
         kind = tangent_kind(u0, float(u0 * g0 @ u0))
-    check_radius_stop(chart, stop.kind, value)
-    stop = StopCondition(stop.kind, value)
+    if stop.kind == STOP_RADIUS and value <= chart.guard_radius:
+        raise ValidationError("stop.value", "radius target inside horizon guard")
+    x0, u0 = np.array(x0, dtype=float), np.array(u0, dtype=float)
+    x0.flags.writeable = u0.flags.writeable = False
+    return LegStart(spec, kind, x0, u0, StopCondition(stop.kind, value))
 
+
+def run_leg(leg: LegStart, tol: float) -> GeodesicPath:
+    """integrate_geodesic's path from a checked start, with the errors it
+    raises once the start is checked."""
+    spec, kind, x0, u0, stop = leg.spec, leg.kind, leg.x0, leg.u0, leg.stop
     if spec.kind == SCHWARZSCHILD:
-        # E = f u^t divides a null leg's rates, its caps and the energy drift;
-        # a u^t so small that E underflows leaves them undefined
+        # E = f u^t divides a null leg's rates and the energy drift; a u^t
+        # so small that E underflows leaves them undefined
         ut = float(u0[0])
         if not (1.0 - 2.0 / float(x0[1])) * ut > 0.0:
             raise BadNormalization(f"Killing energy f u^t underflows to 0 at u^t = {ut}")
@@ -525,12 +553,23 @@ def _schwarzschild_leg(
     # events: (state component, target, direction), the guard last
     events = []
     if stop.kind == STOP_RADIUS:
-        # the leg moves only where E^2 >= V(r) = f (eps + L^2/r^2), to the drift bound
-        q = ang_mom / stop.value
-        potential = (1.0 - 2.0 / stop.value) * ((1.0 if kind == TIMELIKE else 0.0) + q * q)
-        if energy * energy < (1.0 - _drift_bound(tol)) * potential:
+        # the leg moves only where E^2 >= V(r) = f (eps + L^2/r^2), to the drift bound, so V
+        # must not exceed it at the target, nor at V's one maximum for r > 2 if that lies between
+        eps = 1.0 if kind == TIMELIKE else 0.0
+
+        def potential(r):
+            q = ang_mom / r
+            return (1.0 - 2.0 / r) * (eps + q * q)
+
+        where, V = "", potential(stop.value)
+        L2 = ang_mom * ang_mom
+        if not eps or L2 > 12.0:
+            peak = 6.0 / (1.0 + math.sqrt(1.0 - 12.0 / L2)) if eps else 3.0
+            if min(r0, stop.value) < peak < max(r0, stop.value) and potential(peak) > V:
+                where, V = f" behind r = {peak} M,", potential(peak)
+        if energy * energy < (1.0 - _drift_bound(tol)) * V:
             raise StepFailure(
-                f"{what} lies where the effective potential {potential} exceeds E^2 = {energy * energy}"
+                f"{what} lies{where} where the effective potential {V} exceeds E^2 = {energy * energy}"
             )
         events.append((1, stop.value, 0))
     elif stop.kind == STOP_COORDINATE_TIME:

@@ -23,19 +23,23 @@ in configs and CSV columns, radians internally. Geometry scenario:
       "lhv_audit": false
     }
 
-A tangent's kind comes from u.u by geodesics.tangent_kind, which also asks
-u^t > 0; a tangent within 1e-6 of unit norm is first rescaled to it. u1 and
-u2 are one geodesic when their components in the static tetrad differ by at
-most 1e-12. A stop is {kind, value}; the metric is {kind, mass}, guarded at
-2M(1 + 1e-6).
+A stop is {kind, value}; the metric is {kind, mass}, guarded at
+2M(1 + 1e-6). The parser checks the origin's domain with its metric in
+units of M, where a tangent within 1e-6 of unit norm is rescaled to it,
+then hands each leg to geodesics.leg_start, which converts the start into
+units of M and checks it as a leg does before it runs: the tangent's kind
+by geodesics.tangent_kind, which also asks u^t > 0, and a radius stop
+against the guard. u1 and u2 are one geodesic when their components in
+the static tetrad differ by at most 1e-12. The config keeps the two
+checked starts as its legs, and a run hands them to geodesics.run_leg, so
+it converts and checks no start again.
 
 A Schwarzschild run works in units of M, the metric's one scale, so its
-weights, correlations, margins and verdict do not depend on M: the parser,
-each leg and the horizon study convert their start into units of M with
-geodesics.unit_mass_start before they check it, the paths, frames,
-transport and projection hold unit-mass numbers, and
-GeodesicSummary.from_path converts tau_end and the endpoint back. The
-config and its echo keep the caller's numbers.
+weights, correlations, margins and verdict do not depend on M: the legs
+and the horizon study convert their start with geodesics.unit_mass_start
+before they check it, the paths, frames, transport and projection hold
+unit-mass numbers, and GeodesicSummary.from_path converts tau_end and the
+endpoint back. The echo keeps the caller's numbers.
 
 Synthetic mode replaces the geometry block with
     "synthetic": {"w_b": 0.9, "b": [1,0,0], "w_c": 0.8, "c": [0.5,0.866,0]}
@@ -111,10 +115,11 @@ from .frames import (
 )
 from .geodesics import (
     GeodesicPath,
+    LegStart,
     StopCondition,
-    check_radius_stop,
     integrate_geodesic,
-    tangent_kind,
+    leg_start,
+    run_leg,
     unit_mass_start,
 )
 from .geometry import (
@@ -202,11 +207,7 @@ class ScenarioConfig:
     mc_seed: int
     lhv_audit: bool
     metric: MetricSpec | None = None
-    origin: np.ndarray | None = None  # (4,), read-only
-    u1: np.ndarray | None = None  # (4,), read-only
-    u2: np.ndarray | None = None
-    stop1: StopCondition | None = None
-    stop2: StopCondition | None = None
+    legs: tuple[LegStart, LegStart] | None = None  # checked by leg_start, in units of M
     synthetic: Synthetic | None = None
     sweep: SweepSpec | None = None
     echo: dict | None = None  # validated input with defaults; None if built internally
@@ -292,18 +293,27 @@ def _parse_metric(d, field="metric") -> MetricSpec:
     raise ValidationError(f"{field}.kind", f"unknown metric kind {kind!r}")
 
 
-def _parse_stop(d, field: str, metric: MetricSpec) -> StopCondition:
-    """A stop, whose radius must lie outside the guard in units of M."""
+def _parse_leg(data: dict, metric: MetricSpec, origin: np.ndarray, g: np.ndarray, n: int) -> LegStart:
+    """Leg n's start from origin, uN to stopN, as leg_start checks it, with
+    errors that name those fields. g is the metric at origin in units of M,
+    where a tangent within 1e-6 of unit norm is first rescaled to it."""
+    u = _floats(_require(data, f"u{n}", ""), 4, f"u{n}")
+    u_m = unit_mass_start(metric, u0=u)[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # leg_start refuses an overflowing u.u
+        uu = float(u_m * g @ u_m)
+    if abs(uu + 1.0) <= 1e-6:
+        u = u / math.sqrt(-uu)
+    field = f"stop{n}"
+    d = _require(data, field, "")
     if not isinstance(d, dict):
         raise ValidationError(field, "expected an object")
     _check_keys(d, {"kind", "value"}, field)
     kind = _require(d, "kind", field)
     value = _finite(_require(d, "value", field), f"{field}.value")
     try:
-        stop = StopCondition(kind, value)
-        chart, _, _, value = unit_mass_start(metric, stop_value=value)
-        check_radius_stop(chart, kind, value)
-        return stop
+        return leg_start(metric, origin, u, StopCondition(kind, value))
+    except BadNormalization as e:
+        raise ValidationError(f"u{n}", str(e)) from None
     except ValidationError as e:  # the stop's checks name its fields stop.kind, stop.value
         raise ValidationError(field + e.field.removeprefix("stop"), e.reason) from None
 
@@ -354,31 +364,6 @@ def _parse_synthetic(d) -> Synthetic:
     if errors:
         raise errors[0]
     return synthetic
-
-
-def _normalized_tangent(
-    metric: MetricSpec, origin: np.ndarray, g: np.ndarray, raw: np.ndarray, field: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """raw as a read-only tangent at origin, and that tangent in units of M.
-
-    g is the metric at origin in units of M, where u.u is taken: within
-    1e-6 of unit norm raw is rescaled to exact unit norm, then tangent_kind
-    must accept the tangent in units of M, as integrate_geodesic does.
-    """
-    def in_units_of_m(u):
-        u_m = unit_mass_start(metric, u0=u)[2]
-        return u_m, float(u_m * g @ u_m)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
-        u_m, uu = in_units_of_m(raw)
-        if abs(uu + 1.0) <= 1e-6:
-            raw = raw / math.sqrt(-uu)
-            u_m, uu = in_units_of_m(raw)
-    try:
-        tangent_kind(u_m, uu)
-    except BadNormalization as e:
-        raise ValidationError(field, str(e)) from None
-    return _frozen_array(raw, (4,)), u_m
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -450,27 +435,24 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
             step=_finite(_require(s, "step", "sweep"), "sweep.step"),
         )
 
-    metric = origin = u1 = u2 = stop1 = stop2 = None
+    metric = legs = None
     frame_choice = data.get("frame_choice", FRAME_STATIC)
     if frame_choice not in (FRAME_STATIC, FRAME_COMOVING):
         raise ValidationError("frame_choice", "must be 'static' or 'comoving'")
 
     if synthetic is None:
         metric = _parse_metric(_require(data, "metric", ""))
-        origin = _frozen_array(_floats(_require(data, "origin", ""), 4, "origin"), (4,))
-        # the origin's one metric, in units of M, checks its domain
+        origin = _floats(_require(data, "origin", ""), 4, "origin")
+        # the metric at the origin, in units of M, checks its domain and rescales the tangents
         chart, x, _, _ = unit_mass_start(metric, origin)
         try:
             g = metric_components(chart, x)
         except SimulatorError as e:
             raise ValidationError("origin", str(e)) from None
-        u1, u1_m = _normalized_tangent(metric, origin, g, _floats(_require(data, "u1", ""), 4, "u1"), "u1")
-        u2, u2_m = _normalized_tangent(metric, origin, g, _floats(_require(data, "u2", ""), 4, "u2"), "u2")
+        legs = (_parse_leg(data, metric, origin, g, 1), _parse_leg(data, metric, origin, g, 2))
         # compared in the static tetrad, whose components do not depend on M
-        if np.max(np.abs(u1_m - u2_m) * np.sqrt(np.abs(g))) <= 1e-12:
+        if np.max(np.abs(legs[0].u0 - legs[1].u0) * np.sqrt(np.abs(g))) <= 1e-12:
             raise ValidationError("u2", "u1 and u2 must define distinct geodesics")
-        stop1 = _parse_stop(_require(data, "stop1", ""), "stop1", metric)
-        stop2 = _parse_stop(_require(data, "stop2", ""), "stop2", metric)
 
     echo = _echo_dict(data, metric, tol, mc_n, mc_seed, frame_choice, lhv_audit)
     return ScenarioConfig(
@@ -481,11 +463,7 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         mc_seed=mc_seed,
         lhv_audit=lhv_audit,
         metric=metric,
-        origin=origin,
-        u1=u1,
-        u2=u2,
-        stop1=stop1,
-        stop2=stop2,
+        legs=legs,
         synthetic=synthetic,
         sweep=sweep,
         echo=echo,
@@ -595,9 +573,9 @@ def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
     if cfg.is_synthetic:
         return None
     with _stage("geodesic_1"):
-        geo1 = integrate_geodesic(cfg.metric, cfg.origin, cfg.u1, cfg.stop1, cfg.tol)
+        geo1 = run_leg(cfg.legs[0], cfg.tol)
     with _stage("geodesic_2"):
-        geo2 = integrate_geodesic(cfg.metric, cfg.origin, cfg.u2, cfg.stop2, cfg.tol)
+        geo2 = run_leg(cfg.legs[1], cfg.tol)
     with _stage("frames"):
         E_L = _detector_frame(cfg.frame_choice, geo1)
         E_R = _detector_frame(cfg.frame_choice, geo2)

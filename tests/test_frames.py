@@ -224,6 +224,14 @@ def test_make_projection_validates():
     assert proj.w == 0.8 and not proj.degenerate
 
 
+@pytest.mark.parametrize("direction", [None, [0.0, 0.0, 0.0]])
+def test_make_projection_needs_a_direction_for_a_non_degenerate_weight(direction):
+    # a degenerate weight ignores its direction; any other needs one that normalises
+    assert make_projection(0.0, direction).degenerate
+    with pytest.raises(ZeroVector, match="weight 0.5 needs a direction"):
+        make_projection(0.5, direction)
+
+
 def test_direction3_unit_invariant():
     with pytest.raises(ValueError):
         Direction3(np.array([1.0, 1.0, 0.0]))

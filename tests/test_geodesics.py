@@ -335,6 +335,39 @@ def test_a_bound_orbit_reaches_a_stop_past_its_apocentre_and_is_refused_one_beyo
         integrate_geodesic(schw, x0, BOUND_ORBIT_U, StopCondition.radius(45.0))
 
 
+def barrier_legs():
+    """(x0, u0, radius, tol, message) of two legs whose target V allows but
+    whose way to it V's maximum blocks."""
+    # a null ray from 4.65 M slightly outward, whose E^2 = 0.161 is below the
+    # peak of V at 3 M, toward 2.27 M, where V = 0.139
+    null_x0 = np.array([3.2636986164627917, 4.645741989034564, 1.97951754741386, -1.6844227113718404])
+    null_u0 = np.array([0.7046751170679456, 0.010057611759573488, 0.07389667367537917, -0.09521402204522271])
+    # inward from 6 M with L = 4 M and E^2 = 0.98: V = 25/27 at 3 M, but 1 at its peak at 4 M
+    f, L = 2.0 / 3.0, 4.0
+    timelike_u0 = np.array([math.sqrt(0.98) / f, -math.sqrt(0.98 - f * (1.0 + (L / 6.0) ** 2)), 0.0, L / 36.0])
+    return [
+        (null_x0, null_u0, 2.2655824621829064, 4.95e-9,
+         r"lies behind r = 3\.0 M, where the effective potential 0\.2259\d+ exceeds E\^2 = 0\.1610"),
+        (np.array([0.0, 6.0, math.pi / 2, 0.0]), timelike_u0, 3.0, 1e-10,
+         r"lies behind r = 4\.0 M, where the effective potential 1\.0 exceeds E\^2 = 0\.98"),
+    ]
+
+
+@pytest.mark.parametrize("x0, u0, radius, tol, message", barrier_legs(), ids=["null", "timelike"])
+def test_a_radius_behind_a_potential_barrier_is_refused_at_once(schw, monkeypatch, x0, u0, radius, tol, message):
+    # V has one maximum for r > 2M, and the leg never gets past it: without
+    # the check the null leg steps to a non-finite state and the timelike
+    # one to MAX_STEPS
+    from grbell import geodesics
+
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(geodesics, "_dopri", no_step)
+    with pytest.raises(StepFailure, match=message):
+        integrate_geodesic(schw, x0, u0, StopCondition.radius(radius), tol)
+
+
 @pytest.mark.parametrize("leg", ["flat", "radial", "stepped"])
 def test_a_coordinate_time_stop_before_the_start_is_refused_at_once(flat, schw, monkeypatch, leg):
     from grbell import geodesics

@@ -33,6 +33,7 @@ from grbell import scenario
 from grbell.cli import EXIT_CONFIG, EXIT_OK, main
 from grbell.correlations import ARM_ORDER_ULP, bell_stack
 from grbell.frames import ProjectionStack
+from grbell.geodesics import leg_start
 from grbell.scenario import CSV_HEADER, SweepSpec, csv_row, error_row
 from reference import csv_cells
 
@@ -529,13 +530,13 @@ def test_angle_sweep_matches_per_row_runs(param):
 
 def test_angle_sweep_integrates_geometry_once(monkeypatch):
     calls = []
-    original = scenario.integrate_geodesic
+    original = scenario.run_leg
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scenario, "integrate_geodesic", counting)
+    monkeypatch.setattr(scenario, "run_leg", counting)
     rows = [csv_cells(line) for line in run_sweep(sweep_config(step=2.0))]
     assert len(rows) == 91 and all(r["status"] == "ok" for r in rows)
     assert len(calls) == 2
@@ -670,13 +671,16 @@ def _horizon_reference(spec, r_values, tol):
         if r <= spec.guard_radius:
             rows.append(error_row(sid, "horizon_guard"))
             continue
-        cfg = scenario.ScenarioConfig(
-            settings=settings,
-            frame_choice="static", tol=tol, mc_n=100_000, mc_seed=0, lhv_audit=False,
-            metric=spec, origin=origin, u1=u_static, u2=u_static,
-            stop1=StopCondition.proper_time(0.0), stop2=StopCondition.radius(r),
-        )
         try:
+            with scenario._stage("geodesic_1"):
+                leg1 = leg_start(spec, origin, u_static, StopCondition.proper_time(0.0))
+            with scenario._stage("geodesic_2"):
+                leg2 = leg_start(spec, origin, u_static, StopCondition.radius(r))
+            cfg = scenario.ScenarioConfig(
+                settings=settings,
+                frame_choice="static", tol=tol, mc_n=100_000, mc_seed=0, lhv_audit=False,
+                metric=spec, legs=(leg1, leg2),
+            )
             rows.append(csv_row(run_scenario(cfg), sid))
         except PipelineError as e:
             status = (
@@ -714,11 +718,11 @@ def recording_paths(monkeypatch):
     """The paths a run integrates, in order, kept as scenario receives them."""
     paths = []
 
-    def recording(*args, _original=scenario.integrate_geodesic, **kwargs):
+    def recording(*args, _original=scenario.run_leg, **kwargs):
         paths.append(_original(*args, **kwargs))
         return paths[-1]
 
-    monkeypatch.setattr(scenario, "integrate_geodesic", recording)
+    monkeypatch.setattr(scenario, "run_leg", recording)
     return paths
 
 
@@ -743,17 +747,17 @@ def counting_metric_events(monkeypatch) -> collections.Counter:
 
 @pytest.mark.parametrize("kind, value", [("proper_time", 20.0), ("coordinate_time", 24.0)])
 def test_demo_evaluates_metric_once_per_stored_point(monkeypatch, kind, value):
-    # per path: one metric at x0 for the domain check and the tangent's
-    # kind, then one stack shared by the drift and propagator checks and
-    # the summary
-    events = counting_metric_events(monkeypatch)
-    paths = recording_paths(monkeypatch)
+    # the parser checks each leg's start, so a run evaluates per path only
+    # one stack shared by the drift and propagator checks and the summary
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
     data["stop1"] = data["stop2"] = {"kind": kind, "value": value}
-    run_scenario(config_from_dict(data))
+    cfg = config_from_dict(data)
+    events = counting_metric_events(monkeypatch)
+    paths = recording_paths(monkeypatch)
+    run_scenario(cfg)
     assert len(paths) == 2
-    assert events["grbell.geodesics"] == sum(1 + len(path.taus) for path in paths)
+    assert events["grbell.geodesics"] == sum(len(path.taus) for path in paths)
 
 
 @pytest.mark.parametrize("frame_choice", ["static", "comoving"])

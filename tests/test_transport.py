@@ -6,6 +6,7 @@ import pytest
 
 from grbell import (
     CommonOriginMismatch,
+    InvalidChart,
     MetricSpec,
     NonFiniteVector,
     StepFailure,
@@ -206,6 +207,20 @@ def test_transport_r_to_l_origin_mismatch(schw):
         schw, x1, np.array([1.0 / math.sqrt(f), 0.0, 0.0, 0.0]), StopCondition.proper_time(1.0)
     )
     with pytest.raises(CommonOriginMismatch):
+        transport_stack(geo_L, geo_R, np.array([[0.0, 1.0, 0.0, 0.0]]))
+
+
+def test_transport_r_to_l_refuses_paths_in_different_metrics(schw):
+    # at M = 2 from r = 20 the path is stored from r = 10 in units of M, the
+    # same stored origin as geo_L's at M = 1, so only the metrics tell them apart
+    geo_L = circular_path(schw, revolutions=0.2)
+    x0 = np.array([0.0, 20.0, math.pi / 2, 0.0])
+    geo_R = integrate_geodesic(
+        MetricSpec("schwarzschild", 2.0), x0, np.array([1.0 / math.sqrt(0.8), 0.0, 0.0, 0.0]),
+        StopCondition.proper_time(1.0),
+    )
+    assert np.array_equal(geo_L.points[0], geo_R.points[0])
+    with pytest.raises(InvalidChart, match="different metrics"):
         transport_stack(geo_L, geo_R, np.array([[0.0, 1.0, 0.0, 0.0]]))
 
 
