@@ -8,17 +8,17 @@ refused. No leg has a cap on tau: each runs to its stop or is refused for
 a reason its orbit shows.
 
 A Schwarzschild start is converted into units of M, the chart's one scale,
-by unit_mass_start, before anything checks it: x0 becomes (t/M, r/M,
-theta, phi), u0 becomes (u^t, u^r, M u^theta, M u^phi) and the stop value
-becomes value/M. The conversion keeps u.u and a tangent's components in
-the static tetrad. Every check and everything after it runs at unit mass,
-and the path is stored in units of M: its taus, points, tangents, metrics
-and propagators. It records the caller's spec, and converting back is the
-report's business. integrate_geodesic is run_leg(leg_start(...)):
-leg_start converts and checks a start once (the metric's domain at x0, the
-tangent's kind, a radius stop against the guard) and returns it as a
-LegStart, and run_leg runs a checked start, so a caller that keeps one
-runs it without converting or checking it again.
+before anything checks it: x0 becomes (t/M, r/M, theta, phi), u0 becomes
+(u^t, u^r, M u^theta, M u^phi) and the stop value becomes value/M. The
+conversion keeps u.u and a tangent's components in the static tetrad.
+Every check and everything after it runs at unit mass, and the path is
+stored in units of M: its taus, points, tangents, metrics and propagators.
+It records the caller's spec, and converting back is the report's
+business. integrate_geodesic is run_leg(leg_start(emission_event(...))):
+emission_event converts an event and evaluates the metric there once, as
+its domain check; leg_start checks a leg against it (the tangent's kind, a
+radius stop against the guard); run_leg runs a checked start. Legs from
+one event share its conversion and its metric.
 
 Flat legs are straight lines in the Cartesian chart, x = x0 + u0 tau, and
 their parallel propagator is the identity. A radius stop is the first
@@ -56,8 +56,11 @@ where the effective potential V = f (eps + L^2/r^2) exceeds E^2 beyond
 the drift bound, or behind V's one maximum for r > 2 where that exceeds
 it (at r = 3 on a null leg, 6 / (1 + sqrt(1 - 12/L^2)) on a timelike one
 with L^2 > 12), is refused before the first step (Chandrasekhar 1983, sec.
-19-20); any other stop is stepped until it fires, the guard is met, the
-state turns non-finite or MAX_STEPS steps are taken. The stepper forms its
+19-20), and so is a radius below the start of an outward leg that
+escapes, where V ahead (its maximum, if that lies beyond r0, and its far
+limit eps) stays below E^2 by the drift bound; any other stop is stepped
+until it fires, the guard is met, the state turns non-finite or MAX_STEPS
+steps are taken. The stepper forms its
 trial stages only on the components the right-hand side reads, (r, theta,
 u). A trial step, stages k2 to k7, the new state and its error norm, is
 one straight-line function per state shape, written out from the tableau
@@ -226,33 +229,6 @@ _IDENTITY = np.eye(4)
 _IDENTITY.flags.writeable = False
 
 
-def unit_mass_start(
-    spec: MetricSpec, x0: np.ndarray | None = None, u0: np.ndarray | None = None,
-    stop_value: float | None = None,
-) -> tuple[MetricSpec, np.ndarray | None, np.ndarray | None, float | None]:
-    """The chart a leg in spec is checked and run in, and the start x0, u0
-    and stop value in that chart's units; each may be None, and stays None.
-
-    On Schwarzschild the chart is the exterior chart of unit mass, and the
-    start is converted into units of M: x0 becomes (t/M, r/M, theta, phi),
-    u0 becomes (u^t, u^r, M u^theta, M u^phi) and the stop value value/M, in
-    Python floats, where a number beyond the floats becomes inf without a
-    warning. A flat start is returned as given.
-    """
-    if spec.kind != SCHWARZSCHILD:
-        return spec, x0, u0, stop_value
-    M = spec.mass
-    if x0 is not None:
-        t, r, theta, phi = x0.tolist()
-        x0 = np.array([t / M, r / M, theta, phi])
-    if u0 is not None:
-        ut, ur, uth, uph = u0.tolist()
-        u0 = np.array([ut, ur, uth * M, uph * M])
-    if stop_value is not None:
-        stop_value = float(stop_value) / M
-    return _UNIT_MASS, x0, u0, stop_value
-
-
 def _conservation_drift(
     chart: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, g: np.ndarray
 ) -> dict[str, float]:
@@ -351,23 +327,53 @@ def integrate_geodesic(
     the stop fires.
 
     x0, u0 and the stop are in the caller's units. A Schwarzschild leg is
-    converted into units of M by unit_mass_start first, then checked and
-    run in them, and its path is stored in them (see GeodesicPath); the
-    path records spec as given. tol controls the local error (relative tol;
-    absolute is tol * 1e-3) of the integrated state (x, u, psi), in units
-    of M; flat and radial legs are closed-form. Raises the metric's domain
-    errors for an x0 outside the chart, BadNormalization unless
-    tangent_kind accepts u0 and, on a Schwarzschild leg, its Killing energy
-    f u^t is positive, ValidationError for a radius stop at or inside the
-    guard, HorizonApproach if the path would cross the guard radius, StepFailure
+    converted into units of M first, then checked and run in them, and its
+    path is stored in them (see GeodesicPath); the path records spec as
+    given. tol controls the local error (relative tol; absolute is tol *
+    1e-3) of the integrated state (x, u, psi), in units of M; flat and
+    radial legs are closed-form. Raises the metric's domain errors for an
+    x0 outside the chart, BadNormalization unless tangent_kind accepts u0
+    and, on a Schwarzschild leg, its Killing energy f u^t is positive,
+    ValidationError for a radius stop at or inside the guard,
+    HorizonApproach if the path would cross the guard radius, StepFailure
     if the leg never meets its stop (a coordinate time before the start; on
     a Schwarzschild leg a radius where the effective potential exceeds E^2,
-    or a radial leg's radius behind it) or a stepped leg does not reach it
-    within MAX_STEPS steps, the state turns non-finite, the step size
-    underflows, conservation drifts exceed max(1e-8, 100 * tol) or the
-    propagator fails to preserve the metric. No leg has a cap on tau.
+    a radial leg's radius behind it, or a radius below the start of an
+    outward leg that escapes) or a stepped leg does not reach it within
+    MAX_STEPS steps, the state turns non-finite, the step size underflows,
+    conservation drifts exceed max(1e-8, 100 * tol) or the propagator fails
+    to preserve the metric. No leg has a cap on tau.
     """
-    return run_leg(leg_start(spec, x0, u0, stop), tol)
+    return run_leg(leg_start(emission_event(spec, x0), u0, stop), tol)
+
+
+@dataclass(frozen=True, eq=False)
+class EmissionEvent:
+    """A checked event that legs leave from, as emission_event returns it:
+    the caller's spec, and x0 and g0, the metric's diagonal at x0, as
+    read-only (4,) arrays in units of M on Schwarzschild."""
+
+    spec: MetricSpec
+    x0: np.ndarray
+    g0: np.ndarray
+
+    def tangent(self, u0: np.ndarray) -> np.ndarray:
+        """u0 at this event in its units, (u^t, u^r, M u^theta, M u^phi)."""
+        M = self.spec.mass if self.spec.kind == SCHWARZSCHILD else 1.0
+        ut, ur, uth, uph = u0.tolist()
+        return np.array([ut, ur, uth * M, uph * M])
+
+
+def emission_event(spec: MetricSpec, x0: np.ndarray) -> EmissionEvent:
+    """The event x0 in units of M, (t/M, r/M, theta, phi) in Python floats,
+    where a number beyond the floats becomes inf without a warning (M = 1 on
+    a flat event), with the metric at it evaluated once as its domain check."""
+    chart, M = (_UNIT_MASS, spec.mass) if spec.kind == SCHWARZSCHILD else (spec, 1.0)
+    t, r, theta, phi = x0.tolist()
+    x0 = np.array([t / M, r / M, theta, phi])
+    g0 = metric_components(chart, x0)
+    x0.flags.writeable = g0.flags.writeable = False
+    return EmissionEvent(spec, x0, g0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,21 +389,20 @@ class LegStart:
     stop: StopCondition
 
 
-def leg_start(spec: MetricSpec, x0: np.ndarray, u0: np.ndarray, stop: StopCondition) -> LegStart:
-    """The start of integrate_geodesic's leg, converted by unit_mass_start
-    and checked as integrate_geodesic checks it before it runs: the metric's
-    domain errors at x0, BadNormalization unless tangent_kind accepts u0,
-    and ValidationError for a radius stop at or inside the guard."""
-    chart, x0, u0, value = unit_mass_start(spec, x0, u0, stop.value)
-    # the metric at x0 is also the domain check
-    g0 = metric_components(chart, x0)
+def leg_start(event: EmissionEvent, u0: np.ndarray, stop: StopCondition) -> LegStart:
+    """The leg from the event with tangent u0 to the stop, both in the
+    caller's units, converted into the event's and checked as
+    integrate_geodesic checks it before it runs: BadNormalization unless
+    tangent_kind accepts u0, ValidationError for a radius stop at or inside the guard."""
+    spec, u0, value = event.spec, event.tangent(u0), stop.value
     with np.errstate(over="ignore", invalid="ignore"):  # tangent_kind refuses an overflowing u.u
-        kind = tangent_kind(u0, float(u0 * g0 @ u0))
-    if stop.kind == STOP_RADIUS and value <= chart.guard_radius:
-        raise ValidationError("stop.value", "radius target inside horizon guard")
-    x0, u0 = np.array(x0, dtype=float), np.array(u0, dtype=float)
-    x0.flags.writeable = u0.flags.writeable = False
-    return LegStart(spec, kind, x0, u0, StopCondition(stop.kind, value))
+        kind = tangent_kind(u0, float(u0 * event.g0 @ u0))
+    if spec.kind == SCHWARZSCHILD:
+        value = float(value) / spec.mass
+        if stop.kind == STOP_RADIUS and value <= _UNIT_MASS.guard_radius:
+            raise ValidationError("stop.value", "radius target inside horizon guard")
+    u0.flags.writeable = False
+    return LegStart(spec, kind, event.x0, u0, StopCondition(stop.kind, value))
 
 
 def run_leg(leg: LegStart, tol: float) -> GeodesicPath:
@@ -561,16 +566,25 @@ def _schwarzschild_leg(
             q = ang_mom / r
             return (1.0 - 2.0 / r) * (eps + q * q)
 
+        E2, margin = energy * energy, 1.0 - _drift_bound(tol)
         where, V = "", potential(stop.value)
         L2 = ang_mom * ang_mom
+        peak = 0.0  # where V has no maximum for r > 2
         if not eps or L2 > 12.0:
             peak = 6.0 / (1.0 + math.sqrt(1.0 - 12.0 / L2)) if eps else 3.0
             if min(r0, stop.value) < peak < max(r0, stop.value) and potential(peak) > V:
                 where, V = f" behind r = {peak} M,", potential(peak)
-        if energy * energy < (1.0 - _drift_bound(tol)) * V:
-            raise StepFailure(
-                f"{what} lies{where} where the effective potential {V} exceeds E^2 = {energy * energy}"
-            )
+        if E2 < margin * V:
+            raise StepFailure(f"{what} lies{where} where the effective potential {V} exceeds E^2 = {E2}")
+        # an outward leg turns back only where V ahead reaches E^2: at its
+        # maximum, if that lies beyond r0, or toward its far limit eps
+        if y0[5] > 0.0 and stop.value < r0:
+            ahead = max(eps, potential(peak)) if peak > r0 else eps
+            if ahead < margin * E2:
+                raise StepFailure(
+                    f"{what} lies below r = {r0} M, behind an outward leg that escapes: the effective"
+                    f" potential ahead is at most {ahead}, below E^2 = {E2}"
+                )
         events.append((1, stop.value, 0))
     elif stop.kind == STOP_COORDINATE_TIME:
         events.append((0, stop.value - t0, 0))

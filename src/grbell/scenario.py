@@ -24,20 +24,20 @@ in configs and CSV columns, radians internally. Geometry scenario:
     }
 
 A stop is {kind, value}; the metric is {kind, mass}, guarded at
-2M(1 + 1e-6). The parser checks the origin's domain with its metric in
-units of M, where a tangent within 1e-6 of unit norm is rescaled to it,
-then hands each leg to geodesics.leg_start, which converts the start into
-units of M and checks it as a leg does before it runs: the tangent's kind
-by geodesics.tangent_kind, which also asks u^t > 0, and a radius stop
-against the guard. u1 and u2 are one geodesic when their components in
-the static tetrad differ by at most 1e-12. The config keeps the two
-checked starts as its legs, and a run hands them to geodesics.run_leg, so
-it converts and checks no start again.
+2M(1 + 1e-6). The parser converts the origin into units of M once, with
+geodesics.emission_event, whose one metric evaluation checks its domain,
+rescales a tangent within 1e-6 of unit norm to it and tells u1 and u2
+apart (one geodesic when their static-tetrad components differ by at most
+1e-12). geodesics.leg_start checks each leg against the event: the
+tangent's kind by geodesics.tangent_kind, which also asks u^t > 0, and a
+radius stop against the guard. The config keeps the two checked starts
+as its legs, and a run hands them to geodesics.run_leg, so it converts
+and checks no start again.
 
 A Schwarzschild run works in units of M, the metric's one scale, so its
-weights, correlations, margins and verdict do not depend on M: the legs
-and the horizon study convert their start with geodesics.unit_mass_start
-before they check it, the paths, frames, transport and projection hold
+weights, correlations, margins and verdict do not depend on M: the parser
+and the horizon study check one emission event each, and every leg from
+it, in units of M, the paths, frames, transport and projection hold
 unit-mass numbers, and GeodesicSummary.from_path converts tau_end and the
 endpoint back. The echo keeps the caller's numbers.
 
@@ -68,9 +68,9 @@ one-row objects built from them. A CSV row is one line of text, written
 from the stack in one pass: one stacked dot product gives the cosines of
 the three angle columns, libm's acos the angles, and one template with
 %.17g reals each ok line; a single run's line comes through the same
-formatter. The horizon study builds its emission side once and evaluates
-each radius as its own one-row pass, making each row's line when it is
-asked for.
+formatter. The horizon study builds its emission event and side once and
+evaluates each radius as its own one-row pass, making each row's line
+when it is asked for.
 """
 from __future__ import annotations
 
@@ -114,20 +114,19 @@ from .frames import (
     weighted_stack,
 )
 from .geodesics import (
+    EmissionEvent,
     GeodesicPath,
     LegStart,
     StopCondition,
-    integrate_geodesic,
+    emission_event,
     leg_start,
     run_leg,
-    unit_mass_start,
 )
 from .geometry import (
     MINKOWSKI,
     SCHWARZSCHILD,
     MetricSpec,
     _frozen_array,
-    metric_components,
     row_dot,
 )
 from .lhv import LHVAuditReport, lhv_inequality_audit, make_sign_model
@@ -206,7 +205,6 @@ class ScenarioConfig:
     mc_n: int
     mc_seed: int
     lhv_audit: bool
-    metric: MetricSpec | None = None
     legs: tuple[LegStart, LegStart] | None = None  # checked by leg_start, in units of M
     synthetic: Synthetic | None = None
     sweep: SweepSpec | None = None
@@ -293,14 +291,14 @@ def _parse_metric(d, field="metric") -> MetricSpec:
     raise ValidationError(f"{field}.kind", f"unknown metric kind {kind!r}")
 
 
-def _parse_leg(data: dict, metric: MetricSpec, origin: np.ndarray, g: np.ndarray, n: int) -> LegStart:
-    """Leg n's start from origin, uN to stopN, as leg_start checks it, with
-    errors that name those fields. g is the metric at origin in units of M,
-    where a tangent within 1e-6 of unit norm is first rescaled to it."""
+def _parse_leg(data: dict, event: EmissionEvent, n: int) -> LegStart:
+    """Leg n's start from the origin's checked event, uN to stopN, as
+    leg_start checks it, with errors that name those fields. A tangent
+    within 1e-6 of unit norm under the event's metric is first rescaled to it."""
     u = _floats(_require(data, f"u{n}", ""), 4, f"u{n}")
-    u_m = unit_mass_start(metric, u0=u)[2]
+    u_m = event.tangent(u)
     with np.errstate(over="ignore", invalid="ignore"):  # leg_start refuses an overflowing u.u
-        uu = float(u_m * g @ u_m)
+        uu = float(u_m * event.g0 @ u_m)
     if abs(uu + 1.0) <= 1e-6:
         u = u / math.sqrt(-uu)
     field = f"stop{n}"
@@ -311,7 +309,7 @@ def _parse_leg(data: dict, metric: MetricSpec, origin: np.ndarray, g: np.ndarray
     kind = _require(d, "kind", field)
     value = _finite(_require(d, "value", field), f"{field}.value")
     try:
-        return leg_start(metric, origin, u, StopCondition(kind, value))
+        return leg_start(event, u, StopCondition(kind, value))
     except BadNormalization as e:
         raise ValidationError(f"u{n}", str(e)) from None
     except ValidationError as e:  # the stop's checks name its fields stop.kind, stop.value
@@ -435,7 +433,7 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
             step=_finite(_require(s, "step", "sweep"), "sweep.step"),
         )
 
-    metric = legs = None
+    legs = None
     frame_choice = data.get("frame_choice", FRAME_STATIC)
     if frame_choice not in (FRAME_STATIC, FRAME_COMOVING):
         raise ValidationError("frame_choice", "must be 'static' or 'comoving'")
@@ -443,18 +441,16 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
     if synthetic is None:
         metric = _parse_metric(_require(data, "metric", ""))
         origin = _floats(_require(data, "origin", ""), 4, "origin")
-        # the metric at the origin, in units of M, checks its domain and rescales the tangents
-        chart, x, _, _ = unit_mass_start(metric, origin)
         try:
-            g = metric_components(chart, x)
+            event = emission_event(metric, origin)
         except SimulatorError as e:
             raise ValidationError("origin", str(e)) from None
-        legs = (_parse_leg(data, metric, origin, g, 1), _parse_leg(data, metric, origin, g, 2))
+        legs = (_parse_leg(data, event, 1), _parse_leg(data, event, 2))
         # compared in the static tetrad, whose components do not depend on M
-        if np.max(np.abs(legs[0].u0 - legs[1].u0) * np.sqrt(np.abs(g))) <= 1e-12:
+        if np.max(np.abs(legs[0].u0 - legs[1].u0) * np.sqrt(np.abs(event.g0))) <= 1e-12:
             raise ValidationError("u2", "u1 and u2 must define distinct geodesics")
 
-    echo = _echo_dict(data, metric, tol, mc_n, mc_seed, frame_choice, lhv_audit)
+    echo = _echo_dict(data, synthetic, tol, mc_n, mc_seed, frame_choice, lhv_audit)
     return ScenarioConfig(
         settings=settings,
         frame_choice=frame_choice,
@@ -462,7 +458,6 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         mc_n=mc_n,
         mc_seed=mc_seed,
         lhv_audit=lhv_audit,
-        metric=metric,
         legs=legs,
         synthetic=synthetic,
         sweep=sweep,
@@ -470,12 +465,12 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
     )
 
 
-def _echo_dict(data, metric, tol, mc_n, mc_seed, frame_choice, lhv_audit) -> dict:
+def _echo_dict(data, synthetic, tol, mc_n, mc_seed, frame_choice, lhv_audit) -> dict:
     echo = json.loads(json.dumps(data))  # deep copy of plain JSON
     echo["tol"] = tol
     echo["mc"] = {"n": mc_n, "seed": mc_seed}
     echo["lhv_audit"] = lhv_audit
-    if metric is not None:
+    if synthetic is None:
         echo["frame_choice"] = frame_choice
     return echo
 
@@ -925,20 +920,20 @@ def run_horizon_sweep(
 
 def _horizon_rows(spec: MetricSpec, rs: list[float], tol: float) -> Iterator[str]:
     """run_horizon_sweep's lines. Whether a radius lies outside the guard is
-    decided in units of M; rs decreases, so those radii come first."""
+    decided in units of M, as leg_start does; rs decreases, so those come first."""
+    guard = MetricSpec(SCHWARZSCHILD, 1.0).guard_radius
+
     def outside(r: float) -> bool:
-        chart, _, _, r_in_m = unit_mass_start(spec, stop_value=r)
-        return r_in_m > chart.guard_radius
+        return r / spec.mass > guard
 
     failure = None
     if rs and outside(rs[0]):
-        origin = np.array([0.0, rs[0], math.pi / 2.0, 0.0])
-        chart, x, _, _ = unit_mass_start(spec, origin)
         try:
             with _stage("geodesic_1"):
+                event = emission_event(spec, np.array([0.0, rs[0], math.pi / 2.0, 0.0]))
                 # u^t = 1 / sqrt(f) does not depend on M
-                u_static = build_static_frame(metric_components(chart, x))[0]
-                geo1 = integrate_geodesic(spec, origin, u_static, StopCondition.proper_time(0.0), tol)
+                u_static = build_static_frame(event.g0)[0]
+                geo1 = run_leg(leg_start(event, u_static, StopCondition.proper_time(0.0)), tol)
             with _stage("frames"):
                 projector_L = _detector_frame(FRAME_STATIC, geo1) * geo1.metrics[-1]
         except PipelineError as e:
@@ -948,7 +943,7 @@ def _horizon_rows(spec: MetricSpec, rs: list[float], tol: float) -> Iterator[str
     def row(r: float, sid: str) -> str:
         try:
             with _stage("geodesic_2"):
-                geo2 = integrate_geodesic(spec, origin, u_static, StopCondition.radius(r), tol)
+                geo2 = run_leg(leg_start(event, u_static, StopCondition.radius(r)), tol)
             with _stage("frames"):
                 E_R = _detector_frame(FRAME_STATIC, geo2)
             geometry = _Geometry(geo1, geo2, E_R, projector_L)

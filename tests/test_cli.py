@@ -89,11 +89,11 @@ def test_a_horizon_study_writes_each_row_as_it_is_made(tmp_path, monkeypatch):
     out = tmp_path / "h.csv"
     seen = []
 
-    def integrate(*args, _original=scenario.integrate_geodesic):
+    def integrate(*args, _original=scenario.run_leg):
         seen.append(out.exists())
         return _original(*args)
 
-    monkeypatch.setattr(scenario, "integrate_geodesic", integrate)
+    monkeypatch.setattr(scenario, "run_leg", integrate)
     argv = ["--quiet", "horizon", "--mass", "1", "--r-start", "10", "--r-end", "4", "--steps", "3"]
     assert main([*argv, "--out", str(tmp_path / "missing" / "h.csv")]) == EXIT_CONFIG
     assert seen == []

@@ -368,6 +368,65 @@ def test_a_radius_behind_a_potential_barrier_is_refused_at_once(schw, monkeypatc
         integrate_geodesic(schw, x0, u0, StopCondition.radius(radius), tol)
 
 
+def outward_leg(r0, speed, sin_angle):
+    """(x0, u0) of an equatorial leg leaving r0 outward at speed (1 for null)
+    against the static observer, at an angle with sine sin_angle to the radial direction."""
+    f = 1.0 - 2.0 / r0
+    gamma = 1.0 if speed == 1.0 else 1.0 / math.sqrt(1.0 - speed * speed)
+    cos_angle = math.sqrt(1.0 - sin_angle * sin_angle)
+    u0 = gamma * np.array([1.0 / math.sqrt(f), speed * cos_angle * math.sqrt(f), 0.0, speed * sin_angle / r0])
+    return np.array([0.0, r0, math.pi / 2, 0.0]), u0
+
+
+def escaping_legs():
+    """(x0, u0, radius, message) of two outward legs that never come back to
+    a radius below their start."""
+    # E^2 = 1.4545 and L = 4.05 M from 10 M: V's peak, 3.96 M, lies behind the
+    # start, and ahead V tends to 1
+    timelike_u0 = np.array([1.507556722888818, 0.7236272269866325, 0.0, 0.04045199174779452])
+    # a ray from 2.5 M at impact parameter 2.8 M < sqrt(27) M passes V's peak at 3 M
+    null_x0, null_u0 = outward_leg(2.5, 1.0, 0.5)
+    return [
+        (np.array([0.0, 10.0, math.pi / 2, 0.0]), timelike_u0, 5.0,
+         r"radius = 5\.0 M lies below r = 10\.0 M, behind an outward leg that escapes: "
+         r"the effective potential ahead is at most 1\.0, below E\^2 = 1\.4545"),
+        (null_x0, null_u0, 2.2,
+         r"radius = 2\.2 M lies below r = 2\.5 M, behind an outward leg that escapes: "
+         r"the effective potential ahead is at most 0\.0578\d+, below E\^2 = 0\.(2|1999)"),
+    ]
+
+
+@pytest.mark.parametrize("x0, u0, radius, message", escaping_legs(), ids=["timelike", "null"])
+def test_a_radius_below_the_start_of_an_escaping_leg_is_refused_at_once(schw, monkeypatch, x0, u0, radius, message):
+    # V ahead of the leg, its maximum where that lies beyond r0 and its far
+    # limit, stays below E^2, so the leg never turns back: without the check
+    # it steps to a non-finite state. A radius ahead is still reached
+    from grbell import geodesics
+
+    assert integrate_geodesic(schw, x0, u0, StopCondition.radius(5.0 * x0[1])).points[-1, 1] == 5.0 * x0[1]
+
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(geodesics, "_dopri", no_step)
+    with pytest.raises(StepFailure, match=message):
+        integrate_geodesic(schw, x0, u0, StopCondition.radius(radius))
+
+
+@pytest.mark.parametrize("x0, u0, radius", [
+    # a ray from 2.5 M at impact parameter 5.31 M > sqrt(27) M turns below 3 M
+    (*outward_leg(2.5, 1.0, 0.95), 2.2),
+    # from 4 M with L^2 = 14 M^2 and E^2 = 0.97 over V's peak of 0.94 at 4.35 M, out
+    # to where V, rising toward 1, meets E^2, and back over the peak
+    (np.array([0.0, 4.0, math.pi / 2, 0.0]),
+     np.array([2.0 * math.sqrt(0.97), math.sqrt(0.0325), 0.0, math.sqrt(14.0) / 16.0]), 3.0),
+], ids=["null", "timelike"])
+def test_an_outward_leg_that_turns_back_reaches_a_radius_below_its_start(schw, x0, u0, radius):
+    path = integrate_geodesic(schw, x0, u0, StopCondition.radius(radius))
+    assert path.points[-1, 1] == radius
+    assert path.points[:, 1].max() > x0[1]
+
+
 @pytest.mark.parametrize("leg", ["flat", "radial", "stepped"])
 def test_a_coordinate_time_stop_before_the_start_is_refused_at_once(flat, schw, monkeypatch, leg):
     from grbell import geodesics

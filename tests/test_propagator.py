@@ -634,9 +634,10 @@ def test_general_legs_step_like_the_whole_state(schw, rng, monkeypatch):
 
 def test_the_effective_potential_refuses_only_radii_the_orbit_never_reaches(schw, monkeypatch):
     # random non-radial timelike and null legs to a radius stop. A stop the
-    # effective potential refuses is never reached: the leg run again to a
-    # long proper-time stop (or to the guard) stays on its side of it. Any
-    # other leg reaches its stop, the guard or a step budget of 2,000
+    # effective potential refuses, behind a barrier or below the start of an
+    # escaping leg, is never reached: the leg run again to a long
+    # proper-time stop (or to the guard) stays on its side of it. Any other
+    # leg reaches its stop or the guard within a step budget of 2,000
     rng = np.random.default_rng(20261020)
     full_budget = geodesics.MAX_STEPS
     runs = []
@@ -658,8 +659,10 @@ def test_the_effective_potential_refuses_only_radii_the_orbit_never_reaches(schw
         except HorizonApproach:
             outcome = "guard"
         except StepFailure as e:
-            outcome = "budget" if "within 2000 steps" in str(e) else "refused"
-            if outcome == "refused":
+            outcome = "budget" if "within 2000 steps" in str(e) else (
+                "escapes" if "escapes" in str(e) else "refused"
+            )
+            if outcome != "budget":
                 assert "effective potential" in str(e), str(e)
                 monkeypatch.setattr(geodesics, "MAX_STEPS", full_budget)
                 runs.clear()
@@ -673,7 +676,7 @@ def test_the_effective_potential_refuses_only_radii_the_orbit_never_reaches(schw
             outcome = "reached"
             assert path.points[-1, 1] == pytest.approx(target, rel=1e-12, abs=0.0)
         outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
-    assert {outcome for _, outcome in outcomes} == {"reached", "guard", "budget", "refused"}
+    assert {outcome for _, outcome in outcomes} == {"reached", "guard", "escapes", "refused"}
     assert all(outcomes.get((kind, "refused"), 0) >= 10 for kind in ("timelike", "null")), outcomes
 
 

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -33,9 +34,11 @@ from grbell import scenario
 from grbell.cli import EXIT_CONFIG, EXIT_OK, main
 from grbell.correlations import ARM_ORDER_ULP, bell_stack
 from grbell.frames import ProjectionStack
-from grbell.geodesics import leg_start
+from grbell.geodesics import emission_event, leg_start
 from grbell.scenario import CSV_HEADER, SweepSpec, csv_row, error_row
 from reference import csv_cells
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -46,7 +49,7 @@ def write_config(tmp_path, data, name="cfg.json"):
 
 def test_load_minimal_flat_config(tmp_path):
     cfg = load_config(write_config(tmp_path, flat_baseline_config()))
-    assert cfg.metric.kind == "minkowski"
+    assert [leg.spec.kind for leg in cfg.legs] == ["minkowski", "minkowski"]
     assert not cfg.is_synthetic
     # defaults filled and echoed
     assert cfg.echo["mc"] == {"n": 100_000, "seed": 0}
@@ -442,13 +445,13 @@ def test_horizon_sweep_makes_each_row_when_it_is_asked_for(monkeypatch):
     # the arguments are checked at once, and a row's legs are integrated only
     # when its line is asked for, so a long study holds one row at a time
     calls = []
-    original = scenario.integrate_geodesic
+    original = scenario.run_leg
 
-    def counting(*args):
-        calls.append(args[3])
-        return original(*args)
+    def counting(leg, tol):
+        calls.append(leg.stop)
+        return original(leg, tol)
 
-    monkeypatch.setattr(scenario, "integrate_geodesic", counting)
+    monkeypatch.setattr(scenario, "run_leg", counting)
     rows = run_horizon_sweep(MetricSpec("schwarzschild", mass=1.0), [10.0, 6.0, 3.0, 1.0])
     assert calls == []
     assert next(rows).startswith("r=10,ok,")
@@ -644,13 +647,13 @@ def test_weight_sweep_validates_its_config_once(monkeypatch):
 
 def test_horizon_sweep_integrates_the_emission_leg_once(monkeypatch):
     stops = []
-    original = scenario.integrate_geodesic
+    original = scenario.run_leg
 
-    def counting(spec, x0, u0, stop, tol):
-        stops.append(stop)
-        return original(spec, x0, u0, stop, tol)
+    def counting(leg, tol):
+        stops.append(leg.stop)
+        return original(leg, tol)
 
-    monkeypatch.setattr(scenario, "integrate_geodesic", counting)
+    monkeypatch.setattr(scenario, "run_leg", counting)
     spec = MetricSpec("schwarzschild", mass=1.0)
     rows = [csv_cells(line) for line in run_horizon_sweep(spec, [10.0, 6.0, 3.0, 2.2, 2.0 * (1 + 1e-8), 1.5])]
     live = [r for r in rows if r["status"] != "horizon_guard"]
@@ -673,13 +676,14 @@ def _horizon_reference(spec, r_values, tol):
             continue
         try:
             with scenario._stage("geodesic_1"):
-                leg1 = leg_start(spec, origin, u_static, StopCondition.proper_time(0.0))
+                event = emission_event(spec, origin)
+                leg1 = leg_start(event, u_static, StopCondition.proper_time(0.0))
             with scenario._stage("geodesic_2"):
-                leg2 = leg_start(spec, origin, u_static, StopCondition.radius(r))
+                leg2 = leg_start(event, u_static, StopCondition.radius(r))
             cfg = scenario.ScenarioConfig(
                 settings=settings,
                 frame_choice="static", tol=tol, mc_n=100_000, mc_seed=0, lhv_audit=False,
-                metric=spec, legs=(leg1, leg2),
+                legs=(leg1, leg2),
             )
             rows.append(csv_row(run_scenario(cfg), sid))
         except PipelineError as e:
@@ -760,18 +764,43 @@ def test_demo_evaluates_metric_once_per_stored_point(monkeypatch, kind, value):
     assert events["grbell.geodesics"] == sum(len(path.taus) for path in paths)
 
 
+@pytest.mark.parametrize(
+    "name", ["schwarzschild_demo", "flat_baseline", "schwarzschild_null", "schwarzschild_infall"]
+)
+def test_a_config_is_parsed_at_one_metric_evaluation(monkeypatch, name):
+    # both legs leave one emission event, which is converted into units of
+    # M and checked once; each leg is checked against its metric
+    with open(os.path.join(CONFIGS, f"{name}.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    events = counting_metric_events(monkeypatch)
+    config_from_dict(data)
+    assert events == {"grbell.geodesics": 1}
+
+
+def test_a_horizon_study_evaluates_the_metric_at_its_origin_once(monkeypatch):
+    # every row's leg leaves the study's one emission event, so beyond the
+    # stored points of its paths a study evaluates the metric once
+    events = counting_metric_events(monkeypatch)
+    paths = recording_paths(monkeypatch)
+    spec = MetricSpec("schwarzschild", mass=1.0)
+    rows = list(run_horizon_sweep(spec, [10.0, 6.0, 3.0, 2.2, 1.5]))
+    assert [line.split(",")[1] for line in rows] == ["ok"] * 4 + ["horizon_guard"]
+    assert len(paths) == 5
+    assert events == {"grbell.geodesics": 1 + sum(len(path.taus) for path in paths)}
+
+
 @pytest.mark.parametrize("frame_choice", ["static", "comoving"])
 def test_demo_transport_evaluates_no_metric(monkeypatch, frame_choice):
     # transport and the detector tetrads read g at a leg's ends from the
     # path's stored stack, so no metric event in a run comes from
-    # grbell.transport or grbell.frames
+    # grbell.transport or grbell.frames; the parse adds the origin's one
     events = counting_metric_events(monkeypatch)
     paths = recording_paths(monkeypatch)
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
     data["frame_choice"] = frame_choice
     run_scenario(config_from_dict(data))
-    assert events["grbell.geodesics"] == sum(1 + len(path.taus) for path in paths)
+    assert events["grbell.geodesics"] == 1 + sum(len(path.taus) for path in paths)
     assert "grbell.transport" not in events
     assert "grbell.frames" not in events
 
