@@ -25,6 +25,23 @@ their parallel propagator is the identity. A radius stop is the first
 positive root of a quadratic and a coordinate-time stop is linear, so flat
 legs need no ODE.
 
+Before any Schwarzschild leg runs, one test decides whether it meets a
+radius stop (Chandrasekhar 1983, sec. 19-20). The leg moves only where
+E^2 >= V(r) = f (eps + L^2/r^2), eps 1 on a timelike leg and 0 on a null
+one. V has at most one maximum for r > 2 (at r = 3 on a null leg, at
+6 / (1 + sqrt(1 - 12/L^2)) on a timelike one with L^2 > 12) and tends to 0
+at r = 2 and to eps far out, so V at the stop, at that maximum and at
+those limits decide every case. A stop where V exceeds E^2, or behind V's
+maximum where that does, is refused (StepFailure). So is a stop below the
+start of an outward leg that escapes, where V ahead (its maximum, if that
+lies ahead, and its far limit) stays below E^2; above an inward leg that
+nothing below turns back, the leg meets the guard first (HorizonApproach).
+A stepped leg keeps E and L to the drift bound, its margin in each
+comparison. A radial leg's are exact: it compares with no margin, and
+measures V from its start, (u^r0)^2 = E^2 - V(r0) against V(r) - V(r0) =
+2 eps (r - r0) / (r r0), the terms its closed form sums, so the two read
+one sign. A radial leg meets any other stop, however long the leg.
+
 A radial Schwarzschild leg, u^theta = u^phi = 0, is in closed form too,
 and stores its two ends. E = f u^t is conserved, so u^t = E / f and
 (u^r)^2 = E^2 - f (timelike) or E^2 (null). A timelike leg is the radial
@@ -35,11 +52,8 @@ bound outward leg; t follows from the rapidity atanh(u^r / E). A null leg
 has affine length |r - r0| / |u^r| and t follows the tortoise coordinate
 r + 2M ln(r/2M - 1). A radius stop is direct; a proper-time or
 coordinate-time stop inverts the increasing clock with the bracketing
-root finder. A radius the leg never reaches (beyond its turning radius,
-or behind it with nothing to turn it back) is refused at once, and a leg
-that reaches the guard radius first raises HorizonApproach; a stop the
-motion meets is reached, however long the leg. Radial legs take no steps,
-and their counters read 0.
+root finder, and raises HorizonApproach if the motion reaches the guard
+radius first. Radial legs take no steps, and their counters read 0.
 
 Every other Schwarzschild leg integrates the 9-component state (x, u,
 psi) with a Dormand-Prince 5(4) stepper on Python floats (J. R. Dormand
@@ -51,16 +65,10 @@ step-size controller and initial-step rule follow Hairer, Norsett and
 Wanner, Solving ODEs I, sec. II.4, and the quartic dense output L. F.
 Shampine, Math. Comp. 46, 135 (1986), as in the common RK45 solvers.
 Terminal events (target radius, coordinate time, horizon guard) are
-located by bracketing the root on the step's dense interpolant. A radius
-where the effective potential V = f (eps + L^2/r^2) exceeds E^2 beyond
-the drift bound, or behind V's one maximum for r > 2 where that exceeds
-it (at r = 3 on a null leg, 6 / (1 + sqrt(1 - 12/L^2)) on a timelike one
-with L^2 > 12), is refused before the first step (Chandrasekhar 1983, sec.
-19-20), and so is a radius below the start of an outward leg that
-escapes, where V ahead (its maximum, if that lies beyond r0, and its far
-limit eps) stays below E^2 by the drift bound; any other stop is stepped
-until it fires, the guard is met, the state turns non-finite or MAX_STEPS
-steps are taken. The stepper forms its
+located by bracketing the root on the step's dense interpolant. A stop
+is stepped until it fires, the guard is met, the state turns non-finite
+or MAX_STEPS steps are taken, as a radius stop within the margin of a
+turning point may. The stepper forms its
 trial stages only on the components the right-hand side reads, (r, theta,
 u). A trial step, stages k2 to k7, the new state and its error norm, is
 one straight-line function per state shape, written out from the tableau
@@ -335,12 +343,14 @@ def integrate_geodesic(
     x0 outside the chart, BadNormalization unless tangent_kind accepts u0
     and, on a Schwarzschild leg, its Killing energy f u^t is positive,
     ValidationError for a radius stop at or inside the guard,
-    HorizonApproach if the path would cross the guard radius, StepFailure
-    if the leg never meets its stop (a coordinate time before the start; on
-    a Schwarzschild leg a radius where the effective potential exceeds E^2,
-    a radial leg's radius behind it, or a radius below the start of an
-    outward leg that escapes) or a stepped leg does not reach it within
-    MAX_STEPS steps, the state turns non-finite, the step size underflows,
+    HorizonApproach if the path would cross the guard radius (at once for
+    a radius stop above an inward leg that nothing below turns back),
+    StepFailure if the leg never meets its stop (a coordinate time before
+    the start; on a Schwarzschild leg a radius where the effective
+    potential exceeds E^2, or one below the start of an outward leg that
+    escapes, both decided by the one test of the module docstring before
+    the leg runs) or a stepped leg does not reach it within MAX_STEPS
+    steps, the state turns non-finite, the step size underflows,
     conservation drifts exceed max(1e-8, 100 * tol) or the propagator fails
     to preserve the metric. No leg has a cap on tau.
     """
@@ -542,49 +552,69 @@ def _schwarzschild_leg(
 ) -> GeodesicPath:
     """A Schwarzschild leg at unit mass, from x0 with tangent u0 to the stop, all in units of M.
 
-    A radial leg, u^theta = u^phi = 0, is _radial_leg's closed form. Any
-    other steps the 9-component state; t and phi are stepped from x0 and
-    added back to the stored states.
+    A radius stop is first put to the module docstring's one test, which
+    refuses it or reports the plunge before the leg runs. A radial leg,
+    u^theta = u^phi = 0, is then _radial_leg's closed form. Any other steps
+    the 9-component state; t and phi are stepped from x0 and added back to
+    the stored states.
     """
     t0, r0, th0, ph0 = x0.tolist()
     y0 = [0.0, r0, th0, 0.0, *u0.tolist(), 0.0]
-    if y0[6] == 0.0 and y0[7] == 0.0:
-        return _radial_leg(spec, kind, x0, u0, stop, tol)
+    radial = y0[6] == 0.0 and y0[7] == 0.0
     energy = (1.0 - 2.0 / r0) * y0[4]
     ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
-    rhs = _schwarzschild_rhs(kind, energy, ang_mom)
     what = f"stop condition {stop.kind} = {stop.value} M"
+    if stop.kind == STOP_RADIUS:
+        # the module docstring's one test, with V's maximum at peak (0 where it has none) and
+        # its far limit at far; a radial leg measures V from its start with no margin, in the
+        # terms its closed form sums, so that eps - V(r0) = 2 eps / r0
+        eps, ur0, target = (1.0 if kind == TIMELIKE else 0.0), y0[5], stop.value
+        if radial:
+            E2, margin, base, far = ur0 * ur0, 1.0, (1.0 - 2.0 / r0) * eps, 2.0 * eps / r0
+
+            def potential(r):
+                return 2.0 * eps * (r - r0) / (r * r0)
+        else:
+            E2, margin, base, far = energy * energy, 1.0 - _drift_bound(tol), 0.0, eps
+
+            def potential(r):
+                q = ang_mom / r
+                return (1.0 - 2.0 / r) * (eps + q * q)
+
+        L2, peak = ang_mom * ang_mom, 0.0
+        if not eps or L2 > 12.0:
+            peak = 6.0 / (1.0 + math.sqrt(1.0 - 12.0 / L2)) if eps else 3.0
+        where, V = "", potential(target)
+        if min(r0, target) < peak < max(r0, target) and potential(peak) > V:
+            where, V = f" behind r = {peak} M,", potential(peak)
+        if E2 < margin * V:
+            raise StepFailure(
+                f"{what} lies{where} where the effective potential {base + V} exceeds E^2 = {base + E2},"
+                " which the leg never reaches"
+            )
+        # a leg moving away from its stop turns back only where V ahead reaches E^2: at its
+        # maximum, if that lies ahead, or toward its limit, which V only tends to
+        out = ur0 > 0.0
+        if ur0 and (target < r0) == out:
+            ahead = far if out else potential(2.0)
+            if (peak > r0) if out else (0.0 < peak < r0):
+                ahead = max(ahead, potential(peak))
+            if ahead <= margin * E2:
+                way, leg, error = (
+                    ("below", "an outward leg that escapes", StepFailure) if out
+                    else ("above", "an inward leg that meets the guard first", HorizonApproach)
+                )
+                raise error(
+                    f"{what} lies {way} r = {r0} M, behind {leg}: the effective potential ahead"
+                    f" is at most {base + ahead}, below E^2 = {base + E2}, so it never turns back"
+                )
+    if radial:
+        return _radial_leg(spec, kind, x0, u0, stop, tol)
+    rhs = _schwarzschild_rhs(kind, energy, ang_mom)
 
     # events: (state component, target, direction), the guard last
     events = []
     if stop.kind == STOP_RADIUS:
-        # the leg moves only where E^2 >= V(r) = f (eps + L^2/r^2), to the drift bound, so V
-        # must not exceed it at the target, nor at V's one maximum for r > 2 if that lies between
-        eps = 1.0 if kind == TIMELIKE else 0.0
-
-        def potential(r):
-            q = ang_mom / r
-            return (1.0 - 2.0 / r) * (eps + q * q)
-
-        E2, margin = energy * energy, 1.0 - _drift_bound(tol)
-        where, V = "", potential(stop.value)
-        L2 = ang_mom * ang_mom
-        peak = 0.0  # where V has no maximum for r > 2
-        if not eps or L2 > 12.0:
-            peak = 6.0 / (1.0 + math.sqrt(1.0 - 12.0 / L2)) if eps else 3.0
-            if min(r0, stop.value) < peak < max(r0, stop.value) and potential(peak) > V:
-                where, V = f" behind r = {peak} M,", potential(peak)
-        if E2 < margin * V:
-            raise StepFailure(f"{what} lies{where} where the effective potential {V} exceeds E^2 = {E2}")
-        # an outward leg turns back only where V ahead reaches E^2: at its
-        # maximum, if that lies beyond r0, or toward its far limit eps
-        if y0[5] > 0.0 and stop.value < r0:
-            ahead = max(eps, potential(peak)) if peak > r0 else eps
-            if ahead < margin * E2:
-                raise StepFailure(
-                    f"{what} lies below r = {r0} M, behind an outward leg that escapes: the effective"
-                    f" potential ahead is at most {ahead}, below E^2 = {E2}"
-                )
         events.append((1, stop.value, 0))
     elif stop.kind == STOP_COORDINATE_TIME:
         events.append((0, stop.value - t0, 0))
@@ -632,7 +662,8 @@ def _radial_leg(
 
     E = f u^t is conserved, so the end's u^t is E / f; its u^r, tau and t
     come from _TimelikeFall or _NullFall, whose math errors are
-    StepFailure, as the stepper's are.
+    StepFailure, as the stepper's are. A radius stop has passed
+    _schwarzschild_leg's test, so the motion meets it.
     """
     t0, r0, theta, phi = x0.tolist()
     ut0, ur0 = u0[:2].tolist()
@@ -654,11 +685,11 @@ def _radial_leg(
 def _radial_end(fall, stop: StopCondition, t0: float) -> tuple[float, float, float, float]:
     """(tau, t - t0, r, u^r) where a radial motion meets its stop, in units of M.
 
-    A radius stop is direct. A proper-time or coordinate-time stop inverts
-    the motion's increasing clock with _bracket_root on [0, hi], hi below
-    the guard and past the stop, and ends at the stop's value. Raises
-    StepFailure for a radius the motion never meets, and HorizonApproach if
-    it reaches the guard radius first.
+    A radius stop, which _schwarzschild_leg's test has found the motion
+    meets, is direct. A proper-time or coordinate-time stop inverts the
+    motion's increasing clock with _bracket_root on [0, hi], hi below the
+    guard and past the stop, and ends at the stop's value; HorizonApproach
+    if the motion reaches the guard radius first.
     """
     if stop.kind == STOP_RADIUS:
         p, r, ur = fall.at_radius(stop.value)
@@ -778,21 +809,9 @@ class _TimelikeFall:
             self.log_grow, self.log_decay = math.log(grow), math.log(decay)
 
     def at_radius(self, r: float) -> tuple[float, float, float]:
-        """(s, r, v) where the motion first reaches r; StepFailure if it never does."""
+        """(s, r, v) where the motion first reaches r, a radius it meets."""
         r0, v0 = self.r0, self.v0
-        if r > r0 and not v0 > 0.0:
-            raise StepFailure(
-                f"a leg falling from rest or inward at r = {r0} M never reaches the larger radius {r} M"
-            )
-        if r < r0 and not self.falls:
-            raise StepFailure(
-                f"an outward leg with E >= 1 from r = {r0} M never turns back to the smaller radius {r} M"
-            )
         v2 = v0 * v0 + 2.0 * (r0 - r) / (r * r0)
-        if not v2 >= 0.0:
-            raise StepFailure(
-                f"radius {r} M lies beyond the leg's turning radius r_max = {2.0 / self.alpha} M"
-            )
         v = math.sqrt(v2) if r > r0 else -math.sqrt(v2)
         # v0 - v and alpha + v0 v, from the radii where v0 and v have one sign
         if (v0 > 0.0) != (v > 0.0):
@@ -870,14 +889,8 @@ class _NullFall:
         self.falls = not v0 > 0.0
 
     def at_radius(self, r: float) -> tuple[float, float, float]:
-        """(lambda, r, v0) where the ray reaches r; StepFailure if it never does."""
-        lam = (r - self.r0) / self.v0
-        if not lam > 0.0:
-            way = "an outward ray never reaches the smaller" if self.v0 > 0.0 else (
-                "an inward ray never reaches the larger"
-            )
-            raise StepFailure(f"{way} radius {r} M from r = {self.r0} M")
-        return lam, r, self.v0
+        """(lambda, r, v0) where the ray reaches r, a radius it meets."""
+        return (r - self.r0) / self.v0, r, self.v0
 
     def state(self, lam: float) -> tuple[float, float]:
         return self.r0 + self.v0 * lam, self.v0

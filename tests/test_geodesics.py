@@ -379,8 +379,8 @@ def outward_leg(r0, speed, sin_angle):
 
 
 def escaping_legs():
-    """(x0, u0, radius, message) of two outward legs that never come back to
-    a radius below their start."""
+    """(x0, u0, radius, message) of four outward legs, two of them radial,
+    that never come back to a radius below their start."""
     # E^2 = 1.4545 and L = 4.05 M from 10 M: V's peak, 3.96 M, lies behind the
     # start, and ahead V tends to 1
     timelike_u0 = np.array([1.507556722888818, 0.7236272269866325, 0.0, 0.04045199174779452])
@@ -393,10 +393,19 @@ def escaping_legs():
         (null_x0, null_u0, 2.2,
          r"radius = 2\.2 M lies below r = 2\.5 M, behind an outward leg that escapes: "
          r"the effective potential ahead is at most 0\.0578\d+, below E\^2 = 0\.(2|1999)"),
+        # radially from 10 M at 0.6 against the static observer, E^2 = 1.25 > 1
+        (*outward_leg(10.0, 0.6, 0.0), 5.0,
+         r"radius = 5\.0 M lies below r = 10\.0 M, behind an outward leg that escapes: "
+         r"the effective potential ahead is at most 1\.0, below E\^2 = 1\.25"),
+        # a radial ray, whose V is 0 everywhere
+        (*outward_leg(10.0, 1.0, 0.0), 5.0,
+         r"radius = 5\.0 M lies below r = 10\.0 M, behind an outward leg that escapes: "
+         r"the effective potential ahead is at most 0\.0, below E\^2 = 0\.(8|7999)"),
     ]
 
 
-@pytest.mark.parametrize("x0, u0, radius, message", escaping_legs(), ids=["timelike", "null"])
+@pytest.mark.parametrize("x0, u0, radius, message", escaping_legs(),
+                         ids=["timelike", "null", "radial-timelike", "radial-null"])
 def test_a_radius_below_the_start_of_an_escaping_leg_is_refused_at_once(schw, monkeypatch, x0, u0, radius, message):
     # V ahead of the leg, its maximum where that lies beyond r0 and its far
     # limit, stays below E^2, so the leg never turns back: without the check
@@ -425,6 +434,58 @@ def test_an_outward_leg_that_turns_back_reaches_a_radius_below_its_start(schw, x
     path = integrate_geodesic(schw, x0, u0, StopCondition.radius(radius))
     assert path.points[-1, 1] == radius
     assert path.points[:, 1].max() > x0[1]
+
+
+@pytest.mark.parametrize("u_phi", [0.0, 1e-6], ids=["radial", "near-radial"])
+@pytest.mark.parametrize("kind", ["timelike", "null"])
+def test_radial_and_near_radial_plunges_end_alike(schw, monkeypatch, kind, u_phi):
+    # inward from 10 M at 0.6 (1 for a ray) against the static observer,
+    # with nothing below to turn the leg back: it meets the guard before a
+    # 12 M stop, and says so before the first step, radial or not
+    from grbell import geodesics
+
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(geodesics, "_dopri", no_step)
+    f = 0.8
+    eps, u_r = (1.0, -1.25 * 0.6 * math.sqrt(f)) if kind == "timelike" else (0.0, -math.sqrt(f))
+    u0 = np.array([math.sqrt((eps + u_r * u_r / f + (10.0 * u_phi) ** 2) / f), u_r, 0.0, u_phi])
+    with pytest.raises(HorizonApproach, match="behind an inward leg that meets the guard first"):
+        integrate_geodesic(schw, np.array([0.0, 10.0, math.pi / 2, 0.0]), u0, StopCondition.radius(12.0))
+
+
+def test_radial_decisions_at_the_turning_radius_are_the_closed_forms(schw):
+    # bound radial timelike legs, out or in, to stops within 1e-16 to 1e-6
+    # of r_max = 1.01 to 1e12 times r0: a stop is refused exactly where the
+    # closed form's (u^r)^2 = v0^2 + 2 (r0 - r) / (r r0) is negative, an
+    # inward leg meets the guard first, and an outward one reaches its stop
+    rng = np.random.default_rng(37)
+    outcomes = set()
+    for i in range(100):
+        r0 = math.exp(rng.uniform(math.log(2.05), math.log(1e4)))
+        r_max = r0 * 10.0 ** rng.uniform(math.log10(1.01), 12.0)
+        v0 = math.copysign(math.sqrt(2.0 / r0 - 2.0 / r_max), (-1.0) ** i)
+        f = 1.0 - 2.0 / r0
+        u0 = np.array([math.sqrt(f + v0 * v0) / f, v0, 0.0, 0.0])
+        x0 = np.array([0.0, r0, math.pi / 2, 0.0])
+        for k in range(6, 17):
+            for side in (-1.0, 1.0):
+                r = r_max * (1.0 + side * 10.0 ** -k)
+                if v0 * v0 + 2.0 * (r0 - r) / (r * r0) < 0.0:
+                    expected = StepFailure
+                elif v0 < 0.0:
+                    expected = HorizonApproach
+                else:
+                    expected = None
+                try:
+                    path = integrate_geodesic(schw, x0, u0, StopCondition.radius(r))
+                except (StepFailure, HorizonApproach) as e:
+                    assert type(e) is expected, (r0, v0, r, e)
+                else:
+                    assert expected is None and path.points[-1, 1] == r, (r0, v0, r)
+                outcomes.add((v0 > 0.0, expected))
+    assert len(outcomes) == 4
 
 
 @pytest.mark.parametrize("leg", ["flat", "radial", "stepped"])
