@@ -17,8 +17,10 @@ It records the caller's spec, and converting back is the report's
 business. integrate_geodesic is run_leg(leg_start(emission_event(...))):
 emission_event converts an event and evaluates the metric there once, as
 its domain check; leg_start checks a leg against it (the tangent's kind, a
-radius stop against the guard); run_leg runs a checked start. Legs from
-one event share its conversion and its metric.
+radius stop against the guard); run_leg runs a checked start, as the
+one-leg case of run_legs. Legs from one event share its conversion and its
+metric, and run_legs runs them after one another: it steps every leg
+first, then stores and checks them as one stack (see the last paragraph).
 
 Flat legs are straight lines in the Cartesian chart, x = x0 + u0 tau, and
 their parallel propagator is the identity. A radius stop is the first
@@ -97,19 +99,32 @@ to rounding; the path stores that u and checks the integrated one:
 On a radial leg (L = 0), n is theta-hat and psi stays 0. The propagator of
 a leg is P(tau) = F(tau) F(0)^-1 for that frame F, with P(0) = I exactly,
 so P^T g(x) P = g(x0) holds by construction; it is still checked at every
-stored step, at a rounding slack. A leg evaluates the metric once, as one
-stack over its stored steps, from which the frame reads f = -g_tt and which
-the drift and propagator checks contract. Each path keeps that stack, the
-drift it was checked against and its integrator counters.
+stored step, at a rounding slack.
+
+The legs run_legs has stepped are stored as one stack of rows, leg after
+leg. The metric is evaluated once, as one stack over every stored point,
+from which the frame reads f = -g_tt and which the drift and propagator
+checks contract. The frame is built once over the rows of the framed legs
+(Schwarzschild, of nonzero length), each row with its leg's kind and its
+leg's radial test, so null and timelike, radial and general legs share a
+stack. One inverse of the start frames gives P, and each check is taken
+once over the stack and reduced per leg with np.maximum.reduceat over the
+legs' first rows. Every step acts row by row, so each path, a view of its
+leg's rows, holds the bits it has alone. A zero-length or flat leg keeps
+its checked tangent and P = I. Each path keeps its rows of the metric
+stack, the drift it was checked against and its integrator counters. A
+leg's error comes after the checks of the legs before it: where a point of
+a leg lies outside the chart, the legs before it are stacked without it.
 """
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +132,7 @@ from .errors import (
     BadNormalization,
     HorizonApproach,
     HorizonDomain,
+    SimulatorError,
     StepFailure,
     ValidationError,
 )
@@ -238,15 +254,18 @@ _IDENTITY.flags.writeable = False
 
 
 def _conservation_drift(
-    chart: MetricSpec, kind: str, points: np.ndarray, tangents: np.ndarray, g: np.ndarray
-) -> dict[str, float]:
-    """Worst drift of u.u, E and L_z, from the metric stack g in the path's
-    chart. E's drift is relative to E(0); L_z's to max(|L_z(0)|, floor), with
-    the floor the chart's M on a timelike leg and E(0) M on a null one, whose
-    E and L_z scale alike with its affine parameter."""
+    chart: MetricSpec, kinds: Sequence[str], counts: Sequence[int],
+    points: np.ndarray, tangents: np.ndarray, g: np.ndarray,
+) -> list[dict[str, float]]:
+    """Worst drift of u.u, E and L_z of each leg in a stack, from the metric
+    stack g in the legs' chart; leg i, of kind kinds[i], holds the next
+    counts[i] rows. E's drift is relative to E(0); L_z's to max(|L_z(0)|,
+    floor), with the floor the chart's M on a timelike leg and E(0) M on a
+    null one, whose E and L_z scale alike with its affine parameter."""
+    starts = _starts(counts)
     uu = np.einsum("na,na,na->n", g, tangents, tangents)
-    n0 = -1.0 if kind == TIMELIKE else 0.0
-    drift = {"norm": float(np.abs(uu - n0).max())}
+    uu -= np.repeat([-1.0 if kind == TIMELIKE else 0.0 for kind in kinds], counts)
+    drifts = [{"norm": v} for v in np.maximum.reduceat(np.abs(uu, out=uu), starts).tolist()]
     if chart.kind == SCHWARZSCHILD:
         r, theta = points[:, 1], points[:, 2]
         # E = f u^t, positive on every leg integrate_geodesic accepts, and L_z
@@ -254,12 +273,19 @@ def _conservation_drift(
         np.negative(g[:, 0], out=weights[0])
         np.multiply(r**2, np.sin(theta) ** 2, out=weights[1])
         killing = weights * tangents[:, ::3].T
-        worst_E, worst_L = np.abs(killing - killing[:, :1]).max(axis=1).tolist()
-        E0, L0 = killing[:, 0].tolist()
-        drift["energy"] = worst_E / abs(E0)
-        floor = chart.mass if kind == TIMELIKE else E0 * chart.mass
-        drift["angular_momentum"] = worst_L / max(abs(L0), floor)
-    return drift
+        first = killing[:, starts]
+        killing -= np.repeat(first, counts, axis=1)
+        worst = np.maximum.reduceat(np.abs(killing, out=killing), starts, axis=1)
+        for drift, kind, (worst_E, worst_L), (E0, L0) in zip(drifts, kinds, worst.T.tolist(), first.T.tolist()):
+            drift["energy"] = worst_E / abs(E0)
+            floor = chart.mass if kind == TIMELIKE else E0 * chart.mass
+            drift["angular_momentum"] = worst_L / max(abs(L0), floor)
+    return drifts
+
+
+def _starts(counts: Sequence[int]) -> list[int]:
+    """The first row of each leg in a stack whose legs hold counts rows each."""
+    return [0, *accumulate(counts[:-1])]
 
 
 def tangent_kind(u: np.ndarray, uu: float) -> str:
@@ -312,16 +338,32 @@ def check_metric_preserved(
     |F| |F(0)^-1|, which exceeds |P| by about gamma^2 on a leg whose tangent
     is boosted by gamma against the static frame. Returns the worst residual.
     """
-    residual = np.einsum("nab,na,nad->nbd", propagators, g, propagators)
-    residual -= np.diag(g[0])
-    residual = float(np.abs(residual, out=residual).max())
-    P_abs = np.abs(propagators)
-    sizes = P_abs if sizes is None else sizes
-    conditioning = float(np.einsum("nab,na,nad->nbd", P_abs, np.abs(g), sizes).max())
-    bound = METRIC_SLACK * max(1.0, conditioning)
+    sizes = np.abs(propagators) if sizes is None else sizes
+    ((residual, bound),) = _metric_residuals(g, np.abs(g), propagators, sizes, [len(g)])
     if not residual <= bound:
-        raise StepFailure(f"propagator metric residual {residual:.3e} exceeds {bound:.3e}")
+        raise _metric_failure(residual, bound)
     return residual
+
+
+def _metric_residuals(
+    g: np.ndarray, g_abs: np.ndarray, propagators: np.ndarray, sizes: np.ndarray, counts: Sequence[int]
+) -> list[tuple[float, float]]:
+    """check_metric_preserved's worst residual and bound for each leg of a
+    stack whose leg i holds the next counts[i] rows, with g_abs = |g|."""
+    n, starts = len(g), _starts(counts)
+    residual = np.einsum("nab,na,nad->nbd", propagators, g, propagators).reshape(n, 16)
+    residual[:, ::5] -= np.repeat(g[starts], counts, axis=0)  # the diagonal, less g(x0)
+    residual = np.maximum.reduceat(np.abs(residual, out=residual), starts).max(axis=1)
+    conditioning = np.einsum("nab,na,nad->nbd", np.abs(propagators), g_abs, sizes).reshape(n, 16)
+    conditioning = np.maximum.reduceat(conditioning, starts).max(axis=1)
+    return [
+        (worst, METRIC_SLACK * max(1.0, scale))
+        for worst, scale in zip(residual.tolist(), conditioning.tolist())
+    ]
+
+
+def _metric_failure(residual: float, bound: float) -> StepFailure:
+    return StepFailure(f"propagator metric residual {residual:.3e} exceeds {bound:.3e}")
 
 
 def integrate_geodesic(
@@ -417,7 +459,60 @@ def leg_start(event: EmissionEvent, u0: np.ndarray, stop: StopCondition) -> LegS
 
 def run_leg(leg: LegStart, tol: float) -> GeodesicPath:
     """integrate_geodesic's path from a checked start, with the errors it
-    raises once the start is checked."""
+    raises once the start is checked: run_legs' one-leg case."""
+    return next(run_legs([leg], tol))
+
+
+def run_legs(legs: Sequence[LegStart], tol: float) -> Iterator[GeodesicPath]:
+    """The paths of legs that leave one emission event, in order, each with
+    the bits run_leg gives it alone; asking for a leg's path raises the
+    error run_leg raises for it.
+
+    Every leg is stepped first, up to the first that fails to step, and the
+    legs that stepped are then checked as one stack (_stack_paths). A leg's
+    error comes once the legs before it have passed their checks, so the
+    first error raised is the one the legs met one at a time would raise.
+    """
+    stored, failure = [], None
+    for leg in legs:
+        try:
+            stored.append(_step(leg, tol))
+        except SimulatorError as e:
+            failure = e
+            break
+    for outcome in _stack_paths(stored, tol) if stored else ():
+        if isinstance(outcome, SimulatorError):
+            raise outcome
+        yield outcome
+    if failure is not None:
+        raise failure
+
+
+class _Stored(NamedTuple):
+    """A leg's stored states, as stepping hands them to _stack_paths: its
+    taus and its rows (x, u, psi) as Python floats, in units of M on a
+    Schwarzschild leg, and its stepper counters. A stepped leg's t and phi
+    run from 0, and origin (t0, phi0) is added back to them; -0.0 adds
+    nothing, even to -0.0. A leg of more than one row on Schwarzschild is
+    framed: its path stores Marck's frame's u and P = F F(0)^-1. Any other
+    has psi = 0, P = I and keeps the checked tangent."""
+
+    leg: LegStart
+    taus: list[float]
+    states: list[Sequence[float]]
+    origin: tuple[float, float] = (-0.0, -0.0)
+    nfev: int = 0
+    accepted: int = 0
+    rejected: int = 0
+
+    @property
+    def framed(self) -> bool:
+        return self.leg.spec.kind == SCHWARZSCHILD and len(self.taus) > 1
+
+
+def _step(leg: LegStart, tol: float) -> _Stored:
+    """A checked start's stored states, with the errors run_leg raises
+    before any check of them."""
     spec, kind, x0, u0, stop = leg.spec, leg.kind, leg.x0, leg.u0, leg.stop
     if spec.kind == SCHWARZSCHILD:
         # E = f u^t divides a null leg's rates and the energy drift; a u^t
@@ -434,26 +529,20 @@ def run_leg(leg: LegStart, tol: float) -> GeodesicPath:
         # in Python floats, where inf - inf is NaN without a warning
         or (stop.kind == STOP_COORDINATE_TIME and abs(t0 - stop.value) <= STOP_SNAP)
     ):
-        return _checked_path(
-            spec, kind, tol, np.array([0.0]), np.array([x0]), np.array([u0]),
-            np.eye(4)[None, :, :],
-        )
+        return _Stored(leg, [0.0], [[*x0.tolist(), *u0.tolist(), 0.0]])
     if stop.kind == STOP_COORDINATE_TIME and not stop.value > t0:
         unit = " M" if spec.kind == SCHWARZSCHILD else ""
         raise StepFailure(
             f"stop condition {stop.kind} = {stop.value}{unit} precedes the start t = {t0}{unit}"
         )
     if spec.kind == SCHWARZSCHILD:
-        return _schwarzschild_leg(spec, kind, x0, u0, stop, tol)
-    return _straight_line(spec, kind, x0, u0, stop, tol)
+        return _schwarzschild_leg(leg, tol)
+    return _straight_line(leg)
 
 
-def _straight_line(
-    spec: MetricSpec, kind: str, x0: np.ndarray, u0: np.ndarray,
-    stop: StopCondition, tol: float,
-) -> GeodesicPath:
+def _straight_line(leg: LegStart) -> _Stored:
     """A flat leg: x = x0 + u0 tau with P = I, its stop solved in closed form."""
-    x, u = x0, u0
+    x, u, stop = leg.x0, leg.u0, leg.stop
     if stop.kind == STOP_PROPER_TIME:
         tau = stop.value
     elif stop.kind == STOP_COORDINATE_TIME:
@@ -466,11 +555,8 @@ def _straight_line(
         end = x + u * tau
     if not np.all(np.isfinite(end)):
         raise StepFailure(f"end event of a leg of length tau = {tau} overflows the chart")
-    identity = np.eye(4)
-    return _checked_path(
-        spec, kind, tol, np.array([0.0, tau]), np.stack([x, end]), np.stack([u, u]),
-        np.stack([identity, identity]),
-    )
+    u = u.tolist()
+    return _Stored(leg, [0.0, tau], [[*x.tolist(), *u, 0.0], [*end.tolist(), *u, 0.0]])
 
 
 def _line_radius_root(x: np.ndarray, v: np.ndarray, radius: float) -> float:
@@ -547,10 +633,8 @@ def _schwarzschild_rhs(kind: str, energy: float, ang_mom: float):
 _READS = (1, 2, 4, 5, 6, 7)
 
 
-def _schwarzschild_leg(
-    spec: MetricSpec, kind: str, x0: np.ndarray, u0: np.ndarray, stop: StopCondition, tol: float
-) -> GeodesicPath:
-    """A Schwarzschild leg at unit mass, from x0 with tangent u0 to the stop, all in units of M.
+def _schwarzschild_leg(leg: LegStart, tol: float) -> _Stored:
+    """A Schwarzschild leg's stored states at unit mass, from x0 with tangent u0 to the stop, all in units of M.
 
     A radius stop is first put to the module docstring's one test, which
     refuses it or reports the plunge before the leg runs. A radial leg,
@@ -558,6 +642,7 @@ def _schwarzschild_leg(
     the 9-component state; t and phi are stepped from x0 and added back to
     the stored states.
     """
+    kind, x0, u0, stop = leg.kind, leg.x0, leg.u0, leg.stop
     t0, r0, th0, ph0 = x0.tolist()
     y0 = [0.0, r0, th0, 0.0, *u0.tolist(), 0.0]
     radial = y0[6] == 0.0 and y0[7] == 0.0
@@ -609,7 +694,7 @@ def _schwarzschild_leg(
                     f" is at most {base + ahead}, below E^2 = {base + E2}, so it never turns back"
                 )
     if radial:
-        return _radial_leg(spec, kind, x0, u0, stop, tol)
+        return _radial_leg(leg)
     rhs = _schwarzschild_rhs(kind, energy, ang_mom)
 
     # events: (state component, target, direction), the guard last
@@ -628,36 +713,10 @@ def _schwarzschild_leg(
     if run.event == len(events) - 1:
         raise HorizonApproach(f"path reached guard radius {guard} M at tau = {run.taus[-1]} M")
 
-    taus = np.array(run.taus)
-    states = np.fromiter(chain.from_iterable(run.states), float, 9 * len(taus)).reshape(-1, 9)
-    states[:, 0] += t0
-    states[:, 3] += ph0
-    return _framed_path(spec, kind, tol, taus, states, run.nfev, run.accepted, run.rejected)
+    return _Stored(leg, run.taus, run.states, (t0, ph0), run.nfev, run.accepted, run.rejected)
 
 
-def _framed_path(
-    spec: MetricSpec, kind: str, tol: float, taus: np.ndarray, states: np.ndarray,
-    nfev: int = 0, accepted: int = 0, rejected: int = 0,
-) -> GeodesicPath:
-    """The checked path through the (n, 9) states (x, u, psi) of a
-    Schwarzschild leg, with P = F F(0)^-1 from Marck's frame F."""
-    points = np.ascontiguousarray(states[:, :4])
-    g = metric_stack(_UNIT_MASS, points)
-    frames = _parallel_frames(kind, points, g, states[:, 4:8], states[:, 8])
-    inverse = np.linalg.inv(frames[0])
-    propagators = frames @ inverse
-    propagators[0] = _IDENTITY
-    # the integrated tangents are checked; the path stores the frame's u, which P carries
-    return _checked_path(
-        spec, kind, tol, taus, points, states[:, 4:8],
-        propagators, np.abs(frames) @ np.abs(inverse), nfev, accepted, rejected,
-        g=g, stored_tangents=np.ascontiguousarray(frames[:, :, 0]),
-    )
-
-
-def _radial_leg(
-    spec: MetricSpec, kind: str, x0: np.ndarray, u0: np.ndarray, stop: StopCondition, tol: float
-) -> GeodesicPath:
+def _radial_leg(leg: LegStart) -> _Stored:
     """A radial leg, u^theta = u^phi = 0, at unit mass in closed form, stored as its two ends.
 
     E = f u^t is conserved, so the end's u^t is E / f; its u^r, tau and t
@@ -665,21 +724,20 @@ def _radial_leg(
     StepFailure, as the stepper's are. A radius stop has passed
     _schwarzschild_leg's test, so the motion meets it.
     """
-    t0, r0, theta, phi = x0.tolist()
-    ut0, ur0 = u0[:2].tolist()
+    t0, r0, theta, phi = leg.x0.tolist()
+    u0 = leg.u0.tolist()
+    ut0, ur0 = u0[:2]
     energy = (1.0 - 2.0 / r0) * ut0
     try:
-        fall = _NullFall(r0, ur0, energy) if kind == NULL else _TimelikeFall(r0, ur0)
-        tau, dt, r, ur = _radial_end(fall, stop, t0)
+        fall = _NullFall(r0, ur0, energy) if leg.kind == NULL else _TimelikeFall(r0, ur0)
+        tau, dt, r, ur = _radial_end(fall, leg.stop, t0)
         ut = energy / (1.0 - 2.0 / r)
     except (ArithmeticError, ValueError) as e:
         raise StepFailure(f"closed-form radial leg failed: {e}") from None
     if not math.isfinite(tau + dt + r + ut + ur):
         raise StepFailure(f"end of a radial leg of length tau = {tau} M overflows the chart")
-    states = np.zeros((2, 9))
-    states[0, :8] = t0, r0, theta, phi, *u0.tolist()
-    states[1, :6] = t0 + dt, r, theta, phi, ut, ur
-    return _framed_path(spec, kind, tol, np.array([0.0, tau]), states)
+    end = [t0 + dt, r, theta, phi, ut, ur, 0.0, 0.0, 0.0]
+    return _Stored(leg, [0.0, tau], [[t0, r0, theta, phi, *u0, 0.0], end])
 
 
 def _radial_end(fall, stop: StopCondition, t0: float) -> tuple[float, float, float, float]:
@@ -907,9 +965,12 @@ class _NullFall:
 
 
 def _parallel_frames(
-    kind: str, points: np.ndarray, g: np.ndarray, tangents: np.ndarray, psi: np.ndarray
+    kinds: Sequence[str], counts: Sequence[int], points: np.ndarray, g: np.ndarray,
+    tangents: np.ndarray, psi: np.ndarray,
 ) -> np.ndarray:
-    """Marck's parallel frame at each stored state, as the columns of (n, 4, 4).
+    """Marck's parallel frame at each stored state of a stack of legs, as the
+    columns of (n, 4, 4); leg i, of kind kinds[i], holds the next counts[i]
+    rows, and is radial where its first row has Lambda = 0.
 
     g is the metric stack at the points, whose -g_tt is f = 1 - 2M/r.
     Timelike legs: (u, a cos psi + b sin psi, -a sin psi + b cos psi, l),
@@ -917,7 +978,8 @@ def _parallel_frames(
     all other products 0. u^t is rebuilt by the one rule of the module
     docstring, so the Gram matrix holds to rounding wherever u drifts.
     Each column is written into one buffer in the static tetrad, which its
-    legs then scale.
+    legs then scale. Every step acts row by row, so each row holds the bits
+    its leg's frame has alone.
     """
     n = len(points)
     r, theta = points[:, 1], points[:, 2]
@@ -935,47 +997,59 @@ def _parallel_frames(
     np.multiply(r, tangents[:, 2], out=U2)
     np.multiply(r_sin, tangents[:, 3], out=U3)
     lam = np.hypot(U2, U3)
-    # (n2, n3), the orbital plane's normal direction in the static tetrad
-    if lam[0] == 0.0:  # radial leg: theta-hat and phi-hat are parallel
-        normal = np.array([1.0, 0.0])
-    else:
-        normal = u[:, 2:] / lam[:, None]
-    frames[:, 2, 3], frames[:, 3, 3] = normal[..., 1], -normal[..., 0]
+    # (n2, n3), the orbital plane's normal direction in the static tetrad; on
+    # a radial leg theta-hat and phi-hat are parallel, and n is theta-hat
+    radial = np.repeat(lam[_starts(counts)] == 0.0, counts)
+    normal = np.divide(u[:, 2:], lam[:, None], out=np.tile([1.0, 0.0], (n, 1)), where=~radial[:, None])
+    frames[:, 2, 3], frames[:, 3, 3] = normal[:, 1], -normal[:, 0]
     # U0^2 - U1^2 = D = eps + Lambda^2, with no cancellation in forming D
-    eps = 1.0 if kind == TIMELIKE else 0.0
+    eps = np.repeat([1.0 if kind == TIMELIKE else 0.0 for kind in kinds], counts)
     D, root_D = eps + lam * lam, np.hypot(eps, lam)
     np.hypot(U1, root_D, out=U0)
-    psi = psi[:, None]
-    if kind == TIMELIKE:
-        # a = (U1, U0, 0, 0) / sqrt(D), b = (Lambda U0, Lambda U1, D n) / sqrt(D)
-        a, b = ab = np.zeros((2, n, 4))
-        a[:, :2] = u[:, 1::-1]
-        np.multiply(lam[:, None], u[:, :2], out=b[:, :2])
-        np.multiply(D[:, None], normal, out=b[:, 2:])
-        ab /= root_D[:, None]
-        trig = np.empty((2, n, 1))
-        np.cos(psi, out=trig[0])
-        np.sin(psi, out=trig[1])
-        # (a cos, a sin), (b cos, b sin)
-        (a_cos, a_sin), (b_cos, b_sin) = ab[:, None] * trig
-        np.add(a_cos, b_sin, out=frames[:, :, 1])
-        np.subtract(b_cos, a_sin, out=frames[:, :, 2])
-    else:
-        # m0 = (0, Lambda, -U1 n) / U0, n0 = (U0, -U1, -Lambda n) / (2 U0^2)
-        m0, n0 = np.zeros((2, n, 4))
-        neg_U1 = -U1
-        m0[:, 1] = lam
-        np.multiply(neg_U1[:, None], normal, out=m0[:, 2:])
-        n0[:, 0] = U0
-        n0[:, 1] = neg_U1
-        np.multiply(-lam[:, None], normal, out=n0[:, 2:])
-        m0 /= U0[:, None]
-        n0 /= (2.0 * U0 * U0)[:, None]
-        np.add(n0, psi * m0, out=frames[:, :, 1])
-        frames[:, :, 1] += 0.5 * psi * psi * u
-        np.add(m0, psi * u, out=frames[:, :, 2])
+    present = dict.fromkeys(kinds)
+    for kind in present:
+        rows = slice(None) if len(present) == 1 else np.repeat([k == kind for k in kinds], counts)
+        columns = _timelike_columns if kind == TIMELIKE else _null_columns
+        frames[rows, :, 1], frames[rows, :, 2] = columns(
+            u[rows], lam[rows], normal[rows], D[rows], root_D[rows], psi[rows, None]
+        )
     frames *= legs[:, :, None]
     return frames
+
+
+def _timelike_columns(u, lam, normal, D, root_D, psi) -> tuple[np.ndarray, np.ndarray]:
+    """The frame's columns a cos psi + b sin psi and -a sin psi + b cos psi
+    in the static tetrad, with a = (U1, U0, 0, 0) / sqrt(D) and
+    b = (Lambda U0, Lambda U1, D n) / sqrt(D)."""
+    a, b = ab = np.zeros((2, len(u), 4))
+    a[:, :2] = u[:, 1::-1]
+    np.multiply(lam[:, None], u[:, :2], out=b[:, :2])
+    np.multiply(D[:, None], normal, out=b[:, 2:])
+    ab /= root_D[:, None]
+    trig = np.empty((2, len(u), 1))
+    np.cos(psi, out=trig[0])
+    np.sin(psi, out=trig[1])
+    # (a cos, a sin), (b cos, b sin)
+    (a_cos, a_sin), (b_cos, b_sin) = ab[:, None] * trig
+    return a_cos + b_sin, b_cos - a_sin
+
+
+def _null_columns(u, lam, normal, D, root_D, psi) -> tuple[np.ndarray, np.ndarray]:
+    """The frame's columns n = n0 + psi m0 + psi^2 u / 2 and m = m0 + psi u
+    in the static tetrad, with m0 = (0, Lambda, -U1 n) / U0 and
+    n0 = (U0, -U1, -Lambda n) / (2 U0^2)."""
+    U0, neg_U1 = u[:, 0], -u[:, 1]
+    m0, n0 = np.zeros((2, len(u), 4))
+    m0[:, 1] = lam
+    np.multiply(neg_U1[:, None], normal, out=m0[:, 2:])
+    n0[:, 0] = U0
+    n0[:, 1] = neg_U1
+    np.multiply(-lam[:, None], normal, out=n0[:, 2:])
+    m0 /= U0[:, None]
+    n0 /= (2.0 * U0 * U0)[:, None]
+    n = n0 + psi * m0
+    n += 0.5 * psi * psi * u
+    return n, m0 + psi * u
 
 
 @dataclass(frozen=True, eq=False)
@@ -1183,46 +1257,117 @@ def _bracket_root(fn) -> float:
     return b
 
 
-def _checked_path(
-    spec: MetricSpec, kind: str, tol: float, taus: np.ndarray, points: np.ndarray,
-    tangents: np.ndarray, propagators: np.ndarray, sizes: np.ndarray | None = None,
-    nfev: int = 0, accepted: int = 0, rejected: int = 0,
-    g: np.ndarray | None = None, stored_tangents: np.ndarray | None = None,
-) -> GeodesicPath:
-    """The path through the stored states, once the checks of its tangents pass.
+def _stack_paths(stored: Sequence[_Stored], tol: float) -> list[GeodesicPath | SimulatorError]:
+    """The path of each stored leg, in order, up to the first leg whose
+    checks fail, whose error ends the list.
 
-    The metric is evaluated once per stored point, in the chart of the
-    path's units, in one stack that also checks each point's domain, unless
-    the caller passes that stack as g. The path keeps spec, the stack, the
-    drift and stored_tangents, by default the checked ones.
+    The legs leave one event, so they share one chart, that of the path's
+    units. Their rows are stored as one stack, as _checked_paths describes,
+    and its metric stack also checks each point's domain. Where a point of
+    a leg lies outside it, the legs before that leg are stacked without it,
+    and its domain error follows theirs.
     """
+    spec = stored[0].leg.spec
     chart = _UNIT_MASS if spec.kind == SCHWARZSCHILD else spec
-    g = metric_stack(chart, points) if g is None else g
+    counts = [len(leg.taus) for leg in stored]
+    n, starts = sum(counts), _starts(counts)
+    taus = np.fromiter(chain.from_iterable(leg.taus for leg in stored), float, n)
+    values = chain.from_iterable(chain.from_iterable(leg.states for leg in stored))
+    states = np.fromiter(values, float, 9 * n).reshape(n, 9)
+    states[:, 0:4:3] += np.repeat([leg.origin for leg in stored], counts, axis=0)
+    points = np.ascontiguousarray(states[:, :4])
+    try:
+        g = metric_stack(chart, points)
+    except SimulatorError:
+        for i, (start, count) in enumerate(zip(starts, counts)):
+            try:
+                metric_stack(chart, points[start : start + count])
+            except SimulatorError as e:
+                return [*(_stack_paths(stored[:i], tol) if i else ()), e]
+        raise
+    framed = [leg.framed for leg in stored]
+    kinds = [leg.leg.kind for leg in stored]
+    tangents = states[:, 4:8]
+    if all(framed):
+        propagators, sizes, stored_tangents = _propagators(kinds, counts, points, g, tangents, states[:, 8])
+    else:
+        # P = I and |P| = I, and the checked tangent, on every leg the frame does not carry
+        propagators = np.tile(_IDENTITY, (n, 1, 1))
+        sizes, stored_tangents = propagators.copy(), np.ascontiguousarray(tangents)
+        if any(framed):
+            rows = np.repeat(framed, counts)
+            propagators[rows], sizes[rows], stored_tangents[rows] = _propagators(
+                [kind for kind, f in zip(kinds, framed) if f], [c for c, f in zip(counts, framed) if f],
+                points[rows], g[rows], tangents[rows], states[rows, 8],
+            )
+    return _checked_paths(stored, tol, chart, counts, taus, points, tangents, propagators, sizes, g, stored_tangents)
+
+
+def _propagators(
+    kinds: Sequence[str], counts: Sequence[int], points: np.ndarray, g: np.ndarray,
+    tangents: np.ndarray, psi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P = F F(0)^-1 for Marck's frame F at each row of a stack of framed
+    legs, as in _parallel_frames, with P(0) = I exactly, the sizes
+    |F| |F(0)^-1| that bound the terms summed into P, and the frame's u."""
+    frames = _parallel_frames(kinds, counts, points, g, tangents, psi)
+    starts = _starts(counts)
+    inverse = np.repeat(np.linalg.inv(frames[starts]), counts, axis=0)
+    propagators = frames @ inverse
+    propagators[starts] = _IDENTITY
+    return propagators, np.abs(frames) @ np.abs(inverse), np.ascontiguousarray(frames[:, :, 0])
+
+
+def _checked_paths(
+    stored: Sequence[_Stored], tol: float, chart: MetricSpec, counts: Sequence[int],
+    taus: np.ndarray, points: np.ndarray, tangents: np.ndarray, propagators: np.ndarray,
+    sizes: np.ndarray, g: np.ndarray, stored_tangents: np.ndarray,
+) -> list[GeodesicPath | SimulatorError]:
+    """The path of each leg of a stack, in order, once the checks of its
+    tangents pass, up to the first leg whose checks fail, whose StepFailure
+    ends the list.
+
+    Leg i holds the next counts[i] rows of each array: taus and points, the
+    integrated tangents, which are checked, the propagators, the sizes that
+    bound the terms summed into them, the metric stack g at the points in
+    the chart and the tangents the path stores. Every check is taken over
+    the whole stack and reduced per leg, and each path holds views of its
+    rows, the stack, the drift and the stepper counters.
+    """
+    starts, kinds = _starts(counts), [leg.leg.kind for leg in stored]
     g_abs = np.abs(g)
-    drift = _conservation_drift(chart, kind, points, tangents, g)
-    bound = _drift_bound(tol)
+    drifts = _conservation_drift(chart, kinds, counts, points, tangents, g)
     # the tangent-norm check cancels catastrophically near the horizon
     # (terms ~ E^2/f against a result of order 1), so its bound scales with
     # the conditioning number; the Killing checks have no such cancellation
     u_abs = np.abs(tangents)
-    conditioning = float(np.einsum("na,na,na->n", g_abs, u_abs, u_abs).max())
-    bounds = {k: bound for k in drift}
-    bounds["norm"] = bound * max(1.0, conditioning)
-    bad = {k: v for k, v in drift.items() if v > bounds[k]}
-    if bad:
-        raise StepFailure(f"conservation drift {bad} exceeds {bounds}")
-    check_metric_preserved(g, propagators, sizes)
-    return GeodesicPath(
-        spec=spec,
-        kind=kind,
-        tol=tol,
-        taus=taus,
-        points=points,
-        tangents=tangents if stored_tangents is None else stored_tangents,
-        propagators=propagators,
-        metrics=g,
-        drift=drift,
-        nfev=nfev,
-        accepted=accepted,
-        rejected=rejected,
-    )
+    conditioning = np.maximum.reduceat(np.einsum("na,na,na->n", g_abs, u_abs, u_abs), starts).tolist()
+    metric = _metric_residuals(g, g_abs, propagators, sizes, counts)
+    bound = _drift_bound(tol)
+    paths: list[GeodesicPath | SimulatorError] = []
+    for leg, kind, start, count, drift, scale, (residual, metric_bound) in zip(
+        stored, kinds, starts, counts, drifts, conditioning, metric
+    ):
+        bounds = {k: bound for k in drift}
+        bounds["norm"] = bound * max(1.0, scale)
+        bad = {k: v for k, v in drift.items() if v > bounds[k]}
+        if bad:
+            return [*paths, StepFailure(f"conservation drift {bad} exceeds {bounds}")]
+        if not residual <= metric_bound:
+            return [*paths, _metric_failure(residual, metric_bound)]
+        rows = slice(start, start + count)
+        paths.append(GeodesicPath(
+            spec=leg.leg.spec,
+            kind=kind,
+            tol=tol,
+            taus=taus[rows],
+            points=points[rows],
+            tangents=stored_tangents[rows],
+            propagators=propagators[rows],
+            metrics=g[rows],
+            drift=drift,
+            nfev=leg.nfev,
+            accepted=leg.accepted,
+            rejected=leg.rejected,
+        ))
+    return paths

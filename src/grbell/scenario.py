@@ -31,7 +31,7 @@ apart (one geodesic when their static-tetrad components differ by at most
 1e-12). geodesics.leg_start checks each leg against the event: the
 tangent's kind by geodesics.tangent_kind, which also asks u^t > 0, and a
 radius stop against the guard. The config keeps the two checked starts
-as its legs, and a run hands them to geodesics.run_leg, so it converts
+as its legs, and a run hands both to geodesics.run_legs, so it converts
 and checks no start again.
 
 A Schwarzschild run works in units of M, the metric's one scale, so its
@@ -121,6 +121,7 @@ from .geodesics import (
     emission_event,
     leg_start,
     run_leg,
+    run_legs,
 )
 from .geometry import (
     MINKOWSKI,
@@ -564,13 +565,19 @@ class _Geometry:
 
 
 def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
-    """Both geodesics and both detector frames; None in synthetic mode."""
+    """Both geodesics and both detector frames; None in synthetic mode.
+
+    run_legs steps both legs before it checks either, as one stack; a leg's
+    error is raised when its path is asked for, in its own stage, and leg
+    1 is asked for first, so where both fail the run reports geodesic_1.
+    """
     if cfg.is_synthetic:
         return None
+    paths = run_legs(cfg.legs, cfg.tol)
     with _stage("geodesic_1"):
-        geo1 = run_leg(cfg.legs[0], cfg.tol)
+        geo1 = next(paths)
     with _stage("geodesic_2"):
-        geo2 = run_leg(cfg.legs[1], cfg.tol)
+        geo2 = next(paths)
     with _stage("frames"):
         E_L = _detector_frame(cfg.frame_choice, geo1)
         E_R = _detector_frame(cfg.frame_choice, geo2)

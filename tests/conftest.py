@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -36,3 +37,47 @@ def random_exterior_point(rng, r_min=3.0, r_max=30.0):
 
 def random_flat_point(rng):
     return rng.uniform(-10, 10, size=4)
+
+
+class RecordedLeg(NamedTuple):
+    """One leg of a stack geodesics._checked_paths was given, as its rows of
+    each array; tangents are the integrated ones the checks read, and
+    sizes is None on a leg the frame does not carry, whose P = I."""
+
+    spec: MetricSpec
+    kind: str
+    tol: float
+    taus: np.ndarray
+    points: np.ndarray
+    tangents: np.ndarray
+    propagators: np.ndarray
+    sizes: np.ndarray | None
+    g: np.ndarray
+    stored_tangents: np.ndarray
+    nfev: int
+
+
+def recording_checked_legs(monkeypatch) -> list[RecordedLeg]:
+    """Every leg whose stack geodesics._checked_paths checks, in order."""
+    from grbell import geodesics
+
+    legs = []
+    original = geodesics._checked_paths
+
+    def recording(stored, tol, chart, counts, *arrays):
+        start = 0
+        for leg, count in zip(stored, counts):
+            taus, points, tangents, propagators, sizes, g, stored_tangents = (
+                a[start : start + count] for a in arrays
+            )
+            legs.append(RecordedLeg(
+                leg.leg.spec, leg.leg.kind, tol, taus, points, tangents, propagators,
+                sizes if leg.framed else None, g, stored_tangents, leg.nfev,
+            ))
+            if not leg.framed:
+                assert np.array_equal(sizes, np.abs(propagators))
+            start += count
+        return original(stored, tol, chart, counts, *arrays)
+
+    monkeypatch.setattr(geodesics, "_checked_paths", recording)
+    return legs

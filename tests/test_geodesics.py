@@ -14,6 +14,7 @@ from grbell import (
     integrate_geodesic,
 )
 from grbell.geodesics import STOP_SNAP
+from conftest import recording_checked_legs
 from grbell.scenario import GeodesicSummary
 
 M = 1.0
@@ -103,7 +104,7 @@ def test_angular_momentum_drift_is_relative_at_any_mass():
     uphi = 4.0 * spec.mass / (r * r) * (1.0 + 1e-6 * np.array([0.0, 0.5, 1.0, -0.3]))
     tangents = np.column_stack([np.full(4, 1.2), np.zeros(4), np.zeros(4), uphi])
     g = metric_stack(spec, points)
-    drift = geodesics._conservation_drift(spec, "timelike", points, tangents, g)
+    (drift,) = geodesics._conservation_drift(spec, ["timelike"], [4], points, tangents, g)
     assert drift["angular_momentum"] == pytest.approx(1e-6, rel=1e-6)
 
 
@@ -114,21 +115,18 @@ def test_null_angular_momentum_drift_does_not_depend_on_the_scale_of_u(schw, mon
     # M read 9.5e-28 against 7.9e-11
     from grbell import geodesics
 
-    checks = []
-    checked_path = geodesics._checked_path
-
-    def recording(*args, **kwargs):
-        checks.append((args, kwargs))
-        return checked_path(*args, **kwargs)
-
-    monkeypatch.setattr(geodesics, "_checked_path", recording)
+    checks = recording_checked_legs(monkeypatch)
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     u1 = np.array([1.118033988749895, 0.2683281572999747, 0.0, 0.09539392014169457])
     integrate_geodesic(schw, x0, u1, StopCondition.radius(14.0))
-    (_, kind, _, _, points, tangents, *_), kwargs = checks[-1]
+    kind, points, tangents = checks[-1].kind, checks[-1].points, checks[-1].tangents
     assert kind == "null"
-    drifts = [geodesics._conservation_drift(geodesics._UNIT_MASS, kind, points, tangents * scale, kwargs["g"])
-              for scale in (1.0, 2.0**-60)]
+    drifts = [
+        geodesics._conservation_drift(
+            geodesics._UNIT_MASS, [kind], [len(points)], points, tangents * scale, checks[-1].g
+        )[0]
+        for scale in (1.0, 2.0**-60)
+    ]
     assert drifts[0]["angular_momentum"] > 1e-12
     assert drifts[1]["angular_momentum"] == pytest.approx(drifts[0]["angular_momentum"], rel=1e-12)
 

@@ -1,0 +1,246 @@
+"""A run's two legs are stepped first and then checked as one stack.
+
+The stack holds one metric stack, one frame, one inverse of the start
+frames and one pass of each check over both legs' rows, each reduced per
+leg. These tests pin each stacked path to the one-leg path, field by field
+and bit for bit, and pin the stage a failing run reports to the one the
+legs run one at a time report.
+"""
+import glob
+import json
+import math
+import os
+import warnings
+
+import numpy as np
+import pytest
+
+from grbell import PipelineError, SimulatorError, StepFailure, geodesics
+from grbell.geodesics import run_leg, run_legs
+from grbell.scenario import config_from_dict, run_scenario, run_sweep
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def static_tetrad_tangent(r0, theta0, speed, direction):
+    """u at (r0, theta0) of unit mass moving at speed along the static-tetrad
+    direction (r, theta, phi); speed 1 gives the null tangent with u^t = 1 / sqrt(f)."""
+    f = 1.0 - 2.0 / r0
+    gamma = 1.0 if speed == 1.0 else 1.0 / math.sqrt(1.0 - speed * speed)
+    n_r, n_th, n_ph = direction
+    return [
+        gamma / math.sqrt(f),
+        gamma * speed * n_r * math.sqrt(f),
+        gamma * speed * n_th / r0,
+        gamma * speed * n_ph / (r0 * math.sin(theta0)),
+    ]
+
+
+def unit_direction(rng, outward=False):
+    n = rng.standard_normal(3)
+    n /= np.linalg.norm(n)
+    if outward:
+        n[0] = abs(n[0])
+    return n.tolist()
+
+
+def batch_config(seed, k):
+    """Config k of a seeded set in the four shapes of the benchmark's
+    scenario batch, chosen by k % 4: 0 and 2, opposite boosts read in static
+    frames; 1, the same in comoving frames; 3, particle 1 boosted and
+    particle 2 falling radially from rest to a radius in [2.05, r0 - 1]."""
+    rng = np.random.default_rng([seed, k])
+    r0, theta0 = float(rng.uniform(8.0, 25.0)), math.pi / 2.0
+    speed, direction = float(rng.uniform(0.15, 0.55)), unit_direction(rng)
+    u1 = static_tetrad_tangent(r0, theta0, speed, direction)
+    u2 = static_tetrad_tangent(r0, theta0, speed, [-c for c in direction])
+    # both legs stay outside 0.75 r0 and near the equator for this long
+    tau_max = min(10.0, 0.25 * r0 / (2.0 * speed + 0.6), (0.75 * r0) ** 2 / (r0 * speed / math.sqrt(1 - speed**2)))
+    cfg = {
+        "metric": {"kind": "schwarzschild", "mass": 1.0},
+        "origin": [0.0, r0, theta0, 0.0],
+        "u1": u1,
+        "u2": u2,
+        "stop1": {"kind": "proper_time", "value": float(tau_max * rng.uniform(0.5, 1.0))},
+        "stop2": {"kind": "proper_time", "value": float(tau_max * rng.uniform(0.5, 1.0))},
+        "settings": {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0},
+        "frame_choice": "comoving" if k % 4 == 1 else "static",
+    }
+    if k % 4 == 3:
+        cfg["u2"] = static_tetrad_tangent(r0, theta0, 0.0, [1.0, 0.0, 0.0])
+        cfg["stop2"] = {"kind": "radius", "value": float(2.05 + (r0 - 3.05) * rng.uniform())}
+    return cfg
+
+
+def mixed_legs(rng, r0, theta0):
+    """One leg of each kind a stack may mix, as (label, tangent, stop)."""
+    tau, scale = rng.uniform(2.0, 8.0, 2).tolist()
+    return [
+        ("stepped timelike", static_tetrad_tangent(r0, theta0, float(rng.uniform(0.1, 0.6)), unit_direction(rng)),
+         {"kind": "proper_time", "value": tau}),
+        ("stepped null", static_tetrad_tangent(r0, theta0, 1.0, unit_direction(rng, outward=True)),
+         {"kind": "proper_time", "value": tau}),
+        ("radial timelike", static_tetrad_tangent(r0, theta0, float(rng.uniform(0.0, 0.5)), [-1.0, 0.0, 0.0]),
+         {"kind": "radius", "value": float(rng.uniform(2.5, r0 - 1.0))}),
+        # a null tangent's scale is free
+        ("radial null", [c * scale / 4.0 for c in static_tetrad_tangent(r0, theta0, 1.0, [1.0, 0.0, 0.0])],
+         {"kind": "radius", "value": float(r0 + rng.uniform(1.0, 20.0))}),
+        ("zero-length timelike", static_tetrad_tangent(r0, theta0, float(rng.uniform(0.0, 0.6)), unit_direction(rng)),
+         {"kind": "proper_time", "value": 0.0}),
+        ("zero-length null", static_tetrad_tangent(r0, theta0, 1.0, unit_direction(rng)),
+         {"kind": "radius", "value": r0}),
+    ]
+
+
+def mixed_configs(seed):
+    """Every ordered pair of mixed_legs' kinds, each from its own seeded event."""
+    configs = []
+    for i in range(6):
+        for j in range(6):
+            rng = np.random.default_rng([seed, i, j])
+            r0, theta0 = float(rng.uniform(8.0, 25.0)), float(rng.uniform(1.0, 2.1))
+            (label1, u1, stop1), (label2, u2, stop2) = mixed_legs(rng, r0, theta0)[i], mixed_legs(rng, r0, theta0)[j]
+            configs.append(((label1, label2), {
+                "metric": {"kind": "schwarzschild", "mass": 1.0},
+                "origin": [0.0, r0, theta0, 0.0],
+                "u1": u1, "u2": u2, "stop1": stop1, "stop2": stop2,
+                "settings": {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0},
+            }))
+    return configs
+
+
+def fields(path):
+    """Every field of a path, with each array as its shape and bytes."""
+    arrays = (path.taus, path.points, path.tangents, path.propagators, path.metrics)
+    return (
+        path.spec, path.kind, path.tol, *[(a.dtype, a.shape, a.tobytes()) for a in arrays],
+        repr(path.drift), path.nfev, path.accepted, path.rejected,
+    )
+
+
+def stacked_outcomes(legs, tol):
+    paths, outcomes = run_legs(legs, tol), []
+    for _ in legs:
+        try:
+            outcomes.append(fields(next(paths)))
+        except SimulatorError as e:
+            outcomes.append((type(e), str(e)))
+            break
+    return outcomes
+
+
+def alone_outcomes(legs, tol):
+    outcomes = []
+    for leg in legs:
+        try:
+            outcomes.append(fields(run_leg(leg, tol)))
+        except SimulatorError as e:
+            outcomes.append((type(e), str(e)))
+            break
+    return outcomes
+
+
+def assert_stack_equals_legs_alone(data):
+    """The stacked outcome of a config's legs is each leg's alone; returns
+    how many legs made a path."""
+    cfg = config_from_dict(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stacked = stacked_outcomes(cfg.legs, cfg.tol)
+        assert stacked == alone_outcomes(cfg.legs, cfg.tol)
+    return sum(not isinstance(outcome[0], type) for outcome in stacked)
+
+
+def test_stacked_paths_equal_the_one_leg_paths_on_seeded_batch_configs():
+    made = sum(assert_stack_equals_legs_alone(batch_config(7, k)) for k in range(400))
+    assert made == 800
+
+
+def test_stacked_paths_equal_the_one_leg_paths_on_mixed_pairs():
+    # timelike with null, radial with stepped, zero-length with stepped,
+    # in both orders and at events off the equator
+    made = set()
+    for labels, data in [*mixed_configs(3), *mixed_configs(11)]:
+        if assert_stack_equals_legs_alone(data) == 2:
+            made.add(labels)
+    assert len(made) == 36
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.json"))), ids=os.path.basename)
+def test_stacked_paths_equal_the_one_leg_paths_on_every_bundled_config(path):
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if "synthetic" not in data:
+        assert assert_stack_equals_legs_alone(data) == 2
+
+
+def stage_config(**changes):
+    """A seeded config of two boosted legs, whose drifts are not 0, with changes."""
+    data = batch_config(7, 0)
+    data.update(changes)
+    return data
+
+
+# the stop of a leg that fails before it is stepped, and a leg whose metric
+# stack fails: a radial leg thrown outward past the largest radius whose r^2
+# is a float, where the stack refuses its end
+BEFORE_THE_START = {"kind": "coordinate_time", "value": -1.0}
+OFF_THE_FLOATS = {
+    "u2": static_tetrad_tangent(stage_config()["origin"][1], math.pi / 2.0, 0.6, [1.0, 0.0, 0.0]),
+    "stop2": {"kind": "proper_time", "value": 1e160},
+}
+
+
+def stage_and_status(data):
+    """The stage run_scenario reports, and the status of the same config as a one-row sweep."""
+    with pytest.raises(PipelineError) as err:
+        run_scenario(config_from_dict(data))
+    data = {**data, "sweep": {"parameter": "b_deg", "start": 60.0, "stop": 60.0, "step": 1.0}}
+    (row,) = run_sweep(config_from_dict(data))
+    return err.value, row.split(",")[1]
+
+
+def fail_every_check(monkeypatch, check):
+    if check == "metric":
+        monkeypatch.setattr(geodesics, "METRIC_SLACK", 0.0)
+    else:
+        monkeypatch.setattr(geodesics, "_drift_bound", lambda tol: 0.0)
+
+
+@pytest.mark.parametrize("failure", ["unstepped", "metric", "drift"])
+def test_a_run_whose_legs_both_fail_reports_geodesic_1(monkeypatch, failure):
+    # both fail before they are stepped, or both fail one of their checks
+    if failure == "unstepped":
+        data = stage_config(stop1=BEFORE_THE_START, stop2=BEFORE_THE_START)
+    else:
+        data = stage_config()
+        fail_every_check(monkeypatch, failure)
+    error, status = stage_and_status(data)
+    assert error.stage == "geodesic_1" and isinstance(error.cause, StepFailure)
+    assert status == "error:geodesic_1"
+
+
+@pytest.mark.parametrize("check", ["metric", "drift"])
+@pytest.mark.parametrize("leg2", [{"stop2": BEFORE_THE_START}, OFF_THE_FLOATS], ids=["unstepped", "off-chart"])
+def test_a_failing_check_of_leg_1_comes_before_a_failure_of_leg_2(monkeypatch, check, leg2):
+    # leg 2 alone fails, before its checks or in its metric stack; where leg
+    # 1 fails its own check as well, that comes first, as it would with leg
+    # 1 checked before leg 2 is stepped
+    data = stage_config(**leg2)
+    error, status = stage_and_status(data)
+    assert error.stage == "geodesic_2" and status == "error:geodesic_2"
+    fail_every_check(monkeypatch, check)
+    error, status = stage_and_status(data)
+    assert error.stage == "geodesic_1" and isinstance(error.cause, StepFailure)
+    assert ("metric residual" if check == "metric" else "conservation drift") in str(error.cause)
+    assert status == "error:geodesic_1"
+
+
+def test_a_leg_2_that_fails_its_check_after_leg_1_passes_reports_geodesic_2(monkeypatch):
+    # a zero-length leg 1 has P = I and no drift, so it passes a check with no slack
+    data = stage_config(stop1={"kind": "proper_time", "value": 0.0})
+    fail_every_check(monkeypatch, "metric")
+    error, status = stage_and_status(data)
+    assert error.stage == "geodesic_2" and isinstance(error.cause, StepFailure)
+    assert "metric residual" in str(error.cause)
+    assert status == "error:geodesic_2"

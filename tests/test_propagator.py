@@ -15,7 +15,7 @@ from grbell import (
 )
 from grbell import geodesics
 from grbell.geodesics import METRIC_SLACK, check_metric_preserved
-from conftest import random_exterior_point
+from conftest import random_exterior_point, recording_checked_legs
 from reference import (
     christoffel_components,
     column_list_frames,
@@ -115,11 +115,16 @@ def test_propagator_is_exact_at_emission_and_keeps_the_metric(schw, rng, kind, r
 def test_frame_blocks_equal_the_column_list_frames(schw, rng, monkeypatch, kind, radial_fraction):
     # the frame is built as (n, 4) blocks with f read from the leg's metric
     # stack; the 16-column assembly with f from the mass gives the same bits
+    # on each leg of the stack
     calls = []
 
-    def recording(kind, points, g, tangents, psi):
-        frames = original(kind, points, g, tangents, psi)
-        calls.append((kind, points, tangents, psi, frames))
+    def recording(kinds, counts, points, g, tangents, psi):
+        frames = original(kinds, counts, points, g, tangents, psi)
+        start = 0
+        for kind, count in zip(kinds, counts):
+            rows = slice(start, start + count)
+            calls.append((kind, points[rows], tangents[rows], psi[rows], frames[rows]))
+            start += count
         return frames
 
     original = geodesics._parallel_frames
@@ -165,7 +170,7 @@ def test_diagonal_contractions_equal_the_full_ones(schw, rng, monkeypatch):
             assert check_metric_preserved(d, P, sizes) == residual
         norm = np.max(np.abs(np.einsum("nab,na,nb->n", g, u, u) + 1.0))
         points = rng.uniform(3.0, 30.0, (n, 4))
-        assert geodesics._conservation_drift(schw, "timelike", points, u, d)["norm"] == norm
+        assert geodesics._conservation_drift(schw, ["timelike"], [n], points, u, d)[0]["norm"] == norm
 
 
 def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):
@@ -694,21 +699,17 @@ def test_equatorial_null_leg_carries_the_plane_normal(schw):
 
 
 def recorded_legs(schw, flat, rng, monkeypatch):
-    """Each leg's _checked_path arguments, and each stepped leg's run, over
-    random timelike, null, radial and near-radial Schwarzschild legs, zero-length
-    legs of both kinds and flat legs of both kinds."""
-    checks, runs = [], []
-    checked_path, dopri = geodesics._checked_path, geodesics._dopri
-
-    def recording_check(*args, **kwargs):
-        checks.append((args, kwargs))
-        return checked_path(*args, **kwargs)
+    """Each leg's rows of the stack _checked_paths checks, and each stepped
+    leg's run, over random timelike, null, radial and near-radial
+    Schwarzschild legs, zero-length legs of both kinds and flat legs of both
+    kinds."""
+    runs = []
+    checks, dopri = recording_checked_legs(monkeypatch), geodesics._dopri
 
     def recording_dopri(*args):
         runs.append(dopri(*args))
         return runs[-1]
 
-    monkeypatch.setattr(geodesics, "_checked_path", recording_check)
     monkeypatch.setattr(geodesics, "_dopri", recording_dopri)
     for kind, radial_fraction in LEGS:
         for _ in range(3):
@@ -728,14 +729,16 @@ def test_leg_arrays_equal_the_earlier_assembly(schw, flat, rng, monkeypatch):
     # and of every closed-form radial leg's two ends, are the bits of the
     # np.array and 16-column assembly
     checks, runs = recorded_legs(schw, flat, rng, monkeypatch)
-    framed = [(args, kwargs) for args, kwargs in checks if len(args) > 8]
-    stepped = [(args, kwargs) for args, kwargs in framed if args[8] > 0]
-    closed = [(args, kwargs) for args, kwargs in framed if args[8] == 0]
+    framed = [leg for leg in checks if leg.sizes is not None]
+    stepped = [leg for leg in framed if leg.nfev > 0]
+    closed = [leg for leg in framed if leg.nfev == 0]
     assert len(stepped) == len(runs) >= 12
     assert len(closed) >= 6
     kinds = set()
-    for (args, kwargs), run in [*zip(stepped, runs), *[(leg, None) for leg in closed]]:
-        _, kind, _, taus, points, tangents, propagators, sizes = args[:8]
+    for leg, run in [*zip(stepped, runs), *[(leg, None) for leg in closed]]:
+        kind, taus, points, tangents, propagators, sizes = (
+            leg.kind, leg.taus, leg.points, leg.tangents, leg.propagators, leg.sizes
+        )
         kinds.add((kind, bool(tangents[0, 2] == tangents[0, 3] == 0.0)))
         if run is None:
             assert len(taus) == 2
@@ -744,7 +747,7 @@ def test_leg_arrays_equal_the_earlier_assembly(schw, flat, rng, monkeypatch):
         else:
             t0, ph0 = points[0, 0], points[0, 3]
             expected = earlier_leg_arrays(kind, run.taus, run.states, t0, ph0)
-        found = (taus, points, tangents, propagators, sizes, kwargs["g"], kwargs["stored_tangents"])
+        found = (taus, points, tangents, propagators, sizes, leg.g, leg.stored_tangents)
         for new, old in zip(found, expected):
             assert new.shape == old.shape
             assert np.array_equal(new, old)
@@ -756,16 +759,17 @@ def test_path_checks_equal_the_earlier_forms(schw, flat, rng, monkeypatch):
     # flat, give the earlier forms' bits, and their failures the same message
     checks, _ = recorded_legs(schw, flat, rng, monkeypatch)
     lengths = set()
-    for args, kwargs in checks:
-        spec, kind, _, _, points, tangents, propagators = args[:7]
-        sizes = args[7] if len(args) > 7 else None
-        chart = geodesics._UNIT_MASS if spec.kind == "schwarzschild" else spec
-        g = kwargs.get("g")
-        g = geodesics.metric_stack(chart, points) if g is None else g
-        lengths.add((spec.kind, kind, len(points) > 1))
-        assert geodesics._conservation_drift(chart, kind, points, tangents, g) == (
-            earlier_conservation_drift(chart, kind, points, tangents, g)
+    for leg in checks:
+        spec, kind, points, tangents, propagators, sizes = (
+            leg.spec, leg.kind, leg.points, leg.tangents, leg.propagators, leg.sizes
         )
+        chart = geodesics._UNIT_MASS if spec.kind == "schwarzschild" else spec
+        g = leg.g
+        assert np.array_equal(g, geodesics.metric_stack(chart, points))
+        lengths.add((spec.kind, kind, len(points) > 1))
+        assert geodesics._conservation_drift(chart, [kind], [len(points)], points, tangents, g) == [
+            earlier_conservation_drift(chart, kind, points, tangents, g)
+        ]
         bent = propagators + 1e-6
         broken = propagators.copy()
         broken[-1, 1, 2] = math.nan

@@ -532,14 +532,15 @@ def test_angle_sweep_matches_per_row_runs(param):
 
 
 def test_angle_sweep_integrates_geometry_once(monkeypatch):
+    # a run hands both legs to run_legs at once; calls holds each leg it is given
     calls = []
-    original = scenario.run_leg
+    original = scenario.run_legs
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(legs, tol):
+        calls.extend(legs)
+        return original(legs, tol)
 
-    monkeypatch.setattr(scenario, "run_leg", counting)
+    monkeypatch.setattr(scenario, "run_legs", counting)
     rows = [csv_cells(line) for line in run_sweep(sweep_config(step=2.0))]
     assert len(rows) == 91 and all(r["status"] == "ok" for r in rows)
     assert len(calls) == 2
@@ -719,14 +720,21 @@ def test_horizon_sweep_across_the_guard_matches_per_row_runs(r_values, tol, ok_r
 
 
 def recording_paths(monkeypatch):
-    """The paths a run integrates, in order, kept as scenario receives them."""
+    """The paths a run integrates, in order, kept as scenario receives them:
+    a run's two legs from run_legs, each horizon-study leg from run_leg."""
     paths = []
 
     def recording(*args, _original=scenario.run_leg, **kwargs):
         paths.append(_original(*args, **kwargs))
         return paths[-1]
 
+    def recording_legs(*args, _original=scenario.run_legs, **kwargs):
+        for path in _original(*args, **kwargs):
+            paths.append(path)
+            yield path
+
     monkeypatch.setattr(scenario, "run_leg", recording)
+    monkeypatch.setattr(scenario, "run_legs", recording_legs)
     return paths
 
 
