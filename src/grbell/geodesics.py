@@ -14,13 +14,14 @@ conversion keeps u.u and a tangent's components in the static tetrad.
 Every check and everything after it runs at unit mass, and the path is
 stored in units of M: its taus, points, tangents, metrics and propagators.
 It records the caller's spec, and converting back is the report's
-business. integrate_geodesic is run_leg(leg_start(emission_event(...))):
+business. integrate_geodesic is the one-leg case of
+run_legs([leg_start(emission_event(...))]) and raises its leg's error:
 emission_event converts an event and evaluates the metric there once, as
 its domain check; leg_start checks a leg against it (the tangent's kind, a
-radius stop against the guard); run_leg runs a checked start, as the
-one-leg case of run_legs. Legs from one event share its conversion and its
-metric, and run_legs runs them after one another: it steps every leg
-first, then stores and checks them as one stack (see the last paragraph).
+radius stop against the guard). Legs from one event share its conversion
+and its metric, and run_legs gives each its own outcome, its path or its
+error: it steps every leg, then stores and checks the legs that stepped as
+one stack (see the last paragraph).
 
 Flat legs are straight lines in the Cartesian chart, x = x0 + u0 tau, and
 their parallel propagator is the identity. A radius stop is the first
@@ -113,14 +114,16 @@ legs' first rows. Every step acts row by row, so each path, a view of its
 leg's rows, holds the bits it has alone. A zero-length or flat leg keeps
 its checked tangent and P = I. Each path keeps its rows of the metric
 stack, the drift it was checked against and its integrator counters. A
-leg's error comes after the checks of the legs before it: where a point of
-a leg lies outside the chart, the legs before it are stacked without it.
+leg that fails, while stepping, in the metric stack or in its checks,
+keeps that error as its outcome and changes no other leg's: a leg with a
+point outside the chart is left out of the stack, and every other leg is
+stepped and checked whatever the legs beside it meet.
 """
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -396,7 +399,10 @@ def integrate_geodesic(
     conservation drifts exceed max(1e-8, 100 * tol) or the propagator fails
     to preserve the metric. No leg has a cap on tau.
     """
-    return run_leg(leg_start(emission_event(spec, x0), u0, stop), tol)
+    (path,) = run_legs([leg_start(emission_event(spec, x0), u0, stop)], tol)
+    if isinstance(path, SimulatorError):
+        raise path
+    return path
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,35 +463,29 @@ def leg_start(event: EmissionEvent, u0: np.ndarray, stop: StopCondition) -> LegS
     return LegStart(spec, kind, event.x0, u0, StopCondition(stop.kind, value))
 
 
-def run_leg(leg: LegStart, tol: float) -> GeodesicPath:
-    """integrate_geodesic's path from a checked start, with the errors it
-    raises once the start is checked: run_legs' one-leg case."""
-    return next(run_legs([leg], tol))
+def run_legs(legs: Sequence[LegStart], tol: float) -> list[GeodesicPath | SimulatorError]:
+    """The outcome of each of legs that leave one emission event, in order:
+    its path, with the bits it has alone, or the error it meets once its
+    start is checked, which integrate_geodesic raises for it.
 
-
-def run_legs(legs: Sequence[LegStart], tol: float) -> Iterator[GeodesicPath]:
-    """The paths of legs that leave one emission event, in order, each with
-    the bits run_leg gives it alone; asking for a leg's path raises the
-    error run_leg raises for it.
-
-    Every leg is stepped first, up to the first that fails to step, and the
-    legs that stepped are then checked as one stack (_stack_paths). A leg's
-    error comes once the legs before it have passed their checks, so the
-    first error raised is the one the legs met one at a time would raise.
+    Every leg is stepped, and the legs that stepped are then checked as one
+    stack (_stack_paths), so a leg's outcome depends on that leg alone.
     """
-    stored, failure = [], None
+    outcomes: list[_Stored | SimulatorError] = []
     for leg in legs:
         try:
-            stored.append(_step(leg, tol))
+            outcomes.append(_step(leg, tol))
         except SimulatorError as e:
-            failure = e
-            break
-    for outcome in _stack_paths(stored, tol) if stored else ():
-        if isinstance(outcome, SimulatorError):
-            raise outcome
-        yield outcome
-    if failure is not None:
-        raise failure
+            outcomes.append(e)
+    return _merged(outcomes, lambda stored: _stack_paths(stored, tol))
+
+
+def _merged(outcomes: list, fill) -> list:
+    """outcomes with each entry that is not an error replaced, in order, by
+    the outcome fill gives for it, from one call over all those entries."""
+    kept = [o for o in outcomes if not isinstance(o, SimulatorError)]
+    filled = iter(fill(kept) if kept else ())
+    return [o if isinstance(o, SimulatorError) else next(filled) for o in outcomes]
 
 
 class _Stored(NamedTuple):
@@ -511,8 +511,8 @@ class _Stored(NamedTuple):
 
 
 def _step(leg: LegStart, tol: float) -> _Stored:
-    """A checked start's stored states, with the errors run_leg raises
-    before any check of them."""
+    """A checked start's stored states, with the errors it meets before any
+    check of them."""
     spec, kind, x0, u0, stop = leg.spec, leg.kind, leg.x0, leg.u0, leg.stop
     if spec.kind == SCHWARZSCHILD:
         # E = f u^t divides a null leg's rates and the energy drift; a u^t
@@ -1258,14 +1258,14 @@ def _bracket_root(fn) -> float:
 
 
 def _stack_paths(stored: Sequence[_Stored], tol: float) -> list[GeodesicPath | SimulatorError]:
-    """The path of each stored leg, in order, up to the first leg whose
-    checks fail, whose error ends the list.
+    """The outcome of each stored leg, in order: its path, or the error its
+    checks meet.
 
     The legs leave one event, so they share one chart, that of the path's
     units. Their rows are stored as one stack, as _checked_paths describes,
-    and its metric stack also checks each point's domain. Where a point of
-    a leg lies outside it, the legs before that leg are stacked without it,
-    and its domain error follows theirs.
+    and its metric stack also checks each point's domain. A leg with a
+    point outside it has that domain error as its outcome, and the other
+    legs are stacked without it.
     """
     spec = stored[0].leg.spec
     chart = _UNIT_MASS if spec.kind == SCHWARZSCHILD else spec
@@ -1279,12 +1279,15 @@ def _stack_paths(stored: Sequence[_Stored], tol: float) -> list[GeodesicPath | S
     try:
         g = metric_stack(chart, points)
     except SimulatorError:
-        for i, (start, count) in enumerate(zip(starts, counts)):
+        # metric_stack checks row by row, so the leg of the row it refused fails alone
+        outcomes: list[_Stored | SimulatorError] = []
+        for leg, start, count in zip(stored, starts, counts):
             try:
                 metric_stack(chart, points[start : start + count])
+                outcomes.append(leg)
             except SimulatorError as e:
-                return [*(_stack_paths(stored[:i], tol) if i else ()), e]
-        raise
+                outcomes.append(e)
+        return _merged(outcomes, lambda kept: _stack_paths(kept, tol))
     framed = [leg.framed for leg in stored]
     kinds = [leg.leg.kind for leg in stored]
     tangents = states[:, 4:8]
@@ -1323,9 +1326,8 @@ def _checked_paths(
     taus: np.ndarray, points: np.ndarray, tangents: np.ndarray, propagators: np.ndarray,
     sizes: np.ndarray, g: np.ndarray, stored_tangents: np.ndarray,
 ) -> list[GeodesicPath | SimulatorError]:
-    """The path of each leg of a stack, in order, once the checks of its
-    tangents pass, up to the first leg whose checks fail, whose StepFailure
-    ends the list.
+    """The outcome of each leg of a stack, in order: its path once the checks
+    of its tangents pass, or the StepFailure of its first check that fails.
 
     Leg i holds the next counts[i] rows of each array: taus and points, the
     integrated tangents, which are checked, the propagators, the sizes that
@@ -1351,23 +1353,24 @@ def _checked_paths(
         bounds = {k: bound for k in drift}
         bounds["norm"] = bound * max(1.0, scale)
         bad = {k: v for k, v in drift.items() if v > bounds[k]}
-        if bad:
-            return [*paths, StepFailure(f"conservation drift {bad} exceeds {bounds}")]
-        if not residual <= metric_bound:
-            return [*paths, _metric_failure(residual, metric_bound)]
         rows = slice(start, start + count)
-        paths.append(GeodesicPath(
-            spec=leg.leg.spec,
-            kind=kind,
-            tol=tol,
-            taus=taus[rows],
-            points=points[rows],
-            tangents=stored_tangents[rows],
-            propagators=propagators[rows],
-            metrics=g[rows],
-            drift=drift,
-            nfev=leg.nfev,
-            accepted=leg.accepted,
-            rejected=leg.rejected,
-        ))
+        if bad:
+            paths.append(StepFailure(f"conservation drift {bad} exceeds {bounds}"))
+        elif not residual <= metric_bound:
+            paths.append(_metric_failure(residual, metric_bound))
+        else:
+            paths.append(GeodesicPath(
+                spec=leg.leg.spec,
+                kind=kind,
+                tol=tol,
+                taus=taus[rows],
+                points=points[rows],
+                tangents=stored_tangents[rows],
+                propagators=propagators[rows],
+                metrics=g[rows],
+                drift=drift,
+                nfev=leg.nfev,
+                accepted=leg.accepted,
+                rejected=leg.rejected,
+            ))
     return paths

@@ -68,9 +68,10 @@ one-row objects built from them. A CSV row is one line of text, written
 from the stack in one pass: one stacked dot product gives the cosines of
 the three angle columns, libm's acos the angles, and one template with
 %.17g reals each ok line; a single run's line comes through the same
-formatter. The horizon study builds its emission event and side once and
-evaluates each radius as its own one-row pass, making each row's line
-when it is asked for.
+formatter. The horizon study builds its emission event and side once,
+integrates its radii's legs a chunk at a time with one run_legs each, and
+evaluates each radius as its own one-row pass; a row whose leg fails reads
+its own status, and a chunk's lines are made when its first is asked for.
 """
 from __future__ import annotations
 
@@ -120,7 +121,6 @@ from .geodesics import (
     StopCondition,
     emission_event,
     leg_start,
-    run_leg,
     run_legs,
 )
 from .geometry import (
@@ -565,22 +565,22 @@ class _Geometry:
 
 
 def _geometry(cfg: ScenarioConfig) -> _Geometry | None:
-    """Both geodesics and both detector frames; None in synthetic mode.
-
-    run_legs steps both legs before it checks either, as one stack; a leg's
-    error is raised when its path is asked for, in its own stage, and leg
-    1 is asked for first, so where both fail the run reports geodesic_1.
-    """
+    """Both geodesics and both detector frames; None in synthetic mode."""
     if cfg.is_synthetic:
         return None
-    paths = run_legs(cfg.legs, cfg.tol)
-    with _stage("geodesic_1"):
-        geo1 = next(paths)
-    with _stage("geodesic_2"):
-        geo2 = next(paths)
+    return _frames(cfg.frame_choice, *run_legs(cfg.legs, cfg.tol))
+
+
+def _frames(frame_choice: str, geo1, geo2) -> _Geometry:
+    """Both detector frames on two legs' outcomes, each a path or an error
+    as run_legs gives it. Leg 1's error is raised first, as geodesic_1, then
+    leg 2's, as geodesic_2, so where both fail the run reports geodesic_1."""
+    for stage, outcome in (("geodesic_1", geo1), ("geodesic_2", geo2)):
+        if isinstance(outcome, SimulatorError):
+            raise PipelineError(stage, outcome) from outcome
     with _stage("frames"):
-        E_L = _detector_frame(cfg.frame_choice, geo1)
-        E_R = _detector_frame(cfg.frame_choice, geo2)
+        E_L = _detector_frame(frame_choice, geo1)
+        E_R = _detector_frame(frame_choice, geo2)
         return _Geometry(geo1, geo2, E_R, E_L * geo1.metrics[-1])
 
 
@@ -899,6 +899,8 @@ def run_sweep(cfg: ScenarioConfig) -> list[str]:
 
 
 DEFAULT_HORIZON_SETTINGS = {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0}
+# live radii of a horizon study whose legs one run_legs integrates
+_HORIZON_CHUNK = 64
 
 
 def run_horizon_sweep(
@@ -927,45 +929,34 @@ def run_horizon_sweep(
 
 def _horizon_rows(spec: MetricSpec, rs: list[float], tol: float) -> Iterator[str]:
     """run_horizon_sweep's lines. Whether a radius lies outside the guard is
-    decided in units of M, as leg_start does; rs decreases, so those come first."""
+    decided in units of M, as leg_start does; rs decreases, so those come
+    first. Their legs are integrated _HORIZON_CHUNK at a time, by one
+    run_legs each, when the first line of the chunk is asked for."""
     guard = MetricSpec(SCHWARZSCHILD, 1.0).guard_radius
-
-    def outside(r: float) -> bool:
-        return r / spec.mass > guard
-
-    failure = None
-    if rs and outside(rs[0]):
+    live = [r for r in rs if r / spec.mass > guard]
+    if live:
         try:
             with _stage("geodesic_1"):
                 event = emission_event(spec, np.array([0.0, rs[0], math.pi / 2.0, 0.0]))
                 # u^t = 1 / sqrt(f) does not depend on M
                 u_static = build_static_frame(event.g0)[0]
-                geo1 = run_leg(leg_start(event, u_static, StopCondition.proper_time(0.0)), tol)
-            with _stage("frames"):
-                projector_L = _detector_frame(FRAME_STATIC, geo1) * geo1.metrics[-1]
+                emitter = leg_start(event, u_static, StopCondition.proper_time(0.0))
         except PipelineError as e:
-            failure = _failure_status(e)
-    settings = _settings_rows(_parse_settings(DEFAULT_HORIZON_SETTINGS))
-
-    def row(r: float, sid: str) -> str:
-        try:
-            with _stage("geodesic_2"):
-                geo2 = run_leg(leg_start(event, u_static, StopCondition.radius(r)), tol)
-            with _stage("frames"):
-                E_R = _detector_frame(FRAME_STATIC, geo2)
-            geometry = _Geometry(geo1, geo2, E_R, projector_L)
-            return _csv_rows(_evaluate(geometry, *settings), [sid])[0]
-        except SimulatorError as e:
-            return error_row(sid, _failure_status(e))
-
-    for r in rs:
-        sid = f"r={r:.17g}"
-        if not outside(r):
-            yield error_row(sid, "horizon_guard")
-        elif failure is not None:
-            yield error_row(sid, failure)
+            yield from (error_row(f"r={r:.17g}", _failure_status(e)) for r in live)
         else:
-            yield row(r, sid)
+            (geo1,) = run_legs([emitter], tol)
+            settings = _settings_rows(_parse_settings(DEFAULT_HORIZON_SETTINGS))
+            for start in range(0, len(live), _HORIZON_CHUNK):
+                chunk = live[start : start + _HORIZON_CHUNK]
+                paths = run_legs([leg_start(event, u_static, StopCondition.radius(r)) for r in chunk], tol)
+                for r, geo2 in zip(chunk, paths):
+                    sid = f"r={r:.17g}"
+                    try:
+                        yield _csv_rows(_evaluate(_frames(FRAME_STATIC, geo1, geo2), *settings), [sid])[0]
+                    except SimulatorError as e:
+                        yield error_row(sid, _failure_status(e))
+    for r in rs[len(live) :]:
+        yield error_row(f"r={r:.17g}", "horizon_guard")
 
 
 # -- canned configs -----------------------------------------------------------

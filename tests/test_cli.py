@@ -83,17 +83,19 @@ def test_an_unwritable_out_is_config_error(tmp_path, capsys, command, out):
 
 def test_a_horizon_study_writes_each_row_as_it_is_made(tmp_path, monkeypatch):
     # the file is open before the first row is made, so an unwritable
-    # --out is refused before any row is
+    # --out is refused before any row is; one radius to a chunk integrates
+    # each row's leg when its line is made
     from grbell import scenario
 
     out = tmp_path / "h.csv"
     seen = []
 
-    def integrate(*args, _original=scenario.run_leg):
+    def integrate(*args, _original=scenario.run_legs):
         seen.append(out.exists())
         return _original(*args)
 
-    monkeypatch.setattr(scenario, "run_leg", integrate)
+    monkeypatch.setattr(scenario, "run_legs", integrate)
+    monkeypatch.setattr(scenario, "_HORIZON_CHUNK", 1)
     argv = ["--quiet", "horizon", "--mass", "1", "--r-start", "10", "--r-end", "4", "--steps", "3"]
     assert main([*argv, "--out", str(tmp_path / "missing" / "h.csv")]) == EXIT_CONFIG
     assert seen == []

@@ -2,9 +2,9 @@
 
 The stack holds one metric stack, one frame, one inverse of the start
 frames and one pass of each check over both legs' rows, each reduced per
-leg. These tests pin each stacked path to the one-leg path, field by field
-and bit for bit, and pin the stage a failing run reports to the one the
-legs run one at a time report.
+leg. These tests pin each leg's stacked outcome to its outcome alone,
+field by field and bit for bit, whatever the other leg meets, and pin the
+stage a failing run reports: leg 1's failure before leg 2's.
 """
 import glob
 import json
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from grbell import PipelineError, SimulatorError, StepFailure, geodesics
-from grbell.geodesics import run_leg, run_legs
+from grbell.geodesics import run_legs
 from grbell.scenario import config_from_dict, run_scenario, run_sweep
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -118,26 +118,19 @@ def fields(path):
     )
 
 
+def described(path):
+    """A path's fields, or an error's type and message."""
+    if isinstance(path, SimulatorError):
+        return type(path), str(path)
+    return fields(path)
+
+
 def stacked_outcomes(legs, tol):
-    paths, outcomes = run_legs(legs, tol), []
-    for _ in legs:
-        try:
-            outcomes.append(fields(next(paths)))
-        except SimulatorError as e:
-            outcomes.append((type(e), str(e)))
-            break
-    return outcomes
+    return [described(path) for path in run_legs(legs, tol)]
 
 
 def alone_outcomes(legs, tol):
-    outcomes = []
-    for leg in legs:
-        try:
-            outcomes.append(fields(run_leg(leg, tol)))
-        except SimulatorError as e:
-            outcomes.append((type(e), str(e)))
-            break
-    return outcomes
+    return [described(run_legs([leg], tol)[0]) for leg in legs]
 
 
 def assert_stack_equals_legs_alone(data):
@@ -181,14 +174,30 @@ def stage_config(**changes):
     return data
 
 
-# the stop of a leg that fails before it is stepped, and a leg whose metric
-# stack fails: a radial leg thrown outward past the largest radius whose r^2
-# is a float, where the stack refuses its end
+def off_the_floats(n, data):
+    """Leg n of data as a leg whose metric stack fails: a radial leg thrown
+    outward past the largest radius whose r^2 is a float, where the stack
+    refuses its end."""
+    u = static_tetrad_tangent(data["origin"][1], math.pi / 2.0, 0.6, [1.0, 0.0, 0.0])
+    return {f"u{n}": u, f"stop{n}": {"kind": "proper_time", "value": 1e160}}
+
+
+# the stop of a leg that fails before it is stepped, and leg 2 off the floats
 BEFORE_THE_START = {"kind": "coordinate_time", "value": -1.0}
-OFF_THE_FLOATS = {
-    "u2": static_tetrad_tangent(stage_config()["origin"][1], math.pi / 2.0, 0.6, [1.0, 0.0, 0.0]),
-    "stop2": {"kind": "proper_time", "value": 1e160},
-}
+OFF_THE_FLOATS = off_the_floats(2, stage_config())
+
+
+@pytest.mark.parametrize("failure", ["unstepped", "off-chart"])
+@pytest.mark.parametrize("k", range(4))
+def test_a_leg_2_gets_the_path_it_has_alone_when_leg_1_fails(k, failure):
+    # leg 1 fails before it is stepped, or in the metric stack; leg 2 is
+    # still stepped and checked, in each shape of the seeded batch
+    data = batch_config(7, k)
+    data.update({"stop1": BEFORE_THE_START} if failure == "unstepped" else off_the_floats(1, data))
+    cfg = config_from_dict(data)
+    geo1, geo2 = run_legs(cfg.legs, cfg.tol)
+    assert isinstance(geo1, SimulatorError) and not isinstance(geo2, SimulatorError)
+    assert assert_stack_equals_legs_alone(data) == 1
 
 
 def stage_and_status(data):

@@ -30,7 +30,7 @@ from grbell import (
     run_sweep,
     schwarzschild_demo_config,
 )
-from grbell import scenario
+from grbell import geodesics, scenario
 from grbell.cli import EXIT_CONFIG, EXIT_OK, main
 from grbell.correlations import ARM_ORDER_ULP, bell_stack
 from grbell.frames import ProjectionStack
@@ -441,23 +441,48 @@ def test_horizon_sweep_requires_descending():
         run_horizon_sweep(spec, [5.0, 6.0])
 
 
-def test_horizon_sweep_makes_each_row_when_it_is_asked_for(monkeypatch):
-    # the arguments are checked at once, and a row's legs are integrated only
-    # when its line is asked for, so a long study holds one row at a time
+def counting_stops(monkeypatch):
+    """The stop of each leg scenario hands to run_legs, in order."""
     calls = []
-    original = scenario.run_leg
+    original = scenario.run_legs
 
-    def counting(leg, tol):
-        calls.append(leg.stop)
-        return original(leg, tol)
+    def counting(legs, tol):
+        calls.extend(leg.stop for leg in legs)
+        return original(legs, tol)
 
-    monkeypatch.setattr(scenario, "run_leg", counting)
+    monkeypatch.setattr(scenario, "run_legs", counting)
+    return calls
+
+
+def test_horizon_sweep_makes_each_row_when_it_is_asked_for(monkeypatch):
+    # the arguments are checked at once, and with one radius to a chunk a
+    # row's legs are integrated only when its line is asked for
+    calls = counting_stops(monkeypatch)
+    monkeypatch.setattr(scenario, "_HORIZON_CHUNK", 1)
     rows = run_horizon_sweep(MetricSpec("schwarzschild", mass=1.0), [10.0, 6.0, 3.0, 1.0])
     assert calls == []
     assert next(rows).startswith("r=10,ok,")
     assert calls == [StopCondition.proper_time(0.0), StopCondition.radius(10.0)]
     assert [line.split(",")[1] for line in rows] == ["ok", "ok", "horizon_guard"]
     assert len(calls) == 4
+
+
+def test_horizon_sweep_integrates_a_chunk_of_rows_when_its_first_line_is_asked_for(monkeypatch):
+    # a long study holds one chunk of legs at a time
+    calls = counting_stops(monkeypatch)
+    chunk = scenario._HORIZON_CHUNK
+    r_values = np.linspace(10.0, 2.5, 2 * chunk + 3).tolist()
+    rows = run_horizon_sweep(MetricSpec("schwarzschild", mass=1.0), [*r_values, 1.0])
+    assert calls == []
+    assert next(rows).startswith("r=10,ok,")
+    assert calls == [StopCondition.proper_time(0.0), *map(StopCondition.radius, r_values[:chunk])]
+    for _ in range(chunk - 1):
+        next(rows)
+    assert len(calls) == 1 + chunk
+    next(rows)
+    assert calls[1:] == [StopCondition.radius(r) for r in r_values[: 2 * chunk]]
+    assert [line.split(",")[1] for line in rows] == ["ok"] * (chunk + 2) + ["horizon_guard"]
+    assert calls[1:] == [StopCondition.radius(r) for r in r_values]
 
 
 # at the second mass, the largest radius inside the guard in units of M lies
@@ -647,14 +672,7 @@ def test_weight_sweep_validates_its_config_once(monkeypatch):
 
 
 def test_horizon_sweep_integrates_the_emission_leg_once(monkeypatch):
-    stops = []
-    original = scenario.run_leg
-
-    def counting(leg, tol):
-        stops.append(leg.stop)
-        return original(leg, tol)
-
-    monkeypatch.setattr(scenario, "run_leg", counting)
+    stops = counting_stops(monkeypatch)
     spec = MetricSpec("schwarzschild", mass=1.0)
     rows = [csv_cells(line) for line in run_horizon_sweep(spec, [10.0, 6.0, 3.0, 2.2, 2.0 * (1 + 1e-8), 1.5])]
     live = [r for r in rows if r["status"] != "horizon_guard"]
@@ -696,17 +714,15 @@ def _horizon_reference(spec, r_values, tol):
 
 
 GUARD = 2.0 * (1 + 1e-6)
+ACROSS_THE_GUARD = [
+    ([10.0, 6.0, 2.5, GUARD * 1.001, GUARD * (1 + 1e-5), GUARD, 1.0], 1e-10, 3),
+    ([10.0, 6.0, 2.5, GUARD * 1.001, GUARD * (1 + 1e-5), GUARD, 1.0], 1e-6, 3),
+    # r^2 overflows at the emission event, so every row above the guard fails there
+    ([1e200, 1e199, 1.0], 1e-10, 0),
+]
 
 
-@pytest.mark.parametrize(
-    "r_values, tol, ok_rows",
-    [
-        ([10.0, 6.0, 2.5, GUARD * 1.001, GUARD * (1 + 1e-5), GUARD, 1.0], 1e-10, 3),
-        ([10.0, 6.0, 2.5, GUARD * 1.001, GUARD * (1 + 1e-5), GUARD, 1.0], 1e-6, 3),
-        # r^2 overflows at the emission event, so every row above the guard fails there
-        ([1e200, 1e199, 1.0], 1e-10, 0),
-    ],
-)
+@pytest.mark.parametrize("r_values, tol, ok_rows", ACROSS_THE_GUARD)
 def test_horizon_sweep_across_the_guard_matches_per_row_runs(r_values, tol, ok_rows):
     spec = MetricSpec("schwarzschild", mass=1.0)
     with warnings.catch_warnings(record=True) as caught:
@@ -719,22 +735,45 @@ def test_horizon_sweep_across_the_guard_matches_per_row_runs(r_values, tol, ok_r
     assert text == reference
 
 
+@pytest.mark.parametrize("r_values, tol, ok_rows", ACROSS_THE_GUARD)
+def test_horizon_sweep_across_chunk_edges_matches_per_row_runs(monkeypatch, r_values, tol, ok_rows):
+    # two radii to a chunk: the first holds the zero-length row at the
+    # emission event, and the last is partial
+    monkeypatch.setattr(scenario, "_HORIZON_CHUNK", 2)
+    test_horizon_sweep_across_the_guard_matches_per_row_runs(r_values, tol, ok_rows)
+
+
+def test_a_horizon_row_whose_leg_fails_fails_alone(monkeypatch):
+    # one leg of a chunk fails while it is stepped; every other row of the
+    # chunk keeps the line it has in a study where none fails
+    spec = MetricSpec("schwarzschild", mass=1.0)
+    r_values = np.linspace(10.0, 2.5, 40).tolist()
+    clean = list(run_horizon_sweep(spec, r_values))
+    assert all(line.split(",")[1] == "ok" for line in clean)
+    original = geodesics._step
+
+    def failing(leg, tol):
+        if leg.stop == StopCondition.radius(r_values[5]):
+            raise StepFailure("a step failure for this radius alone")
+        return original(leg, tol)
+
+    monkeypatch.setattr(geodesics, "_step", failing)
+    lines = list(run_horizon_sweep(spec, r_values))
+    assert lines[5] == error_row(f"r={r_values[5]:.17g}", "error:geodesic_2")
+    assert lines[:5] + lines[6:] == clean[:5] + clean[6:]
+
+
 def recording_paths(monkeypatch):
-    """The paths a run integrates, in order, kept as scenario receives them:
-    a run's two legs from run_legs, each horizon-study leg from run_leg."""
+    """The paths a run or a horizon study integrates, in order, kept as
+    scenario receives them from run_legs."""
     paths = []
 
-    def recording(*args, _original=scenario.run_leg, **kwargs):
-        paths.append(_original(*args, **kwargs))
-        return paths[-1]
+    def recording(*args, _original=scenario.run_legs, **kwargs):
+        outcomes = _original(*args, **kwargs)
+        paths.extend(outcomes)
+        return outcomes
 
-    def recording_legs(*args, _original=scenario.run_legs, **kwargs):
-        for path in _original(*args, **kwargs):
-            paths.append(path)
-            yield path
-
-    monkeypatch.setattr(scenario, "run_leg", recording)
-    monkeypatch.setattr(scenario, "run_legs", recording_legs)
+    monkeypatch.setattr(scenario, "run_legs", recording)
     return paths
 
 
