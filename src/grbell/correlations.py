@@ -15,8 +15,8 @@ which settings a break that bound: the quantum value of the left side is
 |a . d|, so any a with |a . d| > b . d violates.
 
 The bound, the angle test and the optimum a = d/|d| hold only in that
-order; _ordered alone decides it, up to rounding, and every evaluation
-starts from it.
+order; _ordered alone decides it, up to rounding. An InequalityStack
+holds its arms in that order as b and c, which violation_stack takes.
 
 Every evaluation runs on arrays: the settings a as rows of a (k, 3) array
 and each arm as a ProjectionStack, so a sweep's rows, a single run's one
@@ -113,13 +113,15 @@ class InequalityStack(NamedTuple):
 
 
 class ViolationStack(NamedTuple):
-    """Angle test on d = w_b^2 b - w_c^2 c per row: local models need |cos phi| <= cos theta."""
+    """Angle test on d = w_b^2 b - w_c^2 c per row: local models need |cos phi| <= cos theta.
+    best is the setting of largest margin |a . d|, d/|d|, zeros where d vanishes."""
 
     d: np.ndarray  # (k, 3)
     cos_phi: np.ndarray
     cos_theta: np.ndarray
     condition_holds: np.ndarray
     degenerate: np.ndarray
+    best: np.ndarray  # (k, 3)
 
 
 def _correlations(a: np.ndarray, arm: ProjectionStack) -> np.ndarray:
@@ -175,26 +177,16 @@ def bell_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) ->
 
 
 def violation_stack(a: np.ndarray, arm_b: ProjectionStack, arm_c: ProjectionStack) -> ViolationStack:
-    """Angles of a and b against d per row, arms in the bound's order; vacuous where d vanishes."""
-    arm_b, arm_c, _ = _ordered(arm_b, arm_c)
+    """Angles of a and b against d per row, and the optimum; vacuous where d vanishes.
+    The arms are in the bound's order, as an InequalityStack's b and c are."""
     d, norm = _weighted_differences(arm_b, arm_c)
     degenerate = norm <= 1e-12
     safe = np.where(degenerate, 1.0, norm)
     cos_phi = np.where(degenerate, 0.0, row_dot(a, d) / safe)
     cos_theta = np.where(degenerate | arm_b.degenerate, 0.0, row_dot(arm_b.direction, d) / safe)
     holds = degenerate | (np.abs(cos_phi) <= cos_theta + TOL_INEQ)
-    return ViolationStack(d, cos_phi, cos_theta, holds, degenerate)
-
-
-def optimal_settings(arm_b: ProjectionStack, arm_c: ProjectionStack) -> tuple[np.ndarray, np.ndarray]:
-    """a = d/|d| per row, the setting of largest margin, and where it exists.
-
-    d is taken in the bound's order. The quantum left side is |a . d|; rows
-    whose d vanishes (|d| <= 1e-12) have no optimizing setting and hold zeros.
-    """
-    d, norm = _weighted_differences(*_ordered(arm_b, arm_c)[:2])
-    found = norm > 1e-12
-    return np.where(found[:, None], d / np.where(found, norm, 1.0)[:, None], 0.0), found
+    best = np.where(degenerate[:, None], 0.0, d / safe[:, None])
+    return ViolationStack(d, cos_phi, cos_theta, holds, degenerate, best)
 
 
 def _grid_directions(n: int) -> np.ndarray:
@@ -228,12 +220,13 @@ def find_max_violation(
     other search raises ValidationError.
     """
     arm_b, arm_c = ProjectionStack.of([proj_b]), ProjectionStack.of([proj_c])
-    best, found = optimal_settings(arm_b, arm_c)
-    if not found[0]:
+    # the optimum does not read the setting a the angles are taken against
+    angles = violation_stack(np.zeros((1, 3)), *_ordered(arm_b, arm_c)[:2])
+    if angles.degenerate[0]:
         raise DegenerateD("weighted difference vanishes; no optimizing setting")
 
     if search == "analytic":
-        a_star = best[0]
+        a_star = angles.best[0]
     elif search == "grid":
         candidates = _grid_directions(grid_n)
         margins = bell_stack(candidates, arm_b, arm_c).margin

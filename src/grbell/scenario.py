@@ -62,9 +62,9 @@ are built from arrays of weights, so a weight row is one range check.
 The settings are parsed into one (3, 3) array with rows a, b, c. A pass
 returns one InequalityStack, which also holds its settings a and the
 error of each failed row. A single run is the k = 1 pass: its report
-keeps that stack and adds the violation angles, analytic optimum,
-geodesic summaries and optional LHV audit of its one row, with the public
-one-row objects built from them. A CSV row is one line of text, written
+keeps that stack, one violation_stack on its ordered arms (angles and
+optimum), and the geodesic summaries and optional LHV audit; the public
+one-row objects are views of them. A CSV row is one line of text, written
 from the stack in one pass: one stacked dot product gives the cosines of
 the three angle columns, libm's acos the angles, and one template with
 %.17g reals each ok line; a single run's line comes through the same
@@ -81,7 +81,8 @@ import numbers
 import time
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -92,7 +93,6 @@ from .correlations import (
     SettingsTriple,
     ViolationStack,
     bell_stack,
-    optimal_settings,
     violation_stack,
 )
 from .errors import (
@@ -516,21 +516,39 @@ class GeodesicSummary:
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """One run: its one-row arrays (rows, angles) and the public one-row views of them."""
+    """One run: its one-row arrays (rows, angles), best_margin (None where d
+    vanishes) and the public one-row views of them, each built when first read."""
 
     status: str
     config: dict
     rows: InequalityStack
-    proj_b: ProjectionResult
-    proj_c: ProjectionResult
-    inequality: InequalityReport
     angles: ViolationStack
     geodesic_1: GeodesicSummary | None = None
     geodesic_2: GeodesicSummary | None = None
-    best_setting: Direction3 | None = None
     best_margin: float | None = None
     lhv: LHVAuditReport | None = None
     elapsed_s: float = 0.0
+
+    @cached_property
+    def proj_b(self) -> ProjectionResult:
+        return _caller_arms(self.rows)[0].result(0)
+
+    @cached_property
+    def proj_c(self) -> ProjectionResult:
+        return _caller_arms(self.rows)[1].result(0)
+
+    @cached_property
+    def inequality(self) -> InequalityReport:
+        return self.rows.report(0)
+
+    @cached_property
+    def best_setting(self) -> Direction3 | None:
+        return None if self.angles.degenerate[0] else Direction3(self.angles.best[0])
+
+
+def _caller_arms(rows: InequalityStack) -> tuple[ProjectionStack, ProjectionStack]:
+    """A one-row stack's arms b and c in the caller's order, before any swap."""
+    return (rows.c, rows.b) if rows.swapped[0] else (rows.b, rows.c)
 
 
 @contextmanager
@@ -656,14 +674,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     arm_b, arm_c, errors = _arms(geometry, b, c, cfg.synthetic)
     if errors:
         raise errors[0] from getattr(errors[0], "cause", None)
-    best, found = optimal_settings(arm_b, arm_c)
-    # the best setting is a second row of a: a row's values do not depend on
-    # the rows beside it, so the first row is the run's own
-    both = bell_stack(np.concatenate([a, best]), arm_b, arm_c)
-    rows = both._replace(
-        a=a, p_ab=both.p_ab[:1], p_ac=both.p_ac[:1], lhs=both.lhs[:1], margin=both.margin[:1],
-        violated=both.violated[:1],
-    )
+    rows = bell_stack(a, arm_b, arm_c)
+    angles = violation_stack(a, rows.b, rows.c)
+    # a row's bits do not depend on the rows beside it, so the optimum's
+    # margin is its own one-row pass; where d vanishes there is no optimum
+    best = bell_stack(angles.best, rows.b, rows.c)
 
     lhv = None
     if cfg.lhv_audit:
@@ -680,14 +695,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         status="ok",
         config=cfg.echo or {},
         rows=rows,
-        proj_b=arm_b.result(0),
-        proj_c=arm_c.result(0),
-        inequality=rows.report(0),
-        angles=violation_stack(a, arm_b, arm_c),
+        angles=angles,
+        best_margin=None if angles.degenerate[0] else float(best.margin[0]),
         geodesic_1=None if geometry is None else GeodesicSummary.from_path(geometry.geo1),
         geodesic_2=None if geometry is None else GeodesicSummary.from_path(geometry.geo2),
-        best_setting=Direction3(best[0]) if found[0] else None,
-        best_margin=float(both.margin[1]) if found[0] else None,
         lhv=lhv,
         elapsed_s=time.perf_counter() - t0,
     )
@@ -696,62 +707,52 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 # -- serialization ------------------------------------------------------------
 
 
-def _dir_list(d: Direction3 | None) -> list[float] | None:
-    return None if d is None else [float(x) for x in d.d]
+def _direction(arm: ProjectionStack) -> list[float] | None:
+    """A one-row arm's direction; None where it is degenerate."""
+    return None if arm.degenerate[0] else arm.direction[0].tolist()
+
+
+def _projection(arm: ProjectionStack) -> dict:
+    """The JSON block of a one-row arm."""
+    return {
+        "w": float(arm.w[0]),
+        "direction": _direction(arm),
+        "time_component": float(arm.time_component[0]),
+        "degenerate": bool(arm.degenerate[0]),
+    }
 
 
 def report_to_dict(report: RunReport) -> dict:
     """JSON-ready view of a run; excludes wall-clock time so output is stable."""
-    ineq = report.inequality
+    rows, angles = report.rows, report.angles
+    proj_b, proj_c = _caller_arms(rows)
     out = {
         "status": report.status,
         "config": report.config,
-        "projections": {
-            "b": {
-                "w": report.proj_b.w,
-                "direction": _dir_list(report.proj_b.direction),
-                "time_component": report.proj_b.time_component,
-                "degenerate": report.proj_b.degenerate,
-            },
-            "c": {
-                "w": report.proj_c.w,
-                "direction": _dir_list(report.proj_c.direction),
-                "time_component": report.proj_c.time_component,
-                "degenerate": report.proj_c.degenerate,
-            },
-        },
+        "projections": {"b": _projection(proj_b), "c": _projection(proj_c)},
         "inequality": {
-            "lhs": ineq.lhs,
-            "rhs": ineq.rhs,
-            "margin": ineq.margin,
-            "violated": ineq.violated,
-            "w_b": ineq.w_b,
-            "w_c": ineq.w_c,
-            "b_direction": _dir_list(ineq.b_direction),
-            "c_direction": _dir_list(ineq.c_direction),
-            "swapped": ineq.swapped,
+            "lhs": float(rows.lhs[0]),
+            "rhs": float(rows.rhs[0]),
+            "margin": float(rows.margin[0]),
+            "violated": bool(rows.violated[0]),
+            "w_b": float(rows.b.w[0]),
+            "w_c": float(rows.c.w[0]),
+            "b_direction": _direction(rows.b),
+            "c_direction": _direction(rows.c),
+            "swapped": bool(rows.swapped[0]),
         },
         "violation_angles": {
-            "d": report.angles.d[0].tolist(),
-            "cos_phi": float(report.angles.cos_phi[0]),
-            "cos_theta": float(report.angles.cos_theta[0]),
-            "condition_holds": bool(report.angles.condition_holds[0]),
-            "degenerate": bool(report.angles.degenerate[0]),
+            "d": angles.d[0].tolist(),
+            "cos_phi": float(angles.cos_phi[0]),
+            "cos_theta": float(angles.cos_theta[0]),
+            "condition_holds": bool(angles.condition_holds[0]),
+            "degenerate": bool(angles.degenerate[0]),
         },
-        "best_setting": _dir_list(report.best_setting),
+        "best_setting": None if angles.degenerate[0] else angles.best[0].tolist(),
         "best_margin": report.best_margin,
     }
     for label, summary in (("geodesic_1", report.geodesic_1), ("geodesic_2", report.geodesic_2)):
-        out[label] = (
-            None
-            if summary is None
-            else {
-                "tau_end": summary.tau_end,
-                "endpoint": summary.endpoint,
-                "drift": summary.drift,
-                "stats": summary.stats,
-            }
-        )
+        out[label] = None if summary is None else asdict(summary)
     if report.lhv is not None:
         out["lhv_audit"] = {
             "model": report.lhv.model,

@@ -5,8 +5,9 @@ writes its connection terms out by hand, and transport uses a closed-form
 propagator. christoffel_components is the closed-form table both are
 checked against, and finite_difference_christoffel rebuilds that table
 from the metric. column_list_frames, row_vecmat_invariants and the
-earlier_* functions are the earlier forms of the package's kernels, kept so
-that tests can pin the faster forms to their bits, and metric_matrices
+earlier_* functions are the earlier forms of the package's kernels and of
+its JSON report, kept so that tests can pin the newer forms to their bits,
+and metric_matrices
 rebuilds the full metric matrices they contract from the stored diagonals.
 The adapters below give the stack kernels a one-row call shape, on the
 package's public one-row objects, that several tests share, and csv_cells
@@ -463,9 +464,91 @@ def generalized_bell_check(triple, proj_b, proj_c):
 
 def violation_angles(triple, proj_b, proj_c):
     """violation_stack's row of one triple's setting a and one pair of arms."""
-    arm_b, arm_c = ProjectionStack.of([proj_b]), ProjectionStack.of([proj_c])
-    stack = violation_stack(triple.a.d[None], arm_b, arm_c)
+    a = triple.a.d[None]
+    rows = bell_stack(a, ProjectionStack.of([proj_b]), ProjectionStack.of([proj_c]))
+    stack = violation_stack(a, rows.b, rows.c)
     return type(stack)(*(field[0] for field in stack))
+
+
+def _dir_list(d):
+    return None if d is None else [float(x) for x in d.d]
+
+
+def earlier_report_to_dict(report):
+    """scenario.report_to_dict as it read a run's public one-row views,
+    before it read the run's arrays."""
+    ineq = report.inequality
+    out = {
+        "status": report.status,
+        "config": report.config,
+        "projections": {
+            "b": {
+                "w": report.proj_b.w,
+                "direction": _dir_list(report.proj_b.direction),
+                "time_component": report.proj_b.time_component,
+                "degenerate": report.proj_b.degenerate,
+            },
+            "c": {
+                "w": report.proj_c.w,
+                "direction": _dir_list(report.proj_c.direction),
+                "time_component": report.proj_c.time_component,
+                "degenerate": report.proj_c.degenerate,
+            },
+        },
+        "inequality": {
+            "lhs": ineq.lhs,
+            "rhs": ineq.rhs,
+            "margin": ineq.margin,
+            "violated": ineq.violated,
+            "w_b": ineq.w_b,
+            "w_c": ineq.w_c,
+            "b_direction": _dir_list(ineq.b_direction),
+            "c_direction": _dir_list(ineq.c_direction),
+            "swapped": ineq.swapped,
+        },
+        "violation_angles": {
+            "d": report.angles.d[0].tolist(),
+            "cos_phi": float(report.angles.cos_phi[0]),
+            "cos_theta": float(report.angles.cos_theta[0]),
+            "condition_holds": bool(report.angles.condition_holds[0]),
+            "degenerate": bool(report.angles.degenerate[0]),
+        },
+        "best_setting": _dir_list(report.best_setting),
+        "best_margin": report.best_margin,
+    }
+    for label, summary in (("geodesic_1", report.geodesic_1), ("geodesic_2", report.geodesic_2)):
+        out[label] = (
+            None
+            if summary is None
+            else {
+                "tau_end": summary.tau_end,
+                "endpoint": summary.endpoint,
+                "drift": summary.drift,
+                "stats": summary.stats,
+            }
+        )
+    if report.lhv is not None:
+        out["lhv_audit"] = {
+            "model": report.lhv.model,
+            "n": report.lhv.n,
+            "seed": report.lhv.seed,
+            "passed": report.lhv.passed,
+            "rows": [
+                {
+                    "index": r.index,
+                    "lhs": r.lhs,
+                    "rhs": r.rhs,
+                    "margin": r.margin,
+                    "combined_stderr": r.combined_stderr,
+                    "margin_stderr": r.margin_stderr,
+                    "satisfied": r.satisfied,
+                }
+                for r in report.lhv.rows
+            ],
+        }
+    else:
+        out["lhv_audit"] = None
+    return out
 
 
 def csv_cells(line):

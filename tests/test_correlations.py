@@ -11,7 +11,7 @@ from grbell import (
     find_max_violation,
     make_projection,
 )
-from grbell.correlations import ARM_ORDER_ULP, bell_stack, optimal_settings, violation_stack
+from grbell.correlations import ARM_ORDER_ULP, bell_stack, violation_stack
 from grbell.frames import ProjectionStack
 from conftest import random_direction
 from reference import (
@@ -255,8 +255,8 @@ def test_stacked_rows_equal_one_row_evaluations(rng):
     arm_c = ProjectionStack.of([pc for _, pc in pairs])
     a = np.array([random_direction(rng).d for _ in pairs])
     ineq = bell_stack(a, arm_b, arm_c)
-    angles = violation_stack(a, arm_b, arm_c)
-    best, found = optimal_settings(arm_b, arm_c)
+    angles = violation_stack(a, ineq.b, ineq.c)
+    best, found = angles.best, ~angles.degenerate
     for j, (pb, pc) in enumerate(pairs):
         triple = SettingsTriple(Direction3(a[j]), Direction3(a[j]), Direction3(a[j]))
         one = generalized_bell_check(triple, pb, pc)
@@ -298,8 +298,8 @@ def test_bound_angle_test_and_optimum_agree_in_either_arm_order():
     arm_b, arm_c = _random_arms(rng, k)
     a = _unit_rows(rng, k)
     ineq = bell_stack(a, arm_b, arm_c)
-    angles = violation_stack(a, arm_b, arm_c)
-    best, found = optimal_settings(arm_b, arm_c)
+    angles = violation_stack(a, ineq.b, ineq.c)
+    best, found = angles.best, ~angles.degenerate
     assert 9000 < ineq.swapped.sum() < 11000
     clear = np.abs(ineq.margin) > 1e-9
     assert clear.sum() > 19000

@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from grbell import (
+    DegenerateD,
+    Direction3,
     HorizonApproach,
     MetricSpec,
     ParseError,
@@ -30,13 +32,14 @@ from grbell import (
     run_sweep,
     schwarzschild_demo_config,
 )
-from grbell import geodesics, scenario
+from grbell import correlations, geodesics, scenario
 from grbell.cli import EXIT_CONFIG, EXIT_OK, main
 from grbell.correlations import ARM_ORDER_ULP, bell_stack
 from grbell.frames import ProjectionStack
 from grbell.geodesics import emission_event, leg_start
 from grbell.scenario import CSV_HEADER, SweepSpec, csv_row, error_row
-from reference import csv_cells
+from reference import csv_cells, earlier_report_to_dict
+from test_leg_stack import batch_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -254,8 +257,9 @@ def test_a_null_leg_reaches_its_radius_stop_at_any_affine_scale():
 
 
 def test_a_run_reads_its_rows_and_best_margin_from_one_bell_stack():
-    # the best setting rides as a second row of a: the run's row and the
-    # best margin are the bits of two separate bell_stack calls
+    # the run takes its row from one bell_stack and its best margin from a
+    # one-row bell_stack on that stack's ordered arms: both are the bits of
+    # separate bell_stack calls on the caller's arms
     synthetic = {"w_b": 0.7, "b": [0.0, 1.0, 0.0], "w_c": 0.7, "c": [0.0, 1.0, 0.0]}
     documents = [flat_baseline_config(), schwarzschild_demo_config(), null_leg_demo(1.0),
                  {"settings": flat_baseline_config()["settings"], "synthetic": synthetic}]
@@ -278,6 +282,88 @@ def test_a_run_reads_its_rows_and_best_margin_from_one_bell_stack():
         else:
             assert report.best_margin is None
     assert found == [True, True, True, False]
+
+
+def _random_settings(rng):
+    a_deg, b_deg, c_deg = rng.uniform(0.0, 360.0, 3).tolist()
+    return {"a_deg": a_deg, "b_deg": b_deg, "c_deg": c_deg}
+
+
+def _seeded_batch_configs(rng, count):
+    """The first count seeded configs in the scenario batch's shapes, each
+    with its own random settings."""
+    return [{**batch_config(7, k), "settings": _random_settings(rng)} for k in range(count)]
+
+
+def _synthetic_documents(rng, count):
+    """Synthetic runs whose arms swap, with a degenerate arm (w_c = 0) and a
+    vanishing d (w_b = w_c, b = c) among them."""
+    documents = []
+    for j in range(count):
+        w_b, w_c = rng.uniform(0.0, 1.0, 2).tolist()
+        b, c = rng.standard_normal(3).tolist(), rng.standard_normal(3).tolist()
+        if j % 7 == 0:
+            w_c = 0.0
+        if j % 5 == 0:
+            w_c, c = w_b, b
+        documents.append({"settings": _random_settings(rng), "synthetic": {"w_b": w_b, "b": b, "w_c": w_c, "c": c}})
+    return documents
+
+
+def _plain(value):
+    """A one-row view as plain values, its directions as lists; repr compares the bits."""
+    if isinstance(value, Direction3):
+        return value.d.tolist()
+    if dataclasses.is_dataclass(value):
+        return {name: _plain(v) for name, v in vars(value).items()}
+    return value
+
+
+def test_a_run_reports_from_its_arrays_as_it_did_from_its_views():
+    # report_to_dict reads the run's arrays, and the four views are built
+    # from them when read: both keep the bits of the views a run built
+    # eagerly from its arms
+    rng = np.random.default_rng(4040)
+    documents = _seeded_batch_configs(rng, 400) + _synthetic_documents(rng, 60)
+    swapped = degenerate = vanishing = 0
+    for data in documents:
+        cfg = config_from_dict(data)
+        report = run_scenario(cfg)
+        a, b, c = scenario._settings_rows(cfg.settings)
+        arm_b, arm_c, _ = scenario._arms(scenario._geometry(cfg), b, c, cfg.synthetic)
+        proj_b, proj_c = arm_b.result(0), arm_c.result(0)
+        try:
+            best = find_max_violation(proj_b, proj_c, "analytic")[0]
+        except DegenerateD:
+            best = None
+        eager = (proj_b, proj_c, bell_stack(a, arm_b, arm_c).report(0), best)
+        views = (report.proj_b, report.proj_c, report.inequality, report.best_setting)
+        assert [repr(_plain(v)) for v in views] == [repr(_plain(v)) for v in eager]
+        expected = json.dumps(earlier_report_to_dict(report), sort_keys=True, indent=2) + "\n"
+        assert scenario.report_to_json(report) == expected
+        swapped += report.inequality.swapped
+        degenerate += report.inequality.degenerate
+        vanishing += best is None
+    assert swapped > 0 and degenerate > 0 and vanishing > 0
+
+
+def test_a_run_forms_d_once(monkeypatch):
+    # the angles and the optimum share one weighted difference
+    calls = []
+    original = correlations._weighted_differences
+
+    def counting(arm_b, arm_c):
+        calls.append(len(arm_b.w))
+        return original(arm_b, arm_c)
+
+    monkeypatch.setattr(correlations, "_weighted_differences", counting)
+    swapped = {"settings": flat_baseline_config()["settings"],
+               "synthetic": {"w_b": 0.5, "b": [0, 1, 0], "w_c": 0.9, "c": [1, 0, 0]}}
+    for data in (flat_baseline_config(), schwarzschild_demo_config(), swapped):
+        data["lhv_audit"] = False
+        calls.clear()
+        scenario.report_to_json(run_scenario(config_from_dict(data)))
+        assert calls == [1]
 
 
 def test_synthetic_conflicts_with_geometry():
