@@ -39,11 +39,13 @@ maximum where that does, is refused (StepFailure). So is a stop below the
 start of an outward leg that escapes, where V ahead (its maximum, if that
 lies ahead, and its far limit) stays below E^2; above an inward leg that
 nothing below turns back, the leg meets the guard first (HorizonApproach).
-A stepped leg keeps E and L to the drift bound, its margin in each
-comparison. A radial leg's are exact: it compares with no margin, and
-measures V from its start, (u^r0)^2 = E^2 - V(r0) against V(r) - V(r0) =
-2 eps (r - r0) / (r r0), the terms its closed form sums, so the two read
-one sign. A radial leg meets any other stop, however long the leg.
+A stepped leg compares with the drift bound as its margin: its E and L are
+exact, but its integrated u^r, and so its turning points, move with its
+norm's drift. A radial leg, in closed form, has no such drift: it compares
+with no margin, and measures V from its start, (u^r0)^2 = E^2 - V(r0)
+against V(r) - V(r0) = 2 eps (r - r0) / (r r0), the terms its closed form
+sums, so the two read one sign. A radial leg meets any other stop, however
+long the leg.
 
 A radial Schwarzschild leg, u^theta = u^phi = 0, is in closed form too,
 and stores its two ends. E = f u^t is conserved, so u^t = E / f and
@@ -58,27 +60,43 @@ coordinate-time stop inverts the increasing clock with the bracketing
 root finder, and raises HorizonApproach if the motion reaches the guard
 radius first. Radial legs take no steps, and their counters read 0.
 
-Every other Schwarzschild leg integrates the 9-component state (x, u,
-psi) with a Dormand-Prince 5(4) stepper on Python floats (J. R. Dormand
-and P. J. Prince, J. Comput. Appl. Math. 6, 19 (1980)), with rtol = tol
-and atol = tol * 1e-3, which mean the same at every mass in units of M. t
-and phi are stepped from the start, so the origin's t does not enter the
-step control, and added back to the stored states. The RMS error norm,
-step-size controller and initial-step rule follow Hairer, Norsett and
-Wanner, Solving ODEs I, sec. II.4, and the quartic dense output L. F.
-Shampine, Math. Comp. 46, 135 (1986), as in the common RK45 solvers.
-Terminal events (target radius, coordinate time, horizon guard) are
-located by bracketing the root on the step's dense interpolant. A stop
-is stepped until it fires, the guard is met, the state turns non-finite
-or MAX_STEPS steps are taken, as a radius stop within the margin of a
-turning point may. The stepper forms its
-trial stages only on the components the right-hand side reads, (r, theta,
-u). A trial step, stages k2 to k7, the new state and its error norm, is
-one straight-line function per state shape, written out from the tableau
-and compiled on first use; it rounds each sum as the list form it
-replaced does.
+Every other Schwarzschild leg is stepped in its orbital plane, since every
+Schwarzschild geodesic lies in a plane through r = 0 with E = f u^t and L
+conserved (Chandrasekhar 1983, sec. 19; MTW ch. 25). Its state is
+(t, r, chi, psi, u^r), chi the angle it has turned through in that plane:
+u^t = E / f and dchi/dtau = L / r^2 are in closed form, and
+du^r/dtau = -eps / r^2 + L^2 / r^3 - 3 L^2 / r^4, so the right-hand side
+reads only (r, u^r) and has no coordinate singularity on the polar axis.
+It is stepped from t = chi = 0 with a Dormand-Prince 5(4) stepper on
+Python floats (J. R. Dormand and P. J. Prince, J. Comput. Appl. Math. 6,
+19 (1980)), with rtol = tol and atol = tol * 1e-3, which mean the same at
+every mass in units of M.
+The RMS error norm, step-size controller and initial-step rule follow
+Hairer, Norsett and Wanner, Solving ODEs I, sec. II.4, and the quartic
+dense output L. F. Shampine, Math. Comp. 46, 135 (1986), as in the common
+RK45 solvers. Terminal events (target radius, coordinate time, horizon
+guard) are located by bracketing the root on the step's dense interpolant.
+A stop is stepped until it fires, the guard is met, the state turns
+non-finite or MAX_STEPS steps are taken. On a radius stop, u^r crossing 0
+away from the stop is an event too: between r_min and r_max an orbit turns
+only at the roots of E^2 - V, so a leg that turns away from its stop first
+never gets there. It is refused at the turn (StepFailure, naming the
+turning radius and tau); that is where a stop within the margin of a
+turning point ends, rather than at MAX_STEPS. The stepper forms its trial
+stages only on the components the right-hand side reads. A trial step,
+stages k2 to k7, the new state and its error norm, is one straight-line
+function per state shape, written out from the tableau and compiled on
+first use; it rounds each sum as the list form it replaced does. Each
+later stored state is turned back into (t, r, theta, phi, u, psi) once, in
+Python floats, with the origin's t and phi added: the leg is at r n, with
+n = cos chi e1 + sin chi e2, where e1 points to the start and e2 along its
+motion in the plane, so theta and phi are n's polar angles (phi kept
+continuous), u^theta and u^phi are L / r^2 times the rates of those angles
+along m = dn/dchi, and L_z = L (e1 x e2)_z to rounding. The first stored
+state is the start as given. A stored state on the polar axis, where n's
+polar angles are undefined, is a StepFailure.
 
-Every Schwarzschild geodesic lies in a plane through r = 0, so a frame
+Since every Schwarzschild geodesic lies in a plane through r = 0, a frame
 parallel along it is algebraic in (x, u) and the one scalar psi (J.-A.
 Marck, Proc. R. Soc. Lond. A 385, 431 (1983)). With u^ the tangent in the
 static tetrad, Lambda = |(u^2, u^3)|, n = (u^2, u^3) / Lambda, E = f u^t and
@@ -383,21 +401,23 @@ def integrate_geodesic(
     converted into units of M first, then checked and run in them, and its
     path is stored in them (see GeodesicPath); the path records spec as
     given. tol controls the local error (relative tol; absolute is tol *
-    1e-3) of the integrated state (x, u, psi), in units of M; flat and
-    radial legs are closed-form. Raises the metric's domain errors for an
-    x0 outside the chart, BadNormalization unless tangent_kind accepts u0
-    and, on a Schwarzschild leg, its Killing energy f u^t is positive,
-    ValidationError for a radius stop at or inside the guard,
+    1e-3) of the integrated state (t, r, chi, psi, u^r) in the leg's
+    orbital plane, in units of M; flat and radial legs are closed-form.
+    Raises the metric's domain errors for an x0 outside the chart,
+    BadNormalization unless tangent_kind accepts u0 and, on a Schwarzschild
+    leg, its Killing energy f u^t is positive, ValidationError for a radius
+    stop at or inside the guard,
     HorizonApproach if the path would cross the guard radius (at once for
     a radius stop above an inward leg that nothing below turns back),
     StepFailure if the leg never meets its stop (a coordinate time before
     the start; on a Schwarzschild leg a radius where the effective
     potential exceeds E^2, or one below the start of an outward leg that
     escapes, both decided by the one test of the module docstring before
-    the leg runs) or a stepped leg does not reach it within MAX_STEPS
-    steps, the state turns non-finite, the step size underflows,
-    conservation drifts exceed max(1e-8, 100 * tol) or the propagator fails
-    to preserve the metric. No leg has a cap on tau.
+    the leg runs; a radius a stepped leg turns back from before it gets
+    there) or a stepped leg does not reach it within MAX_STEPS steps, the
+    state turns non-finite, the step size underflows, conservation drifts
+    exceed max(1e-8, 100 * tol) or the propagator fails to preserve the
+    metric. No leg has a cap on tau.
     """
     (path,) = run_legs([leg_start(emission_event(spec, x0), u0, stop)], tol)
     if isinstance(path, SimulatorError):
@@ -491,16 +511,14 @@ def _merged(outcomes: list, fill) -> list:
 class _Stored(NamedTuple):
     """A leg's stored states, as stepping hands them to _stack_paths: its
     taus and its rows (x, u, psi) as Python floats, in units of M on a
-    Schwarzschild leg, and its stepper counters. A stepped leg's t and phi
-    run from 0, and origin (t0, phi0) is added back to them; -0.0 adds
-    nothing, even to -0.0. A leg of more than one row on Schwarzschild is
-    framed: its path stores Marck's frame's u and P = F F(0)^-1. Any other
-    has psi = 0, P = I and keeps the checked tangent."""
+    Schwarzschild leg and at the caller's t and phi, and its stepper
+    counters. A leg of more than one row on Schwarzschild is framed: its
+    path stores Marck's frame's u and P = F F(0)^-1. Any other has psi = 0,
+    P = I and keeps the checked tangent."""
 
     leg: LegStart
     taus: list[float]
     states: list[Sequence[float]]
-    origin: tuple[float, float] = (-0.0, -0.0)
     nfev: int = 0
     accepted: int = 0
     rejected: int = 0
@@ -588,49 +606,38 @@ def _line_radius_root(x: np.ndarray, v: np.ndarray, radius: float) -> float:
     return rho * scale / speed
 
 
-def _schwarzschild_rhs(kind: str, energy: float, ang_mom: float):
-    """d(x, u, psi)/dtau on the exterior chart of unit mass, as a function of
-    the components (r, theta, u^t, u^r, u^theta, u^phi) it reads.
+def _plane_rhs(kind: str, energy: float, ang_mom: float):
+    """d(t, r, chi, psi, u^r)/dtau of a leg in its orbital plane on the
+    exterior chart of unit mass, chi the angle it has turned through, as a
+    function of the components (r, u^r) it reads.
 
-    The geodesic term Gamma^a_bc u^b u^c is written out over the nine
-    nonzero Christoffel symbols of the closed-form table in tests/reference.py,
-    which the tests check this term against.
+    E and L are conserved: u^t = E / f, dchi/dtau = L / r^2 and
+    du^r/dtau = -eps / r^2 + L^2 / r^3 - 3 L^2 / r^4, eps 1 on a timelike
+    leg and 0 on a null one. That is the radial geodesic equation at
+    theta = pi/2 with u^theta = 0 and u^phi = L / r^2, which the tests
+    check against the closed-form Christoffel table in tests/reference.py.
     States at or inside r = 2 raise HorizonDomain, which makes _dopri
     reject the step; trial stages between the guard and 2 still evaluate,
     so the guard event can locate the crossing.
     """
     timelike = kind == TIMELIKE
+    eps = 1.0 if timelike else 0.0
     L2 = ang_mom * ang_mom
     # dpsi/dtau = -E L / (r^2 + L^2) on timelike legs, -M L / (E r^3) on null ones
     psi_scale = -energy * ang_mom if timelike else -ang_mom / energy
-    sin, cos = math.sin, math.cos
 
     def rhs(y):
-        r, th, ut, ur, uth, uph = y
+        r, ur = y
         if r <= 2.0:
             raise HorizonDomain(f"r = {r} M inside radius 2 M")
-        f = 1.0 - 2.0 / r
-        s, c = sin(th), cos(th)
-        g_tr = 1.0 / (r * r * f)             # Gamma^t_tr = -Gamma^r_rr
-        g_tt = f / (r * r)                   # Gamma^r_tt
-        rf = r * f                           # -Gamma^r_thth
-        inv_r = 1.0 / r                      # Gamma^th_rth = Gamma^ph_rph
-        cot = c / s                          # Gamma^ph_thph
-        uph2 = uph * uph
+        r2 = r * r
         return (
-            ut, ur, uth, uph,
-            -2.0 * g_tr * ut * ur,
-            -g_tt * ut * ut + g_tr * ur * ur + rf * uth * uth + rf * s * s * uph2,
-            -2.0 * inv_r * ur * uth + s * c * uph2,
-            -2.0 * inv_r * ur * uph - 2.0 * cot * uth * uph,
-            psi_scale / (r * r + L2) if timelike else psi_scale / (r * r * r),
+            energy / (1.0 - 2.0 / r), ur, ang_mom / r2,
+            psi_scale / (r2 + L2) if timelike else psi_scale / (r2 * r),
+            -eps / r2 + L2 / (r2 * r) - 3.0 * L2 / (r2 * r2),
         )
 
     return rhs
-
-
-# the components the general right-hand side reads, as _dopri's reads
-_READS = (1, 2, 4, 5, 6, 7)
 
 
 def _schwarzschild_leg(leg: LegStart, tol: float) -> _Stored:
@@ -639,21 +646,23 @@ def _schwarzschild_leg(leg: LegStart, tol: float) -> _Stored:
     A radius stop is first put to the module docstring's one test, which
     refuses it or reports the plunge before the leg runs. A radial leg,
     u^theta = u^phi = 0, is then _radial_leg's closed form. Any other steps
-    the 9-component state; t and phi are stepped from x0 and added back to
-    the stored states.
+    the plane state (t, r, chi, psi, u^r) of _plane_rhs from t = chi = 0,
+    and each later stored state is turned back into (t, r, theta, phi, u,
+    psi) once, with t0 and phi0 added; the first is the start as given.
     """
     kind, x0, u0, stop = leg.kind, leg.x0, leg.u0, leg.stop
     t0, r0, th0, ph0 = x0.tolist()
-    y0 = [0.0, r0, th0, 0.0, *u0.tolist(), 0.0]
-    radial = y0[6] == 0.0 and y0[7] == 0.0
-    energy = (1.0 - 2.0 / r0) * y0[4]
-    ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
+    ut0, ur0, uth0, uph0 = u0.tolist()
+    radial = uth0 == 0.0 and uph0 == 0.0
+    sin0, cos0 = math.sin(th0), math.cos(th0)
+    energy = (1.0 - 2.0 / r0) * ut0
+    ang_mom = r0 * math.hypot(r0 * uth0, r0 * sin0 * uph0)
     what = f"stop condition {stop.kind} = {stop.value} M"
     if stop.kind == STOP_RADIUS:
         # the module docstring's one test, with V's maximum at peak (0 where it has none) and
         # its far limit at far; a radial leg measures V from its start with no margin, in the
         # terms its closed form sums, so that eps - V(r0) = 2 eps / r0
-        eps, ur0, target = (1.0 if kind == TIMELIKE else 0.0), y0[5], stop.value
+        eps, target = (1.0 if kind == TIMELIKE else 0.0), stop.value
         if radial:
             E2, margin, base, far = ur0 * ur0, 1.0, (1.0 - 2.0 / r0) * eps, 2.0 * eps / r0
 
@@ -695,25 +704,42 @@ def _schwarzschild_leg(leg: LegStart, tol: float) -> _Stored:
                 )
     if radial:
         return _radial_leg(leg)
-    rhs = _schwarzschild_rhs(kind, energy, ang_mom)
 
-    # events: (state component, target, direction), the guard last
+    # events: (state component, target, direction), the guard last; on a radius stop, u^r
+    # through 0 away from the stop is a turn the leg never comes back from (module docstring)
     events = []
     if stop.kind == STOP_RADIUS:
-        events.append((1, stop.value, 0))
+        events += [(1, stop.value, 0), (4, 0.0, -1 if stop.value > r0 else 1)]
     elif stop.kind == STOP_COORDINATE_TIME:
         events.append((0, stop.value - t0, 0))
     guard = _UNIT_MASS.guard_radius
     events.append((1, guard, -1))
     tau_end = stop.value if stop.kind == STOP_PROPER_TIME else math.inf
+    # the plane's unit vectors e1 = a toward x0 and e2 = b along its motion, in axes where x0 has phi = 0
+    w = math.hypot(uth0, sin0 * uph0)
+    (a1, a2, a3), (b1, b2, b3) = (sin0, 0.0, cos0), (cos0 * uth0 / w, sin0 * uph0 / w, -sin0 * uth0 / w)
     try:
-        run = _dopri(rhs, y0, tau_end, tol, events, what, _READS)
-    except (ArithmeticError, ValueError) as e:  # e.g. a trial stage on the polar axis
+        run = _dopri(_plane_rhs(kind, energy, ang_mom), [0.0, r0, 0.0, 0.0, ur0], tau_end, tol, events, what, (1, 4))
+        if run.event == len(events) - 1:
+            raise HorizonApproach(f"path reached guard radius {guard} M at tau = {run.taus[-1]} M")
+        if stop.kind == STOP_RADIUS and run.event == 1:
+            raise StepFailure(
+                f"{what} not reached: the leg turns back at r = {run.states[-1][1]} M at tau = {run.taus[-1]} M"
+            )
+        states, last = [[0.0 + t0, r0, th0, 0.0 + ph0, ut0, ur0, uth0, uph0, 0.0]], 0.0
+        for t, r, chi, psi, ur in run.states[1:]:
+            c, s = math.cos(chi), math.sin(chi)
+            nx, ny, nz = c * a1 + s * b1, c * a2 + s * b2, c * a3 + s * b3
+            mx, my, mz = c * b1 - s * a1, c * b2 - s * a2, c * b3 - s * a3
+            rho, rate, phi = math.hypot(nx, ny), ang_mom / (r * r), math.atan2(ny, nx)
+            last = phi = phi + math.tau * round((last - phi) / math.tau)  # phi kept continuous
+            states.append([
+                t + t0, r, math.atan2(rho, nz), phi + ph0, energy / (1.0 - 2.0 / r), ur,
+                rate * (nz * (nx * mx + ny * my) / rho - rho * mz), rate * (nx * my - ny * mx) / (rho * rho), psi,
+            ])
+    except (ArithmeticError, ValueError) as e:  # e.g. a stored state on the polar axis, where rho = 0
         raise StepFailure(f"integration failed: {e}") from None
-    if run.event == len(events) - 1:
-        raise HorizonApproach(f"path reached guard radius {guard} M at tau = {run.taus[-1]} M")
-
-    return _Stored(leg, run.taus, run.states, (t0, ph0), run.nfev, run.accepted, run.rejected)
+    return _Stored(leg, run.taus, states, run.nfev, run.accepted, run.rejected)
 
 
 def _radial_leg(leg: LegStart) -> _Stored:
@@ -1274,7 +1300,6 @@ def _stack_paths(stored: Sequence[_Stored], tol: float) -> list[GeodesicPath | S
     taus = np.fromiter(chain.from_iterable(leg.taus for leg in stored), float, n)
     values = chain.from_iterable(chain.from_iterable(leg.states for leg in stored))
     states = np.fromiter(values, float, 9 * n).reshape(n, 9)
-    states[:, 0:4:3] += np.repeat([leg.origin for leg in stored], counts, axis=0)
     points = np.ascontiguousarray(states[:, :4])
     try:
         g = metric_stack(chart, points)

@@ -81,3 +81,18 @@ def recording_checked_legs(monkeypatch) -> list[RecordedLeg]:
 
     monkeypatch.setattr(geodesics, "_checked_paths", recording)
     return legs
+
+
+def recording_runs(monkeypatch) -> list:
+    """Every run geodesics._dopri returns, in order."""
+    from grbell import geodesics
+
+    runs = []
+    dopri = geodesics._dopri
+
+    def recording(*args):
+        runs.append(dopri(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(geodesics, "_dopri", recording)
+    return runs

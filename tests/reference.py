@@ -1,14 +1,16 @@
 """Reference code that the tests compare the package against.
 
 The package needs no Christoffel symbols: the geodesic right-hand side
-writes its connection terms out by hand, and transport uses a closed-form
-propagator. christoffel_components is the closed-form table both are
-checked against, and finite_difference_christoffel rebuilds that table
-from the metric. column_list_frames, row_vecmat_invariants and the
+is the radial equation of a leg in its orbital plane, and transport uses a
+closed-form propagator. christoffel_components is the closed-form table
+both are checked against, and finite_difference_christoffel rebuilds that
+table from the metric. column_list_frames, row_vecmat_invariants and the
 earlier_* functions are the earlier forms of the package's kernels and of
-its JSON report, kept so that tests can pin the newer forms to their bits,
-and metric_matrices
-rebuilds the full metric matrices they contract from the stored diagonals.
+its JSON report, kept so that tests can pin the newer forms to their bits
+(earlier_schwarzschild_rhs, the nine-component right-hand side general
+legs were stepped on, is also the independent reference of the stepper's
+error), and metric_matrices rebuilds the full metric matrices they
+contract from the stored diagonals.
 The adapters below give the stack kernels a one-row call shape, on the
 package's public one-row objects, that several tests share, and csv_cells
 reads a CSV line back as its named cells.
@@ -164,13 +166,21 @@ def earlier_metric_check(d, propagators, sizes=None):
     return residual
 
 
-def earlier_leg_arrays(kind, taus, states, t0, ph0):
+def earlier_leg_arrays(kind, taus, states, x0, u0):
     """A Schwarzschild leg's arrays from the stepper's lists, built with
     np.array and the 16-column frames: (taus, points, integrated tangents,
-    propagators, sizes, metrics, stored tangents)."""
+    propagators, sizes, metrics, stored tangents). states are rows (x, u,
+    psi) of a closed-form leg, or the plane states (t, r, chi, psi, u^r) of
+    a leg stepped from x0 with tangent u0, each later one turned back into
+    (x, u, psi) by earlier_plane_row."""
+    if len(states[0]) == 5:
+        t0, r0, th0, ph0 = x0.tolist()
+        rows, phi = [[0.0 + t0, r0, th0, 0.0 + ph0, *u0.tolist(), 0.0]], 0.0
+        for state in states[1:]:
+            row, phi = earlier_plane_row(x0.tolist(), u0.tolist(), state, phi)
+            rows.append(row)
+        states = rows
     states = np.array(states)
-    states[:, 0] += t0
-    states[:, 3] += ph0
     points = np.ascontiguousarray(states[:, :4])
     unit_mass = MetricSpec(SCHWARZSCHILD, 1.0)
     frames = column_list_frames(unit_mass, kind, points, states[:, 4:8], states[:, 8])
@@ -181,6 +191,66 @@ def earlier_leg_arrays(kind, taus, states, t0, ph0):
         np.array(taus), points, states[:, 4:8], propagators, np.abs(frames) @ np.abs(inverse),
         metric_stack(unit_mass, points), np.ascontiguousarray(frames[:, :, 0]),
     )
+
+
+def earlier_plane_row(x0, u0, state, phi_before):
+    """The row (x, u, psi) of a plane state (t, r, chi, psi, u^r) of the leg
+    from x0 with tangent u0 (lists) at unit mass, and its phi less phi0:
+    the leg is at r n and moves along m in the plane of x0 and u0, with
+    n = cos chi e1 + sin chi e2 and m = dn/dchi in Cartesian axes where x0
+    lies at phi = 0, and phi is taken within pi of phi_before."""
+    t0, r0, th0, ph0 = x0
+    ut0, _, uth0, uph0 = u0
+    t, r, chi, psi, ur = state
+    sin0, cos0 = math.sin(th0), math.cos(th0)
+    energy = (1.0 - 2.0 / r0) * ut0
+    L = r0 * math.hypot(r0 * uth0, r0 * sin0 * uph0)
+    w = math.hypot(uth0, sin0 * uph0)
+    e1 = [sin0, 0.0, cos0]
+    e2 = [cos0 * uth0 / w, sin0 * uph0 / w, -sin0 * uth0 / w]
+    c, s = math.cos(chi), math.sin(chi)
+    n = [c * e1[i] + s * e2[i] for i in range(3)]
+    m = [c * e2[i] - s * e1[i] for i in range(3)]
+    rho = math.hypot(n[0], n[1])
+    phi = math.atan2(n[1], n[0])
+    phi += 2.0 * math.pi * round((phi_before - phi) / (2.0 * math.pi))
+    u_theta = L / (r * r) * (n[2] * (n[0] * m[0] + n[1] * m[1]) / rho - rho * m[2])
+    u_phi = L / (r * r) * (n[0] * m[1] - n[1] * m[0]) / (rho * rho)
+    return [t + t0, r, math.atan2(rho, n[2]), phi + ph0, energy / (1.0 - 2.0 / r), ur, u_theta, u_phi, psi], phi
+
+
+def earlier_schwarzschild_rhs(kind, energy, ang_mom):
+    """d(x, u, psi)/dtau on the exterior chart of unit mass from (r, theta,
+    u^t, u^r, u^theta, u^phi): the nine-component right-hand side the
+    stepper ran general legs on before they were stepped in their orbital
+    plane, with the geodesic term written out over the nine nonzero
+    Christoffel symbols of christoffel_components, and a cot theta term."""
+    timelike = kind == TIMELIKE
+    L2 = ang_mom * ang_mom
+    psi_scale = -energy * ang_mom if timelike else -ang_mom / energy
+
+    def rhs(y):
+        r, th, ut, ur, uth, uph = y
+        if r <= 2.0:
+            raise HorizonDomain(f"r = {r} M inside radius 2 M")
+        f = 1.0 - 2.0 / r
+        s, c = math.sin(th), math.cos(th)
+        g_tr = 1.0 / (r * r * f)
+        g_tt = f / (r * r)
+        rf = r * f
+        inv_r = 1.0 / r
+        cot = c / s
+        uph2 = uph * uph
+        return (
+            ut, ur, uth, uph,
+            -2.0 * g_tr * ut * ur,
+            -g_tt * ut * ut + g_tr * ur * ur + rf * uth * uth + rf * s * s * uph2,
+            -2.0 * inv_r * ur * uth + s * c * uph2,
+            -2.0 * inv_r * ur * uph - 2.0 * cot * uth * uph,
+            psi_scale / (r * r + L2) if timelike else psi_scale / (r * r * r),
+        )
+
+    return rhs
 
 
 # the Dormand-Prince 5(4) tableau as earlier_dopri writes it, a copy kept

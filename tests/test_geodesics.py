@@ -14,7 +14,8 @@ from grbell import (
     integrate_geodesic,
 )
 from grbell.geodesics import STOP_SNAP
-from conftest import recording_checked_legs
+from conftest import recording_checked_legs, recording_runs
+from reference import earlier_dopri, earlier_schwarzschild_rhs
 from grbell.scenario import GeodesicSummary
 
 M = 1.0
@@ -92,6 +93,57 @@ def test_conservation_drift_long_path(schw):
     assert drift["angular_momentum"] < 1e-8
 
 
+# an escaping null ray from 18 M, slightly inward at first, toward far radius stops
+FAR_NULL_X0 = np.array([-1.9965324707582255, 18.077444470063362, 1.2051954868091033, -1.7959662962168639])
+FAR_NULL_U0 = np.array([1.0603762914687531, -0.29755301323451294, -0.023994322356864748, -0.049990909315967856])
+
+
+@pytest.mark.parametrize("stop", [
+    StopCondition.radius(1000.0), StopCondition.radius(3000.0), StopCondition.radius(1e4),
+    StopCondition.proper_time(3000.0),
+], ids=["r1000", "r3000", "r1e4", "tau3000"])
+def test_a_long_null_leg_keeps_its_angular_momentum(schw, stop):
+    # the plane state keeps E and L exact, so L_z drifts only by rounding
+    # however long the leg; the nine-component state drifted with the
+    # leg's length, past its 1e-8 bound at 3000 M (1.5e-8), 1e4 M (1.2e-7)
+    # and tau = 3000 (1.0e-8)
+    path = integrate_geodesic(schw, FAR_NULL_X0, FAR_NULL_U0, stop, 1e-10)
+    if stop.kind == "radius":
+        assert path.points[-1, 1] == stop.value
+    else:
+        assert path.tau_end == stop.value
+    assert path.drift["angular_momentum"] <= 1e-14
+    assert path.drift["energy"] <= 1e-14
+    assert path.drift["norm"] <= 1e-9
+
+
+def test_a_near_polar_leg_steps_as_its_rotation_onto_the_equator(schw, monkeypatch):
+    # leg 1 of the polar config with its theta component at -0.99999999: it
+    # passes within 7e-6 rad of the pole, where the nine-component state's
+    # cot theta term took 5,234 nfev against 146 on the equator. The plane
+    # state reads only (r, u^r), so the same E, L and u^r on the equator
+    # take the same steps bit for bit
+    runs = recording_runs(monkeypatch)
+    r0, theta0, speed = 10.0, 0.05, 0.3
+    f, gamma = 1.0 - 2.0 / r0, 1.0 / math.sqrt(1.0 - speed * speed)
+    toward_pole, along_phi = -0.99999999, math.sqrt(1.0 - 0.99999999**2)
+    u_theta = gamma * speed * toward_pole / r0
+    u_phi = gamma * speed * along_phi / (r0 * math.sin(theta0))
+    polar = np.array([gamma / math.sqrt(f), 0.0, u_theta, u_phi])
+    L_over_r0 = math.hypot(r0 * u_theta, r0 * math.sin(theta0) * u_phi)
+    equatorial = np.array([polar[0], 0.0, 0.0, L_over_r0 / r0])
+    assert r0 * equatorial[3] == L_over_r0
+    stop = StopCondition.proper_time(20.0)
+    paths = [
+        integrate_geodesic(schw, np.array([0.0, r0, theta, 0.0]), u0, stop)
+        for theta, u0 in ((theta0, polar), (math.pi / 2, equatorial))
+    ]
+    assert paths[0].taus.tobytes() == paths[1].taus.tobytes()
+    assert paths[0].nfev == paths[1].nfev == 104
+    assert paths[0].points[-1, 1] == paths[1].points[-1, 1]
+    assert np.array(runs[0].states).tobytes() == np.array(runs[1].states).tobytes()
+
+
 def test_angular_momentum_drift_is_relative_at_any_mass():
     # at M = 1e-160, L_z ~ 4M varies by 1e-6 of itself along the path; an
     # absolute floor of 1 would read that drift as about 1e-166
@@ -111,16 +163,18 @@ def test_angular_momentum_drift_is_relative_at_any_mass():
 def test_null_angular_momentum_drift_does_not_depend_on_the_scale_of_u(schw, monkeypatch):
     # a null tangent's scale is free: E and L_z scale with it, and so does
     # their floor E(0) M. The null config's photon u1, integrated at scale 1
-    # and its tangents scaled by 2^-60, reads the same L_z drift; a floor of
-    # M read 9.5e-28 against 7.9e-11
+    # with its u^phi perturbed by up to 1e-6 of itself (the plane state keeps
+    # L exact), reads the same L_z drift with its tangents scaled by 2^-60;
+    # a floor of M reads 8.3e-24 there against 1e-6
     from grbell import geodesics
 
     checks = recording_checked_legs(monkeypatch)
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     u1 = np.array([1.118033988749895, 0.2683281572999747, 0.0, 0.09539392014169457])
     integrate_geodesic(schw, x0, u1, StopCondition.radius(14.0))
-    kind, points, tangents = checks[-1].kind, checks[-1].points, checks[-1].tangents
+    kind, points, tangents = checks[-1].kind, checks[-1].points, checks[-1].tangents.copy()
     assert kind == "null"
+    tangents[:, 3] *= 1.0 + 1e-6 * np.linspace(0.0, 1.0, len(points))
     drifts = [
         geodesics._conservation_drift(
             geodesics._UNIT_MASS, [kind], [len(points)], points, tangents * scale, checks[-1].g
@@ -306,22 +360,29 @@ def test_step_budget_bounds_one_integration(schw, monkeypatch):
         integrate_geodesic(schw, x0, u0, stop)
 
 
-def test_far_radius_target_hits_the_step_budget(schw, monkeypatch):
-    # 10.001 M lies off the circular orbit at 10 M, but within the effective
-    # potential's margin, so the leg is stepped; it never gets there, and
-    # the step budget ends the run
-    from grbell import geodesics
-
-    monkeypatch.setattr(geodesics, "MAX_STEPS", 200)
-    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
-    with pytest.raises(StepFailure, match="200 steps"):
-        integrate_geodesic(schw, x0, circular_orbit_tangent(10.0, x0), StopCondition.radius(10.001))
-
-
 # from r0 = 30 M with static-tetrad velocity 0.05 radial (outward) and 0.19
 # azimuthal: a bound orbit with E = 0.98530 and L = 5.813 M that spans 23.6
 # to 42.6 M
 BOUND_ORBIT_U = np.array([1.0556733370402644, 0.04926475572854568, 0.0, 0.006459223131359831])
+
+
+def test_a_radius_stop_past_the_turning_point_ends_at_the_turn(schw, monkeypatch):
+    # the stop lies off the orbit, but within the effective potential's
+    # margin, so the leg is stepped: on the circular orbit 10.001 M above
+    # it, and 1e-6 M past the bound orbit's apocentre at 42.6245 M. Each
+    # turns away from its stop before reaching it, so the turn event on u^r
+    # refuses it at the turn, in a few dozen of the MAX_STEPS steps it took
+    # to refuse before
+    runs = recording_runs(monkeypatch)
+    legs = [
+        (10.0, circular_orbit_tangent(10.0, None), 10.001, r"r = 10\.0 M at tau = 0\.0 M"),
+        (30.0, BOUND_ORBIT_U, 42.62449457897236, r"r = 42\.62449\d+ M at tau = 434\.7\d+ M"),
+    ]
+    for r0, u0, radius, where in legs:
+        x0 = np.array([0.0, r0, math.pi / 2, 0.0])
+        with pytest.raises(StepFailure, match=rf"radius = {radius} M not reached: the leg turns back at {where}"):
+            integrate_geodesic(schw, x0, u0, StopCondition.radius(radius))
+        assert runs[-1].event == 1 and runs[-1].accepted <= 50
 
 
 def test_a_bound_orbit_reaches_a_stop_past_its_apocentre_and_is_refused_one_beyond_it(schw):
@@ -508,23 +569,28 @@ def test_proper_time_stop_ends_at_its_value_within_max_tau(schw):
     assert path.tau_end == 5.0
 
 
-def test_halving_tolerance_halves_error(schw):
-    # terminal-state error against a tight reference, fixed proper-time stop
+def test_terminal_error_follows_the_tolerance(schw):
+    # terminal-state error at a fixed proper-time stop, on a mildly
+    # eccentric orbit, against an independent reference: the nine-component
+    # right-hand side stepped by earlier_dopri at tol 1e-13. A stepper whose
+    # local error follows tol keeps error / tol within a factor 2 over three
+    # decades of tol; one that ignores tol, or runs at tol^0.8, does not
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     uphi = 3.7 / 100.0
     ut = math.sqrt((1.0 + 100.0 * uphi**2) / 0.8)
     u0 = np.array([ut, 0.0, 0.0, uphi])
     stop = StopCondition.proper_time(100.0)
 
-    ref = integrate_geodesic(schw, x0, u0, stop, 1e-12)
-    ref_end = np.concatenate([ref.points[-1], ref.tangents[-1]])
+    rhs = earlier_schwarzschild_rhs("timelike", 0.8 * ut, 100.0 * uphi)
+    ref = earlier_dopri(rhs, [*x0, *u0, 0.0], stop.value, 1e-13, [], "stop", (1, 2, 4, 5, 6, 7))
+    ref_end = np.array(ref.states[-1][:8])
 
     def terminal_error(tol):
         p = integrate_geodesic(schw, x0, u0, stop, tol)
         return np.max(np.abs(np.concatenate([p.points[-1], p.tangents[-1]]) - ref_end))
 
-    for tol in (1e-8, 5e-9):
-        assert terminal_error(tol / 2.0) <= terminal_error(tol) / 2.0
+    ratios = [terminal_error(tol) / tol for tol in (1e-8, 1e-9, 1e-10, 1e-11)]
+    assert max(ratios) <= 2.0 * min(ratios), ratios
 
 
 def test_flat_leg_is_a_straight_line_with_identity_propagator(flat):

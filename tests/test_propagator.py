@@ -191,20 +191,31 @@ def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):
 
 
 def test_hand_written_geodesic_term_matches_the_christoffel_symbols(schw, rng):
-    # each right-hand side takes the components it reads; a radial leg's
-    # gives du^t and du^r, and u^theta and u^phi stay 0
-    rhs = geodesics._schwarzschild_rhs("timelike", 1.0, 1.0)  # unit mass, as schw
-    for _ in range(200):
+    # each right-hand side takes the components it reads. The plane one, of
+    # a leg with energy E and angular momentum L, is the geodesic equation
+    # at theta = pi/2 with u^theta = 0, u^t = E / f and u^phi = L / r^2: it
+    # gives that u^t and u^phi, and du^r (the table's du^theta there is
+    # sin cos (u^phi)^2, 0 but for cos(pi/2) = 6e-17 in floats). A radial
+    # leg's gives du^t and du^r, and u^theta and u^phi stay 0
+    for i in range(200):
         x = random_exterior_point(rng)
         u = rng.standard_normal(4)
         radial = np.array([u[0], u[1], 0.0, 0.0])
-        for acceleration, u in (
-            (np.array(rhs([x[1], x[2], *u])[4:8]), u),
-            (np.array([*earlier_radial_rhs([x[1], u[0], u[1]])[2:], 0.0, 0.0]), radial),
+        kind, eps = ("timelike", 1.0) if i % 2 else ("null", 0.0)
+        r, ur, L = x[1], u[1], 4.0 * u[3]
+        f = 1.0 - 2.0 / r
+        energy = math.sqrt(ur * ur + f * (eps + L * L / (r * r)))
+        in_plane = np.array([x[0], r, math.pi / 2, x[3]])
+        plane = np.array([energy / f, ur, 0.0, L / (r * r)])
+        rates = geodesics._plane_rhs(kind, energy, L)((r, ur))
+        assert (rates[0], rates[1], rates[2]) == (plane[0], ur, plane[3])
+        for acceleration, point, u, rows in (
+            (np.array([rates[4]]), in_plane, plane, [1]),
+            (np.array([*earlier_radial_rhs([x[1], u[0], u[1]])[2:], 0.0, 0.0]), x, radial, [0, 1, 2, 3]),
         ):
-            G = christoffel_components(schw, x)
-            expected = -(G @ u @ u)
-            scale = np.abs(G) @ np.abs(u) @ np.abs(u)
+            G = christoffel_components(schw, point)
+            expected = -(G @ u @ u)[rows]
+            scale = (np.abs(G) @ np.abs(u) @ np.abs(u))[rows]
             assert np.all(np.abs(acceleration - expected) <= 4.0 * EPS * scale)
 
 
@@ -377,11 +388,12 @@ def radial_leg(rng):
 
 
 def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
-    """Each leg's stepper run, on the components its right-hand side reads,
-    equals the run on the whole right-hand side, and the run of
-    earlier_dopri on the same arguments. Returns each leg's outcome, as
-    (exception class name or "ok", the right-hand side it stepped on or
-    None)."""
+    """Each leg's stepper run, on the components (r, u^r) its plane
+    right-hand side reads, equals the run of earlier_dopri on the same
+    arguments, and the run of earlier_dopri over all five components of
+    the plane state on that right-hand side, rebuilt from the leg's E and
+    L. Returns each leg's outcome, as (exception class name or "ok", the
+    right-hand side it stepped on or None)."""
     calls, outcomes = [], []
     dopri = geodesics._dopri
 
@@ -409,12 +421,12 @@ def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
         args, found = calls[stepped]
         assert found == run_outcome(lambda: earlier_dopri(*args))
         rhs, y0, cap, _, events, what, _ = args
-        r0, th0 = y0[1], y0[2]
-        energy = (1.0 - 2.0 / r0) * y0[4]
-        ang_mom = r0 * math.hypot(r0 * y0[6], r0 * math.sin(th0) * y0[7])
-        whole_rhs = geodesics._schwarzschild_rhs(kind, energy, ang_mom)
-        expected = run_outcome(lambda: dopri(
-            lambda y: whole_rhs(y[1:3] + y[4:8]), y0, cap, tol, events, what))
+        r0, th0 = x0[1], x0[2]
+        energy = (1.0 - 2.0 / r0) * u0[0]
+        ang_mom = r0 * math.hypot(r0 * u0[2], r0 * math.sin(th0) * u0[3])
+        plane_rhs = geodesics._plane_rhs(kind, energy, ang_mom)
+        expected = run_outcome(lambda: earlier_dopri(
+            lambda y: plane_rhs((y[1], y[4])), y0, cap, tol, events, what))
         assert found == expected
         outcomes.append((outcome, rhs))
     return outcomes
@@ -623,8 +635,8 @@ def test_radial_legs_at_extreme_inputs_end_finite_or_fail(schw):
 
 
 def test_general_legs_step_like_the_whole_state(schw, rng, monkeypatch):
-    # a general leg forms its trial stages on the six components its
-    # right-hand side reads, and moves all nine
+    # a general leg forms its trial stages on the two components its
+    # right-hand side reads, and moves all five
     legs = []
     for kind, radial_fraction in LEGS:
         if radial_fraction == 0.0:
@@ -743,10 +755,9 @@ def test_leg_arrays_equal_the_earlier_assembly(schw, flat, rng, monkeypatch):
         if run is None:
             assert len(taus) == 2
             states = np.column_stack([points, tangents, np.zeros(2)])
-            expected = earlier_leg_arrays(kind, taus, states, 0.0, 0.0)
+            expected = earlier_leg_arrays(kind, taus, states, None, None)
         else:
-            t0, ph0 = points[0, 0], points[0, 3]
-            expected = earlier_leg_arrays(kind, run.taus, run.states, t0, ph0)
+            expected = earlier_leg_arrays(kind, run.taus, run.states, points[0], tangents[0])
         found = (taus, points, tangents, propagators, sizes, leg.g, leg.stored_tangents)
         for new, old in zip(found, expected):
             assert new.shape == old.shape

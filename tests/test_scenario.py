@@ -999,7 +999,7 @@ def test_sweep_rows_run_no_lhv_audit(monkeypatch):
 
 def test_horizon_sweep_at_loose_tol_shrinks_steps_that_reach_the_horizon():
     # the study's radial legs are closed-form; at tol 1e-3 two trial stages
-    # of a near-radial plunge (u^phi = 1e-3) to r = 6 land inside r = 2M,
+    # of a near-radial plunge (u^phi = 1e-3) to r = 3 land inside r = 2M,
     # and the stepper rejects them and shrinks the step
     spec = MetricSpec("schwarzschild", mass=1.0)
     rows = [csv_cells(line) for line in run_horizon_sweep(spec, [10.0, 6.0], tol=1e-3)]
@@ -1008,7 +1008,7 @@ def test_horizon_sweep_at_loose_tol_shrinks_steps_that_reach_the_horizon():
     u_phi = 1e-3
     plunge = np.array([math.sqrt((1.0 + (10.0 * u_phi) ** 2) / 0.8), 0.0, 0.0, u_phi])
     origin = np.array([0.0, 10.0, math.pi / 2, 0.0])
-    path = integrate_geodesic(spec, origin, plunge, StopCondition.radius(6.0), 1e-3)
+    path = integrate_geodesic(spec, origin, plunge, StopCondition.radius(3.0), 1e-3)
     assert path.rejected > 0
 
 
