@@ -71,11 +71,17 @@ It is stepped from t = chi = 0 with a Dormand-Prince 5(4) stepper on
 Python floats (J. R. Dormand and P. J. Prince, J. Comput. Appl. Math. 6,
 19 (1980)), with rtol = tol and atol = tol * 1e-3, which mean the same at
 every mass in units of M.
-The RMS error norm, step-size controller and initial-step rule follow
-Hairer, Norsett and Wanner, Solving ODEs I, sec. II.4, and the quartic
-dense output L. F. Shampine, Math. Comp. 46, 135 (1986), as in the common
-RK45 solvers. Terminal events (target radius, coordinate time, horizon
-guard) are located by bracketing the root on the step's dense interpolant.
+The RMS error norm and step-size controller follow Hairer, Norsett and
+Wanner, Solving ODEs I, sec. II.4, and the quartic dense output L. F.
+Shampine, Math. Comp. 46, 135 (1986), as in the common RK45 solvers. The
+first step is tol^(1/5) / 2 of the coordinate time the leg needs to move
+by about r0: an orbit's r0^1.5, or r0 / v where that is shorter, v the
+leg's speed against the static observer (1 on a null leg), divided by
+u^t0 to give proper time or affine parameter. The generic starting
+estimate of sec. II.4 sees only atol on t, chi and psi, which start at 0,
+and starts two to three orders of magnitude too small. Terminal events
+(target radius, coordinate time, horizon guard) are located by bracketing
+the root on the step's dense interpolant.
 A stop is stepped until it fires, the guard is met, the state turns
 non-finite or MAX_STEPS steps are taken. On a radius stop, u^r crossing 0
 away from the stop is an event too: between r_min and r_max an orbit turns
@@ -715,11 +721,15 @@ def _schwarzschild_leg(leg: LegStart, tol: float) -> _Stored:
     guard = _UNIT_MASS.guard_radius
     events.append((1, guard, -1))
     tau_end = stop.value if stop.kind == STOP_PROPER_TIME else math.inf
+    # the first step, tol^(1/5) / 2 of the leg's own time scale over u^t0 (module docstring)
+    speed = 1.0 if kind == NULL else math.sqrt(max(0.0, 1.0 - 1.0 / (energy * ut0)))
+    h0 = 0.5 * tol**0.2 * r0 / max(speed, r0**-0.5) / ut0
     # the plane's unit vectors e1 = a toward x0 and e2 = b along its motion, in axes where x0 has phi = 0
     w = math.hypot(uth0, sin0 * uph0)
     (a1, a2, a3), (b1, b2, b3) = (sin0, 0.0, cos0), (cos0 * uth0 / w, sin0 * uph0 / w, -sin0 * uth0 / w)
     try:
-        run = _dopri(_plane_rhs(kind, energy, ang_mom), [0.0, r0, 0.0, 0.0, ur0], tau_end, tol, events, what, (1, 4))
+        rhs = _plane_rhs(kind, energy, ang_mom)
+        run = _dopri(rhs, [0.0, r0, 0.0, 0.0, ur0], h0, tau_end, tol, events, what, (1, 4))
         if run.event == len(events) - 1:
             raise HorizonApproach(f"path reached guard radius {guard} M at tau = {run.taus[-1]} M")
         if stop.kind == STOP_RADIUS and run.event == 1:
@@ -1129,10 +1139,11 @@ def _trial_step(m: int, at: tuple[int, ...]):
 
 
 def _dopri(
-    rhs, y0: list[float], tau_end: float, tol: float, events, what: str,
+    rhs, y0: list[float], h0: float, tau_end: float, tol: float, events, what: str,
     reads: Sequence[int] | None = None,
 ) -> _Run:
-    """Integrate y' = rhs(y) from tau = 0 to tau_end, which may be inf, with Dormand-Prince 5(4).
+    """Integrate y' = rhs(y) from tau = 0 to tau_end, which may be inf, with Dormand-Prince 5(4),
+    trying h0 > 0 as the first step.
 
     reads are increasing indices into y0, every component by default: rhs
     takes the components in reads and returns the derivatives of all of
@@ -1145,38 +1156,21 @@ def _dopri(
     The run ends at the earliest root within the first step that shows a
     crossing, at a state read from the step's dense interpolant. A trial
     step whose stage the right-hand side refuses with HorizonDomain is
-    rejected and shrunk by _MIN_FACTOR; nfev counts six evaluations per
-    trial step. A step that would take tau past the floats is a non-finite
-    state. Messages give tau as stepped, in units of M on a Schwarzschild leg.
+    rejected and shrunk by _MIN_FACTOR. nfev is 1, the evaluation at y0,
+    plus six per trial step. A step that would take tau past the floats is
+    a non-finite state. Messages give tau as stepped, in units of M on a
+    Schwarzschild leg.
     """
     rtol, atol = tol, tol * 1e-3
     root_n = math.sqrt(len(y0))
-    hypot, isfinite = math.hypot, math.isfinite
+    isfinite = math.isfinite
     at = tuple(range(len(y0)) if reads is None else reads)
     # the read components of a state, as a tuple
     take = itemgetter(*at) if len(at) > 1 else lambda v, i=at[0]: (v[i],)
     trial = _trial_step(len(y0), at)
-
-    def rms(values, scale):
-        return hypot(*[v / s for v, s in zip(values, scale)]) / root_n
-
-    # initial step (Hairer, Norsett and Wanner, sec. II.4)
     y = list(y0)
-    y_read = take(y)
-    f = rhs(y_read)
-    scale = [atol + abs(v) * rtol for v in y0]
-    d0 = rms(y0, scale)
-    d1 = rms(f, scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, tau_end)
-    f1 = rhs([v + h0 * dv for v, dv in zip(y_read, take(f))])
-    d2 = rms([b - a for a, b in zip(f, f1)], scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, tau_end)
-    nfev, accepted, rejected = 2, 0, 0
+    f = rhs(take(y))
+    h_abs, nfev, accepted, rejected = h0, 1, 0, 0
 
     t = 0.0
     taus, states = [t], [y]

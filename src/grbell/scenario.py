@@ -826,19 +826,21 @@ def _csv_rows(rows: InequalityStack, scenario_ids: list[str]) -> list[str]:
     """The CSV line of each evaluated row, or its error line, in one pass over the arrays.
 
     The angles are between a and the post-swap arms, NaN beside a
-    degenerate arm: the cosines of all three columns come from one stacked
-    dot product, clamped to [-1, 1], and go through libm's acos. Every real
-    prints with %.17g, which is format(x, ".17g") byte for byte.
+    degenerate arm: each is libm's atan2 of |cross(x, y)| and dot(x, y)
+    over one stack of the three columns' pairs (x, y), which keeps its
+    digits near 0 and 180 degrees, where acos of the dot product loses half
+    of them. Every real prints with %.17g, which is format(x, ".17g") byte
+    for byte.
     """
     b, c, k = rows.b, rows.c, len(scenario_ids)
-    cosines = row_dot(
-        np.concatenate([rows.a, rows.a, b.direction]),
-        np.concatenate([b.direction, c.direction, c.direction]),
-    )
+    x = np.concatenate([rows.a, rows.a, b.direction])
+    y = np.concatenate([b.direction, c.direction, c.direction])
+    cross = np.cross(x, y)
     degenerate = np.concatenate([b.degenerate, c.degenerate, b.degenerate | c.degenerate])
-    # np.clip gives max(-1, min(1, x)) per value; math.acos passes the NaN through
-    cosines = np.where(degenerate, np.nan, np.clip(cosines, -1.0, 1.0)).tolist()
-    angles = [math.degrees(math.acos(x)) for x in cosines]
+    # math.atan2 passes the NaN through
+    cosines = np.where(degenerate, np.nan, row_dot(x, y)).tolist()
+    sines = np.sqrt(row_dot(cross, cross)).tolist()
+    angles = [math.degrees(math.atan2(sine, cosine)) for sine, cosine in zip(sines, cosines)]
     columns = np.stack([b.w, c.w, rows.p_ab, rows.p_ac, rows.p_bc, rows.lhs, rows.rhs, rows.margin])
     reals = zip(angles[:k], angles[k:2 * k], angles[2 * k:], *columns.tolist())
     return [

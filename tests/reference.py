@@ -266,26 +266,23 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-def earlier_dopri(rhs, y0, tau_end, tol, events, what, reads=None, moves=None):
-    """geodesics._dopri with its trial step written as list comprehensions
-    over zip, each stage's read components taken with an itemgetter, and
-    the running |y| carried from step to step."""
+def hnw_first_step(rhs, y0, tau_end, tol, reads=None, moves=None):
+    """The first step geodesics._dopri took before each leg gave it one, and
+    scipy's RK45 takes: the starting estimate of Hairer, Norsett and Wanner,
+    Solving ODEs I, sec. II.4, capped at tau_end, on earlier_dopri's reads
+    and moves. It evaluates rhs twice, at y0 and one step of Euler on."""
     rtol, atol = tol, tol * 1e-3
     root_n = math.sqrt(len(y0))
-    hypot, isfinite = math.hypot, math.isfinite
     every = range(len(y0))
     reads = every if reads is None else reads
     moves = every if moves is None else moves
-    # the read components of a list over moves, as a tuple
     at = [moves.index(i) for i in reads]
     take = itemgetter(*at) if len(at) > 1 else lambda v, i=at[0]: (v[i],)
 
     def rms(values, scale):
-        return hypot(*[v / s for v, s in zip(values, scale)]) / root_n
+        return math.hypot(*[v / s for v, s in zip(values, scale)]) / root_n
 
-    # initial step (Hairer, Norsett and Wanner, sec. II.4)
-    y = [y0[i] for i in moves]
-    y_read = take(y)
+    y_read = take([y0[i] for i in moves])
     f = rhs(y_read)
     scale = [atol + abs(v) * rtol for v in y0]
     d0 = rms(y0, scale)
@@ -299,8 +296,32 @@ def earlier_dopri(rhs, y0, tau_end, tol, events, what, reads=None, moves=None):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, tau_end)
-    nfev, accepted, rejected = 2, 0, 0
+    return min(100.0 * h0, h1, tau_end)
+
+
+def earlier_dopri(rhs, y0, h0, tau_end, tol, events, what, reads=None, moves=None):
+    """geodesics._dopri with its trial step written as list comprehensions
+    over zip, each stage's read components taken with an itemgetter, and
+    the running |y| carried from step to step. With h0 None it starts, as
+    the stepper did before its first step was an argument, at
+    hnw_first_step, whose second evaluation nfev counts too."""
+    rtol, atol = tol, tol * 1e-3
+    root_n = math.sqrt(len(y0))
+    hypot, isfinite = math.hypot, math.isfinite
+    every = range(len(y0))
+    reads = every if reads is None else reads
+    moves = every if moves is None else moves
+    # the read components of a list over moves, as a tuple
+    at = [moves.index(i) for i in reads]
+    take = itemgetter(*at) if len(at) > 1 else lambda v, i=at[0]: (v[i],)
+    y = [y0[i] for i in moves]
+    y_read = take(y)
+    f = rhs(y_read)
+    if h0 is None:
+        h_abs, nfev = hnw_first_step(rhs, y0, tau_end, tol, reads, moves), 2
+    else:
+        h_abs, nfev = h0, 1
+    accepted, rejected = 0, 0
 
     def finished(event):
         if len(moves) < len(y0):
@@ -448,7 +469,7 @@ def earlier_radial_leg(kind, x0, u0, stop, tol, cap=None):
     events.append((1, geodesics._UNIT_MASS.guard_radius, -1))
     cap = earlier_tau_cap(kind, stop, t0, r0, energy) if cap is None else cap
     try:
-        run = earlier_dopri(earlier_radial_rhs, y0, cap, tol, events, "stop", (1, 4, 5), (0, 1, 4, 5))
+        run = earlier_dopri(earlier_radial_rhs, y0, None, cap, tol, events, "stop", (1, 4, 5), (0, 1, 4, 5))
     except StepFailure:
         return "StepFailure", True
     except (ArithmeticError, ValueError):

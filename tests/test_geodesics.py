@@ -139,9 +139,39 @@ def test_a_near_polar_leg_steps_as_its_rotation_onto_the_equator(schw, monkeypat
         for theta, u0 in ((theta0, polar), (math.pi / 2, equatorial))
     ]
     assert paths[0].taus.tobytes() == paths[1].taus.tobytes()
-    assert paths[0].nfev == paths[1].nfev == 104
+    assert paths[0].nfev == paths[1].nfev == 91
     assert paths[0].points[-1, 1] == paths[1].points[-1, 1]
     assert np.array(runs[0].states).tobytes() == np.array(runs[1].states).tobytes()
+
+
+def test_a_far_leg_takes_the_same_steps_at_any_radius(schw):
+    # speed 0.5 against the static observer along (0.3, 0, 0.954) in the
+    # static tetrad, to t = 10 r0: far from the hole the motion is scale-free,
+    # so a first step sized to the leg's own time scale gives the same steps
+    # at every r0. A generic start read the orbit's scale from atol alone
+    # and took 71, 77, 119 and 169 steps
+    speed, gamma = 0.5, 1.0 / math.sqrt(0.75)
+    n = np.array([0.3, 0.0, 0.954]) / math.hypot(0.3, 0.954)
+    steps = []
+    for r0 in (1e2, 1e8, 1e50, 1e100):
+        f = 1.0 - 2.0 / r0
+        u0 = gamma * np.array([1.0 / math.sqrt(f), speed * n[0] * math.sqrt(f), 0.0, speed * n[2] / r0])
+        stop = StopCondition.coordinate_time(10.0 * r0)
+        path = integrate_geodesic(schw, np.array([0.0, r0, math.pi / 2, 0.0]), u0, stop, 1e-10)
+        assert path.points[-1, 0] == stop.value
+        steps.append(path.accepted)
+    assert steps == [steps[0]] * 4, steps
+
+
+def test_a_null_leg_takes_no_more_steps_with_its_tangent_scaled_down(schw):
+    # a null tangent's scale is free: leg 1 of the null config scaled by
+    # 2^-30 is the same ray, so it takes no more steps than at scale 1 (a
+    # generic start took 42 against 33)
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    u1 = np.array([1.118033988749895, 0.2683281572999747, 0.0, 0.09539392014169457])
+    stop = StopCondition.radius(14.0)
+    unit, scaled = (integrate_geodesic(schw, x0, s * u1, stop) for s in (1.0, 2.0**-30))
+    assert scaled.accepted <= unit.accepted
 
 
 def test_angular_momentum_drift_is_relative_at_any_mass():
@@ -582,7 +612,7 @@ def test_terminal_error_follows_the_tolerance(schw):
     stop = StopCondition.proper_time(100.0)
 
     rhs = earlier_schwarzschild_rhs("timelike", 0.8 * ut, 100.0 * uphi)
-    ref = earlier_dopri(rhs, [*x0, *u0, 0.0], stop.value, 1e-13, [], "stop", (1, 2, 4, 5, 6, 7))
+    ref = earlier_dopri(rhs, [*x0, *u0, 0.0], None, stop.value, 1e-13, [], "stop", (1, 2, 4, 5, 6, 7))
     ref_end = np.array(ref.states[-1][:8])
 
     def terminal_error(tol):

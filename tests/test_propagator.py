@@ -25,6 +25,7 @@ from reference import (
     earlier_metric_check,
     earlier_radial_leg,
     earlier_radial_rhs,
+    hnw_first_step,
     metric_matrices,
 )
 
@@ -231,15 +232,16 @@ def leaves_at_zero(y):
 
 
 def test_stepper_takes_the_steps_of_rk45():
-    # same tableau, error norm, controller and initial step: the same steps
+    # same tableau, error norm and controller, and RK45's own first step:
+    # the same steps. RK45 also counts its start rule's second evaluation
     rhs = damped_oscillator
     y0 = [1.5, 0.0, 0.2]
     for tol in (1e-6, 1e-9, 1e-11):
-        run = geodesics._dopri(rhs, y0, 20.0, tol, [], "stop")
+        run = geodesics._dopri(rhs, y0, hnw_first_step(rhs, y0, 20.0, tol), 20.0, tol, [], "stop")
         ref = solve_ivp(lambda _t, y: rhs(y), (0.0, 20.0), y0, method="RK45",
                         rtol=tol, atol=tol * 1e-3)
         assert run.accepted == len(ref.t) - 1
-        assert run.nfev == ref.nfev
+        assert run.nfev + 1 == ref.nfev
         # the error estimate cancels to about tol, so its rounding moves the
         # step sizes by about eps / tol relative to scipy's
         assert np.allclose(run.taus, ref.t, rtol=1e-4, atol=0.0)
@@ -248,7 +250,7 @@ def test_stepper_takes_the_steps_of_rk45():
 
 def test_stepper_locates_a_terminal_event_on_its_dense_output():
     # y = (cos tau, -sin tau): y0 first falls through 0.5 at tau = pi / 3
-    run = geodesics._dopri(lambda y: [y[1], -y[0]], [1.0, 0.0], 10.0, 1e-10, [(0, 0.5, -1)], "stop")
+    run = geodesics._dopri(lambda y: [y[1], -y[0]], [1.0, 0.0], 1e-3, 10.0, 1e-10, [(0, 0.5, -1)], "stop")
     assert run.event == 0
     assert run.taus[-1] == pytest.approx(math.pi / 3.0, abs=1e-9)
     assert run.states[-1][0] == pytest.approx(0.5, abs=1e-9)
@@ -257,7 +259,7 @@ def test_stepper_locates_a_terminal_event_on_its_dense_output():
 
 def test_stepper_rejects_a_non_finite_state():
     with pytest.raises(StepFailure, match="non-finite"):
-        geodesics._dopri(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 5.0, 1e-8, [], "stop")
+        geodesics._dopri(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 1e-3, 5.0, 1e-8, [], "stop")
 
 
 def test_stepper_without_an_end_fails_where_tau_would_overflow():
@@ -276,23 +278,23 @@ def test_stepper_without_an_end_fails_where_tau_would_overflow():
         return (1.0,)
 
     with pytest.raises(StepFailure, match="non-finite state"):
-        geodesics._dopri(rhs, [0.0], math.inf, 1e-8, [], "stop")
+        geodesics._dopri(rhs, [0.0], 1e-3, math.inf, 1e-8, [], "stop")
 
 
 def test_stepper_rejects_a_step_whose_stage_leaves_the_domain():
     # the controller grows the step tenfold on this linear system until a
     # trial stage crosses the domain's edge
-    run = geodesics._dopri(leaves_at_zero, [1.0], 10.0, 1e-10, [(0, 0.25, -1)], "stop")
+    run = geodesics._dopri(leaves_at_zero, [1.0], 1e-3, 10.0, 1e-10, [(0, 0.25, -1)], "stop")
     assert run.event == 0
     assert run.taus[-1] == pytest.approx(0.75, abs=1e-12)
     assert run.rejected >= 1
-    assert run.nfev == 2 + 6 * (run.accepted + run.rejected)
+    assert run.nfev == 1 + 6 * (run.accepted + run.rejected)
 
 
 def test_stepper_fails_on_step_size_underflow():
     # y' = 1 / (1 - y)^2 blows up at tau = 1/3; steps shrink until they underflow
     with pytest.raises(StepFailure):
-        geodesics._dopri(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1.0, 1e-10, [], "stop")
+        geodesics._dopri(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1e-3, 1.0, 1e-10, [], "stop")
 
 
 def run_outcome(call):
@@ -327,15 +329,17 @@ TOY_RUNS = [
 ]
 
 
-# the stepper's arguments on the toy systems above, in groups by what they exercise
+# the stepper's arguments on the toy systems above, in groups by what they
+# exercise; the rk45 group starts at RK45's first step, the others at 1e-3
 STEPPER_CASES = {
-    "rk45": [(damped_oscillator, [1.5, 0.0, 0.2], 20.0, tol, [], "stop") for tol in (1e-6, 1e-9, 1e-11)],
-    "event": [(lambda y: [y[1], -y[0]], [1.0, 0.0], 10.0, 1e-10, [(0, 0.5, -1)], "stop")],
-    "domain": [(leaves_at_zero, [1.0], 10.0, 1e-10, [(0, 0.25, -1)], "stop")],
-    "non_finite": [(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 5.0, 1e-8, [], "stop")],
-    "underflow": [(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1.0, 1e-10, [], "stop")],
+    "rk45": [(damped_oscillator, [1.5, 0.0, 0.2], hnw_first_step(damped_oscillator, [1.5, 0.0, 0.2], 20.0, tol),
+              20.0, tol, [], "stop") for tol in (1e-6, 1e-9, 1e-11)],
+    "event": [(lambda y: [y[1], -y[0]], [1.0, 0.0], 1e-3, 10.0, 1e-10, [(0, 0.5, -1)], "stop")],
+    "domain": [(leaves_at_zero, [1.0], 1e-3, 10.0, 1e-10, [(0, 0.25, -1)], "stop")],
+    "non_finite": [(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 1e-3, 5.0, 1e-8, [], "stop")],
+    "underflow": [(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1e-3, 1.0, 1e-10, [], "stop")],
     # the toy runs on the whole state and on the components read
-    "reads_and_moves": [(rhs, y0, 10.0, tol, events, "stop", *reads)
+    "reads_and_moves": [(rhs, y0, 1e-3, 10.0, tol, events, "stop", *reads)
                         for y0, tol, events in TOY_RUNS
                         for rhs, reads in ((whole_toy, ()), (read_toy, ((0, 1),)))],
 }
@@ -420,13 +424,13 @@ def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
             continue
         args, found = calls[stepped]
         assert found == run_outcome(lambda: earlier_dopri(*args))
-        rhs, y0, cap, _, events, what, _ = args
+        rhs, y0, h0, cap, _, events, what, _ = args
         r0, th0 = x0[1], x0[2]
         energy = (1.0 - 2.0 / r0) * u0[0]
         ang_mom = r0 * math.hypot(r0 * u0[2], r0 * math.sin(th0) * u0[3])
         plane_rhs = geodesics._plane_rhs(kind, energy, ang_mom)
         expected = run_outcome(lambda: earlier_dopri(
-            lambda y: plane_rhs((y[1], y[4])), y0, cap, tol, events, what))
+            lambda y: plane_rhs((y[1], y[4])), y0, h0, cap, tol, events, what))
         assert found == expected
         outcomes.append((outcome, rhs))
     return outcomes
