@@ -129,19 +129,20 @@ stored step, at a rounding slack.
 The legs run_legs has stepped are stored as one stack of rows, leg after
 leg. The metric is evaluated once, as one stack over every stored point,
 from which the frame reads f = -g_tt and which the drift and propagator
-checks contract. The frame is built once over the rows of the framed legs
-(Schwarzschild, of nonzero length), each row with its leg's kind and its
-leg's radial test, so null and timelike, radial and general legs share a
-stack. One inverse of the start frames gives P, and each check is taken
-once over the stack and reduced per leg with np.maximum.reduceat over the
-legs' first rows. Every step acts row by row, so each path, a view of its
-leg's rows, holds the bits it has alone. A zero-length or flat leg keeps
-its checked tangent and P = I. Each path keeps its rows of the metric
-stack, the drift it was checked against and its integrator counters. A
-leg that fails, while stepping, in the metric stack or in its checks,
-keeps that error as its outcome and changes no other leg's: a leg with a
-point outside the chart is left out of the stack, and every other leg is
-stepped and checked whatever the legs beside it meet.
+checks contract. The chart alone decides a leg's propagator. On
+Schwarzschild the frame is built once over every row, each with its leg's
+kind and its leg's radial test, so null and timelike, radial and general
+legs share a stack, and a zero-length leg is its one row, where P = I. One
+inverse of the start frames gives P, and each check is taken once over
+the stack and reduced per leg with np.maximum.reduceat over the legs'
+first rows; the metric check is the stack's one. Every step acts row by
+row, so each path, a view of its leg's rows, holds the bits it has alone.
+A flat leg keeps its checked tangent and P = I. Each path keeps its rows
+of the metric stack, the drift it was checked against and its integrator
+counters. A leg that fails, while stepping, in the metric stack or in its
+checks, keeps that error as its outcome and changes no other leg's: a leg
+with a point outside the chart is left out of the stack, and every other
+leg is stepped and checked whatever the legs beside it meet.
 """
 from __future__ import annotations
 
@@ -249,10 +250,13 @@ class GeodesicPath:
     spec is the caller's metric. A Schwarzschild path holds everything in
     units of M, in the exterior chart of unit mass: its taus, points,
     tangents, metrics and propagators; its t and phi are the caller's origin
-    converted, not shifted to 0. nfev, accepted and rejected count the
-    stepper's right-hand-side evaluations and its accepted and rejected
-    steps; all three are 0 on a leg that needs no ODE (flat space, a radial
-    Schwarzschild leg, zero length).
+    converted, not shifted to 0. The chart decides the tangents and
+    propagators: a Schwarzschild path, zero-length or not, holds Marck's
+    frame's u and P = F F(0)^-1, a flat one the checked tangent and P = I.
+    nfev, accepted and rejected count the stepper's right-hand-side
+    evaluations and its accepted and rejected steps; all three are 0 on a
+    leg that needs no ODE (flat space, a radial Schwarzschild leg, zero
+    length).
     """
 
     spec: MetricSpec
@@ -260,7 +264,7 @@ class GeodesicPath:
     tol: float
     taus: np.ndarray          # (n,), strictly increasing, taus[0] == 0
     points: np.ndarray        # (n, 4)
-    tangents: np.ndarray      # (n, 4); on Schwarzschild legs the frame's u
+    tangents: np.ndarray      # (n, 4); on Schwarzschild the frame's u
     propagators: np.ndarray   # (n, 4, 4), parallel propagator from taus[0]
     metrics: np.ndarray       # (n, 4), the metric's diagonal at the points
     drift: dict[str, float]   # max conservation drifts, checked at integration
@@ -352,31 +356,21 @@ def _drift_bound(tol: float) -> float:
     return max(1e-8, 100.0 * tol)
 
 
-def check_metric_preserved(
-    g: np.ndarray, propagators: np.ndarray, sizes: np.ndarray | None = None
-) -> float:
-    """Raise StepFailure unless P^T g(x) P = g(x0) at every stored step.
-
-    g is the metric stack at the stored points, g[0] at the emission event.
-    P is built from a frame that is orthonormal up to rounding, so the
-    bound is METRIC_SLACK times the conditioning max(|P|^T |g| sizes), the
-    size of the terms that cancel. sizes bounds, entry by entry, the terms
-    summed into P and defaults to |P|; for P = F F(0)^-1 it is
-    |F| |F(0)^-1|, which exceeds |P| by about gamma^2 on a leg whose tangent
-    is boosted by gamma against the static frame. Returns the worst residual.
-    """
-    sizes = np.abs(propagators) if sizes is None else sizes
-    ((residual, bound),) = _metric_residuals(g, np.abs(g), propagators, sizes, [len(g)])
-    if not residual <= bound:
-        raise _metric_failure(residual, bound)
-    return residual
-
-
 def _metric_residuals(
     g: np.ndarray, g_abs: np.ndarray, propagators: np.ndarray, sizes: np.ndarray, counts: Sequence[int]
 ) -> list[tuple[float, float]]:
-    """check_metric_preserved's worst residual and bound for each leg of a
-    stack whose leg i holds the next counts[i] rows, with g_abs = |g|."""
+    """The worst residual of P^T g(x) P = g(x0) over the stored steps of each
+    leg of a stack, and its bound; leg i holds the next counts[i] rows.
+
+    g is the metric stack's diagonal at the stored points, its first row of
+    each leg at that leg's emission event, and g_abs = |g|. P is built from
+    a frame that is orthonormal up to rounding, so the bound is
+    METRIC_SLACK times the conditioning max(|P|^T |g| sizes), the size of
+    the terms that cancel. sizes bounds, entry by entry, the terms summed
+    into P: for P = F F(0)^-1 it is |F| |F(0)^-1|, which exceeds |P| by
+    about gamma^2 on a leg whose tangent is boosted by gamma against the
+    static frame, and for P = I it is I.
+    """
     n, starts = len(g), _starts(counts)
     residual = np.einsum("nab,na,nad->nbd", propagators, g, propagators).reshape(n, 16)
     residual[:, ::5] -= np.repeat(g[starts], counts, axis=0)  # the diagonal, less g(x0)
@@ -518,9 +512,9 @@ class _Stored(NamedTuple):
     """A leg's stored states, as stepping hands them to _stack_paths: its
     taus and its rows (x, u, psi) as Python floats, in units of M on a
     Schwarzschild leg and at the caller's t and phi, and its stepper
-    counters. A leg of more than one row on Schwarzschild is framed: its
-    path stores Marck's frame's u and P = F F(0)^-1. Any other has psi = 0,
-    P = I and keeps the checked tangent."""
+    counters. The chart decides what its path stores: on Schwarzschild
+    Marck's frame's u and P = F F(0)^-1, with P(0) = I, at every row; in
+    flat space, where psi = 0, the checked tangent and P = I."""
 
     leg: LegStart
     taus: list[float]
@@ -528,10 +522,6 @@ class _Stored(NamedTuple):
     nfev: int = 0
     accepted: int = 0
     rejected: int = 0
-
-    @property
-    def framed(self) -> bool:
-        return self.leg.spec.kind == SCHWARZSCHILD and len(self.taus) > 1
 
 
 def _step(leg: LegStart, tol: float) -> _Stored:
@@ -637,10 +627,15 @@ def _plane_rhs(kind: str, energy: float, ang_mom: float):
         if r <= 2.0:
             raise HorizonDomain(f"r = {r} M inside radius 2 M")
         r2 = r * r
+        r3 = r2 * r
+        if r3 < math.inf:
+            centrifugal, null_rate = L2 / r3, psi_scale / r3
+        else:  # r^3 overflows from r ~ 5.6e102 M, where L^2 / r^3 is still finite
+            centrifugal, null_rate = L2 / r2 / r, psi_scale / r2 / r
         return (
             energy / (1.0 - 2.0 / r), ur, ang_mom / r2,
-            psi_scale / (r2 + L2) if timelike else psi_scale / (r2 * r),
-            -eps / r2 + L2 / (r2 * r) - 3.0 * L2 / (r2 * r2),
+            psi_scale / (r2 + L2) if timelike else null_rate,
+            -eps / r2 + centrifugal - 3.0 * L2 / (r2 * r2),
         )
 
     return rhs
@@ -813,22 +808,19 @@ def _radial_end(fall, stop: StopCondition, t0: float) -> tuple[float, float, flo
 
 
 def _stumpff(z: float) -> tuple[float, float, float]:
-    """Stumpff's c1, c2, c3 at z, c_k(z) = sum_j (-z)^j / (2j + k)!: by the
-    series where |z| < 1, where the trigonometric forms cancel."""
-    if abs(z) < 1.0:
+    """Stumpff's c1, c2, c3 at z >= -1, c_k(z) = sum_j (-z)^j / (2j + k)!:
+    by the series where z < 1, where the trigonometric forms cancel. Both
+    callers take z < -1 in exponentials instead."""
+    if z < 1.0:
         c1 = c2 = c3 = 0.0
         for inverse_factorials in _STUMPFF_SERIES:  # Horner
             c1 = inverse_factorials[0] - z * c1
             c2 = inverse_factorials[1] - z * c2
             c3 = inverse_factorials[2] - z * c3
         return c1, c2, c3
-    if z > 0.0:
-        w = math.sqrt(z)
-        half = math.sin(0.5 * w) / w
-        return math.sin(w) / w, 2.0 * half * half, (w - math.sin(w)) / (z * w)
-    w = math.sqrt(-z)
-    half = math.sinh(0.5 * w) / w
-    return math.sinh(w) / w, 2.0 * half * half, (math.sinh(w) - w) / (-z * w)
+    w = math.sqrt(z)
+    half = math.sin(0.5 * w) / w
+    return math.sin(w) / w, 2.0 * half * half, (w - math.sin(w)) / (z * w)
 
 
 # 1 / (2j + 1)!, 1 / (2j + 2)!, 1 / (2j + 3)! for j = 11 down to 0: |z|^12 / 25! < 1e-25
@@ -1307,21 +1299,14 @@ def _stack_paths(stored: Sequence[_Stored], tol: float) -> list[GeodesicPath | S
             except SimulatorError as e:
                 outcomes.append(e)
         return _merged(outcomes, lambda kept: _stack_paths(kept, tol))
-    framed = [leg.framed for leg in stored]
     kinds = [leg.leg.kind for leg in stored]
     tangents = states[:, 4:8]
-    if all(framed):
+    if chart.kind == SCHWARZSCHILD:
         propagators, sizes, stored_tangents = _propagators(kinds, counts, points, g, tangents, states[:, 8])
     else:
-        # P = I and |P| = I, and the checked tangent, on every leg the frame does not carry
-        propagators = np.tile(_IDENTITY, (n, 1, 1))
-        sizes, stored_tangents = propagators.copy(), np.ascontiguousarray(tangents)
-        if any(framed):
-            rows = np.repeat(framed, counts)
-            propagators[rows], sizes[rows], stored_tangents[rows] = _propagators(
-                [kind for kind, f in zip(kinds, framed) if f], [c for c, f in zip(counts, framed) if f],
-                points[rows], g[rows], tangents[rows], states[rows, 8],
-            )
+        # a flat leg's P is the identity, which bounds its own terms, and it keeps its checked tangent
+        propagators = sizes = np.tile(_IDENTITY, (n, 1, 1))
+        stored_tangents = np.ascontiguousarray(tangents)
     return _checked_paths(stored, tol, chart, counts, taus, points, tangents, propagators, sizes, g, stored_tangents)
 
 
@@ -1329,9 +1314,9 @@ def _propagators(
     kinds: Sequence[str], counts: Sequence[int], points: np.ndarray, g: np.ndarray,
     tangents: np.ndarray, psi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P = F F(0)^-1 for Marck's frame F at each row of a stack of framed
-    legs, as in _parallel_frames, with P(0) = I exactly, the sizes
-    |F| |F(0)^-1| that bound the terms summed into P, and the frame's u."""
+    """P = F F(0)^-1 for Marck's frame F at each row of a stack of
+    Schwarzschild legs, as in _parallel_frames, with P(0) = I exactly, the
+    sizes |F| |F(0)^-1| that bound the terms summed into P, and the frame's u."""
     frames = _parallel_frames(kinds, counts, points, g, tangents, psi)
     starts = _starts(counts)
     inverse = np.repeat(np.linalg.inv(frames[starts]), counts, axis=0)

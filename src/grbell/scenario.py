@@ -65,13 +65,14 @@ error of each failed row. A single run is the k = 1 pass: its report
 keeps that stack, one violation_stack on its ordered arms (angles and
 optimum), and the geodesic summaries and optional LHV audit; the public
 one-row objects are views of them. A CSV row is one line of text, written
-from the stack in one pass: one stacked dot product gives the cosines of
-the three angle columns, libm's acos the angles, and one template with
-%.17g reals each ok line; a single run's line comes through the same
-formatter. The horizon study builds its emission event and side once,
-integrates its radii's legs a chunk at a time with one run_legs each, and
-evaluates each radius as its own one-row pass; a row whose leg fails reads
-its own status, and a chunk's lines are made when its first is asked for.
+from the stack in one pass: the three angle columns are libm's
+atan2(|x cross y|, x . y) over stacked cross and dot products, and one
+template with %.17g reals writes each ok line; a single run's line comes
+through the same formatter. The horizon study builds its emission event
+and side once, integrates its radii's legs a chunk at a time with one
+run_legs each, and evaluates each radius as its own one-row pass; a row
+whose leg fails reads its own status, and a chunk's lines are made when
+its first is asked for.
 """
 from __future__ import annotations
 
@@ -517,7 +518,8 @@ class GeodesicSummary:
 @dataclass(frozen=True, eq=False)
 class RunReport:
     """One run: its one-row arrays (rows, angles), best_margin (None where d
-    vanishes) and the public one-row views of them, each built when first read."""
+    vanishes) and the public one-row views proj_b, proj_c and inequality,
+    each built when first read; the optimum is angles.best[0]."""
 
     status: str
     config: dict
@@ -540,10 +542,6 @@ class RunReport:
     @cached_property
     def inequality(self) -> InequalityReport:
         return self.rows.report(0)
-
-    @cached_property
-    def best_setting(self) -> Direction3 | None:
-        return None if self.angles.degenerate[0] else Direction3(self.angles.best[0])
 
 
 def _caller_arms(rows: InequalityStack) -> tuple[ProjectionStack, ProjectionStack]:

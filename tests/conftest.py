@@ -42,7 +42,7 @@ def random_flat_point(rng):
 class RecordedLeg(NamedTuple):
     """One leg of a stack geodesics._checked_paths was given, as its rows of
     each array; tangents are the integrated ones the checks read, and
-    sizes is None on a leg the frame does not carry, whose P = I."""
+    sizes is None on a flat leg, whose P = I."""
 
     spec: MetricSpec
     kind: str
@@ -65,22 +65,35 @@ def recording_checked_legs(monkeypatch) -> list[RecordedLeg]:
     original = geodesics._checked_paths
 
     def recording(stored, tol, chart, counts, *arrays):
-        start = 0
+        start, framed = 0, chart.kind == "schwarzschild"
         for leg, count in zip(stored, counts):
             taus, points, tangents, propagators, sizes, g, stored_tangents = (
                 a[start : start + count] for a in arrays
             )
             legs.append(RecordedLeg(
                 leg.leg.spec, leg.leg.kind, tol, taus, points, tangents, propagators,
-                sizes if leg.framed else None, g, stored_tangents, leg.nfev,
+                sizes if framed else None, g, stored_tangents, leg.nfev,
             ))
-            if not leg.framed:
+            if not framed:
                 assert np.array_equal(sizes, np.abs(propagators))
             start += count
         return original(stored, tol, chart, counts, *arrays)
 
     monkeypatch.setattr(geodesics, "_checked_paths", recording)
     return legs
+
+
+def metric_check(g, propagators, sizes=None) -> float:
+    """The leg stack's metric check on one leg with the metric stack g:
+    its worst residual, or the StepFailure it raises, from
+    geodesics._metric_residuals and _metric_failure; sizes defaults to |P|."""
+    from grbell import geodesics
+
+    sizes = np.abs(propagators) if sizes is None else sizes
+    ((residual, bound),) = geodesics._metric_residuals(g, np.abs(g), propagators, sizes, [len(g)])
+    if not residual <= bound:
+        raise geodesics._metric_failure(residual, bound)
+    return residual
 
 
 def recording_runs(monkeypatch) -> list:

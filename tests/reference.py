@@ -152,8 +152,8 @@ def earlier_conservation_drift(chart, kind, points, tangents, d):
 
 
 def earlier_metric_check(d, propagators, sizes=None):
-    """check_metric_preserved with its own |d| and np.max reductions, and
-    g(x0) as a full matrix."""
+    """The leg stack's metric check on one leg, with its own |d| and np.max
+    reductions, and g(x0) as a full matrix."""
     residual = float(np.max(np.abs(
         np.einsum("nab,na,nad->nbd", propagators, d, propagators) - metric_matrices(d[0])
     )))
@@ -604,7 +604,7 @@ def earlier_report_to_dict(report):
             "condition_holds": bool(report.angles.condition_holds[0]),
             "degenerate": bool(report.angles.degenerate[0]),
         },
-        "best_setting": _dir_list(report.best_setting),
+        "best_setting": None if report.angles.degenerate[0] else report.angles.best[0].tolist(),
         "best_margin": report.best_margin,
     }
     for label, summary in (("geodesic_1", report.geodesic_1), ("geodesic_2", report.geodesic_2)):

@@ -149,18 +149,20 @@ def test_a_far_leg_takes_the_same_steps_at_any_radius(schw):
     # static tetrad, to t = 10 r0: far from the hole the motion is scale-free,
     # so a first step sized to the leg's own time scale gives the same steps
     # at every r0. A generic start read the orbit's scale from atol alone
-    # and took 71, 77, 119 and 169 steps
+    # and took 71, 77, 119 and 169 steps. Beyond r0 ~ 5.6e102 M, where r^3
+    # overflows, the centrifugal term L^2 / r^3 must still be formed
     speed, gamma = 0.5, 1.0 / math.sqrt(0.75)
     n = np.array([0.3, 0.0, 0.954]) / math.hypot(0.3, 0.954)
     steps = []
-    for r0 in (1e2, 1e8, 1e50, 1e100):
+    radii = (1e2, 1e8, 1e50, 1e100, 1e104, 1e120, 1e150)
+    for r0 in radii:
         f = 1.0 - 2.0 / r0
         u0 = gamma * np.array([1.0 / math.sqrt(f), speed * n[0] * math.sqrt(f), 0.0, speed * n[2] / r0])
         stop = StopCondition.coordinate_time(10.0 * r0)
         path = integrate_geodesic(schw, np.array([0.0, r0, math.pi / 2, 0.0]), u0, stop, 1e-10)
         assert path.points[-1, 0] == stop.value
         steps.append(path.accepted)
-    assert steps == [steps[0]] * 4, steps
+    assert steps == [steps[0]] * len(radii), steps
 
 
 def test_a_null_leg_takes_no_more_steps_with_its_tangent_scaled_down(schw):
@@ -673,6 +675,16 @@ def test_flat_leg_beyond_the_float_range_fails_cleanly(flat):
     slower = np.array([1.25, 0.75, 0.0, 0.0])  # tau = 1.7e308 / 0.75 overflows
     with pytest.raises(StepFailure, match="overflows"):
         integrate_geodesic(flat, x0, slower, StopCondition.radius(1.7e308))
+
+
+def test_radial_leg_beyond_the_float_range_fails_cleanly(schw):
+    # speed 0.9 outward from 10 M, E > 1: the closed form's end at
+    # tau = 1.7e308 M lies beyond the floats
+    f, gamma = 0.8, 1.0 / math.sqrt(1.0 - 0.81)
+    u0 = gamma * np.array([1.0 / math.sqrt(f), 0.9 * math.sqrt(f), 0.0, 0.0])
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    with pytest.raises(StepFailure, match="overflows the chart"):
+        integrate_geodesic(schw, x0, u0, StopCondition.proper_time(1.7e308))
 
 
 def test_zero_tangent_rejected(flat, schw):

@@ -14,8 +14,8 @@ from grbell import (
     HorizonApproach, HorizonDomain, SimulatorError, StepFailure, StopCondition, integrate_geodesic,
 )
 from grbell import geodesics
-from grbell.geodesics import METRIC_SLACK, check_metric_preserved
-from conftest import random_exterior_point, recording_checked_legs
+from grbell.geodesics import METRIC_SLACK
+from conftest import metric_check, random_exterior_point, recording_checked_legs
 from reference import (
     christoffel_components,
     column_list_frames,
@@ -109,7 +109,7 @@ def test_propagator_is_exact_at_emission_and_keeps_the_metric(schw, rng, kind, r
     P_abs = np.abs(P)
     conditioning = np.max(np.einsum("nab,nac,ncd->nbd", P_abs, np.abs(g), P_abs))
     assert residual <= METRIC_SLACK * max(1.0, conditioning)
-    assert check_metric_preserved(path.metrics, P) == residual
+    assert metric_check(path.metrics, P) == residual
 
 
 @pytest.mark.parametrize("kind, radial_fraction", LEGS)
@@ -168,7 +168,7 @@ def test_diagonal_contractions_equal_the_full_ones(schw, rng, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(geodesics, "METRIC_SLACK", math.inf)
             residual = np.max(np.abs(np.einsum("nab,nac,ncd->nbd", P, g, P) - g[0]))
-            assert check_metric_preserved(d, P, sizes) == residual
+            assert metric_check(d, P, sizes) == residual
         norm = np.max(np.abs(np.einsum("nab,na,nb->n", g, u, u) + 1.0))
         points = rng.uniform(3.0, 30.0, (n, 4))
         assert geodesics._conservation_drift(schw, ["timelike"], [n], points, u, d)[0]["norm"] == norm
@@ -742,8 +742,8 @@ def recorded_legs(schw, flat, rng, monkeypatch):
 
 def test_leg_arrays_equal_the_earlier_assembly(schw, flat, rng, monkeypatch):
     # the stored states, frames, propagators and sizes of every stepped leg,
-    # and of every closed-form radial leg's two ends, are the bits of the
-    # np.array and 16-column assembly
+    # of every closed-form radial leg's two ends and of every zero-length
+    # leg's one row are the bits of the np.array and 16-column assembly
     checks, runs = recorded_legs(schw, flat, rng, monkeypatch)
     framed = [leg for leg in checks if leg.sizes is not None]
     stepped = [leg for leg in framed if leg.nfev > 0]
@@ -756,9 +756,9 @@ def test_leg_arrays_equal_the_earlier_assembly(schw, flat, rng, monkeypatch):
             leg.kind, leg.taus, leg.points, leg.tangents, leg.propagators, leg.sizes
         )
         kinds.add((kind, bool(tangents[0, 2] == tangents[0, 3] == 0.0)))
-        if run is None:
-            assert len(taus) == 2
-            states = np.column_stack([points, tangents, np.zeros(2)])
+        if run is None:  # a radial leg's two ends, or a zero-length leg's one row
+            assert len(taus) in (1, 2)
+            states = np.column_stack([points, tangents, np.zeros(len(taus))])
             expected = earlier_leg_arrays(kind, taus, states, None, None)
         else:
             expected = earlier_leg_arrays(kind, run.taus, run.states, points[0], tangents[0])
@@ -794,10 +794,10 @@ def test_path_checks_equal_the_earlier_forms(schw, flat, rng, monkeypatch):
                     expected = earlier_metric_check(g, P, size)
                 except StepFailure as e:
                     with pytest.raises(StepFailure) as found:
-                        check_metric_preserved(g, P, size)
+                        metric_check(g, P, size)
                     assert str(found.value) == str(e)
                 else:
-                    assert check_metric_preserved(g, P, size) == expected
+                    assert metric_check(g, P, size) == expected
     assert lengths == {
         (chart, kind, stepped)
         for chart, stepped in (("schwarzschild", True), ("schwarzschild", False), ("minkowski", True))

@@ -275,9 +275,9 @@ def test_a_run_reads_its_rows_and_best_margin_from_one_bell_stack():
             assert np.array_equal(getattr(report.rows, name), getattr(rows, name), equal_nan=True)
         for arm, expected in ((report.rows.b, rows.b), (report.rows.c, rows.c)):
             assert all(np.array_equal(x, y) for x, y in zip(arm[:4], expected[:4]))
-        found.append(report.best_setting is not None)
-        if report.best_setting is not None:
-            best = report.best_setting.d[None]
+        found.append(not report.angles.degenerate[0])
+        if not report.angles.degenerate[0]:
+            best = report.angles.best[0][None]
             assert report.best_margin == float(bell_stack(best, arm_b, arm_c).margin[0])
         else:
             assert report.best_margin is None
@@ -320,9 +320,9 @@ def _plain(value):
 
 
 def test_a_run_reports_from_its_arrays_as_it_did_from_its_views():
-    # report_to_dict reads the run's arrays, and the four views are built
-    # from them when read: both keep the bits of the views a run built
-    # eagerly from its arms
+    # report_to_dict reads the run's arrays, and the three views are built
+    # from them when read: both, and the optimum angles.best[0], keep the
+    # bits of the views a run built eagerly from its arms
     rng = np.random.default_rng(4040)
     documents = _seeded_batch_configs(rng, 400) + _synthetic_documents(rng, 60)
     swapped = degenerate = vanishing = 0
@@ -337,7 +337,8 @@ def test_a_run_reports_from_its_arrays_as_it_did_from_its_views():
         except DegenerateD:
             best = None
         eager = (proj_b, proj_c, bell_stack(a, arm_b, arm_c).report(0), best)
-        views = (report.proj_b, report.proj_c, report.inequality, report.best_setting)
+        best_view = None if report.angles.degenerate[0] else Direction3(report.angles.best[0])
+        views = (report.proj_b, report.proj_c, report.inequality, best_view)
         assert [repr(_plain(v)) for v in views] == [repr(_plain(v)) for v in eager]
         expected = json.dumps(earlier_report_to_dict(report), sort_keys=True, indent=2) + "\n"
         assert scenario.report_to_json(report) == expected

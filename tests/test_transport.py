@@ -17,10 +17,11 @@ from grbell import (
     run_horizon_sweep,
 )
 from grbell.frames import embed_stack, project_stack
-from grbell.geodesics import METRIC_SLACK, check_metric_preserved
+from grbell.geodesics import METRIC_SLACK
 from grbell.geometry import metric_components
 from grbell import transport
 from grbell.transport import BACKWARD, FORWARD, _carry, transport_stack
+from conftest import metric_check
 from reference import (
     checked,
     csv_cells,
@@ -84,15 +85,15 @@ def test_propagator_preserves_metric_every_step(schw, make_path):
     bound = METRIC_SLACK * max(1.0, conditioning)
     assert len(residual) == len(path.taus) >= 2  # a closed-form radial leg stores its two ends
     assert np.all(residual <= bound)
-    assert check_metric_preserved(d, P) == np.max(residual)
+    assert metric_check(d, P) == np.max(residual)
 
 
 def test_perturbed_propagator_fails_metric_check(schw):
     path = circular_path(schw, revolutions=0.3)
     g = metric_stack(path)
-    check_metric_preserved(g, path.propagators)
+    metric_check(g, path.propagators)
     with pytest.raises(StepFailure):
-        check_metric_preserved(g, path.propagators + 1e-6)
+        metric_check(g, path.propagators + 1e-6)
 
 
 def test_forward_backward_round_trip_is_exact_to_rounding(schw, rng):
