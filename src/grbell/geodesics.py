@@ -497,15 +497,9 @@ def run_legs(legs: Sequence[LegStart], tol: float) -> list[GeodesicPath | Simula
             outcomes.append(_step(leg, tol))
         except SimulatorError as e:
             outcomes.append(e)
-    return _merged(outcomes, lambda stored: _stack_paths(stored, tol))
-
-
-def _merged(outcomes: list, fill) -> list:
-    """outcomes with each entry that is not an error replaced, in order, by
-    the outcome fill gives for it, from one call over all those entries."""
-    kept = [o for o in outcomes if not isinstance(o, SimulatorError)]
-    filled = iter(fill(kept) if kept else ())
-    return [o if isinstance(o, SimulatorError) else next(filled) for o in outcomes]
+    stored = [o for o in outcomes if not isinstance(o, SimulatorError)]
+    paths = iter(_stack_paths(stored, tol) if stored else ())
+    return [o if isinstance(o, SimulatorError) else next(paths) for o in outcomes]
 
 
 class _Stored(NamedTuple):
@@ -1275,30 +1269,25 @@ def _stack_paths(stored: Sequence[_Stored], tol: float) -> list[GeodesicPath | S
 
     The legs leave one event, so they share one chart, that of the path's
     units. Their rows are stored as one stack, as _checked_paths describes,
-    and its metric stack also checks each point's domain. A leg with a
-    point outside it has that domain error as its outcome, and the other
-    legs are stacked without it.
+    and its metric stack also checks each point's domain. Where it refuses
+    a point, each leg is stacked alone: a leg with a point outside the
+    domain has the error of its first such point as its outcome, and the
+    other legs keep the paths they have alone.
     """
     spec = stored[0].leg.spec
     chart = _UNIT_MASS if spec.kind == SCHWARZSCHILD else spec
     counts = [len(leg.taus) for leg in stored]
-    n, starts = sum(counts), _starts(counts)
+    n = sum(counts)
     taus = np.fromiter(chain.from_iterable(leg.taus for leg in stored), float, n)
     values = chain.from_iterable(chain.from_iterable(leg.states for leg in stored))
     states = np.fromiter(values, float, 9 * n).reshape(n, 9)
     points = np.ascontiguousarray(states[:, :4])
     try:
         g = metric_stack(chart, points)
-    except SimulatorError:
-        # metric_stack checks row by row, so the leg of the row it refused fails alone
-        outcomes: list[_Stored | SimulatorError] = []
-        for leg, start, count in zip(stored, starts, counts):
-            try:
-                metric_stack(chart, points[start : start + count])
-                outcomes.append(leg)
-            except SimulatorError as e:
-                outcomes.append(e)
-        return _merged(outcomes, lambda kept: _stack_paths(kept, tol))
+    except SimulatorError as e:
+        # metric_stack raises at the first row it refuses: a lone leg fails with it, and
+        # a larger stack is stacked leg by leg, so each leg with such a row fails alone
+        return [e] if len(stored) == 1 else [_stack_paths([leg], tol)[0] for leg in stored]
     kinds = [leg.leg.kind for leg in stored]
     tangents = states[:, 4:8]
     if chart.kind == SCHWARZSCHILD:

@@ -668,12 +668,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the full pipeline for one configuration."""
     t0 = time.perf_counter()
     geometry = _geometry(cfg)
-    a, b, c = _settings_rows(cfg.settings)
-    arm_b, arm_c, errors = _arms(geometry, b, c, cfg.synthetic)
-    if errors:
-        raise errors[0] from getattr(errors[0], "cause", None)
-    rows = bell_stack(a, arm_b, arm_c)
-    angles = violation_stack(a, rows.b, rows.c)
+    rows = _evaluate(geometry, *_settings_rows(cfg.settings), cfg.synthetic)
+    if rows.errors:
+        raise rows.errors[0] from getattr(rows.errors[0], "cause", None)
+    angles = violation_stack(rows.a, rows.b, rows.c)
     # a row's bits do not depend on the rows beside it, so the optimum's
     # margin is its own one-row pass; where d vanishes there is no optimum
     best = bell_stack(angles.best, rows.b, rows.c)

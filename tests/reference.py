@@ -12,9 +12,11 @@ legs were stepped on, is also the independent reference of the stepper's
 error), and metric_matrices rebuilds the full metric matrices they
 contract from the stored diagonals.
 The adapters below give the stack kernels a one-row call shape, on the
-package's public one-row objects, that several tests share, and csv_cells
-reads a CSV line back as its named cells.
+package's public one-row objects, that several tests share; start_leg
+cuts the one-row identity leg that lets transport_stack carry vectors
+along one path; and csv_cells reads a CSV line back as its named cells.
 """
+import dataclasses
 import math
 from operator import itemgetter
 
@@ -123,10 +125,10 @@ def row_vecmat(V, M):
     return np.matmul(V[..., None, :], M)[..., 0, :]
 
 
-def row_vecmat_invariants(path, W):
-    """transport's (v.v, v.u) and their conditioning at both ends, with v g
-    as a full vector-matrix product."""
-    u, g = path.tangents[[0, -1], None], metric_matrices(path.metrics[[0, -1], None])
+def row_vecmat_invariants(u, d, W):
+    """transport's (v.v, v.u) and their conditioning at both ends of both
+    legs, with v g as a full vector-matrix product."""
+    u, g = u[:, :, None], metric_matrices(d[:, :, None])
     W_abs = np.abs(W)
     vg, vg_abs = row_vecmat(W, g), row_vecmat(W_abs, np.abs(g))
     return np.array([
@@ -482,9 +484,19 @@ def earlier_radial_leg(kind, x0, u0, stop, tol, cap=None):
     return "ok", (run.taus[-1], t + t0, r, ut, ur)
 
 
+def start_leg(path):
+    """The one-row identity leg cut from path's start. transport_stack(path,
+    start_leg(path), V) carries V forward along path, and
+    transport_stack(start_leg(path), path, V) carries it backward."""
+    return dataclasses.replace(
+        path, taus=path.taus[:1], points=path.points[:1], tangents=path.tangents[:1],
+        propagators=path.propagators[:1], metrics=path.metrics[:1],
+    )
+
+
 def earlier_carry(path, V, direction):
-    """transport._carry with the invariants of each end computed apart:
-    (v, norm_drift, tangent_dot_drift, errors)."""
+    """The earlier one-path transport, with the invariants of each end
+    computed apart: (v, norm_drift, tangent_dot_drift, errors)."""
     def invariants(i, V):
         u, d = path.tangents[i], path.metrics[i]
         V_abs = np.abs(V)
@@ -520,6 +532,15 @@ def earlier_carry(path, V, direction):
             else NonFiniteVector(f"transported vector {moved[j].tolist()} is not finite")
         )
     return moved, norm_drift, dot_drift, errors
+
+
+def earlier_transport(geo_L, geo_R, V):
+    """transport_stack as earlier_carry backward along geo_R, then forward
+    along geo_L: each drift the worse of the two legs', and a row keeps
+    the error it meets on geo_R before the one on geo_L."""
+    back_v, back_norm, back_dot, back_errors = earlier_carry(geo_R, V, "backward")
+    v, norm_drift, dot_drift, errors = earlier_carry(geo_L, back_v, "forward")
+    return v, np.maximum(back_norm, norm_drift), np.maximum(back_dot, dot_drift), {**errors, **back_errors}
 
 
 def checked(stack):

@@ -31,12 +31,13 @@ from grbell import (
 from grbell.errors import SimulatorError
 from grbell.frames import embed_stack, project_stack
 from grbell.geometry import metric_components
-from grbell.transport import FORWARD, _carry, transport_stack
+from grbell.transport import transport_stack
 from conftest import random_direction
 from reference import (
     checked,
     generalized_bell_check,
     quantum_correlation,
+    start_leg,
     tetrad_components,
     weighted_difference,
 )
@@ -118,8 +119,8 @@ def test_criterion_3_geometry_fidelity():
     rng = np.random.default_rng(33)
     v0 = rng.standard_normal(4)
     w0 = rng.standard_normal(4)
-    v1 = checked(_carry(path, v0[None], FORWARD))
-    w1 = checked(_carry(path, w0[None], FORWARD))
+    v1 = checked(transport_stack(path, start_leg(path), v0[None]))
+    w1 = checked(transport_stack(path, start_leg(path), w0[None]))
     assert v1.norm_drift[0] <= 1e-7 and v1.tangent_dot_drift[0] <= 1e-7
     g0 = metric_components(schw, path.points[0])
     g1 = metric_components(schw, path.points[-1])
@@ -136,7 +137,7 @@ def test_criterion_3_geometry_fidelity():
         StopCondition.proper_time(2.0 * math.pi / (omega * ut_c)),
     )
     radial = np.array([[0.0, math.sqrt(0.8), 0.0, 0.0]])
-    moved = checked(_carry(orbit, radial, FORWARD))
+    moved = checked(transport_stack(orbit, start_leg(orbit), radial))
     g_end = orbit.metrics[-1]
     E = build_comoving_frame(g_end, orbit.tangents[-1])
     comps = tetrad_components(E, g_end, moved.v[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -239,6 +240,57 @@ def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def failing_audit(monkeypatch):
+    """Make every run's LHV audit report its first triple unsatisfied."""
+    from grbell import scenario
+
+    original = scenario.lhv_inequality_audit
+
+    def failing(*args, **kwargs):
+        report = original(*args, **kwargs)
+        rows = [dataclasses.replace(report.rows[0], satisfied=False), *report.rows[1:]]
+        return dataclasses.replace(report, rows=rows)
+
+    monkeypatch.setattr(scenario, "lhv_inequality_audit", failing)
+
+
+def test_a_failed_audit_exits_4_from_run(tmp_path, capsys, monkeypatch):
+    failing_audit(monkeypatch)
+    data = schwarzschild_demo_config()
+    data["mc"] = {"n": 2000, "seed": 1}
+    assert main(["run", "--config", write(tmp_path, data)]) == EXIT_AUDIT
+    lines = capsys.readouterr().out.splitlines()
+    assert "lhv audit         n=2000 seed=1 FAILED" in lines
+
+
+def test_a_failed_audit_exits_4_from_lhv_audit(tmp_path, capsys, monkeypatch):
+    failing_audit(monkeypatch)
+    data = schwarzschild_demo_config()
+    code = main(["lhv-audit", "--config", write(tmp_path, data), "--n", "2000", "--seed", "1"])
+    assert code == EXIT_AUDIT
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("triple 0: ") and lines[0].endswith(" VIOLATED")
+    assert lines[-1] == "audit FAILED (n=2000, seed=1)"
+
+
+def test_a_failed_self_check_exits_4(capsys, monkeypatch):
+    from grbell import selftest
+
+    original = selftest.find_max_violation
+
+    def disagreeing(proj_b, proj_c, method, **kwargs):
+        best, report = original(proj_b, proj_c, method, **kwargs)
+        if method == "grid":
+            report = dataclasses.replace(report, margin=report.margin + 1.0)
+        return best, report
+
+    monkeypatch.setattr(selftest, "find_max_violation", disagreeing)
+    assert main(["selftest"]) == EXIT_AUDIT
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FAIL] grid search matches the analytic optimum" in lines
+    assert lines[-1] == "selftest FAILED (7 checks)"
 
 
 def test_json_report_byte_identical(tmp_path):

@@ -200,6 +200,24 @@ def test_a_leg_2_gets_the_path_it_has_alone_when_leg_1_fails(k, failure):
     assert assert_stack_equals_legs_alone(data) == 1
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_legs_the_metric_stack_refuses_fail_alone_among_four(k):
+    # four legs from one event, the 2nd and 4th off the floats: each leg's
+    # outcome is its one-leg run's, whichever legs the stack refuses
+    data = batch_config(7, k)
+    off = off_the_floats(2, data)
+    legs = [
+        *config_from_dict({**data, **off}).legs,
+        *config_from_dict({**data, "u1": data["u2"], "stop1": data["stop2"], **off}).legs,
+    ]
+    tol = config_from_dict(data).tol
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stacked = stacked_outcomes(legs, tol)
+        assert stacked == alone_outcomes(legs, tol)
+    assert [isinstance(outcome[0], type) for outcome in stacked] == [False, True, False, True]
+
+
 def stage_and_status(data):
     """The stage run_scenario reports, and the status of the same config as a one-row sweep."""
     with pytest.raises(PipelineError) as err:

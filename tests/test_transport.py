@@ -20,14 +20,15 @@ from grbell.frames import embed_stack, project_stack
 from grbell.geodesics import METRIC_SLACK
 from grbell.geometry import metric_components
 from grbell import transport
-from grbell.transport import BACKWARD, FORWARD, _carry, transport_stack
+from grbell.transport import transport_stack
 from conftest import metric_check
 from reference import (
     checked,
     csv_cells,
-    earlier_carry,
+    earlier_transport,
     metric_matrices,
     row_vecmat_invariants,
+    start_leg,
     tetrad_components,
 )
 
@@ -99,8 +100,8 @@ def test_perturbed_propagator_fails_metric_check(schw):
 def test_forward_backward_round_trip_is_exact_to_rounding(schw, rng):
     path = circular_path(schw, revolutions=0.4)
     v0 = rng.standard_normal((1, 4))
-    there = checked(_carry(path, v0, FORWARD))
-    back = checked(_carry(path, there.v, BACKWARD))
+    there = checked(transport_stack(path, start_leg(path), v0))
+    back = checked(transport_stack(start_leg(path), path, there.v))
     assert np.max(np.abs(back.v - v0)) < 1e-12
 
 
@@ -117,21 +118,21 @@ def test_flat_transport_is_identity(flat, rng):
     path = flat_path(flat)
     for _ in range(5):
         v0 = rng.standard_normal((1, 4))
-        out = checked(_carry(path, v0, FORWARD))
+        out = checked(transport_stack(path, start_leg(path), v0))
         assert np.max(np.abs(out.v - v0)) < 1e-12
 
 
 def test_forward_backward_round_trip(schw, rng):
     path = circular_path(schw, revolutions=0.4)
     v0 = rng.standard_normal((1, 4))
-    there = checked(_carry(path, v0, FORWARD))
-    back = checked(_carry(path, there.v, BACKWARD))
+    there = checked(transport_stack(path, start_leg(path), v0))
+    back = checked(transport_stack(start_leg(path), path, there.v))
     assert np.max(np.abs(back.v - v0)) < 1e-7
 
 
 def test_norm_and_tangent_product_conserved(schw):
     path = circular_path(schw, revolutions=0.7)
-    out = checked(_carry(path, np.array([[0.0, math.sqrt(0.8), 0.0, 0.0]]), FORWARD))
+    out = checked(transport_stack(path, start_leg(path), np.array([[0.0, math.sqrt(0.8), 0.0, 0.0]])))
     assert out.norm_drift[0] < 1e-7
     assert out.tangent_dot_drift[0] < 1e-7
 
@@ -141,8 +142,8 @@ def test_pairwise_inner_products_conserved(schw, rng):
     g0, g1 = (metric_components(path.spec, x) for x in path.points[[0, -1]])
     v0 = rng.standard_normal(4)
     w0 = rng.standard_normal(4)
-    v1 = checked(_carry(path, v0[None], FORWARD)).v[0]
-    w1 = checked(_carry(path, w0[None], FORWARD)).v[0]
+    v1 = checked(transport_stack(path, start_leg(path), v0[None])).v[0]
+    w1 = checked(transport_stack(path, start_leg(path), w0[None])).v[0]
     assert v1 * g1 @ w1 == pytest.approx(v0 * g0 @ w0, abs=1e-7)
 
 
@@ -152,7 +153,7 @@ def test_geodetic_precession_circular_orbit(schw):
     r = 10.0
     path = circular_path(schw, r=r, revolutions=1.0)
     f = 1.0 - 2.0 * M / r
-    out = checked(_carry(path, np.array([[0.0, math.sqrt(f), 0.0, 0.0]]), FORWARD))
+    out = checked(transport_stack(path, start_leg(path), np.array([[0.0, math.sqrt(f), 0.0, 0.0]])))
 
     g_end = path.metrics[-1]
     E = build_comoving_frame(g_end, path.tangents[-1])
@@ -185,7 +186,7 @@ def test_transport_r_to_l_degenerate_right_leg(schw, rng):
     )
     vO = rng.standard_normal((1, 4))
     combined = checked(transport_stack(geo_L, geo_R, vO))
-    direct = checked(_carry(geo_L, vO, FORWARD))
+    direct = checked(transport_stack(geo_L, start_leg(geo_L), vO))
     assert np.max(np.abs(combined.v - direct.v)) < 1e-12
 
 
@@ -314,9 +315,12 @@ def test_diagonal_invariants_give_the_row_vecmat_results_bit_for_bit(schw, rng, 
 
 
 def test_carry_equals_the_earlier_form(schw, flat, rng):
-    # both ends' invariants as one stacked product give the bits, the drifts
-    # and the errors of the ends taken apart, in both directions, on
-    # timelike, null, radial, zero-length and flat paths
+    # all ends' invariants as one stacked product give the bits, the drifts
+    # and the errors of the earlier one-path transport backward along R,
+    # then forward along L: along one path each way (the other leg being
+    # the identity leg at its start), on timelike, null, radial, zero-length
+    # and flat paths, and between two legs from one event, with either
+    # leg's propagator perturbed
     x0 = np.array([0.0, 8.0, 1.2, 0.4])
     f = 0.75
     static_legs = np.array([1.0 / math.sqrt(f), math.sqrt(f), 1.0 / 8.0, 1.0 / (8.0 * math.sin(1.2))])
@@ -335,22 +339,24 @@ def test_carry_equals_the_earlier_form(schw, flat, rng):
         [[0.0, 1e300, 1e300, 0.0], [0.0, 0.0, 0.0, 0.0]],
         [[0.0, math.inf, 0.0, 0.0], [math.nan, 0.0, 1.0, 0.0], [math.nan] * 4],
     ])
+    # the first two paths leave one event, and so do the next three
+    pairs = [(p, start_leg(p)) for p in paths] + [(paths[0], paths[1]), (paths[2], paths[3]), (paths[3], paths[4])]
+    pairs += [(R, L) for L, R in pairs]
     failed = 0
-    for path in paths:
-        bent = dataclasses.replace(path, propagators=path.propagators * (1.0 + 1e-6))
-        for p in (path, bent):
-            for direction in (FORWARD, BACKWARD):
-                with np.errstate(all="ignore"):
-                    found = _carry(p, V, direction)
-                    v, norm_drift, dot_drift, errors = earlier_carry(p, V, direction)
-                assert np.array_equal(found.v, v, equal_nan=True)
-                assert np.array_equal(found.norm_drift, norm_drift, equal_nan=True)
-                assert np.array_equal(found.tangent_dot_drift, dot_drift, equal_nan=True)
-                assert {j: (type(e), str(e)) for j, e in found.errors.items()} == {
-                    j: (type(e), str(e)) for j, e in errors.items()
-                }
-                failed += len(errors)
-    assert failed >= 100
+    for geo_L, geo_R in pairs:
+        bent_L, bent_R = (dataclasses.replace(p, propagators=p.propagators * (1.0 + 1e-6)) for p in (geo_L, geo_R))
+        for L, R in ((geo_L, geo_R), (bent_L, geo_R), (geo_L, bent_R)):
+            with np.errstate(all="ignore"):
+                found = transport_stack(L, R, V)
+                v, norm_drift, dot_drift, errors = earlier_transport(L, R, V)
+            assert np.array_equal(found.v, v, equal_nan=True)
+            assert np.array_equal(found.norm_drift, norm_drift, equal_nan=True)
+            assert np.array_equal(found.tangent_dot_drift, dot_drift, equal_nan=True)
+            assert {j: (type(e), str(e)) for j, e in found.errors.items()} == {
+                j: (type(e), str(e)) for j, e in errors.items()
+            }
+            failed += len(errors)
+    assert failed >= 300
 
 
 def test_the_norm_check_does_not_loosen_with_the_size_of_the_vector(flat):
