@@ -111,6 +111,12 @@ class InequalityStack(NamedTuple):
             degenerate=bool(self.degenerate[j]),
         )
 
+    def margin_at(self, a: np.ndarray) -> np.ndarray:
+        """The margin of the rows a against these arms and this bound: the bits
+        of bell_stack(a, self.b, self.c).margin, whose arms, in the bound's
+        order, are not swapped again; only the left side is formed."""
+        return np.abs(_correlations(a, self.b) - _correlations(a, self.c)) - self.rhs
+
 
 class ViolationStack(NamedTuple):
     """Angle test on d = w_b^2 b - w_c^2 c per row: local models need |cos phi| <= cos theta.
@@ -149,7 +155,7 @@ def _ordered(
     and the optimum all start from it.
     """
     swapped = arm_c.w - arm_b.w > ARM_ORDER_ULP * np.spacing(arm_b.w)
-    if swapped.any():
+    if np.logical_or.reduce(swapped):
         return arm_c.where(swapped, arm_b), arm_b.where(swapped, arm_c), swapped
     return arm_b, arm_c, swapped
 

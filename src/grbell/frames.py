@@ -239,7 +239,7 @@ def project_stack(projector: np.ndarray, V: np.ndarray) -> ProjectionStack:
         w = np.minimum(np.sqrt(row_dot(q[:, 1:], q[:, 1:])), 1.0)
     ok = np.isfinite(total) & (total > 0.0)
     errors: dict[int, SimulatorError] = {}
-    for j in np.flatnonzero(~ok).tolist():
+    for j in (~ok).nonzero()[0].tolist():
         errors[j] = (
             ZeroVector("cannot project a zero vector")
             if total[j] == 0.0

@@ -374,9 +374,9 @@ def _metric_residuals(
     n, starts = len(g), _starts(counts)
     residual = np.einsum("nab,na,nad->nbd", propagators, g, propagators).reshape(n, 16)
     residual[:, ::5] -= np.repeat(g[starts], counts, axis=0)  # the diagonal, less g(x0)
-    residual = np.maximum.reduceat(np.abs(residual, out=residual), starts).max(axis=1)
+    residual = np.maximum.reduce(np.maximum.reduceat(np.abs(residual, out=residual), starts), axis=1)
     conditioning = np.einsum("nab,na,nad->nbd", np.abs(propagators), g_abs, sizes).reshape(n, 16)
-    conditioning = np.maximum.reduceat(conditioning, starts).max(axis=1)
+    conditioning = np.maximum.reduce(np.maximum.reduceat(conditioning, starts), axis=1)
     return [
         (worst, METRIC_SLACK * max(1.0, scale))
         for worst, scale in zip(residual.tolist(), conditioning.tolist())
@@ -1022,7 +1022,9 @@ def _parallel_frames(
     # (n2, n3), the orbital plane's normal direction in the static tetrad; on
     # a radial leg theta-hat and phi-hat are parallel, and n is theta-hat
     radial = np.repeat(lam[_starts(counts)] == 0.0, counts)
-    normal = np.divide(u[:, 2:], lam[:, None], out=np.tile([1.0, 0.0], (n, 1)), where=~radial[:, None])
+    normal = np.zeros((n, 2))
+    normal[:, 0] = 1.0
+    np.divide(u[:, 2:], lam[:, None], out=normal, where=~radial[:, None])
     frames[:, 2, 3], frames[:, 3, 3] = normal[:, 1], -normal[:, 0]
     # U0^2 - U1^2 = D = eps + Lambda^2, with no cancellation in forming D
     eps = np.repeat([1.0 if kind == TIMELIKE else 0.0 for kind in kinds], counts)
@@ -1345,7 +1347,7 @@ def _checked_paths(
     ):
         bounds = {k: bound for k in drift}
         bounds["norm"] = bound * max(1.0, scale)
-        bad = {k: v for k, v in drift.items() if v > bounds[k]}
+        bad = {k: v for k, v in drift.items() if not v <= bounds[k]}  # a NaN drift fails
         rows = slice(start, start + count)
         if bad:
             paths.append(StepFailure(f"conservation drift {bad} exceeds {bounds}"))

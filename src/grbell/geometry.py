@@ -90,7 +90,7 @@ def metric_stack(spec: MetricSpec, X: np.ndarray) -> np.ndarray:
     inside = r <= spec.guard_radius
     off_chart = ~((0.0 < theta) & (theta < math.pi))
     bad = inside | off_chart | ~((0.0 < g_phph) & (g_thth < math.inf) & np.isfinite(X[:, 0]))
-    if bad.any():
+    if np.logical_or.reduce(bad):
         j = int(np.argmax(bad))
         if inside[j]:
             raise HorizonDomain(f"r = {float(r[j])} inside radius {spec.guard_radius}")

@@ -659,9 +659,9 @@ def _evaluate(
     return bell_stack(a, proj_b, proj_c)._replace(errors=errors)
 
 
-def _settings_rows(settings: np.ndarray, k: int = 1) -> list[np.ndarray]:
-    """a, b and c, the rows of the (3, 3) settings, each repeated over k rows."""
-    return [np.tile(d, (k, 1)) for d in settings]
+def _settings_rows(settings: np.ndarray, k: int = 1) -> np.ndarray:
+    """a, b and c, the rows of the (3, 3) settings, each repeated over k rows: (3, k, 3)."""
+    return np.repeat(settings[:, None], k, axis=1)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -672,9 +672,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     if rows.errors:
         raise rows.errors[0] from getattr(rows.errors[0], "cause", None)
     angles = violation_stack(rows.a, rows.b, rows.c)
-    # a row's bits do not depend on the rows beside it, so the optimum's
-    # margin is its own one-row pass; where d vanishes there is no optimum
-    best = bell_stack(angles.best, rows.b, rows.c)
+    # the optimum's margin takes the row's ordered arms and bound and forms
+    # only its own left side; where d vanishes there is no optimum
+    best_margin = rows.margin_at(angles.best)
 
     lhv = None
     if cfg.lhv_audit:
@@ -692,7 +692,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         config=cfg.echo or {},
         rows=rows,
         angles=angles,
-        best_margin=None if angles.degenerate[0] else float(best.margin[0]),
+        best_margin=None if angles.degenerate[0] else float(best_margin[0]),
         geodesic_1=None if geometry is None else GeodesicSummary.from_path(geometry.geo1),
         geodesic_2=None if geometry is None else GeodesicSummary.from_path(geometry.geo2),
         lhv=lhv,

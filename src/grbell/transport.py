@@ -54,8 +54,10 @@ def _invariants(u: np.ndarray, d: np.ndarray, W: np.ndarray) -> np.ndarray:
     partners[0, 0] = W
     partners[0, 1] = u[:, :, None]
     np.abs(partners[0], out=partners[1])
-    g = np.stack([d, np.abs(d)])[..., None, :]
-    return row_dot((partners[:, 0] * g)[:, None], partners)
+    g = np.empty((2, *d.shape))
+    g[0] = d
+    np.abs(d, out=g[1])
+    return row_dot((partners[:, 0] * g[..., None, :])[:, None], partners)
 
 
 def transport_stack(geo_L: GeodesicPath, geo_R: GeodesicPath, V_R: np.ndarray) -> TransportedStack:
@@ -71,8 +73,8 @@ def transport_stack(geo_L: GeodesicPath, geo_R: GeodesicPath, V_R: np.ndarray) -
     """
     if geo_L.spec != geo_R.spec:
         raise InvalidChart("paths integrated in different metrics")
-    origin_gap = np.abs(geo_L.points[0] - geo_R.points[0]).max()
-    if origin_gap > COMMON_ORIGIN_TOL:
+    origin_gap = np.maximum.reduce(np.abs(geo_L.points[0] - geo_R.points[0]))
+    if not origin_gap <= COMMON_ORIGIN_TOL:  # written so that a NaN gap fails
         raise CommonOriginMismatch(
             f"emission events differ by {origin_gap:.3e} in coordinates"
         )
@@ -91,14 +93,14 @@ def transport_stack(geo_L: GeodesicPath, geo_R: GeodesicPath, V_R: np.ndarray) -
         # near the horizon both products cancel heavily; scale the bound by the
         # worst conditioning seen at either end (1 in mild regimes), taken relative
         # to |v.v| for the norm, as its drift is: it then does not grow with |v|
-        worst = conditioning.max(axis=2)
+        worst = np.maximum.reduce(conditioning, axis=2)
         worst[0] /= scale[0]
         bounds = np.array([[_drift_bound(geo_R.tol)], [_drift_bound(geo_L.tol)]]) * np.maximum(1.0, worst)
-        finite = np.isfinite(W[:, 1]).all(axis=-1)
+        finite = np.logical_and.reduce(np.isfinite(W[:, 1]), axis=-1)
         # written so that a NaN drift fails
-        ok = finite & (drift <= bounds).all(axis=0)
+        ok = finite & np.logical_and.reduce(drift <= bounds, axis=0)
     errors: dict[int, SimulatorError] = {}
-    for j in np.flatnonzero(~ok.all(axis=0)).tolist():
+    for j in (~np.logical_and.reduce(ok, axis=0)).nonzero()[0].tolist():
         i = int(ok[0, j])  # the first leg the row failed on
         errors[j] = (
             StepFailure(
@@ -108,5 +110,5 @@ def transport_stack(geo_L: GeodesicPath, geo_R: GeodesicPath, V_R: np.ndarray) -
             if finite[i, j]
             else NonFiniteVector(f"transported vector {W[i, 1, j].tolist()} is not finite")
         )
-    norm_drift, dot_drift = drift.max(axis=1)
+    norm_drift, dot_drift = np.maximum.reduce(drift, axis=1)
     return TransportedStack(W[1, 1], norm_drift, dot_drift, errors)

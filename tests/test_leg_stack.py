@@ -271,3 +271,17 @@ def test_a_leg_2_that_fails_its_check_after_leg_1_passes_reports_geodesic_2(monk
     assert error.stage == "geodesic_2" and isinstance(error.cause, StepFailure)
     assert "metric residual" in str(error.cause)
     assert status == "error:geodesic_2"
+
+
+def test_a_nan_conservation_drift_fails_the_leg_check(monkeypatch):
+    # a NaN compares False with its bound, so the check is written to fail
+    # it rather than to pass it
+    earlier = geodesics._conservation_drift
+    monkeypatch.setattr(
+        geodesics, "_conservation_drift",
+        lambda *args: [{**drift, "norm": math.nan} for drift in earlier(*args)],
+    )
+    cfg = config_from_dict(stage_config())
+    outcomes = run_legs(cfg.legs, cfg.tol)
+    assert [type(outcome) for outcome in outcomes] == [StepFailure, StepFailure]
+    assert all("conservation drift {'norm': nan" in str(outcome) for outcome in outcomes)

@@ -256,17 +256,32 @@ def test_a_null_leg_reaches_its_radius_stop_at_any_affine_scale():
         assert 0.1 < report.geodesic_1.drift["energy"] / unit.geodesic_1.drift["energy"] < 10.0
 
 
+def _bundled_runs():
+    """The bundled configs that run one row: every one without a sweep block."""
+    documents = []
+    for name in sorted(os.listdir(CONFIGS)):
+        with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+            data = json.load(fh)
+        if "sweep" not in data:
+            documents.append(data)
+    return documents
+
+
 def test_a_run_reads_its_rows_and_best_margin_from_one_bell_stack():
-    # the run takes its row from one bell_stack and its best margin from a
-    # one-row bell_stack on that stack's ordered arms: both are the bits of
-    # separate bell_stack calls on the caller's arms
+    # the run takes its row from one bell_stack and its best margin from that
+    # stack's ordered arms and bound (margin_at): both are the bits of
+    # separate bell_stack calls, on the caller's arms and on the ordered
+    # ones, which a one-row bell_stack does not swap again. Among the runs:
+    # every bundled one (the arms swap in one), one where w_b^2 b = w_c^2 c
+    # leaves no optimum, and seeded boosted Schwarzschild runs read in static
+    # and in comoving frames
     synthetic = {"w_b": 0.7, "b": [0.0, 1.0, 0.0], "w_c": 0.7, "c": [0.0, 1.0, 0.0]}
     documents = [flat_baseline_config(), schwarzschild_demo_config(), null_leg_demo(1.0),
-                 {"settings": flat_baseline_config()["settings"], "synthetic": synthetic}]
-    found = []
+                 {"settings": flat_baseline_config()["settings"], "synthetic": synthetic},
+                 *_bundled_runs(), *_seeded_batch_configs(np.random.default_rng(4545), 40)]
+    seen = collections.Counter()
     for data in documents:
-        data["lhv_audit"] = False
-        cfg = config_from_dict(data)
+        cfg = config_from_dict({**data, "lhv_audit": False})
         report = run_scenario(cfg)
         a, b, c = scenario._settings_rows(cfg.settings)
         arm_b, arm_c, _ = scenario._arms(scenario._geometry(cfg), b, c, cfg.synthetic)
@@ -275,13 +290,19 @@ def test_a_run_reads_its_rows_and_best_margin_from_one_bell_stack():
             assert np.array_equal(getattr(report.rows, name), getattr(rows, name), equal_nan=True)
         for arm, expected in ((report.rows.b, rows.b), (report.rows.c, rows.c)):
             assert all(np.array_equal(x, y) for x, y in zip(arm[:4], expected[:4]))
-        found.append(not report.angles.degenerate[0])
-        if not report.angles.degenerate[0]:
-            best = report.angles.best[0][None]
-            assert report.best_margin == float(bell_stack(best, arm_b, arm_c).margin[0])
-        else:
+        if report.angles.degenerate[0]:
             assert report.best_margin is None
-    assert found == [True, True, True, False]
+            seen["no optimum"] += 1
+            continue
+        best = report.angles.best
+        assert report.best_margin.hex() == float(bell_stack(best, arm_b, arm_c).margin[0]).hex()
+        ordered = bell_stack(best, report.rows.b, report.rows.c)
+        assert not ordered.swapped[0]
+        assert report.best_margin.hex() == float(ordered.margin[0]).hex()
+        seen["swapped"] += bool(rows.swapped[0])
+        seen[cfg.frame_choice if not cfg.is_synthetic else "synthetic"] += 1
+    assert seen["no optimum"] == 1 and seen["swapped"] >= 1
+    assert seen["comoving"] >= 10 and seen["synthetic"] >= 2
 
 
 def _random_settings(rng):

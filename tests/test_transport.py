@@ -212,6 +212,19 @@ def test_transport_r_to_l_origin_mismatch(schw):
         transport_stack(geo_L, geo_R, np.array([[0.0, 1.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("nan_leg", ["L", "R"])
+def test_a_nan_origin_is_a_common_origin_mismatch(schw, nan_leg):
+    # a NaN gap compares False with the tolerance, so the check is written
+    # to fail it rather than to pass it
+    path = circular_path(schw, revolutions=0.2)
+    points = path.points.copy()
+    points[0, 3] = math.nan
+    broken = dataclasses.replace(path, points=points)
+    geo_L, geo_R = (broken, path) if nan_leg == "L" else (path, broken)
+    with pytest.raises(CommonOriginMismatch, match="differ by nan"):
+        transport_stack(geo_L, geo_R, np.array([[0.0, 1.0, 0.0, 0.0]]))
+
+
 def test_transport_r_to_l_refuses_paths_in_different_metrics(schw):
     # at M = 2 from r = 20 the path is stored from r = 10 in units of M, the
     # same stored origin as geo_L's at M = 1, so only the metrics tell them apart
