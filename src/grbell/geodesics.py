@@ -92,15 +92,20 @@ turning point ends, rather than at MAX_STEPS. The stepper forms its trial
 stages only on the components the right-hand side reads. A trial step,
 stages k2 to k7, the new state and its error norm, is one straight-line
 function per state shape, written out from the tableau and compiled on
-first use; it rounds each sum as the list form it replaced does. Each
-later stored state is turned back into (t, r, theta, phi, u, psi) once, in
-Python floats, with the origin's t and phi added: the leg is at r n, with
-n = cos chi e1 + sin chi e2, where e1 points to the start and e2 along its
-motion in the plane, so theta and phi are n's polar angles (phi kept
-continuous), u^theta and u^phi are L / r^2 times the rates of those angles
-along m = dn/dchi, and L_z = L (e1 x e2)_z to rounding. The first stored
-state is the start as given. A stored state on the polar axis, where n's
-polar angles are undefined, is a StepFailure.
+first use; it rounds each sum as the list form it replaced does. The
+stepper keeps only its current state; the norm check reads each accepted
+state, and the one an event ends it at, in Python floats: |u.u + eps| =
+|((u^r)^2 - E^2) / f + L^2 / r^2 + eps| within the drift bound times
+max(1, ((u^r)^2 + E^2) / f + L^2 / r^2). No other check reads integration
+error, since E and L are exact. Only the end state is turned back into
+(t, r, theta, phi, u, psi), with the origin's t and phi added: the leg is
+at r n, n = cos chi e1 + sin chi e2, e1 toward the start and e2 along its
+motion, so theta and phi are n's polar angles, u^theta and u^phi are
+L / r^2 times their rates along m = dn/dchi, and L_z = L (e1 x e2)_z to
+rounding. phi is n's azimuth on the branch nearest sign(u^phi0) chi, as it
+turns that way within pi of chi; on a plane through the poles (u^phi0 =
++-0) that adds pi per pole, signed as the zero is. An end on the polar
+axis is a StepFailure.
 
 Since every Schwarzschild geodesic lies in a plane through r = 0, a frame
 parallel along it is algebraic in (x, u) and the one scalar psi (J.-A.
@@ -123,26 +128,26 @@ to rounding; the path stores that u and checks the integrated one:
 
 On a radial leg (L = 0), n is theta-hat and psi stays 0. The propagator of
 a leg is P(tau) = F(tau) F(0)^-1 for that frame F, with P(0) = I exactly,
-so P^T g(x) P = g(x0) holds by construction; it is still checked at every
-stored step, at a rounding slack.
+so P^T g(x) P = g(x0) holds by construction; it is still checked at both
+ends, at a rounding slack.
 
-The legs run_legs has stepped are stored as one stack of rows, leg after
-leg. The metric is evaluated once, as one stack over every stored point,
-from which the frame reads f = -g_tt and which the drift and propagator
-checks contract. The chart alone decides a leg's propagator. On
-Schwarzschild the frame is built once over every row, each with its leg's
-kind and its leg's radial test, so null and timelike, radial and general
-legs share a stack, and a zero-length leg is its one row, where P = I. One
-inverse of the start frames gives P, and each check is taken once over
-the stack and reduced per leg with np.maximum.reduceat over the legs'
-first rows; the metric check is the stack's one. Every step acts row by
-row, so each path, a view of its leg's rows, holds the bits it has alone.
-A flat leg keeps its checked tangent and P = I. Each path keeps its rows
-of the metric stack, the drift it was checked against and its integrator
-counters. A leg that fails, while stepping, in the metric stack or in its
-checks, keeps that error as its outcome and changes no other leg's: a leg
-with a point outside the chart is left out of the stack, and every other
-leg is stepped and checked whatever the legs beside it meet.
+The legs run_legs has stepped are stored as one (legs, 2, ...) stack of
+their two ends; a zero-length leg holds its start twice, at tau 0 and 0.
+The metric is evaluated once over the stack, and the frame (reading
+f = -g_tt) and the checks contract it. The chart alone decides a leg's
+propagator. On Schwarzschild one frame is built over the stack, each leg
+with its kind and its start's radial test, and one inverse of the start
+frames gives P, with P = I at tau = 0. Each check is taken once over the
+stack and reduced over each leg's two rows; on a stepped leg the ends' E
+and L_z drifts measure only the conversion's rounding, and the norm drift
+is the larger of the ends' and the worst its stepper checked. Every step
+acts row by row, so each path, a view of its leg's rows, holds the bits it
+has alone. A flat leg keeps its checked tangent and P = I. Each path keeps
+its rows of the metric stack, the drift it was checked against and its
+integrator counters. A leg that fails, while stepping, in the metric stack
+or in its checks, keeps that error as its outcome and changes no other
+leg's: a leg with a point outside the chart is left out of the stack, and
+every other leg is stepped and checked whatever the legs beside it meet.
 """
 from __future__ import annotations
 
@@ -150,7 +155,6 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -245,28 +249,29 @@ class StopCondition:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicPath:
-    """Sampled geodesic with tangent, propagator, checked drift and counters.
+    """A geodesic's two ends with tangent, propagator, checked drift and counters.
 
-    spec is the caller's metric. A Schwarzschild path holds everything in
-    units of M, in the exterior chart of unit mass: its taus, points,
-    tangents, metrics and propagators; its t and phi are the caller's origin
-    converted, not shifted to 0. The chart decides the tangents and
-    propagators: a Schwarzschild path, zero-length or not, holds Marck's
-    frame's u and P = F F(0)^-1, a flat one the checked tangent and P = I.
-    nfev, accepted and rejected count the stepper's right-hand-side
-    evaluations and its accepted and rejected steps; all three are 0 on a
-    leg that needs no ODE (flat space, a radial Schwarzschild leg, zero
-    length).
+    Each array holds the start and the end, a zero-length path's start
+    twice, at tau 0 and 0. spec is the caller's metric. A Schwarzschild path
+    holds everything in units of M, in the exterior chart of unit mass: its
+    taus, points, tangents, metrics and propagators; its t and phi are the
+    caller's origin converted, not shifted to 0. The chart decides the
+    tangents and propagators: a Schwarzschild path, zero-length or not,
+    holds Marck's frame's u and P = F F(0)^-1, a flat one the checked
+    tangent and P = I. nfev, accepted and rejected count the stepper's
+    right-hand-side evaluations and its accepted and rejected steps; all
+    three are 0 on a leg that needs no ODE (flat space, a radial
+    Schwarzschild leg, zero length).
     """
 
     spec: MetricSpec
     kind: str
     tol: float
-    taus: np.ndarray          # (n,), strictly increasing, taus[0] == 0
-    points: np.ndarray        # (n, 4)
-    tangents: np.ndarray      # (n, 4); on Schwarzschild the frame's u
-    propagators: np.ndarray   # (n, 4, 4), parallel propagator from taus[0]
-    metrics: np.ndarray       # (n, 4), the metric's diagonal at the points
+    taus: np.ndarray          # (2,), 0 and tau_end >= 0
+    points: np.ndarray        # (2, 4)
+    tangents: np.ndarray      # (2, 4); on Schwarzschild the frame's u
+    propagators: np.ndarray   # (2, 4, 4), parallel propagator from taus[0]
+    metrics: np.ndarray       # (2, 4), the metric's diagonal at the points
     drift: dict[str, float]   # max conservation drifts, checked at integration
     nfev: int = 0
     accepted: int = 0
@@ -285,38 +290,31 @@ _IDENTITY.flags.writeable = False
 
 
 def _conservation_drift(
-    chart: MetricSpec, kinds: Sequence[str], counts: Sequence[int],
-    points: np.ndarray, tangents: np.ndarray, g: np.ndarray,
+    chart: MetricSpec, kinds: Sequence[str], points: np.ndarray, tangents: np.ndarray, g: np.ndarray,
 ) -> list[dict[str, float]]:
-    """Worst drift of u.u, E and L_z of each leg in a stack, from the metric
-    stack g in the legs' chart; leg i, of kind kinds[i], holds the next
-    counts[i] rows. E's drift is relative to E(0); L_z's to max(|L_z(0)|,
-    floor), with the floor the chart's M on a timelike leg and E(0) M on a
-    null one, whose E and L_z scale alike with its affine parameter."""
-    starts = _starts(counts)
-    uu = np.einsum("na,na,na->n", g, tangents, tangents)
-    uu -= np.repeat([-1.0 if kind == TIMELIKE else 0.0 for kind in kinds], counts)
-    drifts = [{"norm": v} for v in np.maximum.reduceat(np.abs(uu, out=uu), starts).tolist()]
+    """Worst drift of u.u, E and L_z over the rows of each leg in a stack,
+    from the metric stack g in the legs' chart; leg i, of kind kinds[i],
+    holds row i of each (legs, rows, 4) array. E's drift is relative to
+    E(0); L_z's to max(|L_z(0)|, floor), with the floor the chart's M on a
+    timelike leg and E(0) M on a null one, whose E and L_z scale alike with
+    its affine parameter."""
+    uu = np.einsum("...a,...a,...a->...", g, tangents, tangents)
+    uu -= np.array([-1.0 if kind == TIMELIKE else 0.0 for kind in kinds])[:, None]
+    drifts = [{"norm": v} for v in np.maximum.reduce(np.abs(uu, out=uu), axis=1).tolist()]
     if chart.kind == SCHWARZSCHILD:
-        r, theta = points[:, 1], points[:, 2]
+        r, theta = points[..., 1], points[..., 2]
         # E = f u^t, positive on every leg integrate_geodesic accepts, and L_z
-        weights = np.empty((2, len(points)))
-        np.negative(g[:, 0], out=weights[0])
-        np.multiply(r**2, np.sin(theta) ** 2, out=weights[1])
-        killing = weights * tangents[:, ::3].T
-        first = killing[:, starts]
-        killing -= np.repeat(first, counts, axis=1)
-        worst = np.maximum.reduceat(np.abs(killing, out=killing), starts, axis=1)
-        for drift, kind, (worst_E, worst_L), (E0, L0) in zip(drifts, kinds, worst.T.tolist(), first.T.tolist()):
+        killing = np.empty((*r.shape, 2))
+        np.negative(g[..., 0], out=killing[..., 0])
+        np.multiply(r**2, np.sin(theta) ** 2, out=killing[..., 1])
+        killing *= tangents[..., ::3]
+        first = killing[:, 0].tolist()
+        worst = np.maximum.reduce(np.abs(killing - killing[:, :1]), axis=1)
+        for drift, kind, (worst_E, worst_L), (E0, L0) in zip(drifts, kinds, worst.tolist(), first):
             drift["energy"] = worst_E / abs(E0)
             floor = chart.mass if kind == TIMELIKE else E0 * chart.mass
             drift["angular_momentum"] = worst_L / max(abs(L0), floor)
     return drifts
-
-
-def _starts(counts: Sequence[int]) -> list[int]:
-    """The first row of each leg in a stack whose legs hold counts rows each."""
-    return [0, *accumulate(counts[:-1])]
 
 
 def tangent_kind(u: np.ndarray, uu: float) -> str:
@@ -357,13 +355,13 @@ def _drift_bound(tol: float) -> float:
 
 
 def _metric_residuals(
-    g: np.ndarray, g_abs: np.ndarray, propagators: np.ndarray, sizes: np.ndarray, counts: Sequence[int]
+    g: np.ndarray, g_abs: np.ndarray, propagators: np.ndarray, sizes: np.ndarray
 ) -> list[tuple[float, float]]:
-    """The worst residual of P^T g(x) P = g(x0) over the stored steps of each
-    leg of a stack, and its bound; leg i holds the next counts[i] rows.
+    """The worst residual of P^T g(x) P = g(x0) over the rows of each leg of
+    a stack, and its bound; leg i holds row i of each (legs, rows, ...) array.
 
-    g is the metric stack's diagonal at the stored points, its first row of
-    each leg at that leg's emission event, and g_abs = |g|. P is built from
+    g is the metric stack's diagonal at the stored points, each leg's first
+    row at its emission event, and g_abs = |g|. P is built from
     a frame that is orthonormal up to rounding, so the bound is
     METRIC_SLACK times the conditioning max(|P|^T |g| sizes), the size of
     the terms that cancel. sizes bounds, entry by entry, the terms summed
@@ -371,12 +369,11 @@ def _metric_residuals(
     about gamma^2 on a leg whose tangent is boosted by gamma against the
     static frame, and for P = I it is I.
     """
-    n, starts = len(g), _starts(counts)
-    residual = np.einsum("nab,na,nad->nbd", propagators, g, propagators).reshape(n, 16)
-    residual[:, ::5] -= np.repeat(g[starts], counts, axis=0)  # the diagonal, less g(x0)
-    residual = np.maximum.reduce(np.maximum.reduceat(np.abs(residual, out=residual), starts), axis=1)
-    conditioning = np.einsum("nab,na,nad->nbd", np.abs(propagators), g_abs, sizes).reshape(n, 16)
-    conditioning = np.maximum.reduce(np.maximum.reduceat(conditioning, starts), axis=1)
+    residual = np.einsum("...ab,...a,...ad->...bd", propagators, g, propagators).reshape(*g.shape[:2], 16)
+    residual[..., ::5] -= g[:, :1]  # the diagonal, less g(x0)
+    residual = np.maximum.reduce(np.abs(residual, out=residual).reshape(len(g), -1), axis=1)
+    conditioning = np.einsum("...ab,...a,...ad->...bd", np.abs(propagators), g_abs, sizes)
+    conditioning = np.maximum.reduce(conditioning.reshape(len(g), -1), axis=1)
     return [
         (worst, METRIC_SLACK * max(1.0, scale))
         for worst, scale in zip(residual.tolist(), conditioning.tolist())
@@ -503,24 +500,25 @@ def run_legs(legs: Sequence[LegStart], tol: float) -> list[GeodesicPath | Simula
 
 
 class _Stored(NamedTuple):
-    """A leg's stored states, as stepping hands them to _stack_paths: its
-    taus and its rows (x, u, psi) as Python floats, in units of M on a
-    Schwarzschild leg and at the caller's t and phi, and its stepper
-    counters. The chart decides what its path stores: on Schwarzschild
-    Marck's frame's u and P = F F(0)^-1, with P(0) = I, at every row; in
-    flat space, where psi = 0, the checked tangent and P = I."""
+    """A leg's end, as stepping hands it to _stack_paths (its start is the
+    leg's x0, u0 and psi = 0): its tau and row (x, u, psi) as Python floats,
+    in units of M on a Schwarzschild leg and at the caller's t and phi, the
+    worst norm drift its stepper checked (0 on a leg that takes no steps)
+    and its counters. The chart decides what its path stores: on
+    Schwarzschild Marck's frame's u and P = F F(0)^-1 at both ends; in flat
+    space, where psi = 0, the checked tangent and P = I."""
 
     leg: LegStart
-    taus: list[float]
-    states: list[Sequence[float]]
+    tau: float
+    end: Sequence[float]
+    norm: float = 0.0
     nfev: int = 0
     accepted: int = 0
     rejected: int = 0
 
 
 def _step(leg: LegStart, tol: float) -> _Stored:
-    """A checked start's stored states, with the errors it meets before any
-    check of them."""
+    """A checked start's end, with the errors it meets before any check of it."""
     spec, kind, x0, u0, stop = leg.spec, leg.kind, leg.x0, leg.u0, leg.stop
     if spec.kind == SCHWARZSCHILD:
         # E = f u^t divides a null leg's rates and the energy drift; a u^t
@@ -537,7 +535,7 @@ def _step(leg: LegStart, tol: float) -> _Stored:
         # in Python floats, where inf - inf is NaN without a warning
         or (stop.kind == STOP_COORDINATE_TIME and abs(t0 - stop.value) <= STOP_SNAP)
     ):
-        return _Stored(leg, [0.0], [[*x0.tolist(), *u0.tolist(), 0.0]])
+        return _Stored(leg, 0.0, [*x0.tolist(), *u0.tolist(), 0.0])
     if stop.kind == STOP_COORDINATE_TIME and not stop.value > t0:
         unit = " M" if spec.kind == SCHWARZSCHILD else ""
         raise StepFailure(
@@ -563,8 +561,7 @@ def _straight_line(leg: LegStart) -> _Stored:
         end = x + u * tau
     if not np.all(np.isfinite(end)):
         raise StepFailure(f"end event of a leg of length tau = {tau} overflows the chart")
-    u = u.tolist()
-    return _Stored(leg, [0.0, tau], [[*x.tolist(), *u, 0.0], [*end.tolist(), *u, 0.0]])
+    return _Stored(leg, tau, [*end.tolist(), *u.tolist(), 0.0])
 
 
 def _line_radius_root(x: np.ndarray, v: np.ndarray, radius: float) -> float:
@@ -636,14 +633,14 @@ def _plane_rhs(kind: str, energy: float, ang_mom: float):
 
 
 def _schwarzschild_leg(leg: LegStart, tol: float) -> _Stored:
-    """A Schwarzschild leg's stored states at unit mass, from x0 with tangent u0 to the stop, all in units of M.
+    """A Schwarzschild leg's end at unit mass, from x0 with tangent u0 to the stop, all in units of M.
 
     A radius stop is first put to the module docstring's one test, which
     refuses it or reports the plunge before the leg runs. A radial leg,
     u^theta = u^phi = 0, is then _radial_leg's closed form. Any other steps
     the plane state (t, r, chi, psi, u^r) of _plane_rhs from t = chi = 0,
-    and each later stored state is turned back into (t, r, theta, phi, u,
-    psi) once, with t0 and phi0 added; the first is the start as given.
+    with the norm checked at each accepted state, and its end state is
+    turned back into (t, r, theta, phi, u, psi), with t0 and phi0 added.
     """
     kind, x0, u0, stop = leg.kind, leg.x0, leg.u0, leg.stop
     t0, r0, th0, ph0 = x0.tolist()
@@ -716,33 +713,44 @@ def _schwarzschild_leg(leg: LegStart, tol: float) -> _Stored:
     # the plane's unit vectors e1 = a toward x0 and e2 = b along its motion, in axes where x0 has phi = 0
     w = math.hypot(uth0, sin0 * uph0)
     (a1, a2, a3), (b1, b2, b3) = (sin0, 0.0, cos0), (cos0 * uth0 / w, sin0 * uph0 / w, -sin0 * uth0 / w)
+    # the norm check at each accepted state (module docstring); the path keeps its worst drift
+    E2, L2, bound, eps = energy * energy, ang_mom * ang_mom, _drift_bound(tol), 1.0 if kind == TIMELIKE else 0.0
+    worst = 0.0
+
+    def check_norm(tau, state):
+        nonlocal worst
+        r, ur = state[1], state[4]
+        f, ur2, centrifugal = 1.0 - 2.0 / r, ur * ur, L2 / (r * r)
+        drift = abs((ur2 - E2) / f + centrifugal + eps)
+        limit = bound * max(1.0, (ur2 + E2) / f + centrifugal)
+        if not drift <= limit:  # written so that a NaN drift fails
+            raise StepFailure(f"conservation drift {{'norm': {drift}}} exceeds {{'norm': {limit}}} at tau = {tau} M")
+        worst = max(worst, drift)
+
     try:
         rhs = _plane_rhs(kind, energy, ang_mom)
-        run = _dopri(rhs, [0.0, r0, 0.0, 0.0, ur0], h0, tau_end, tol, events, what, (1, 4))
+        run = _dopri(rhs, [0.0, r0, 0.0, 0.0, ur0], h0, tau_end, tol, events, what, (1, 4), check_norm)
         if run.event == len(events) - 1:
-            raise HorizonApproach(f"path reached guard radius {guard} M at tau = {run.taus[-1]} M")
+            raise HorizonApproach(f"path reached guard radius {guard} M at tau = {run.tau} M")
+        t, r, chi, psi, ur = run.state
         if stop.kind == STOP_RADIUS and run.event == 1:
-            raise StepFailure(
-                f"{what} not reached: the leg turns back at r = {run.states[-1][1]} M at tau = {run.taus[-1]} M"
-            )
-        states, last = [[0.0 + t0, r0, th0, 0.0 + ph0, ut0, ur0, uth0, uph0, 0.0]], 0.0
-        for t, r, chi, psi, ur in run.states[1:]:
-            c, s = math.cos(chi), math.sin(chi)
-            nx, ny, nz = c * a1 + s * b1, c * a2 + s * b2, c * a3 + s * b3
-            mx, my, mz = c * b1 - s * a1, c * b2 - s * a2, c * b3 - s * a3
-            rho, rate, phi = math.hypot(nx, ny), ang_mom / (r * r), math.atan2(ny, nx)
-            last = phi = phi + math.tau * round((last - phi) / math.tau)  # phi kept continuous
-            states.append([
-                t + t0, r, math.atan2(rho, nz), phi + ph0, energy / (1.0 - 2.0 / r), ur,
-                rate * (nz * (nx * mx + ny * my) / rho - rho * mz), rate * (nx * my - ny * mx) / (rho * rho), psi,
-            ])
-    except (ArithmeticError, ValueError) as e:  # e.g. a stored state on the polar axis, where rho = 0
+            raise StepFailure(f"{what} not reached: the leg turns back at r = {r} M at tau = {run.tau} M")
+        c, s = math.cos(chi), math.sin(chi)
+        nx, ny, nz = c * a1 + s * b1, c * a2 + s * b2, c * a3 + s * b3
+        mx, my, mz = c * b1 - s * a1, c * b2 - s * a2, c * b3 - s * a3
+        rho, rate, phi = math.hypot(nx, ny), ang_mom / (r * r), math.atan2(ny, nx)
+        phi += math.tau * round((math.copysign(chi, uph0) - phi) / math.tau)  # phi kept continuous
+        end = [
+            t + t0, r, math.atan2(rho, nz), phi + ph0, energy / (1.0 - 2.0 / r), ur,
+            rate * (nz * (nx * mx + ny * my) / rho - rho * mz), rate * (nx * my - ny * mx) / (rho * rho), psi,
+        ]
+    except (ArithmeticError, ValueError) as e:  # e.g. an end on the polar axis, where rho = 0
         raise StepFailure(f"integration failed: {e}") from None
-    return _Stored(leg, run.taus, states, run.nfev, run.accepted, run.rejected)
+    return _Stored(leg, run.tau, end, worst, run.nfev, run.accepted, run.rejected)
 
 
 def _radial_leg(leg: LegStart) -> _Stored:
-    """A radial leg, u^theta = u^phi = 0, at unit mass in closed form, stored as its two ends.
+    """The end of a radial leg, u^theta = u^phi = 0, at unit mass in closed form.
 
     E = f u^t is conserved, so the end's u^t is E / f; its u^r, tau and t
     come from _TimelikeFall or _NullFall, whose math errors are
@@ -750,8 +758,7 @@ def _radial_leg(leg: LegStart) -> _Stored:
     _schwarzschild_leg's test, so the motion meets it.
     """
     t0, r0, theta, phi = leg.x0.tolist()
-    u0 = leg.u0.tolist()
-    ut0, ur0 = u0[:2]
+    ut0, ur0 = leg.u0.tolist()[:2]
     energy = (1.0 - 2.0 / r0) * ut0
     try:
         fall = _NullFall(r0, ur0, energy) if leg.kind == NULL else _TimelikeFall(r0, ur0)
@@ -761,8 +768,7 @@ def _radial_leg(leg: LegStart) -> _Stored:
         raise StepFailure(f"closed-form radial leg failed: {e}") from None
     if not math.isfinite(tau + dt + r + ut + ur):
         raise StepFailure(f"end of a radial leg of length tau = {tau} M overflows the chart")
-    end = [t0 + dt, r, theta, phi, ut, ur, 0.0, 0.0, 0.0]
-    return _Stored(leg, [0.0, tau], [[t0, r0, theta, phi, *u0, 0.0], end])
+    return _Stored(leg, tau, [t0 + dt, r, theta, phi, ut, ur, 0.0, 0.0, 0.0])
 
 
 def _radial_end(fall, stop: StopCondition, t0: float) -> tuple[float, float, float, float]:
@@ -987,12 +993,11 @@ class _NullFall:
 
 
 def _parallel_frames(
-    kinds: Sequence[str], counts: Sequence[int], points: np.ndarray, g: np.ndarray,
-    tangents: np.ndarray, psi: np.ndarray,
+    kinds: Sequence[str], points: np.ndarray, g: np.ndarray, tangents: np.ndarray, psi: np.ndarray,
 ) -> np.ndarray:
-    """Marck's parallel frame at each stored state of a stack of legs, as the
-    columns of (n, 4, 4); leg i, of kind kinds[i], holds the next counts[i]
-    rows, and is radial where its first row has Lambda = 0.
+    """Marck's parallel frame at each row of a stack of legs, as the columns
+    of (legs, rows, 4, 4); leg i, of kind kinds[i], holds row i of each
+    array, and is radial where its first row has Lambda = 0.
 
     g is the metric stack at the points, whose -g_tt is f = 1 - 2M/r.
     Timelike legs: (u, a cos psi + b sin psi, -a sin psi + b cos psi, l),
@@ -1003,41 +1008,41 @@ def _parallel_frames(
     legs then scale. Every step acts row by row, so each row holds the bits
     its leg's frame has alone.
     """
-    n = len(points)
-    r, theta = points[:, 1], points[:, 2]
+    shape = psi.shape
+    r, theta = points[..., 1], points[..., 2]
     # the legs f^-1/2 d_t, f^1/2 d_r, r^-1 d_theta, (r sin theta)^-1 d_phi
-    legs = np.empty((n, 4))
-    sqrt_f = np.sqrt(-g[:, 0], out=legs[:, 1])
+    legs = np.empty((*shape, 4))
+    sqrt_f = np.sqrt(-g[..., 0], out=legs[..., 1])
     r_sin = r * np.sin(theta)
-    np.divide(1.0, sqrt_f, out=legs[:, 0])
-    np.divide(1.0, r, out=legs[:, 2])
-    np.divide(1.0, r_sin, out=legs[:, 3])
-    frames = np.zeros((n, 4, 4))
-    u = frames[:, :, 0]
-    U0, U1, U2, U3 = u.T
-    np.divide(tangents[:, 1], sqrt_f, out=U1)
-    np.multiply(r, tangents[:, 2], out=U2)
-    np.multiply(r_sin, tangents[:, 3], out=U3)
+    np.divide(1.0, sqrt_f, out=legs[..., 0])
+    np.divide(1.0, r, out=legs[..., 2])
+    np.divide(1.0, r_sin, out=legs[..., 3])
+    frames = np.zeros((*shape, 4, 4))
+    u = frames[..., 0]
+    U0, U1, U2, U3 = (u[..., i] for i in range(4))
+    np.divide(tangents[..., 1], sqrt_f, out=U1)
+    np.multiply(r, tangents[..., 2], out=U2)
+    np.multiply(r_sin, tangents[..., 3], out=U3)
     lam = np.hypot(U2, U3)
     # (n2, n3), the orbital plane's normal direction in the static tetrad; on
     # a radial leg theta-hat and phi-hat are parallel, and n is theta-hat
-    radial = np.repeat(lam[_starts(counts)] == 0.0, counts)
-    normal = np.zeros((n, 2))
-    normal[:, 0] = 1.0
-    np.divide(u[:, 2:], lam[:, None], out=normal, where=~radial[:, None])
-    frames[:, 2, 3], frames[:, 3, 3] = normal[:, 1], -normal[:, 0]
+    radial = lam[:, :1] == 0.0
+    normal = np.zeros((*shape, 2))
+    normal[..., 0] = 1.0
+    np.divide(u[..., 2:], lam[..., None], out=normal, where=~radial[..., None])
+    frames[..., 2, 3], frames[..., 3, 3] = normal[..., 1], -normal[..., 0]
     # U0^2 - U1^2 = D = eps + Lambda^2, with no cancellation in forming D
-    eps = np.repeat([1.0 if kind == TIMELIKE else 0.0 for kind in kinds], counts)
+    eps = np.array([1.0 if kind == TIMELIKE else 0.0 for kind in kinds])[:, None]
     D, root_D = eps + lam * lam, np.hypot(eps, lam)
     np.hypot(U1, root_D, out=U0)
     present = dict.fromkeys(kinds)
     for kind in present:
-        rows = slice(None) if len(present) == 1 else np.repeat([k == kind for k in kinds], counts)
+        rows = slice(None) if len(present) == 1 else np.array([k == kind for k in kinds])
         columns = _timelike_columns if kind == TIMELIKE else _null_columns
-        frames[rows, :, 1], frames[rows, :, 2] = columns(
-            u[rows], lam[rows], normal[rows], D[rows], root_D[rows], psi[rows, None]
+        frames[rows, ..., 1], frames[rows, ..., 2] = columns(
+            u[rows], lam[rows], normal[rows], D[rows], root_D[rows], psi[rows, ..., None]
         )
-    frames *= legs[:, :, None]
+    frames *= legs[..., None]
     return frames
 
 
@@ -1045,12 +1050,12 @@ def _timelike_columns(u, lam, normal, D, root_D, psi) -> tuple[np.ndarray, np.nd
     """The frame's columns a cos psi + b sin psi and -a sin psi + b cos psi
     in the static tetrad, with a = (U1, U0, 0, 0) / sqrt(D) and
     b = (Lambda U0, Lambda U1, D n) / sqrt(D)."""
-    a, b = ab = np.zeros((2, len(u), 4))
-    a[:, :2] = u[:, 1::-1]
-    np.multiply(lam[:, None], u[:, :2], out=b[:, :2])
-    np.multiply(D[:, None], normal, out=b[:, 2:])
-    ab /= root_D[:, None]
-    trig = np.empty((2, len(u), 1))
+    a, b = ab = np.zeros((2, *u.shape))
+    a[..., :2] = u[..., 1::-1]
+    np.multiply(lam[..., None], u[..., :2], out=b[..., :2])
+    np.multiply(D[..., None], normal, out=b[..., 2:])
+    ab /= root_D[..., None]
+    trig = np.empty((2, *psi.shape))
     np.cos(psi, out=trig[0])
     np.sin(psi, out=trig[1])
     # (a cos, a sin), (b cos, b sin)
@@ -1062,24 +1067,23 @@ def _null_columns(u, lam, normal, D, root_D, psi) -> tuple[np.ndarray, np.ndarra
     """The frame's columns n = n0 + psi m0 + psi^2 u / 2 and m = m0 + psi u
     in the static tetrad, with m0 = (0, Lambda, -U1 n) / U0 and
     n0 = (U0, -U1, -Lambda n) / (2 U0^2)."""
-    U0, neg_U1 = u[:, 0], -u[:, 1]
-    m0, n0 = np.zeros((2, len(u), 4))
-    m0[:, 1] = lam
-    np.multiply(neg_U1[:, None], normal, out=m0[:, 2:])
-    n0[:, 0] = U0
-    n0[:, 1] = neg_U1
-    np.multiply(-lam[:, None], normal, out=n0[:, 2:])
-    m0 /= U0[:, None]
-    n0 /= (2.0 * U0 * U0)[:, None]
+    U0, neg_U1 = u[..., 0], -u[..., 1]
+    m0, n0 = np.zeros((2, *u.shape))
+    m0[..., 1] = lam
+    np.multiply(neg_U1[..., None], normal, out=m0[..., 2:])
+    n0[..., 0] = U0
+    n0[..., 1] = neg_U1
+    np.multiply(-lam[..., None], normal, out=n0[..., 2:])
+    m0 /= U0[..., None]
+    n0 /= (2.0 * U0 * U0)[..., None]
     n = n0 + psi * m0
     n += 0.5 * psi * psi * u
     return n, m0 + psi * u
 
 
-@dataclass(frozen=True, eq=False)
-class _Run:
-    taus: list[float]
-    states: list[Sequence[float]]
+class _Run(NamedTuple):
+    tau: float  # where the run ends, and its state there
+    state: list[float]
     event: int | None  # index of the event that ended the run
     nfev: int
     accepted: int
@@ -1128,15 +1132,16 @@ def _trial_step(m: int, at: tuple[int, ...]):
 
 def _dopri(
     rhs, y0: list[float], h0: float, tau_end: float, tol: float, events, what: str,
-    reads: Sequence[int] | None = None,
+    reads: Sequence[int] | None, each,
 ) -> _Run:
     """Integrate y' = rhs(y) from tau = 0 to tau_end, which may be inf, with Dormand-Prince 5(4),
     trying h0 > 0 as the first step.
 
-    reads are increasing indices into y0, every component by default: rhs
+    reads are increasing indices into y0, or None for every component: rhs
     takes the components in reads and returns the derivatives of all of
-    y0. The trial stages are formed on reads. Each trial step runs
-    _trial_step's function for (len(y0), reads), built once per shape.
+    y0; the trial stages, _trial_step's function for (len(y0), reads), are
+    formed on reads. each(tau, y) gets each accepted state, and the one an
+    event ends the run at, the only states the run keeps, and may raise.
 
     events are terminal (component, target, direction) triples: event j
     fires where y[component] crosses target, upward
@@ -1161,7 +1166,6 @@ def _dopri(
     h_abs, nfev, accepted, rejected = h0, 1, 0, 0
 
     t = 0.0
-    taus, states = [t], [y]
     g = [y[c] - target for c, target, _ in events]
     while t < tau_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -1218,15 +1222,13 @@ def _dopri(
             roots = [(_bracket_root(lambda x, c=events[j][0], target=events[j][1]:
                                     dense(c, x) - target), j) for j in crossed]
             x, event = min(roots)
-            tau = t + x * h
-            taus.append(tau)
-            states.append([dense(i, x) for i in range(len(y))])
-            return _Run(taus, states, event, nfev, accepted, rejected)
+            tau, state = t + x * h, [dense(i, x) for i in range(len(y))]
+            each(tau, state)
+            return _Run(tau, state, event, nfev, accepted, rejected)
 
         t, y, f, g = t_new, y_new, stages[-1], g_new
-        taus.append(t)
-        states.append(y)
-    return _Run(taus, states, None, nfev, accepted, rejected)
+        each(t, y)
+    return _Run(t, y, None, nfev, accepted, rejected)
 
 
 def _bracket_root(fn) -> float:
@@ -1270,99 +1272,95 @@ def _stack_paths(stored: Sequence[_Stored], tol: float) -> list[GeodesicPath | S
     checks meet.
 
     The legs leave one event, so they share one chart, that of the path's
-    units. Their rows are stored as one stack, as _checked_paths describes,
-    and its metric stack also checks each point's domain. Where it refuses
-    a point, each leg is stacked alone: a leg with a point outside the
-    domain has the error of its first such point as its outcome, and the
-    other legs keep the paths they have alone.
+    units. Their two ends are stored as one (legs, 2, ...) stack, as
+    _checked_paths describes, and its metric stack also checks each point's
+    domain. Where it refuses a point, each leg is stacked alone: a leg with
+    a point outside the domain has the error of its first such point as its
+    outcome, and the other legs keep the paths they have alone.
     """
     spec = stored[0].leg.spec
     chart = _UNIT_MASS if spec.kind == SCHWARZSCHILD else spec
-    counts = [len(leg.taus) for leg in stored]
-    n = sum(counts)
-    taus = np.fromiter(chain.from_iterable(leg.taus for leg in stored), float, n)
-    values = chain.from_iterable(chain.from_iterable(leg.states for leg in stored))
-    states = np.fromiter(values, float, 9 * n).reshape(n, 9)
-    points = np.ascontiguousarray(states[:, :4])
+    taus = np.array([(0.0, leg.tau) for leg in stored])
+    states = np.array([([*leg.leg.x0.tolist(), *leg.leg.u0.tolist(), 0.0], leg.end) for leg in stored])
+    points = np.ascontiguousarray(states[..., :4])
     try:
-        g = metric_stack(chart, points)
+        g = metric_stack(chart, points.reshape(-1, 4)).reshape(points.shape)
     except SimulatorError as e:
         # metric_stack raises at the first row it refuses: a lone leg fails with it, and
         # a larger stack is stacked leg by leg, so each leg with such a row fails alone
         return [e] if len(stored) == 1 else [_stack_paths([leg], tol)[0] for leg in stored]
-    kinds = [leg.leg.kind for leg in stored]
-    tangents = states[:, 4:8]
+    tangents = states[..., 4:8]
     if chart.kind == SCHWARZSCHILD:
-        propagators, sizes, stored_tangents = _propagators(kinds, counts, points, g, tangents, states[:, 8])
+        kinds = [leg.leg.kind for leg in stored]
+        propagators, sizes, stored_tangents = _propagators(kinds, taus, points, g, tangents, states[..., 8])
     else:
         # a flat leg's P is the identity, which bounds its own terms, and it keeps its checked tangent
-        propagators = sizes = np.tile(_IDENTITY, (n, 1, 1))
+        propagators = sizes = np.tile(_IDENTITY, (*taus.shape, 1, 1))
         stored_tangents = np.ascontiguousarray(tangents)
-    return _checked_paths(stored, tol, chart, counts, taus, points, tangents, propagators, sizes, g, stored_tangents)
+    return _checked_paths(stored, tol, chart, taus, points, tangents, propagators, sizes, g, stored_tangents)
 
 
 def _propagators(
-    kinds: Sequence[str], counts: Sequence[int], points: np.ndarray, g: np.ndarray,
-    tangents: np.ndarray, psi: np.ndarray,
+    kinds: Sequence[str], taus: np.ndarray, points: np.ndarray, g: np.ndarray, tangents: np.ndarray,
+    psi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P = F F(0)^-1 for Marck's frame F at each row of a stack of
-    Schwarzschild legs, as in _parallel_frames, with P(0) = I exactly, the
-    sizes |F| |F(0)^-1| that bound the terms summed into P, and the frame's u."""
-    frames = _parallel_frames(kinds, counts, points, g, tangents, psi)
-    starts = _starts(counts)
-    inverse = np.repeat(np.linalg.inv(frames[starts]), counts, axis=0)
+    Schwarzschild legs, as in _parallel_frames, with P = I exactly wherever
+    tau = 0, the sizes |F| |F(0)^-1| that bound the terms summed into P, and the frame's u."""
+    frames = _parallel_frames(kinds, points, g, tangents, psi)
+    inverse = np.linalg.inv(frames[:, 0])[:, None]
     propagators = frames @ inverse
-    propagators[starts] = _IDENTITY
-    return propagators, np.abs(frames) @ np.abs(inverse), np.ascontiguousarray(frames[:, :, 0])
+    propagators[taus == 0.0] = _IDENTITY
+    return propagators, np.abs(frames) @ np.abs(inverse), np.ascontiguousarray(frames[..., 0])
 
 
 def _checked_paths(
-    stored: Sequence[_Stored], tol: float, chart: MetricSpec, counts: Sequence[int],
-    taus: np.ndarray, points: np.ndarray, tangents: np.ndarray, propagators: np.ndarray,
-    sizes: np.ndarray, g: np.ndarray, stored_tangents: np.ndarray,
+    stored: Sequence[_Stored], tol: float, chart: MetricSpec, taus: np.ndarray, points: np.ndarray,
+    tangents: np.ndarray, propagators: np.ndarray, sizes: np.ndarray, g: np.ndarray, stored_tangents: np.ndarray,
 ) -> list[GeodesicPath | SimulatorError]:
     """The outcome of each leg of a stack, in order: its path once the checks
     of its tangents pass, or the StepFailure of its first check that fails.
 
-    Leg i holds the next counts[i] rows of each array: taus and points, the
+    Leg i holds row i of each (legs, 2, ...) array: taus and points, the
     integrated tangents, which are checked, the propagators, the sizes that
     bound the terms summed into them, the metric stack g at the points in
     the chart and the tangents the path stores. Every check is taken over
     the whole stack and reduced per leg, and each path holds views of its
-    rows, the stack, the drift and the stepper counters.
+    rows, the drift (its norm the larger of the rows' and the stepper's) and
+    the stepper counters.
     """
-    starts, kinds = _starts(counts), [leg.leg.kind for leg in stored]
+    kinds = [leg.leg.kind for leg in stored]
     g_abs = np.abs(g)
-    drifts = _conservation_drift(chart, kinds, counts, points, tangents, g)
+    drifts = _conservation_drift(chart, kinds, points, tangents, g)
     # the tangent-norm check cancels catastrophically near the horizon
     # (terms ~ E^2/f against a result of order 1), so its bound scales with
     # the conditioning number; the Killing checks have no such cancellation
     u_abs = np.abs(tangents)
-    conditioning = np.maximum.reduceat(np.einsum("na,na,na->n", g_abs, u_abs, u_abs), starts).tolist()
-    metric = _metric_residuals(g, g_abs, propagators, sizes, counts)
+    conditioning = np.maximum.reduce(np.einsum("...a,...a,...a->...", g_abs, u_abs, u_abs), axis=1).tolist()
+    metric = _metric_residuals(g, g_abs, propagators, sizes)
     bound = _drift_bound(tol)
     paths: list[GeodesicPath | SimulatorError] = []
-    for leg, kind, start, count, drift, scale, (residual, metric_bound) in zip(
-        stored, kinds, starts, counts, drifts, conditioning, metric
+    for i, (leg, kind, drift, scale, (residual, metric_bound)) in enumerate(
+        zip(stored, kinds, drifts, conditioning, metric)
     ):
         bounds = {k: bound for k in drift}
         bounds["norm"] = bound * max(1.0, scale)
         bad = {k: v for k, v in drift.items() if not v <= bounds[k]}  # a NaN drift fails
-        rows = slice(start, start + count)
         if bad:
             paths.append(StepFailure(f"conservation drift {bad} exceeds {bounds}"))
         elif not residual <= metric_bound:
             paths.append(_metric_failure(residual, metric_bound))
         else:
+            drift["norm"] = max(drift["norm"], leg.norm)
             paths.append(GeodesicPath(
                 spec=leg.leg.spec,
                 kind=kind,
                 tol=tol,
-                taus=taus[rows],
-                points=points[rows],
-                tangents=stored_tangents[rows],
-                propagators=propagators[rows],
-                metrics=g[rows],
+                taus=taus[i],
+                points=points[i],
+                tangents=stored_tangents[i],
+                propagators=propagators[i],
+                metrics=g[i],
                 drift=drift,
                 nfev=leg.nfev,
                 accepted=leg.accepted,

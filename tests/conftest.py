@@ -40,9 +40,9 @@ def random_flat_point(rng):
 
 
 class RecordedLeg(NamedTuple):
-    """One leg of a stack geodesics._checked_paths was given, as its rows of
-    each array; tangents are the integrated ones the checks read, and
-    sizes is None on a flat leg, whose P = I."""
+    """One leg of a stack geodesics._checked_paths was given, as its two
+    rows of each array; tangents are the integrated ones the checks read,
+    and sizes is None on a flat leg, whose P = I."""
 
     spec: MetricSpec
     kind: str
@@ -64,47 +64,46 @@ def recording_checked_legs(monkeypatch) -> list[RecordedLeg]:
     legs = []
     original = geodesics._checked_paths
 
-    def recording(stored, tol, chart, counts, *arrays):
-        start, framed = 0, chart.kind == "schwarzschild"
-        for leg, count in zip(stored, counts):
-            taus, points, tangents, propagators, sizes, g, stored_tangents = (
-                a[start : start + count] for a in arrays
-            )
+    def recording(stored, tol, chart, *arrays):
+        framed = chart.kind == "schwarzschild"
+        for i, leg in enumerate(stored):
+            taus, points, tangents, propagators, sizes, g, stored_tangents = (a[i] for a in arrays)
             legs.append(RecordedLeg(
                 leg.leg.spec, leg.leg.kind, tol, taus, points, tangents, propagators,
                 sizes if framed else None, g, stored_tangents, leg.nfev,
             ))
             if not framed:
                 assert np.array_equal(sizes, np.abs(propagators))
-            start += count
-        return original(stored, tol, chart, counts, *arrays)
+        return original(stored, tol, chart, *arrays)
 
     monkeypatch.setattr(geodesics, "_checked_paths", recording)
     return legs
 
 
 def metric_check(g, propagators, sizes=None) -> float:
-    """The leg stack's metric check on one leg with the metric stack g:
-    its worst residual, or the StepFailure it raises, from
+    """The leg stack's metric check on one leg with the metric stack g, over
+    all its rows: its worst residual, or the StepFailure it raises, from
     geodesics._metric_residuals and _metric_failure; sizes defaults to |P|."""
     from grbell import geodesics
 
     sizes = np.abs(propagators) if sizes is None else sizes
-    ((residual, bound),) = geodesics._metric_residuals(g, np.abs(g), propagators, sizes, [len(g)])
+    ((residual, bound),) = geodesics._metric_residuals(g[None], np.abs(g)[None], propagators[None], sizes[None])
     if not residual <= bound:
         raise geodesics._metric_failure(residual, bound)
     return residual
 
 
 def recording_runs(monkeypatch) -> list:
-    """Every run geodesics._dopri returns, in order."""
+    """Every run of geodesics._dopri, in order, as reference.recorded_dopri
+    records it through the run's per-step function: y0 and every state
+    the run checks."""
     from grbell import geodesics
+    from reference import recorded_dopri
 
     runs = []
-    dopri = geodesics._dopri
 
     def recording(*args):
-        runs.append(dopri(*args))
+        runs.append(recorded_dopri(*args))
         return runs[-1]
 
     monkeypatch.setattr(geodesics, "_dopri", recording)

@@ -19,6 +19,7 @@ along one path; and csv_cells reads a CSV line back as its named cells.
 import dataclasses
 import math
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,6 +222,17 @@ def earlier_plane_row(x0, u0, state, phi_before):
     return [t + t0, r, math.atan2(rho, n[2]), phi + ph0, energy / (1.0 - 2.0 / r), ur, u_theta, u_phi, psi], phi
 
 
+def earlier_end_phi(x0, u0, states):
+    """The end's phi of a leg stepped from x0 with tangent u0 (lists) at
+    unit mass through the plane states (t, r, chi, psi, u^r) after its
+    start, as the stepper's rows kept it continuous before only the end was
+    converted: each state's phi within pi of the one before, from phi0."""
+    phi = 0.0
+    for state in states:
+        row, phi = earlier_plane_row(x0, u0, state, phi)
+    return row[3]
+
+
 def earlier_schwarzschild_rhs(kind, energy, ang_mom):
     """d(x, u, psi)/dtau on the exterior chart of unit mass from (r, theta,
     u^t, u^r, u^theta, u^phi): the nine-component right-hand side the
@@ -301,12 +313,57 @@ def hnw_first_step(rhs, y0, tau_end, tol, reads=None, moves=None):
     return min(100.0 * h0, h1, tau_end)
 
 
+class SteppedRun(NamedTuple):
+    """A stepper run as its list of states: taus and states from tau = 0,
+    y0 first, the event that ended it and its counters; tau and state are
+    where it ended, as geodesics._Run holds them."""
+
+    taus: list
+    states: list
+    event: int | None
+    nfev: int
+    accepted: int
+    rejected: int
+
+    @property
+    def tau(self):
+        return self.taus[-1]
+
+    @property
+    def state(self):
+        return self.states[-1]
+
+
+# the stepper itself, which recorded_dopri runs whatever a test patches in its place
+_dopri = geodesics._dopri
+
+
+def recorded_dopri(rhs, y0, h0, tau_end, tol, events, what, reads=None, each=None):
+    """geodesics._dopri on these arguments with a recorder as its per-step
+    function, as a SteppedRun: y0 at tau 0, then each state the run hands
+    the recorder, which passes it on to each where that is given. The
+    run's own end is the recorder's last state, bit for bit."""
+    taus, states = [0.0], [y0]
+
+    def record(tau, state):
+        taus.append(tau)
+        states.append(state)
+        if each is not None:
+            each(tau, state)
+
+    run = _dopri(rhs, y0, h0, tau_end, tol, events, what, reads, record)
+    assert float(run.tau).hex() == float(taus[-1]).hex()
+    assert [float(v).hex() for v in run.state] == [float(v).hex() for v in states[-1]]
+    return SteppedRun(taus, states, run.event, run.nfev, run.accepted, run.rejected)
+
+
 def earlier_dopri(rhs, y0, h0, tau_end, tol, events, what, reads=None, moves=None):
     """geodesics._dopri with its trial step written as list comprehensions
-    over zip, each stage's read components taken with an itemgetter, and
-    the running |y| carried from step to step. With h0 None it starts, as
-    the stepper did before its first step was an argument, at
-    hnw_first_step, whose second evaluation nfev counts too."""
+    over zip, each stage's read components taken with an itemgetter, the
+    running |y| carried from step to step, and every state kept in a list,
+    as a SteppedRun. With h0 None it starts, as the stepper did before its
+    first step was an argument, at hnw_first_step, whose second evaluation
+    nfev counts too."""
     rtol, atol = tol, tol * 1e-3
     root_n = math.sqrt(len(y0))
     hypot, isfinite = math.hypot, math.isfinite
@@ -332,7 +389,7 @@ def earlier_dopri(rhs, y0, h0, tau_end, tol, events, what, reads=None, moves=Non
             whole = itemgetter(*[moves.index(i) if i in moves else len(moves) + i for i in every])
             states[1:] = [whole(v + after) for v in states[1:]]
             states[0] = y0
-        return geodesics._Run(taus, states, event, nfev, accepted, rejected)
+        return SteppedRun(taus, states, event, nfev, accepted, rejected)
 
     t = 0.0
     y_abs = [abs(v) for v in y]
@@ -485,12 +542,13 @@ def earlier_radial_leg(kind, x0, u0, stop, tol, cap=None):
 
 
 def start_leg(path):
-    """The one-row identity leg cut from path's start. transport_stack(path,
-    start_leg(path), V) carries V forward along path, and
-    transport_stack(start_leg(path), path, V) carries it backward."""
+    """The zero-length identity leg cut from path's start, its start row
+    twice. transport_stack(path, start_leg(path), V) carries V forward
+    along path, and transport_stack(start_leg(path), path, V) carries it
+    backward."""
     return dataclasses.replace(
-        path, taus=path.taus[:1], points=path.points[:1], tangents=path.tangents[:1],
-        propagators=path.propagators[:1], metrics=path.metrics[:1],
+        path, taus=path.taus[[0, 0]], points=path.points[[0, 0]], tangents=path.tangents[[0, 0]],
+        propagators=path.propagators[[0, 0]], metrics=path.metrics[[0, 0]],
     )
 
 

@@ -28,7 +28,8 @@ def test_every_file_gets_one_verdict(tmp_path):
 
 
 def test_the_commands_cover_every_bundled_config_sweep_and_study():
-    names = [name for name, _ in compare_outputs.commands(Path(ROOT))]
+    commands = compare_outputs.commands(Path(ROOT))
+    names = [name for name, _ in commands]
     configs = sorted(name[:-5] for name in os.listdir(os.path.join(ROOT, "configs")))
     for config in configs:
         assert {f"run-{config}.{fmt}" for fmt in ("json", "csv", "text")} <= set(names)
@@ -38,4 +39,11 @@ def test_the_commands_cover_every_bundled_config_sweep_and_study():
     ]
     assert "selftest.txt" in names
     assert sum(name.startswith("horizon-") for name in names) == 4
-    assert len(names) == len(set(names)) == 4 * len(configs) + 8
+    # two legs of 48,662 steps each, the README's bound orbit and its mirror image, to tau = 4e5 M
+    assert ("run-long_legs.json", ["run", "--config", compare_outputs.LONG, "--format", "json",
+                                   "--out", compare_outputs.OUT]) in commands
+    legs = compare_outputs.LONG_LEGS
+    assert legs["u1"] == [1.0556733370402644, 0.04926475572854568, 0.0, 0.006459223131359831]
+    assert legs["u2"] == [*legs["u1"][:3], -legs["u1"][3]] and legs["origin"][1] == 30.0
+    assert legs["stop1"] == legs["stop2"] == {"kind": "proper_time", "value": 4e5}
+    assert len(names) == len(set(names)) == 4 * len(configs) + 9

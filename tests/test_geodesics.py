@@ -71,14 +71,15 @@ def test_radial_drop_conserved_energy(schw):
     assert path.points[-1][1] == pytest.approx(4.0, abs=1e-8)
 
 
-def test_circular_orbit_angular_velocity(schw):
-    # circular geodesic: dphi/dt = sqrt(M / r^3)
+def test_circular_orbit_angular_velocity(schw, monkeypatch):
+    # circular geodesic: dphi/dt = sqrt(M / r^3), at r at every step
+    runs = recording_runs(monkeypatch)
     r = 10.0
     x0 = np.array([0.0, r, math.pi / 2, 0.0])
     path = integrate_geodesic(schw, x0, circular_orbit_tangent(r, x0), StopCondition.proper_time(50.0))
     dphi_dt = (path.points[-1][3] - path.points[0][3]) / (path.points[-1][0] - path.points[0][0])
     assert dphi_dt == pytest.approx(math.sqrt(M / r**3), abs=1e-10)
-    assert np.max(np.abs(path.points[:, 1] - r)) < 1e-8
+    assert max(abs(state[1] - r) for state in runs[-1].states) < 1e-8 and len(runs[-1].states) > 2
 
 
 def test_conservation_drift_long_path(schw):
@@ -141,6 +142,7 @@ def test_a_near_polar_leg_steps_as_its_rotation_onto_the_equator(schw, monkeypat
     assert paths[0].taus.tobytes() == paths[1].taus.tobytes()
     assert paths[0].nfev == paths[1].nfev == 91
     assert paths[0].points[-1, 1] == paths[1].points[-1, 1]
+    assert np.array(runs[0].taus).tobytes() == np.array(runs[1].taus).tobytes()
     assert np.array(runs[0].states).tobytes() == np.array(runs[1].states).tobytes()
 
 
@@ -188,7 +190,7 @@ def test_angular_momentum_drift_is_relative_at_any_mass():
     uphi = 4.0 * spec.mass / (r * r) * (1.0 + 1e-6 * np.array([0.0, 0.5, 1.0, -0.3]))
     tangents = np.column_stack([np.full(4, 1.2), np.zeros(4), np.zeros(4), uphi])
     g = metric_stack(spec, points)
-    (drift,) = geodesics._conservation_drift(spec, ["timelike"], [4], points, tangents, g)
+    (drift,) = geodesics._conservation_drift(spec, ["timelike"], points[None], tangents[None], g[None])
     assert drift["angular_momentum"] == pytest.approx(1e-6, rel=1e-6)
 
 
@@ -209,7 +211,7 @@ def test_null_angular_momentum_drift_does_not_depend_on_the_scale_of_u(schw, mon
     tangents[:, 3] *= 1.0 + 1e-6 * np.linspace(0.0, 1.0, len(points))
     drifts = [
         geodesics._conservation_drift(
-            geodesics._UNIT_MASS, [kind], [len(points)], points, tangents * scale, checks[-1].g
+            geodesics._UNIT_MASS, [kind], points[None], tangents[None] * scale, checks[-1].g[None]
         )[0]
         for scale in (1.0, 2.0**-60)
     ]
@@ -288,7 +290,10 @@ def test_a_tangent_whose_norm_underflows_is_a_bad_normalization(flat, schw, size
 def test_degenerate_stop_single_sample(schw):
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     path = integrate_geodesic(schw, x0, static_tangent(schw, x0), StopCondition.proper_time(0.0))
-    assert len(path.taus) == 1 and path.tau_end == 0.0
+    # a zero-length leg stores its start twice, at tau 0 and 0, with P = I at both
+    assert list(path.taus) == [0.0, 0.0] and path.tau_end == 0.0
+    assert np.array_equal(path.points, [x0, x0])
+    assert np.array_equal(path.propagators, [np.eye(4), np.eye(4)])
 
 
 @pytest.mark.parametrize("mass", [1.0, 1e-160])
@@ -300,24 +305,23 @@ def test_stop_snap_is_in_units_of_the_mass(mass):
     u0 = static_tangent(spec, x0)
     for near in (StopCondition.coordinate_time(0.5 * STOP_SNAP * mass),
                  StopCondition.radius(x0[1] - 0.5 * STOP_SNAP * mass)):
-        assert len(integrate_geodesic(spec, x0, u0, near).taus) == 1
-    # the path is stored in units of M; the report converts its endpoint back.
-    # A radial leg is closed-form: a real one stores its two ends
+        assert list(integrate_geodesic(spec, x0, u0, near).taus) == [0.0, 0.0]
+    # the path is stored in units of M; the report converts its endpoint back
     path = integrate_geodesic(spec, x0, u0, StopCondition.coordinate_time(5.0 * mass))
-    assert len(path.taus) == 2 and path.points[-1][0] == pytest.approx(5.0, rel=1e-8)
+    assert path.tau_end > 0.0 and path.points[-1][0] == pytest.approx(5.0, rel=1e-8)
     assert GeodesicSummary.from_path(path).endpoint[0] == pytest.approx(5.0 * mass, rel=1e-8)
     # the leg steps in units of M, so the radial fall to 4 M is a real leg
     # that reaches its stop at every mass; it must not come back as its start
     path = integrate_geodesic(spec, x0, u0, StopCondition.radius(4.0 * mass))
-    assert len(path.taus) == 2 and path.points[-1][1] == pytest.approx(4.0, rel=1e-8)
+    assert path.tau_end > 0.0 and path.points[-1][1] == pytest.approx(4.0, rel=1e-8)
     assert GeodesicSummary.from_path(path).endpoint[1] == pytest.approx(4.0 * mass, rel=1e-8)
 
 
 def test_flat_stop_snap_stays_absolute(flat):
     x0 = np.array([0.0, 0.0, 0.0, 0.0])
     u0 = static_tangent(flat, x0)
-    assert len(integrate_geodesic(flat, x0, u0, StopCondition.coordinate_time(0.5 * STOP_SNAP)).taus) == 1
-    assert len(integrate_geodesic(flat, x0, u0, StopCondition.coordinate_time(2.0 * STOP_SNAP)).taus) == 2
+    assert list(integrate_geodesic(flat, x0, u0, StopCondition.coordinate_time(0.5 * STOP_SNAP)).taus) == [0.0, 0.0]
+    assert integrate_geodesic(flat, x0, u0, StopCondition.coordinate_time(2.0 * STOP_SNAP)).tau_end > 0.0
 
 
 def test_bad_normalization_rejected(schw):
@@ -381,12 +385,15 @@ def test_unreachable_stop_fails(schw):
 def test_step_budget_bounds_one_integration(schw, monkeypatch):
     from grbell import geodesics
 
+    # the budget counts the accepted steps, each a state the run checks
+    runs = recording_runs(monkeypatch)
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     u0 = circular_orbit_tangent(10.0, x0)
     stop = StopCondition.proper_time(50.0)
-    steps = len(integrate_geodesic(schw, x0, u0, stop).taus) - 1
+    steps = integrate_geodesic(schw, x0, u0, stop).accepted
+    assert steps == len(runs[-1].taus) - 1 > 1
     monkeypatch.setattr(geodesics, "MAX_STEPS", steps)
-    assert len(integrate_geodesic(schw, x0, u0, stop).taus) - 1 == steps
+    assert integrate_geodesic(schw, x0, u0, stop).accepted == steps
     monkeypatch.setattr(geodesics, "MAX_STEPS", steps - 1)
     with pytest.raises(StepFailure, match="steps"):
         integrate_geodesic(schw, x0, u0, stop)
@@ -417,11 +424,12 @@ def test_a_radius_stop_past_the_turning_point_ends_at_the_turn(schw, monkeypatch
         assert runs[-1].event == 1 and runs[-1].accepted <= 50
 
 
-def test_a_bound_orbit_reaches_a_stop_past_its_apocentre_and_is_refused_one_beyond_it(schw):
+def test_a_bound_orbit_reaches_a_stop_past_its_apocentre_and_is_refused_one_beyond_it(schw, monkeypatch):
+    runs = recording_runs(monkeypatch)
     x0 = np.array([0.0, 30.0, math.pi / 2, 0.0])
     path = integrate_geodesic(schw, x0, BOUND_ORBIT_U, StopCondition.radius(28.0))
     assert path.points[-1, 1] == 28.0
-    assert path.points[:, 1].max() > 42.5  # out through the apocentre and back
+    assert max(state[1] for state in runs[-1].states) > 42.5  # out through the apocentre and back
     with pytest.raises(StepFailure, match=r"effective potential 0\.97\d+ exceeds E\^2 = 0\.97"):
         integrate_geodesic(schw, x0, BOUND_ORBIT_U, StopCondition.radius(45.0))
 
@@ -521,10 +529,11 @@ def test_a_radius_below_the_start_of_an_escaping_leg_is_refused_at_once(schw, mo
     (np.array([0.0, 4.0, math.pi / 2, 0.0]),
      np.array([2.0 * math.sqrt(0.97), math.sqrt(0.0325), 0.0, math.sqrt(14.0) / 16.0]), 3.0),
 ], ids=["null", "timelike"])
-def test_an_outward_leg_that_turns_back_reaches_a_radius_below_its_start(schw, x0, u0, radius):
+def test_an_outward_leg_that_turns_back_reaches_a_radius_below_its_start(schw, monkeypatch, x0, u0, radius):
+    runs = recording_runs(monkeypatch)
     path = integrate_geodesic(schw, x0, u0, StopCondition.radius(radius))
     assert path.points[-1, 1] == radius
-    assert path.points[:, 1].max() > x0[1]
+    assert max(state[1] for state in runs[-1].states) > x0[1]
 
 
 @pytest.mark.parametrize("u_phi", [0.0, 1e-6], ids=["radial", "near-radial"])
@@ -697,14 +706,38 @@ def test_zero_tangent_rejected(flat, schw):
 def test_conservation_drift_past_its_bound_fails_the_leg(schw, monkeypatch):
     from grbell import geodesics
 
-    # a stepped, mildly eccentric orbit: a closed-form radial leg has no
-    # energy drift to exceed
-    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
-    uphi = 3.7 / 100.0
+    # a stepped, mildly eccentric orbit. Its E and L are exact in the plane
+    # state, so the norm is the drift that integration error moves: it is
+    # checked at each accepted state, |((u^r)^2 - E^2) / f + L^2 / r^2 + 1|
+    # against the bound times max(1, ((u^r)^2 + E^2) / f + L^2 / r^2), and
+    # drift["norm"] is the larger of the worst of those and the two ends'
+    # |u.u + 1|; on this orbit the worst step lies before the end and
+    # exceeds the ends'. With the bound halved below the worst step's ratio,
+    # the leg fails at the first step past it
+    runs, checks = recording_runs(monkeypatch), recording_checked_legs(monkeypatch)
+    r0 = 10.0
+    x0 = np.array([0.0, r0, math.pi / 2, 0.0])
+    uphi = 4.2 / 100.0
     u0 = np.array([math.sqrt((1.0 + 100.0 * uphi**2) / 0.8), 0.0, 0.0, uphi])
-    stop = StopCondition.proper_time(10.0)
-    energy = integrate_geodesic(schw, x0, u0, stop).drift["energy"]
-    assert energy > 0.0
-    monkeypatch.setattr(geodesics, "_drift_bound", lambda tol: 0.5 * energy)
-    with pytest.raises(StepFailure, match="conservation drift"):
+    stop = StopCondition.proper_time(100.0)
+    path = integrate_geodesic(schw, x0, u0, stop)
+    (run,), (leg,) = runs, checks
+    energy, ang_mom = (1.0 - 2.0 / r0) * u0[0], r0 * math.hypot(0.0, r0 * 1.0 * uphi)
+    drifts, scales = [], []
+    for state in run.states[1:]:
+        r, ur = state[1], state[4]
+        f, centrifugal = 1.0 - 2.0 / r, ang_mom * ang_mom / (r * r)
+        drifts.append(abs((ur * ur - energy * energy) / f + centrifugal + 1.0))
+        scales.append(max(1.0, (ur * ur + energy * energy) / f + centrifugal))
+    ends = float(np.max(np.abs(np.einsum("na,na,na->n", leg.g, leg.tangents, leg.tangents) + 1.0)))
+    assert max(drifts) > ends > 0.0
+    assert path.drift["norm"] == max(drifts)
+    bound = 0.5 * max(d / s for d, s in zip(drifts, scales))
+    k = next(k for k, (d, s) in enumerate(zip(drifts, scales)) if not d <= bound * s)
+    monkeypatch.setattr(geodesics, "_drift_bound", lambda tol: bound)
+    with pytest.raises(StepFailure) as failure:
         integrate_geodesic(schw, x0, u0, stop)
+    assert str(failure.value) == (
+        f"conservation drift {{'norm': {drifts[k]}}} exceeds {{'norm': {bound * scales[k]}}}"
+        f" at tau = {run.taus[k + 1]} M"
+    )

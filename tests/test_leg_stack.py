@@ -6,6 +6,7 @@ leg. These tests pin each leg's stacked outcome to its outcome alone,
 field by field and bit for bit, whatever the other leg meets, and pin the
 stage a failing run reports: leg 1's failure before leg 2's.
 """
+import dataclasses
 import glob
 import json
 import math
@@ -18,6 +19,8 @@ import pytest
 from grbell import PipelineError, SimulatorError, StepFailure, geodesics
 from grbell.geodesics import run_legs
 from grbell.scenario import config_from_dict, run_scenario, run_sweep
+from conftest import recording_runs
+from reference import earlier_end_phi
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -285,3 +288,88 @@ def test_a_nan_conservation_drift_fails_the_leg_check(monkeypatch):
     outcomes = run_legs(cfg.legs, cfg.tol)
     assert [type(outcome) for outcome in outcomes] == [StepFailure, StepFailure]
     assert all("conservation drift {'norm': nan" in str(outcome) for outcome in outcomes)
+
+
+def near_polar_config():
+    """Leg 1 of the polar config with its theta component at -0.99999999:
+    from theta = 0.05 it passes within 7e-6 rad of the pole."""
+    r0, theta0 = 10.0, 0.05
+    u1 = static_tetrad_tangent(r0, theta0, 0.3, [0.0, -0.99999999, math.sqrt(1.0 - 0.99999999**2)])
+    return {
+        "metric": {"kind": "schwarzschild", "mass": 1.0},
+        "origin": [0.0, r0, theta0, 0.3],
+        "u1": u1, "u2": static_tetrad_tangent(r0, theta0, 0.0, [1.0, 0.0, 0.0]),
+        "stop1": {"kind": "proper_time", "value": 40.0}, "stop2": {"kind": "proper_time", "value": 1.0},
+        "settings": {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0},
+    }
+
+
+def bundled_geometries():
+    """Every bundled config with legs, sweeps included."""
+    documents = []
+    for path in sorted(glob.glob(os.path.join(CONFIGS, "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if "synthetic" not in data:
+            documents.append(data)
+    return documents
+
+
+def test_the_end_phi_equals_the_row_by_row_unwrap(monkeypatch):
+    # with only its end converted, a stepped leg keeps phi continuous from
+    # chi's turn alone; that gives the bits of the earlier unwrap over every
+    # state the run checked, on every stepped leg of the seeded batch, of
+    # the bundled configs and of a leg that passes the pole
+    runs = recording_runs(monkeypatch)
+    stepped = {}
+    sets = {"batch": [batch_config(7, k) for k in range(400)], "bundled": bundled_geometries(),
+            "near-polar": [near_polar_config()]}
+    for name, documents in sets.items():
+        stepped[name] = 0
+        for data in documents:
+            cfg = config_from_dict(data)
+            for leg in cfg.legs:
+                runs.clear()
+                (path,) = run_legs([leg], cfg.tol)
+                if not runs:
+                    continue
+                (run,) = runs
+                expected = earlier_end_phi(leg.x0.tolist(), leg.u0.tolist(), run.states[1:])
+                assert float(path.points[-1, 3]).hex() == float(expected).hex(), (name, data)
+                stepped[name] += 1
+    assert stepped == {"batch": 700, "bundled": 11, "near-polar": 1}
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_leg_in_a_plane_through_the_poles_turns_phi_by_pi_at_each_pole(zero):
+    # u^phi0 = 0 with u^theta0 != 0: the plane holds the polar axis, and phi
+    # jumps by pi at each pole the leg passes, the way of u^phi0's zero
+    data = near_polar_config()
+    data["u1"] = static_tetrad_tangent(10.0, 0.05, 0.3, [0.0, -1.0, 0.0])
+    data["u1"][3] = zero
+    cfg = config_from_dict(data)
+    for tau, poles in ((1.0, 0), (10.0, 1)):
+        leg = dataclasses.replace(cfg.legs[0], stop=geodesics.StopCondition.proper_time(tau))
+        (path,) = run_legs([leg], cfg.tol)
+        assert path.points[-1, 3] == 0.3 + math.copysign(poles * math.pi, zero)
+        assert path.tangents[-1, 3] == 0.0
+
+
+def test_every_leg_is_stored_as_its_two_ends():
+    # flat, radial, stepped and zero-length legs, of both kinds: two rows of
+    # each array, a zero-length leg its start twice at tau 0 and 0 with P = I
+    flat = next(data for data in bundled_geometries() if data["metric"]["kind"] == "minkowski")
+    seen = set()
+    for labels, data in [*mixed_configs(3), (("flat", "flat"), flat)]:
+        cfg = config_from_dict(data)
+        for label, path in zip(labels, run_legs(cfg.legs, cfg.tol)):
+            assert path.taus.shape == (2,) and path.taus[0] == 0.0
+            assert path.points.shape == path.tangents.shape == path.metrics.shape == (2, 4)
+            assert path.propagators.shape == (2, 4, 4)
+            assert np.array_equal(path.propagators[0], np.eye(4))
+            if label.startswith("zero-length"):
+                assert list(path.taus) == [0.0, 0.0]
+                assert np.array_equal(path.points[0], path.points[1])
+                assert np.array_equal(path.propagators[1], np.eye(4))
+            seen.add(label)
+    assert len(seen) == 7

@@ -15,7 +15,7 @@ from grbell import (
 )
 from grbell import geodesics
 from grbell.geodesics import METRIC_SLACK
-from conftest import metric_check, random_exterior_point, recording_checked_legs
+from conftest import metric_check, random_exterior_point, recording_checked_legs, recording_runs
 from reference import (
     christoffel_components,
     column_list_frames,
@@ -27,6 +27,7 @@ from reference import (
     earlier_radial_rhs,
     hnw_first_step,
     metric_matrices,
+    recorded_dopri,
 )
 
 M = 1.0
@@ -119,13 +120,10 @@ def test_frame_blocks_equal_the_column_list_frames(schw, rng, monkeypatch, kind,
     # on each leg of the stack
     calls = []
 
-    def recording(kinds, counts, points, g, tangents, psi):
-        frames = original(kinds, counts, points, g, tangents, psi)
-        start = 0
-        for kind, count in zip(kinds, counts):
-            rows = slice(start, start + count)
-            calls.append((kind, points[rows], tangents[rows], psi[rows], frames[rows]))
-            start += count
+    def recording(kinds, points, g, tangents, psi):
+        frames = original(kinds, points, g, tangents, psi)
+        for i, kind in enumerate(kinds):
+            calls.append((kind, points[i], tangents[i], psi[i], frames[i]))
         return frames
 
     original = geodesics._parallel_frames
@@ -171,7 +169,7 @@ def test_diagonal_contractions_equal_the_full_ones(schw, rng, monkeypatch):
             assert metric_check(d, P, sizes) == residual
         norm = np.max(np.abs(np.einsum("nab,na,nb->n", g, u, u) + 1.0))
         points = rng.uniform(3.0, 30.0, (n, 4))
-        assert geodesics._conservation_drift(schw, ["timelike"], [n], points, u, d)[0]["norm"] == norm
+        assert geodesics._conservation_drift(schw, ["timelike"], points[None], u[None], d[None])[0]["norm"] == norm
 
 
 def test_metric_check_follows_the_frame_on_a_boosted_leg(schw):
@@ -237,7 +235,7 @@ def test_stepper_takes_the_steps_of_rk45():
     rhs = damped_oscillator
     y0 = [1.5, 0.0, 0.2]
     for tol in (1e-6, 1e-9, 1e-11):
-        run = geodesics._dopri(rhs, y0, hnw_first_step(rhs, y0, 20.0, tol), 20.0, tol, [], "stop")
+        run = recorded_dopri(rhs, y0, hnw_first_step(rhs, y0, 20.0, tol), 20.0, tol, [], "stop")
         ref = solve_ivp(lambda _t, y: rhs(y), (0.0, 20.0), y0, method="RK45",
                         rtol=tol, atol=tol * 1e-3)
         assert run.accepted == len(ref.t) - 1
@@ -250,7 +248,7 @@ def test_stepper_takes_the_steps_of_rk45():
 
 def test_stepper_locates_a_terminal_event_on_its_dense_output():
     # y = (cos tau, -sin tau): y0 first falls through 0.5 at tau = pi / 3
-    run = geodesics._dopri(lambda y: [y[1], -y[0]], [1.0, 0.0], 1e-3, 10.0, 1e-10, [(0, 0.5, -1)], "stop")
+    run = recorded_dopri(lambda y: [y[1], -y[0]], [1.0, 0.0], 1e-3, 10.0, 1e-10, [(0, 0.5, -1)], "stop")
     assert run.event == 0
     assert run.taus[-1] == pytest.approx(math.pi / 3.0, abs=1e-9)
     assert run.states[-1][0] == pytest.approx(0.5, abs=1e-9)
@@ -259,7 +257,7 @@ def test_stepper_locates_a_terminal_event_on_its_dense_output():
 
 def test_stepper_rejects_a_non_finite_state():
     with pytest.raises(StepFailure, match="non-finite"):
-        geodesics._dopri(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 1e-3, 5.0, 1e-8, [], "stop")
+        recorded_dopri(lambda y: [math.nan if y[0] > 1.5 else 1.0], [1.0], 1e-3, 5.0, 1e-8, [], "stop")
 
 
 def test_stepper_without_an_end_fails_where_tau_would_overflow():
@@ -278,13 +276,13 @@ def test_stepper_without_an_end_fails_where_tau_would_overflow():
         return (1.0,)
 
     with pytest.raises(StepFailure, match="non-finite state"):
-        geodesics._dopri(rhs, [0.0], 1e-3, math.inf, 1e-8, [], "stop")
+        recorded_dopri(rhs, [0.0], 1e-3, math.inf, 1e-8, [], "stop")
 
 
 def test_stepper_rejects_a_step_whose_stage_leaves_the_domain():
     # the controller grows the step tenfold on this linear system until a
     # trial stage crosses the domain's edge
-    run = geodesics._dopri(leaves_at_zero, [1.0], 1e-3, 10.0, 1e-10, [(0, 0.25, -1)], "stop")
+    run = recorded_dopri(leaves_at_zero, [1.0], 1e-3, 10.0, 1e-10, [(0, 0.25, -1)], "stop")
     assert run.event == 0
     assert run.taus[-1] == pytest.approx(0.75, abs=1e-12)
     assert run.rejected >= 1
@@ -294,12 +292,13 @@ def test_stepper_rejects_a_step_whose_stage_leaves_the_domain():
 def test_stepper_fails_on_step_size_underflow():
     # y' = 1 / (1 - y)^2 blows up at tau = 1/3; steps shrink until they underflow
     with pytest.raises(StepFailure):
-        geodesics._dopri(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1e-3, 1.0, 1e-10, [], "stop")
+        recorded_dopri(lambda y: [1.0 / (1.0 - y[0]) ** 2], [0.0], 1e-3, 1.0, 1e-10, [], "stop")
 
 
 def run_outcome(call):
     """A stepper run's taus and states as bytes, its event and counters, or
-    the class and message of what it raised."""
+    the class and message of what it raised; a run of geodesics._dopri
+    reads as recorded_dopri records it, every state it checks."""
     try:
         run = call()
     except Exception as e:  # noqa: BLE001 - compared, not handled
@@ -348,11 +347,12 @@ STEPPER_CASES = {
 @pytest.mark.parametrize("case", list(STEPPER_CASES))
 @pytest.mark.parametrize("max_steps", [geodesics.MAX_STEPS, 5])
 def test_stepper_equals_the_earlier_stepper(monkeypatch, case, max_steps):
-    # the straight-line trial step gives the bits of the list form, and
-    # raises what it raises, also where the step budget runs out
+    # the straight-line trial step gives the bits of the list form at every
+    # state it hands its per-step function, and raises what it raises, also
+    # where the step budget runs out
     monkeypatch.setattr(geodesics, "MAX_STEPS", max_steps)
     for args in STEPPER_CASES[case]:
-        found = run_outcome(lambda: geodesics._dopri(*args))
+        found = run_outcome(lambda: recorded_dopri(*args))
         assert found == run_outcome(lambda: earlier_dopri(*args))
         if max_steps == 5 and case == "rk45":
             assert found == (StepFailure, "stop not reached within 5 steps")
@@ -393,17 +393,17 @@ def radial_leg(rng):
 
 def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
     """Each leg's stepper run, on the components (r, u^r) its plane
-    right-hand side reads, equals the run of earlier_dopri on the same
-    arguments, and the run of earlier_dopri over all five components of
-    the plane state on that right-hand side, rebuilt from the leg's E and
-    L. Returns each leg's outcome, as (exception class name or "ok", the
-    right-hand side it stepped on or None)."""
+    right-hand side reads, at every state it hands its per-step function,
+    equals the run of earlier_dopri on the same arguments, and the run of
+    earlier_dopri over all five components of the plane state on that
+    right-hand side, rebuilt from the leg's E and L. Returns each leg's
+    outcome, as (exception class name or "ok", the right-hand side it
+    stepped on or None)."""
     calls, outcomes = [], []
-    dopri = geodesics._dopri
 
     def recording(*args):
         try:
-            run = dopri(*args)
+            run = recorded_dopri(*args)
         except Exception as e:  # noqa: BLE001 - recorded and raised again
             calls.append((args, (type(e), str(e))))
             raise
@@ -423,8 +423,8 @@ def assert_legs_step_like_the_whole_state(schw, monkeypatch, legs):
             outcomes.append((outcome, None))
             continue
         args, found = calls[stepped]
-        assert found == run_outcome(lambda: earlier_dopri(*args))
-        rhs, y0, h0, cap, _, events, what, _ = args
+        rhs, y0, h0, cap, _, events, what, reads, _ = args
+        assert found == run_outcome(lambda: earlier_dopri(rhs, y0, h0, cap, tol, events, what, reads))
         r0, th0 = x0[1], x0[2]
         energy = (1.0 - 2.0 / r0) * u0[0]
         ang_mom = r0 * math.hypot(r0 * u0[2], r0 * math.sin(th0) * u0[3])
@@ -611,7 +611,7 @@ def test_radial_legs_at_extreme_inputs_end_finite_or_fail(schw):
                             path = integrate_geodesic(schw, x0, np.array([*u0, *zeros]), stop)
                         except SimulatorError:
                             continue
-                        assert len(path.taus) in (1, 2) and path.kind == kind
+                        assert len(path.taus) == 2 and path.kind == kind
                         assert np.all(np.isfinite(path.points)) and np.all(np.isfinite(path.propagators))
                         checked += 1
     assert checked > 100
@@ -661,14 +661,7 @@ def test_the_effective_potential_refuses_only_radii_the_orbit_never_reaches(schw
     # leg reaches its stop or the guard within a step budget of 2,000
     rng = np.random.default_rng(20261020)
     full_budget = geodesics.MAX_STEPS
-    runs = []
-    dopri = geodesics._dopri
-
-    def recording(*args):
-        runs.append(dopri(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(geodesics, "_dopri", recording)
+    runs = recording_runs(monkeypatch)
     outcomes = {}
     for i in range(200):
         kind = ("timelike", "null")[i % 2]
@@ -716,17 +709,10 @@ def test_equatorial_null_leg_carries_the_plane_normal(schw):
 
 def recorded_legs(schw, flat, rng, monkeypatch):
     """Each leg's rows of the stack _checked_paths checks, and each stepped
-    leg's run, over random timelike, null, radial and near-radial
-    Schwarzschild legs, zero-length legs of both kinds and flat legs of both
-    kinds."""
-    runs = []
-    checks, dopri = recording_checked_legs(monkeypatch), geodesics._dopri
-
-    def recording_dopri(*args):
-        runs.append(dopri(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(geodesics, "_dopri", recording_dopri)
+    leg's run, as recorded_dopri records it, over random timelike, null,
+    radial and near-radial Schwarzschild legs, zero-length legs of both
+    kinds and flat legs of both kinds."""
+    checks, runs = recording_checked_legs(monkeypatch), recording_runs(monkeypatch)
     for kind, radial_fraction in LEGS:
         for _ in range(3):
             x0, u0 = launch(rng, kind, radial_fraction)
@@ -741,31 +727,36 @@ def recorded_legs(schw, flat, rng, monkeypatch):
 
 
 def test_leg_arrays_equal_the_earlier_assembly(schw, flat, rng, monkeypatch):
-    # the stored states, frames, propagators and sizes of every stepped leg,
-    # of every closed-form radial leg's two ends and of every zero-length
-    # leg's one row are the bits of the np.array and 16-column assembly
+    # every leg's (2, ...) rows of the stack, its states, frames,
+    # propagators and sizes, are the bits of the np.array and 16-column
+    # assembly at its ends: a stepped leg's first and last row of that
+    # assembly over every state its run checked, with phi unwrapped row by
+    # row, a closed-form radial leg's two ends, and a zero-length leg's one
+    # row twice
     checks, runs = recorded_legs(schw, flat, rng, monkeypatch)
     framed = [leg for leg in checks if leg.sizes is not None]
     stepped = [leg for leg in framed if leg.nfev > 0]
     closed = [leg for leg in framed if leg.nfev == 0]
     assert len(stepped) == len(runs) >= 12
     assert len(closed) >= 6
+    assert {bool(leg.taus[-1] > 0.0) for leg in closed} == {True, False}  # radial and zero-length
     kinds = set()
     for leg, run in [*zip(stepped, runs), *[(leg, None) for leg in closed]]:
         kind, taus, points, tangents, propagators, sizes = (
             leg.kind, leg.taus, leg.points, leg.tangents, leg.propagators, leg.sizes
         )
         kinds.add((kind, bool(tangents[0, 2] == tangents[0, 3] == 0.0)))
+        assert taus.shape == (2,) and propagators.shape == sizes.shape == (2, 4, 4)
         if run is None:  # a radial leg's two ends, or a zero-length leg's one row
-            assert len(taus) in (1, 2)
-            states = np.column_stack([points, tangents, np.zeros(len(taus))])
-            expected = earlier_leg_arrays(kind, taus, states, None, None)
+            rows = 2 if taus[-1] > 0.0 else 1
+            states = np.column_stack([points, tangents, np.zeros(2)])[:rows]
+            expected = earlier_leg_arrays(kind, taus[:rows], states, None, None)
         else:
             expected = earlier_leg_arrays(kind, run.taus, run.states, points[0], tangents[0])
         found = (taus, points, tangents, propagators, sizes, leg.g, leg.stored_tangents)
         for new, old in zip(found, expected):
-            assert new.shape == old.shape
-            assert np.array_equal(new, old)
+            assert new.shape == old[[0, -1]].shape
+            assert np.array_equal(new, old[[0, -1]])  # a one-row assembly's row twice
     assert kinds == {("timelike", False), ("timelike", True), ("null", False), ("null", True)}
 
 
@@ -781,8 +772,8 @@ def test_path_checks_equal_the_earlier_forms(schw, flat, rng, monkeypatch):
         chart = geodesics._UNIT_MASS if spec.kind == "schwarzschild" else spec
         g = leg.g
         assert np.array_equal(g, geodesics.metric_stack(chart, points))
-        lengths.add((spec.kind, kind, len(points) > 1))
-        assert geodesics._conservation_drift(chart, [kind], [len(points)], points, tangents, g) == [
+        lengths.add((spec.kind, kind, bool(leg.taus[-1] > 0.0)))
+        assert geodesics._conservation_drift(chart, [kind], points[None], tangents[None], g[None]) == [
             earlier_conservation_drift(chart, kind, points, tangents, g)
         ]
         bent = propagators + 1e-6

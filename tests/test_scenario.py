@@ -38,6 +38,7 @@ from grbell.correlations import ARM_ORDER_ULP, bell_stack
 from grbell.frames import ProjectionStack
 from grbell.geodesics import emission_event, leg_start
 from grbell.scenario import CSV_HEADER, SweepSpec, csv_row, error_row
+from conftest import recording_runs
 from reference import csv_cells, earlier_report_to_dict
 from test_leg_stack import batch_config
 
@@ -252,8 +253,9 @@ def test_a_null_leg_reaches_its_radius_stop_at_any_affine_scale():
         assert report.proj_c.w == pytest.approx(unit.proj_c.w, abs=1e-9)
         assert report.inequality.margin == pytest.approx(unit.inequality.margin, abs=1e-9)
         assert report.geodesic_1.tau_end == pytest.approx(unit.geodesic_1.tau_end * 2.0**k, rel=1e-6)
-        # the relative energy drift is of the unit scale's order, not floored away
-        assert 0.1 < report.geodesic_1.drift["energy"] / unit.geodesic_1.drift["energy"] < 10.0
+        # the norm's drift, which scales as u.u does, is of the unit scale's order, not floored away
+        scaled_norm = report.geodesic_1.drift["norm"] * 4.0**k
+        assert 0.1 < scaled_norm / unit.geodesic_1.drift["norm"] < 10.0
 
 
 def _bundled_runs():
@@ -975,16 +977,18 @@ def test_csv_correlations_come_from_the_report():
 
 
 def test_geodesic_stats_count_the_stepper_work_and_repeat_exactly(monkeypatch):
-    paths = recording_paths(monkeypatch)
+    paths, runs = recording_paths(monkeypatch), recording_runs(monkeypatch)
     data = schwarzschild_demo_config()
     data["lhv_audit"] = False
     first = scenario.report_to_json(run_scenario(config_from_dict(data)))
     second = scenario.report_to_json(run_scenario(config_from_dict(data)))
     assert first == second
     assert len(paths) == 4
-    for path, again in zip(paths[:2], paths[2:]):
+    assert len(runs) == 4
+    for path, again, run in zip(paths[:2], paths[2:], runs):
         assert (path.nfev, path.accepted, path.rejected) == (again.nfev, again.accepted, again.rejected)
-        assert path.accepted == len(path.taus) - 1 > 0
+        # one accepted step per state the run checked
+        assert path.accepted == len(run.taus) - 1 > 0
         assert path.nfev == 1 + 6 * (path.accepted + path.rejected)
     payload = json.loads(first)
     for label, path in zip(("geodesic_1", "geodesic_2"), paths):

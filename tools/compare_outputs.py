@@ -10,7 +10,9 @@ Each tree runs its own package, from its own directory, on:
 - `sweep` on every bundled config that has a sweep block;
 - `selftest`;
 - `horizon` from 10 M at 40 steps to 2.01, 2.000003 and 1.5 M, and at
-  2,000 steps to 2.000003 M.
+  2,000 steps to 2.000003 M;
+- `run` as JSON on two long legs, the README's bound orbit from 30 M and
+  its mirror image, each 48,662 steps to tau = 4e5 M.
 
 Each command's exit code is kept as one more file. The script prints one
 verdict per file, then a count, and exits 1 if any file differs or is
@@ -27,6 +29,18 @@ from pathlib import Path
 
 HORIZONS = [("2.01", 40), ("2.000003", 40), ("1.5", 40), ("2.000003", 2000)]
 OUT = "{out}"  # stands for the command's output file
+LONG = "{long}"  # stands for the long legs' config, which run_tree writes beside its outputs
+_BOUND_ORBIT = [1.0556733370402644, 0.04926475572854568, 0.0, 0.006459223131359831]
+LONG_LEGS = {
+    "metric": {"kind": "schwarzschild", "mass": 1.0},
+    "origin": [0.0, 30.0, 1.5707963267948966, 0.0],
+    "u1": _BOUND_ORBIT,
+    "u2": [*_BOUND_ORBIT[:3], -_BOUND_ORBIT[3]],
+    "stop1": {"kind": "proper_time", "value": 4e5},
+    "stop2": {"kind": "proper_time", "value": 4e5},
+    "settings": {"a_deg": 0.0, "b_deg": 60.0, "c_deg": 120.0},
+    "lhv_audit": False,
+}
 
 
 def commands(tree: Path) -> list[tuple[str, list[str]]]:
@@ -45,15 +59,18 @@ def commands(tree: Path) -> list[tuple[str, list[str]]]:
             f"horizon-{r_end}-{steps}.csv",
             ["--quiet", "horizon", "--mass", "1", "--r-start", "10", "--r-end", r_end, "--steps", str(steps), "--out", OUT],
         ))
+    found.append(("run-long_legs.json", ["run", "--config", LONG, "--format", "json", "--out", OUT]))
     return found
 
 
 def run_tree(tree: Path, dest: Path) -> None:
     """Write every output of tree's commands into dest, and each exit code as NAME.exit."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    long_legs = dest.parent / "long_legs.json"
+    long_legs.write_text(json.dumps(LONG_LEGS), encoding="utf-8")
     for name, args in commands(tree):
         out = dest / name
-        argv = [str(out) if arg == OUT else arg for arg in args]
+        argv = [str(out) if arg == OUT else str(long_legs) if arg == LONG else arg for arg in args]
         with open(out if OUT not in args else os.devnull, "w", encoding="utf-8") as stdout:
             code = subprocess.run(
                 [sys.executable, "-m", "grbell.cli", *argv],
